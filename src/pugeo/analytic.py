@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError
-from .geometry import AugmentedJacobian, estimate_frame, fit_fundamental_forms
+from .geometry import AugmentedJacobian, estimate_frames, fit_curvatures
 from .io import PointCloud
 from .sampling import NeighborIndex
 
@@ -50,33 +49,37 @@ class UpsampleResult:
     metadata: dict = field(default_factory=dict)
 
 
-def param_samples(factor: int, pattern: SamplePattern, local_radius: float,
+def param_samples(factor: int, pattern: SamplePattern, local_radius,
                   rng: np.random.Generator | None = None) -> np.ndarray:
     """(R, 2) parametric samples inside the disk of radius_scale*local_radius.
 
-    fibonacci_disk places r_j = radius*sqrt((j+0.5)/R) at multiples of the
-    golden angle (no RNG).  jittered_grid jitters the first R cells of a
-    ceil(sqrt(R))^2 grid spanning the inscribed square of the disk.
+    local_radius may also be an (N,) array, giving (N, R, 2) samples: one
+    disk per radius.  fibonacci_disk places r_j = radius*sqrt((j+0.5)/R) at
+    multiples of the golden angle (no RNG).  jittered_grid jitters the
+    first R cells of a ceil(sqrt(R))^2 grid spanning the inscribed square
+    of the disk; per disk it draws R u-jitters, then R v-jitters.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    if local_radius < 0.0:
+    local_radius = np.asarray(local_radius, dtype=np.float64)
+    if np.any(local_radius < 0.0):
         raise ValueError("local_radius must be non-negative")
-    radius = pattern.radius_scale * local_radius
+    radius = pattern.radius_scale * local_radius[..., None]
     if pattern.kind == "fibonacci_disk":
         j = np.arange(factor, dtype=np.float64)
         r = radius * np.sqrt((j + 0.5) / factor)
         angle = j * GOLDEN_ANGLE
-        return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1)
+        return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
     if rng is None:
         rng = np.random.default_rng(0)
     m = math.ceil(math.sqrt(factor))
     half = radius / math.sqrt(2.0)  # inscribed square keeps samples in the disk
     cell = 2.0 * half / m
     rows, cols = np.divmod(np.arange(factor), m)
-    u = -half + (cols + rng.random(factor)) * cell
-    v = -half + (rows + rng.random(factor)) * cell
-    return np.stack([u, v], axis=1)
+    jitter = rng.random(local_radius.shape + (2, factor))
+    u = -half + (cols + jitter[..., 0, :]) * cell
+    v = -half + (rows + jitter[..., 1, :]) * cell
+    return np.stack([u, v], axis=-1)
 
 
 def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
@@ -86,9 +89,10 @@ def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
                       collect_frames: bool = False) -> UpsampleResult:
     """Upsample a cloud R-fold via frame estimation and quadric displacement.
 
-    Per point: kNN(k) neighborhood -> tangent frame -> curvature fit ->
-    samples in the local disk (radius from the median 4-NN spacing) rotated
-    into principal coordinates -> tangent lift -> displacement along t3.
+    Per point, computed for all points at once: kNN(k) neighborhood ->
+    tangent frame -> curvature fit -> samples in the local disk (radius
+    from the median 4-NN spacing) rotated into principal coordinates ->
+    tangent lift -> displacement along t3, clamped to the local radius.
     `displacement=False` forces all displacements to zero (first-order
     baseline).  Degenerate neighborhoods fall back to a canonical frame
     with zero displacement and are counted in result metadata.
@@ -103,64 +107,38 @@ def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
         raise ValueError(f"need at least k+1={k + 1} points, got {n}")
 
     index = NeighborIndex(pts)
-    neighbor_idx = index.knn_batch(pts, k)  # row i starts with i itself
+    neighborhoods = pts[index.knn_batch(pts, k)]  # row i starts with i itself
+    frames, collinear = estimate_frames(neighborhoods, pts)
+    curvatures, directions, flat = fit_curvatures(neighborhoods, pts, frames)
+    # collinear rows have no fit to use or count: flat disk in the identity frame
+    flat &= ~collinear
+    curvatures[collinear] = 0.0
+    directions[collinear] = np.eye(2)
+    t1, t2, t3 = frames[:, :, 0], frames[:, :, 1], frames[:, :, 2]
+    p1 = (directions[:, :1, 0] * t1 + directions[:, 1:, 0] * t2)[:, None, :]
+    p2 = (directions[:, :1, 1] * t1 + directions[:, 1:, 1] * t2)[:, None, :]
+    k1, k2 = curvatures[:, :1], curvatures[:, 1:]
 
-    out_points = np.empty((n * factor, 3))
-    out_normals = np.empty((n * factor, 3))
-    out_deltas = np.empty(n * factor)
-    coarse = np.empty((n, 3))
-    parent = np.repeat(np.arange(n, dtype=np.int64), factor)
-    degenerate_frames = 0
-    degenerate_fits = 0
-    frames = [] if collect_frames else None
+    dists = np.linalg.norm(neighborhoods - pts[:, None, :], axis=2)
+    local_radius = np.median(np.sort(dists, axis=1)[:, 1:5], axis=1)
+    uv = param_samples(factor, pattern, local_radius, rng)  # (N, R, 2)
+    u, v = uv[:, :, 0], uv[:, :, 1]
 
-    for i in range(n):
-        neighborhood = pts[neighbor_idx[i]]
-        center = pts[i]
-        try:
-            frame = estimate_frame(neighborhood, center)
-            forms = fit_fundamental_forms(neighborhood, frame)
-        except GeometryError:
-            degenerate_frames += 1
-            frame = AugmentedJacobian(origin=center.copy(),
-                                      t1=np.array([1.0, 0.0, 0.0]),
-                                      t2=np.array([0.0, 1.0, 0.0]),
-                                      t3=np.array([0.0, 0.0, 1.0]))
-            forms = None
-        dists = np.linalg.norm(neighborhood - center, axis=1)
-        local_radius = float(np.median(np.sort(dists)[1:5]))
-        uv = param_samples(factor, pattern, local_radius, rng)
+    lifted = pts[:, None, :] + u[..., None] * p1 + v[..., None] * p2
+    deltas = 0.5 * (k1 * u ** 2 + k2 * v ** 2)
+    bound = np.where(local_radius > 0.0, local_radius, np.inf)[:, None]
+    deltas = np.clip(deltas, -bound, bound)
+    if not displacement:
+        deltas = np.zeros_like(deltas)
+    samples = lifted + deltas[..., None] * t3[:, None, :]
+    normals = (-k1 * u)[..., None] * p1 - (k2 * v)[..., None] * p2 + t3[:, None, :]
+    normals /= np.linalg.norm(normals, axis=2, keepdims=True)
 
-        if forms is None or forms.degenerate:
-            if forms is not None and forms.degenerate:
-                degenerate_fits += 1
-            p1, p2 = frame.t1, frame.t2
-            k1 = k2 = 0.0
-        else:
-            p1 = forms.dir1[0] * frame.t1 + forms.dir1[1] * frame.t2
-            p2 = forms.dir2[0] * frame.t1 + forms.dir2[1] * frame.t2
-            k1, k2 = forms.k1, forms.k2
-
-        lifted = center + uv[:, :1] * p1 + uv[:, 1:] * p2
-        deltas = 0.5 * (k1 * uv[:, 0] ** 2 + k2 * uv[:, 1] ** 2)
-        if local_radius > 0.0:
-            deltas = np.clip(deltas, -local_radius, local_radius)
-        if not displacement:
-            deltas = np.zeros_like(deltas)
-        samples = lifted + deltas[:, None] * frame.t3
-        normals = -k1 * uv[:, :1] * p1 - k2 * uv[:, 1:] * p2 + frame.t3
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-
-        sl = slice(i * factor, (i + 1) * factor)
-        out_points[sl] = samples
-        out_normals[sl] = normals
-        out_deltas[sl] = deltas
-        coarse[i] = frame.t3
-        if frames is not None:
-            frames.append(frame)
-
-    metadata = {"degenerate_frames": degenerate_frames, "degenerate_fits": degenerate_fits}
-    if frames is not None:
-        metadata["frames"] = frames
-    return UpsampleResult(points=out_points, normals=out_normals, coarse_normals=coarse,
-                          deltas=out_deltas, parent=parent, metadata=metadata)
+    metadata = {"degenerate_frames": int(collinear.sum()), "degenerate_fits": int(flat.sum())}
+    if collect_frames:
+        metadata["frames"] = [AugmentedJacobian(origin=c.copy(), t1=t[:, 0], t2=t[:, 1],
+                                                t3=t[:, 2]) for c, t in zip(pts, frames)]
+    return UpsampleResult(points=samples.reshape(-1, 3), normals=normals.reshape(-1, 3),
+                          coarse_normals=t3.copy(), deltas=deltas.reshape(-1),
+                          parent=np.repeat(np.arange(n, dtype=np.int64), factor),
+                          metadata=metadata)

@@ -37,9 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pugeo",
                                      description="Point cloud upsampling pipeline")
     parser.add_argument("--seed", type=int, default=42, help="global RNG seed")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="parallelism cap; stages run sequentially, so results "
-                             "never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_dataset = sub.add_parser("dataset", help="dataset construction")
@@ -219,11 +216,17 @@ def cmd_upsample(args) -> int:
         if args.factor != model.config.factor:
             return _fail(f"--factor {args.factor} does not match checkpoint factor "
                          f"{model.config.factor}")
+    counts = {}
     result = upsample_cloud(cloud, args.factor, method=args.method, model=model,
                             k=args.k, pattern=_pattern(args.pattern),
                             patch_size=args.patch_size, coverage=args.coverage,
-                            seed=args.seed)
+                            seed=args.seed, counts=counts)
     write_xyz(result, args.output)
+    if counts["degenerate_frames"] or counts["degenerate_fits"]:
+        print(f"warning: {counts['degenerate_frames']} degenerate frames and "
+              f"{counts['degenerate_fits']} degenerate curvature fits in "
+              f"{counts['patch_points']} patch points; those points were upsampled "
+              f"on a flat disk", file=sys.stderr)
     print(json.dumps({"points": len(result), "output": args.output}, sort_keys=True))
     return 0
 

@@ -1,10 +1,13 @@
-"""Per-point differential geometry from neighborhoods.
+"""Per-point differential geometry from neighborhoods, batched over points.
 
-A tangent frame is estimated by PCA of the neighborhood covariance and
-packed as the 3x3 matrix [t1 t2 t3] whose first two columns span the
-tangent plane and whose third column is their cross product.  A quadric
-height fit over that frame yields the principal curvatures, which drive
-the normal displacement that bends tangent-plane samples onto the surface.
+For each of N neighborhoods at once, a tangent frame is estimated by PCA
+of the neighborhood covariance and packed as the 3x3 matrix [t1 t2 t3]
+whose first two columns span the tangent plane and whose third column is
+their cross product.  A quadric height fit over that frame yields the
+principal curvatures, which drive the normal displacement that bends
+tangent-plane samples onto the surface.  The batched kernels
+(estimate_frames, fit_curvatures) work on stacked (N, k, 3) arrays; the
+scalar estimate_frame and fit_fundamental_forms are one-row calls of them.
 """
 
 from __future__ import annotations
@@ -55,87 +58,155 @@ class ParamSample:
     v: float
 
 
-def estimate_frame(neighborhood, center) -> AugmentedJacobian:
-    """PCA tangent frame of a neighborhood around `center`, jet-refined.
+def estimate_frames(neighborhoods, centers) -> tuple[np.ndarray, np.ndarray]:
+    """PCA tangent frames of N neighborhoods at once, jet-refined.
 
-    t3 starts as the smallest-eigenvalue direction of the neighborhood
+    `neighborhoods` is (N, k, 3) with k >= 6 and `centers` is (N, 3).  Per
+    row, t3 starts as the smallest-eigenvalue direction of the neighborhood
     covariance; one least-squares jet step (height fit with linear terms)
     then cancels the residual tilt of the PCA plane, which would otherwise
-    leak first-order error into the curvature fit.  t3 is oriented toward
-    the neighborhood centroid (the concave side), or +z when the centroid
-    coincides with the center.  t1 is the dominant covariance direction
-    projected into the tangent plane, t2 = t3 x t1.
+    leak first-order error into the curvature fit.  The step is skipped
+    where that fit has rank < 5.  t3 is oriented toward the neighborhood
+    centroid (the concave side), or +z when the centroid coincides with
+    the center.  t1 is the dominant covariance direction projected into
+    the tangent plane, t2 = t3 x t1.
+
+    Returns (frames, collinear): frames is (N, 3, 3) with columns
+    (t1, t2, t3); rows whose middle covariance eigenvalue falls below the
+    collinear floor are flagged and get the identity frame.
     """
-    pts = np.asarray(neighborhood, dtype=np.float64).reshape(-1, 3)
-    center = np.asarray(center, dtype=np.float64).reshape(3)
-    if len(pts) < 6:
-        raise ValueError(f"need at least 6 neighbors, got {len(pts)}")
-    centroid = pts.mean(axis=0)
-    deltas = pts - centroid
-    cov = deltas.T @ deltas / len(pts)
+    pts = _neighborhoods(neighborhoods)
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    centroid = pts.mean(axis=1)
+    deltas = pts - centroid[:, None, :]
+    cov = deltas.transpose(0, 2, 1) @ deltas / pts.shape[1]
     eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
-    if eigvals[1] <= _COLLINEAR_RTOL * max(eigvals[2], 1e-300):
-        raise GeometryError("neighborhood is collinear or degenerate")
+    spread = np.maximum(eigvals[:, 2], 1e-300)
+    collinear = eigvals[:, 1] <= _COLLINEAR_RTOL * spread
 
-    t3 = eigvecs[:, 0]
-    major = eigvecs[:, 2]
-    t1 = major - (major @ t3) * t3
-    t1 = t1 / np.linalg.norm(t1)
+    t3 = eigvecs[:, :, 0]
+    major = eigvecs[:, :, 2]
+    t1 = _unit(major - _dot(major, t3)[:, None] * t3)
     t2 = np.cross(t3, t1)
-    t1, t2, t3 = _jet_refine(pts, center, t1, t2, t3)
 
-    reference = centroid - center
-    if np.linalg.norm(reference) <= 1e-12 * math.sqrt(max(eigvals[2], 1e-300)):
-        reference = np.array([0.0, 0.0, 1.0])
-    if float(t3 @ reference) < 0.0:
-        t3 = -t3
-        t2 = -t2  # keep the handedness t3 = t1 x t2
+    u, v, w = _frame_coords(pts, centers, np.stack([t1, t2, t3], axis=2))
+    design = np.stack([u, v, 0.5 * u * u, u * v, 0.5 * v * v], axis=2)
+    solution, rank, _ = _lstsq_rows(design, w)
+    refined = _unit(-solution[:, :1] * t1 - solution[:, 1:2] * t2 + t3)
+    t1_refined = _unit(t1 - _dot(t1, refined)[:, None] * refined)
+    tilt = (rank == 5)[:, None]
+    t1 = np.where(tilt, t1_refined, t1)
+    t2 = np.where(tilt, np.cross(refined, t1_refined), t2)
+    t3 = np.where(tilt, refined, t3)
+
+    reference = centroid - centers
+    at_center = np.linalg.norm(reference, axis=1) <= 1e-12 * np.sqrt(spread)
+    reference[at_center] = (0.0, 0.0, 1.0)
+    # flipping t2 with t3 keeps the handedness t3 = t1 x t2
+    sign = np.where(_dot(t3, reference) < 0.0, -1.0, 1.0)[:, None]
+    frames = np.stack([t1, sign * t2, sign * t3], axis=2)
+    frames[collinear] = np.eye(3)
+    return frames, collinear
+
+
+def fit_curvatures(neighborhoods, origins, frames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares quadric height fits of N neighborhoods in given frames.
+
+    Neighbors are expressed as (u, v, w) in each row's frame (columns t1,
+    t2, t3 of the (N, 3, 3) `frames`, placed at the (N, 3) `origins`) and
+    w is fitted against (u^2/2, u*v, v^2/2) through the origin.  The
+    symmetric coefficient matrix [[e, f], [f, g]] is eigen-decomposed into
+    curvatures and directions.
+
+    Returns (curvatures, directions, degenerate): curvatures is (N, 2) with
+    k1 >= k2, directions is (N, 2, 2) with the unit 2D principal directions
+    dir1, dir2 as columns.  Rank-deficient or ill-conditioned fits are
+    flagged degenerate, with zero curvature and the identity directions.
+    """
+    pts = _neighborhoods(neighborhoods)
+    origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
+    u, v, w = _frame_coords(pts, origins, np.asarray(frames, dtype=np.float64))
+    design = np.stack([0.5 * u * u, u * v, 0.5 * v * v], axis=2)
+    solution, rank, singular = _lstsq_rows(design, w)
+    smallest = singular[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = singular[:, 0] / smallest
+    degenerate = (rank < 3) | (smallest <= 0.0) | (condition > _FIT_CONDITION_LIMIT)
+    e, f, g = solution.T
+    eigvals, eigvecs = np.linalg.eigh(np.stack([e, f, f, g], axis=1).reshape(-1, 2, 2))
+    curvatures = eigvals[:, ::-1].copy()
+    directions = eigvecs[:, :, ::-1].copy()
+    curvatures[degenerate] = 0.0
+    directions[degenerate] = np.eye(2)
+    return curvatures, directions, degenerate
+
+
+def _neighborhoods(neighborhoods) -> np.ndarray:
+    pts = np.asarray(neighborhoods, dtype=np.float64)
+    if pts.ndim != 3 or pts.shape[2] != 3:
+        raise ValueError(f"neighborhoods must be (N, k, 3), got shape {pts.shape}")
+    if pts.shape[1] < 6:
+        raise ValueError(f"need at least 6 neighbors, got {pts.shape[1]}")
+    return pts
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("nd,nd->n", a, b)
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _frame_coords(pts, origins, frames):
+    """(u, v, w) of every neighbor in its row's frame, each (N, k)."""
+    coords = (pts - origins[:, None, :]) @ frames
+    return coords[:, :, 0], coords[:, :, 1], coords[:, :, 2]
+
+
+def _lstsq_rows(design: np.ndarray, rhs: np.ndarray):
+    """Row-wise np.linalg.lstsq(design[i], rhs[i], rcond=None) by one stacked SVD.
+
+    As with lstsq's default rcond, singular values at or below
+    eps * max(k, m) times the row's largest count as zero, and the
+    solution is the minimum-norm one.  Returns (solution, rank, singular).
+    """
+    u, singular, vt = np.linalg.svd(design, full_matrices=False)
+    cutoff = np.finfo(np.float64).eps * max(design.shape[1:]) * singular[:, :1]
+    kept = singular > cutoff
+    inverse = np.divide(1.0, singular, out=np.zeros_like(singular), where=kept)
+    coeffs = np.einsum("nkm,nk->nm", u, rhs) * inverse
+    return np.einsum("nmj,nm->nj", vt, coeffs), kept.sum(axis=1), singular
+
+
+def estimate_frame(neighborhood, center) -> AugmentedJacobian:
+    """Tangent frame of one neighborhood around `center`.
+
+    A one-row call of estimate_frames; raises GeometryError where that
+    flags the neighborhood collinear.
+    """
+    center = np.asarray(center, dtype=np.float64).reshape(3)
+    pts = np.asarray(neighborhood, dtype=np.float64).reshape(1, -1, 3)
+    frames, collinear = estimate_frames(pts, center[None])
+    if collinear[0]:
+        raise GeometryError("neighborhood is collinear or degenerate")
+    t1, t2, t3 = frames[0].T.copy()
     return AugmentedJacobian(origin=center.copy(), t1=t1, t2=t2, t3=t3)
 
 
-def _jet_refine(pts, center, t1, t2, t3):
-    """One height-fit-with-linear-terms step aligning t3 with the surface."""
-    d = pts - center
-    u = d @ t1
-    v = d @ t2
-    w = d @ t3
-    design = np.column_stack([u, v, 0.5 * u * u, u * v, 0.5 * v * v])
-    solution, _, rank, _ = np.linalg.lstsq(design, w, rcond=None)
-    if rank < 5:
-        return t1, t2, t3
-    a, b = solution[0], solution[1]
-    refined = -a * t1 - b * t2 + t3
-    refined /= np.linalg.norm(refined)
-    t1 = t1 - (t1 @ refined) * refined
-    t1 /= np.linalg.norm(t1)
-    return t1, np.cross(refined, t1), refined
-
-
 def fit_fundamental_forms(neighborhood, frame: AugmentedJacobian) -> FundamentalForms:
-    """Least-squares quadric height fit in the frame; principal curvatures.
+    """Principal curvatures of one neighborhood in `frame`.
 
-    Neighbors are expressed as (u, v, w) in the frame and w is fitted
-    against (u^2/2, u*v, v^2/2) through the origin.  The symmetric
-    coefficient matrix [[e, f], [f, g]] is eigen-decomposed into
-    curvatures and directions.  Ill-conditioned fits return zero curvature
-    flagged degenerate rather than failing.
+    A one-row call of fit_curvatures.  Ill-conditioned fits return zero
+    curvature flagged degenerate rather than failing.
     """
-    pts = np.asarray(neighborhood, dtype=np.float64).reshape(-1, 3)
-    if len(pts) < 6:
-        raise ValueError(f"need at least 6 neighbors, got {len(pts)}")
-    d = pts - frame.origin
-    u = d @ frame.t1
-    v = d @ frame.t2
-    w = d @ frame.t3
-    design = np.column_stack([0.5 * u * u, u * v, 0.5 * v * v])
-    solution, _, rank, singular = np.linalg.lstsq(design, w, rcond=None)
-    smallest = singular[-1] if len(singular) == 3 else 0.0
-    if rank < 3 or smallest <= 0.0 or singular[0] / smallest > _FIT_CONDITION_LIMIT:
+    pts = np.asarray(neighborhood, dtype=np.float64).reshape(1, -1, 3)
+    origin = np.asarray(frame.origin, dtype=np.float64).reshape(1, 3)
+    curvatures, directions, degenerate = fit_curvatures(pts, origin, frame.matrix()[None])
+    if degenerate[0]:
         return FundamentalForms(0.0, 0.0, degenerate=True)
-    e, f, g = solution
-    eigvals, eigvecs = np.linalg.eigh(np.array([[e, f], [f, g]]))
-    return FundamentalForms(k1=float(eigvals[1]), k2=float(eigvals[0]),
-                            dir1=eigvecs[:, 1].copy(), dir2=eigvecs[:, 0].copy())
+    return FundamentalForms(k1=float(curvatures[0, 0]), k2=float(curvatures[0, 1]),
+                            dir1=directions[0, :, 0].copy(), dir2=directions[0, :, 1].copy())
 
 
 def normal_from_T(frame: AugmentedJacobian) -> np.ndarray:

@@ -8,6 +8,7 @@ round-trippable decimals, so read(write(cloud)) reproduces them exactly.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -74,6 +75,12 @@ class TriangleMesh:
                 raise ValueError("per-vertex normal count mismatch")
 
 
+def _check_finite(values: list[float], lineno: int) -> None:
+    """FormatError citing the line if any parsed value is nan or inf."""
+    if not all(map(math.isfinite, values)):
+        raise FormatError(f"line {lineno}: non-finite value")
+
+
 def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
     """Area-weighted average of incident triangle normals, normalized.
 
@@ -94,8 +101,8 @@ def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
 def read_xyz(path: str | os.PathLike) -> PointCloud:
     """Read an .xyz file: 3 columns (points) or 6 (points + normals).
 
-    Normals are normalized on load.  Mixed arity or non-numeric tokens raise
-    FormatError citing the 1-based line number.
+    Normals are normalized on load.  Mixed arity, non-numeric tokens or
+    non-finite values raise FormatError citing the 1-based line number.
     """
     points, normals = [], []
     arity = None
@@ -116,6 +123,7 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
                 values = [float(tok) for tok in tokens]
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: non-numeric token ({exc})") from None
+            _check_finite(values, lineno)
             points.append(values[:3])
             if arity == 6:
                 n = np.asarray(values[3:], dtype=np.float64)
@@ -162,14 +170,18 @@ def _read_obj(path) -> TriangleMesh:
                 if len(tokens) < 4:
                     raise FormatError(f"line {lineno}: vertex needs 3 coordinates")
                 try:
-                    verts.append([float(t) for t in tokens[1:4]])
+                    coords = [float(t) for t in tokens[1:4]]
                 except ValueError:
                     raise FormatError(f"line {lineno}: non-numeric vertex coordinate") from None
+                _check_finite(coords, lineno)
+                verts.append(coords)
             elif tag == "vn":
                 try:
-                    vnormals.append([float(t) for t in tokens[1:4]])
+                    normal = [float(t) for t in tokens[1:4]]
                 except ValueError:
                     raise FormatError(f"line {lineno}: non-numeric normal") from None
+                _check_finite(normal, lineno)
+                vnormals.append(normal)
             elif tag == "f":
                 idx = []
                 for tok in tokens[1:]:
@@ -227,13 +239,14 @@ def _read_ply(path) -> TriangleMesh:
     col = {name: vertex_props.index(name) for name in vertex_props}
     has_normals = all(n in vertex_props for n in ("nx", "ny", "nz"))
 
-    body = [ln for ln in lines[cursor:] if ln.split()]
+    body = [(lineno, ln) for lineno, ln in enumerate(lines[cursor:], start=cursor + 1)
+            if ln.split()]
     if len(body) < n_vertex + n_face:
         raise FormatError(f"PLY body has {len(body)} rows, header declares {n_vertex + n_face}")
     verts = np.empty((n_vertex, 3), dtype=np.float64)
     normals = np.empty((n_vertex, 3), dtype=np.float64) if has_normals else None
     for i in range(n_vertex):
-        tokens = body[i].split()
+        tokens = body[i][1].split()
         try:
             verts[i] = [float(tokens[col["x"]]), float(tokens[col["y"]]), float(tokens[col["z"]])]
             if has_normals:
@@ -241,9 +254,14 @@ def _read_ply(path) -> TriangleMesh:
                               float(tokens[col["nz"]])]
         except (ValueError, IndexError):
             raise FormatError(f"PLY vertex row {i + 1} is malformed") from None
+    finite = np.isfinite(verts).all(axis=1)
+    if has_normals:
+        finite &= np.isfinite(normals).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"line {body[int(np.argmin(finite))][0]}: non-finite value")
     faces: list[tuple[int, int, int]] = []
     for i in range(n_face):
-        tokens = body[n_vertex + i].split()
+        tokens = body[n_vertex + i][1].split()
         try:
             count = int(tokens[0])
             idx = [int(t) for t in tokens[1:1 + count]]

@@ -34,7 +34,11 @@ def farthest_point_sample(cloud, count: int, seed_index: int = 0) -> np.ndarray:
 
     Each subsequent pick maximizes the distance to the nearest already
     selected point; ties go to the smallest index (argmax returns the first
-    maximum).
+    maximum).  A pick can only lower the nearest-selected distance of
+    points within the current max-min radius of it, so only those are
+    updated, found through a kd-tree at that radius inflated by 1e-9
+    relative.  The distances are the ones a full O(N) update computes, so
+    the picks are exactly those of the full scan.
     """
     pts = _as_points(cloud)
     n = len(pts)
@@ -45,10 +49,14 @@ def farthest_point_sample(cloud, count: int, seed_index: int = 0) -> np.ndarray:
     selected = np.empty(count, dtype=np.int64)
     selected[0] = seed_index
     min_dist = np.linalg.norm(pts - pts[seed_index], axis=1)
+    tree = cKDTree(pts)
     for i in range(1, count):
         nxt = int(np.argmax(min_dist))
         selected[i] = nxt
-        np.minimum(min_dist, np.linalg.norm(pts - pts[nxt], axis=1), out=min_dist)
+        radius = np.nextafter(min_dist[nxt] * (1.0 + 1e-9), np.inf)
+        cand = np.asarray(tree.query_ball_point(pts[nxt], radius), dtype=np.int64)
+        min_dist[cand] = np.minimum(min_dist[cand],
+                                    np.linalg.norm(pts[cand] - pts[nxt], axis=1))
     return selected
 
 

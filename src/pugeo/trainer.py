@@ -228,8 +228,12 @@ def upsample_cloud(cloud: PointCloud, factor: int, method: str = "analytic",
                    model: PUGeoNet | None = None, k: int = 16,
                    pattern: SamplePattern | None = None, patch_size: int = 256,
                    coverage: float = 3.0, seed: int = 0,
-                   displacement: bool = True) -> PointCloud:
-    """Patch-extract, upsample each patch, denormalize and fuse to R*M points."""
+                   displacement: bool = True, counts: dict | None = None) -> PointCloud:
+    """Patch-extract, upsample each patch, denormalize and fuse to R*M points.
+
+    When `counts` is given it receives the patch points processed and the
+    degenerate frames and fits summed over all patches.
+    """
     if method == "model":
         if model is None:
             raise ValueError("method 'model' requires a model")
@@ -238,6 +242,7 @@ def upsample_cloud(cloud: PointCloud, factor: int, method: str = "analytic",
     rng = np.random.default_rng(seed)
     patches = extract_patches(cloud, patch_size, coverage)
     pieces = []
+    totals = dict.fromkeys(("patch_points", "degenerate_frames", "degenerate_fits"), 0)
     for patch in patches:
         if method == "analytic":
             result = upsample_analytic(PointCloud(patch.points), factor, k=k,
@@ -247,8 +252,13 @@ def upsample_cloud(cloud: PointCloud, factor: int, method: str = "analytic",
             result = model.upsample_patch(patch.points)
         else:
             raise ValueError(f"unknown method {method!r}")
+        totals["patch_points"] += len(patch.points)
+        for key in ("degenerate_frames", "degenerate_fits"):
+            totals[key] += result.metadata.get(key, 0)
         world = result.points * patch.scale + patch.centroid
         pieces.append(PointCloud(world, result.normals))
+    if counts is not None:
+        counts.update(totals)
     return fuse_patches(pieces, factor * len(cloud))
 
 

@@ -1,0 +1,194 @@
+"""Slow reference implementations that the vectorized code is tested against.
+
+These are the original loop versions of farthest point sampling and of
+analytic upsampling with its per-point frame and curvature fits.  They are
+kept verbatim in arithmetic so that the fast paths in ``pugeo`` can be
+compared against them bit for bit (FPS) or within a fixed tolerance
+(geometry, whose least-squares solves moved from LAPACK ``gelsd`` to a
+stacked SVD).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from pugeo.analytic import GOLDEN_ANGLE, SamplePattern, UpsampleResult
+from pugeo.errors import GeometryError
+from pugeo.geometry import AugmentedJacobian, FundamentalForms
+from pugeo.io import PointCloud
+from pugeo.sampling import NeighborIndex
+
+_COLLINEAR_RTOL = 1e-10
+_FIT_CONDITION_LIMIT = 1e8
+
+
+def farthest_point_sample(points, count: int, seed_index: int = 0) -> np.ndarray:
+    """O(N * count) greedy max-min selection; ties go to the lowest index."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    selected = np.empty(count, dtype=np.int64)
+    selected[0] = seed_index
+    min_dist = np.linalg.norm(pts - pts[seed_index], axis=1)
+    for i in range(1, count):
+        nxt = int(np.argmax(min_dist))
+        selected[i] = nxt
+        np.minimum(min_dist, np.linalg.norm(pts - pts[nxt], axis=1), out=min_dist)
+    return selected
+
+
+def estimate_frame(neighborhood, center) -> AugmentedJacobian:
+    """Per-point PCA frame with one jet step, oriented toward the centroid."""
+    pts = np.asarray(neighborhood, dtype=np.float64).reshape(-1, 3)
+    center = np.asarray(center, dtype=np.float64).reshape(3)
+    centroid = pts.mean(axis=0)
+    deltas = pts - centroid
+    cov = deltas.T @ deltas / len(pts)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    if eigvals[1] <= _COLLINEAR_RTOL * max(eigvals[2], 1e-300):
+        raise GeometryError("neighborhood is collinear or degenerate")
+
+    t3 = eigvecs[:, 0]
+    major = eigvecs[:, 2]
+    t1 = major - (major @ t3) * t3
+    t1 = t1 / np.linalg.norm(t1)
+    t2 = np.cross(t3, t1)
+    t1, t2, t3 = _jet_refine(pts, center, t1, t2, t3)
+
+    reference = centroid - center
+    if np.linalg.norm(reference) <= 1e-12 * math.sqrt(max(eigvals[2], 1e-300)):
+        reference = np.array([0.0, 0.0, 1.0])
+    if float(t3 @ reference) < 0.0:
+        t3 = -t3
+        t2 = -t2
+    return AugmentedJacobian(origin=center.copy(), t1=t1, t2=t2, t3=t3)
+
+
+def _jet_refine(pts, center, t1, t2, t3):
+    d = pts - center
+    u = d @ t1
+    v = d @ t2
+    w = d @ t3
+    design = np.column_stack([u, v, 0.5 * u * u, u * v, 0.5 * v * v])
+    solution, _, rank, _ = np.linalg.lstsq(design, w, rcond=None)
+    if rank < 5:
+        return t1, t2, t3
+    a, b = solution[0], solution[1]
+    refined = -a * t1 - b * t2 + t3
+    refined /= np.linalg.norm(refined)
+    t1 = t1 - (t1 @ refined) * refined
+    t1 /= np.linalg.norm(t1)
+    return t1, np.cross(refined, t1), refined
+
+
+def fit_fundamental_forms(neighborhood, frame: AugmentedJacobian) -> FundamentalForms:
+    """Per-point quadric height fit through the frame origin."""
+    pts = np.asarray(neighborhood, dtype=np.float64).reshape(-1, 3)
+    d = pts - frame.origin
+    u = d @ frame.t1
+    v = d @ frame.t2
+    w = d @ frame.t3
+    design = np.column_stack([0.5 * u * u, u * v, 0.5 * v * v])
+    solution, _, rank, singular = np.linalg.lstsq(design, w, rcond=None)
+    smallest = singular[-1] if len(singular) == 3 else 0.0
+    if rank < 3 or smallest <= 0.0 or singular[0] / smallest > _FIT_CONDITION_LIMIT:
+        return FundamentalForms(0.0, 0.0, degenerate=True)
+    e, f, g = solution
+    eigvals, eigvecs = np.linalg.eigh(np.array([[e, f], [f, g]]))
+    return FundamentalForms(k1=float(eigvals[1]), k2=float(eigvals[0]),
+                            dir1=eigvecs[:, 1].copy(), dir2=eigvecs[:, 0].copy())
+
+
+def param_samples(factor: int, pattern: SamplePattern, local_radius: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """(R, 2) disk samples for one point, drawing u then v from `rng`."""
+    radius = pattern.radius_scale * local_radius
+    if pattern.kind == "fibonacci_disk":
+        j = np.arange(factor, dtype=np.float64)
+        r = radius * np.sqrt((j + 0.5) / factor)
+        angle = j * GOLDEN_ANGLE
+        return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1)
+    m = math.ceil(math.sqrt(factor))
+    half = radius / math.sqrt(2.0)
+    cell = 2.0 * half / m
+    rows, cols = np.divmod(np.arange(factor), m)
+    u = -half + (cols + rng.random(factor)) * cell
+    v = -half + (rows + rng.random(factor)) * cell
+    return np.stack([u, v], axis=1)
+
+
+def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
+                      pattern: SamplePattern | None = None,
+                      rng: np.random.Generator | None = None,
+                      displacement: bool = True) -> UpsampleResult:
+    """The per-point loop: frame, fit, disk samples, lift and displacement.
+
+    Besides the usual result, metadata carries per-point ``k1`` and ``k2``
+    (zero where the frame or the fit is degenerate).
+    """
+    if pattern is None:
+        pattern = SamplePattern()
+    if rng is None:
+        rng = np.random.default_rng(0)
+    pts = cloud.points
+    n = len(pts)
+    neighbor_idx = NeighborIndex(pts).knn_batch(pts, k)
+
+    out_points = np.empty((n * factor, 3))
+    out_normals = np.empty((n * factor, 3))
+    out_deltas = np.empty(n * factor)
+    coarse = np.empty((n, 3))
+    curvatures = np.zeros((n, 2))
+    degenerate_frames = 0
+    degenerate_fits = 0
+
+    for i in range(n):
+        neighborhood = pts[neighbor_idx[i]]
+        center = pts[i]
+        try:
+            frame = estimate_frame(neighborhood, center)
+            forms = fit_fundamental_forms(neighborhood, frame)
+        except GeometryError:
+            degenerate_frames += 1
+            frame = AugmentedJacobian(origin=center.copy(),
+                                      t1=np.array([1.0, 0.0, 0.0]),
+                                      t2=np.array([0.0, 1.0, 0.0]),
+                                      t3=np.array([0.0, 0.0, 1.0]))
+            forms = None
+        dists = np.linalg.norm(neighborhood - center, axis=1)
+        local_radius = float(np.median(np.sort(dists)[1:5]))
+        uv = param_samples(factor, pattern, local_radius, rng)
+
+        if forms is None or forms.degenerate:
+            if forms is not None and forms.degenerate:
+                degenerate_fits += 1
+            p1, p2 = frame.t1, frame.t2
+            k1 = k2 = 0.0
+        else:
+            p1 = forms.dir1[0] * frame.t1 + forms.dir1[1] * frame.t2
+            p2 = forms.dir2[0] * frame.t1 + forms.dir2[1] * frame.t2
+            k1, k2 = forms.k1, forms.k2
+
+        lifted = center + uv[:, :1] * p1 + uv[:, 1:] * p2
+        deltas = 0.5 * (k1 * uv[:, 0] ** 2 + k2 * uv[:, 1] ** 2)
+        if local_radius > 0.0:
+            deltas = np.clip(deltas, -local_radius, local_radius)
+        if not displacement:
+            deltas = np.zeros_like(deltas)
+        samples = lifted + deltas[:, None] * frame.t3
+        normals = -k1 * uv[:, :1] * p1 - k2 * uv[:, 1:] * p2 + frame.t3
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+
+        sl = slice(i * factor, (i + 1) * factor)
+        out_points[sl] = samples
+        out_normals[sl] = normals
+        out_deltas[sl] = deltas
+        coarse[i] = frame.t3
+        curvatures[i] = (k1, k2)
+
+    metadata = {"degenerate_frames": degenerate_frames, "degenerate_fits": degenerate_fits,
+                "k1": curvatures[:, 0], "k2": curvatures[:, 1]}
+    return UpsampleResult(points=out_points, normals=out_normals, coarse_normals=coarse,
+                          deltas=out_deltas,
+                          parent=np.repeat(np.arange(n, dtype=np.int64), factor),
+                          metadata=metadata)

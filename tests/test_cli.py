@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from pugeo import PointCloud, PUGeoConfig, PUGeoNet, load_model, save_model, write_xyz
+from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, load_model, save_model, upsample_cloud,
+                   write_xyz)
 from pugeo.cli import main
 
 from helpers import sphere_cloud, unit_rows
@@ -128,6 +129,44 @@ def test_upsample_deterministic(tmp_path, capsys):
     assert main(args + ["--output", str(out_a)]) == 0
     assert main(args + ["--output", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_upsample_collinear_reports_degenerate_frames(tmp_path, capsys):
+    t = np.linspace(0.0, 1.0, 300)
+    line = PointCloud(np.column_stack([t, 2.0 * t, -t]))
+    cloud_path = _write_cloud(tmp_path / "line.xyz", line)
+    out = tmp_path / "up.xyz"
+    assert main(["upsample", "--input", cloud_path, "--output", str(out),
+                 "--method", "analytic"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"points": 1200, "output": str(out)}
+    # 4 patches of 256 points, every neighborhood collinear
+    assert captured.err.splitlines() == [
+        "warning: 1024 degenerate frames and 0 degenerate curvature fits in 1024 patch "
+        "points; those points were upsampled on a flat disk"]
+    expected = tmp_path / "expected.xyz"
+    write_xyz(upsample_cloud(line, 4, seed=42), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_upsample_clean_input_prints_no_warning(tmp_path, capsys):
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(120, 1.0, 1))
+    assert main(["upsample", "--input", cloud_path, "--output", str(tmp_path / "o.xyz"),
+                 "--k", "12", "--patch-size", "60", "--coverage", "2.0"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_upsample_non_finite_input_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.xyz"
+    path.write_text("0 0 0\n1 nan 0\n")
+    assert main(["upsample", "--input", str(path), "--output", str(tmp_path / "o.xyz")]) == 2
+    assert "line 2: non-finite" in capsys.readouterr().err
+
+
+def test_threads_flag_removed():
+    with pytest.raises(SystemExit) as info:
+        main(["--threads", "2", "upsample", "--input", "a.xyz", "--output", "b.xyz"])
+    assert info.value.code == 2
 
 
 def test_train_epochs_zero_checkpoint_is_init(tmp_path, mesh_dir, capsys):

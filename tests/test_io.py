@@ -45,6 +45,14 @@ def test_read_xyz_non_numeric_cites_line(tmp_path):
         read_xyz(path)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_read_xyz_non_finite_cites_line(tmp_path, token):
+    path = tmp_path / "a.xyz"
+    path.write_text(f"1 2 3\n\n1 {token} 3\n")
+    with pytest.raises(FormatError, match="line 3: non-finite"):
+        read_xyz(path)
+
+
 def test_write_xyz_single_point(tmp_path):
     path = tmp_path / "a.xyz"
     write_xyz(PointCloud(np.array([[1.5, -2.0, 3.25]])), path)
@@ -114,6 +122,27 @@ def test_read_ply_ascii(tmp_path):
     mesh = read_mesh(path)
     assert len(mesh.vertices) == 3
     assert len(mesh.triangles) == 1
+
+
+@pytest.mark.parametrize("record,line", [("v 0 nan 0", 2), ("vn 0 0 inf", 5)])
+def test_read_obj_non_finite_cites_line(tmp_path, record, line):
+    path = tmp_path / "m.obj"
+    rows = ["v 0 0 0", "v 1 0 0", "v 0 1 0", "vn 0 0 1", "vn 0 0 1", "vn 0 0 1", "f 1 2 3"]
+    rows[line - 1] = record
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(FormatError, match=f"line {line}: non-finite"):
+        read_mesh(path)
+
+
+def test_read_ply_non_finite_cites_line(tmp_path):
+    path = tmp_path / "m.ply"
+    path.write_text(
+        "ply\nformat ascii 1.0\nelement vertex 3\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+        "0 0 0\n\n1 0 0\n0 NaN 0\n3 0 1 2\n")
+    with pytest.raises(FormatError, match="line 13: non-finite"):
+        read_mesh(path)
 
 
 def test_read_ply_binary_rejected(tmp_path):
