@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import AugmentedJacobian, estimate_frames, fit_curvatures
+from .geometry import estimate_frames, fit_curvatures
 from .io import PointCloud
 from .sampling import NeighborIndex
 
@@ -85,8 +85,7 @@ def param_samples(factor: int, pattern: SamplePattern, local_radius,
 def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
                       pattern: SamplePattern | None = None,
                       rng: np.random.Generator | None = None,
-                      displacement: bool = True,
-                      collect_frames: bool = False) -> UpsampleResult:
+                      displacement: bool = True) -> UpsampleResult:
     """Upsample a cloud R-fold via frame estimation and quadric displacement.
 
     Per point, computed for all points at once: kNN(k) neighborhood ->
@@ -95,7 +94,8 @@ def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
     tangent lift -> displacement along t3, clamped to the local radius.
     `displacement=False` forces all displacements to zero (first-order
     baseline).  Degenerate neighborhoods fall back to a canonical frame
-    with zero displacement and are counted in result metadata.
+    with zero displacement and are counted in result metadata, which also
+    carries the (N, 3, 3) `frames` with columns (t1, t2, t3).
     """
     if pattern is None:
         pattern = SamplePattern()
@@ -134,10 +134,8 @@ def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
     normals = (-k1 * u)[..., None] * p1 - (k2 * v)[..., None] * p2 + t3[:, None, :]
     normals /= np.linalg.norm(normals, axis=2, keepdims=True)
 
-    metadata = {"degenerate_frames": int(collinear.sum()), "degenerate_fits": int(flat.sum())}
-    if collect_frames:
-        metadata["frames"] = [AugmentedJacobian(origin=c.copy(), t1=t[:, 0], t2=t[:, 1],
-                                                t3=t[:, 2]) for c, t in zip(pts, frames)]
+    metadata = {"degenerate_frames": int(collinear.sum()), "degenerate_fits": int(flat.sum()),
+                "frames": frames}
     return UpsampleResult(points=samples.reshape(-1, 3), normals=normals.reshape(-1, 3),
                           coarse_normals=t3.copy(), deltas=deltas.reshape(-1),
                           parent=np.repeat(np.arange(n, dtype=np.int64), factor),

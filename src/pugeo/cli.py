@@ -17,7 +17,7 @@ import numpy as np
 
 from .analytic import SamplePattern, upsample_analytic
 from .errors import FormatError, TrainingDiverged
-from .geometry import AugmentedJacobian, frame_stats
+from .geometry import frame_stats
 from .io import PointCloud, read_mesh, read_xyz, write_xyz
 from .losses import LossWeights
 from .metrics import report_metrics, surface_compare
@@ -258,8 +258,7 @@ def cmd_inspect_frames(args) -> int:
     if args.method == "analytic":
         result = upsample_analytic(cloud, args.factor, k=args.k,
                                    pattern=_pattern(args.pattern),
-                                   rng=np.random.default_rng(args.seed),
-                                   collect_frames=True)
+                                   rng=np.random.default_rng(args.seed))
         frames = result.metadata["frames"]
         deltas = result.deltas
     else:
@@ -267,16 +266,10 @@ def cmd_inspect_frames(args) -> int:
             return _fail("--method model requires --model CHECKPOINT")
         model = load_model(args.model)
         patches = extract_patches(cloud, model.config.patch_size, args.coverage)
-        frames = []
-        all_deltas = []
-        for patch in patches:
-            out = model.forward(patch.points)
-            for i, t in enumerate(out.t_matrices):
-                frames.append(AugmentedJacobian(origin=patch.points[i],
-                                                t1=t[:, 0], t2=t[:, 1], t3=t[:, 2]))
-            all_deltas.append(out.deltas.reshape(-1))
-        deltas = np.concatenate(all_deltas)
-    stats = frame_stats(frames, deltas)
+        outputs = [model.forward(patch.points) for patch in patches]
+        frames = np.concatenate([out.t_matrices for out in outputs])
+        deltas = np.concatenate([out.deltas.reshape(-1) for out in outputs])
+    stats = frame_stats(frames[:, :, 0], frames[:, :, 1], frames[:, :, 2], deltas)
     sys.stdout.write(stats.to_tsv())
     return 0
 

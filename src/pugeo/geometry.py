@@ -12,7 +12,6 @@ scalar estimate_frame and fit_fundamental_forms are one-row calls of them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,9 +66,13 @@ def estimate_frames(neighborhoods, centers) -> tuple[np.ndarray, np.ndarray]:
     then cancels the residual tilt of the PCA plane, which would otherwise
     leak first-order error into the curvature fit.  The step is skipped
     where that fit has rank < 5.  t3 is oriented toward the neighborhood
-    centroid (the concave side), or +z when the centroid coincides with
-    the center.  t1 is the dominant covariance direction projected into
-    the tangent plane, t2 = t3 x t1.
+    centroid (the concave side).  Where the centroid lies in the tangent
+    plane (flat neighborhoods, or a centroid at the center), to within
+    1e-12 of the neighborhood's extent (the square root of its largest
+    covariance eigenvalue), t3's largest-magnitude component is made
+    positive instead, so a flat region gets one orientation.  t1 is the
+    dominant covariance direction projected into the tangent plane,
+    t2 = t3 x t1.
 
     Returns (frames, collinear): frames is (N, 3, 3) with columns
     (t1, t2, t3); rows whose middle covariance eigenvalue falls below the
@@ -99,11 +102,13 @@ def estimate_frames(neighborhoods, centers) -> tuple[np.ndarray, np.ndarray]:
     t2 = np.where(tilt, np.cross(refined, t1_refined), t2)
     t3 = np.where(tilt, refined, t3)
 
-    reference = centroid - centers
-    at_center = np.linalg.norm(reference, axis=1) <= 1e-12 * np.sqrt(spread)
-    reference[at_center] = (0.0, 0.0, 1.0)
+    side = _dot(t3, centroid - centers)
+    # in the tangent plane the sign of `side` is rounding noise
+    in_plane = np.abs(side) <= 1e-12 * np.sqrt(spread)
+    largest = np.take_along_axis(t3, np.abs(t3).argmax(axis=1)[:, None], axis=1)[:, 0]
+    side = np.where(in_plane, largest, side)
     # flipping t2 with t3 keeps the handedness t3 = t1 x t2
-    sign = np.where(_dot(t3, reference) < 0.0, -1.0, 1.0)[:, None]
+    sign = np.where(side < 0.0, -1.0, 1.0)[:, None]
     frames = np.stack([t1, sign * t2, sign * t3], axis=2)
     frames[collinear] = np.eye(3)
     return frames, collinear
@@ -152,6 +157,11 @@ def _neighborhoods(neighborhoods) -> np.ndarray:
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("nd,nd->n", a, b)
+
+
+def _vector_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products rounded as one `a[i] @ b[i]` vector dot rounds."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -272,26 +282,23 @@ class FrameStats:
         return "\n".join(lines) + "\n"
 
 
-def frame_stats(frames: list[AugmentedJacobian], deltas) -> FrameStats:
+def frame_stats(t1, t2, t3, deltas) -> FrameStats:
     """Angle-vs-cross-product and displacement histograms.
 
-    theta is the unoriented angle between t3 and t1 x t2 in degrees (folded
-    into [0, 90]); frames with zero-length t3 land in a degenerate bucket.
-    The delta histogram uses 50 bins over the data range.
+    t1, t2, t3 are the stacked (N, 3) frame columns.  theta is the
+    unoriented angle between t3 and t1 x t2 in degrees (folded into
+    [0, 90]); frames with zero-length t3 or t1 x t2 land in a degenerate
+    bucket.  The delta histogram uses 50 bins over the data range.
     """
-    thetas = []
-    degenerate = 0
-    for frame in frames:
-        cross = np.cross(frame.t1, frame.t2)
-        n3 = np.linalg.norm(frame.t3)
-        nc = np.linalg.norm(cross)
-        if n3 <= 0.0 or nc <= 0.0:
-            degenerate += 1
-            continue
-        cos = float(np.clip(frame.t3 @ cross / (n3 * nc), -1.0, 1.0))
-        angle = math.degrees(math.acos(cos))
-        thetas.append(min(angle, 180.0 - angle))
-    theta_deg = np.asarray(thetas, dtype=np.float64)
+    t1, t2, t3 = (np.asarray(t, dtype=np.float64).reshape(-1, 3) for t in (t1, t2, t3))
+    cross = np.cross(t1, t2)
+    n3 = np.sqrt(_vector_dot(t3, t3))
+    nc = np.sqrt(_vector_dot(cross, cross))
+    valid = (n3 > 0.0) & (nc > 0.0)
+    cos = np.clip(_vector_dot(t3, cross)[valid] / (n3[valid] * nc[valid]), -1.0, 1.0)
+    angle = np.degrees(np.arccos(cos))
+    theta_deg = np.minimum(angle, 180.0 - angle)
+    degenerate = int(np.count_nonzero(~valid))
     theta_counts, theta_edges = np.histogram(theta_deg, bins=30, range=(0.0, 90.0))
 
     deltas = np.asarray(deltas, dtype=np.float64).ravel()

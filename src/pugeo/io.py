@@ -8,6 +8,7 @@ round-trippable decimals, so read(write(cloud)) reproduces them exactly.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -81,6 +82,15 @@ def _check_finite(values: list[float], lineno: int) -> None:
         raise FormatError(f"line {lineno}: non-finite value")
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix the message of a FormatError raised inside with the file path."""
+    try:
+        yield
+    except FormatError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
     """Area-weighted average of incident triangle normals, normalized.
 
@@ -102,11 +112,12 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
     """Read an .xyz file: 3 columns (points) or 6 (points + normals).
 
     Normals are normalized on load.  Mixed arity, non-numeric tokens or
-    non-finite values raise FormatError citing the 1-based line number.
+    non-finite values raise FormatError citing the path and the 1-based
+    line number.
     """
     points, normals = [], []
     arity = None
-    with open(path, "r", encoding="utf-8") as handle:
+    with _naming(path), open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             tokens = raw.split()
             if not tokens:
@@ -279,17 +290,19 @@ def read_mesh(path: str | os.PathLike) -> TriangleMesh:
     """Read an OBJ or ASCII-PLY mesh.
 
     Vertex normals are computed (area-weighted) when the file has none.
+    A FormatError message starts with the path.
     """
     text = str(path).lower()
-    if text.endswith(".ply"):
-        mesh = _read_ply(path)
-    elif text.endswith(".obj"):
-        mesh = _read_obj(path)
-    else:
-        # sniff: PLY files start with the literal "ply"
-        with open(path, "rb") as handle:
-            head = handle.read(3)
-        mesh = _read_ply(path) if head == b"ply" else _read_obj(path)
+    with _naming(path):
+        if text.endswith(".ply"):
+            mesh = _read_ply(path)
+        elif text.endswith(".obj"):
+            mesh = _read_obj(path)
+        else:
+            # sniff: PLY files start with the literal "ply"
+            with open(path, "rb") as handle:
+                head = handle.read(3)
+            mesh = _read_ply(path) if head == b"ply" else _read_obj(path)
     if mesh.normals is None:
         mesh.normals = vertex_normals(mesh)
     return mesh

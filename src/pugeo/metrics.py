@@ -2,18 +2,20 @@
 
 Chamfer distance lives in `losses` (it doubles as a training loss); this
 module adds Hausdorff distance, voxel-grid Jensen-Shannon divergence,
-point-to-surface statistics via the triangle BVH, and the mesh-to-mesh
-comparison that samples both surfaces and compares the samples.
+exact point-to-surface (P2F) distances batched over all points, and the
+mesh-to-mesh comparison that samples both surfaces and compares the
+samples.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import rel_entr
 
-from .bvh import TriangleBVH
 from .io import PointCloud, TriangleMesh
 from .losses import chamfer, nearest_indices
 from .sampling import poisson_disk_sample
@@ -94,14 +96,148 @@ def metric_jsd(x, y, grid: int = JSD_GRID) -> float:
     return float(0.5 * (rel_entr(p, m).sum() + rel_entr(q, m).sum()))
 
 
+def point_to_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray,
+                       c: np.ndarray) -> np.ndarray:
+    """Distances from p to each triangle (a[i], b[i], c[i]).
+
+    p is one (3,) point or (n, 3) rows aligned with the triangles.  The
+    closest point is classified into the vertex, edge or interior region
+    (Ericson, Real-Time Collision Detection, 5.1.5); each row's result does
+    not depend on the other rows.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    p = p.reshape(-1, 3) if p.ndim == 2 else p.reshape(3)
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 3)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 3)
+    c = np.asarray(c, dtype=np.float64).reshape(-1, 3)
+
+    ab = b - a
+    ac = c - a
+    ap = p - a
+
+    d1 = np.einsum("ij,ij->i", ab, ap)
+    d2 = np.einsum("ij,ij->i", ac, ap)
+
+    closest = np.empty_like(a)
+    done = np.zeros(len(a), dtype=bool)
+
+    # vertex region A
+    mask = (d1 <= 0.0) & (d2 <= 0.0)
+    closest[mask] = a[mask]
+    done |= mask
+
+    bp = p - b
+    d3 = np.einsum("ij,ij->i", ab, bp)
+    d4 = np.einsum("ij,ij->i", ac, bp)
+
+    mask = ~done & (d3 >= 0.0) & (d4 <= d3)  # vertex region B
+    closest[mask] = b[mask]
+    done |= mask
+
+    vc = d1 * d4 - d3 * d2
+    # d1 - d3 = |ab|^2 and d2 - d6 = |ac|^2: a zero-length edge has no region
+    # (its 0 / 0 would be NaN); the vertex regions at its ends cover it
+    mask = ~done & (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0) & (d1 != d3)  # edge AB
+    if np.any(mask):
+        t = d1[mask] / (d1[mask] - d3[mask])
+        closest[mask] = a[mask] + t[:, None] * ab[mask]
+        done |= mask
+
+    cp = p - c
+    d5 = np.einsum("ij,ij->i", ab, cp)
+    d6 = np.einsum("ij,ij->i", ac, cp)
+
+    mask = ~done & (d6 >= 0.0) & (d5 <= d6)  # vertex region C
+    closest[mask] = c[mask]
+    done |= mask
+
+    vb = d5 * d2 - d1 * d6
+    mask = ~done & (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0) & (d2 != d6)  # edge AC
+    if np.any(mask):
+        t = d2[mask] / (d2[mask] - d6[mask])
+        closest[mask] = a[mask] + t[:, None] * ac[mask]
+        done |= mask
+
+    va = d3 * d6 - d5 * d4
+    mask = ~done & (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0)  # edge BC
+    if np.any(mask):
+        t = (d4[mask] - d3[mask]) / ((d4[mask] - d3[mask]) + (d5[mask] - d6[mask]))
+        closest[mask] = b[mask] + t[:, None] * (c[mask] - b[mask])
+        done |= mask
+
+    mask = ~done  # interior
+    if np.any(mask):
+        denom = va[mask] + vb[mask] + vc[mask]
+        v = vb[mask] / denom
+        w = vc[mask] / denom
+        closest[mask] = a[mask] + v[:, None] * ab[mask] + w[:, None] * ac[mask]
+
+    return np.linalg.norm(closest - p, axis=1)
+
+
+#: (point, triangle) pairs evaluated at once, which bounds the memory used
+_PAIR_BUDGET = 1 << 16
+
+
+def point_to_mesh_distances(points, mesh: TriangleMesh) -> np.ndarray:
+    """Exact distance from each point to the mesh surface.
+
+    The result equals, bit for bit, the minimum of point_to_triangles over
+    every triangle.  A point's distance is at most the distance to its
+    nearest vertex that some triangle references, so only triangles whose
+    centroid lies within that bound plus the triangle's radius (its
+    farthest corner from the centroid) can hold the minimum; every other
+    triangle is strictly farther than a surface point already in hand.
+    Triangles are bucketed by the power of two of their radius, with one
+    centroid kd-tree per bucket queried at the bucket's largest radius, so
+    one large triangle does not widen the search of every point.  The
+    candidate pairs are evaluated row-wise, at most _PAIR_BUDGET at a time
+    (one point's candidates are never split), and reduced per point.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    v, t = mesh.vertices, mesh.triangles
+    if len(t) == 0:
+        raise ValueError("mesh has no triangles")
+    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+    centroids = (a + b + c) / 3.0
+    radius = np.linalg.norm(np.stack([a, b, c]) - centroids, axis=2).max(axis=0)
+    bound = cKDTree(v[np.unique(t)]).query(pts)[0]
+    level = np.frexp(radius)[1]
+    buckets = []  # (triangle indices, centroid tree, per-point search radius)
+    for members in (np.flatnonzero(level == lv) for lv in np.unique(level)):
+        # inflated by 1e-9 relative and rounded up, to absorb rounding
+        reach = np.nextafter((bound + radius[members].max()) * (1.0 + 1e-9), np.inf)
+        buckets.append((members, cKDTree(centroids[members]), reach))
+
+    pair_ends = np.cumsum(sum(tree.query_ball_point(pts, reach, return_length=True)
+                              for _, tree, reach in buckets))
+    best = np.full(len(pts), np.inf)
+    start = 0
+    while start < len(pts):
+        before = pair_ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(pair_ends, before + _PAIR_BUDGET, side="right")),
+                   start + 1)
+        rows, tris = [], []
+        for members, tree, reach in buckets:
+            found = tree.query_ball_point(pts[start:stop], reach[start:stop],
+                                          return_sorted=False)
+            lengths = np.fromiter(map(len, found), np.int64, len(found))
+            rows.append(np.repeat(np.arange(start, stop), lengths))
+            tris.append(members[np.fromiter(itertools.chain.from_iterable(found), np.int64,
+                                            lengths.sum())])
+        rows = np.concatenate(rows)
+        tris = np.concatenate(tris)
+        np.minimum.at(best, rows, point_to_triangles(pts[rows], a[tris], b[tris], c[tris]))
+        start = stop
+    return best
+
+
 def metric_p2f(points, mesh: TriangleMesh) -> tuple[float, float]:
     """Mean and population std of exact point-to-surface distances."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if len(mesh.triangles) == 0:
-        raise ValueError("mesh has no triangles")
     if len(points) == 0:
         raise ValueError("no query points")
-    d = TriangleBVH(mesh).distances(points)
+    d = point_to_mesh_distances(points, mesh)
     return float(d.mean()), float(d.std())
 
 

@@ -239,6 +239,9 @@ def upsample_cloud(cloud: PointCloud, factor: int, method: str = "analytic",
             raise ValueError("method 'model' requires a model")
         patch_size = model.config.patch_size
         factor = model.config.factor
+    elif method == "analytic" and patch_size > len(cloud):
+        # analytic upsampling has no fixed input size: a small cloud is one patch
+        patch_size, coverage = len(cloud), 1.0
     rng = np.random.default_rng(seed)
     patches = extract_patches(cloud, patch_size, coverage)
     pieces = []

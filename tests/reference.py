@@ -1,11 +1,12 @@
 """Slow reference implementations that the vectorized code is tested against.
 
-These are the original loop versions of farthest point sampling and of
-analytic upsampling with its per-point frame and curvature fits.  They are
-kept verbatim in arithmetic so that the fast paths in ``pugeo`` can be
-compared against them bit for bit (FPS) or within a fixed tolerance
-(geometry, whose least-squares solves moved from LAPACK ``gelsd`` to a
-stacked SVD).
+These are the original loop versions of farthest point sampling, of
+analytic upsampling with its per-point frame and curvature fits, and of
+the frame statistics, plus the full scan over every triangle for the
+point-to-surface distance.  They are kept verbatim in arithmetic so that
+the fast paths in ``pugeo`` can be compared against them bit for bit (FPS,
+P2F, frame statistics) or within a fixed tolerance (geometry, whose
+least-squares solves moved from LAPACK ``gelsd`` to a stacked SVD).
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import numpy as np
 
 from pugeo.analytic import GOLDEN_ANGLE, SamplePattern, UpsampleResult
 from pugeo.errors import GeometryError
-from pugeo.geometry import AugmentedJacobian, FundamentalForms
-from pugeo.io import PointCloud
+from pugeo.geometry import AugmentedJacobian, FrameStats, FundamentalForms
+from pugeo.io import PointCloud, TriangleMesh
+from pugeo.metrics import point_to_triangles
 from pugeo.sampling import NeighborIndex
 
 _COLLINEAR_RTOL = 1e-10
@@ -35,6 +37,12 @@ def farthest_point_sample(points, count: int, seed_index: int = 0) -> np.ndarray
         selected[i] = nxt
         np.minimum(min_dist, np.linalg.norm(pts - pts[nxt], axis=1), out=min_dist)
     return selected
+
+
+def brute_force_mesh_distance(p, mesh: TriangleMesh) -> float:
+    """Minimum distance from one point over every triangle of the mesh."""
+    v, t = mesh.vertices, mesh.triangles
+    return float(np.min(point_to_triangles(p, v[t[:, 0]], v[t[:, 1]], v[t[:, 2]])))
 
 
 def estimate_frame(neighborhood, center) -> AugmentedJacobian:
@@ -192,3 +200,33 @@ def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
                           deltas=out_deltas,
                           parent=np.repeat(np.arange(n, dtype=np.int64), factor),
                           metadata=metadata)
+
+
+def frame_stats(frames: list[AugmentedJacobian], deltas) -> FrameStats:
+    """The per-frame loop: angle-vs-cross-product and displacement histograms."""
+    thetas = []
+    degenerate = 0
+    for frame in frames:
+        cross = np.cross(frame.t1, frame.t2)
+        n3 = np.linalg.norm(frame.t3)
+        nc = np.linalg.norm(cross)
+        if n3 <= 0.0 or nc <= 0.0:
+            degenerate += 1
+            continue
+        cos = float(np.clip(frame.t3 @ cross / (n3 * nc), -1.0, 1.0))
+        angle = math.degrees(math.acos(cos))
+        thetas.append(min(angle, 180.0 - angle))
+    theta_deg = np.asarray(thetas, dtype=np.float64)
+    theta_counts, theta_edges = np.histogram(theta_deg, bins=30, range=(0.0, 90.0))
+
+    deltas = np.asarray(deltas, dtype=np.float64).ravel()
+    if deltas.size == 0:
+        delta_counts, delta_edges = np.histogram(deltas, bins=50, range=(0.0, 1.0))
+    else:
+        lo, hi = float(deltas.min()), float(deltas.max())
+        if lo == hi:
+            lo, hi = lo - 0.5, hi + 0.5
+        delta_counts, delta_edges = np.histogram(deltas, bins=50, range=(lo, hi))
+    return FrameStats(theta_deg=theta_deg, theta_counts=theta_counts,
+                      theta_edges=theta_edges, delta_counts=delta_counts,
+                      delta_edges=delta_edges, degenerate=degenerate)

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, load_model, save_model, upsample_cloud,
-                   write_xyz)
+from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, load_model, read_xyz, save_model,
+                   upsample_cloud, write_xyz)
 from pugeo.cli import main
 
 from helpers import sphere_cloud, unit_rows
@@ -161,6 +161,27 @@ def test_upsample_non_finite_input_exit_2(tmp_path, capsys):
     path.write_text("0 0 0\n1 nan 0\n")
     assert main(["upsample", "--input", str(path), "--output", str(tmp_path / "o.xyz")]) == 2
     assert "line 2: non-finite" in capsys.readouterr().err
+
+
+def test_upsample_analytic_cloud_smaller_than_patch_size(tmp_path, capsys):
+    cloud_path = _write_cloud(tmp_path / "small.xyz", sphere_cloud(100, 1.0, 4))
+    out_path = tmp_path / "out.xyz"
+    assert main(["upsample", "--input", cloud_path, "--output", str(out_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["points"] == 400
+    assert len(read_xyz(out_path)) == 400
+    counts = {}
+    upsample_cloud(read_xyz(cloud_path), 4, counts=counts)
+    assert counts["patch_points"] == 100  # the whole cloud as one patch
+
+
+def test_eval_bad_mesh_names_the_mesh(tmp_path, capsys):
+    pred_path = _write_cloud(tmp_path / "pred.xyz", sphere_cloud(50, 1.0, 5))
+    mesh_path = tmp_path / "gt.obj"
+    mesh_path.write_text("v 0 0 0\nv 1 nan 0\nv 0 1 0\nf 1 2 3\n")
+    rc = main(["eval", "--pred", pred_path, "--gt-dense", pred_path,
+               "--gt-mesh", str(mesh_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"{mesh_path}: line 2: non-finite")
 
 
 def test_threads_flag_removed():

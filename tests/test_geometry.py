@@ -248,10 +248,15 @@ def test_quadric_normal_matches_sphere():
 # frame statistics
 
 
+def _columns(frames):
+    """Stacked (N, 3) t1, t2, t3 of a list of frames."""
+    return [np.array([getattr(f, name) for f in frames]) for name in ("t1", "t2", "t3")]
+
+
 def test_frame_stats_analytic_theta_zero():
     frames = [estimate_frame(_sphere_cap(s + 40), np.array([0.0, 0.0, 1.0]))
               for s in range(10)]
-    stats = frame_stats(frames, np.zeros(10))
+    stats = frame_stats(*_columns(frames), np.zeros(10))
     assert stats.theta_deg.max() < 1e-6
     assert stats.theta_counts[0] == 10
 
@@ -259,21 +264,21 @@ def test_frame_stats_analytic_theta_zero():
 def test_frame_stats_swapped_axis_is_90_degrees():
     frame = AugmentedJacobian(np.zeros(3), np.array([1.0, 0, 0]),
                               np.array([0.0, 1.0, 0]), np.array([0.0, 1.0, 0]))
-    stats = frame_stats([frame], [0.0])
+    stats = frame_stats(*_columns([frame]), [0.0])
     assert abs(stats.theta_deg[0] - 90.0) < 1e-9
 
 
 def test_frame_stats_degenerate_bucket():
     frame = AugmentedJacobian(np.zeros(3), np.array([1.0, 0, 0]),
                               np.array([0.0, 1.0, 0]), np.zeros(3))
-    stats = frame_stats([frame], [])
+    stats = frame_stats(*_columns([frame]), [])
     assert stats.degenerate == 1
 
 
 def test_frame_stats_plane_deltas_concentrate_at_zero():
     frames = [estimate_frame(_plane_neighborhood(s), np.zeros(3)) for s in range(5)]
     deltas = np.zeros(50)
-    stats = frame_stats(frames, deltas)
+    stats = frame_stats(*_columns(frames), deltas)
     assert stats.delta_counts.argmax() == np.nonzero(stats.delta_counts)[0][0]
     tsv = stats.to_tsv()
     assert "theta_deg" in tsv and "delta" in tsv

@@ -3,10 +3,11 @@ import pytest
 
 from pugeo import (TriangleMesh, chamfer, metric_hd, metric_jsd, metric_p2f,
                    poisson_disk_sample, surface_compare)
-from pugeo.bvh import TriangleBVH, brute_force_mesh_distance, point_to_triangles
-from pugeo.metrics import MetricReport, report_metrics
+from pugeo.metrics import (MetricReport, point_to_mesh_distances, point_to_triangles,
+                           report_metrics)
 
 from helpers import cube_mesh, icosphere, unit_square_mesh
+from reference import brute_force_mesh_distance
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +70,7 @@ def test_jsd_nonnegative():
 
 
 # ---------------------------------------------------------------------------
-# point-to-triangle distance and BVH
+# point-to-triangle and point-to-mesh distance
 
 
 def test_point_on_surface_zero_distance():
@@ -97,15 +98,15 @@ def test_point_beyond_vertex_uses_vertex():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_bvh_equals_brute_force_bitwise(seed):
+    """The pruned batched distances equal the full scan over every triangle."""
     rng = np.random.default_rng(seed)
     verts = rng.normal(size=(60, 3))
     tris = rng.integers(0, 60, size=(50, 3))
     keep = (tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2]) & (tris[:, 0] != tris[:, 2])
     mesh = TriangleMesh(verts, tris[keep])
-    bvh = TriangleBVH(mesh)
     queries = rng.normal(size=(40, 3)) * 2
-    for q in queries:
-        assert bvh.distance(q) == brute_force_mesh_distance(q, mesh)
+    for q, d in zip(queries, point_to_mesh_distances(queries, mesh)):
+        assert d == brute_force_mesh_distance(q, mesh)
 
 
 def test_point_to_triangles_vectorized_consistency():

@@ -1,9 +1,10 @@
-"""The vectorized FPS and analytic upsampling against their loop references.
+"""The vectorized paths against their loop and full-scan references.
 
-FPS must return bitwise the indices of the O(N * count) scan.  The batched
-frame/curvature kernel must agree with the per-point loop within 1e-9:
-its least-squares solves use a stacked SVD instead of LAPACK gelsd, so the
-last digits may differ.
+FPS must return bitwise the indices of the O(N * count) scan, kNN those of
+a brute-force sort, and the point-to-surface distance bitwise the minimum
+over every triangle.  The batched frame/curvature kernel must agree with
+the per-point loop within 1e-9: its least-squares solves use a stacked SVD
+instead of LAPACK gelsd, so the last digits may differ.
 """
 
 import numpy as np
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference
-from helpers import sphere_cloud
-from pugeo import PointCloud, SamplePattern, farthest_point_sample, upsample_analytic
-from pugeo.geometry import estimate_frames, fit_curvatures
+from helpers import brute_force_knn, icosphere, sphere_cloud
+from pugeo import (PointCloud, SamplePattern, TriangleMesh, farthest_point_sample, metrics,
+                   upsample_analytic)
+from pugeo.geometry import AugmentedJacobian, estimate_frames, fit_curvatures, frame_stats
+from pugeo.metrics import point_to_mesh_distances
 from pugeo.sampling import NeighborIndex
 
 TOL = 1e-9
@@ -61,18 +64,152 @@ def test_fps_matches_full_scan(name, points, count, seed_index):
     assert np.array_equal(fast, slow)
 
 
+# small integer coordinates force duplicates, tied distances and degenerate triangles
+COORDS = st.one_of(st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+                   st.integers(-2, 2).map(float))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_fps_matches_full_scan_property(data):
     n = data.draw(st.integers(1, 80), label="n")
-    # small integer coordinates force duplicates and tied distances
-    coords = st.one_of(st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
-                       st.integers(-2, 2).map(float))
-    points = data.draw(arrays(np.float64, (n, 3), elements=coords), label="points")
+    points = data.draw(arrays(np.float64, (n, 3), elements=COORDS), label="points")
     count = data.draw(st.integers(1, n), label="count")
     seed_index = data.draw(st.integers(0, n - 1), label="seed_index")
     assert np.array_equal(farthest_point_sample(points, count, seed_index),
                           reference.farthest_point_sample(points, count, seed_index))
+
+
+# ---------------------------------------------------------------------------
+# k nearest neighbors
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_knn_batch_matches_brute_force_property(data):
+    n = data.draw(st.integers(1, 60), label="n")
+    points = data.draw(arrays(np.float64, (n, 3), elements=COORDS), label="points")
+    queries = data.draw(arrays(np.float64, (data.draw(st.integers(1, 20), label="m"), 3),
+                               elements=COORDS), label="queries")
+    k = data.draw(st.integers(1, n), label="k")
+    batch = NeighborIndex(points).knn_batch(queries, k)
+    for q, row in zip(queries, batch):
+        assert np.array_equal(row, brute_force_knn(points, q, k))
+
+
+# ---------------------------------------------------------------------------
+# point-to-surface distance
+
+
+def _assert_p2f_matches_scan(queries, mesh) -> np.ndarray:
+    fast = point_to_mesh_distances(queries, mesh)
+    slow = np.array([reference.brute_force_mesh_distance(q, mesh) for q in queries])
+    assert np.all(np.isfinite(fast))
+    assert np.array_equal(fast, slow)
+    return fast
+
+
+def _counting_pairs(monkeypatch) -> list:
+    """Record the number of (point, triangle) pairs of each evaluation."""
+    sizes = []
+    exact = metrics.point_to_triangles
+
+    def counting(p, a, b, c):
+        sizes.append(len(a))
+        return exact(p, a, b, c)
+
+    monkeypatch.setattr(metrics, "point_to_triangles", counting)
+    return sizes
+
+
+def test_p2f_queries_on_vertices_and_edges():
+    mesh = icosphere(1)
+    v, t = mesh.vertices, mesh.triangles
+    edges = [(t[:, 0], t[:, 1]), (t[:, 1], t[:, 2]), (t[:, 2], t[:, 0])]
+    on_edges = [v[i] + s * (v[j] - v[i]) for i, j in edges for s in (0.5, 1.0 / 3.0, 0.9)]
+    fast = _assert_p2f_matches_scan(np.concatenate([v, *on_edges]), mesh)
+    assert np.all(fast[:len(v)] == 0.0)
+    assert np.all(fast < 1e-15)
+
+
+def test_p2f_zero_area_slivers():
+    verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 0],
+                      [1, 1, 0], [0.5, 0.5, 0], [1, 1, 0], [1, 1, 0]], float)
+    tris = np.array([[0, 1, 2],   # collinear
+                     [0, 3, 4],   # two corners at the same position
+                     [0, 4, 3],   # the same, as a zero-length edge AB
+                     [5, 7, 8],   # all three corners at one position
+                     [1, 5, 6],   # collinear, through the square's diagonal
+                     [0, 1, 3]])  # the one triangle with area
+    mesh = TriangleMesh(verts, tris)
+    rng = np.random.default_rng(1)
+    queries = np.concatenate([rng.normal(size=(300, 3)), verts,
+                              0.5 * (verts[tris[:, 0]] + verts[tris[:, 1]]),
+                              rng.uniform(0.0, 2.0, size=(100, 3)) * [1, 1, 0]])
+    _assert_p2f_matches_scan(queries, mesh)
+
+
+def test_p2f_unreferenced_vertex_does_not_lower_the_bound():
+    # a vertex no triangle uses sits right next to the query; bounding by it
+    # would prune the only triangle and leave no candidate at all
+    verts = np.array([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0], [0, 0, 5.01]])
+    mesh = TriangleMesh(verts, np.array([[0, 1, 2]]))
+    fast = _assert_p2f_matches_scan(np.array([[0.0, 0.0, 5.0], [0.02, 0.03, 5.005]]), mesh)
+    assert fast[0] == 5.0
+
+
+def _grid_with_large_triangle(side=30):
+    axis = np.linspace(0.0, 1.0, side + 1)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    verts = np.column_stack([grid, np.zeros(len(grid))])
+    i, j = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    corner = (i * (side + 1) + j).ravel()
+    small = np.concatenate([np.stack([corner, corner + side + 1, corner + 1], axis=1),
+                            np.stack([corner + 1, corner + side + 1, corner + side + 2],
+                                     axis=1)])
+    large = np.array([[-50.0, -50.0, -1.0], [60.0, -50.0, -1.0], [0.0, 60.0, -1.0]])
+    verts = np.concatenate([verts, large])
+    big = np.arange(len(verts) - 3, len(verts))[None]
+    return TriangleMesh(verts, np.concatenate([small, big]))
+
+
+def test_p2f_large_triangle_keeps_candidates_local(monkeypatch):
+    mesh = _grid_with_large_triangle()
+    rng = np.random.default_rng(2)
+    near_grid = rng.uniform([0, 0, -0.05], [1, 1, 0.05], size=(300, 3))
+    sizes = _counting_pairs(monkeypatch)
+    point_to_mesh_distances(near_grid, mesh)
+    monkeypatch.undo()
+    # searching every triangle at the large one's radius would pair each
+    # query with all 1801 triangles; its own radius bucket keeps that to one
+    assert sum(sizes) < 20 * len(near_grid)
+    # above the grid a small triangle is closest, just above the large one it is
+    queries = np.concatenate([near_grid, rng.uniform([0, 0, -0.2], [1, 1, 0.2], size=(100, 3)),
+                              rng.uniform([0, 0, -0.99], [1, 1, -0.9], size=(50, 3))])
+    fast = _assert_p2f_matches_scan(queries, mesh)
+    assert np.all(fast[-50:] < 0.1)
+
+
+def test_p2f_pair_budget_chunks_are_exact(monkeypatch):
+    mesh = icosphere(2)
+    queries = np.random.default_rng(3).normal(size=(200, 3))
+    whole = _assert_p2f_matches_scan(queries, mesh)
+    monkeypatch.setattr(metrics, "_PAIR_BUDGET", 20)
+    sizes = _counting_pairs(monkeypatch)
+    assert np.array_equal(point_to_mesh_distances(queries, mesh), whole)
+    assert len(sizes) > 10 and max(sizes) < len(mesh.triangles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_p2f_matches_full_scan_property(data):
+    n = data.draw(st.integers(3, 25), label="n")
+    verts = data.draw(arrays(np.float64, (n, 3), elements=COORDS), label="vertices")
+    tris = data.draw(st.lists(st.permutations(range(n)).map(lambda p: p[:3]),
+                              min_size=1, max_size=30), label="triangles")
+    queries = data.draw(arrays(np.float64, (data.draw(st.integers(1, 30), label="m"), 3),
+                               elements=COORDS), label="queries")
+    _assert_p2f_matches_scan(queries, TriangleMesh(verts, np.array(tris)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +332,17 @@ def test_clouds_exercise_every_degeneracy_rule():
     assert all(len(np.unique(row, axis=0)) == 4 for row in neighborhoods)
 
 
+def test_tilted_plane_normals_share_one_orientation():
+    # every row of the plane has its centroid in the tangent plane, where the
+    # per-point loop orients by rounding noise (95 against 101 of 196 rows)
+    points = KERNEL_CLOUDS["plane"]
+    result = upsample_analytic(PointCloud(points), 4, k=16)
+    plane_normal = np.linalg.svd(points - points.mean(axis=0))[2][2]
+    for normals in (result.coarse_normals, result.normals):
+        side = np.sign(normals @ plane_normal)
+        assert np.all(side == side[0])
+
+
 @pytest.mark.parametrize("name", ["sphere", "random"])
 def test_jittered_grid_consumes_rng_in_loop_order(name):
     points = KERNEL_CLOUDS[name]
@@ -219,3 +367,34 @@ def test_permuting_input_permutes_output_groups():
     assert np.array_equal(groups(moved.normals), groups(base.normals)[perm])
     assert np.array_equal(groups(moved.deltas), groups(base.deltas)[perm])
     assert np.array_equal(moved.coarse_normals, base.coarse_normals[perm])
+
+
+# ---------------------------------------------------------------------------
+# frame statistics
+
+
+def _model_like_frames(seed=6, n=400):
+    # learned lifts are neither orthonormal nor right-handed; some rows are
+    # degenerate (zero t3, or t1 parallel to t2)
+    frames = np.random.default_rng(seed).normal(size=(n, 3, 3))
+    frames[::17, :, 2] = 0.0
+    frames[5::19, :, 1] = frames[5::19, :, 0]
+    return frames
+
+
+@pytest.mark.parametrize("name", ["plane", "sphere", "random", "model_like"])
+def test_frame_stats_matches_per_frame_loop(name):
+    if name == "model_like":
+        frames = _model_like_frames()
+        deltas = np.random.default_rng(7).normal(size=4 * len(frames))
+    else:
+        result = upsample_analytic(PointCloud(KERNEL_CLOUDS[name]), 4, k=16)
+        frames, deltas = result.metadata["frames"], result.deltas
+    t1, t2, t3 = frames[:, :, 0], frames[:, :, 1], frames[:, :, 2]
+    fast = frame_stats(t1, t2, t3, deltas)
+    slow = reference.frame_stats([AugmentedJacobian(np.zeros(3), *row)
+                                  for row in zip(t1, t2, t3)], deltas)
+    assert fast.to_tsv() == slow.to_tsv()
+    assert fast.degenerate == slow.degenerate
+    # np.arccos and math.acos may round differently in the last place
+    np.testing.assert_allclose(fast.theta_deg, slow.theta_deg, rtol=0, atol=1e-12)
