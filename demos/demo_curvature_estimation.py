@@ -8,24 +8,19 @@ least-squares quadric height fit.
 
 import numpy as np
 
-from pugeo import estimate_frame, fit_fundamental_forms
+from pugeo import estimate_frames, fit_curvatures
 from pugeo.sampling import NeighborIndex
 
 rng = np.random.default_rng(1)
 
 
 def report(name, points, true_k1, true_k2, k=16):
-    index = NeighborIndex(points)
-    neighbor_idx = index.knn_batch(points, k)
-    k1s, k2s = [], []
-    for i in range(len(points)):
-        neighborhood = points[neighbor_idx[i]]
-        frame = estimate_frame(neighborhood, points[i])
-        forms = fit_fundamental_forms(neighborhood, frame)
-        k1s.append(forms.k1)
-        k2s.append(forms.k2)
-    print(f"{name:10s} k1 median {np.median(k1s):+.4f} (true {true_k1:+.2f})   "
-          f"k2 median {np.median(k2s):+.4f} (true {true_k2:+.2f})")
+    neighborhoods = points[NeighborIndex(points).knn_batch(points, k)]
+    frames, _ = estimate_frames(neighborhoods, points)
+    curvatures, _, _ = fit_curvatures(neighborhoods, points, frames)
+    k1_median, k2_median = np.median(curvatures, axis=0)
+    print(f"{name:10s} k1 median {k1_median:+.4f} (true {true_k1:+.2f})   "
+          f"k2 median {k2_median:+.4f} (true {true_k2:+.2f})")
 
 
 n = 2000

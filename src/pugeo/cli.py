@@ -152,6 +152,26 @@ def cmd_dataset_build(args) -> int:
     return 0
 
 
+def _check_manifest(manifest, path) -> None:
+    """Raise FormatError unless `manifest` has the shape `dataset build` writes."""
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest must be a JSON object")
+    config = manifest.get("config")
+    if not (isinstance(config, dict)
+            and all(isinstance(config.get(key), int) for key in ("factor", "patch_size"))):
+        raise FormatError(f"{path}: manifest needs a 'config' object with integer "
+                          f"'factor' and 'patch_size'")
+    patches = manifest.get("patches")
+    if not isinstance(patches, list):
+        raise FormatError(f"{path}: manifest needs a 'patches' list")
+    for i, entry in enumerate(patches):
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(key), str) for key in ("sparse", "dense"))
+                and isinstance(entry.get("seed_index"), int)):
+            raise FormatError(f"{path}: patches[{i}] needs string 'sparse' and 'dense' "
+                              f"and an integer 'seed_index'")
+
+
 def _load_manifest_dataset(data_path):
     manifest_path = data_path
     if os.path.isdir(data_path):
@@ -159,7 +179,11 @@ def _load_manifest_dataset(data_path):
     if not os.path.exists(manifest_path):
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     with open(manifest_path, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
+        try:
+            manifest = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{manifest_path}: {exc}") from None
+    _check_manifest(manifest, manifest_path)
     base = os.path.dirname(manifest_path)
     examples = []
     for entry in manifest["patches"]:

@@ -5,56 +5,20 @@ of the neighborhood covariance and packed as the 3x3 matrix [t1 t2 t3]
 whose first two columns span the tangent plane and whose third column is
 their cross product.  A quadric height fit over that frame yields the
 principal curvatures, which drive the normal displacement that bends
-tangent-plane samples onto the surface.  The batched kernels
-(estimate_frames, fit_curvatures) work on stacked (N, k, 3) arrays; the
-scalar estimate_frame and fit_fundamental_forms are one-row calls of them.
+tangent-plane samples onto the surface.  Both kernels (estimate_frames,
+fit_curvatures) work on stacked (N, k, 3) arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import GeometryError
 
 #: relative eigenvalue floor below which a covariance is considered collinear
 _COLLINEAR_RTOL = 1e-10
 #: normal-equation condition number above which a quadric fit is degenerate
 _FIT_CONDITION_LIMIT = 1e8
-
-
-@dataclass
-class AugmentedJacobian:
-    """Orthonormal tangent frame at `origin`: columns t1, t2, t3 = t1 x t2."""
-
-    origin: np.ndarray
-    t1: np.ndarray
-    t2: np.ndarray
-    t3: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        """The 3x3 matrix with columns (t1, t2, t3)."""
-        return np.stack([self.t1, self.t2, self.t3], axis=1)
-
-
-@dataclass
-class FundamentalForms:
-    """Principal curvatures (k1 >= k2) and unit 2D principal directions."""
-
-    k1: float
-    k2: float
-    dir1: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0]))
-    dir2: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0]))
-    degenerate: bool = False
-
-
-@dataclass
-class ParamSample:
-    """A 2D parametric coordinate (u, v) in local frame length units."""
-
-    u: float
-    v: float
 
 
 def estimate_frames(neighborhoods, centers) -> tuple[np.ndarray, np.ndarray]:
@@ -187,69 +151,6 @@ def _lstsq_rows(design: np.ndarray, rhs: np.ndarray):
     inverse = np.divide(1.0, singular, out=np.zeros_like(singular), where=kept)
     coeffs = np.einsum("nkm,nk->nm", u, rhs) * inverse
     return np.einsum("nmj,nm->nj", vt, coeffs), kept.sum(axis=1), singular
-
-
-def estimate_frame(neighborhood, center) -> AugmentedJacobian:
-    """Tangent frame of one neighborhood around `center`.
-
-    A one-row call of estimate_frames; raises GeometryError where that
-    flags the neighborhood collinear.
-    """
-    center = np.asarray(center, dtype=np.float64).reshape(3)
-    pts = np.asarray(neighborhood, dtype=np.float64).reshape(1, -1, 3)
-    frames, collinear = estimate_frames(pts, center[None])
-    if collinear[0]:
-        raise GeometryError("neighborhood is collinear or degenerate")
-    t1, t2, t3 = frames[0].T.copy()
-    return AugmentedJacobian(origin=center.copy(), t1=t1, t2=t2, t3=t3)
-
-
-def fit_fundamental_forms(neighborhood, frame: AugmentedJacobian) -> FundamentalForms:
-    """Principal curvatures of one neighborhood in `frame`.
-
-    A one-row call of fit_curvatures.  Ill-conditioned fits return zero
-    curvature flagged degenerate rather than failing.
-    """
-    pts = np.asarray(neighborhood, dtype=np.float64).reshape(1, -1, 3)
-    origin = np.asarray(frame.origin, dtype=np.float64).reshape(1, 3)
-    curvatures, directions, degenerate = fit_curvatures(pts, origin, frame.matrix()[None])
-    if degenerate[0]:
-        return FundamentalForms(0.0, 0.0, degenerate=True)
-    return FundamentalForms(k1=float(curvatures[0, 0]), k2=float(curvatures[0, 1]),
-                            dir1=directions[0, :, 0].copy(), dir2=directions[0, :, 1].copy())
-
-
-def normal_from_T(frame: AugmentedJacobian) -> np.ndarray:
-    """The frame's normal, i.e. the third column t3."""
-    return frame.t3.copy()
-
-
-def lift_to_tangent(frame: AugmentedJacobian, sample: ParamSample) -> np.ndarray:
-    """Map a parametric sample onto the tangent plane: origin + u*t1 + v*t2."""
-    return frame.origin + sample.u * frame.t1 + sample.v * frame.t2
-
-
-def normal_displacement(forms: FundamentalForms, sample: ParamSample) -> float:
-    """Second-order height (k1*u^2 + k2*v^2) / 2.
-
-    The sample must already be expressed in principal-direction
-    coordinates.
-    """
-    return 0.5 * (forms.k1 * sample.u ** 2 + forms.k2 * sample.v ** 2)
-
-
-def quadric_normal(forms: FundamentalForms, sample: ParamSample,
-                   frame: AugmentedJacobian) -> np.ndarray:
-    """Unit normal of the fitted quadric at a principal-coordinate sample.
-
-    In principal coordinates the quadric is w = (k1*u^2 + k2*v^2)/2, whose
-    normal is proportional to (-k1*u, -k2*v, 1); that vector is mapped to
-    world space through the principal axes and t3.
-    """
-    p1 = forms.dir1[0] * frame.t1 + forms.dir1[1] * frame.t2
-    p2 = forms.dir2[0] * frame.t1 + forms.dir2[1] * frame.t2
-    n = -forms.k1 * sample.u * p1 - forms.k2 * sample.v * p2 + frame.t3
-    return n / np.linalg.norm(n)
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,10 @@ def nearest_indices(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
 # numpy versions
 
 
-def chamfer(x: np.ndarray, y: np.ndarray, normalization: str = "target") -> float:
+def chamfer(x: np.ndarray, y: np.ndarray) -> float:
     """Symmetric sum of nearest-neighbor distances.
 
-    With normalization="target" both directed sums are divided by |Y| (the
-    dense-set size); "per_set" divides each directed sum by its own source
-    size instead.
+    Both directed sums are divided by |Y| (the dense-set size).
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1, 3)
     y = np.asarray(y, dtype=np.float64).reshape(-1, 3)
@@ -57,11 +55,7 @@ def chamfer(x: np.ndarray, y: np.ndarray, normalization: str = "target") -> floa
     psi = nearest_indices(y, x)
     forward = np.linalg.norm(x - y[phi], axis=1).sum()
     backward_ = np.linalg.norm(y - x[psi], axis=1).sum()
-    if normalization == "target":
-        return float((forward + backward_) / len(y))
-    if normalization == "per_set":
-        return float(forward / len(x) + backward_ / len(y))
-    raise ValueError(f"unknown normalization {normalization!r}")
+    return float((forward + backward_) / len(y))
 
 
 def _check_unit(v: np.ndarray, name: str) -> None:
@@ -134,8 +128,8 @@ def _row_norms(t: Tensor, eps: float = 1e-12) -> Tensor:
     return ad.sqrt(ad.add(ad.reduce_sum(ad.square(t), axis=-1), eps))
 
 
-def chamfer_loss(pred: Tensor, gt: np.ndarray, normalization: str = "target") -> Tensor:
-    """Graph Chamfer distance between predicted points and a fixed target set."""
+def chamfer_loss(pred: Tensor, gt: np.ndarray) -> Tensor:
+    """Graph Chamfer distance to a fixed target set, normalized as `chamfer` is."""
     gt = np.asarray(gt, dtype=np.float64).reshape(-1, 3)
     pred_values = pred.data.astype(np.float64)
     phi = nearest_indices(pred_values, gt)
@@ -143,12 +137,7 @@ def chamfer_loss(pred: Tensor, gt: np.ndarray, normalization: str = "target") ->
     gt_c = ad.constant(gt.astype(pred.dtype))
     forward = ad.reduce_sum(_row_norms(ad.sub(pred, ad.gather(gt_c, phi, axis=0))))
     backward_ = ad.reduce_sum(_row_norms(ad.sub(ad.gather(pred, psi, axis=0), gt_c)))
-    if normalization == "target":
-        return ad.mul(ad.add(forward, backward_), 1.0 / len(gt))
-    if normalization == "per_set":
-        return ad.add(ad.mul(forward, 1.0 / len(pred_values)),
-                      ad.mul(backward_, 1.0 / len(gt)))
-    raise ValueError(f"unknown normalization {normalization!r}")
+    return ad.mul(ad.add(forward, backward_), 1.0 / len(gt))
 
 
 def _unoriented_sq_loss(pred: Tensor, gt_const: Tensor) -> Tensor:

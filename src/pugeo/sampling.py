@@ -2,8 +2,8 @@
 
 Farthest point sampling, k-nearest neighbors with exact brute-force
 semantics (distance ties broken by ascending index), Poisson-disk sampling
-of triangle meshes by sample elimination, patch extraction/normalization,
-augmentation and patch fusion.
+of triangle meshes by sample elimination, patch extraction/normalization
+and patch fusion.
 """
 
 from __future__ import annotations
@@ -293,76 +293,6 @@ def _normalize_patch(cloud: PointCloud, indices: np.ndarray) -> Patch:
 def denormalize(patch: Patch, points) -> np.ndarray:
     """Map patch-local coordinates back to the parent cloud's units."""
     return np.asarray(points, dtype=np.float64) * patch.scale + patch.centroid
-
-
-# ---------------------------------------------------------------------------
-# augmentation
-
-
-@dataclass
-class AugmentParams:
-    """A drawn augmentation: proper rotation, uniform scale, jitter sigma."""
-
-    rotation: np.ndarray
-    scale: float = 1.0
-    jitter_sigma: float = 0.0
-
-    def __post_init__(self):
-        self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
-        if abs(np.linalg.det(self.rotation) - 1.0) > 1e-6:
-            raise ValueError("rotation must be proper (det = +1)")
-
-    @classmethod
-    def identity(cls) -> "AugmentParams":
-        return cls(np.eye(3), 1.0, 0.0)
-
-    @classmethod
-    def draw(cls, rng: np.random.Generator, scale_range=(0.8, 1.2),
-             jitter_sigma: float = 0.005) -> "AugmentParams":
-        rotation = _random_rotation(rng)
-        scale = float(rng.uniform(*scale_range))
-        return cls(rotation, scale, jitter_sigma)
-
-
-def _random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform rotation from a normalized 4D Gaussian quaternion."""
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-
-
-def augment(patch: Patch, rng: np.random.Generator, params: AugmentParams | None = None,
-            scale_range=(0.8, 1.2), jitter_sigma: float = 0.005) -> Patch:
-    """Random rotation, uniform scale and clipped Gaussian jitter.
-
-    jitter_sigma is a fraction of the patch radius, clipped at 3 sigma;
-    normals only rotate.  Identity parameters reproduce the patch
-    bit-for-bit (each transform is applied only when non-trivial).
-    """
-    if params is None:
-        params = AugmentParams.draw(rng, scale_range, jitter_sigma)
-    points = patch.points
-    normals = patch.normals
-    if not np.array_equal(params.rotation, np.eye(3)):
-        points = points @ params.rotation.T
-        if normals is not None:
-            normals = normals @ params.rotation.T
-    if params.scale != 1.0:
-        points = points * params.scale
-    if params.jitter_sigma > 0.0:
-        radius = float(np.linalg.norm(points, axis=1).max())
-        sigma = params.jitter_sigma * radius
-        noise = rng.normal(scale=sigma, size=points.shape)
-        points = points + np.clip(noise, -3.0 * sigma, 3.0 * sigma)
-    if normals is patch.normals and normals is not None:
-        normals = normals.copy()
-    return Patch(indices=patch.indices.copy(), points=np.array(points, copy=True),
-                 centroid=patch.centroid.copy(), scale=patch.scale, normals=normals)
 
 
 # ---------------------------------------------------------------------------

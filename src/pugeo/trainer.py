@@ -22,7 +22,7 @@ from .losses import (LossWeights, chamfer_loss, coarse_normal_loss_graph,
                      refined_normal_loss_graph, total_loss_graph)
 from .metrics import MetricReport, report_metrics
 from .model import PUGeoNet, save_model
-from .sampling import (AugmentParams, NeighborIndex, extract_patches,
+from .sampling import (NeighborIndex, _normalize_patch, denormalize, extract_patches,
                        farthest_point_sample, fuse_patches, poisson_disk_sample)
 
 
@@ -106,30 +106,42 @@ def build_dataset(meshes: list[TriangleMesh], m: int, factor: int, patch_size: i
             anchor = sparse.points[s]
             sp_idx = sparse_index.knn(anchor, patch_size)
             dn_idx = dense_index.knn(anchor, factor * patch_size)
-            raw = sparse.points[sp_idx]
-            centroid = raw.mean(axis=0)
-            scale = float(np.linalg.norm(raw - centroid, axis=1).max())
-            if scale == 0.0:
-                scale = 1.0
+            patch = _normalize_patch(sparse, sp_idx)
             examples.append(TrainExample(
-                sparse_points=(raw - centroid) / scale,
-                sparse_normals=sparse.normals[sp_idx].copy(),
-                dense_points=(dense.points[dn_idx] - centroid) / scale,
+                sparse_points=patch.points, sparse_normals=patch.normals,
+                dense_points=(dense.points[dn_idx] - patch.centroid) / patch.scale,
                 dense_normals=dense.normals[dn_idx].copy(),
-                centroid=centroid, scale=scale, seed_index=int(s)))
+                centroid=patch.centroid, scale=patch.scale, seed_index=int(s)))
     return examples
+
+
+def _random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Uniform rotation from a normalized 4D Gaussian quaternion."""
+    q = rng.normal(size=4)
+    q /= np.linalg.norm(q)
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
 
 
 def augment_example(example: TrainExample, rng: np.random.Generator,
                     scale_range=(0.8, 1.2), jitter_sigma: float = 0.005) -> TrainExample:
-    """Shared rotation+scale on both patches; jitter on the sparse input only."""
-    params = AugmentParams.draw(rng, scale_range, jitter_sigma)
-    rot = params.rotation.T
-    sparse = example.sparse_points @ rot * params.scale
-    dense = example.dense_points @ rot * params.scale
-    if params.jitter_sigma > 0.0:
+    """Shared rotation+scale on both patches; jitter on the sparse input only.
+
+    Draws from `rng` in a fixed order: the rotation quaternion, the scale,
+    then the jitter.  jitter_sigma is a fraction of the scaled sparse
+    patch's radius, clipped at 3 sigma; normals only rotate.
+    """
+    rot = _random_rotation(rng).T
+    scale = float(rng.uniform(*scale_range))
+    sparse = example.sparse_points @ rot * scale
+    dense = example.dense_points @ rot * scale
+    if jitter_sigma > 0.0:
         radius = float(np.linalg.norm(sparse, axis=1).max())
-        sigma = params.jitter_sigma * radius
+        sigma = jitter_sigma * radius
         noise = rng.normal(scale=sigma, size=sparse.shape)
         sparse = sparse + np.clip(noise, -3.0 * sigma, 3.0 * sigma)
     return TrainExample(sparse_points=sparse,
@@ -258,8 +270,7 @@ def upsample_cloud(cloud: PointCloud, factor: int, method: str = "analytic",
         totals["patch_points"] += len(patch.points)
         for key in ("degenerate_frames", "degenerate_fits"):
             totals[key] += result.metadata.get(key, 0)
-        world = result.points * patch.scale + patch.centroid
-        pieces.append(PointCloud(world, result.normals))
+        pieces.append(PointCloud(denormalize(patch, result.points), result.normals))
     if counts is not None:
         counts.update(totals)
     return fuse_patches(pieces, factor * len(cloud))

@@ -12,18 +12,40 @@ least-squares solves moved from LAPACK ``gelsd`` to a stacked SVD).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from pugeo.analytic import GOLDEN_ANGLE, SamplePattern, UpsampleResult
 from pugeo.errors import GeometryError
-from pugeo.geometry import AugmentedJacobian, FrameStats, FundamentalForms
+from pugeo.geometry import FrameStats
 from pugeo.io import PointCloud, TriangleMesh
 from pugeo.metrics import point_to_triangles
 from pugeo.sampling import NeighborIndex
 
 _COLLINEAR_RTOL = 1e-10
 _FIT_CONDITION_LIMIT = 1e8
+
+
+@dataclass
+class Frame:
+    """One orthonormal tangent frame at `origin`: columns t1, t2, t3 = t1 x t2."""
+
+    origin: np.ndarray
+    t1: np.ndarray
+    t2: np.ndarray
+    t3: np.ndarray
+
+
+@dataclass
+class Forms:
+    """One quadric fit: principal curvatures (k1 >= k2) and unit 2D directions."""
+
+    k1: float
+    k2: float
+    dir1: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0]))
+    dir2: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0]))
+    degenerate: bool = False
 
 
 def farthest_point_sample(points, count: int, seed_index: int = 0) -> np.ndarray:
@@ -45,7 +67,7 @@ def brute_force_mesh_distance(p, mesh: TriangleMesh) -> float:
     return float(np.min(point_to_triangles(p, v[t[:, 0]], v[t[:, 1]], v[t[:, 2]])))
 
 
-def estimate_frame(neighborhood, center) -> AugmentedJacobian:
+def estimate_frame(neighborhood, center) -> Frame:
     """Per-point PCA frame with one jet step, oriented toward the centroid."""
     pts = np.asarray(neighborhood, dtype=np.float64).reshape(-1, 3)
     center = np.asarray(center, dtype=np.float64).reshape(3)
@@ -69,7 +91,7 @@ def estimate_frame(neighborhood, center) -> AugmentedJacobian:
     if float(t3 @ reference) < 0.0:
         t3 = -t3
         t2 = -t2
-    return AugmentedJacobian(origin=center.copy(), t1=t1, t2=t2, t3=t3)
+    return Frame(origin=center.copy(), t1=t1, t2=t2, t3=t3)
 
 
 def _jet_refine(pts, center, t1, t2, t3):
@@ -89,7 +111,7 @@ def _jet_refine(pts, center, t1, t2, t3):
     return t1, np.cross(refined, t1), refined
 
 
-def fit_fundamental_forms(neighborhood, frame: AugmentedJacobian) -> FundamentalForms:
+def fit_fundamental_forms(neighborhood, frame: Frame) -> Forms:
     """Per-point quadric height fit through the frame origin."""
     pts = np.asarray(neighborhood, dtype=np.float64).reshape(-1, 3)
     d = pts - frame.origin
@@ -100,11 +122,11 @@ def fit_fundamental_forms(neighborhood, frame: AugmentedJacobian) -> Fundamental
     solution, _, rank, singular = np.linalg.lstsq(design, w, rcond=None)
     smallest = singular[-1] if len(singular) == 3 else 0.0
     if rank < 3 or smallest <= 0.0 or singular[0] / smallest > _FIT_CONDITION_LIMIT:
-        return FundamentalForms(0.0, 0.0, degenerate=True)
+        return Forms(0.0, 0.0, degenerate=True)
     e, f, g = solution
     eigvals, eigvecs = np.linalg.eigh(np.array([[e, f], [f, g]]))
-    return FundamentalForms(k1=float(eigvals[1]), k2=float(eigvals[0]),
-                            dir1=eigvecs[:, 1].copy(), dir2=eigvecs[:, 0].copy())
+    return Forms(k1=float(eigvals[1]), k2=float(eigvals[0]),
+                 dir1=eigvecs[:, 1].copy(), dir2=eigvecs[:, 0].copy())
 
 
 def param_samples(factor: int, pattern: SamplePattern, local_radius: float,
@@ -158,10 +180,10 @@ def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
             forms = fit_fundamental_forms(neighborhood, frame)
         except GeometryError:
             degenerate_frames += 1
-            frame = AugmentedJacobian(origin=center.copy(),
-                                      t1=np.array([1.0, 0.0, 0.0]),
-                                      t2=np.array([0.0, 1.0, 0.0]),
-                                      t3=np.array([0.0, 0.0, 1.0]))
+            frame = Frame(origin=center.copy(),
+                          t1=np.array([1.0, 0.0, 0.0]),
+                          t2=np.array([0.0, 1.0, 0.0]),
+                          t3=np.array([0.0, 0.0, 1.0]))
             forms = None
         dists = np.linalg.norm(neighborhood - center, axis=1)
         local_radius = float(np.median(np.sort(dists)[1:5]))
@@ -202,7 +224,7 @@ def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
                           metadata=metadata)
 
 
-def frame_stats(frames: list[AugmentedJacobian], deltas) -> FrameStats:
+def frame_stats(frames: list[Frame], deltas) -> FrameStats:
     """The per-frame loop: angle-vs-cross-product and displacement histograms."""
     thetas = []
     degenerate = 0

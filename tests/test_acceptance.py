@@ -18,7 +18,7 @@ from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, LossWeights, chamfer, load
                    poisson_disk_sample, read_xyz, save_model, total_loss,
                    upsample_analytic, write_xyz)
 from pugeo.cli import main
-from pugeo.geometry import estimate_frame, fit_fundamental_forms, frame_stats
+from pugeo.geometry import estimate_frames, fit_curvatures, frame_stats
 from pugeo.io import TriangleMesh
 from pugeo.losses import (chamfer_loss, coarse_normal_loss_graph, refined_normal_loss_graph)
 from pugeo.metrics import point_to_mesh_distances
@@ -44,27 +44,24 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
 # 1. curvature oracle
 
 
+def _knn_curvatures(points, k=16):
+    """(N, 2) curvatures of every point's kNN neighborhood and the collinear flags."""
+    neighborhoods = points[NeighborIndex(points).knn_batch(points, k)]
+    frames, collinear = estimate_frames(neighborhoods, points)
+    return fit_curvatures(neighborhoods, points, frames)[0], collinear
+
+
 def test_criterion_1_curvature_oracle():
     start = time.monotonic()
     cloud = sphere_cloud(5000, 1.0, seed=0)
-    idx = NeighborIndex(cloud.points).knn_batch(cloud.points, 16)
-    good = 0
-    for i in range(len(cloud)):
-        neighborhood = cloud.points[idx[i]]
-        frame = estimate_frame(neighborhood, cloud.points[i])
-        forms = fit_fundamental_forms(neighborhood, frame)
-        if abs(forms.k1 - 1.0) <= 0.1 and abs(forms.k2 - 1.0) <= 0.1:
-            good += 1
-    fraction = good / len(cloud)
+    curvatures, collinear = _knn_curvatures(cloud.points)
+    good = ~collinear & (np.abs(curvatures - 1.0) <= 0.1).all(axis=1)
+    fraction = np.count_nonzero(good) / len(cloud)
 
     g = np.stack(np.meshgrid(np.linspace(0, 1, 16), np.linspace(0, 1, 16)), -1)
     plane = np.column_stack([g.reshape(-1, 2), np.zeros(256)])
-    plane_idx = NeighborIndex(plane).knn_batch(plane, 16)
-    plane_worst = 0.0
-    for i in range(len(plane)):
-        frame = estimate_frame(plane[plane_idx[i]], plane[i])
-        forms = fit_fundamental_forms(plane[plane_idx[i]], frame)
-        plane_worst = max(plane_worst, abs(forms.k1), abs(forms.k2))
+    curvatures, collinear = _knn_curvatures(plane)
+    plane_worst = np.inf if collinear.any() else float(np.abs(curvatures).max())
     elapsed = time.monotonic() - start
     _report(1, "curvature oracle", fraction >= 0.9 and plane_worst < 1e-6 and elapsed < 10.0,
             f"sphere pass {fraction:.3f}, plane worst {plane_worst:.2e}, {elapsed:.1f}s")

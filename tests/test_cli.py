@@ -225,6 +225,22 @@ def test_train_factor_mismatch_exit_2(tmp_path, mesh_dir, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text", [
+    json.dumps({"config": {"factor": 4, "patch_size": 64},
+                "patches": [{"sparse": "a.xyz", "dense": "b.xyz"}]}),
+    json.dumps({"patches": [{"sparse": "a.xyz", "dense": "b.xyz", "seed_index": 0}]}),
+    "[]",
+    "{",
+], ids=["entry_without_seed_index", "no_config", "top_level_list", "not_json"])
+def test_train_malformed_manifest_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.pugeo"),
+               "--epochs", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"{path}: ")
+
+
 def test_eval_pred_equals_gt(tmp_path, mesh_dir, capsys):
     from pugeo import poisson_disk_sample, read_mesh
 

@@ -1,13 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
-from pugeo import (AugmentedJacobian, ParamSample, estimate_frame, fit_fundamental_forms,
-                   frame_stats, lift_to_tangent, normal_displacement, normal_from_T,
-                   quadric_normal)
-from pugeo.errors import GeometryError
+from pugeo import (PointCloud, SamplePattern, estimate_frames, fit_curvatures, frame_stats,
+                   upsample_analytic)
 from pugeo.sampling import NeighborIndex
 
-from helpers import sphere_cloud, unit_rows
+from helpers import sphere_cloud
 
 
 def _plane_neighborhood(seed=0, n=8):
@@ -24,101 +27,120 @@ def _sphere_cap(seed=0, n=24, radius=0.2):
                             np.cos(theta)])
 
 
-def _identity_frame(origin=(0.0, 0.0, 0.0)):
-    return AugmentedJacobian(origin=np.asarray(origin, float),
-                             t1=np.array([1.0, 0, 0]), t2=np.array([0, 1.0, 0]),
-                             t3=np.array([0, 0, 1.0]))
+NORTH = np.array([0.0, 0.0, 1.0])
+
+
+def _frame(neighborhood, center):
+    """One row of estimate_frames: the (3, 3) frame [t1 t2 t3] and its collinear flag."""
+    frames, collinear = estimate_frames(np.asarray(neighborhood, float)[None],
+                                        np.asarray(center, float)[None])
+    return frames[0], bool(collinear[0])
+
+
+def _fit(neighborhood, center, frame):
+    """One row of fit_curvatures: (k1, k2), the (2, 2) directions and the degenerate flag."""
+    curvatures, directions, degenerate = fit_curvatures(
+        np.asarray(neighborhood, float)[None], np.asarray(center, float)[None], frame[None])
+    return curvatures[0], directions[0], bool(degenerate[0])
+
+
+def _knn_curvatures(points, count, k=16):
+    """Curvatures (count, 2) at the first `count` points from their kNN neighborhoods."""
+    neighborhoods = points[NeighborIndex(points).knn_batch(points[:count], k)]
+    frames, _ = estimate_frames(neighborhoods, points[:count])
+    return fit_curvatures(neighborhoods, points[:count], frames)[0]
 
 
 # ---------------------------------------------------------------------------
-# estimate_frame
+# estimate_frames
 
 
 def test_frame_planar_pca():
-    frame = estimate_frame(_plane_neighborhood(), np.zeros(3))
-    assert abs(abs(frame.t3[2]) - 1.0) < 1e-6
+    frame, _ = _frame(_plane_neighborhood(), np.zeros(3))
+    assert abs(abs(frame[2, 2]) - 1.0) < 1e-6
 
 
 def test_frame_plane_lift_stays_in_plane():
-    frame = estimate_frame(_plane_neighborhood(1), np.zeros(3))
-    lifted = lift_to_tangent(frame, ParamSample(0.3, -0.7))
+    frame, _ = _frame(_plane_neighborhood(1), np.zeros(3))
+    lifted = 0.3 * frame[:, 0] - 0.7 * frame[:, 1]
     assert abs(lifted[2]) < 1e-9
 
 
 def test_frame_sphere_normal_within_3_degrees():
-    cap = _sphere_cap(2)
-    frame = estimate_frame(cap, np.array([0.0, 0.0, 1.0]))
-    angle = np.degrees(np.arccos(min(1.0, abs(frame.t3[2]))))
+    frame, _ = _frame(_sphere_cap(2), NORTH)
+    angle = np.degrees(np.arccos(min(1.0, abs(frame[2, 2]))))
     assert angle < 3.0
 
 
 def test_frame_orthonormality_invariants():
-    cap = _sphere_cap(3)
-    frame = estimate_frame(cap, np.array([0.0, 0.0, 1.0]))
-    assert abs(frame.t1 @ frame.t2) < 1e-6
-    assert abs(np.linalg.norm(frame.t1) - 1) < 1e-6
-    assert abs(np.linalg.norm(frame.t2) - 1) < 1e-6
-    assert np.linalg.norm(np.cross(frame.t1, frame.t2) - frame.t3) < 1e-7
-    assert abs(np.linalg.det(frame.matrix())) > 0.5
+    frame, _ = _frame(_sphere_cap(3), NORTH)
+    t1, t2, t3 = frame.T
+    assert abs(t1 @ t2) < 1e-6
+    assert abs(np.linalg.norm(t1) - 1) < 1e-6
+    assert abs(np.linalg.norm(t2) - 1) < 1e-6
+    assert np.linalg.norm(np.cross(t1, t2) - t3) < 1e-7
+    assert abs(np.linalg.det(frame)) > 0.5
 
 
 def test_frame_orients_toward_concave_side():
     # sphere cap: the neighborhood centroid sits inward of the cap center
-    frame = estimate_frame(_sphere_cap(4), np.array([0.0, 0.0, 1.0]))
-    assert frame.t3[2] < 0  # points inward
+    frame, _ = _frame(_sphere_cap(4), NORTH)
+    assert frame[2, 2] < 0  # points inward
 
 
-def test_frame_collinear_raises():
+def test_frame_collinear_flagged_identity():
     line = np.column_stack([np.linspace(0, 1, 8), np.zeros(8), np.zeros(8)])
-    with pytest.raises(GeometryError):
-        estimate_frame(line, np.zeros(3))
+    frame, collinear = _frame(line, np.zeros(3))
+    assert collinear
+    assert np.array_equal(frame, np.eye(3))
 
 
 def test_frame_too_few_points():
     with pytest.raises(ValueError):
-        estimate_frame(np.zeros((5, 3)), np.zeros(3))
+        _frame(np.zeros((5, 3)), np.zeros(3))
 
 
-def test_frame_rigid_motion_equivariance():
-    rng = np.random.default_rng(5)
-    cap = _sphere_cap(6)
-    center = np.array([0.0, 0.0, 1.0])
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    rot = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                    [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                    [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
-    shift = np.array([3.0, -1.0, 2.0])
-    before = estimate_frame(cap, center)
-    after = estimate_frame(cap @ rot.T + shift, rot @ center + shift)
-    assert abs((rot @ before.t3) @ after.t3) >= 1.0 - 1e-6
-    f_before = fit_fundamental_forms(cap, before)
-    f_after = fit_fundamental_forms(cap @ rot.T + shift, after)
-    assert abs(f_before.k1 - f_after.k1) < 1e-6
-    assert abs(f_before.k2 - f_after.k2) < 1e-6
+@functools.lru_cache(maxsize=None)
+def _sphere_neighborhoods():
+    points = sphere_cloud(300, 1.0, seed=5).points
+    return points[NeighborIndex(points).knn_batch(points, 16)], points
+
+
+UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+SHIFT = st.floats(-100.0, 100.0, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(quaternion=st.tuples(UNIT, UNIT, UNIT, UNIT).filter(lambda q: np.linalg.norm(q) > 0.1),
+       shift=st.tuples(SHIFT, SHIFT, SHIFT))
+def test_frame_rigid_motion_equivariance(quaternion, shift):
+    rot = Rotation.from_quat(quaternion).as_matrix()
+    neighborhoods, centers = _sphere_neighborhoods()
+    frames, collinear = estimate_frames(neighborhoods, centers)
+    curvatures, _, degenerate = fit_curvatures(neighborhoods, centers, frames)
+    moved, moved_centers = neighborhoods @ rot.T + shift, centers @ rot.T + shift
+    moved_frames, moved_collinear = estimate_frames(moved, moved_centers)
+    moved_curvatures, _, moved_degenerate = fit_curvatures(moved, moved_centers, moved_frames)
+    assert np.array_equal(collinear, moved_collinear)
+    assert np.array_equal(degenerate, moved_degenerate)
+    assert np.abs(curvatures - moved_curvatures).max() < 1e-6
+    assert np.abs(frames[:, :, 2] @ rot.T - moved_frames[:, :, 2]).max() < 1e-6
 
 
 # ---------------------------------------------------------------------------
-# fit_fundamental_forms
+# fit_curvatures
 
 
 def test_fit_plane_zero_curvature():
     nbhd = _plane_neighborhood(7, 16)
-    frame = estimate_frame(nbhd, np.zeros(3))
-    forms = fit_fundamental_forms(nbhd, frame)
-    assert abs(forms.k1) < 1e-6 and abs(forms.k2) < 1e-6
+    frame, _ = _frame(nbhd, np.zeros(3))
+    (k1, k2), _, _ = _fit(nbhd, np.zeros(3), frame)
+    assert abs(k1) < 1e-6 and abs(k2) < 1e-6
 
 
 def test_fit_unit_sphere_curvature():
-    cloud = sphere_cloud(1500, 1.0, seed=0)
-    idx = NeighborIndex(cloud.points).knn_batch(cloud.points[:50], 16)
-    for row, i in zip(idx, range(50)):
-        nbhd = cloud.points[row]
-        frame = estimate_frame(nbhd, cloud.points[i])
-        forms = fit_fundamental_forms(nbhd, frame)
-        assert abs(forms.k1 - 1.0) <= 0.1
-        assert abs(forms.k2 - 1.0) <= 0.1
+    curvatures = _knn_curvatures(sphere_cloud(1500, 1.0, seed=0).points, 50)
+    assert np.abs(curvatures - 1.0).max() <= 0.1
 
 
 def test_fit_cylinder_curvatures():
@@ -128,10 +150,10 @@ def test_fit_cylinder_curvatures():
     z = rng.uniform(-0.3, 0.3, 40)
     pts = np.column_stack([2 * np.cos(phi), 2 * np.sin(phi), z])
     center = np.array([2.0, 0.0, 0.0])
-    frame = estimate_frame(pts, center)
-    forms = fit_fundamental_forms(pts, frame)
-    assert abs(forms.k1 - 0.5) <= 0.05
-    assert abs(forms.k2) <= 0.05
+    frame, _ = _frame(pts, center)
+    (k1, k2), _, _ = _fit(pts, center, frame)
+    assert abs(k1 - 0.5) <= 0.05
+    assert abs(k2) <= 0.05
 
 
 def test_fit_exact_quadric_recovery():
@@ -141,107 +163,67 @@ def test_fit_exact_quadric_recovery():
     u = rng.uniform(-1, 1, 30)
     v = rng.uniform(-1, 1, 30)
     w = 0.5 * (e * u * u + 2 * f * u * v + g * v * v)
-    frame = _identity_frame()
-    forms = fit_fundamental_forms(np.column_stack([u, v, w]), frame)
+    (k1, k2), directions, _ = _fit(np.column_stack([u, v, w]), np.zeros(3), np.eye(3))
     m = np.array([[e, f], [f, g]])
     eig = np.linalg.eigvalsh(m)
-    assert abs(forms.k2 - eig[0]) < 1e-8
-    assert abs(forms.k1 - eig[1]) < 1e-8
-    assert forms.k1 >= forms.k2
-    assert abs(forms.dir1 @ forms.dir2) < 1e-6
+    assert abs(k2 - eig[0]) < 1e-8
+    assert abs(k1 - eig[1]) < 1e-8
+    assert k1 >= k2
+    assert abs(directions[:, 0] @ directions[:, 1]) < 1e-6
 
 
 def test_fit_degenerate_returns_flag():
     # all points on a line in the tangent plane: rank-deficient normal matrix
     u = np.linspace(-1, 1, 10)
     pts = np.column_stack([u, np.zeros(10), np.zeros(10)])
-    forms = fit_fundamental_forms(pts, _identity_frame())
-    assert forms.degenerate
-    assert forms.k1 == 0.0 and forms.k2 == 0.0
+    (k1, k2), _, degenerate = _fit(pts, np.zeros(3), np.eye(3))
+    assert degenerate
+    assert k1 == 0.0 and k2 == 0.0
 
 
 def test_fit_scaling_halves_curvature():
-    a = sphere_cloud(1000, 1.0, seed=1)
-    idx = NeighborIndex(a.points).knn_batch(a.points[:30], 16)
-    ratios = []
-    for i, row in enumerate(idx):
-        f1 = fit_fundamental_forms(a.points[row], estimate_frame(a.points[row], a.points[i]))
-        scaled = a.points * 2.0
-        f2 = fit_fundamental_forms(scaled[row], estimate_frame(scaled[row], scaled[i]))
-        ratios.append(f1.k1 / f2.k1)
+    a = sphere_cloud(1000, 1.0, seed=1).points
+    ratios = _knn_curvatures(a, 30)[:, 0] / _knn_curvatures(a * 2.0, 30)[:, 0]
     assert abs(np.median(ratios) - 2.0) < 0.1
 
 
 # ---------------------------------------------------------------------------
-# small ops
-
-
-def test_normal_from_T():
-    assert normal_from_T(_identity_frame()).tolist() == [0, 0, 1]
-    frame = AugmentedJacobian(np.zeros(3), np.array([1.0, 0, 0]),
-                              np.array([0.0, 0, -1.0]), np.array([0.0, 1.0, 0]))
-    assert normal_from_T(frame).tolist() == [0, 1, 0]
-
-
-def test_lift_identity_frame():
-    lifted = lift_to_tangent(_identity_frame(), ParamSample(0.2, 0.5))
-    np.testing.assert_allclose(lifted, [0.2, 0.5, 0.0])
-
-
-def test_lift_zero_sample_is_origin():
-    frame = estimate_frame(_sphere_cap(10), np.array([0.0, 0.0, 1.0]))
-    np.testing.assert_allclose(lift_to_tangent(frame, ParamSample(0, 0)), frame.origin)
+# lift and quadric normal, as applied by upsample_analytic
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_lift_tangent_residual(seed):
-    rng = np.random.default_rng(seed)
-    frame = estimate_frame(_sphere_cap(seed + 20), np.array([0.0, 0.0, 1.0]))
-    sample = ParamSample(*rng.uniform(-2, 2, 2))
-    lifted = lift_to_tangent(frame, sample)
-    residual = (lifted - frame.origin) @ np.cross(frame.t1, frame.t2)
-    assert abs(residual) < 1e-6
-
-
-def test_normal_displacement_values():
-    from pugeo import FundamentalForms
-
-    flat = FundamentalForms(0.0, 0.0)
-    assert normal_displacement(flat, ParamSample(3.0, -2.0)) == 0.0
-    forms = FundamentalForms(2.0, 0.0)
-    assert abs(normal_displacement(forms, ParamSample(0.1, 0.3)) - 0.01) < 1e-12
-    sphere = FundamentalForms(1.0, 1.0)
-    u = np.sqrt(0.01 / 2)
-    assert abs(normal_displacement(sphere, ParamSample(u, u)) - 0.005) < 1e-12
+    cap = _sphere_cap(seed + 20)
+    result = upsample_analytic(PointCloud(cap), 4, k=16, displacement=False,
+                               pattern=SamplePattern("jittered_grid"),
+                               rng=np.random.default_rng(seed))
+    frames = result.metadata["frames"][result.parent]
+    normal = np.cross(frames[:, :, 0], frames[:, :, 1])
+    residual = np.einsum("nd,nd->n", result.points - cap[result.parent], normal)
+    assert np.abs(residual).max() < 1e-6
 
 
 def test_quadric_normal_at_origin_is_t3():
-    from pugeo import FundamentalForms
-
-    frame = estimate_frame(_sphere_cap(30), np.array([0.0, 0.0, 1.0]))
-    forms = fit_fundamental_forms(_sphere_cap(30), frame)
-    n = quadric_normal(forms, ParamSample(0, 0), frame)
-    assert np.linalg.norm(n - frame.t3) < 1e-9
-    flat = FundamentalForms(0.0, 0.0)
-    n2 = quadric_normal(flat, ParamSample(0.4, -0.2), frame)
-    assert np.linalg.norm(n2 - frame.t3) < 1e-9
+    # a zero-radius disk puts every sample at the origin of its frame
+    cap = _sphere_cap(30)
+    at_origin = upsample_analytic(PointCloud(cap), 4, k=16,
+                                  pattern=SamplePattern("fibonacci_disk", 0.0))
+    coarse = at_origin.coarse_normals[at_origin.parent]
+    assert np.linalg.norm(at_origin.normals - coarse, axis=1).max() < 1e-9
+    # a plane fits a flat quadric, whose normal is t3 everywhere
+    g = np.stack(np.meshgrid(np.linspace(0, 1, 8), np.linspace(0, 1, 8)), -1)
+    plane = np.column_stack([g.reshape(-1, 2), np.zeros(64)])
+    flat = upsample_analytic(PointCloud(plane), 4, k=16)
+    coarse = flat.coarse_normals[flat.parent]
+    assert np.linalg.norm(flat.normals - coarse, axis=1).max() < 1e-9
 
 
 def test_quadric_normal_matches_sphere():
-    # unit sphere, frame at the north pole, sample (0.1, 0)
-    cap = _sphere_cap(31, n=40)
-    center = np.array([0.0, 0.0, 1.0])
-    frame = estimate_frame(cap, center)
-    forms = fit_fundamental_forms(cap, frame)
-    u, v = 0.1, 0.0
-    p1 = forms.dir1[0] * frame.t1 + forms.dir1[1] * frame.t2
-    p2 = forms.dir2[0] * frame.t1 + forms.dir2[1] * frame.t2
-    displaced = (center + u * p1 + v * p2
-                 + normal_displacement(forms, ParamSample(u, v)) * frame.t3)
-    n = quadric_normal(forms, ParamSample(u, v), frame)
-    truth = displaced / np.linalg.norm(displaced)
-    angle = np.degrees(np.arccos(min(1.0, abs(n @ truth))))
-    assert angle < 2.0
+    # unit sphere cap: every output normal is radial, up to orientation
+    result = upsample_analytic(PointCloud(_sphere_cap(31, n=40)), 4, k=16)
+    truth = result.points / np.linalg.norm(result.points, axis=1, keepdims=True)
+    cos = np.abs(np.einsum("nd,nd->n", result.normals, truth))
+    assert np.degrees(np.arccos(np.minimum(1.0, cos))).max() < 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -249,34 +231,31 @@ def test_quadric_normal_matches_sphere():
 
 
 def _columns(frames):
-    """Stacked (N, 3) t1, t2, t3 of a list of frames."""
-    return [np.array([getattr(f, name) for f in frames]) for name in ("t1", "t2", "t3")]
+    """Stacked (N, 3) t1, t2, t3 of an (N, 3, 3) frame array."""
+    return frames[:, :, 0], frames[:, :, 1], frames[:, :, 2]
 
 
 def test_frame_stats_analytic_theta_zero():
-    frames = [estimate_frame(_sphere_cap(s + 40), np.array([0.0, 0.0, 1.0]))
-              for s in range(10)]
+    caps = np.stack([_sphere_cap(s + 40) for s in range(10)])
+    frames, _ = estimate_frames(caps, np.tile(NORTH, (10, 1)))
     stats = frame_stats(*_columns(frames), np.zeros(10))
     assert stats.theta_deg.max() < 1e-6
     assert stats.theta_counts[0] == 10
 
 
 def test_frame_stats_swapped_axis_is_90_degrees():
-    frame = AugmentedJacobian(np.zeros(3), np.array([1.0, 0, 0]),
-                              np.array([0.0, 1.0, 0]), np.array([0.0, 1.0, 0]))
-    stats = frame_stats(*_columns([frame]), [0.0])
+    stats = frame_stats([[1.0, 0, 0]], [[0.0, 1.0, 0]], [[0.0, 1.0, 0]], [0.0])
     assert abs(stats.theta_deg[0] - 90.0) < 1e-9
 
 
 def test_frame_stats_degenerate_bucket():
-    frame = AugmentedJacobian(np.zeros(3), np.array([1.0, 0, 0]),
-                              np.array([0.0, 1.0, 0]), np.zeros(3))
-    stats = frame_stats(*_columns([frame]), [])
+    stats = frame_stats([[1.0, 0, 0]], [[0.0, 1.0, 0]], np.zeros((1, 3)), [])
     assert stats.degenerate == 1
 
 
 def test_frame_stats_plane_deltas_concentrate_at_zero():
-    frames = [estimate_frame(_plane_neighborhood(s), np.zeros(3)) for s in range(5)]
+    planes = np.stack([_plane_neighborhood(s) for s in range(5)])
+    frames, _ = estimate_frames(planes, np.zeros((5, 3)))
     deltas = np.zeros(50)
     stats = frame_stats(*_columns(frames), deltas)
     assert stats.delta_counts.argmax() == np.nonzero(stats.delta_counts)[0][0]

@@ -37,12 +37,11 @@ def test_chamfer_empty_raises():
         chamfer(np.zeros((0, 3)), np.zeros((3, 3)))
 
 
-def test_chamfer_per_set_variant():
+def test_chamfer_divides_by_target_size():
     x = np.array([[0, 0, 0]], float)
     y = np.array([[1, 0, 0], [0, 1, 0]], float)
-    # target: (1 + 1 + 1)/2 ; per_set: 1/1 + 2/2
-    assert abs(chamfer(x, y, normalization="target") - 1.5) < 1e-12
-    assert abs(chamfer(x, y, normalization="per_set") - 2.0) < 1e-12
+    # (1 + 1 + 1) / |y|
+    assert abs(chamfer(x, y) - 1.5) < 1e-12
 
 
 def test_nearest_indices_matches_brute_force():

@@ -17,7 +17,7 @@ import reference
 from helpers import brute_force_knn, icosphere, sphere_cloud
 from pugeo import (PointCloud, SamplePattern, TriangleMesh, farthest_point_sample, metrics,
                    upsample_analytic)
-from pugeo.geometry import AugmentedJacobian, estimate_frames, fit_curvatures, frame_stats
+from pugeo.geometry import estimate_frames, fit_curvatures, frame_stats
 from pugeo.metrics import point_to_mesh_distances
 from pugeo.sampling import NeighborIndex
 
@@ -392,7 +392,7 @@ def test_frame_stats_matches_per_frame_loop(name):
         frames, deltas = result.metadata["frames"], result.deltas
     t1, t2, t3 = frames[:, :, 0], frames[:, :, 1], frames[:, :, 2]
     fast = frame_stats(t1, t2, t3, deltas)
-    slow = reference.frame_stats([AugmentedJacobian(np.zeros(3), *row)
+    slow = reference.frame_stats([reference.Frame(np.zeros(3), *row)
                                   for row in zip(t1, t2, t3)], deltas)
     assert fast.to_tsv() == slow.to_tsv()
     assert fast.degenerate == slow.degenerate

@@ -1,0 +1,41 @@
+"""The package's public names and the names the demos import stay resolvable.
+
+The demos are parsed, not run, so this stays fast; running them is left to
+`python demos/<name>.py`.
+"""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+import pugeo
+
+DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+def _pugeo_imports(path):
+    """(module, name) for every `from pugeo... import name` and `import pugeo...`."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pugeo":
+            yield from ((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names
+                        if alias.name.split(".")[0] == "pugeo")
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_imports_resolve(path):
+    imports = list(_pugeo_imports(path))
+    assert imports, f"{path.name} imports nothing from pugeo"
+    for module_name, name in imports:
+        module = importlib.import_module(module_name)
+        if name is not None:
+            assert hasattr(module, name), f"{path.name}: {module_name} has no {name}"
+
+
+def test_all_entries_resolve_once():
+    missing = [name for name in pugeo.__all__ if not hasattr(pugeo, name)]
+    assert not missing
+    assert len(pugeo.__all__) == len(set(pugeo.__all__))

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from pugeo import (AugmentParams, PointCloud, augment, denormalize, extract_patches,
-                   farthest_point_sample, fuse_patches, knn, poisson_disk_sample)
+from pugeo import (PointCloud, denormalize, extract_patches, farthest_point_sample,
+                   fuse_patches, knn, poisson_disk_sample)
 from pugeo.errors import GeometryError
 from pugeo.sampling import NeighborIndex
+from pugeo.trainer import TrainExample, _random_rotation, augment_example
 
-from helpers import brute_force_knn, cube_mesh, icosphere, unit_square_mesh
+from helpers import brute_force_knn, cube_mesh, icosphere, unit_rows, unit_square_mesh
 
 
 # ---------------------------------------------------------------------------
@@ -224,51 +225,49 @@ def test_denormalize_inverts_normalization():
 
 
 # ---------------------------------------------------------------------------
-# augmentation
+# augmentation of training patches (trainer.augment_example)
 
 
-def _random_patch(seed, with_normals=True):
+def _random_example(seed):
     rng = np.random.default_rng(seed)
-    cloud = PointCloud(rng.normal(size=(32, 3)),
-                       None if not with_normals else
-                       (lambda v: v / np.linalg.norm(v, axis=1, keepdims=True))(
-                           rng.normal(size=(32, 3))))
-    return extract_patches(cloud, 32, coverage=1.0)[0]
-
-
-def test_augment_identity_is_bitwise_identity():
-    patch = _random_patch(0)
-    out = augment(patch, np.random.default_rng(0), params=AugmentParams.identity())
-    assert np.array_equal(out.points, patch.points)
-    assert np.array_equal(out.normals, patch.normals)
+    return TrainExample(sparse_points=rng.normal(size=(32, 3)),
+                        sparse_normals=unit_rows(rng.normal(size=(32, 3))),
+                        dense_points=rng.normal(size=(128, 3)),
+                        dense_normals=unit_rows(rng.normal(size=(128, 3))))
 
 
 def test_augment_keeps_normals_unit():
-    patch = _random_patch(1)
-    out = augment(patch, np.random.default_rng(5))
-    np.testing.assert_allclose(np.linalg.norm(out.normals, axis=1), 1.0, atol=1e-9)
+    out = augment_example(_random_example(1), np.random.default_rng(5))
+    for normals in (out.sparse_normals, out.dense_normals):
+        np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-9)
 
 
 def test_augment_preserves_distance_ratios_without_jitter():
-    patch = _random_patch(2)
-    rng = np.random.default_rng(3)
-    params = AugmentParams.draw(rng, scale_range=(0.8, 1.2), jitter_sigma=0.0)
-    out = augment(patch, rng, params=params)
-    before = pdist(patch.points)
-    after = pdist(out.points)
-    np.testing.assert_allclose(after / before, params.scale, rtol=1e-9)
+    example = _random_example(2)
+    out = augment_example(example, np.random.default_rng(3), jitter_sigma=0.0)
+    # the scale is the draw that follows the rotation quaternion
+    replay = np.random.default_rng(3)
+    replay.normal(size=4)
+    scale = replay.uniform(0.8, 1.2)
+    for before, after in ((example.sparse_points, out.sparse_points),
+                          (example.dense_points, out.dense_points)):
+        np.testing.assert_allclose(pdist(after) / pdist(before), scale, rtol=1e-9)
 
 
 def test_augment_deterministic_given_rng_state():
-    patch = _random_patch(4)
-    a = augment(patch, np.random.default_rng(11))
-    b = augment(patch, np.random.default_rng(11))
-    assert np.array_equal(a.points, b.points)
+    example = _random_example(4)
+    a = augment_example(example, np.random.default_rng(11))
+    b = augment_example(example, np.random.default_rng(11))
+    assert np.array_equal(a.sparse_points, b.sparse_points)
+    assert np.array_equal(a.dense_points, b.dense_points)
 
 
 def test_augment_params_rotation_validated():
-    with pytest.raises(ValueError):
-        AugmentParams(np.eye(3) * 2.0)
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        rot = _random_rotation(rng)
+        np.testing.assert_allclose(rot @ rot.T, np.eye(3), rtol=0, atol=1e-12)
+        assert abs(np.linalg.det(rot) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
