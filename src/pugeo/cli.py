@@ -187,10 +187,12 @@ def _load_manifest_dataset(data_path):
     base = os.path.dirname(manifest_path)
     examples = []
     for entry in manifest["patches"]:
-        sparse = read_xyz(os.path.join(base, entry["sparse"]))
-        dense = read_xyz(os.path.join(base, entry["dense"]))
-        if sparse.normals is None or dense.normals is None:
-            raise FormatError("training patches must carry normals (6 columns)")
+        sparse_path = os.path.join(base, entry["sparse"])
+        dense_path = os.path.join(base, entry["dense"])
+        sparse, dense = read_xyz(sparse_path), read_xyz(dense_path)
+        for path, cloud in ((sparse_path, sparse), (dense_path, dense)):
+            if cloud.normals is None:
+                raise FormatError(f"{path}: training patches must carry normals (6 columns)")
         examples.append(TrainExample(sparse_points=sparse.points,
                                      sparse_normals=sparse.normals,
                                      dense_points=dense.points,

@@ -138,6 +138,9 @@ def knn(cloud, query, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Poisson-disk sampling of a triangle mesh
 
+_OVERSAMPLE = 4          # dart-thrown candidates per kept sample
+_NEIGHBOR_TABLE_K = 16   # nearest neighbors stored per candidate for elimination
+
 
 def _triangle_areas(mesh: TriangleMesh) -> np.ndarray:
     v, t = mesh.vertices, mesh.triangles
@@ -170,51 +173,75 @@ def _dart_throw(mesh: TriangleMesh, count: int, rng: np.random.Generator):
     return points, normals / lengths
 
 
-def poisson_disk_sample(mesh: TriangleMesh, n: int, seed: int,
-                        oversample: int = 4) -> PointCloud:
+def poisson_disk_sample(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:
     """Exactly n blue-noise samples on the mesh surface.
 
-    Dart-throws oversample*n area-weighted candidates, then eliminates down
+    Dart-throws _OVERSAMPLE*n area-weighted candidates, then eliminates down
     to n by repeatedly removing the point whose nearest surviving neighbor
-    is closest (ties to the lowest index).  Deterministic given seed.
+    is closest (ties to the lowest index): greedy sample elimination after
+    Yuksel (2015).  Deterministic given seed.
+
+    A heap on (nearest-surviving distance, index) picks the next point to
+    remove; entries whose distance is out of date are skipped when popped,
+    and a point is re-queued when the neighbor it watches dies.  Nearest
+    surviving neighbors come from one kd-tree query of every candidate's
+    _NEIGHBOR_TABLE_K nearest.  Each row keeps a pointer that moves past
+    the point itself and past dead entries; points only die, so it never
+    moves back, and every point beyond the row is at least as far as the
+    row's last entry.  A row that runs out falls back to a tree query of
+    growing k.  cKDTree computes a pair's distance the same way whatever k
+    is, and the removal order depends only on those distances and the
+    indices, so the kept set is bitwise the one a tree query per update
+    gives.
     """
     if n < 1:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
-    m = max(n * oversample, n)
-    points, normals = _dart_throw(mesh, m, rng)
-    if m == n:
-        return PointCloud(points, normals)
+    points, normals = _dart_throw(mesh, n * _OVERSAMPLE, rng)
+    keep = _eliminate(points, n)
+    return PointCloud(points[keep], normals[keep])
 
+
+def _eliminate(points: np.ndarray, n: int) -> np.ndarray:
+    """Ascending indices of the n candidates that survive; needs 1 <= n < len(points)."""
+    m = len(points)
     tree = cKDTree(points, balanced_tree=True)
-    alive = np.ones(m, dtype=bool)
+    width = min(_NEIGHBOR_TABLE_K, m)
+    table_dist, table_idx = tree.query(points, k=width)
+    # flat arrays read through memoryviews yield Python scalars without the
+    # memory of nested lists; int32 indices halve the index table
+    dist = memoryview(table_dist.reshape(-1))
+    idx = memoryview(table_idx.astype(np.int32).reshape(-1))
+    del table_idx
+    pointer = list(range(0, m * width, width))
+    alive_flags = np.ones(m, dtype=bool)
+    alive = memoryview(alive_flags)
     alive_count = m
 
     def nearest_alive(i: int):
-        k = 8
-        while True:
-            k = min(k, m)
+        p, end = pointer[i], (i + 1) * width
+        while p < end:
+            j = idx[p]
+            if j != i and alive[j]:
+                pointer[i] = p
+                return dist[p], j
+            p += 1
+        pointer[i] = p
+        k = width
+        while k < m:  # row exhausted: everything still alive is farther out
+            k = min(4 * k, m)
             dists, idxs = tree.query(points[i], k=k)
-            dists, idxs = np.atleast_1d(dists), np.atleast_1d(idxs)
-            for d, j in zip(dists, idxs):
+            for d, j in zip(dists.tolist(), idxs.tolist()):
                 if j != i and alive[j]:
-                    return float(d), int(j)
-            if k == m:
-                raise AssertionError("no surviving neighbor found")
-            k *= 4
+                    return d, j
+        raise AssertionError("no surviving neighbor found")
 
-    nn_dist = np.empty(m)
-    nn_idx = np.empty(m, dtype=np.int64)
-    d2, i2 = tree.query(points, k=2)
-    for i in range(m):
-        if i2[i, 1] != i:
-            nn_dist[i], nn_idx[i] = d2[i, 1], i2[i, 1]
-        else:  # duplicate coordinates can swap the self column
-            nn_dist[i], nn_idx[i] = d2[i, 0], i2[i, 0]
+    nn_dist = [0.0] * m
     watchers: dict[int, set[int]] = {}
     for i in range(m):
-        watchers.setdefault(int(nn_idx[i]), set()).add(i)
-    heap = [(nn_dist[i], i) for i in range(m)]
+        nn_dist[i], j = nearest_alive(i)
+        watchers.setdefault(j, set()).add(i)
+    heap = list(zip(nn_dist, range(m)))
     heapq.heapify(heap)
 
     while alive_count > n:
@@ -228,12 +255,11 @@ def poisson_disk_sample(mesh: TriangleMesh, n: int, seed: int,
         for j in watchers.pop(i, ()):  # points whose nearest neighbor died
             if not alive[j]:
                 continue
-            nn_dist[j], nn_idx[j] = nearest_alive(j)
-            watchers.setdefault(int(nn_idx[j]), set()).add(j)
+            nn_dist[j], nearest = nearest_alive(j)
+            watchers.setdefault(nearest, set()).add(j)
             heapq.heappush(heap, (nn_dist[j], j))
 
-    keep = np.nonzero(alive)[0]
-    return PointCloud(points[keep], normals[keep])
+    return np.nonzero(alive_flags)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,24 @@
 """Slow reference implementations that the vectorized code is tested against.
 
 These are the original loop versions of farthest point sampling, of
+Poisson sample elimination (one kd-tree query per neighbor update), of
 analytic upsampling with its per-point frame and curvature fits, and of
 the frame statistics, plus the full scan over every triangle for the
 point-to-surface distance.  They are kept verbatim in arithmetic so that
 the fast paths in ``pugeo`` can be compared against them bit for bit (FPS,
-P2F, frame statistics) or within a fixed tolerance (geometry, whose
-least-squares solves moved from LAPACK ``gelsd`` to a stacked SVD).
+Poisson elimination, P2F, frame statistics) or within a fixed tolerance
+(geometry, whose least-squares solves moved from LAPACK ``gelsd`` to a
+stacked SVD).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from pugeo.analytic import GOLDEN_ANGLE, SamplePattern, UpsampleResult
 from pugeo.errors import GeometryError
@@ -59,6 +63,66 @@ def farthest_point_sample(points, count: int, seed_index: int = 0) -> np.ndarray
         selected[i] = nxt
         np.minimum(min_dist, np.linalg.norm(pts - pts[nxt], axis=1), out=min_dist)
     return selected
+
+
+def poisson_eliminate(points, n: int) -> np.ndarray:
+    """Sample elimination with one tree query per neighbor update.
+
+    Removes the point whose nearest surviving neighbor is closest (ties to
+    the lowest index) until n remain; returns the survivors' indices.
+    """
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    m = len(points)
+    if m == n:
+        return np.arange(m)
+
+    tree = cKDTree(points, balanced_tree=True)
+    alive = np.ones(m, dtype=bool)
+    alive_count = m
+
+    def nearest_alive(i: int):
+        k = 8
+        while True:
+            k = min(k, m)
+            dists, idxs = tree.query(points[i], k=k)
+            dists, idxs = np.atleast_1d(dists), np.atleast_1d(idxs)
+            for d, j in zip(dists, idxs):
+                if j != i and alive[j]:
+                    return float(d), int(j)
+            if k == m:
+                raise AssertionError("no surviving neighbor found")
+            k *= 4
+
+    nn_dist = np.empty(m)
+    nn_idx = np.empty(m, dtype=np.int64)
+    d2, i2 = tree.query(points, k=2)
+    for i in range(m):
+        if i2[i, 1] != i:
+            nn_dist[i], nn_idx[i] = d2[i, 1], i2[i, 1]
+        else:  # duplicate coordinates can swap the self column
+            nn_dist[i], nn_idx[i] = d2[i, 0], i2[i, 0]
+    watchers: dict[int, set[int]] = {}
+    for i in range(m):
+        watchers.setdefault(int(nn_idx[i]), set()).add(i)
+    heap = [(nn_dist[i], i) for i in range(m)]
+    heapq.heapify(heap)
+
+    while alive_count > n:
+        d, i = heapq.heappop(heap)
+        if not alive[i] or d != nn_dist[i]:
+            continue
+        alive[i] = False
+        alive_count -= 1
+        if alive_count == n:
+            break
+        for j in watchers.pop(i, ()):  # points whose nearest neighbor died
+            if not alive[j]:
+                continue
+            nn_dist[j], nn_idx[j] = nearest_alive(j)
+            watchers.setdefault(int(nn_idx[j]), set()).add(j)
+            heapq.heappush(heap, (nn_dist[j], j))
+
+    return np.nonzero(alive)[0]
 
 
 def brute_force_mesh_distance(p, mesh: TriangleMesh) -> float:

@@ -241,6 +241,21 @@ def test_train_malformed_manifest_exit_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith(f"{path}: ")
 
 
+def test_train_patch_without_normals_names_file(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    sparse = tmp_path / "sparse.xyz"
+    dense = tmp_path / "dense.xyz"
+    np.savetxt(sparse, rng.normal(size=(16, 3)))
+    np.savetxt(dense, rng.normal(size=(64, 6)))
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"config": {"factor": 4, "patch_size": 16},
+         "patches": [{"sparse": "sparse.xyz", "dense": "dense.xyz", "seed_index": 0}]}))
+    rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.pugeo"),
+               "--epochs", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"{sparse}: ")
+
+
 def test_eval_pred_equals_gt(tmp_path, mesh_dir, capsys):
     from pugeo import poisson_disk_sample, read_mesh
 

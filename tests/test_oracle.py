@@ -1,10 +1,12 @@
 """The vectorized paths against their loop and full-scan references.
 
-FPS must return bitwise the indices of the O(N * count) scan, kNN those of
-a brute-force sort, and the point-to-surface distance bitwise the minimum
-over every triangle.  The batched frame/curvature kernel must agree with
-the per-point loop within 1e-9: its least-squares solves use a stacked SVD
-instead of LAPACK gelsd, so the last digits may differ.
+FPS must return bitwise the indices of the O(N * count) scan, Poisson
+sample elimination the survivors of the loop that queries the tree once per
+update, kNN those of a brute-force sort, and the point-to-surface distance
+bitwise the minimum over every triangle.  The batched frame/curvature
+kernel must agree with the per-point loop within 1e-9: its least-squares
+solves use a stacked SVD instead of LAPACK gelsd, so the last digits may
+differ.
 """
 
 import numpy as np
@@ -12,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
 import reference
-from helpers import brute_force_knn, icosphere, sphere_cloud
+from helpers import brute_force_knn, cube_mesh, icosphere, sphere_cloud
 from pugeo import (PointCloud, SamplePattern, TriangleMesh, farthest_point_sample, metrics,
-                   upsample_analytic)
+                   poisson_disk_sample, sampling, upsample_analytic)
 from pugeo.geometry import estimate_frames, fit_curvatures, frame_stats
 from pugeo.metrics import point_to_mesh_distances
 from pugeo.sampling import NeighborIndex
@@ -78,6 +81,91 @@ def test_fps_matches_full_scan_property(data):
     seed_index = data.draw(st.integers(0, n - 1), label="seed_index")
     assert np.array_equal(farthest_point_sample(points, count, seed_index),
                           reference.farthest_point_sample(points, count, seed_index))
+
+
+# ---------------------------------------------------------------------------
+# Poisson sample elimination
+
+
+def _duplicates_of_one_point(seed, copies=sampling._NEIGHBOR_TABLE_K + 5):
+    # more copies than a table row holds: their rows run out as copies die
+    rng = np.random.default_rng(seed)
+    return np.concatenate([np.zeros((copies, 3)), rng.uniform(-1.0, 1.0, size=(40, 3))])
+
+
+ELIMINATION_CASES = [
+    ("gaussian", _gaussian(5, 400), 100),
+    ("gaussian_n1", _gaussian(6, 50), 1),
+    ("gaussian_m_minus_1", _gaussian(7, 50), 49),
+    ("overlapping_copies", _overlapping_copies(8), 250),
+    ("overlapping_copies_m_minus_1", _overlapping_copies(9), 999),
+    ("lattice_ties", _lattice(8), 128),
+    ("lattice_n1", _lattice(4), 1),
+    ("duplicates_of_one_point", _duplicates_of_one_point(10), 20),
+    ("two_points", _gaussian(11, 2), 1),
+]
+
+
+@pytest.mark.parametrize("name,points,n", ELIMINATION_CASES,
+                         ids=[case[0] for case in ELIMINATION_CASES])
+def test_elimination_matches_query_per_update(name, points, n):
+    keep = sampling._eliminate(points, n)
+    assert len(keep) == n
+    assert np.array_equal(keep, reference.poisson_eliminate(points, n))
+
+
+def test_elimination_cases_cover_ties_and_swapped_self_columns():
+    copies = _overlapping_copies(8)
+    nearest = cKDTree(copies).query(copies, k=2)[1]
+    assert np.any(nearest[:, 0] != np.arange(len(nearest)))
+    lattice = _lattice(8)
+    dist = cKDTree(lattice).query(lattice, k=3)[0]
+    assert np.any(dist[:, 1] == dist[:, 2])
+
+
+def test_elimination_row_fallback_is_exact(monkeypatch):
+    """Rows that run out query the tree again; the survivors do not change."""
+    calls = []
+
+    class CountingTree(cKDTree):
+        def query(self, x, k=1, **kwargs):
+            calls.append(k)
+            return super().query(x, k=k, **kwargs)
+
+    monkeypatch.setattr(sampling, "cKDTree", CountingTree)
+    points = _duplicates_of_one_point(12)
+    keep = sampling._eliminate(points, 20)
+    assert len(calls) > 1  # the table query, then at least one fallback
+    assert np.array_equal(keep, reference.poisson_eliminate(points, 20))
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+@pytest.mark.parametrize("name,points,n", ELIMINATION_CASES[:6],
+                         ids=[case[0] for case in ELIMINATION_CASES[:6]])
+def test_elimination_exact_for_any_table_width(monkeypatch, width, name, points, n):
+    monkeypatch.setattr(sampling, "_NEIGHBOR_TABLE_K", width)
+    assert np.array_equal(sampling._eliminate(points, n),
+                          reference.poisson_eliminate(points, n))
+
+
+@pytest.mark.parametrize("mesh_name,n,seed", [("cube", 300, 0), ("icosphere", 500, 3)])
+def test_poisson_sample_matches_query_per_update(mesh_name, n, seed):
+    mesh = cube_mesh() if mesh_name == "cube" else icosphere(3)
+    cloud = poisson_disk_sample(mesh, n, seed)
+    points, normals = sampling._dart_throw(mesh, 4 * n, np.random.default_rng(seed))
+    keep = reference.poisson_eliminate(points, n)
+    assert np.array_equal(cloud.points, points[keep])
+    assert np.array_equal(cloud.normals, normals[keep])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_elimination_matches_query_per_update_property(data):
+    m = data.draw(st.integers(2, 120), label="m")
+    points = data.draw(arrays(np.float64, (m, 3), elements=COORDS), label="points")
+    n = data.draw(st.integers(1, m - 1), label="n")
+    assert np.array_equal(sampling._eliminate(points, n),
+                          reference.poisson_eliminate(points, n))
 
 
 # ---------------------------------------------------------------------------
