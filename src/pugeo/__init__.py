@@ -11,24 +11,21 @@ machinery for the whole pipeline at desk scale.
 from .analytic import SamplePattern, UpsampleResult, param_samples, upsample_analytic
 from .geometry import estimate_frames, fit_curvatures, frame_stats
 from .io import PointCloud, TriangleMesh, read_mesh, read_xyz, write_mesh, write_xyz
-from .losses import (LossWeights, chamfer, coarse_normal_loss, normal_loss_unoriented,
-                     refined_normal_loss, total_loss)
+from .losses import LossWeights, chamfer
 from .metrics import MetricReport, metric_hd, metric_jsd, metric_p2f, surface_compare
 from .model import PUGeoConfig, PUGeoNet, load_model, save_model
 from .sampling import (Patch, denormalize, extract_patches, farthest_point_sample,
-                       fuse_patches, knn, poisson_disk_sample)
-from .trainer import (TrainConfig, TrainExample, build_dataset, evaluate, train,
-                      upsample_cloud)
+                       fuse_patches, poisson_disk_sample)
+from .trainer import TrainConfig, TrainExample, build_dataset, train, upsample_cloud
 
 __version__ = "0.1.0"
 
 __all__ = [
     "LossWeights", "MetricReport", "Patch", "PointCloud", "PUGeoConfig", "PUGeoNet",
     "SamplePattern", "TrainConfig", "TrainExample", "TriangleMesh", "UpsampleResult",
-    "build_dataset", "chamfer", "coarse_normal_loss", "denormalize", "estimate_frames",
-    "evaluate", "extract_patches", "farthest_point_sample", "fit_curvatures",
-    "frame_stats", "fuse_patches", "knn", "load_model", "metric_hd", "metric_jsd",
-    "metric_p2f", "normal_loss_unoriented", "param_samples", "poisson_disk_sample",
-    "read_mesh", "read_xyz", "refined_normal_loss", "save_model", "surface_compare",
-    "total_loss", "train", "upsample_analytic", "upsample_cloud", "write_mesh", "write_xyz",
+    "build_dataset", "chamfer", "denormalize", "estimate_frames", "extract_patches",
+    "farthest_point_sample", "fit_curvatures", "frame_stats", "fuse_patches",
+    "load_model", "metric_hd", "metric_jsd", "metric_p2f", "param_samples",
+    "poisson_disk_sample", "read_mesh", "read_xyz", "save_model", "surface_compare",
+    "train", "upsample_analytic", "upsample_cloud", "write_mesh", "write_xyz",
 ]

@@ -13,8 +13,6 @@ PCG64 generator) and Adam with bias correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
@@ -46,31 +44,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def constant(value, dtype=None) -> Tensor:
@@ -147,10 +120,6 @@ def div(a, b) -> Tensor:
         raise ShapeError(f"div: incompatible shapes {a.shape} and {b.shape}") from None
     return _make(out, (a, b), lambda g: (_unbroadcast(g / b.data, a.shape),
                                          _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def square(a: Tensor) -> Tensor:
@@ -365,32 +334,25 @@ def zero_grad(params) -> None:
 # network building blocks
 
 
-@dataclass
-class MlpSpec:
-    """Layer widths of a dense MLP: relu on hidden layers, linear output."""
-
-    widths: tuple
-
-    def __post_init__(self):
-        self.widths = tuple(int(w) for w in self.widths)
-        if len(self.widths) < 2:
-            raise ValueError("an MLP needs at least input and output widths")
-        if any(w < 1 for w in self.widths):
-            raise ValueError("all widths must be >= 1")
-
-
 class Mlp:
-    """Dense MLP with Glorot-uniform init (biases zero) from a PCG64 rng."""
+    """Dense MLP with Glorot-uniform init (biases zero) from a PCG64 rng.
+
+    `widths` lists the input, hidden and output widths: relu on hidden
+    layers, linear output.
+    """
 
     def __init__(self, rng: np.random.Generator, widths, name: str = "mlp",
                  zero_init_last: bool = False, dtype=np.float32):
-        spec = widths if isinstance(widths, MlpSpec) else MlpSpec(tuple(widths))
+        widths = tuple(int(w) for w in widths)
+        if len(widths) < 2:
+            raise ValueError("an MLP needs at least input and output widths")
+        if any(w < 1 for w in widths):
+            raise ValueError("all widths must be >= 1")
         self.name = name
-        self.spec = spec
         self.layers: list[tuple[Tensor, Tensor]] = []
-        n_layers = len(spec.widths) - 1
+        n_layers = len(widths) - 1
         for i in range(n_layers):
-            fan_in, fan_out = spec.widths[i], spec.widths[i + 1]
+            fan_in, fan_out = widths[i], widths[i + 1]
             if zero_init_last and i == n_layers - 1:
                 weight = np.zeros((fan_in, fan_out))
             else:

@@ -105,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_frames.add_argument("--k", type=int, default=16)
     p_frames.add_argument("--factor", type=int, default=4)
     p_frames.add_argument("--pattern", choices=tuple(PATTERNS), default="fibonacci")
-    p_frames.add_argument("--patch-size", type=int, default=256)
     p_frames.add_argument("--coverage", type=float, default=3.0)
 
     return parser
@@ -218,8 +217,7 @@ def cmd_train(args) -> int:
                          predict_normals=not args.no_normal_prediction)
     model = PUGeoNet(config, seed=args.seed)
     weights = LossWeights(args.alpha, args.beta, args.gamma)
-    train_config = TrainConfig(factor=factor, patch_size=patch_size,
-                               batch_size=args.batch, epochs=args.epochs, lr=args.lr,
+    train_config = TrainConfig(batch_size=args.batch, epochs=args.epochs, lr=args.lr,
                                seed=args.seed, weights=weights,
                                augment=not args.no_augment,
                                checkpoint_every=args.checkpoint_every,

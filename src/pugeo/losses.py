@@ -1,10 +1,10 @@
 """Training losses: Chamfer distance and unoriented normal losses.
 
-Each loss exists twice: a plain numpy version used for evaluation and as
-the oracle in tests, and a graph version built on autodiff tensors for
-training.  The nearest-neighbor correspondences inside the graph losses
-are computed from current values and treated as constants during the
-backward pass (the standard subgradient choice).
+The joint training loss is built on autodiff tensors.  Chamfer distance
+also has a plain numpy version, which the metrics use.  The
+nearest-neighbor correspondences inside the graph losses are computed
+from current values and treated as constants during the backward pass
+(the standard subgradient choice).
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .sampling import NeighborIndex
-
-_UNIT_TOL = 1e-5
 
 
 @dataclass
@@ -39,7 +37,7 @@ def nearest_indices(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# numpy versions
+# numpy version (the metrics score with it)
 
 
 def chamfer(x: np.ndarray, y: np.ndarray) -> float:
@@ -58,68 +56,8 @@ def chamfer(x: np.ndarray, y: np.ndarray) -> float:
     return float((forward + backward_) / len(y))
 
 
-def _check_unit(v: np.ndarray, name: str) -> None:
-    lengths = np.linalg.norm(v, axis=-1)
-    if np.any(np.abs(lengths - 1.0) > _UNIT_TOL):
-        worst = float(np.max(np.abs(lengths - 1.0)))
-        raise ValueError(f"{name} must be unit vectors (worst deviation {worst:.3g})")
-
-
-def normal_loss_unoriented(n: np.ndarray, m: np.ndarray) -> float:
-    """min(||n - m||^2, ||n + m||^2) for unit vectors n, m."""
-    n = np.asarray(n, dtype=np.float64).reshape(3)
-    m = np.asarray(m, dtype=np.float64).reshape(3)
-    _check_unit(n[None], "n")
-    _check_unit(m[None], "m")
-    return float(min(np.sum((n - m) ** 2), np.sum((n + m) ** 2)))
-
-
-def _unoriented_sq(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    minus = np.sum((pred - gt) ** 2, axis=-1)
-    plus = np.sum((pred + gt) ** 2, axis=-1)
-    return np.minimum(minus, plus)
-
-
-def coarse_normal_loss(predicted: np.ndarray, target: np.ndarray,
-                       reduction: str = "sum") -> float:
-    """Index-aligned unoriented normal loss over the sparse points."""
-    predicted = np.asarray(predicted, dtype=np.float64).reshape(-1, 3)
-    target = np.asarray(target, dtype=np.float64).reshape(-1, 3)
-    if len(predicted) != len(target):
-        raise ValueError(f"length mismatch: {len(predicted)} vs {len(target)}")
-    _check_unit(predicted, "predicted normals")
-    _check_unit(target, "target normals")
-    values = _unoriented_sq(predicted, target)
-    return float(values.mean() if reduction == "mean" else values.sum())
-
-
-def refined_normal_loss(pred_points: np.ndarray, pred_normals: np.ndarray,
-                        gt_points: np.ndarray, gt_normals: np.ndarray | None,
-                        reduction: str = "sum") -> float:
-    """Unoriented normal loss against the nearest ground-truth point's normal."""
-    if gt_normals is None:
-        raise ValueError("ground truth normals are required")
-    pred_points = np.asarray(pred_points, dtype=np.float64).reshape(-1, 3)
-    pred_normals = np.asarray(pred_normals, dtype=np.float64).reshape(-1, 3)
-    gt_points = np.asarray(gt_points, dtype=np.float64).reshape(-1, 3)
-    gt_normals = np.asarray(gt_normals, dtype=np.float64).reshape(-1, 3)
-    if len(gt_points) == 0:
-        raise ValueError("ground truth is empty")
-    _check_unit(pred_normals, "predicted normals")
-    _check_unit(gt_normals, "target normals")
-    phi = nearest_indices(pred_points, gt_points)
-    values = _unoriented_sq(pred_normals, gt_normals[phi])
-    return float(values.mean() if reduction == "mean" else values.sum())
-
-
-def total_loss(cd: float, coarse: float, refined: float,
-               weights: LossWeights | None = None) -> float:
-    w = weights or LossWeights()
-    return w.alpha * cd + w.beta * coarse + w.gamma * refined
-
-
 # ---------------------------------------------------------------------------
-# graph versions (autodiff tensors)
+# graph versions (autodiff tensors): the training loss
 
 
 def _row_norms(t: Tensor, eps: float = 1e-12) -> Tensor:

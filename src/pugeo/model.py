@@ -43,7 +43,6 @@ class PUGeoConfig:
     linear_transform: bool = True
     coarse_to_fine: bool = True
     predict_normals: bool = True
-    dynamic_graph: bool = True
     grid_radius: float = 0.25
 
     def __post_init__(self):
@@ -73,6 +72,10 @@ class PUGeoConfig:
     def from_dict(cls, data: dict) -> "PUGeoConfig":
         data = dict(data)
         data["feature_widths"] = tuple(data["feature_widths"])
+        # checkpoints written while dynamic_graph was a setting carry it; only
+        # true matches what extract_features does
+        if data.pop("dynamic_graph", True) is not True:
+            raise CheckpointError("dynamic_graph=false is no longer supported")
         return cls(**data)
 
 
@@ -84,9 +87,8 @@ class ModelOutput:
     normals: Tensor         # (N*R, 3) unit
     coarse_normals: Tensor  # (N, 3) unit
     deltas: np.ndarray      # (N, R)
-    det_t: np.ndarray       # (N,) determinant of each linear lift
     parent: np.ndarray      # (N*R,)
-    t_matrices: np.ndarray = None  # (N, 3, 3) linear lift values, aligned space
+    t_matrices: np.ndarray  # (N, 3, 3) linear lift values, aligned space
 
     def to_result(self) -> UpsampleResult:
         return UpsampleResult(
@@ -95,7 +97,6 @@ class ModelOutput:
             coarse_normals=self.coarse_normals.data.astype(np.float64),
             deltas=self.deltas.astype(np.float64).reshape(-1),
             parent=self.parent,
-            metadata={"det_T": self.det_t.astype(np.float64)},
         )
 
 
@@ -200,7 +201,10 @@ class PUGeoNet:
         return ad.matmul(points, ad.transpose(a)), a
 
     def extract_features(self, aligned: Tensor) -> list[Tensor]:
-        """Hierarchical edge features, max-pooled over k neighbors per level."""
+        """Hierarchical edge features, max-pooled over k neighbors per level.
+
+        Each level's kNN graph is built from that level's input features.
+        """
         n = aligned.shape[0]
         k = self.config.k
         if k >= n:
@@ -209,11 +213,7 @@ class PUGeoNet:
         levels = []
         current = aligned
         for level, mlp in enumerate(self.edge_mlps):
-            if level == 0 or not self.config.dynamic_graph:
-                graph_values = aligned.data
-            else:
-                graph_values = current.data
-            neighbor_idx = _knn_indices(graph_values, k)
+            neighbor_idx = _knn_indices(current.data, k)
             f_i = ad.gather(current, repeat_idx, axis=0)
             f_j = ad.gather(current, neighbor_idx.reshape(-1), axis=0)
             edge = ad.concat([f_i, ad.sub(f_j, f_i)], axis=-1)
@@ -324,8 +324,7 @@ class PUGeoNet:
         normals_out = ad.unit_rows(ad.matmul(ad.reshape(normals, (n * r, 3)), a))
         coarse_out = ad.unit_rows(ad.matmul(coarse, a))
         return ModelOutput(points=points_out, normals=normals_out, coarse_normals=coarse_out,
-                           deltas=deltas, det_t=np.linalg.det(t.data.astype(np.float64)),
-                           parent=np.repeat(np.arange(n, dtype=np.int64), r),
+                           deltas=deltas, parent=np.repeat(np.arange(n, dtype=np.int64), r),
                            t_matrices=t.data.astype(np.float64))
 
     def upsample_patch(self, points) -> UpsampleResult:

@@ -86,12 +86,6 @@ class NeighborIndex:
         order = np.lexsort((cand, dists))
         return cand[order[:k]]
 
-    def knn(self, query, k: int) -> np.ndarray:
-        query = np.asarray(query, dtype=np.float64).reshape(3)
-        if k > len(self.points):
-            raise ValueError(f"k={k} exceeds point count {len(self.points)}")
-        return self._exact(query, k)
-
     def knn_batch(self, queries, k: int) -> np.ndarray:
         """kNN for many queries at once; (Q, k) index array.
 
@@ -128,11 +122,6 @@ class NeighborIndex:
     def nearest(self, queries) -> np.ndarray:
         """Index of the single nearest point for each query (ties: lowest index)."""
         return self.knn_batch(queries, 1)[:, 0]
-
-
-def knn(cloud, query, k: int) -> np.ndarray:
-    """Indices of the k nearest cloud points to `query`, ascending distance."""
-    return NeighborIndex(cloud).knn(query, k)
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +226,12 @@ def _eliminate(points: np.ndarray, n: int) -> np.ndarray:
         raise AssertionError("no surviving neighbor found")
 
     nn_dist = [0.0] * m
-    watchers: dict[int, set[int]] = {}
+    # a point joins a watcher list only when its previous nearest neighbor
+    # died, so no list holds it twice
+    watchers: dict[int, list[int]] = {}
     for i in range(m):
         nn_dist[i], j = nearest_alive(i)
-        watchers.setdefault(j, set()).add(i)
+        watchers.setdefault(j, []).append(i)
     heap = list(zip(nn_dist, range(m)))
     heapq.heapify(heap)
 
@@ -256,7 +247,7 @@ def _eliminate(points: np.ndarray, n: int) -> np.ndarray:
             if not alive[j]:
                 continue
             nn_dist[j], nearest = nearest_alive(j)
-            watchers.setdefault(nearest, set()).add(j)
+            watchers.setdefault(nearest, []).append(j)
             heapq.heappush(heap, (nn_dist[j], j))
 
     return np.nonzero(alive_flags)[0]
@@ -291,13 +282,10 @@ def extract_patches(cloud: PointCloud, patch_size: int, coverage: float = 3.0,
         raise ValueError(f"patch size {patch_size} exceeds cloud size {m}")
     n_seeds = min(m, math.ceil(coverage * m / patch_size))
     seeds = farthest_point_sample(cloud, n_seeds, seed_index)
-    index = NeighborIndex(pts)
+    neighborhoods = NeighborIndex(pts).knn_batch(pts[seeds], patch_size)
     covered = np.zeros(m, dtype=bool)
-    patches = []
-    for s in seeds:
-        idx = index.knn(pts[s], patch_size)
-        covered[idx] = True
-        patches.append(_normalize_patch(cloud, idx))
+    covered[neighborhoods] = True
+    patches = [_normalize_patch(cloud, idx) for idx in neighborhoods]
     if coverage >= 1.0 and not covered.all():
         warnings.warn(f"{int((~covered).sum())} points not covered by any patch",
                       stacklevel=2)

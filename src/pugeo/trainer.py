@@ -20,7 +20,6 @@ from .errors import TrainingDiverged
 from .io import PointCloud, TriangleMesh
 from .losses import (LossWeights, chamfer_loss, coarse_normal_loss_graph,
                      refined_normal_loss_graph, total_loss_graph)
-from .metrics import MetricReport, report_metrics
 from .model import PUGeoNet, save_model
 from .sampling import (NeighborIndex, _normalize_patch, denormalize, extract_patches,
                        farthest_point_sample, fuse_patches, poisson_disk_sample)
@@ -41,8 +40,6 @@ class TrainExample:
 
 @dataclass
 class TrainConfig:
-    factor: int = 4
-    patch_size: int = 256
     batch_size: int = 8
     epochs: int = 800
     lr: float = 0.001
@@ -100,12 +97,10 @@ def build_dataset(meshes: list[TriangleMesh], m: int, factor: int, patch_size: i
             seeds = rng.choice(m, size=n_seeds, replace=False)
         else:
             seeds = farthest_point_sample(sparse, n_seeds, seed_index=0)
-        sparse_index = NeighborIndex(sparse.points)
-        dense_index = NeighborIndex(dense.points)
-        for s in seeds:
-            anchor = sparse.points[s]
-            sp_idx = sparse_index.knn(anchor, patch_size)
-            dn_idx = dense_index.knn(anchor, factor * patch_size)
+        anchors = sparse.points[seeds]
+        sparse_patches = NeighborIndex(sparse.points).knn_batch(anchors, patch_size)
+        dense_patches = NeighborIndex(dense.points).knn_batch(anchors, factor * patch_size)
+        for s, sp_idx, dn_idx in zip(seeds, sparse_patches, dense_patches):
             patch = _normalize_patch(sparse, sp_idx)
             examples.append(TrainExample(
                 sparse_points=patch.points, sparse_normals=patch.normals,
@@ -127,23 +122,24 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     ])
 
 
-def augment_example(example: TrainExample, rng: np.random.Generator,
-                    scale_range=(0.8, 1.2), jitter_sigma: float = 0.005) -> TrainExample:
+_SCALE_RANGE = (0.8, 1.2)  # uniform scale drawn per augmented example
+_JITTER_SIGMA = 0.005      # sparse-input jitter, fraction of the patch radius
+
+
+def augment_example(example: TrainExample, rng: np.random.Generator) -> TrainExample:
     """Shared rotation+scale on both patches; jitter on the sparse input only.
 
     Draws from `rng` in a fixed order: the rotation quaternion, the scale,
-    then the jitter.  jitter_sigma is a fraction of the scaled sparse
-    patch's radius, clipped at 3 sigma; normals only rotate.
+    then the jitter.  The jitter sigma is _JITTER_SIGMA times the scaled
+    sparse patch's radius, clipped at 3 sigma; normals only rotate.
     """
     rot = _random_rotation(rng).T
-    scale = float(rng.uniform(*scale_range))
+    scale = float(rng.uniform(*_SCALE_RANGE))
     sparse = example.sparse_points @ rot * scale
     dense = example.dense_points @ rot * scale
-    if jitter_sigma > 0.0:
-        radius = float(np.linalg.norm(sparse, axis=1).max())
-        sigma = jitter_sigma * radius
-        noise = rng.normal(scale=sigma, size=sparse.shape)
-        sparse = sparse + np.clip(noise, -3.0 * sigma, 3.0 * sigma)
+    sigma = _JITTER_SIGMA * float(np.linalg.norm(sparse, axis=1).max())
+    noise = rng.normal(scale=sigma, size=sparse.shape)
+    sparse = sparse + np.clip(noise, -3.0 * sigma, 3.0 * sigma)
     return TrainExample(sparse_points=sparse,
                         sparse_normals=example.sparse_normals @ rot,
                         dense_points=dense,
@@ -233,14 +229,14 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
 
 
 # ---------------------------------------------------------------------------
-# whole-cloud upsampling pipeline and evaluation
+# whole-cloud upsampling pipeline
 
 
 def upsample_cloud(cloud: PointCloud, factor: int, method: str = "analytic",
                    model: PUGeoNet | None = None, k: int = 16,
                    pattern: SamplePattern | None = None, patch_size: int = 256,
                    coverage: float = 3.0, seed: int = 0,
-                   displacement: bool = True, counts: dict | None = None) -> PointCloud:
+                   counts: dict | None = None) -> PointCloud:
     """Patch-extract, upsample each patch, denormalize and fuse to R*M points.
 
     When `counts` is given it receives the patch points processed and the
@@ -261,8 +257,7 @@ def upsample_cloud(cloud: PointCloud, factor: int, method: str = "analytic",
     for patch in patches:
         if method == "analytic":
             result = upsample_analytic(PointCloud(patch.points), factor, k=k,
-                                       pattern=pattern, rng=rng,
-                                       displacement=displacement)
+                                       pattern=pattern, rng=rng)
         elif method == "model":
             result = model.upsample_patch(patch.points)
         else:
@@ -274,15 +269,3 @@ def upsample_cloud(cloud: PointCloud, factor: int, method: str = "analytic",
     if counts is not None:
         counts.update(totals)
     return fuse_patches(pieces, factor * len(cloud))
-
-
-def evaluate(cloud: PointCloud, gt_dense: PointCloud, gt_mesh: TriangleMesh,
-             factor: int, method: str = "analytic", model: PUGeoNet | None = None,
-             k: int = 16, pattern: SamplePattern | None = None, patch_size: int = 256,
-             coverage: float = 3.0, seed: int = 0, inputs: dict | None = None,
-             displacement: bool = True) -> MetricReport:
-    """Upsample `cloud` and measure it against the dense ground truth and mesh."""
-    pred = upsample_cloud(cloud, factor, method=method, model=model, k=k,
-                          pattern=pattern, patch_size=patch_size, coverage=coverage,
-                          seed=seed, displacement=displacement)
-    return report_metrics(pred, gt_dense, gt_mesh, factor=factor, inputs=inputs)

@@ -1,8 +1,12 @@
 """Shared test utilities: synthetic geometry and independent oracles."""
 
+import json
+import struct
+
 import numpy as np
 
 from pugeo import PointCloud, TriangleMesh, poisson_disk_sample
+from pugeo.model import CHECKPOINT_MAGIC
 
 ICO_FACES = [(0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
              (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
@@ -99,3 +103,15 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-4) 
     """Relative error with an absolute floor so near-zero entries compare sanely."""
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def set_checkpoint_config_entry(path, key, value) -> None:
+    """Rewrite a saved checkpoint's header so that config[key] = value."""
+    blob = path.read_bytes()
+    offset = len(CHECKPOINT_MAGIC)
+    (length,) = struct.unpack_from("<I", blob, offset)
+    header = json.loads(blob[offset + 4:offset + 4 + length])
+    header["config"][key] = value
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:offset] + struct.pack("<I", len(new)) + new
+                     + blob[offset + 4 + length:])

@@ -8,7 +8,8 @@ point-to-surface distance.  They are kept verbatim in arithmetic so that
 the fast paths in ``pugeo`` can be compared against them bit for bit (FPS,
 Poisson elimination, P2F, frame statistics) or within a fixed tolerance
 (geometry, whose least-squares solves moved from LAPACK ``gelsd`` to a
-stacked SVD).
+stacked SVD).  The numpy normal and joint losses at the end are the
+oracles for the autodiff training losses.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from pugeo.analytic import GOLDEN_ANGLE, SamplePattern, UpsampleResult
 from pugeo.errors import GeometryError
 from pugeo.geometry import FrameStats
 from pugeo.io import PointCloud, TriangleMesh
+from pugeo.losses import LossWeights, nearest_indices
 from pugeo.metrics import point_to_triangles
 from pugeo.sampling import NeighborIndex
 
 _COLLINEAR_RTOL = 1e-10
 _FIT_CONDITION_LIMIT = 1e8
+_UNIT_TOL = 1e-5
 
 
 @dataclass
@@ -316,3 +319,63 @@ def frame_stats(frames: list[Frame], deltas) -> FrameStats:
     return FrameStats(theta_deg=theta_deg, theta_counts=theta_counts,
                       theta_edges=theta_edges, delta_counts=delta_counts,
                       delta_edges=delta_edges, degenerate=degenerate)
+
+
+def _check_unit(v: np.ndarray, name: str) -> None:
+    lengths = np.linalg.norm(v, axis=-1)
+    if np.any(np.abs(lengths - 1.0) > _UNIT_TOL):
+        worst = float(np.max(np.abs(lengths - 1.0)))
+        raise ValueError(f"{name} must be unit vectors (worst deviation {worst:.3g})")
+
+
+def normal_loss_unoriented(n: np.ndarray, m: np.ndarray) -> float:
+    """min(||n - m||^2, ||n + m||^2) for unit vectors n, m."""
+    n = np.asarray(n, dtype=np.float64).reshape(3)
+    m = np.asarray(m, dtype=np.float64).reshape(3)
+    _check_unit(n[None], "n")
+    _check_unit(m[None], "m")
+    return float(min(np.sum((n - m) ** 2), np.sum((n + m) ** 2)))
+
+
+def _unoriented_sq(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    minus = np.sum((pred - gt) ** 2, axis=-1)
+    plus = np.sum((pred + gt) ** 2, axis=-1)
+    return np.minimum(minus, plus)
+
+
+def coarse_normal_loss(predicted: np.ndarray, target: np.ndarray,
+                       reduction: str = "sum") -> float:
+    """Index-aligned unoriented normal loss over the sparse points."""
+    predicted = np.asarray(predicted, dtype=np.float64).reshape(-1, 3)
+    target = np.asarray(target, dtype=np.float64).reshape(-1, 3)
+    if len(predicted) != len(target):
+        raise ValueError(f"length mismatch: {len(predicted)} vs {len(target)}")
+    _check_unit(predicted, "predicted normals")
+    _check_unit(target, "target normals")
+    values = _unoriented_sq(predicted, target)
+    return float(values.mean() if reduction == "mean" else values.sum())
+
+
+def refined_normal_loss(pred_points: np.ndarray, pred_normals: np.ndarray,
+                        gt_points: np.ndarray, gt_normals: np.ndarray | None,
+                        reduction: str = "sum") -> float:
+    """Unoriented normal loss against the nearest ground-truth point's normal."""
+    if gt_normals is None:
+        raise ValueError("ground truth normals are required")
+    pred_points = np.asarray(pred_points, dtype=np.float64).reshape(-1, 3)
+    pred_normals = np.asarray(pred_normals, dtype=np.float64).reshape(-1, 3)
+    gt_points = np.asarray(gt_points, dtype=np.float64).reshape(-1, 3)
+    gt_normals = np.asarray(gt_normals, dtype=np.float64).reshape(-1, 3)
+    if len(gt_points) == 0:
+        raise ValueError("ground truth is empty")
+    _check_unit(pred_normals, "predicted normals")
+    _check_unit(gt_normals, "target normals")
+    phi = nearest_indices(pred_points, gt_points)
+    values = _unoriented_sq(pred_normals, gt_normals[phi])
+    return float(values.mean() if reduction == "mean" else values.sum())
+
+
+def total_loss(cd: float, coarse: float, refined: float,
+               weights: LossWeights | None = None) -> float:
+    w = weights or LossWeights()
+    return w.alpha * cd + w.beta * coarse + w.gamma * refined

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from pugeo import PointCloud, SamplePattern, param_samples, upsample_analytic
@@ -132,3 +134,21 @@ def test_degenerate_line_fallback_counts():
     assert result.metadata["degenerate_frames"] == 40
     assert np.all(result.deltas == 0.0)
     np.testing.assert_allclose(result.coarse_normals, np.tile([0, 0, 1.0], (40, 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(9, 200), factor=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_permutation_equivariance_property(n, factor, seed):
+    # Gaussian points tie in no distance, so every kNN row is the same set
+    # in the same order whichever way the cloud is listed
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, 3))
+    perm = rng.permutation(n)
+    k = min(16, n - 1)
+    a = upsample_analytic(PointCloud(points), factor, k=k)
+    b = upsample_analytic(PointCloud(points[perm]), factor, k=k)
+    for group_a, group_b in ((a.points, b.points), (a.normals, b.normals),
+                             (a.deltas, b.deltas)):
+        assert np.array_equal(group_a.reshape(n, factor, -1)[perm],
+                              group_b.reshape(n, factor, -1))
+    assert np.array_equal(a.coarse_normals[perm], b.coarse_normals)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pugeo.autodiff as ad
-from pugeo.autodiff import Adam, Mlp, MlpSpec, Tensor
+from pugeo.autodiff import Adam, Mlp, Tensor
 from pugeo.errors import ShapeError
 
 from helpers import max_rel_err, numeric_gradient
@@ -157,10 +157,11 @@ def test_no_mutation_of_recorded_tensors():
 
 
 def test_mlp_spec_validation():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        MlpSpec((4,))
+        Mlp(rng, (4,))
     with pytest.raises(ValueError):
-        MlpSpec((4, 0, 2))
+        Mlp(rng, (4, 0, 2))
 
 
 def test_mlp_zero_weights_zero_output():

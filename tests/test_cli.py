@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import os
 
@@ -6,9 +8,10 @@ import pytest
 
 from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, load_model, read_xyz, save_model,
                    upsample_cloud, write_xyz)
+from pugeo import cli
 from pugeo.cli import main
 
-from helpers import sphere_cloud, unit_rows
+from helpers import set_checkpoint_config_entry, sphere_cloud, unit_rows
 
 
 @pytest.fixture()
@@ -104,6 +107,19 @@ def test_upsample_factor_mismatch_exit_2(tmp_path, capsys):
     assert "4" in err and "8" in err
 
 
+def test_upsample_static_graph_checkpoint_exit_2(tmp_path, capsys):
+    cfg = PUGeoConfig(factor=4, patch_size=32, k=4, feature_widths=(8, 8),
+                      hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
+    ckpt = tmp_path / "m.pugeo"
+    save_model(PUGeoNet(cfg, seed=0), ckpt)
+    set_checkpoint_config_entry(ckpt, "dynamic_graph", False)
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+    rc = main(["upsample", "--input", cloud_path, "--output", str(tmp_path / "o.xyz"),
+               "--method", "model", "--model", str(ckpt), "--factor", "4"])
+    assert rc == 2
+    assert "dynamic_graph" in capsys.readouterr().err
+
+
 def test_upsample_analytic_plane_normals(tmp_path, capsys):
     g = np.stack(np.meshgrid(np.linspace(0, 1, 12), np.linspace(0, 1, 12)), -1)
     pts = np.column_stack([g.reshape(-1, 2), np.zeros(144)])
@@ -188,6 +204,38 @@ def test_threads_flag_removed():
     with pytest.raises(SystemExit) as info:
         main(["--threads", "2", "upsample", "--input", "a.xyz", "--output", "b.xyz"])
     assert info.value.code == 2
+
+
+def test_inspect_frames_patch_size_removed():
+    with pytest.raises(SystemExit) as info:
+        main(["inspect", "frames", "--input", "a.xyz", "--patch-size", "64"])
+    assert info.value.code == 2
+
+
+def _leaf_parsers(parser, path=()):
+    """(subcommand path, parser) for every leaf subcommand under `parser`."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield path, parser
+        return
+    for name, child in groups[0].choices.items():
+        yield from _leaf_parsers(child, path + (name,))
+
+
+def _unread_options(parser, source):
+    return [action.option_strings[0] for action in parser._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)
+            and f"args.{action.dest}" not in source]
+
+
+def test_every_option_is_read_by_its_handler():
+    parser = cli.build_parser()
+    unread = [f"(global) {option}" for option in _unread_options(parser, inspect.getsource(cli))]
+    for path, leaf in _leaf_parsers(parser):
+        handler = getattr(cli, "cmd_" + "_".join(path))
+        unread += [f"{' '.join(path)} {option}"
+                   for option in _unread_options(leaf, inspect.getsource(handler))]
+    assert not unread, f"options parsed but never read: {unread}"
 
 
 def test_train_epochs_zero_checkpoint_is_init(tmp_path, mesh_dir, capsys):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import pugeo.autodiff as ad
-from pugeo import (LossWeights, chamfer, coarse_normal_loss, normal_loss_unoriented,
-                   refined_normal_loss, total_loss)
+from pugeo import LossWeights, chamfer
 from pugeo.autodiff import Tensor
 from pugeo.losses import (chamfer_loss, coarse_normal_loss_graph, nearest_indices,
                           refined_normal_loss_graph, total_loss_graph)
 
 from helpers import brute_force_nearest, max_rel_err, numeric_gradient, unit_rows
+from reference import (coarse_normal_loss, normal_loss_unoriented, refined_normal_loss,
+                       total_loss)
 
 
 # ---------------------------------------------------------------------------

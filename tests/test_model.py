@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pugeo.autodiff as ad
 from pugeo import PUGeoConfig, PUGeoNet, load_model, save_model
 from pugeo.errors import CheckpointError
 from pugeo.model import _knn_indices
 
-from helpers import unit_rows
+from helpers import set_checkpoint_config_entry, unit_rows
 
 TINY = dict(factor=4, patch_size=32, k=6, feature_widths=(8, 16),
             hr_hidden=8, f1_hidden=16, f2_hidden=16, f3_hidden=8, f4_hidden=8)
@@ -246,10 +248,26 @@ def test_forward_permutation_equivariance_bitwise():
     assert np.array_equal(_sorted_rows(res_a.normals), _sorted_rows(res_b.normals))
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(8, 64), seed=st.integers(0, 2**32 - 1))
+def test_forward_permutation_equivariance_property(n, seed):
+    net = PUGeoNet(PUGeoConfig(**{**TINY, "patch_size": n, "k": 4}), seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    patch = rng.normal(size=(n, 3))
+    perm = rng.permutation(n)
+    a = net.forward(patch)
+    b = net.forward(patch[perm])
+    r = TINY["factor"]
+    for group_a, group_b in ((a.points.data, b.points.data), (a.normals.data, b.normals.data)):
+        assert np.array_equal(group_a.reshape(n, r, 3)[perm], group_b.reshape(n, r, 3))
+    assert np.array_equal(a.coarse_normals.data[perm], b.coarse_normals.data)
+    assert np.array_equal(a.deltas[perm], b.deltas)
+
+
 def test_forward_det_t_unity_at_init():
     net = PUGeoNet(PUGeoConfig(**TINY), seed=9)
     out = net.forward(_patch(17))
-    np.testing.assert_allclose(out.det_t, 1.0, atol=1e-6)
+    np.testing.assert_allclose(np.linalg.det(out.t_matrices), 1.0, atol=1e-6)
 
 
 def test_fresh_model_fixed_grid_replicates_inputs():
@@ -319,6 +337,26 @@ def test_checkpoint_config_honored_from_file(tmp_path):
     path = tmp_path / "m.pugeo"
     save_model(net, path)
     assert load_model(path).config.factor == 8
+
+
+def test_checkpoint_with_dynamic_graph_true_loads(tmp_path):
+    net = PUGeoNet(PUGeoConfig(**TINY), seed=16)
+    path = tmp_path / "m.pugeo"
+    save_model(net, path)
+    set_checkpoint_config_entry(path, "dynamic_graph", True)
+    back = load_model(path)
+    assert back.config == net.config
+    patch = _patch(18)
+    assert np.array_equal(back.forward(patch).points.data, net.forward(patch).points.data)
+
+
+def test_checkpoint_with_dynamic_graph_false_rejected(tmp_path):
+    net = PUGeoNet(PUGeoConfig(**TINY), seed=17)
+    path = tmp_path / "m.pugeo"
+    save_model(net, path)
+    set_checkpoint_config_entry(path, "dynamic_graph", False)
+    with pytest.raises(CheckpointError, match="dynamic_graph"):
+        load_model(path)
 
 
 def test_checkpoint_trailing_bytes(tmp_path):

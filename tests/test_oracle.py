@@ -185,6 +185,25 @@ def test_knn_batch_matches_brute_force_property(data):
         assert np.array_equal(row, brute_force_knn(points, q, k))
 
 
+KNN_CLOUDS = [
+    ("poisson", lambda: poisson_disk_sample(icosphere(2), 1100, seed=4).points),
+    ("gaussian", lambda: np.random.default_rng(5).normal(size=(1100, 3))),
+    ("half_integer", lambda: np.random.default_rng(6).integers(-4, 5, size=(1100, 3)) / 2.0),
+    ("triplicated", lambda: np.tile(np.random.default_rng(7).normal(size=(370, 3)), (3, 1))),
+]
+
+
+@pytest.mark.parametrize("k", [1, 16, 256, 1024])
+@pytest.mark.parametrize("name,make", KNN_CLOUDS, ids=[c[0] for c in KNN_CLOUDS])
+def test_knn_batch_at_patch_sizes_matches_brute_force(name, make, k):
+    # patch extraction queries the cloud's own points at FPS seeds, all at once
+    points = make()
+    queries = points[farthest_point_sample(points, 12)]
+    batch = NeighborIndex(points).knn_batch(queries, k)
+    for q, row in zip(queries, batch):
+        assert np.array_equal(row, brute_force_knn(points, q, k))
+
+
 # ---------------------------------------------------------------------------
 # point-to-surface distance
 

@@ -1,7 +1,8 @@
 """The package's public names and the names the demos import stay resolvable.
 
 The demos are parsed, not run, so this stays fast; running them is left to
-`python demos/<name>.py`.
+`python demos/<name>.py`.  Every public name must also be used by the
+package itself or by a demo, so nothing is exported for the tests alone.
 """
 
 import ast
@@ -12,7 +13,8 @@ import pytest
 
 import pugeo
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _pugeo_imports(path):
@@ -39,3 +41,23 @@ def test_all_entries_resolve_once():
     missing = [name for name in pugeo.__all__ if not hasattr(pugeo, name)]
     assert not missing
     assert len(pugeo.__all__) == len(set(pugeo.__all__))
+
+
+def _referenced_names(path):
+    """Every name a module loads, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_all_entries_used_outside_tests():
+    sources = [p for p in (ROOT / "src" / "pugeo").glob("*.py") if p.name != "__init__.py"]
+    used = set().union(*(_referenced_names(p) for p in sources + DEMOS))
+    unused = [name for name in pugeo.__all__ if name not in used]
+    assert not unused, f"exported but used only by tests: {unused}"

@@ -3,7 +3,8 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from pugeo import (PointCloud, denormalize, extract_patches, farthest_point_sample,
-                   fuse_patches, knn, poisson_disk_sample)
+                   fuse_patches, poisson_disk_sample)
+from pugeo import trainer
 from pugeo.errors import GeometryError
 from pugeo.sampling import NeighborIndex
 from pugeo.trainer import TrainExample, _random_rotation, augment_example
@@ -58,24 +59,29 @@ def test_fps_greedy_property(seed):
 # k nearest neighbors
 
 
+def _knn(points, query, k):
+    """The k nearest neighbors of one query, through a one-row batch."""
+    return NeighborIndex(points).knn_batch(query, k)[0]
+
+
 def test_knn_query_on_cloud_point():
     pts = np.random.default_rng(2).normal(size=(30, 3))
-    assert knn(pts, pts[7], 1).tolist() == [7]
+    assert _knn(pts, pts[7], 1).tolist() == [7]
 
 
 def test_knn_hand_example():
     pts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [10, 0, 0]], float)
-    assert knn(pts, [0.9, 0, 0], 2).tolist() == [1, 0]
+    assert _knn(pts, [0.9, 0, 0], 2).tolist() == [1, 0]
 
 
 def test_knn_tie_lowest_index_first():
     pts = np.array([[1, 0, 0], [-1, 0, 0], [5, 5, 5]], float)
-    assert knn(pts, [0, 0, 0], 2).tolist() == [0, 1]
+    assert _knn(pts, [0, 0, 0], 2).tolist() == [0, 1]
 
 
 def test_knn_k_too_large():
     with pytest.raises(ValueError):
-        knn(np.zeros((3, 3)), [0, 0, 0], 4)
+        _knn(np.zeros((3, 3)), [0, 0, 0], 4)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -88,7 +94,7 @@ def test_knn_equals_brute_force(seed):
         batch = index.knn_batch(queries, k)
         for qi, q in enumerate(queries):
             expected = brute_force_knn(pts, q, k)
-            assert index.knn(q, k).tolist() == expected.tolist()
+            assert index.knn_batch(q, k)[0].tolist() == expected.tolist()
             assert batch[qi].tolist() == expected.tolist()
 
 
@@ -99,7 +105,7 @@ def test_knn_brute_force_with_duplicates():
     index = NeighborIndex(pts)
     for q in base[:5]:
         for k in (1, 3, 12):
-            assert index.knn(q, k).tolist() == brute_force_knn(pts, q, k).tolist()
+            assert index.knn_batch(q, k)[0].tolist() == brute_force_knn(pts, q, k).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +248,10 @@ def test_augment_keeps_normals_unit():
         np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-9)
 
 
-def test_augment_preserves_distance_ratios_without_jitter():
+def test_augment_preserves_distance_ratios_without_jitter(monkeypatch):
+    monkeypatch.setattr(trainer, "_JITTER_SIGMA", 0.0)
     example = _random_example(2)
-    out = augment_example(example, np.random.default_rng(3), jitter_sigma=0.0)
+    out = augment_example(example, np.random.default_rng(3))
     # the scale is the draw that follows the rotation quaternion
     replay = np.random.default_rng(3)
     replay.normal(size=4)

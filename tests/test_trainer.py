@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from pugeo import (LossWeights, PointCloud, PUGeoConfig, PUGeoNet, TrainConfig, chamfer,
-                   evaluate, poisson_disk_sample)
+                   poisson_disk_sample, upsample_analytic)
+from pugeo import trainer
 from pugeo.errors import TrainingDiverged
 from pugeo.metrics import report_metrics
 from pugeo.trainer import (TrainExample, augment_example, build_dataset,
@@ -80,10 +81,11 @@ def test_build_dataset_noise_only_on_sparse():
 # augmentation of paired examples
 
 
-def test_augment_example_consistent_rotation():
+def test_augment_example_consistent_rotation(monkeypatch):
+    monkeypatch.setattr(trainer, "_JITTER_SIGMA", 0.0)
     ex = _toy_example(1)
     rng = np.random.default_rng(5)
-    out = augment_example(ex, rng, jitter_sigma=0.0)
+    out = augment_example(ex, rng)
     # pairwise distances between dense points scale uniformly
     from scipy.spatial.distance import pdist
 
@@ -107,7 +109,7 @@ def test_train_zero_epochs_keeps_parameters():
                       hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
     net = PUGeoNet(cfg, seed=0)
     before = [t.data.copy() for _, t in net.named_params()]
-    train(TrainConfig(factor=2, patch_size=16, epochs=0, seed=0), [_toy_example()], net)
+    train(TrainConfig(epochs=0, seed=0), [_toy_example()], net)
     for old, (_, t) in zip(before, net.named_params()):
         assert np.array_equal(old, t.data)
 
@@ -119,8 +121,7 @@ def test_train_deterministic_bitwise():
                           f4_hidden=8)
         net = PUGeoNet(cfg, seed=1)
         dataset = [_toy_example(s) for s in range(3)]
-        train(TrainConfig(factor=2, patch_size=16, batch_size=2, epochs=3, seed=9),
-              dataset, net)
+        train(TrainConfig(batch_size=2, epochs=3, seed=9), dataset, net)
         return [t.data.copy() for _, t in net.named_params()]
 
     for a, b in zip(run(), run()):
@@ -132,8 +133,8 @@ def test_train_emits_json_log_per_epoch():
                       hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
     net = PUGeoNet(cfg, seed=2)
     stream = io.StringIO()
-    _, history = train(TrainConfig(factor=2, patch_size=16, epochs=4, seed=0),
-                       [_toy_example()], net, log_stream=stream)
+    _, history = train(TrainConfig(epochs=4, seed=0), [_toy_example()], net,
+                       log_stream=stream)
     lines = [json.loads(line) for line in stream.getvalue().strip().split("\n")]
     assert len(lines) == 4 == len(history)
     for record in lines:
@@ -145,8 +146,8 @@ def test_train_loss_decreases_on_toy_patch():
     cfg = PUGeoConfig(factor=2, patch_size=16, k=4, feature_widths=(8, 8),
                       hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
     net = PUGeoNet(cfg, seed=3)
-    _, history = train(TrainConfig(factor=2, patch_size=16, epochs=60, seed=0,
-                                   augment=False, lr=0.003), [_toy_example(4)], net)
+    _, history = train(TrainConfig(epochs=60, seed=0, augment=False, lr=0.003),
+                       [_toy_example(4)], net)
     assert history[-1]["l_total"] < history[0]["l_total"]
 
 
@@ -155,8 +156,7 @@ def test_train_diverges_with_absurd_lr():
                       hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
     net = PUGeoNet(cfg, seed=0)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
-        train(TrainConfig(factor=2, patch_size=16, batch_size=1, epochs=50, lr=1e8,
-                          seed=0), [_toy_example(5)], net)
+        train(TrainConfig(batch_size=1, epochs=50, lr=1e8, seed=0), [_toy_example(5)], net)
     assert "step" in info.value.diagnostics
     assert "grad_norms" in info.value.diagnostics
 
@@ -165,7 +165,7 @@ def test_train_checkpoints_written(tmp_path):
     cfg = PUGeoConfig(factor=2, patch_size=16, k=4, feature_widths=(8, 8),
                       hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
     net = PUGeoNet(cfg, seed=0)
-    train(TrainConfig(factor=2, patch_size=16, epochs=4, seed=0, checkpoint_every=2),
+    train(TrainConfig(epochs=4, seed=0, checkpoint_every=2),
           [_toy_example()], net, checkpoint_dir=str(tmp_path))
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["checkpoint_epoch0002.pugeo", "checkpoint_epoch0004.pugeo",
@@ -195,10 +195,12 @@ def test_evaluate_analytic_beats_zero_displacement_on_sphere():
     mesh = icosphere(3, radius=2.0)
     cloud = sphere_cloud(600, 2.0, seed=1)
     gt_dense = sphere_cloud(2400, 2.0, seed=2)
-    with_d = evaluate(cloud, gt_dense, mesh, factor=4, method="analytic", k=16,
-                      patch_size=128, coverage=2.0)
-    without = evaluate(cloud, gt_dense, mesh, factor=4, method="analytic", k=16,
-                       patch_size=128, coverage=2.0, displacement=False)
+    reports = []
+    for displacement in (True, False):
+        result = upsample_analytic(cloud, 4, k=16, displacement=displacement)
+        reports.append(report_metrics(PointCloud(result.points, result.normals),
+                                      gt_dense, mesh, factor=4))
+    with_d, without = reports
     assert with_d.cd < without.cd
 
 
@@ -206,8 +208,8 @@ def test_evaluate_report_schema():
     mesh = icosphere(2)
     cloud = PointCloud(*(lambda c: (c.points, c.normals))(poisson_disk_sample(mesh, 128, 3)))
     gt_dense = poisson_disk_sample(mesh, 256, seed=4)
-    report = evaluate(cloud, gt_dense, mesh, factor=2, method="analytic", k=12,
-                      patch_size=64, coverage=2.0)
+    pred = upsample_cloud(cloud, 2, method="analytic", k=12, patch_size=64, coverage=2.0)
+    report = report_metrics(pred, gt_dense, mesh, factor=2)
     data = report.to_dict()
     assert {"cd", "hd", "jsd", "p2f_mean", "p2f_std"} <= set(data)
     assert data["pred_count"] == 256
