@@ -201,10 +201,7 @@ def _load_manifest_dataset(data_path):
 
 
 def cmd_train(args) -> int:
-    try:
-        manifest, dataset = _load_manifest_dataset(args.data)
-    except FileNotFoundError as exc:
-        return _fail(str(exc))
+    manifest, dataset = _load_manifest_dataset(args.data)
     factor = manifest["config"]["factor"]
     patch_size = manifest["config"]["patch_size"]
     if args.factor is not None and args.factor != factor:
@@ -256,9 +253,6 @@ def cmd_upsample(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    for path in (args.pred, args.gt_dense, args.gt_mesh):
-        if not os.path.exists(path):
-            return _fail(f"missing input file: {path}")
     pred = read_xyz(args.pred)
     gt_dense = read_xyz(args.gt_dense)
     gt_mesh = read_mesh(args.gt_mesh)
@@ -266,8 +260,6 @@ def cmd_eval(args) -> int:
                             inputs={"pred": args.pred, "gt_dense": args.gt_dense,
                                     "gt_mesh": args.gt_mesh})
     if args.recon_mesh:
-        if not os.path.exists(args.recon_mesh):
-            return _fail(f"missing input file: {args.recon_mesh}")
         recon = read_mesh(args.recon_mesh)
         cd_s, hd_s, jsd_s = surface_compare(recon, gt_mesh, n=args.recon_samples,
                                             seed=args.seed)
@@ -317,7 +309,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         print(json.dumps(exc.diagnostics, sort_keys=True), file=sys.stderr)
         return 3
-    except (FormatError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         return _fail(str(exc))
 
 

@@ -9,13 +9,13 @@ round-trippable decimals, so read(write(cloud)) reproduces them exactly.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, UnsupportedFormatError
+from .geometry import _vector_dot
 
 _UNIT_TOL = 1e-5
 
@@ -76,10 +76,49 @@ class TriangleMesh:
                 raise ValueError("per-vertex normal count mismatch")
 
 
-def _check_finite(values: list[float], lineno: int) -> None:
-    """FormatError citing the line if any parsed value is nan or inf."""
-    if not all(map(math.isfinite, values)):
-        raise FormatError(f"line {lineno}: non-finite value")
+def _records(handle):
+    r"""Yield (1-based line number, tokens) for each non-blank line of a binary file.
+
+    Lines end at ``\n``, ``\r\n`` or a lone ``\r``, as in text mode, and are
+    decoded one at a time, so a reader that stops early never decodes the rest.
+    """
+    lineno = 0
+    for chunk in handle:
+        for raw in chunk.splitlines():
+            lineno += 1
+            try:
+                tokens = raw.decode("utf-8").split()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"line {lineno}: not UTF-8 ({exc.reason})") from None
+            if tokens:
+                yield lineno, tokens
+
+
+def _floats(records, columns) -> np.ndarray:
+    """Float64 array of the given token columns of each (line, tokens) record.
+
+    A record too short for `columns`, a non-numeric token or a nan/inf raises
+    FormatError naming the first such line, checked in that order.
+    """
+    try:
+        rows = [[tokens[c] for c in columns] for _, tokens in records]
+    except IndexError:
+        lineno, tokens = next(r for r in records if len(r[1]) <= max(columns))
+        raise FormatError(f"line {lineno}: expected at least {max(columns) + 1} fields, "
+                          f"got {len(tokens)}") from None
+    try:
+        values = np.array(rows, dtype=np.float64).reshape(-1, len(columns))
+    except ValueError:
+        for (lineno, _), row in zip(records, rows):
+            try:
+                np.array(row, dtype=np.float64)
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: non-numeric token ({exc})") from None
+        raise
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"line {records[int(np.argmin(finite))][0]}: non-finite value")
+    return values
 
 
 @contextlib.contextmanager
@@ -111,39 +150,30 @@ def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
 def read_xyz(path: str | os.PathLike) -> PointCloud:
     """Read an .xyz file: 3 columns (points) or 6 (points + normals).
 
-    Normals are normalized on load.  Mixed arity, non-numeric tokens or
-    non-finite values raise FormatError citing the path and the 1-based
-    line number.
+    Normals are normalized on load.  Mixed arity, non-numeric tokens,
+    non-finite values or zero-length normals raise FormatError citing the
+    path and the 1-based line number.
     """
-    points, normals = [], []
-    arity = None
-    with _naming(path), open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            tokens = raw.split()
-            if not tokens:
-                continue
+    with _naming(path), open(path, "rb") as handle:
+        records = list(_records(handle))
+        arity = len(records[0][1]) if records else 3
+        for lineno, tokens in records:
             if len(tokens) not in (3, 6):
                 raise FormatError(f"line {lineno}: expected 3 or 6 columns, got {len(tokens)}")
-            if arity is None:
-                arity = len(tokens)
-            elif len(tokens) != arity:
+            if len(tokens) != arity:
                 raise FormatError(
                     f"line {lineno}: mixed column counts ({len(tokens)} after {arity})"
                 )
-            try:
-                values = [float(tok) for tok in tokens]
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: non-numeric token ({exc})") from None
-            _check_finite(values, lineno)
-            points.append(values[:3])
-            if arity == 6:
-                n = np.asarray(values[3:], dtype=np.float64)
-                length = np.linalg.norm(n)
-                if length == 0.0:
-                    raise FormatError(f"line {lineno}: zero-length normal")
-                normals.append(n / length)
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    return PointCloud(pts, np.asarray(normals) if normals else None)
+        values = _floats(records, range(arity))
+        normals = None
+        if arity == 6:
+            # rounds each length as np.linalg.norm of that one row does
+            lengths = np.sqrt(_vector_dot(values[:, 3:], values[:, 3:]))
+            if not lengths.all():
+                raise FormatError(f"line {records[int(np.argmin(lengths))][0]}: "
+                                  f"zero-length normal")
+            normals = values[:, 3:] / lengths[:, None]
+    return PointCloud(values[:, :3], normals)
 
 
 def write_xyz(cloud: PointCloud, path: str | os.PathLike) -> None:
@@ -164,35 +194,22 @@ def write_xyz(cloud: PointCloud, path: str | os.PathLike) -> None:
 def _fan(indices: list[int], lineno: int) -> list[tuple[int, int, int]]:
     if len(indices) < 3:
         raise FormatError(f"line {lineno}: face with {len(indices)} vertices")
-    return [(indices[0], indices[i], indices[i + 1]) for i in range(1, len(indices) - 1)]
+    fan = [(indices[0], indices[i], indices[i + 1]) for i in range(1, len(indices) - 1)]
+    if any(len(set(t)) < 3 for t in fan):
+        raise FormatError(f"line {lineno}: triangle repeats a vertex index")
+    return fan
 
 
 def _read_obj(path) -> TriangleMesh:
-    verts: list[list[float]] = []
-    vnormals: list[list[float]] = []
+    v_records, vn_records = [], []
     faces: list[tuple[int, int, int]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            tokens = raw.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
+    with open(path, "rb") as handle:
+        for lineno, tokens in _records(handle):
             tag = tokens[0]
             if tag == "v":
-                if len(tokens) < 4:
-                    raise FormatError(f"line {lineno}: vertex needs 3 coordinates")
-                try:
-                    coords = [float(t) for t in tokens[1:4]]
-                except ValueError:
-                    raise FormatError(f"line {lineno}: non-numeric vertex coordinate") from None
-                _check_finite(coords, lineno)
-                verts.append(coords)
+                v_records.append((lineno, tokens))
             elif tag == "vn":
-                try:
-                    normal = [float(t) for t in tokens[1:4]]
-                except ValueError:
-                    raise FormatError(f"line {lineno}: non-numeric normal") from None
-                _check_finite(normal, lineno)
-                vnormals.append(normal)
+                vn_records.append((lineno, tokens))
             elif tag == "f":
                 idx = []
                 for tok in tokens[1:]:
@@ -202,88 +219,69 @@ def _read_obj(path) -> TriangleMesh:
                     except ValueError:
                         raise FormatError(f"line {lineno}: bad face index {head!r}") from None
                     # OBJ is 1-based; negative indices count from the end
-                    i = i - 1 if i > 0 else len(verts) + i
-                    if not 0 <= i < len(verts):
+                    i = i - 1 if i > 0 else len(v_records) + i
+                    if not 0 <= i < len(v_records):
                         raise FormatError(f"line {lineno}: face index {head} out of range")
                     idx.append(i)
                 faces.extend(_fan(idx, lineno))
+    verts = _floats(v_records, (1, 2, 3))
+    vnormals = _floats(vn_records, (1, 2, 3))
     normals = None
-    if len(vnormals) == len(verts) and verts:
-        normals = _unit_rows(np.asarray(vnormals, dtype=np.float64))
-    return TriangleMesh(np.asarray(verts, dtype=np.float64).reshape(-1, 3),
-                        np.asarray(faces, dtype=np.int64).reshape(-1, 3), normals)
+    if len(vnormals) == len(verts) and len(verts):
+        normals = _unit_rows(vnormals)
+    return TriangleMesh(verts, np.asarray(faces, dtype=np.int64).reshape(-1, 3), normals)
 
 
 def _read_ply(path) -> TriangleMesh:
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        lines = [ln.rstrip("\n") for ln in handle]
-    if not lines or lines[0].strip() != "ply":
-        raise FormatError("not a PLY file (missing 'ply' header)")
-    n_vertex = n_face = 0
-    vertex_props: list[str] = []
-    current = None
-    cursor = 1
-    while cursor < len(lines):
-        tokens = lines[cursor].split()
-        cursor += 1
-        if not tokens:
-            continue
-        if tokens[0] == "format":
-            if tokens[1] != "ascii":
-                raise UnsupportedFormatError(f"unsupported PLY format {tokens[1]!r}")
-        elif tokens[0] == "element":
-            current = tokens[1]
-            if current == "vertex":
-                n_vertex = int(tokens[2])
-            elif current == "face":
-                n_face = int(tokens[2])
-        elif tokens[0] == "property" and current == "vertex":
-            vertex_props.append(tokens[-1])
-        elif tokens[0] == "end_header":
-            break
-    else:
-        raise FormatError("PLY header is missing end_header")
+    with open(path, "rb") as handle:
+        records = _records(handle)
+        if next(records, None) != (1, ["ply"]):
+            raise FormatError("not a PLY file (missing 'ply' header)")
+        counts = {"vertex": 0, "face": 0}
+        vertex_props: list[str] = []
+        current = None
+        for lineno, tokens in records:
+            if tokens[0] == "format":
+                if tokens[1:2] != ["ascii"]:
+                    raise UnsupportedFormatError(
+                        f"line {lineno}: unsupported PLY format {' '.join(tokens[1:])!r}")
+            elif tokens[0] == "element":
+                if len(tokens) < 3 or not tokens[2].isdecimal():
+                    raise FormatError(f"line {lineno}: expected 'element <name> <count>'")
+                current = tokens[1]
+                counts[current] = int(tokens[2])
+            elif tokens[0] == "property" and current == "vertex":
+                vertex_props.append(tokens[-1])
+            elif tokens[0] == "end_header":
+                break
+        else:
+            raise FormatError("PLY header is missing end_header")
+        body = list(records)
 
     for name in ("x", "y", "z"):
         if name not in vertex_props:
             raise FormatError(f"PLY vertex element lacks property {name!r}")
-    col = {name: vertex_props.index(name) for name in vertex_props}
-    has_normals = all(n in vertex_props for n in ("nx", "ny", "nz"))
-
-    body = [(lineno, ln) for lineno, ln in enumerate(lines[cursor:], start=cursor + 1)
-            if ln.split()]
+    names = ("x", "y", "z", "nx", "ny", "nz")
+    if not all(n in vertex_props for n in names[3:]):
+        names = names[:3]
+    n_vertex, n_face = counts["vertex"], counts["face"]
     if len(body) < n_vertex + n_face:
         raise FormatError(f"PLY body has {len(body)} rows, header declares {n_vertex + n_face}")
-    verts = np.empty((n_vertex, 3), dtype=np.float64)
-    normals = np.empty((n_vertex, 3), dtype=np.float64) if has_normals else None
-    for i in range(n_vertex):
-        tokens = body[i][1].split()
-        try:
-            verts[i] = [float(tokens[col["x"]]), float(tokens[col["y"]]), float(tokens[col["z"]])]
-            if has_normals:
-                normals[i] = [float(tokens[col["nx"]]), float(tokens[col["ny"]]),
-                              float(tokens[col["nz"]])]
-        except (ValueError, IndexError):
-            raise FormatError(f"PLY vertex row {i + 1} is malformed") from None
-    finite = np.isfinite(verts).all(axis=1)
-    if has_normals:
-        finite &= np.isfinite(normals).all(axis=1)
-    if not finite.all():
-        raise FormatError(f"line {body[int(np.argmin(finite))][0]}: non-finite value")
+    values = _floats(body[:n_vertex], [vertex_props.index(n) for n in names])
     faces: list[tuple[int, int, int]] = []
-    for i in range(n_face):
-        tokens = body[n_vertex + i][1].split()
+    for lineno, tokens in body[n_vertex:n_vertex + n_face]:
         try:
             count = int(tokens[0])
             idx = [int(t) for t in tokens[1:1 + count]]
-        except (ValueError, IndexError):
-            raise FormatError(f"PLY face row {i + 1} is malformed") from None
+        except ValueError:
+            raise FormatError(f"line {lineno}: non-integer face entry") from None
+        if len(idx) != count:
+            raise FormatError(f"line {lineno}: face declares {count} indices, has {len(idx)}")
         if any(not 0 <= j < n_vertex for j in idx):
-            raise FormatError(f"PLY face row {i + 1}: index out of range")
-        faces.extend(_fan(idx, i + 1))
-    if normals is not None:
-        normals = _unit_rows(normals)
-    return TriangleMesh(verts, np.asarray(faces, dtype=np.int64).reshape(-1, 3), normals)
+            raise FormatError(f"line {lineno}: face index out of range")
+        faces.extend(_fan(idx, lineno))
+    normals = _unit_rows(values[:, 3:]) if len(names) == 6 else None
+    return TriangleMesh(values[:, :3], np.asarray(faces, dtype=np.int64).reshape(-1, 3), normals)
 
 
 def read_mesh(path: str | os.PathLike) -> TriangleMesh:

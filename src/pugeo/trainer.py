@@ -33,8 +33,6 @@ class TrainExample:
     sparse_normals: np.ndarray   # (N, 3)
     dense_points: np.ndarray     # (R*N, 3)
     dense_normals: np.ndarray    # (R*N, 3)
-    centroid: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    scale: float = 1.0
     seed_index: int = 0
 
 
@@ -105,8 +103,7 @@ def build_dataset(meshes: list[TriangleMesh], m: int, factor: int, patch_size: i
             examples.append(TrainExample(
                 sparse_points=patch.points, sparse_normals=patch.normals,
                 dense_points=(dense.points[dn_idx] - patch.centroid) / patch.scale,
-                dense_normals=dense.normals[dn_idx].copy(),
-                centroid=patch.centroid, scale=patch.scale, seed_index=int(s)))
+                dense_normals=dense.normals[dn_idx].copy(), seed_index=int(s)))
     return examples
 
 
@@ -144,7 +141,6 @@ def augment_example(example: TrainExample, rng: np.random.Generator) -> TrainExa
                         sparse_normals=example.sparse_normals @ rot,
                         dense_points=dense,
                         dense_normals=example.dense_normals @ rot,
-                        centroid=example.centroid, scale=example.scale,
                         seed_index=example.seed_index)
 
 

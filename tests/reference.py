@@ -8,23 +8,25 @@ point-to-surface distance.  They are kept verbatim in arithmetic so that
 the fast paths in ``pugeo`` can be compared against them bit for bit (FPS,
 Poisson elimination, P2F, frame statistics) or within a fixed tolerance
 (geometry, whose least-squares solves moved from LAPACK ``gelsd`` to a
-stacked SVD).  The numpy normal and joint losses at the end are the
-oracles for the autodiff training losses.
+stacked SVD).  The numpy normal and joint losses are the oracles for
+the autodiff training losses, and the per-record ``.xyz``, OBJ and PLY
+readers at the end are the oracles for ``pugeo.io``'s readers.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from pugeo.analytic import GOLDEN_ANGLE, SamplePattern, UpsampleResult
-from pugeo.errors import GeometryError
+from pugeo.errors import FormatError, GeometryError, UnsupportedFormatError
 from pugeo.geometry import FrameStats
-from pugeo.io import PointCloud, TriangleMesh
+from pugeo.io import PointCloud, TriangleMesh, _naming, _unit_rows
 from pugeo.losses import LossWeights, nearest_indices
 from pugeo.metrics import point_to_triangles
 from pugeo.sampling import NeighborIndex
@@ -379,3 +381,174 @@ def total_loss(cd: float, coarse: float, refined: float,
                weights: LossWeights | None = None) -> float:
     w = weights or LossWeights()
     return w.alpha * cd + w.beta * coarse + w.gamma * refined
+
+
+# The text readers, each with its own per-record parse loop.
+
+def _check_finite(values: list[float], lineno: int) -> None:
+    """FormatError citing the line if any parsed value is nan or inf."""
+    if not all(map(math.isfinite, values)):
+        raise FormatError(f"line {lineno}: non-finite value")
+
+
+def _fan(indices: list[int], lineno: int) -> list[tuple[int, int, int]]:
+    if len(indices) < 3:
+        raise FormatError(f"line {lineno}: face with {len(indices)} vertices")
+    return [(indices[0], indices[i], indices[i + 1]) for i in range(1, len(indices) - 1)]
+
+
+def read_xyz(path: str | os.PathLike) -> PointCloud:
+    """Read an .xyz file: 3 columns (points) or 6 (points + normals).
+
+    Normals are normalized on load.  Mixed arity, non-numeric tokens or
+    non-finite values raise FormatError citing the path and the 1-based
+    line number.
+    """
+    points, normals = [], []
+    arity = None
+    with _naming(path), open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            tokens = raw.split()
+            if not tokens:
+                continue
+            if len(tokens) not in (3, 6):
+                raise FormatError(f"line {lineno}: expected 3 or 6 columns, got {len(tokens)}")
+            if arity is None:
+                arity = len(tokens)
+            elif len(tokens) != arity:
+                raise FormatError(
+                    f"line {lineno}: mixed column counts ({len(tokens)} after {arity})"
+                )
+            try:
+                values = [float(tok) for tok in tokens]
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: non-numeric token ({exc})") from None
+            _check_finite(values, lineno)
+            points.append(values[:3])
+            if arity == 6:
+                n = np.asarray(values[3:], dtype=np.float64)
+                length = np.linalg.norm(n)
+                if length == 0.0:
+                    raise FormatError(f"line {lineno}: zero-length normal")
+                normals.append(n / length)
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    return PointCloud(pts, np.asarray(normals) if normals else None)
+
+
+def _read_obj(path) -> TriangleMesh:
+    verts: list[list[float]] = []
+    vnormals: list[list[float]] = []
+    faces: list[tuple[int, int, int]] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            tokens = raw.split()
+            if not tokens or tokens[0].startswith("#"):
+                continue
+            tag = tokens[0]
+            if tag == "v":
+                if len(tokens) < 4:
+                    raise FormatError(f"line {lineno}: vertex needs 3 coordinates")
+                try:
+                    coords = [float(t) for t in tokens[1:4]]
+                except ValueError:
+                    raise FormatError(f"line {lineno}: non-numeric vertex coordinate") from None
+                _check_finite(coords, lineno)
+                verts.append(coords)
+            elif tag == "vn":
+                try:
+                    normal = [float(t) for t in tokens[1:4]]
+                except ValueError:
+                    raise FormatError(f"line {lineno}: non-numeric normal") from None
+                _check_finite(normal, lineno)
+                vnormals.append(normal)
+            elif tag == "f":
+                idx = []
+                for tok in tokens[1:]:
+                    head = tok.split("/")[0]
+                    try:
+                        i = int(head)
+                    except ValueError:
+                        raise FormatError(f"line {lineno}: bad face index {head!r}") from None
+                    # OBJ is 1-based; negative indices count from the end
+                    i = i - 1 if i > 0 else len(verts) + i
+                    if not 0 <= i < len(verts):
+                        raise FormatError(f"line {lineno}: face index {head} out of range")
+                    idx.append(i)
+                faces.extend(_fan(idx, lineno))
+    normals = None
+    if len(vnormals) == len(verts) and verts:
+        normals = _unit_rows(np.asarray(vnormals, dtype=np.float64))
+    return TriangleMesh(np.asarray(verts, dtype=np.float64).reshape(-1, 3),
+                        np.asarray(faces, dtype=np.int64).reshape(-1, 3), normals)
+
+
+def _read_ply(path) -> TriangleMesh:
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        lines = [ln.rstrip("\n") for ln in handle]
+    if not lines or lines[0].strip() != "ply":
+        raise FormatError("not a PLY file (missing 'ply' header)")
+    n_vertex = n_face = 0
+    vertex_props: list[str] = []
+    current = None
+    cursor = 1
+    while cursor < len(lines):
+        tokens = lines[cursor].split()
+        cursor += 1
+        if not tokens:
+            continue
+        if tokens[0] == "format":
+            if tokens[1] != "ascii":
+                raise UnsupportedFormatError(f"unsupported PLY format {tokens[1]!r}")
+        elif tokens[0] == "element":
+            current = tokens[1]
+            if current == "vertex":
+                n_vertex = int(tokens[2])
+            elif current == "face":
+                n_face = int(tokens[2])
+        elif tokens[0] == "property" and current == "vertex":
+            vertex_props.append(tokens[-1])
+        elif tokens[0] == "end_header":
+            break
+    else:
+        raise FormatError("PLY header is missing end_header")
+
+    for name in ("x", "y", "z"):
+        if name not in vertex_props:
+            raise FormatError(f"PLY vertex element lacks property {name!r}")
+    col = {name: vertex_props.index(name) for name in vertex_props}
+    has_normals = all(n in vertex_props for n in ("nx", "ny", "nz"))
+
+    body = [(lineno, ln) for lineno, ln in enumerate(lines[cursor:], start=cursor + 1)
+            if ln.split()]
+    if len(body) < n_vertex + n_face:
+        raise FormatError(f"PLY body has {len(body)} rows, header declares {n_vertex + n_face}")
+    verts = np.empty((n_vertex, 3), dtype=np.float64)
+    normals = np.empty((n_vertex, 3), dtype=np.float64) if has_normals else None
+    for i in range(n_vertex):
+        tokens = body[i][1].split()
+        try:
+            verts[i] = [float(tokens[col["x"]]), float(tokens[col["y"]]), float(tokens[col["z"]])]
+            if has_normals:
+                normals[i] = [float(tokens[col["nx"]]), float(tokens[col["ny"]]),
+                              float(tokens[col["nz"]])]
+        except (ValueError, IndexError):
+            raise FormatError(f"PLY vertex row {i + 1} is malformed") from None
+    finite = np.isfinite(verts).all(axis=1)
+    if has_normals:
+        finite &= np.isfinite(normals).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"line {body[int(np.argmin(finite))][0]}: non-finite value")
+    faces: list[tuple[int, int, int]] = []
+    for i in range(n_face):
+        tokens = body[n_vertex + i][1].split()
+        try:
+            count = int(tokens[0])
+            idx = [int(t) for t in tokens[1:1 + count]]
+        except (ValueError, IndexError):
+            raise FormatError(f"PLY face row {i + 1} is malformed") from None
+        if any(not 0 <= j < n_vertex for j in idx):
+            raise FormatError(f"PLY face row {i + 1}: index out of range")
+        faces.extend(_fan(idx, i + 1))
+    if normals is not None:
+        normals = _unit_rows(normals)
+    return TriangleMesh(verts, np.asarray(faces, dtype=np.int64).reshape(-1, 3), normals)

@@ -200,6 +200,47 @@ def test_eval_bad_mesh_names_the_mesh(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"{mesh_path}: line 2: non-finite")
 
 
+# vertices on file lines 10-12, the face on line 13
+_PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\n"
+             "property float x\nproperty float y\nproperty float z\n"
+             "element face 1\nproperty list uchar int vertex_indices\nend_header\n")
+
+
+@pytest.mark.parametrize("name,data,line", [
+    ("bad.xyz", b"0 0 0\n1 \xff 0\n", 2),
+    ("gt.obj", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0\nf 1 2 3\n", 4),
+    ("gt.obj", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 1\n", 5),
+    ("gt.ply", (_PLY_HEAD.replace("vertex 3", "vertex abc")
+                + "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n").encode(), 3),
+    ("gt.ply", (_PLY_HEAD + "0 0 0\n1 0 0\n0 1 0\n3 0 1\n").encode(), 13),
+    ("gt.ply", (_PLY_HEAD + "0 0 0\n1 x 0\n0 1 0\n3 0 1 2\n").encode(), 11),
+], ids=["xyz_not_utf8", "obj_short_normal", "obj_repeated_index", "ply_bad_count",
+        "ply_short_face", "ply_bad_vertex"])
+def test_bad_input_names_file_and_line(tmp_path, capsys, name, data, line):
+    path = tmp_path / name
+    path.write_bytes(data)
+    if name.endswith(".xyz"):
+        argv = ["upsample", "--input", str(path), "--output", str(tmp_path / "o.xyz")]
+    else:
+        pred_path = _write_cloud(tmp_path / "pred.xyz", sphere_cloud(50, 1.0, 5))
+        argv = ["eval", "--pred", pred_path, "--gt-dense", pred_path, "--gt-mesh", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"{path}: line {line}: ")
+
+
+@pytest.mark.parametrize("option", ["--input", "--mesh-dir"])
+def test_unreadable_path_exit_2(tmp_path, capsys, option):
+    if option == "--input":  # a directory where a file belongs
+        path = tmp_path
+        argv = ["upsample", "--input", str(path), "--output", str(tmp_path / "o.xyz")]
+    else:  # a file where a directory belongs
+        path = tmp_path / "cube.obj"
+        path.write_text("v 0 0 0\n")
+        argv = ["dataset", "build", "--mesh-dir", str(path), "--out", str(tmp_path / "d")]
+    assert main(argv) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_threads_flag_removed():
     with pytest.raises(SystemExit) as info:
         main(["--threads", "2", "upsample", "--input", "a.xyz", "--output", "b.xyz"])

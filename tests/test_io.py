@@ -152,6 +152,18 @@ def test_read_ply_binary_rejected(tmp_path):
         read_mesh(path)
 
 
+def test_read_ply_binary_body_rejected(tmp_path):
+    body = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype="<f4").tobytes()
+    with pytest.raises(UnicodeDecodeError):
+        body.decode("utf-8")  # the reader must reject the header before reaching it
+    path = tmp_path / "m.ply"
+    path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
+                     b"property float x\nproperty float y\nproperty float z\nend_header\n"
+                     + body)
+    with pytest.raises(UnsupportedFormatError):
+        read_mesh(path)
+
+
 def test_mesh_roundtrip_obj(tmp_path):
     mesh = cube_mesh()
     path = tmp_path / "c.obj"

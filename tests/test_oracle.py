@@ -6,8 +6,11 @@ update, kNN those of a brute-force sort, and the point-to-surface distance
 bitwise the minimum over every triangle.  The batched frame/curvature
 kernel must agree with the per-point loop within 1e-9: its least-squares
 solves use a stacked SVD instead of LAPACK gelsd, so the last digits may
-differ.
+differ.  The ``.xyz``, OBJ and PLY readers must return bitwise the arrays
+of the per-record parse loops, or raise the same FormatError.
 """
+
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ import reference
 from helpers import brute_force_knn, cube_mesh, icosphere, sphere_cloud
 from pugeo import (PointCloud, SamplePattern, TriangleMesh, farthest_point_sample, metrics,
                    poisson_disk_sample, sampling, upsample_analytic)
+from pugeo import io as pugeo_io
+from pugeo.errors import FormatError
 from pugeo.geometry import estimate_frames, fit_curvatures, frame_stats
 from pugeo.metrics import point_to_mesh_distances
 from pugeo.sampling import NeighborIndex
@@ -505,3 +510,76 @@ def test_frame_stats_matches_per_frame_loop(name):
     assert fast.degenerate == slow.degenerate
     # np.arccos and math.acos may round differently in the last place
     np.testing.assert_allclose(fast.theta_deg, slow.theta_deg, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# text readers
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+READERS = {".xyz": (pugeo_io.read_xyz, reference.read_xyz),
+           ".obj": (pugeo_io._read_obj, reference._read_obj),
+           ".ply": (pugeo_io._read_ply, reference._read_ply)}
+
+
+def _read_outcome(read, path):
+    """The arrays a reader returns, as bytes, or the FormatError it raises."""
+    try:
+        result = read(path)
+    except FormatError as exc:
+        return type(exc), str(exc)
+    arrays = ((result.points, result.normals) if isinstance(result, PointCloud)
+              else (result.vertices, result.triangles, result.normals))
+    return [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _assert_readers_match(path):
+    new, old = READERS[path.suffix]
+    assert _read_outcome(new, path) == _read_outcome(old, path)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir()))
+def test_readers_match_reference_on_fixtures(name, tmp_path):
+    _assert_readers_match(FIXTURES / name)
+    # the same vertices and normals as a 6-column cloud
+    mesh = pugeo_io.read_mesh(FIXTURES / name)
+    path = tmp_path / "cloud.xyz"
+    pugeo_io.write_xyz(PointCloud(mesh.vertices, mesh.normals), path)
+    _assert_readers_match(path)
+
+
+_VALUES = st.one_of(st.just(0.0), st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150))
+_FORMATS = (repr, "{:.17g}".format, "{:.6e}".format, "{:.3f}".format, "{:.1E}".format)
+
+
+def _text(data, rows):
+    """Token rows joined by tabs or runs of spaces, with blank lines and mixed line ends."""
+    lines = []
+    for row in rows:
+        blank = data.draw(st.sampled_from([None, "", " ", "\t  "])) if lines else None
+        sep = data.draw(st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"]))
+        lines += ([] if blank is None else [blank]) + [sep.join(row)]
+    return "".join(line + data.draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_readers_match_reference_property(data, tmp_path_factory):
+    n = data.draw(st.integers(1, 12), label="n")
+    width = data.draw(st.sampled_from([3, 6]), label="width")
+    fmt = data.draw(st.sampled_from(_FORMATS), label="format")
+    values = data.draw(st.lists(st.lists(_VALUES, min_size=width, max_size=width),
+                                min_size=n, max_size=n), label="values")
+    rows = [[fmt(v) for v in row] for row in values]
+    faces = [[0, i + 1, i + 2] for i in range(n - 2)]
+    obj = [["v", *row[:3]] for row in rows]
+    obj += [["vn", *row[3:]] for row in rows if width == 6]
+    obj += [["f", *(str(i + 1) for i in face)] for face in faces]
+    ply = [["ply"], ["format", "ascii", "1.0"], ["element", "vertex", str(n)]]
+    ply += [["property", "double", name] for name in ("x", "y", "z", "nx", "ny", "nz")[:width]]
+    ply += [["element", "face", str(len(faces))],
+            ["property", "list", "uchar", "int", "vertex_indices"], ["end_header"]]
+    ply += rows + [["3", *map(str, face)] for face in faces]
+    for name, records in (("cloud.xyz", rows), ("mesh.obj", obj), ("mesh.ply", ply)):
+        path = tmp_path_factory.getbasetemp() / name
+        path.write_bytes(_text(data, records).encode("utf-8"))
+        _assert_readers_match(path)
