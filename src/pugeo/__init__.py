@@ -11,8 +11,8 @@ machinery for the whole pipeline at desk scale.
 from .analytic import SamplePattern, UpsampleResult, param_samples, upsample_analytic
 from .geometry import estimate_frames, fit_curvatures, frame_stats
 from .io import PointCloud, TriangleMesh, read_mesh, read_xyz, write_mesh, write_xyz
-from .losses import LossWeights, chamfer
-from .metrics import MetricReport, metric_hd, metric_jsd, metric_p2f, surface_compare
+from .losses import LossWeights
+from .metrics import MetricReport, chamfer, metric_hd, metric_jsd, metric_p2f, surface_compare
 from .model import PUGeoConfig, PUGeoNet, load_model, save_model
 from .sampling import (Patch, denormalize, extract_patches, farthest_point_sample,
                        fuse_patches, poisson_disk_sample)

@@ -242,6 +242,10 @@ def cmd_upsample(args) -> int:
                             k=args.k, pattern=_pattern(args.pattern),
                             patch_size=args.patch_size, coverage=args.coverage,
                             seed=args.seed, counts=counts)
+    if counts["degenerate_frames"] == counts["patch_points"]:
+        return _fail(f"numerical failure: all {counts['patch_points']} patch points have "
+                     f"degenerate frames ({counts['degenerate_fits']} degenerate curvature "
+                     f"fits); no output written", code=3)
     write_xyz(result, args.output)
     if counts["degenerate_frames"] or counts["degenerate_fits"]:
         print(f"warning: {counts['degenerate_frames']} degenerate frames and "

@@ -18,6 +18,8 @@ from .errors import FormatError, UnsupportedFormatError
 from .geometry import _vector_dot
 
 _UNIT_TOL = 1e-5
+#: below this length a vector's squared length is subnormal or zero
+_MIN_LENGTH = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -167,12 +169,20 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
         values = _floats(records, range(arity))
         normals = None
         if arity == 6:
+            normals = values[:, 3:]
             # rounds each length as np.linalg.norm of that one row does
-            lengths = np.sqrt(_vector_dot(values[:, 3:], values[:, 3:]))
+            with np.errstate(over="ignore"):
+                lengths = np.sqrt(_vector_dot(normals, normals))
+            # a squared length that overflows or is subnormal loses the row's
+            # length; such rows are first divided by their largest |component|
+            lost = ((lengths < _MIN_LENGTH) | np.isinf(lengths)) & normals.any(axis=1)
+            if lost.any():
+                normals[lost] /= np.abs(normals[lost]).max(axis=1, keepdims=True)
+                lengths[lost] = np.sqrt(_vector_dot(normals[lost], normals[lost]))
             if not lengths.all():
                 raise FormatError(f"line {records[int(np.argmin(lengths))][0]}: "
                                   f"zero-length normal")
-            normals = values[:, 3:] / lengths[:, None]
+            normals = normals / lengths[:, None]
     return PointCloud(values[:, :3], normals)
 
 
@@ -237,9 +247,7 @@ def _read_ply(path) -> TriangleMesh:
         records = _records(handle)
         if next(records, None) != (1, ["ply"]):
             raise FormatError("not a PLY file (missing 'ply' header)")
-        counts = {"vertex": 0, "face": 0}
-        vertex_props: list[str] = []
-        current = None
+        elements: list[tuple[str, int, list[str]]] = []  # (name, count, properties)
         for lineno, tokens in records:
             if tokens[0] == "format":
                 if tokens[1:2] != ["ascii"]:
@@ -248,28 +256,33 @@ def _read_ply(path) -> TriangleMesh:
             elif tokens[0] == "element":
                 if len(tokens) < 3 or not tokens[2].isdecimal():
                     raise FormatError(f"line {lineno}: expected 'element <name> <count>'")
-                current = tokens[1]
-                counts[current] = int(tokens[2])
-            elif tokens[0] == "property" and current == "vertex":
-                vertex_props.append(tokens[-1])
+                elements.append((tokens[1], int(tokens[2]), []))
+            elif tokens[0] == "property" and elements:
+                elements[-1][2].append(tokens[-1])
             elif tokens[0] == "end_header":
                 break
         else:
             raise FormatError("PLY header is missing end_header")
         body = list(records)
 
+    declared = sum(count for _, count, _ in elements)
+    if len(body) < declared:
+        raise FormatError(f"PLY body has {len(body)} rows, header declares {declared}")
+    # the body holds each element's rows in header order; other elements are skipped
+    sections, start = {}, 0
+    for name, count, properties in elements:
+        sections[name] = (properties, body[start:start + count])
+        start += count
+    vertex_props, vertex_rows = sections.get("vertex", ([], []))
     for name in ("x", "y", "z"):
         if name not in vertex_props:
             raise FormatError(f"PLY vertex element lacks property {name!r}")
     names = ("x", "y", "z", "nx", "ny", "nz")
     if not all(n in vertex_props for n in names[3:]):
         names = names[:3]
-    n_vertex, n_face = counts["vertex"], counts["face"]
-    if len(body) < n_vertex + n_face:
-        raise FormatError(f"PLY body has {len(body)} rows, header declares {n_vertex + n_face}")
-    values = _floats(body[:n_vertex], [vertex_props.index(n) for n in names])
+    values = _floats(vertex_rows, [vertex_props.index(n) for n in names])
     faces: list[tuple[int, int, int]] = []
-    for lineno, tokens in body[n_vertex:n_vertex + n_face]:
+    for lineno, tokens in sections.get("face", ([], []))[1]:
         try:
             count = int(tokens[0])
             idx = [int(t) for t in tokens[1:1 + count]]
@@ -277,7 +290,7 @@ def _read_ply(path) -> TriangleMesh:
             raise FormatError(f"line {lineno}: non-integer face entry") from None
         if len(idx) != count:
             raise FormatError(f"line {lineno}: face declares {count} indices, has {len(idx)}")
-        if any(not 0 <= j < n_vertex for j in idx):
+        if any(not 0 <= j < len(vertex_rows) for j in idx):
             raise FormatError(f"line {lineno}: face index out of range")
         faces.extend(_fan(idx, lineno))
     normals = _unit_rows(values[:, 3:]) if len(names) == 6 else None

@@ -1,10 +1,10 @@
-"""Training losses: Chamfer distance and unoriented normal losses.
+"""The joint training loss on autodiff tensors: Chamfer and unoriented normals.
 
-The joint training loss is built on autodiff tensors.  Chamfer distance
-also has a plain numpy version, which the metrics use.  The
-nearest-neighbor correspondences inside the graph losses are computed
-from current values and treated as constants during the backward pass
-(the standard subgradient choice).
+The losses take the nearest-point pairing between prediction and ground
+truth (`sampling.nearest_pairs`) as an input, computed from current
+values and treated as constant during the backward pass (the standard
+subgradient choice), so one pairing serves the Chamfer and the refined
+normal term.  The numpy Chamfer distance is a metric (`metrics.chamfer`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .sampling import NeighborIndex
+from .sampling import nearest_pairs
 
 
 @dataclass
@@ -31,74 +31,40 @@ class LossWeights:
             raise ValueError("loss weights must be non-negative")
 
 
-def nearest_indices(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Index of the nearest target for each query; ties to the lowest index."""
-    return NeighborIndex(targets).nearest(queries)
-
-
-# ---------------------------------------------------------------------------
-# numpy version (the metrics score with it)
-
-
-def chamfer(x: np.ndarray, y: np.ndarray) -> float:
-    """Symmetric sum of nearest-neighbor distances.
-
-    Both directed sums are divided by |Y| (the dense-set size).
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(-1, 3)
-    y = np.asarray(y, dtype=np.float64).reshape(-1, 3)
-    if len(x) == 0 or len(y) == 0:
-        raise ValueError("chamfer requires non-empty point sets")
-    phi = nearest_indices(x, y)
-    psi = nearest_indices(y, x)
-    forward = np.linalg.norm(x - y[phi], axis=1).sum()
-    backward_ = np.linalg.norm(y - x[psi], axis=1).sum()
-    return float((forward + backward_) / len(y))
-
-
-# ---------------------------------------------------------------------------
-# graph versions (autodiff tensors): the training loss
-
-
 def _row_norms(t: Tensor, eps: float = 1e-12) -> Tensor:
     # the eps keeps sqrt differentiable if a predicted point lands exactly
     # on its target; negligible against any real distance
     return ad.sqrt(ad.add(ad.reduce_sum(ad.square(t), axis=-1), eps))
 
 
-def chamfer_loss(pred: Tensor, gt: np.ndarray) -> Tensor:
-    """Graph Chamfer distance to a fixed target set, normalized as `chamfer` is."""
+def chamfer_loss(pred: Tensor, gt: np.ndarray, phi: np.ndarray | None = None,
+                 psi: np.ndarray | None = None) -> Tensor:
+    """Graph Chamfer distance to a fixed target set, normalized as `metrics.chamfer` is.
+
+    phi and psi are `nearest_pairs(pred, gt)`; they are computed here when
+    not given.
+    """
     gt = np.asarray(gt, dtype=np.float64).reshape(-1, 3)
-    pred_values = pred.data.astype(np.float64)
-    phi = nearest_indices(pred_values, gt)
-    psi = nearest_indices(gt, pred_values)
+    if phi is None or psi is None:
+        phi, psi = nearest_pairs(pred.data, gt)
     gt_c = ad.constant(gt.astype(pred.dtype))
     forward = ad.reduce_sum(_row_norms(ad.sub(pred, ad.gather(gt_c, phi, axis=0))))
     backward_ = ad.reduce_sum(_row_norms(ad.sub(ad.gather(pred, psi, axis=0), gt_c)))
     return ad.mul(ad.add(forward, backward_), 1.0 / len(gt))
 
 
-def _unoriented_sq_loss(pred: Tensor, gt_const: Tensor) -> Tensor:
-    minus = ad.reduce_sum(ad.square(ad.sub(pred, gt_const)), axis=-1)
-    plus = ad.reduce_sum(ad.square(ad.add(pred, gt_const)), axis=-1)
-    mask = minus.data <= plus.data  # branch fixed by value; min at ties -> minus
-    return ad.select(mask, minus, plus)
+def normal_loss_graph(pred_normals: Tensor, gt_normals: np.ndarray,
+                      reduction: str = "sum") -> Tensor:
+    """Unoriented normal loss against row-aligned targets, summed or averaged.
 
-
-def coarse_normal_loss_graph(pred_normals: Tensor, gt_normals: np.ndarray,
-                             reduction: str = "sum") -> Tensor:
+    Each row costs min(|p - g|^2, |p + g|^2).  The coarse term passes the
+    sparse input's normals, the refined term `dense_normals[phi]`.
+    """
     gt = ad.constant(np.asarray(gt_normals).astype(pred_normals.dtype))
-    values = _unoriented_sq_loss(pred_normals, gt)
-    return ad.reduce_mean(values) if reduction == "mean" else ad.reduce_sum(values)
-
-
-def refined_normal_loss_graph(pred_points: Tensor, pred_normals: Tensor,
-                              gt_points: np.ndarray, gt_normals: np.ndarray,
-                              reduction: str = "sum") -> Tensor:
-    phi = nearest_indices(pred_points.data.astype(np.float64),
-                          np.asarray(gt_points, dtype=np.float64))
-    matched = ad.constant(np.asarray(gt_normals)[phi].astype(pred_normals.dtype))
-    values = _unoriented_sq_loss(pred_normals, matched)
+    minus = ad.reduce_sum(ad.square(ad.sub(pred_normals, gt)), axis=-1)
+    plus = ad.reduce_sum(ad.square(ad.add(pred_normals, gt)), axis=-1)
+    mask = minus.data <= plus.data  # branch fixed by value; min at ties -> minus
+    values = ad.select(mask, minus, plus)
     return ad.reduce_mean(values) if reduction == "mean" else ad.reduce_sum(values)
 
 

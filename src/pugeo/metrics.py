@@ -1,10 +1,11 @@
 """Evaluation metrics between point sets and against meshes.
 
-Chamfer distance lives in `losses` (it doubles as a training loss); this
-module adds Hausdorff distance, voxel-grid Jensen-Shannon divergence,
-exact point-to-surface (P2F) distances batched over all points, and the
-mesh-to-mesh comparison that samples both surfaces and compares the
-samples.
+Chamfer and Hausdorff distance (both reduce one nearest-point pairing,
+computed once when a report needs both), voxel-grid Jensen-Shannon
+divergence, exact point-to-surface (P2F) distances batched over all
+points, and the mesh-to-mesh comparison that samples both surfaces and
+compares the samples.  The training loss has its own Chamfer on autodiff
+tensors (`losses.chamfer_loss`).
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from scipy.spatial import cKDTree
 from scipy.special import rel_entr
 
 from .io import PointCloud, TriangleMesh
-from .losses import chamfer, nearest_indices
-from .sampling import poisson_disk_sample
+from .sampling import nearest_pairs, poisson_disk_sample
 
 JSD_GRID = 32
 
@@ -54,15 +54,31 @@ class MetricReport:
         return out
 
 
-def metric_hd(x, y) -> float:
-    """Symmetric Hausdorff distance: max over both directed maxima."""
+def _chamfer_hausdorff(x, y) -> tuple[float, float]:
+    """(CD, HD) from one nearest-point pairing of x and y.
+
+    CD divides both directed distance sums by |y| (the dense-set size); HD
+    is the larger of the two directed maxima.
+    """
     x = np.asarray(x, dtype=np.float64).reshape(-1, 3)
     y = np.asarray(y, dtype=np.float64).reshape(-1, 3)
     if len(x) == 0 or len(y) == 0:
-        raise ValueError("hausdorff requires non-empty point sets")
-    forward = np.linalg.norm(x - y[nearest_indices(x, y)], axis=1).max()
-    backward = np.linalg.norm(y - x[nearest_indices(y, x)], axis=1).max()
-    return float(max(forward, backward))
+        raise ValueError("chamfer and hausdorff require non-empty point sets")
+    phi, psi = nearest_pairs(x, y)
+    forward = np.linalg.norm(x - y[phi], axis=1)
+    backward = np.linalg.norm(y - x[psi], axis=1)
+    return (float((forward.sum() + backward.sum()) / len(y)),
+            float(max(forward.max(), backward.max())))
+
+
+def chamfer(x, y) -> float:
+    """Symmetric sum of nearest-neighbor distances, divided by |y|."""
+    return _chamfer_hausdorff(x, y)[0]
+
+
+def metric_hd(x, y) -> float:
+    """Symmetric Hausdorff distance: max over both directed maxima."""
+    return _chamfer_hausdorff(x, y)[1]
 
 
 def metric_jsd(x, y, grid: int = JSD_GRID) -> float:
@@ -251,16 +267,14 @@ def surface_compare(mesh_a: TriangleMesh, mesh_b: TriangleMesh, n: int = 200_000
     seq_a, seq_b = np.random.SeedSequence(seed).spawn(2)
     sample_a = poisson_disk_sample(mesh_a, n, int(seq_a.generate_state(1)[0]))
     sample_b = poisson_disk_sample(mesh_b, n, int(seq_b.generate_state(1)[0]))
-    return (chamfer(sample_a.points, sample_b.points),
-            metric_hd(sample_a.points, sample_b.points),
-            metric_jsd(sample_a.points, sample_b.points))
+    cd, hd = _chamfer_hausdorff(sample_a.points, sample_b.points)
+    return cd, hd, metric_jsd(sample_a.points, sample_b.points)
 
 
 def report_metrics(pred: PointCloud, gt_dense: PointCloud, gt_mesh: TriangleMesh,
                    factor: int | None = None, inputs: dict | None = None) -> MetricReport:
     """CD/HD/JSD against the dense ground truth plus P2F against the mesh."""
-    cd = chamfer(pred.points, gt_dense.points)
-    hd = metric_hd(pred.points, gt_dense.points)
+    cd, hd = _chamfer_hausdorff(pred.points, gt_dense.points)
     jsd = metric_jsd(pred.points, gt_dense.points)
     p2f_mean, p2f_std = metric_p2f(pred.points, gt_mesh)
     return MetricReport(cd=cd, hd=hd, jsd=jsd, p2f_mean=p2f_mean, p2f_std=p2f_std,

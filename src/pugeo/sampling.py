@@ -1,9 +1,9 @@
 """Spatial sampling and patching.
 
-Farthest point sampling, k-nearest neighbors with exact brute-force
-semantics (distance ties broken by ascending index), Poisson-disk sampling
-of triangle meshes by sample elimination, patch extraction/normalization
-and patch fusion.
+Farthest point sampling, k-nearest neighbors and the two-way nearest-point
+pairing of two clouds with exact brute-force semantics (distance ties
+broken by ascending index), Poisson-disk sampling of triangle meshes by
+sample elimination, patch extraction/normalization and patch fusion.
 """
 
 from __future__ import annotations
@@ -119,9 +119,16 @@ class NeighborIndex:
             out[ok] = np.take_along_axis(sel, order, axis=1)
         return out
 
-    def nearest(self, queries) -> np.ndarray:
-        """Index of the single nearest point for each query (ties: lowest index)."""
-        return self.knn_batch(queries, 1)[:, 0]
+
+def nearest_pairs(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest-point pairing of two clouds, in both directions.
+
+    phi[i] is the row of y nearest x[i] and psi[j] the row of x nearest
+    y[j], ties to the lowest index.  Chamfer, Hausdorff and the refined
+    normal loss all read this one pairing.
+    """
+    x, y = _as_points(x), _as_points(y)
+    return NeighborIndex(y).knn_batch(x, 1)[:, 0], NeighborIndex(x).knn_batch(y, 1)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +275,7 @@ class Patch:
     normals: np.ndarray | None = None
 
 
-def extract_patches(cloud: PointCloud, patch_size: int, coverage: float = 3.0,
-                    seed_index: int = 0) -> list[Patch]:
+def extract_patches(cloud: PointCloud, patch_size: int, coverage: float = 3.0) -> list[Patch]:
     """Cover the cloud with ceil(coverage*M/N) kNN patches around FPS seeds.
 
     Each patch is translated to zero mean and scaled to max radius 1.  When
@@ -281,7 +287,7 @@ def extract_patches(cloud: PointCloud, patch_size: int, coverage: float = 3.0,
     if patch_size > m:
         raise ValueError(f"patch size {patch_size} exceeds cloud size {m}")
     n_seeds = min(m, math.ceil(coverage * m / patch_size))
-    seeds = farthest_point_sample(cloud, n_seeds, seed_index)
+    seeds = farthest_point_sample(cloud, n_seeds)
     neighborhoods = NeighborIndex(pts).knn_batch(pts[seeds], patch_size)
     covered = np.zeros(m, dtype=bool)
     covered[neighborhoods] = True

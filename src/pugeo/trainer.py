@@ -18,11 +18,10 @@ from . import autodiff as ad
 from .analytic import SamplePattern, upsample_analytic
 from .errors import TrainingDiverged
 from .io import PointCloud, TriangleMesh
-from .losses import (LossWeights, chamfer_loss, coarse_normal_loss_graph,
-                     refined_normal_loss_graph, total_loss_graph)
+from .losses import LossWeights, chamfer_loss, normal_loss_graph, total_loss_graph
 from .model import PUGeoNet, save_model
 from .sampling import (NeighborIndex, _normalize_patch, denormalize, extract_patches,
-                       farthest_point_sample, fuse_patches, poisson_disk_sample)
+                       farthest_point_sample, fuse_patches, nearest_pairs, poisson_disk_sample)
 
 
 @dataclass
@@ -149,12 +148,12 @@ def _example_losses(model: PUGeoNet, example: TrainExample, weights: LossWeights
     out = model.forward(example.sparse_points)
     if not np.isfinite(out.points.data).all():
         raise TrainingDiverged("non-finite model output")
-    cd = chamfer_loss(out.points, example.dense_points)
-    coarse = coarse_normal_loss_graph(out.coarse_normals, example.sparse_normals,
-                                      reduction=reduction)
-    refined = refined_normal_loss_graph(out.points, out.normals,
-                                        example.dense_points, example.dense_normals,
-                                        reduction=reduction)
+    # one pairing of the output with the dense patch serves both the Chamfer
+    # term and the refined term's nearest ground-truth normals
+    phi, psi = nearest_pairs(out.points.data, example.dense_points)
+    cd = chamfer_loss(out.points, example.dense_points, phi, psi)
+    coarse = normal_loss_graph(out.coarse_normals, example.sparse_normals, reduction)
+    refined = normal_loss_graph(out.normals, example.dense_normals[phi], reduction)
     # ablations drop the matching supervision terms
     beta = weights.beta if (model.config.coarse_to_fine and model.config.predict_normals) else 0.0
     gamma = weights.gamma if model.config.predict_normals else 0.0
@@ -167,8 +166,11 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
     """Run the optimization loop; returns (model, per-epoch history).
 
     Emits one JSON line per epoch to log_stream with the mean loss
-    components.  A non-finite loss aborts with TrainingDiverged carrying
-    step/component/gradient diagnostics.  Deterministic given config.seed.
+    components.  A non-finite output or loss aborts with TrainingDiverged;
+    its diagnostics hold the failing step, how many of its examples were
+    evaluated and their mean loss components, and the gradient norms of the
+    last backward pass with the step they come from (`grad_step`).
+    Deterministic given config.seed.
     """
     if not dataset:
         raise ValueError("dataset is empty")
@@ -199,11 +201,14 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
                 if not np.isfinite(batch_loss.item()):
                     raise TrainingDiverged("non-finite loss")
             except TrainingDiverged as exc:
-                grad_norms = {name: float(np.linalg.norm(t.grad)) if t.grad is not None
-                              else 0.0 for name, t in model.named_params()}
+                # the gradients in hand are the previous step's; step 0 has none
+                grad_norms = {name: float(np.linalg.norm(t.grad))
+                              for name, t in model.named_params() if t.grad is not None}
                 raise TrainingDiverged(
                     f"{exc} at step {step}",
-                    {"step": step, "components": (components / max(len(batch), 1)).tolist(),
+                    {"step": step, "examples": len(totals),
+                     "components": (components / len(totals)).tolist() if totals else None,
+                     "grad_step": step - 1 if grad_norms else None,
                      "grad_norms": grad_norms}) from None
             optimizer.zero_grad()
             ad.backward(batch_loss)

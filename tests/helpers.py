@@ -7,6 +7,7 @@ import numpy as np
 
 from pugeo import PointCloud, TriangleMesh, poisson_disk_sample
 from pugeo.model import CHECKPOINT_MAGIC
+from pugeo.sampling import NeighborIndex
 
 ICO_FACES = [(0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
              (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
@@ -82,6 +83,19 @@ def brute_force_nearest(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
         d = np.linalg.norm(targets - q, axis=1)
         out[i] = int(np.argmin(d))  # first minimum = lowest index
     return out
+
+
+def count_index_builds(monkeypatch) -> list[int]:
+    """Record the size of every NeighborIndex built from now on, in order."""
+    builds = []
+    init = NeighborIndex.__init__
+
+    def counting(self, points):
+        init(self, points)
+        builds.append(len(self.points))
+
+    monkeypatch.setattr(NeighborIndex, "__init__", counting)
+    return builds
 
 
 def numeric_gradient(fn, tensor, h: float = 1e-4) -> np.ndarray:

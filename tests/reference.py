@@ -27,9 +27,11 @@ from pugeo.analytic import GOLDEN_ANGLE, SamplePattern, UpsampleResult
 from pugeo.errors import FormatError, GeometryError, UnsupportedFormatError
 from pugeo.geometry import FrameStats
 from pugeo.io import PointCloud, TriangleMesh, _naming, _unit_rows
-from pugeo.losses import LossWeights, nearest_indices
+from pugeo.losses import LossWeights
 from pugeo.metrics import point_to_triangles
 from pugeo.sampling import NeighborIndex
+
+from helpers import brute_force_nearest
 
 _COLLINEAR_RTOL = 1e-10
 _FIT_CONDITION_LIMIT = 1e8
@@ -372,7 +374,7 @@ def refined_normal_loss(pred_points: np.ndarray, pred_normals: np.ndarray,
         raise ValueError("ground truth is empty")
     _check_unit(pred_normals, "predicted normals")
     _check_unit(gt_normals, "target normals")
-    phi = nearest_indices(pred_points, gt_points)
+    phi = brute_force_nearest(pred_points, gt_points)
     values = _unoriented_sq(pred_normals, gt_normals[phi])
     return float(values.mean() if reduction == "mean" else values.sum())
 

@@ -19,10 +19,10 @@ from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, LossWeights, chamfer, load
 from pugeo.cli import main
 from pugeo.geometry import estimate_frames, fit_curvatures, frame_stats
 from pugeo.io import TriangleMesh
-from pugeo.losses import (chamfer_loss, coarse_normal_loss_graph, refined_normal_loss_graph)
+from pugeo.losses import chamfer_loss, normal_loss_graph
 from pugeo.metrics import point_to_mesh_distances
 from pugeo.model import _knn_indices
-from pugeo.sampling import NeighborIndex
+from pugeo.sampling import NeighborIndex, nearest_pairs
 from pugeo.trainer import TrainExample, _example_losses
 
 from helpers import (brute_force_knn, cube_mesh, icosphere, max_rel_err,
@@ -211,11 +211,13 @@ def test_criterion_5_gradient_integrity():
     pred_n = ad.Tensor(unit_rows(rng.normal(size=(10, 3))), requires_grad=True)
     gt_pts = rng.normal(size=(14, 3))
     gt_n = unit_rows(rng.normal(size=(14, 3)))
+    # the pairing is taken once, outside the perturbed functions, as training does
+    phi, psi = nearest_pairs(pred_pts.data, gt_pts)
     checks = []
     for build, target in (
-            (lambda: chamfer_loss(pred_pts, gt_pts), pred_pts),
-            (lambda: coarse_normal_loss_graph(pred_n, gt_n[:10]), pred_n),
-            (lambda: refined_normal_loss_graph(pred_pts, pred_n, gt_pts, gt_n), pred_n)):
+            (lambda: chamfer_loss(pred_pts, gt_pts, phi, psi), pred_pts),
+            (lambda: normal_loss_graph(pred_n, gt_n[:10]), pred_n),
+            (lambda: normal_loss_graph(pred_n, gt_n[phi]), pred_n)):
         target.grad = None
         loss = build()
         ad.backward(loss)

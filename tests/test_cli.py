@@ -148,21 +148,40 @@ def test_upsample_deterministic(tmp_path, capsys):
 
 
 def test_upsample_collinear_reports_degenerate_frames(tmp_path, capsys):
+    # a straight line beside a flat grid: only the line's frames are degenerate
     t = np.linspace(0.0, 1.0, 300)
-    line = PointCloud(np.column_stack([t, 2.0 * t, -t]))
-    cloud_path = _write_cloud(tmp_path / "line.xyz", line)
+    u, v = np.meshgrid(np.arange(20.0), np.arange(15.0))
+    grid = np.column_stack([u.ravel(), v.ravel(), np.zeros(300)]) / 20.0
+    cloud = PointCloud(np.concatenate([grid, np.column_stack([t, 2.0 * t, -t]) + 5.0]))
+    cloud_path = _write_cloud(tmp_path / "mixed.xyz", cloud)
     out = tmp_path / "up.xyz"
     assert main(["upsample", "--input", cloud_path, "--output", str(out),
                  "--method", "analytic"]) == 0
     captured = capsys.readouterr()
-    assert json.loads(captured.out) == {"points": 1200, "output": str(out)}
-    # 4 patches of 256 points, every neighborhood collinear
+    assert json.loads(captured.out) == {"points": 2400, "output": str(out)}
+    # 8 patches of 256 points, the 4 on the line collinear
     assert captured.err.splitlines() == [
-        "warning: 1024 degenerate frames and 0 degenerate curvature fits in 1024 patch "
+        "warning: 1024 degenerate frames and 0 degenerate curvature fits in 2048 patch "
         "points; those points were upsampled on a flat disk"]
     expected = tmp_path / "expected.xyz"
-    write_xyz(upsample_cloud(line, 4, seed=42), expected)
+    write_xyz(upsample_cloud(cloud, 4, seed=42), expected)
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_upsample_all_degenerate_exit_3(tmp_path, capsys):
+    t = np.linspace(0.0, 1.0, 300)
+    cloud_path = _write_cloud(tmp_path / "line.xyz",
+                              PointCloud(np.column_stack([t, 2.0 * t, -t])))
+    out = tmp_path / "up.xyz"
+    assert main(["upsample", "--input", cloud_path, "--output", str(out),
+                 "--method", "analytic"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # 4 patches of 256 points, every neighborhood collinear
+    assert captured.err.splitlines() == [
+        "numerical failure: all 1024 patch points have degenerate frames "
+        "(0 degenerate curvature fits); no output written"]
+    assert not out.exists()
 
 
 def test_upsample_clean_input_prints_no_warning(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,28 @@ def test_read_xyz_non_finite_cites_line(tmp_path, token):
     path = tmp_path / "a.xyz"
     path.write_text(f"1 2 3\n\n1 {token} 3\n")
     with pytest.raises(FormatError, match="line 3: non-finite"):
+        read_xyz(path)
+
+
+@pytest.mark.parametrize("normal,expected", [
+    ("1e200 0 0", [1, 0, 0]),          # squared length overflows
+    ("1e-170 0 0", [1, 0, 0]),         # squared length underflows to 0
+    ("0 -1e-160 0", [0, -1, 0]),       # squared length is subnormal
+    ("1e308 0 1e308", [0.5 ** 0.5, 0, 0.5 ** 0.5]),
+])
+def test_read_xyz_normals_outside_squared_range(tmp_path, normal, expected):
+    path = tmp_path / "a.xyz"
+    path.write_text(f"1 2 3 0 0 1\n1 2 3 {normal}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cloud = read_xyz(path)
+    np.testing.assert_allclose(cloud.normals, [[0, 0, 1], expected], rtol=0, atol=1e-15)
+
+
+def test_read_xyz_zero_normal_cites_line(tmp_path):
+    path = tmp_path / "a.xyz"
+    path.write_text("0 0 0 0 0 1\n0 0 0 0 0 0\n")
+    with pytest.raises(FormatError, match="a.xyz: line 2: zero-length normal"):
         read_xyz(path)
 
 
@@ -122,6 +146,31 @@ def test_read_ply_ascii(tmp_path):
     mesh = read_mesh(path)
     assert len(mesh.vertices) == 3
     assert len(mesh.triangles) == 1
+
+
+_PLY_VERTEX = "element vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
+_PLY_FACE = "element face 1\nproperty list uchar int vertex_indices\n"
+_PLY_EDGE = "element edge 2\nproperty int vertex1\nproperty int vertex2\n"
+
+
+@pytest.mark.parametrize("elements,rows", [
+    (_PLY_FACE + _PLY_VERTEX, "3 0 1 2\n0 0 0\n1 0 0\n0 1 0\n"),
+    (_PLY_VERTEX + _PLY_EDGE + _PLY_FACE, "0 0 0\n1 0 0\n0 1 0\n0 1\n1 2\n3 0 1 2\n"),
+], ids=["face_before_vertex", "edge_between_vertex_and_face"])
+def test_read_ply_elements_in_header_order(tmp_path, elements, rows):
+    path = tmp_path / "m.ply"
+    path.write_text("ply\nformat ascii 1.0\n" + elements + "end_header\n" + rows)
+    mesh = read_mesh(path)
+    assert mesh.vertices.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    assert mesh.triangles.tolist() == [[0, 1, 2]]
+
+
+def test_read_ply_counts_rows_of_every_element(tmp_path):
+    path = tmp_path / "m.ply"
+    path.write_text("ply\nformat ascii 1.0\n" + _PLY_VERTEX + _PLY_FACE + _PLY_EDGE
+                    + "end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n0 1\n")
+    with pytest.raises(FormatError, match="PLY body has 5 rows, header declares 6"):
+        read_mesh(path)
 
 
 @pytest.mark.parametrize("record,line", [("v 0 nan 0", 2), ("vn 0 0 inf", 5)])

@@ -4,10 +4,10 @@ import pytest
 import pugeo.autodiff as ad
 from pugeo import LossWeights, chamfer
 from pugeo.autodiff import Tensor
-from pugeo.losses import (chamfer_loss, coarse_normal_loss_graph, nearest_indices,
-                          refined_normal_loss_graph, total_loss_graph)
+from pugeo.losses import chamfer_loss, normal_loss_graph, total_loss_graph
+from pugeo.sampling import nearest_pairs
 
-from helpers import brute_force_nearest, max_rel_err, numeric_gradient, unit_rows
+from helpers import max_rel_err, numeric_gradient, unit_rows
 from reference import (coarse_normal_loss, normal_loss_unoriented, refined_normal_loss,
                        total_loss)
 
@@ -43,19 +43,6 @@ def test_chamfer_divides_by_target_size():
     y = np.array([[1, 0, 0], [0, 1, 0]], float)
     # (1 + 1 + 1) / |y|
     assert abs(chamfer(x, y) - 1.5) < 1e-12
-
-
-def test_nearest_indices_matches_brute_force():
-    rng = np.random.default_rng(2)
-    targets = rng.normal(size=(100, 3))
-    queries = rng.normal(size=(50, 3))
-    assert np.array_equal(nearest_indices(queries, targets),
-                          brute_force_nearest(queries, targets))
-
-
-def test_nearest_indices_tie_lowest():
-    targets = np.array([[1, 0, 0], [-1, 0, 0]], float)
-    assert nearest_indices(np.zeros((1, 3)), targets).tolist() == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +163,20 @@ def test_chamfer_loss_matches_numpy():
     rng = np.random.default_rng(7)
     pred = rng.normal(size=(25, 3))
     gt = rng.normal(size=(40, 3))
-    graph = chamfer_loss(Tensor(pred), gt)
+    graph = chamfer_loss(Tensor(pred), gt, *nearest_pairs(pred, gt))
     assert abs(graph.item() - chamfer(pred, gt)) < 1e-9
+    # without a pairing the loss computes the same one itself
+    assert chamfer_loss(Tensor(pred), gt).item() == graph.item()
 
 
 def test_coarse_loss_graph_matches_numpy():
     rng = np.random.default_rng(8)
     pred = unit_rows(rng.normal(size=(15, 3)))
     gt = unit_rows(rng.normal(size=(15, 3)))
-    graph = coarse_normal_loss_graph(Tensor(pred), gt)
+    graph = normal_loss_graph(Tensor(pred), gt)
     assert abs(graph.item() - coarse_normal_loss(pred, gt)) < 1e-9
+    mean = normal_loss_graph(Tensor(pred), gt, "mean")
+    assert abs(mean.item() - coarse_normal_loss(pred, gt, reduction="mean")) < 1e-9
 
 
 def test_refined_loss_graph_matches_numpy():
@@ -194,7 +185,8 @@ def test_refined_loss_graph_matches_numpy():
     pred_n = unit_rows(rng.normal(size=(20, 3)))
     gt_pts = rng.normal(size=(35, 3))
     gt_n = unit_rows(rng.normal(size=(35, 3)))
-    graph = refined_normal_loss_graph(Tensor(pred_pts), Tensor(pred_n), gt_pts, gt_n)
+    phi, _ = nearest_pairs(pred_pts, gt_pts)
+    graph = normal_loss_graph(Tensor(pred_n), gt_n[phi])
     assert abs(graph.item() - refined_normal_loss(pred_pts, pred_n, gt_pts, gt_n)) < 1e-9
 
 
@@ -202,9 +194,10 @@ def test_chamfer_loss_gradient():
     rng = np.random.default_rng(10)
     pred = Tensor(rng.normal(size=(12, 3)), requires_grad=True)
     gt = rng.normal(size=(18, 3))
+    phi, psi = nearest_pairs(pred.data, gt)
 
     def build():
-        return chamfer_loss(pred, gt)
+        return chamfer_loss(pred, gt, phi, psi)
 
     loss = build()
     ad.backward(loss)
@@ -214,13 +207,14 @@ def test_chamfer_loss_gradient():
 
 def test_normal_loss_graph_gradients():
     rng = np.random.default_rng(11)
-    pred_pts = Tensor(rng.normal(size=(10, 3)), requires_grad=True)
+    pred_pts = rng.normal(size=(10, 3))
     pred_n = Tensor(unit_rows(rng.normal(size=(10, 3))), requires_grad=True)
     gt_pts = rng.normal(size=(16, 3))
     gt_n = unit_rows(rng.normal(size=(16, 3)))
+    phi, _ = nearest_pairs(pred_pts, gt_pts)
 
     def build():
-        return refined_normal_loss_graph(pred_pts, pred_n, gt_pts, gt_n)
+        return normal_loss_graph(pred_n, gt_n[phi])
 
     loss = build()
     ad.backward(loss)

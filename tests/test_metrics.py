@@ -6,7 +6,7 @@ from pugeo import (TriangleMesh, chamfer, metric_hd, metric_jsd, metric_p2f,
 from pugeo.metrics import (MetricReport, point_to_mesh_distances, point_to_triangles,
                            report_metrics)
 
-from helpers import cube_mesh, icosphere, unit_square_mesh
+from helpers import count_index_builds, cube_mesh, icosphere, unit_square_mesh
 from reference import brute_force_mesh_distance
 
 
@@ -193,3 +193,15 @@ def test_report_metrics_fields():
     assert data["cd"] == 0.0 and data["hd"] == 0.0 and data["jsd"] == 0.0
     assert data["factor"] == 4
     assert report.pred_count == 300
+
+
+def test_report_metrics_pairs_the_sets_once(monkeypatch):
+    # CD and HD reduce one nearest-point pairing: one tree per set
+    mesh = icosphere(2)
+    pred = poisson_disk_sample(mesh, 120, seed=3)
+    gt = poisson_disk_sample(mesh, 200, seed=4)
+    builds = count_index_builds(monkeypatch)
+    report = report_metrics(pred, gt, mesh)
+    assert builds == [200, 120]
+    assert report.cd == chamfer(pred.points, gt.points)
+    assert report.hd == metric_hd(pred.points, gt.points)

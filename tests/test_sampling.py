@@ -6,10 +6,11 @@ from pugeo import (PointCloud, denormalize, extract_patches, farthest_point_samp
                    fuse_patches, poisson_disk_sample)
 from pugeo import trainer
 from pugeo.errors import GeometryError
-from pugeo.sampling import NeighborIndex
+from pugeo.sampling import NeighborIndex, nearest_pairs
 from pugeo.trainer import TrainExample, _random_rotation, augment_example
 
-from helpers import brute_force_knn, cube_mesh, icosphere, unit_rows, unit_square_mesh
+from helpers import (brute_force_knn, brute_force_nearest, cube_mesh, icosphere, unit_rows,
+                     unit_square_mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +107,25 @@ def test_knn_brute_force_with_duplicates():
     for q in base[:5]:
         for k in (1, 3, 12):
             assert index.knn_batch(q, k)[0].tolist() == brute_force_knn(pts, q, k).tolist()
+
+
+def test_nearest_pairs_matches_brute_force():
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(50, 3))
+    y = rng.normal(size=(100, 3))
+    phi, psi = nearest_pairs(x, y)
+    assert np.array_equal(phi, brute_force_nearest(x, y))
+    assert np.array_equal(psi, brute_force_nearest(y, x))
+
+
+def test_nearest_pairs_tie_lowest():
+    pair = np.array([[1, 0, 0], [-1, 0, 0]], float)
+    origin = np.zeros((1, 3))  # equidistant from both rows of `pair`
+    phi, psi = nearest_pairs(origin, pair)
+    assert phi.tolist() == [0] and psi.tolist() == [0, 0]
+    phi, psi = nearest_pairs(pair, origin)
+    assert phi.tolist() == [0, 0] and psi.tolist() == [0]
+    assert psi.tolist() == brute_force_nearest(origin, pair).tolist()
 
 
 # ---------------------------------------------------------------------------

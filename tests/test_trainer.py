@@ -13,7 +13,7 @@ from pugeo.metrics import report_metrics
 from pugeo.trainer import (TrainExample, augment_example, build_dataset,
                            scale_to_unit_cube, train, upsample_cloud)
 
-from helpers import cube_mesh, icosphere, sphere_cloud, unit_rows
+from helpers import count_index_builds, cube_mesh, icosphere, sphere_cloud, unit_rows
 
 TINY_MODEL = dict(factor=4, patch_size=64, k=6, feature_widths=(16, 32),
                   hr_hidden=16, f1_hidden=32, f2_hidden=32, f3_hidden=16, f4_hidden=16)
@@ -159,6 +159,48 @@ def test_train_diverges_with_absurd_lr():
         train(TrainConfig(batch_size=1, epochs=50, lr=1e8, seed=0), [_toy_example(5)], net)
     assert "step" in info.value.diagnostics
     assert "grad_norms" in info.value.diagnostics
+
+
+@pytest.mark.parametrize("fail_at,step,examples", [(1, 0, 0), (4, 1, 1)],
+                         ids=["first_example_of_step_0", "second_example_of_step_1"])
+def test_train_divergence_diagnostics_name_their_step(monkeypatch, fail_at, step, examples):
+    cfg = PUGeoConfig(factor=2, patch_size=16, k=4, feature_widths=(8, 8),
+                      hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
+    net = PUGeoNet(cfg, seed=0)
+    real = trainer._example_losses
+    evaluated = []
+
+    def diverging(*args):
+        if len(evaluated) + 1 == fail_at:
+            raise TrainingDiverged("non-finite model output")
+        result = real(*args)
+        evaluated.append([t.item() for t in result[1:]])
+        return result
+
+    monkeypatch.setattr(trainer, "_example_losses", diverging)
+    with pytest.raises(TrainingDiverged) as info:
+        train(TrainConfig(batch_size=2, epochs=2, seed=0, augment=False),
+              [_toy_example(1), _toy_example(2)], net)
+    diag = info.value.diagnostics
+    assert diag["step"] == step and diag["examples"] == examples
+    # the mean over the examples of the failing step evaluated before it failed
+    assert diag["components"] == (evaluated[2] if examples else None)
+    if step == 0:  # no backward pass has run yet
+        assert diag["grad_step"] is None and diag["grad_norms"] == {}
+    else:
+        assert diag["grad_step"] == 0
+        assert set(diag["grad_norms"]) == {name for name, _ in net.named_params()}
+        assert all(math.isfinite(v) for v in diag["grad_norms"].values())
+        assert any(v > 0.0 for v in diag["grad_norms"].values())
+
+
+def test_example_losses_pair_output_and_dense_once(monkeypatch):
+    # Chamfer and the refined normal term share one pairing: one tree per set
+    net = PUGeoNet(PUGeoConfig(**TINY_MODEL), seed=0)
+    example = _toy_example(n=64, factor=4)
+    builds = count_index_builds(monkeypatch)
+    trainer._example_losses(net, example, LossWeights())
+    assert builds == [256, 256]
 
 
 def test_train_checkpoints_written(tmp_path):
