@@ -13,7 +13,10 @@ PCG64 generator) and Adam with bias correction.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy import sparse
 
 from .errors import ShapeError
 
@@ -215,20 +218,37 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _make(out, tensors, backward)
 
 
+def _scatter_rows(g: np.ndarray, indices: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, ...) sums of g's rows by target index: out[indices[p]] += g[p].
+
+    A CSR matrix with one row per target, its entries in ascending p, times
+    g adds each target's terms in ascending p from zero, as np.add.at does,
+    so the sums are bitwise equal to it.
+    """
+    m = len(indices)
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=rows), out=indptr[1:])
+    scatter = sparse.csr_array((np.ones(m, dtype=g.dtype), np.argsort(indices, kind="stable"),
+                                indptr), shape=(rows, m))
+    flat = g.reshape(m, math.prod(g.shape[1:]))
+    return (scatter @ flat).reshape((rows,) + g.shape[1:])
+
+
 def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
-    """Select rows/columns by integer index; gradients scatter-add back."""
+    """Select rows/columns by a 1-D integer index; gradients scatter-add back."""
     indices = np.asarray(indices, dtype=np.int64)
-    if axis not in (0, 1):
-        raise ShapeError("gather supports axis 0 or 1")
+    if axis not in (0, 1) or indices.ndim != 1:
+        raise ShapeError("gather takes a 1-D index along axis 0 or 1")
     out = np.take(a.data, indices, axis=axis)
+    size = a.shape[axis]
+    indices = np.where(indices < 0, indices + size, indices)
 
     def backward(g):
-        ga = np.zeros_like(a.data)
         if axis == 0:
-            np.add.at(ga, indices, g)
+            ga = _scatter_rows(g, indices, size)
         else:
-            np.add.at(ga, (slice(None), indices), g)
-        return (ga,)
+            ga = np.swapaxes(_scatter_rows(np.swapaxes(g, 0, 1), indices, size), 0, 1)
+        return (ga.astype(a.dtype, copy=False),)
 
     return _make(out, (a,), backward)
 

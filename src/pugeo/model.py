@@ -100,22 +100,60 @@ class ModelOutput:
         )
 
 
-def _pairwise_sq_dists(values: np.ndarray) -> np.ndarray:
-    # explicit broadcast keeps each pair's arithmetic independent of row
-    # order, which the permutation-equivariance contract relies on
-    diff = values[:, None, :] - values[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+def _knn_candidates(values: np.ndarray, k: int) -> np.ndarray:
+    """(n, n) mask of the columns that can be among each row's k nearest.
+
+    The ranking distance is the diff-square-sum in values.dtype; it is
+    within a relative gamma plus an absolute underflow floor of the exact
+    squared distance.  A float64 Gram distance |a|^2 + |b|^2 - 2ab is within
+    `slack` of the exact one.  The k columns with the smallest Gram upper
+    bound bound the row's k-th ranking distance from above, and a column
+    whose lower bound exceeds that cannot be among the k nearest.  A row
+    whose bound is not finite or could overflow values.dtype (non-finite
+    values, squares out of range) keeps every column: the full sort.  So
+    does a column whose bounds are NaN.  The diagonal is always kept.
+    """
+    w = values.shape[1]
+    info = np.finfo(values.dtype)
+    gamma = (w + 4) * info.eps
+    floor = 4 * (w + 2) * info.smallest_subnormal
+    wide = values.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", wide, wide)
+        # a row whose squared norm could overflow the Gram sum is unbounded
+        sq[~(sq <= np.finfo(np.float64).max / 4)] = np.inf
+        slack = 2 * (w + 4) * np.finfo(np.float64).eps * sq
+        gram = sq[:, None] + sq[None, :] - 2.0 * (wide @ wide.T)
+        upper = gram + slack
+        np.fill_diagonal(upper, np.inf)
+        kth = np.partition(upper, k - 1, axis=1)[:, k - 1] + slack
+        bound = kth * (1 + gamma) + floor
+        bound[~(bound <= info.max)] = np.inf
+        cut = (bound + floor) / (1 - gamma) + slack
+        keep = ~(gram - slack > cut[:, None])
+    np.fill_diagonal(keep, True)
+    return keep
 
 
 def _knn_indices(values: np.ndarray, k: int) -> np.ndarray:
-    """k nearest rows for each row, self excluded, ties by ascending index."""
+    """k nearest rows for each row, self excluded, ties by ascending index.
+
+    Distances are the diff-square-sum in values.dtype, computed pair by pair
+    so each pair's arithmetic is independent of row order (the
+    permutation-equivariance contract), and only for `_knn_candidates`.
+    The result is that of sorting every row in full.
+    """
     n = len(values)
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the point count {n}")
-    d2 = _pairwise_sq_dists(values)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
+    rows, cols = np.nonzero(_knn_candidates(values, k))
+    diff = values[rows] - values[cols]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    d2[rows == cols] = np.inf
+    # by row, then distance; stable, so ties keep ascending column order
+    order = np.lexsort((d2, rows))
+    starts = np.searchsorted(rows, np.arange(n))
+    return cols[order[starts[:, None] + np.arange(k)]]
 
 
 class PUGeoNet:

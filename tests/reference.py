@@ -9,8 +9,10 @@ the fast paths in ``pugeo`` can be compared against them bit for bit (FPS,
 Poisson elimination, P2F, frame statistics) or within a fixed tolerance
 (geometry, whose least-squares solves moved from LAPACK ``gelsd`` to a
 stacked SVD).  The numpy normal and joint losses are the oracles for
-the autodiff training losses, and the per-record ``.xyz``, OBJ and PLY
-readers at the end are the oracles for ``pugeo.io``'s readers.
+the autodiff training losses.  The full-sort feature kNN and the
+``np.add.at`` gather are the oracles for the model's pruned kNN and the
+CSR scatter in ``gather``'s backward, and the per-record ``.xyz``, OBJ and
+PLY readers at the end are the oracles for ``pugeo.io``'s readers.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+import pugeo.autodiff as ad
 from pugeo.analytic import GOLDEN_ANGLE, SamplePattern, UpsampleResult
-from pugeo.errors import FormatError, GeometryError, UnsupportedFormatError
+from pugeo.errors import FormatError, GeometryError, ShapeError, UnsupportedFormatError
 from pugeo.geometry import FrameStats
 from pugeo.io import PointCloud, TriangleMesh, _naming, _unit_rows
 from pugeo.losses import LossWeights
@@ -383,6 +386,45 @@ def total_loss(cd: float, coarse: float, refined: float,
                weights: LossWeights | None = None) -> float:
     w = weights or LossWeights()
     return w.alpha * cd + w.beta * coarse + w.gamma * refined
+
+
+# The in-network kNN by a full stable sort of every (n, n, w) broadcast
+# distance row, and the gather op with np.add.at for its gradient.
+
+def _pairwise_sq_dists(values: np.ndarray) -> np.ndarray:
+    # explicit broadcast keeps each pair's arithmetic independent of row
+    # order, which the permutation-equivariance contract relies on
+    diff = values[:, None, :] - values[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def knn_indices(values: np.ndarray, k: int) -> np.ndarray:
+    """k nearest rows for each row, self excluded, ties by ascending index."""
+    n = len(values)
+    if k >= n:
+        raise ValueError(f"k={k} must be smaller than the point count {n}")
+    d2 = _pairwise_sq_dists(values)
+    np.fill_diagonal(d2, np.inf)
+    order = np.argsort(d2, axis=1, kind="stable")
+    return order[:, :k]
+
+
+def gather(a: ad.Tensor, indices, axis: int = 0) -> ad.Tensor:
+    """Select rows/columns by integer index; gradients scatter-add back."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if axis not in (0, 1):
+        raise ShapeError("gather supports axis 0 or 1")
+    out = np.take(a.data, indices, axis=axis)
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        if axis == 0:
+            np.add.at(ga, indices, g)
+        else:
+            np.add.at(ga, (slice(None), indices), g)
+        return (ga,)
+
+    return ad._make(out, (a,), backward)
 
 
 # The text readers, each with its own per-record parse loop.

@@ -2,8 +2,10 @@
 
 FPS must return bitwise the indices of the O(N * count) scan, Poisson
 sample elimination the survivors of the loop that queries the tree once per
-update, kNN those of a brute-force sort, and the point-to-surface distance
-bitwise the minimum over every triangle.  The batched frame/curvature
+update, kNN those of a brute-force sort, the network's pruned feature kNN
+those of a full stable sort of every distance row, gather's CSR gradient
+bitwise that of np.add.at, and the point-to-surface distance bitwise the
+minimum over every triangle.  The batched frame/curvature
 kernel must agree with the per-point loop within 1e-9: its least-squares
 solves use a stacked SVD instead of LAPACK gelsd, so the last digits may
 differ.  The ``.xyz``, OBJ and PLY readers must return bitwise the arrays
@@ -19,14 +21,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
+import pugeo.autodiff as ad
 import reference
 from helpers import brute_force_knn, cube_mesh, icosphere, sphere_cloud
-from pugeo import (PointCloud, SamplePattern, TriangleMesh, farthest_point_sample, metrics,
-                   poisson_disk_sample, sampling, upsample_analytic)
+from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, SamplePattern, TriangleMesh,
+                   farthest_point_sample, metrics, poisson_disk_sample, sampling,
+                   upsample_analytic)
 from pugeo import io as pugeo_io
 from pugeo.errors import FormatError
 from pugeo.geometry import estimate_frames, fit_curvatures, frame_stats
 from pugeo.metrics import point_to_mesh_distances
+from pugeo.model import _knn_candidates, _knn_indices
 from pugeo.sampling import NeighborIndex
 
 TOL = 1e-9
@@ -207,6 +212,141 @@ def test_knn_batch_at_patch_sizes_matches_brute_force(name, make, k):
     batch = NeighborIndex(points).knn_batch(queries, k)
     for q, row in zip(queries, batch):
         assert np.array_equal(row, brute_force_knn(points, q, k))
+
+
+# ---------------------------------------------------------------------------
+# feature kNN inside the network
+
+
+@pytest.fixture(scope="module")
+def level_features():
+    """The aligned input and each edge-conv output of the default network on a
+    256-point icosphere patch: the values every kNN level of a forward sees."""
+    verts = icosphere(3).vertices
+    patch = verts[np.argsort(np.linalg.norm(verts - verts[0], axis=1), kind="stable")[:256]]
+    net = PUGeoNet(PUGeoConfig(), seed=0)
+    aligned, _ = net.stn_forward(ad.constant(patch.astype(np.float32)))
+    return [aligned.data] + [level.data for level in net.extract_features(aligned)]
+
+
+def _assert_knn_matches_full_sort(values, k):
+    # inf - inf and nan rows warn in both; the indices are what is compared
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.array_equal(_knn_indices(values, k), reference.knn_indices(values, k))
+
+
+@pytest.mark.parametrize("level", range(4), ids=["aligned", "edge0", "edge1", "edge2"])
+def test_feature_knn_matches_full_sort_on_model_features(level_features, level):
+    _assert_knn_matches_full_sort(level_features[level], PUGeoConfig().k)
+
+
+def test_feature_knn_candidates_stay_near_k(level_features):
+    # a bound gone loose would fall back to full rows and still be exact
+    k = PUGeoConfig().k
+    for values in level_features:
+        off_diagonal = _knn_candidates(values, k).sum() - len(values)
+        assert off_diagonal / len(values) <= 1.5 * k
+
+
+def _gaussian_features(seed, n=200, w=32):
+    return np.random.default_rng(seed).normal(size=(n, w)).astype(np.float32)
+
+
+def _near_overflow():
+    # a line of points whose squared norms are just over half the float64
+    # maximum: two of them sum past it while twice their dot product does not
+    top = np.sqrt(np.finfo(np.float64).max / 2)
+    while top * top > np.finfo(np.float64).max / 2:
+        top = np.nextafter(top, 0.0)
+    line = np.stack([np.full(20, top), np.arange(-10, 10) * 1e146], axis=1)
+    return np.concatenate([np.random.default_rng(5).normal(size=(40, 2)), line])
+
+
+FEATURE_CASES = [
+    ("half_integer_ties", lambda: (np.random.default_rng(0).integers(-4, 5, size=(200, 16))
+                                   / 2.0).astype(np.float32)),
+    ("duplicate_rows", lambda: np.tile(_gaussian_features(1, n=50), (4, 1))),
+    ("far_from_origin", lambda: _gaussian_features(2) * np.float32(0.01) + np.float32(1e4)),
+    ("float64", lambda: np.random.default_rng(3).normal(size=(200, 8))),
+    ("float64_far_from_origin", lambda: np.random.default_rng(4).normal(size=(200, 8)) + 1e8),
+    ("float64_near_overflow", lambda: _near_overflow()),
+]
+
+
+@pytest.mark.parametrize("name,make", FEATURE_CASES, ids=[c[0] for c in FEATURE_CASES])
+@pytest.mark.parametrize("k", [1, 8, 49])
+def test_feature_knn_matches_full_sort(name, make, k):
+    _assert_knn_matches_full_sort(make(), k)
+
+
+@pytest.mark.parametrize("scale", [1e-22, 1e19])
+def test_feature_knn_matches_full_sort_at_extreme_scales(level_features, scale):
+    # squares that underflow to subnormals and squares that overflow
+    with np.errstate(over="ignore"):
+        values = level_features[2] * np.float32(scale)
+    _assert_knn_matches_full_sort(values, 8)
+
+
+@pytest.mark.parametrize("bad", ["nan_row", "inf_entry"])
+def test_feature_knn_non_finite_rows_take_the_full_sort(level_features, bad):
+    values = level_features[1].copy()
+    if bad == "nan_row":
+        values[17] = np.nan
+    else:
+        values[17, 3] = np.inf
+    assert _knn_candidates(values, 8)[17].all()
+    _assert_knn_matches_full_sort(values, 8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_feature_knn_matches_full_sort_property(data):
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    n = data.draw(st.integers(2, 24), label="n")
+    w = data.draw(st.integers(1, 8), label="w")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    scale = data.draw(st.sampled_from([1.0, 1e-22, 1e-40, 1e-300, 1e19, 1e150]), label="scale")
+    # any float (nan, inf, subnormal, near the maximum) or scaled small
+    # half-integers, which tie
+    elements = st.one_of(st.floats(width=np.finfo(dtype).bits),
+                         st.integers(-4, 4).map(lambda i: i * scale / 2))
+    raw = data.draw(arrays(np.float64, (n, w), elements=elements), label="values")
+    with np.errstate(over="ignore"):
+        values = raw.astype(dtype)
+    _assert_knn_matches_full_sort(values, k)
+
+
+# ---------------------------------------------------------------------------
+# the scatter-add gradient of gather
+
+SCATTER_INDICES = {"repeated": [0, 0, 2, 2, 2], "unsorted": [3, 1, 4, 1, 0, 3],
+                   "absent": [4, 4, 1], "empty": [], "negative": [-1, 0, -1],
+                   "many_unsorted": np.random.default_rng(3).integers(0, 5, 300).tolist()}
+
+
+def _gather_grad(gather, a, indices, axis, g):
+    return gather(ad.Tensor(a, requires_grad=True), indices, axis=axis)._backward(g)[0]
+
+
+@pytest.mark.parametrize("name", SCATTER_INDICES)
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_backward_matches_add_at(dtype, axis, name):
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(5, 6)).astype(dtype)
+    indices = np.array(SCATTER_INDICES[name], dtype=np.int64)
+    shape = (len(indices), 6) if axis == 0 else (5, len(indices))
+    noisy = rng.normal(size=shape).astype(dtype)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0], dtype=dtype)[:noisy.size]
+    noisy.flat[:len(specials)] = specials
+    # reduce_sum's backward hands down a read-only zero-stride broadcast
+    broadcast = np.broadcast_to(dtype(0.1), shape)
+    for g in (noisy, broadcast):
+        fast = _gather_grad(ad.gather, a, indices, axis, g)
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            slow = _gather_grad(reference.gather, a, indices, axis, g)
+        assert (fast.dtype, fast.shape) == (slow.dtype, slow.shape) == (a.dtype, a.shape)
+        assert fast.tobytes() == slow.tobytes()
 
 
 # ---------------------------------------------------------------------------

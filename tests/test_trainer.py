@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import pugeo.autodiff as ad
 from pugeo import (LossWeights, PointCloud, PUGeoConfig, PUGeoNet, TrainConfig, chamfer,
                    poisson_disk_sample, upsample_analytic)
-from pugeo import trainer
+from pugeo import model, trainer
 from pugeo.errors import TrainingDiverged
 from pugeo.metrics import report_metrics
 from pugeo.trainer import (TrainExample, augment_example, build_dataset,
                            scale_to_unit_cube, train, upsample_cloud)
 
+import reference
 from helpers import count_index_builds, cube_mesh, icosphere, sphere_cloud, unit_rows
 
 TINY_MODEL = dict(factor=4, patch_size=64, k=6, feature_widths=(16, 32),
@@ -126,6 +128,29 @@ def test_train_deterministic_bitwise():
 
     for a, b in zip(run(), run()):
         assert np.array_equal(a, b)
+
+
+def test_train_steps_match_full_sort_knn_and_add_at_gather(monkeypatch):
+    # the pruned kNN and the CSR scatter change no bit of training
+    def two_steps():
+        net = PUGeoNet(PUGeoConfig(**TINY_MODEL), seed=4)
+        dataset = [_toy_example(s, n=64, factor=4) for s in range(4)]
+        train(TrainConfig(batch_size=2, epochs=1, seed=5), dataset, net)
+        return [t.data.tobytes() for _, t in net.named_params()]
+
+    fast = two_steps()
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(model, "_knn_indices", counted("knn", reference.knn_indices))
+    monkeypatch.setattr(ad, "gather", counted("gather", reference.gather))
+    assert two_steps() == fast
+    assert {"knn", "gather"} <= set(calls)
 
 
 def test_train_emits_json_log_per_epoch():
