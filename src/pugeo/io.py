@@ -9,7 +9,6 @@ round-trippable decimals, so read(write(cloud)) reproduces them exactly.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 from dataclasses import dataclass
 
@@ -21,9 +20,6 @@ from .geometry import _vector_dot
 _UNIT_TOL = 1e-5
 #: below this length a vector's squared length is subnormal or zero
 _MIN_LENGTH = float(np.sqrt(np.finfo(np.float64).tiny))
-#: .xyz records converted to floats at a time, which bounds the token lists
-#: held at once
-_XYZ_BLOCK = 4096
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -100,10 +96,10 @@ def _records(handle):
                 yield lineno, tokens
 
 
-def _parse(records, columns) -> np.ndarray:
+def _floats(records, columns) -> np.ndarray:
     """Float64 array of the given token columns of each (line, tokens) record.
 
-    A record too short for `columns` or a non-numeric token raises
+    A record too short for `columns`, a non-numeric token or a nan/inf raises
     FormatError naming the first such line, checked in that order.
     """
     try:
@@ -113,7 +109,7 @@ def _parse(records, columns) -> np.ndarray:
         raise FormatError(f"line {lineno}: expected at least {max(columns) + 1} fields, "
                           f"got {len(tokens)}") from None
     try:
-        return np.array(rows, dtype=np.float64).reshape(-1, len(columns))
+        values = np.array(rows, dtype=np.float64).reshape(-1, len(columns))
     except ValueError:
         for (lineno, _), row in zip(records, rows):
             try:
@@ -121,30 +117,10 @@ def _parse(records, columns) -> np.ndarray:
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: non-numeric token ({exc})") from None
         raise
-
-
-def _require_finite(values: np.ndarray, line_of) -> None:
-    """FormatError naming line_of(i) for the first row i that holds a nan or inf."""
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        raise FormatError(f"line {line_of(int(np.argmin(finite)))}: non-finite value")
-
-
-def _floats(records, columns) -> np.ndarray:
-    """`_parse`, then FormatError naming the first line with a nan/inf."""
-    values = _parse(records, columns)
-    _require_finite(values, lambda i: records[i][0])
+        raise FormatError(f"line {records[int(np.argmin(finite))][0]}: non-finite value")
     return values
-
-
-def _column_error(records, arity: int) -> FormatError | None:
-    """The error for the first .xyz record whose column count is wrong, if any."""
-    for lineno, tokens in records:
-        if len(tokens) not in (3, 6):
-            return FormatError(f"line {lineno}: expected 3 or 6 columns, got {len(tokens)}")
-        if len(tokens) != arity:
-            return FormatError(f"line {lineno}: mixed column counts ({len(tokens)} after {arity})")
-    return None
 
 
 @contextlib.contextmanager
@@ -181,26 +157,16 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
     path and the 1-based line number.
     """
     with _naming(path), open(path, "rb") as handle:
-        records = _records(handle)
-        arity, blocks, lines = None, [], []
-        column_error = number_error = None
-        while block := list(itertools.islice(records, _XYZ_BLOCK)):
-            arity = arity or len(block[0][1])
-            column_error = column_error or _column_error(block, arity)
-            # the whole file is still read: an undecodable line anywhere ranks
-            # first, then a wrong column count, then a non-numeric token
-            if column_error or number_error:
-                continue
-            try:
-                blocks.append(_parse(block, range(arity)))
-            except FormatError as exc:
-                number_error = exc
-            lines.append(np.fromiter((lineno for lineno, _ in block), np.int64, len(block)))
-        if column_error or number_error:
-            raise column_error or number_error
-        values = np.concatenate(blocks) if blocks else np.empty((0, 3))
-        lines = np.concatenate(lines) if lines else np.empty(0, np.int64)
-        _require_finite(values, lines.__getitem__)
+        records = list(_records(handle))
+        arity = len(records[0][1]) if records else 3
+        for lineno, tokens in records:
+            if len(tokens) not in (3, 6):
+                raise FormatError(f"line {lineno}: expected 3 or 6 columns, got {len(tokens)}")
+            if len(tokens) != arity:
+                raise FormatError(
+                    f"line {lineno}: mixed column counts ({len(tokens)} after {arity})"
+                )
+        values = _floats(records, range(arity))
         normals = None
         if arity == 6:
             normals = values[:, 3:]
@@ -214,7 +180,8 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
                 normals[lost] /= np.abs(normals[lost]).max(axis=1, keepdims=True)
                 lengths[lost] = np.sqrt(_vector_dot(normals[lost], normals[lost]))
             if not lengths.all():
-                raise FormatError(f"line {lines[int(np.argmin(lengths))]}: zero-length normal")
+                raise FormatError(f"line {records[int(np.argmin(lengths))][0]}: "
+                                  f"zero-length normal")
             normals = normals / lengths[:, None]
     return PointCloud(values[:, :3], normals)
 

@@ -105,8 +105,9 @@ def _knn_candidates(values: np.ndarray, k: int) -> np.ndarray:
 
     The ranking distance is the diff-square-sum in values.dtype; it is
     within a relative gamma plus an absolute underflow floor of the exact
-    squared distance.  A float64 Gram distance |a|^2 + |b|^2 - 2ab is within
-    `slack` of the exact one.  The k columns with the smallest Gram upper
+    squared distance.  The float64 Gram distance |a_i|^2 + |a_j|^2 - 2 a_i.a_j
+    is within slack_i + slack_j of the exact one, where slack_i is a rounding
+    bound proportional to |a_i|^2.  The k columns with the smallest Gram upper
     bound bound the row's k-th ranking distance from above, and a column
     whose lower bound exceeds that cannot be among the k nearest.  A row
     whose bound is not finite or could overflow values.dtype (non-finite
@@ -124,13 +125,14 @@ def _knn_candidates(values: np.ndarray, k: int) -> np.ndarray:
         sq[~(sq <= np.finfo(np.float64).max / 4)] = np.inf
         slack = 2 * (w + 4) * np.finfo(np.float64).eps * sq
         gram = sq[:, None] + sq[None, :] - 2.0 * (wide @ wide.T)
-        upper = gram + slack
+        upper = gram + slack[None, :]
         np.fill_diagonal(upper, np.inf)
+        # each row adds its own slack_i to the column's slack_j already in upper
         kth = np.partition(upper, k - 1, axis=1)[:, k - 1] + slack
         bound = kth * (1 + gamma) + floor
         bound[~(bound <= info.max)] = np.inf
         cut = (bound + floor) / (1 - gamma) + slack
-        keep = ~(gram - slack > cut[:, None])
+        keep = ~(gram - slack[None, :] > cut[:, None])
     np.fill_diagonal(keep, True)
     return keep
 

@@ -1,12 +1,9 @@
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-import reference
 from pugeo import PointCloud, read_mesh, read_xyz, write_mesh, write_xyz
-from pugeo import io as pugeo_io
 from pugeo.errors import FormatError, UnsupportedFormatError
 
 from helpers import cube_mesh
@@ -78,55 +75,6 @@ def test_read_xyz_zero_normal_cites_line(tmp_path):
     path.write_text("0 0 0 0 0 1\n0 0 0 0 0 0\n")
     with pytest.raises(FormatError, match="a.xyz: line 2: zero-length normal"):
         read_xyz(path)
-
-
-@pytest.mark.parametrize("lines,expected", [
-    # a non-numeric token in a later block ranks before an earlier nan
-    (["1 2 3", "nan 2 3", "1 2 3", "1 2 3", "1 x 3"], "line 5: non-numeric"),
-    # a wrong column count in a later block ranks before an earlier bad token
-    (["1 x 3", "1 2 3", "1 2 3", "", "1 2 3 4"], "line 5: expected 3 or 6 columns"),
-    (["1 2 3", "1 2 3", "", "1 2 3", "1 2 3 0 0 1"], "line 5: mixed column counts"),
-    (["1 2 3", "1 2 3", "1 2 3", "", "1 inf 3"], "line 5: non-finite"),
-    (["0 0 0 0 0 1"] * 3 + ["", "0 0 0 0 0 0"], "line 5: zero-length normal"),
-])
-def test_read_xyz_errors_name_their_line_across_blocks(tmp_path, monkeypatch, lines, expected):
-    monkeypatch.setattr(pugeo_io, "_XYZ_BLOCK", 2)
-    path = tmp_path / "a.xyz"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FormatError, match=expected):
-        read_xyz(path)
-
-
-def test_read_xyz_blocks_match_one_pass(tmp_path, monkeypatch):
-    rng = np.random.default_rng(3)
-    normals = rng.normal(size=(9, 3))
-    path = tmp_path / "a.xyz"
-    write_xyz(PointCloud(rng.normal(size=(9, 3)),
-                         normals / np.linalg.norm(normals, axis=1, keepdims=True)), path)
-    whole = read_xyz(path)
-    monkeypatch.setattr(pugeo_io, "_XYZ_BLOCK", 2)
-    blocked = read_xyz(path)
-    assert whole.points.tobytes() == blocked.points.tobytes()
-    assert whole.normals.tobytes() == blocked.normals.tobytes()
-
-
-def test_read_xyz_memory_is_bounded_by_blocks(tmp_path):
-    # one block's token lists are held at a time, so 20000 six-column rows
-    # peak below the per-line parse loop
-    rng = np.random.default_rng(0)
-    normals = rng.normal(size=(20000, 3))
-    path = tmp_path / "big.xyz"
-    write_xyz(PointCloud(rng.normal(size=(20000, 3)),
-                         normals / np.linalg.norm(normals, axis=1, keepdims=True)), path)
-    peaks = []
-    for read in (read_xyz, reference.read_xyz):
-        tracemalloc.start()
-        try:
-            read(path)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] < peaks[1]
 
 
 def test_write_xyz_single_point(tmp_path):
