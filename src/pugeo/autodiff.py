@@ -2,9 +2,10 @@
 
 Every op records its inputs and a backward closure; `backward(loss)`
 topologically sorts the recorded graph and accumulates gradients into
-every tracked tensor.  Recorded tensors are never mutated in place, which
-is what makes the gradient contract hold.  Training runs in float32;
-gradient checks rebuild the same graph in float64.
+every tracked tensor, or returns those of the given leaves.  Recorded
+tensors are never mutated in place, which is what makes the gradient
+contract hold.  Training runs in float32; gradient checks rebuild the
+same graph in float64.
 
 Also provides the network building blocks used downstream: dense MLPs
 (relu hidden layers, linear output, Glorot-uniform init from a seeded
@@ -135,9 +136,13 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(a, 0) with +0.0 for inputs <= 0 and NaN; gradient passes where a > 0."""
     mask = a.data > 0
-    return _make(np.where(mask, a.data, 0.0).astype(a.dtype, copy=False), (a,),
-                 lambda g: (g * mask,))
+    # +0.0 is the all-zero bit pattern, so AND-ing the bits with the mask
+    # widened to all-ones/all-zeros equals where(mask, a, 0.0) bit for bit
+    bits = np.dtype(f"i{a.dtype.itemsize}")
+    out = (a.data.view(bits) & -mask.astype(bits)).view(a.dtype)
+    return _make(out, (a,), lambda g: (g * mask,))
 
 
 def select(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
@@ -277,12 +282,21 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def reduce_max(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     """Max along an axis; gradient routes to the first (lowest-index) argmax."""
     out = a.data.max(axis=axis, keepdims=keepdims)
-    argmax = np.argmax(a.data, axis=axis)
 
     def backward(g):
+        # the argmax is the first index holding the max, or a NaN when the max
+        # is NaN: k - max(hit * (k, k-1, ..., 1)) along the axis, which reduces
+        # the contiguous trailing axes instead of striding like np.argmax
+        peak = out if keepdims else np.expand_dims(out, axis)
+        hit = a.data == peak
+        hit |= np.isnan(a.data)
+        k = a.shape[axis]
+        rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))
+        rank = rank.reshape((k,) + (1,) * (a.data.ndim - axis % a.data.ndim - 1))
+        argmax = k - (hit * rank).max(axis=axis, keepdims=True).astype(np.intp)
         ga = np.zeros_like(a.data)
         g_exp = g if keepdims else np.expand_dims(g, axis)
-        np.put_along_axis(ga, np.expand_dims(argmax, axis), g_exp, axis=axis)
+        np.put_along_axis(ga, argmax, g_exp, axis=axis)
         return (ga,)
 
     return _make(out, (a,), backward)
@@ -314,8 +328,14 @@ def unit_rows(a: Tensor, eps: float = 1e-20) -> Tensor:
 # backward pass
 
 
-def backward(loss: Tensor) -> None:
-    """Populate .grad of every tracked tensor with d(loss)/d(tensor)."""
+def backward(loss: Tensor, leaves=None):
+    """Populate .grad of every tracked tensor with d(loss)/d(tensor).
+
+    Given `leaves` (tensors without parents, such as parameters), their
+    gradients are returned in that order (None where the loss does not
+    depend on one) and their .grad is left untouched, so graphs that share
+    parameters can run backward on separate threads.
+    """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
     topo: list[Tensor] = []
@@ -334,6 +354,7 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in visited:
                 stack.append((parent, False))
 
+    held = {} if leaves is None else {id(t): None for t in leaves}
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is None or node.grad is None:
@@ -342,7 +363,13 @@ def backward(loss: Tensor) -> None:
         for parent, g in zip(node._parents, grads):
             if g is None or not parent.requires_grad:
                 continue
-            parent.grad = g if parent.grad is None else parent.grad + g
+            key = id(parent)
+            if key in held:
+                held[key] = g if held[key] is None else held[key] + g
+            else:
+                parent.grad = g if parent.grad is None else parent.grad + g
+    if leaves is not None:
+        return [held[id(t)] for t in leaves]
 
 
 def zero_grad(params) -> None:

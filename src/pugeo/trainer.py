@@ -8,8 +8,11 @@ alpha*CD + beta*coarse-normal + gamma*refined-normal with Adam.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,6 +164,61 @@ def _example_losses(model: PUGeoNet, example: TrainExample, weights: LossWeights
     return total_loss_graph(cd, coarse, refined, effective), cd, coarse, refined
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _worker_count(batch_size: int) -> int:
+    """Threads that train one batch's examples: min(batch, CPUs // BLAS threads).
+
+    CPUs are the ones this process may run on.  BLAS threads come from the
+    first of _BLAS_THREAD_VARS set to a positive integer, else the CPU
+    count, so an unpinned BLAS, which may use every core, keeps one worker.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, min(batch_size, cpus // blas))
+
+
+def _example_gradients(model: PUGeoNet, example: TrainExample, config: TrainConfig,
+                       scale: float, params: list):
+    """One example's forward pass, losses and backward pass of scale * total.
+
+    Returns the total loss (a 0-d array), the (cd, coarse, refined) values
+    and the gradients of `params`, without touching any .grad they hold.  A
+    non-finite total gets no backward pass: its batch diverges before a step.
+    """
+    total, cd, coarse, refined = _example_losses(model, example, config.weights,
+                                                 config.normal_reduction)
+    grads = None
+    if np.isfinite(total.data):
+        grads = ad.backward(ad.mul(total, scale), leaves=params)
+    return total.data, (cd.item(), coarse.item(), refined.item()), grads
+
+
+def _batch_outcomes(pool: ThreadPoolExecutor | None, model: PUGeoNet, batch: list,
+                    config: TrainConfig, scale: float, params: list):
+    """`_example_gradients` of each example, yielded in batch order.
+
+    Without a pool the examples run one after another on this thread.  With
+    one, every example is submitted at once, each in a copy of this
+    thread's context so that np.errstate applies in it.  Either way the
+    first example to fail in batch order raises its exception.
+    """
+    if pool is None:
+        return (_example_gradients(model, ex, config, scale, params) for ex in batch)
+    futures = [pool.submit(contextvars.copy_context().run, _example_gradients,
+                           model, ex, config, scale, params) for ex in batch]
+    return (future.result() for future in futures)
+
+
 def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
           log_stream=None, checkpoint_dir=None):
     """Run the optimization loop; returns (model, per-epoch history).
@@ -170,60 +228,79 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
     its diagnostics hold the failing step, how many of its examples were
     evaluated and their mean loss components, and the gradient norms of the
     last backward pass with the step they come from (`grad_step`).
-    Deterministic given config.seed.
+
+    Each example of a batch runs its forward and backward pass on its own
+    graph, on `_worker_count` threads in a copy of the caller's context
+    (np.errstate included).  The gradients, the batch loss and the
+    diagnostics are combined in batch order, so the parameters are bitwise
+    those of one joint graph per batch for any thread count.  Deterministic
+    given config.seed.
     """
     if not dataset:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(config.seed)
     optimizer = ad.Adam(model.parameters(), lr=config.lr)
+    params = optimizer.params
+    workers = _worker_count(config.batch_size)
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
     history = []
     step = 0
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(dataset))
-        sums = np.zeros(4)
-        batches = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = [dataset[i] for i in order[start:start + config.batch_size]]
-            if config.augment:
-                batch = [augment_example(ex, rng) for ex in batch]
-            totals = []
-            components = np.zeros(3)
-            try:
-                for example in batch:
-                    total, cd, coarse, refined = _example_losses(
-                        model, example, config.weights, config.normal_reduction)
-                    totals.append(total)
-                    components += [cd.item(), coarse.item(), refined.item()]
-                batch_loss = totals[0]
-                for extra in totals[1:]:
-                    batch_loss = ad.add(batch_loss, extra)
-                batch_loss = ad.mul(batch_loss, 1.0 / len(batch))
-                if not np.isfinite(batch_loss.item()):
-                    raise TrainingDiverged("non-finite loss")
-            except TrainingDiverged as exc:
-                # the gradients in hand are the previous step's; step 0 has none
-                grad_norms = {name: float(np.linalg.norm(t.grad))
-                              for name, t in model.named_params() if t.grad is not None}
-                raise TrainingDiverged(
-                    f"{exc} at step {step}",
-                    {"step": step, "examples": len(totals),
-                     "components": (components / len(totals)).tolist() if totals else None,
-                     "grad_step": step - 1 if grad_norms else None,
-                     "grad_norms": grad_norms}) from None
-            optimizer.zero_grad()
-            ad.backward(batch_loss)
-            optimizer.step()
-            sums += [batch_loss.item(), *(components / len(batch))]
-            batches += 1
-            step += 1
-        record = {"epoch": epoch, "l_total": sums[0] / batches, "l_cd": sums[1] / batches,
-                  "l_coarse": sums[2] / batches, "l_refined": sums[3] / batches}
-        history.append(record)
-        if log_stream is not None:
-            log_stream.write(json.dumps(record, sort_keys=True) + "\n")
-            log_stream.flush()
-        if checkpoint_dir is not None and (epoch + 1) % config.checkpoint_every == 0:
-            save_model(model, f"{checkpoint_dir}/checkpoint_epoch{epoch + 1:04d}.pugeo")
+    try:
+        for epoch in range(config.epochs):
+            order = rng.permutation(len(dataset))
+            sums = np.zeros(4)
+            batches = 0
+            for start in range(0, len(order), config.batch_size):
+                batch = [dataset[i] for i in order[start:start + config.batch_size]]
+                if config.augment:
+                    batch = [augment_example(ex, rng) for ex in batch]
+                scale = 1.0 / len(batch)
+                totals = []
+                grads = []
+                components = np.zeros(3)
+                try:
+                    for total, parts, example_grads in _batch_outcomes(pool, model, batch,
+                                                                       config, scale, params):
+                        totals.append(total)
+                        grads.append(example_grads)
+                        components += parts
+                    batch_loss = totals[0]
+                    for extra in totals[1:]:
+                        batch_loss = batch_loss + extra
+                    batch_loss = float(batch_loss * np.asarray(scale, dtype=batch_loss.dtype))
+                    if not np.isfinite(batch_loss):
+                        raise TrainingDiverged("non-finite loss")
+                except TrainingDiverged as exc:
+                    # the gradients in hand are the previous step's; step 0 has none
+                    grad_norms = {name: float(np.linalg.norm(t.grad))
+                                  for name, t in model.named_params() if t.grad is not None}
+                    raise TrainingDiverged(
+                        f"{exc} at step {step}",
+                        {"step": step, "examples": len(totals),
+                         "components": (components / len(totals)).tolist() if totals else None,
+                         "grad_step": step - 1 if grad_norms else None,
+                         "grad_norms": grad_norms}) from None
+                for i, param in enumerate(params):
+                    param.grad = None
+                    for example_grads in grads:
+                        g = example_grads[i]
+                        if g is not None:
+                            param.grad = g if param.grad is None else param.grad + g
+                optimizer.step()
+                sums += [batch_loss, *(components / len(batch))]
+                batches += 1
+                step += 1
+            record = {"epoch": epoch, "l_total": sums[0] / batches, "l_cd": sums[1] / batches,
+                      "l_coarse": sums[2] / batches, "l_refined": sums[3] / batches}
+            history.append(record)
+            if log_stream is not None:
+                log_stream.write(json.dumps(record, sort_keys=True) + "\n")
+                log_stream.flush()
+            if checkpoint_dir is not None and (epoch + 1) % config.checkpoint_every == 0:
+                save_model(model, f"{checkpoint_dir}/checkpoint_epoch{epoch + 1:04d}.pugeo")
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     if checkpoint_dir is not None:
         save_model(model, f"{checkpoint_dir}/checkpoint_final.pugeo")
     return model, history

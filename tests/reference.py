@@ -11,13 +11,17 @@ Poisson elimination, P2F, frame statistics) or within a fixed tolerance
 stacked SVD).  The numpy normal and joint losses are the oracles for
 the autodiff training losses.  The full-sort feature kNN and the
 ``np.add.at`` gather are the oracles for the model's pruned kNN and the
-CSR scatter in ``gather``'s backward, and the per-record ``.xyz``, OBJ and
-PLY readers at the end are the oracles for ``pugeo.io``'s readers.
+CSR scatter in ``gather``'s backward; the ``np.where`` relu and the
+``np.argmax`` reduce_max are the oracles for their bit-level kernels.  The
+joint-graph training loop is the oracle for the per-example backward
+passes of ``trainer.train``, and the per-record ``.xyz``, OBJ and PLY
+readers at the end are the oracles for ``pugeo.io``'s readers.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -26,12 +30,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 import pugeo.autodiff as ad
+from pugeo import trainer
 from pugeo.analytic import GOLDEN_ANGLE, SamplePattern, UpsampleResult
-from pugeo.errors import FormatError, GeometryError, ShapeError, UnsupportedFormatError
+from pugeo.errors import (FormatError, GeometryError, ShapeError, TrainingDiverged,
+                          UnsupportedFormatError)
 from pugeo.geometry import FrameStats
 from pugeo.io import PointCloud, TriangleMesh, _naming, _unit_rows
 from pugeo.losses import LossWeights
 from pugeo.metrics import point_to_triangles
+from pugeo.model import save_model
 from pugeo.sampling import NeighborIndex
 
 from helpers import brute_force_nearest
@@ -425,6 +432,91 @@ def gather(a: ad.Tensor, indices, axis: int = 0) -> ad.Tensor:
         return (ga,)
 
     return ad._make(out, (a,), backward)
+
+
+# relu by np.where and reduce_max with a strided np.argmax: the oracles for
+# the bit-AND relu and the first-hit argmax in reduce_max's backward.
+
+def relu(a: ad.Tensor) -> ad.Tensor:
+    mask = a.data > 0
+    return ad._make(np.where(mask, a.data, 0.0).astype(a.dtype, copy=False), (a,),
+                    lambda g: (g * mask,))
+
+
+def reduce_max(a: ad.Tensor, axis: int, keepdims: bool = False) -> ad.Tensor:
+    """Max along an axis; gradient routes to the first (lowest-index) argmax."""
+    out = a.data.max(axis=axis, keepdims=keepdims)
+    argmax = np.argmax(a.data, axis=axis)
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        g_exp = g if keepdims else np.expand_dims(g, axis)
+        np.put_along_axis(ga, np.expand_dims(argmax, axis), g_exp, axis=axis)
+        return (ga,)
+
+    return ad._make(out, (a,), backward)
+
+
+# The training loop with one joint graph per batch: every example's loss is
+# summed into one node and a single backward pass writes the parameters'
+# .grad.  The oracle for trainer.train's per-example backward passes.
+
+def train(config, dataset, model, log_stream=None, checkpoint_dir=None):
+    if not dataset:
+        raise ValueError("dataset is empty")
+    rng = np.random.default_rng(config.seed)
+    optimizer = ad.Adam(model.parameters(), lr=config.lr)
+    history = []
+    step = 0
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(dataset))
+        sums = np.zeros(4)
+        batches = 0
+        for start in range(0, len(order), config.batch_size):
+            batch = [dataset[i] for i in order[start:start + config.batch_size]]
+            if config.augment:
+                batch = [trainer.augment_example(ex, rng) for ex in batch]
+            totals = []
+            components = np.zeros(3)
+            try:
+                for example in batch:
+                    total, cd, coarse, refined = trainer._example_losses(
+                        model, example, config.weights, config.normal_reduction)
+                    totals.append(total)
+                    components += [cd.item(), coarse.item(), refined.item()]
+                batch_loss = totals[0]
+                for extra in totals[1:]:
+                    batch_loss = ad.add(batch_loss, extra)
+                batch_loss = ad.mul(batch_loss, 1.0 / len(batch))
+                if not np.isfinite(batch_loss.item()):
+                    raise TrainingDiverged("non-finite loss")
+            except TrainingDiverged as exc:
+                # the gradients in hand are the previous step's; step 0 has none
+                grad_norms = {name: float(np.linalg.norm(t.grad))
+                              for name, t in model.named_params() if t.grad is not None}
+                raise TrainingDiverged(
+                    f"{exc} at step {step}",
+                    {"step": step, "examples": len(totals),
+                     "components": (components / len(totals)).tolist() if totals else None,
+                     "grad_step": step - 1 if grad_norms else None,
+                     "grad_norms": grad_norms}) from None
+            optimizer.zero_grad()
+            ad.backward(batch_loss)
+            optimizer.step()
+            sums += [batch_loss.item(), *(components / len(batch))]
+            batches += 1
+            step += 1
+        record = {"epoch": epoch, "l_total": sums[0] / batches, "l_cd": sums[1] / batches,
+                  "l_coarse": sums[2] / batches, "l_refined": sums[3] / batches}
+        history.append(record)
+        if log_stream is not None:
+            log_stream.write(json.dumps(record, sort_keys=True) + "\n")
+            log_stream.flush()
+        if checkpoint_dir is not None and (epoch + 1) % config.checkpoint_every == 0:
+            save_model(model, f"{checkpoint_dir}/checkpoint_epoch{epoch + 1:04d}.pugeo")
+    if checkpoint_dir is not None:
+        save_model(model, f"{checkpoint_dir}/checkpoint_final.pugeo")
+    return model, history
 
 
 # The text readers, each with its own per-record parse loop.

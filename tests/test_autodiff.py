@@ -68,6 +68,26 @@ def test_backward_requires_scalar():
         ad.backward(ad.square(x))
 
 
+def test_backward_returns_leaf_gradients_without_writing_them():
+    def graph():
+        w, b, unused = _param([[1.0, -2.0], [0.5, 3.0]]), _param([0.1, -0.2]), _param(1.0)
+        x = Tensor(np.array([[1.0, 2.0], [-1.0, 0.5]]))
+        hidden = ad.relu(ad.add(ad.matmul(x, w), b))
+        # w is used twice, so its gradient sums two contributions
+        return (w, b, unused), ad.reduce_sum(ad.square(ad.matmul(hidden, w)))
+
+    (w, b, unused), loss = graph()
+    ad.backward(loss)
+    (w2, b2, unused2), loss2 = graph()
+    held = np.full((2, 2), 7.0)
+    w2.grad = held
+    grads = ad.backward(loss2, leaves=[w2, b2, unused2])
+    assert grads[0].tobytes() == w.grad.tobytes()
+    assert grads[1].tobytes() == b.grad.tobytes()
+    assert grads[2] is None and unused.grad is None
+    assert w2.grad is held and b2.grad is None  # the leaves' .grad is untouched
+
+
 def test_reduce_max_tie_routes_to_lowest_index():
     x = _param(np.array([2.0, 2.0, 1.0]))
     loss = ad.reduce_sum(ad.reduce_max(x, axis=0))

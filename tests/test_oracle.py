@@ -4,7 +4,8 @@ FPS must return bitwise the indices of the O(N * count) scan, Poisson
 sample elimination the survivors of the loop that queries the tree once per
 update, kNN those of a brute-force sort, the network's pruned feature kNN
 those of a full stable sort of every distance row, gather's CSR gradient
-bitwise that of np.add.at, and the point-to-surface distance bitwise the
+bitwise that of np.add.at, relu and reduce_max bitwise the np.where and
+np.argmax versions, and the point-to-surface distance bitwise the
 minimum over every triangle.  The batched frame/curvature
 kernel must agree with the per-point loop within 1e-9: its least-squares
 solves use a stacked SVD instead of LAPACK gelsd, so the last digits may
@@ -347,6 +348,101 @@ def test_gather_backward_matches_add_at(dtype, axis, name):
             slow = _gather_grad(reference.gather, a, indices, axis, g)
         assert (fast.dtype, fast.shape) == (slow.dtype, slow.shape) == (a.dtype, a.shape)
         assert fast.tobytes() == slow.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# relu's bit-AND forward and reduce_max's first-hit argmax
+
+
+def _specials(dtype) -> np.ndarray:
+    info = np.finfo(dtype)
+    return np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, info.smallest_subnormal,
+                     -info.smallest_subnormal, info.tiny, -info.tiny, info.max, -info.max,
+                     1.0, -1.0, 1.0, 2.0, 2.0, -3.0], dtype=dtype)
+
+
+def _op_bytes(op, a, g, **kwargs):
+    """Forward and backward bytes of op on a, with upstream gradient g."""
+    out = op(ad.Tensor(a, requires_grad=True), **kwargs)
+    with np.errstate(invalid="ignore"):  # nan/inf gradients times the mask
+        grad = out._backward(g)[0]
+    assert out.data.dtype == grad.dtype == a.dtype
+    return out.data.shape, out.data.tobytes(), grad.shape, grad.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_matches_where_bitwise(dtype):
+    rng = np.random.default_rng(21)
+    a = np.concatenate([_specials(dtype), rng.normal(size=46).astype(dtype)]).reshape(8, 8)
+    g = rng.permutation(np.concatenate([_specials(dtype), rng.normal(size=46)]).astype(dtype))
+    g = g.reshape(8, 8)
+    assert _op_bytes(ad.relu, a, g) == _op_bytes(reference.relu, a, g)
+    out = ad.relu(ad.Tensor(a)).data
+    # +0.0 for every input <= 0 and for NaN; the input itself above 0
+    zero = ~(a > 0)
+    assert not np.signbit(out[zero]).any() and (out[zero] == 0).all()
+    assert out[~zero].tobytes() == a[~zero].tobytes()
+
+
+def test_relu_of_a_strided_view():
+    a = np.arange(-12.0, 12.0, dtype=np.float32).reshape(4, 6)[:, ::2].T
+    g = np.ones_like(a)
+    assert _op_bytes(ad.relu, a, g) == _op_bytes(reference.relu, a, g)
+
+
+@pytest.mark.parametrize("keepdims", [False, True])
+@pytest.mark.parametrize("axis", [0, 1, 2, -1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_reduce_max_matches_argmax_bitwise(dtype, axis, keepdims):
+    rng = np.random.default_rng(22)
+    # small integers tie often; the specials add +-0 ties, NaN, +-inf and subnormals
+    a = rng.integers(-2, 3, size=(4, 5, 6)).astype(dtype)
+    flat = a.reshape(-1)
+    picks = rng.choice(flat.size, size=40, replace=False)
+    flat[picks] = np.resize(_specials(dtype), 40)
+    a[0, 0, :] = a[0, 1, :] = a[1, :, 0] = np.nan  # whole-NaN slices on each axis
+    a[2, :, :] = -np.inf
+    a[3, 1, :] = -0.0
+    a[3, 2, :] = 0.0
+    g = rng.normal(size=np.max(a, axis=axis, keepdims=keepdims).shape).astype(dtype)
+    fast = _op_bytes(ad.reduce_max, a, g, axis=axis, keepdims=keepdims)
+    assert fast == _op_bytes(reference.reduce_max, a, g, axis=axis, keepdims=keepdims)
+
+
+def test_reduce_max_routes_ties_to_the_lowest_index():
+    a = np.array([[-0.0, 0.0, 0.0], [3.0, np.nan, np.nan], [1.0, 5.0, 5.0],
+                  [-np.inf, -np.inf, -np.inf]], dtype=np.float32)
+    grad = ad.reduce_max(ad.Tensor(a, requires_grad=True), axis=1)._backward(
+        np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32))[0]
+    expected = np.zeros_like(a)
+    expected[[0, 1, 2, 3], [0, 1, 1, 0]] = [1.0, 2.0, 3.0, 4.0]
+    assert grad.tobytes() == expected.tobytes()
+
+
+def test_reduce_max_over_a_long_axis():
+    # 300 entries need a rank wider than uint8
+    a = np.zeros((2, 300), dtype=np.float32)
+    a[0, 299] = a[1, 256] = a[1, 280] = 1.0
+    g = np.array([1.0, 2.0], dtype=np.float32)
+    assert _op_bytes(ad.reduce_max, a, g, axis=1) == _op_bytes(reference.reduce_max, a, g, axis=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_relu_and_reduce_max_match_oracles_property(data):
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    shape = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3), label="shape")
+    elements = st.one_of(st.floats(width=np.finfo(dtype).bits),
+                         st.integers(-2, 2).map(float),
+                         st.sampled_from(_specials(dtype).tolist()))
+    a = data.draw(arrays(dtype, tuple(shape), elements=elements), label="a")
+    g = data.draw(arrays(dtype, tuple(shape), elements=elements), label="g")
+    assert _op_bytes(ad.relu, a, g) == _op_bytes(reference.relu, a, g)
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1), label="axis")
+    keepdims = data.draw(st.booleans(), label="keepdims")
+    g_max = np.max(g, axis=axis, keepdims=keepdims)
+    assert _op_bytes(ad.reduce_max, a, g_max, axis=axis, keepdims=keepdims) == \
+        _op_bytes(reference.reduce_max, a, g_max, axis=axis, keepdims=keepdims)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -186,37 +189,195 @@ def test_train_diverges_with_absurd_lr():
     assert "grad_norms" in info.value.diagnostics
 
 
-@pytest.mark.parametrize("fail_at,step,examples", [(1, 0, 0), (4, 1, 1)],
+@pytest.mark.parametrize("fail_step,fail_position,examples", [(0, 0, 0), (1, 1, 1)],
                          ids=["first_example_of_step_0", "second_example_of_step_1"])
-def test_train_divergence_diagnostics_name_their_step(monkeypatch, fail_at, step, examples):
-    cfg = PUGeoConfig(factor=2, patch_size=16, k=4, feature_widths=(8, 8),
-                      hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
-    net = PUGeoNet(cfg, seed=0)
+def test_train_divergence_diagnostics_name_their_step(monkeypatch, fail_step, fail_position,
+                                                      examples):
+    # the failing example is picked by identity and by how often it was
+    # evaluated, which threads do not reorder: one batch holds the whole
+    # dataset, so each step evaluates every example once
+    dataset = [_toy_example(1), _toy_example(2)]
+    rng = np.random.default_rng(0)  # train's draws: one permutation per epoch
+    orders = [rng.permutation(len(dataset)) for _ in range(2)]
+    failing = dataset[orders[fail_step][fail_position]]
     real = trainer._example_losses
-    evaluated = []
+    for workers in (1, 2):
+        monkeypatch.setattr(trainer, "_worker_count", lambda batch_size, n=workers: n)
+        cfg = PUGeoConfig(factor=2, patch_size=16, k=4, feature_widths=(8, 8),
+                          hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
+        net = PUGeoNet(cfg, seed=0)
+        calls = {id(ex): 0 for ex in dataset}
+        evaluated = {}  # (example id, its step) -> loss components
 
-    def diverging(*args):
-        if len(evaluated) + 1 == fail_at:
-            raise TrainingDiverged("non-finite model output")
-        result = real(*args)
-        evaluated.append([t.item() for t in result[1:]])
-        return result
+        def diverging(model_, example, *args):
+            example_step = calls[id(example)]
+            calls[id(example)] += 1
+            if example is failing and example_step == fail_step:
+                raise TrainingDiverged("non-finite model output")
+            result = real(model_, example, *args)
+            evaluated[id(example), example_step] = [t.item() for t in result[1:]]
+            return result
 
-    monkeypatch.setattr(trainer, "_example_losses", diverging)
-    with pytest.raises(TrainingDiverged) as info:
-        train(TrainConfig(batch_size=2, epochs=2, seed=0, augment=False),
-              [_toy_example(1), _toy_example(2)], net)
-    diag = info.value.diagnostics
-    assert diag["step"] == step and diag["examples"] == examples
-    # the mean over the examples of the failing step evaluated before it failed
-    assert diag["components"] == (evaluated[2] if examples else None)
-    if step == 0:  # no backward pass has run yet
-        assert diag["grad_step"] is None and diag["grad_norms"] == {}
-    else:
-        assert diag["grad_step"] == 0
-        assert set(diag["grad_norms"]) == {name for name, _ in net.named_params()}
-        assert all(math.isfinite(v) for v in diag["grad_norms"].values())
-        assert any(v > 0.0 for v in diag["grad_norms"].values())
+        monkeypatch.setattr(trainer, "_example_losses", diverging)
+        with pytest.raises(TrainingDiverged) as info:
+            train(TrainConfig(batch_size=2, epochs=2, seed=0, augment=False), dataset, net)
+        diag = info.value.diagnostics
+        assert diag["step"] == fail_step and diag["examples"] == examples
+        # the mean over the examples of the failing step evaluated before it failed
+        before = dataset[orders[fail_step][0]]
+        assert diag["components"] == (evaluated[id(before), fail_step] if examples else None)
+        if fail_step == 0:  # no backward pass has run yet
+            assert diag["grad_step"] is None and diag["grad_norms"] == {}
+        else:
+            assert diag["grad_step"] == 0
+            assert set(diag["grad_norms"]) == {name for name, _ in net.named_params()}
+            assert all(math.isfinite(v) for v in diag["grad_norms"].values())
+            assert any(v > 0.0 for v in diag["grad_norms"].values())
+
+
+# ---------------------------------------------------------------------------
+# examples of a batch on worker threads
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(trainer, "_worker_count", lambda batch_size: min(batch_size, workers))
+
+
+@pytest.mark.parametrize("batch_size", [2, 3])
+@pytest.mark.parametrize("config", [{}, {"normal_reduction": "mean"}, {"coarse_to_fine": False}],
+                         ids=["default", "mean_normal_loss", "no_coarse_to_fine"])
+def test_threaded_steps_match_joint_graph_reference(monkeypatch, tmp_path, config, batch_size):
+    # per-example backward passes added in batch order give the joint graph's
+    # gradients bit for bit; 5 examples end on a short batch, and a batch of
+    # 3 makes the order of the additions matter
+    model_config = dict(TINY_MODEL, coarse_to_fine=config.get("coarse_to_fine", True))
+    reduction = config.get("normal_reduction", "sum")
+    dataset = [_toy_example(s, n=64, factor=4) for s in range(5)]
+
+    def run(name, train_fn, workers=1):
+        _force_workers(monkeypatch, workers)
+        net = PUGeoNet(PUGeoConfig(**model_config), seed=4)
+        out = tmp_path / name
+        out.mkdir()
+        _, history = train_fn(TrainConfig(batch_size=batch_size, epochs=2, seed=5,
+                                          normal_reduction=reduction),
+                              dataset, net, checkpoint_dir=str(out))
+        return (out / "checkpoint_final.pugeo").read_bytes(), history
+
+    expected = run("reference", reference.train)
+    assert run("one_worker", train, 1) == expected
+    assert run("two_workers", train, 2) == expected
+    initial = PUGeoNet(PUGeoConfig(**model_config), seed=4)
+    model.save_model(initial, str(tmp_path / "initial.pugeo"))
+    assert (tmp_path / "initial.pugeo").read_bytes() != expected[0]
+
+
+def test_threaded_steps_under_thread_switch_stress(monkeypatch):
+    # more workers than cores and a thread switch every microsecond: a
+    # shared write or a lost gradient would change the parameters
+    dataset = [_toy_example(s, n=64, factor=4) for s in range(6)]
+
+    def params_after(train_fn):
+        net = PUGeoNet(PUGeoConfig(**TINY_MODEL), seed=7)
+        train_fn(TrainConfig(batch_size=6, epochs=2, seed=3), dataset, net)
+        return [t.data.tobytes() for _, t in net.named_params()]
+
+    expected = params_after(reference.train)
+    _force_workers(monkeypatch, 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert params_after(train) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threaded_train_runs_examples_on_workers_and_joins_them(monkeypatch):
+    _force_workers(monkeypatch, 2)
+    real = trainer._example_losses
+    seen = set()
+
+    def recording(*args):
+        seen.add(threading.current_thread())
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "_example_losses", recording)
+    before = set(threading.enumerate())
+    net = PUGeoNet(PUGeoConfig(**TINY_MODEL), seed=0)
+    train(TrainConfig(batch_size=2, epochs=1, seed=0),
+          [_toy_example(s, n=64, factor=4) for s in range(4)], net)
+    workers = seen - {threading.main_thread()}
+    assert len(workers) == 2
+    assert not any(t.is_alive() for t in workers)
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_caller_errstate_applies_inside_workers(monkeypatch, workers):
+    _force_workers(monkeypatch, workers)
+    real = trainer._example_losses
+
+    def dividing_by_zero(*args):
+        np.ones(1) / np.zeros(1)
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "_example_losses", dividing_by_zero)
+    net = PUGeoNet(PUGeoConfig(**TINY_MODEL), seed=0)
+    before = set(threading.enumerate())
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        train(TrainConfig(batch_size=2, epochs=1, seed=0),
+              [_toy_example(s, n=64, factor=4) for s in range(2)], net)
+    assert set(threading.enumerate()) == before  # no worker outlives a failed step
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_finite_example_loss_diverges_without_a_backward_pass(monkeypatch, workers):
+    # as with one joint graph, a non-finite loss stops the step before any
+    # backward pass, so an inf gradient cannot raise under the caller's errstate
+    _force_workers(monkeypatch, workers)
+    real = trainer._example_losses
+
+    def infinite(*args):
+        total, *parts = real(*args)
+        return (ad.mul(total, np.inf), *parts)
+
+    monkeypatch.setattr(trainer, "_example_losses", infinite)
+    net = PUGeoNet(PUGeoConfig(**TINY_MODEL), seed=0)
+    with np.errstate(all="raise"), pytest.raises(TrainingDiverged) as info:
+        train(TrainConfig(batch_size=2, epochs=1, seed=0),
+              [_toy_example(s, n=64, factor=4) for s in range(2)], net)
+    assert str(info.value).startswith("non-finite loss at step 0")
+    assert info.value.diagnostics["examples"] == 2
+
+
+@pytest.mark.parametrize("env,cpus,batch,expected", [
+    ({}, 4, 8, 1),                                        # absent: BLAS may use every CPU
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 8, 4),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 3, 3),             # never more than the batch
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, 8, 2),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 4, 8, 1),             # more BLAS threads than CPUs
+    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, 8, 1),  # first one set wins
+    ({"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 2, 8, 2),
+    ({"OMP_NUM_THREADS": "1"}, 2, 8, 2),
+    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 2, 8, 2),  # unset: skipped
+    ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "x"}, 2, 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "-1"}, 2, 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, 8, 1),
+])
+def test_worker_count_rule(monkeypatch, env, cpus, batch, expected):
+    for var in trainer._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert trainer._worker_count(batch) == expected
+
+
+def test_worker_count_without_affinity_uses_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert trainer._worker_count(8) == 3
 
 
 def test_example_losses_pair_output_and_dense_once(monkeypatch):
