@@ -8,7 +8,6 @@ alpha*CD + beta*coarse-normal + gamma*refined-normal with Adam.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 import os
@@ -188,35 +187,22 @@ def _worker_count(batch_size: int) -> int:
 
 
 def _example_gradients(model: PUGeoNet, example: TrainExample, config: TrainConfig,
-                       scale: float, params: list):
+                       scale: float, params: list, err: dict):
     """One example's forward pass, losses and backward pass of scale * total.
 
-    Returns the total loss (a 0-d array), the (cd, coarse, refined) values
-    and the gradients of `params`, without touching any .grad they hold.  A
-    non-finite total gets no backward pass: its batch diverges before a step.
+    Runs under np.errstate(**err), the calling thread's settings, which a
+    worker thread does not inherit.  Returns the total loss (a 0-d array),
+    the (cd, coarse, refined) values and the gradients of `params`, without
+    touching any .grad they hold.  A non-finite total gets no backward
+    pass: its batch diverges before a step.
     """
-    total, cd, coarse, refined = _example_losses(model, example, config.weights,
-                                                 config.normal_reduction)
-    grads = None
-    if np.isfinite(total.data):
-        grads = ad.backward(ad.mul(total, scale), leaves=params)
+    with np.errstate(**err):
+        total, cd, coarse, refined = _example_losses(model, example, config.weights,
+                                                     config.normal_reduction)
+        grads = None
+        if np.isfinite(total.data):
+            grads = ad.backward(ad.mul(total, scale), leaves=params)
     return total.data, (cd.item(), coarse.item(), refined.item()), grads
-
-
-def _batch_outcomes(pool: ThreadPoolExecutor | None, model: PUGeoNet, batch: list,
-                    config: TrainConfig, scale: float, params: list):
-    """`_example_gradients` of each example, yielded in batch order.
-
-    Without a pool the examples run one after another on this thread.  With
-    one, every example is submitted at once, each in a copy of this
-    thread's context so that np.errstate applies in it.  Either way the
-    first example to fail in batch order raises its exception.
-    """
-    if pool is None:
-        return (_example_gradients(model, ex, config, scale, params) for ex in batch)
-    futures = [pool.submit(contextvars.copy_context().run, _example_gradients,
-                           model, ex, config, scale, params) for ex in batch]
-    return (future.result() for future in futures)
 
 
 def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
@@ -230,19 +216,24 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
     last backward pass with the step they come from (`grad_step`).
 
     Each example of a batch runs its forward and backward pass on its own
-    graph, on `_worker_count` threads in a copy of the caller's context
-    (np.errstate included).  The gradients, the batch loss and the
-    diagnostics are combined in batch order, so the parameters are bitwise
-    those of one joint graph per batch for any thread count.  Deterministic
-    given config.seed.
+    graph, on `_worker_count` threads under the caller's np.errstate.  The
+    gradients, the batch loss and the diagnostics are combined in batch
+    order, and the first example to fail in batch order raises.  Each
+    parameter feeds one node of an example's graph, so its gradient in the
+    joint graph of a batch is the per-example gradients added in batch
+    order, and the parameters are bitwise those of one joint graph per
+    batch for any thread count.  A parameter used twice in one forward pass
+    would break this: the joint graph would add its four contributions as
+    ((a0+b0)+a1)+b1, not (a0+b0)+(a1+b1).  Deterministic given config.seed.
     """
     if not dataset:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(config.seed)
     optimizer = ad.Adam(model.parameters(), lr=config.lr)
     params = optimizer.params
-    workers = _worker_count(config.batch_size)
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    err = np.geterr()
+    err["call"] = np.geterrcall()
+    pool = ThreadPoolExecutor(_worker_count(config.batch_size))
     history = []
     step = 0
     try:
@@ -259,8 +250,10 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
                 grads = []
                 components = np.zeros(3)
                 try:
-                    for total, parts, example_grads in _batch_outcomes(pool, model, batch,
-                                                                       config, scale, params):
+                    futures = [pool.submit(_example_gradients, model, ex, config, scale,
+                                           params, err) for ex in batch]
+                    for future in futures:
+                        total, parts, example_grads = future.result()
                         totals.append(total)
                         grads.append(example_grads)
                         components += parts
@@ -299,8 +292,7 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
             if checkpoint_dir is not None and (epoch + 1) % config.checkpoint_every == 0:
                 save_model(model, f"{checkpoint_dir}/checkpoint_epoch{epoch + 1:04d}.pugeo")
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
     if checkpoint_dir is not None:
         save_model(model, f"{checkpoint_dir}/checkpoint_final.pugeo")
     return model, history

@@ -324,10 +324,14 @@ def test_caller_errstate_applies_inside_workers(monkeypatch, workers):
     monkeypatch.setattr(trainer, "_example_losses", dividing_by_zero)
     net = PUGeoNet(PUGeoConfig(**TINY_MODEL), seed=0)
     before = set(threading.enumerate())
+    examples = [_toy_example(s, n=64, factor=4) for s in range(2)]
     with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-        train(TrainConfig(batch_size=2, epochs=1, seed=0),
-              [_toy_example(s, n=64, factor=4) for s in range(2)], net)
+        train(TrainConfig(batch_size=2, epochs=1, seed=0), examples, net)
     assert set(threading.enumerate()) == before  # no worker outlives a failed step
+    calls = []
+    with np.errstate(divide="call", call=lambda kind, flag: calls.append(kind)):
+        train(TrainConfig(batch_size=2, epochs=1, seed=0), examples, net)
+    assert calls == ["divide by zero", "divide by zero"]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
