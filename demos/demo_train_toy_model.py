@@ -40,9 +40,7 @@ for step in range(301):
     if step % 50 == 0:
         print(f"step {step:3d}  total {total.item():8.3f}  cd {cd.item():.4f}  "
               f"coarse {coarse.item():7.2f}  refined {refined.item():7.2f}")
-    optimizer.zero_grad()
-    ad.backward(total)
-    optimizer.step()
+    optimizer.step(ad.backward(total))
 
 result = model.upsample_patch(sparse)
 print(f"\nfinal Chamfer distance to the dense ground truth: "

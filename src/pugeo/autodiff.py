@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 Every op records its inputs and a backward closure; `backward(loss)`
-topologically sorts the recorded graph and accumulates gradients into
-every tracked tensor, or returns those of the given leaves.  Recorded
+topologically sorts the recorded graph and returns the gradients of the
+leaves the loss depends on, without writing to the graph.  Recorded
 tensors are never mutated in place, which is what makes the gradient
 contract hold.  Training runs in float32; gradient checks rebuild the
 same graph in float64.
@@ -25,12 +25,11 @@ from .errors import ShapeError
 class Tensor:
     """An array value plus the bookkeeping to backpropagate through it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None,
                  _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=dtype)
-        self.grad = None
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = _backward
@@ -328,13 +327,13 @@ def unit_rows(a: Tensor, eps: float = 1e-20) -> Tensor:
 # backward pass
 
 
-def backward(loss: Tensor, leaves=None):
-    """Populate .grad of every tracked tensor with d(loss)/d(tensor).
+def backward(loss: Tensor) -> dict:
+    """{leaf: d(loss)/d(leaf)} for every leaf the loss depends on.
 
-    Given `leaves` (tensors without parents, such as parameters), their
-    gradients are returned in that order (None where the loss does not
-    depend on one) and their .grad is left untouched, so graphs that share
-    parameters can run backward on separate threads.
+    Leaves are tracked tensors without parents, such as parameters.  Nothing
+    is written to the graph, so graphs that share parameters can run
+    backward on separate threads.  A node's gradient is complete once every
+    node after it in topological order has run, and is dropped then.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
@@ -354,27 +353,20 @@ def backward(loss: Tensor, leaves=None):
             if id(parent) not in visited:
                 stack.append((parent, False))
 
-    held = {} if leaves is None else {id(t): None for t in leaves}
-    loss.grad = np.ones_like(loss.data)
+    pending = {loss: np.ones_like(loss.data)} if loss.requires_grad else {}
+    leaf_grads = {}
     for node in reversed(topo):
-        if node._backward is None or node.grad is None:
+        grad = pending.pop(node, None)
+        if grad is None:
             continue
-        grads = node._backward(node.grad)
-        for parent, g in zip(node._parents, grads):
+        if node._backward is None:
+            leaf_grads[node] = grad
+            continue
+        for parent, g in zip(node._parents, node._backward(grad)):
             if g is None or not parent.requires_grad:
                 continue
-            key = id(parent)
-            if key in held:
-                held[key] = g if held[key] is None else held[key] + g
-            else:
-                parent.grad = g if parent.grad is None else parent.grad + g
-    if leaves is not None:
-        return [held[id(t)] for t in leaves]
-
-
-def zero_grad(params) -> None:
-    for p in params:
-        p.grad = None
+            pending[parent] = pending[parent] + g if parent in pending else g
+    return leaf_grads
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +415,6 @@ class Mlp:
             out.append((f"{self.name}.b{i}", bias))
         return out
 
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_params()]
-
 
 class Adam:
     """Adam with bias correction; state lives in this object."""
@@ -441,11 +430,15 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self) -> None:
+    def step(self, grads: dict) -> None:
+        """Update each parameter from grads[parameter], as `backward` returns.
+
+        A parameter absent from `grads` keeps its value and moments.
+        """
         self.step_count += 1
         t = self.step_count
         for i, p in enumerate(self.params):
-            g = p.grad
+            g = grads.get(p)
             if g is None:
                 continue
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
@@ -453,6 +446,3 @@ class Adam:
             m_hat = self.m[i] / (1.0 - self.beta1 ** t)
             v_hat = self.v[i] / (1.0 - self.beta2 ** t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def zero_grad(self) -> None:
-        zero_grad(self.params)

@@ -223,13 +223,6 @@ class PUGeoNet:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_params()]
 
-    def astype(self, dtype) -> "PUGeoNet":
-        """A copy of this model with weights cast to `dtype` (for checks)."""
-        clone = PUGeoNet(self.config, seed=0, dtype=dtype)
-        for (_, src), (_, dst) in zip(self.named_params(), clone.named_params()):
-            dst.data = src.data.astype(dtype)
-        return clone
-
     # -- stages -------------------------------------------------------------
 
     def stn_forward(self, points: Tensor):

@@ -42,7 +42,7 @@ def farthest_point_sample(cloud, count: int, seed_index: int = 0) -> np.ndarray:
     """
     pts = _as_points(cloud)
     n = len(pts)
-    if count > n:
+    if not 1 <= count <= n:
         raise ValueError(f"requested {count} samples from {n} points")
     if not 0 <= seed_index < n:
         raise ValueError(f"seed index {seed_index} out of range for {n} points")
@@ -275,6 +275,14 @@ class Patch:
     normals: np.ndarray | None = None
 
 
+def _check_patching(patch_size: int, coverage: float) -> None:
+    """ValueError naming the bad value unless patch_size >= 1 and 0 < coverage < inf."""
+    if patch_size < 1:
+        raise ValueError(f"patch size must be >= 1, got {patch_size}")
+    if not 0 < coverage < math.inf:
+        raise ValueError(f"coverage must be finite and > 0, got {coverage}")
+
+
 def extract_patches(cloud: PointCloud, patch_size: int, coverage: float = 3.0) -> list[Patch]:
     """Cover the cloud with ceil(coverage*M/N) kNN patches around FPS seeds.
 
@@ -282,6 +290,7 @@ def extract_patches(cloud: PointCloud, patch_size: int, coverage: float = 3.0) -
     coverage >= 1 but some point still lands in no patch, a warning is
     emitted.
     """
+    _check_patching(patch_size, coverage)
     pts = cloud.points
     m = len(pts)
     if patch_size > m:

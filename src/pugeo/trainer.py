@@ -22,8 +22,9 @@ from .errors import TrainingDiverged
 from .io import PointCloud, TriangleMesh
 from .losses import LossWeights, chamfer_loss, normal_loss_graph, total_loss_graph
 from .model import PUGeoNet, save_model
-from .sampling import (NeighborIndex, _normalize_patch, denormalize, extract_patches,
-                       farthest_point_sample, fuse_patches, nearest_pairs, poisson_disk_sample)
+from .sampling import (NeighborIndex, _check_patching, _normalize_patch, denormalize,
+                       extract_patches, farthest_point_sample, fuse_patches, nearest_pairs,
+                       poisson_disk_sample)
 
 
 @dataclass
@@ -53,6 +54,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.checkpoint_every < 1:
+            raise ValueError(f"checkpoint interval must be >= 1, got {self.checkpoint_every}")
         if self.normal_reduction not in ("sum", "mean"):
             raise ValueError("normal_reduction must be 'sum' or 'mean'")
 
@@ -80,6 +83,7 @@ def build_dataset(meshes: list[TriangleMesh], m: int, factor: int, patch_size: i
     both normalized by the sparse patch's centroid and scale.  noise_sigma
     adds Gaussian noise (unit-cube units) to the sparse cloud only.
     """
+    _check_patching(patch_size, coverage)
     examples: list[TrainExample] = []
     for mesh_index, mesh in enumerate(meshes):
         mesh = scale_to_unit_cube(mesh)
@@ -187,21 +191,21 @@ def _worker_count(batch_size: int) -> int:
 
 
 def _example_gradients(model: PUGeoNet, example: TrainExample, config: TrainConfig,
-                       scale: float, params: list, err: dict):
+                       scale: float, err: dict):
     """One example's forward pass, losses and backward pass of scale * total.
 
     Runs under np.errstate(**err), the calling thread's settings, which a
     worker thread does not inherit.  Returns the total loss (a 0-d array),
-    the (cd, coarse, refined) values and the gradients of `params`, without
-    touching any .grad they hold.  A non-finite total gets no backward
-    pass: its batch diverges before a step.
+    the (cd, coarse, refined) values and the {parameter: gradient} dict of
+    `ad.backward`.  A non-finite total gets no backward pass: its batch
+    diverges before a step.
     """
     with np.errstate(**err):
         total, cd, coarse, refined = _example_losses(model, example, config.weights,
                                                      config.normal_reduction)
         grads = None
         if np.isfinite(total.data):
-            grads = ad.backward(ad.mul(total, scale), leaves=params)
+            grads = ad.backward(ad.mul(total, scale))
     return total.data, (cd.item(), coarse.item(), refined.item()), grads
 
 
@@ -217,7 +221,7 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
 
     Each example of a batch runs its forward and backward pass on its own
     graph, on `_worker_count` threads under the caller's np.errstate.  The
-    gradients, the batch loss and the diagnostics are combined in batch
+    gradient dicts, the batch loss and the diagnostics are combined in batch
     order, and the first example to fail in batch order raises.  Each
     parameter feeds one node of an example's graph, so its gradient in the
     joint graph of a batch is the per-example gradients added in batch
@@ -230,12 +234,12 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(config.seed)
     optimizer = ad.Adam(model.parameters(), lr=config.lr)
-    params = optimizer.params
     err = np.geterr()
     err["call"] = np.geterrcall()
     pool = ThreadPoolExecutor(_worker_count(config.batch_size))
     history = []
     step = 0
+    step_grads = {}
     try:
         for epoch in range(config.epochs):
             order = rng.permutation(len(dataset))
@@ -250,8 +254,8 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
                 grads = []
                 components = np.zeros(3)
                 try:
-                    futures = [pool.submit(_example_gradients, model, ex, config, scale,
-                                           params, err) for ex in batch]
+                    futures = [pool.submit(_example_gradients, model, ex, config, scale, err)
+                               for ex in batch]
                     for future in futures:
                         total, parts, example_grads = future.result()
                         totals.append(total)
@@ -265,21 +269,19 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
                         raise TrainingDiverged("non-finite loss")
                 except TrainingDiverged as exc:
                     # the gradients in hand are the previous step's; step 0 has none
-                    grad_norms = {name: float(np.linalg.norm(t.grad))
-                                  for name, t in model.named_params() if t.grad is not None}
+                    grad_norms = {name: float(np.linalg.norm(step_grads[t]))
+                                  for name, t in model.named_params() if t in step_grads}
                     raise TrainingDiverged(
                         f"{exc} at step {step}",
                         {"step": step, "examples": len(totals),
                          "components": (components / len(totals)).tolist() if totals else None,
                          "grad_step": step - 1 if grad_norms else None,
                          "grad_norms": grad_norms}) from None
-                for i, param in enumerate(params):
-                    param.grad = None
-                    for example_grads in grads:
-                        g = example_grads[i]
-                        if g is not None:
-                            param.grad = g if param.grad is None else param.grad + g
-                optimizer.step()
+                step_grads = {}
+                for example_grads in grads:
+                    for param, g in example_grads.items():
+                        step_grads[param] = step_grads[param] + g if param in step_grads else g
+                optimizer.step(step_grads)
                 sums += [batch_loss, *(components / len(batch))]
                 batches += 1
                 step += 1
@@ -312,6 +314,7 @@ def upsample_cloud(cloud: PointCloud, factor: int, method: str = "analytic",
     When `counts` is given it receives the patch points processed and the
     degenerate frames and fits summed over all patches.
     """
+    _check_patching(patch_size, coverage)
     if method == "model":
         if model is None:
             raise ValueError("method 'model' requires a model")

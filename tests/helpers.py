@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 
-from pugeo import PointCloud, TriangleMesh, poisson_disk_sample
+from pugeo import PointCloud, PUGeoNet, TriangleMesh, poisson_disk_sample
 from pugeo.model import CHECKPOINT_MAGIC
 from pugeo.sampling import NeighborIndex
 
@@ -111,6 +111,14 @@ def numeric_gradient(fn, tensor, h: float = 1e-4) -> np.ndarray:
         flat[i] = orig
         grad[i] = (f_plus - f_minus) / (2.0 * h)
     return grad.reshape(tensor.data.shape)
+
+
+def cast_model(net: PUGeoNet, dtype) -> PUGeoNet:
+    """A copy of `net` with its weights cast to `dtype`."""
+    clone = PUGeoNet(net.config, seed=0, dtype=dtype)
+    for (_, src), (_, dst) in zip(net.named_params(), clone.named_params()):
+        dst.data = src.data.astype(dtype)
+    return clone
 
 
 def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-4) -> float:

@@ -458,8 +458,8 @@ def reduce_max(a: ad.Tensor, axis: int, keepdims: bool = False) -> ad.Tensor:
 
 
 # The training loop with one joint graph per batch: every example's loss is
-# summed into one node and a single backward pass writes the parameters'
-# .grad.  The oracle for trainer.train's per-example backward passes.
+# summed into one node and a single backward pass gives the step's
+# gradients.  The oracle for trainer.train's per-example backward passes.
 
 def train(config, dataset, model, log_stream=None, checkpoint_dir=None):
     if not dataset:
@@ -468,6 +468,7 @@ def train(config, dataset, model, log_stream=None, checkpoint_dir=None):
     optimizer = ad.Adam(model.parameters(), lr=config.lr)
     history = []
     step = 0
+    grads = {}
     for epoch in range(config.epochs):
         order = rng.permutation(len(dataset))
         sums = np.zeros(4)
@@ -492,17 +493,16 @@ def train(config, dataset, model, log_stream=None, checkpoint_dir=None):
                     raise TrainingDiverged("non-finite loss")
             except TrainingDiverged as exc:
                 # the gradients in hand are the previous step's; step 0 has none
-                grad_norms = {name: float(np.linalg.norm(t.grad))
-                              for name, t in model.named_params() if t.grad is not None}
+                grad_norms = {name: float(np.linalg.norm(grads[t]))
+                              for name, t in model.named_params() if t in grads}
                 raise TrainingDiverged(
                     f"{exc} at step {step}",
                     {"step": step, "examples": len(totals),
                      "components": (components / len(totals)).tolist() if totals else None,
                      "grad_step": step - 1 if grad_norms else None,
                      "grad_norms": grad_norms}) from None
-            optimizer.zero_grad()
-            ad.backward(batch_loss)
-            optimizer.step()
+            grads = ad.backward(batch_loss)
+            optimizer.step(grads)
             sums += [batch_loss.item(), *(components / len(batch))]
             batches += 1
             step += 1

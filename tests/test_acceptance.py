@@ -25,7 +25,7 @@ from pugeo.model import _knn_indices
 from pugeo.sampling import NeighborIndex, nearest_pairs
 from pugeo.trainer import TrainExample, _example_losses
 
-from helpers import (brute_force_knn, cube_mesh, icosphere, max_rel_err,
+from helpers import (brute_force_knn, cast_model, cube_mesh, icosphere, max_rel_err,
                      numeric_gradient, sphere_cloud, unit_rows)
 from reference import brute_force_mesh_distance, normal_loss_unoriented, total_loss
 
@@ -182,7 +182,7 @@ def test_criterion_5_gradient_integrity():
     cfg = PUGeoConfig(factor=2, patch_size=8, k=3, feature_widths=(8, 8),
                       hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
     # checks rerun the training-precision model's graph in wide float
-    net = PUGeoNet(cfg, seed=3, dtype=np.float32).astype(np.float64)
+    net = cast_model(PUGeoNet(cfg, seed=3, dtype=np.float32), np.float64)
     rng = np.random.default_rng(5)
     example = TrainExample(
         sparse_points=rng.normal(size=(8, 3)),
@@ -195,12 +195,11 @@ def test_criterion_5_gradient_integrity():
         total, *_ = _example_losses(net, example, weights)
         return total
 
-    total = loss_value()
-    ad.backward(total)
+    grads = ad.backward(loss_value())
     worst = 0.0
     worst_name = ""
     for name, p in net.named_params():
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+        analytic = grads[p] if p in grads else np.zeros_like(p.data)
         numeric = numeric_gradient(lambda: loss_value().item(), p)
         err = max_rel_err(analytic, numeric)
         if err > worst:
@@ -218,11 +217,9 @@ def test_criterion_5_gradient_integrity():
             (lambda: chamfer_loss(pred_pts, gt_pts, phi, psi), pred_pts),
             (lambda: normal_loss_graph(pred_n, gt_n[:10]), pred_n),
             (lambda: normal_loss_graph(pred_n, gt_n[phi]), pred_n)):
-        target.grad = None
-        loss = build()
-        ad.backward(loss)
-        checks.append(max_rel_err(target.grad, numeric_gradient(lambda: build().item(),
-                                                                target)))
+        grads = ad.backward(build())
+        checks.append(max_rel_err(grads[target], numeric_gradient(lambda: build().item(),
+                                                                  target)))
     elapsed = time.monotonic() - start
     loss_worst = max(checks)
     _report(5, "gradient integrity", worst < 1e-4 and loss_worst < 1e-4 and elapsed < 60.0,
@@ -257,9 +254,7 @@ def _overfit_run():
         total, cd, _, _ = _example_losses(net, example, weights)
         totals.append(total.item())
         cds.append(cd.item())
-        optimizer.zero_grad()
-        ad.backward(total)
-        optimizer.step()
+        optimizer.step(ad.backward(total))
     return totals, cds, [t.data.copy() for _, t in net.named_params()]
 
 

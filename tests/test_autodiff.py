@@ -49,17 +49,16 @@ def test_add_shape_error():
 def test_backward_square():
     x = _param(3.0)
     loss = ad.reduce_sum(ad.square(x))
-    ad.backward(loss)
-    assert abs(x.grad - 6.0) < 1e-12
+    assert abs(ad.backward(loss)[x] - 6.0) < 1e-12
 
 
 def test_backward_concat_routes_ones():
     a = _param(np.zeros(3))
     b = _param(np.zeros(2))
     loss = ad.reduce_sum(ad.concat([a, b], axis=0))
-    ad.backward(loss)
-    np.testing.assert_allclose(a.grad, np.ones(3))
-    np.testing.assert_allclose(b.grad, np.ones(2))
+    grads = ad.backward(loss)
+    np.testing.assert_allclose(grads[a], np.ones(3))
+    np.testing.assert_allclose(grads[b], np.ones(2))
 
 
 def test_backward_requires_scalar():
@@ -69,37 +68,39 @@ def test_backward_requires_scalar():
 
 
 def test_backward_returns_leaf_gradients_without_writing_them():
-    def graph():
+    def graph(split=False):
         w, b, unused = _param([[1.0, -2.0], [0.5, 3.0]]), _param([0.1, -0.2]), _param(1.0)
+        w_out = _param(w.data) if split else w
         x = Tensor(np.array([[1.0, 2.0], [-1.0, 0.5]]))
         hidden = ad.relu(ad.add(ad.matmul(x, w), b))
-        # w is used twice, so its gradient sums two contributions
-        return (w, b, unused), ad.reduce_sum(ad.square(ad.matmul(hidden, w)))
+        # unsplit, w is used twice, so its gradient sums two contributions
+        return (w, w_out, b, unused), ad.reduce_sum(ad.square(ad.matmul(hidden, w_out)))
 
-    (w, b, unused), loss = graph()
-    ad.backward(loss)
-    (w2, b2, unused2), loss2 = graph()
-    held = np.full((2, 2), 7.0)
-    w2.grad = held
-    grads = ad.backward(loss2, leaves=[w2, b2, unused2])
-    assert grads[0].tobytes() == w.grad.tobytes()
-    assert grads[1].tobytes() == b.grad.tobytes()
-    assert grads[2] is None and unused.grad is None
-    assert w2.grad is held and b2.grad is None  # the leaves' .grad is untouched
+    (w, _, b, _), loss = graph()
+    grads = ad.backward(loss)
+    (w2, _, b2, _), loss2 = graph()
+    grads2 = ad.backward(loss2)
+    assert grads[w].tobytes() == grads2[w2].tobytes()
+    assert grads[b].tobytes() == grads2[b2].tobytes()
+    (w_in, w_out, _, _), loss3 = graph(split=True)
+    split = ad.backward(loss3)
+    assert grads[w].tobytes() == (split[w_in] + split[w_out]).tobytes()
+    # no entry for the unused leaf or for any intermediate node
+    assert set(grads) == {w, b}
+    assert "grad" not in Tensor.__slots__
 
 
 def test_reduce_max_tie_routes_to_lowest_index():
     x = _param(np.array([2.0, 2.0, 1.0]))
     loss = ad.reduce_sum(ad.reduce_max(x, axis=0))
-    ad.backward(loss)
-    np.testing.assert_allclose(x.grad, [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(ad.backward(loss)[x], [1.0, 0.0, 0.0])
 
 
 def test_gather_scatter_adds():
     x = _param(np.arange(4.0).reshape(4, 1))
     out = ad.gather(x, np.array([0, 0, 2]), axis=0)
-    ad.backward(ad.reduce_sum(out))
-    np.testing.assert_allclose(x.grad.ravel(), [2.0, 0.0, 1.0, 0.0])
+    grads = ad.backward(ad.reduce_sum(out))
+    np.testing.assert_allclose(grads[x].ravel(), [2.0, 0.0, 1.0, 0.0])
 
 
 @pytest.mark.parametrize("op_name", ["relu", "softmax", "sqrt", "square"])
@@ -112,10 +113,9 @@ def test_unary_op_gradients(op_name):
         return ad.reduce_sum(ad.mul(op(x), Tensor(weights)))
 
     weights = rng.normal(size=(4, 5))
-    loss = build()
-    ad.backward(loss)
+    grads = ad.backward(build())
     numeric = numeric_gradient(lambda: build().item(), x)
-    assert max_rel_err(x.grad, numeric) < 1e-6
+    assert max_rel_err(grads[x], numeric) < 1e-6
 
 
 def test_mlp_gradient_matches_finite_differences():
@@ -126,11 +126,10 @@ def test_mlp_gradient_matches_finite_differences():
     def loss_value():
         return ad.reduce_sum(ad.square(mlp(x))).item()
 
-    loss = ad.reduce_sum(ad.square(mlp(x)))
-    ad.backward(loss)
+    grads = ad.backward(ad.reduce_sum(ad.square(mlp(x))))
     for name, p in mlp.named_params():
         numeric = numeric_gradient(loss_value, p)
-        assert max_rel_err(p.grad, numeric) < 1e-4, name
+        assert max_rel_err(grads[p], numeric) < 1e-4, name
 
 
 def test_inverse_gradient():
@@ -141,10 +140,9 @@ def test_inverse_gradient():
     def build():
         return ad.reduce_sum(ad.mul(ad.inverse(a), Tensor(w)))
 
-    loss = build()
-    ad.backward(loss)
+    grads = ad.backward(build())
     numeric = numeric_gradient(lambda: build().item(), a)
-    assert max_rel_err(a.grad, numeric) < 1e-5
+    assert max_rel_err(grads[a], numeric) < 1e-5
 
 
 def test_apply_linear_maps_gradients():
@@ -156,11 +154,10 @@ def test_apply_linear_maps_gradients():
     def build():
         return ad.reduce_sum(ad.mul(ad.apply_linear_maps(mats, vecs), Tensor(w)))
 
-    loss = build()
-    ad.backward(loss)
+    grads = ad.backward(build())
     for t in (mats, vecs):
         numeric = numeric_gradient(lambda: build().item(), t)
-        assert max_rel_err(t.grad, numeric) < 1e-5
+        assert max_rel_err(grads[t], numeric) < 1e-5
 
 
 def test_no_mutation_of_recorded_tensors():
@@ -224,20 +221,20 @@ def test_mlp_init_deterministic_from_seed():
 # Adam
 
 
-def test_adam_zero_gradient_no_change():
+def test_adam_gradient_of_zeros_no_change():
     p = _param(np.array([1.0, -2.0]))
-    opt = Adam([p])
-    p.grad = np.zeros(2)
-    opt.step()
+    absent = _param(np.array([3.0]))  # a parameter without a gradient is skipped
+    opt = Adam([p, absent])
+    opt.step({p: np.zeros(2)})
     np.testing.assert_allclose(p.data, [1.0, -2.0])
+    np.testing.assert_array_equal(absent.data, [3.0])
 
 
 def test_adam_first_step_is_signed_lr():
     # closed form: m_hat = g, v_hat = g^2, update = lr * g / (|g| + eps)
     p = _param(np.array([1.0, 1.0]))
     opt = Adam([p], lr=0.001)
-    p.grad = np.array([0.5, -0.25])
-    opt.step()
+    opt.step({p: np.array([0.5, -0.25])})
     delta = p.data - 1.0
     np.testing.assert_allclose(delta, [-0.001, 0.001], rtol=1e-6)
 
@@ -249,9 +246,7 @@ def test_adam_deterministic_bitwise():
         opt = Adam([p], lr=0.01)
         for step in range(10):
             loss = ad.reduce_sum(ad.square(p))
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
+            opt.step(ad.backward(loss))
         return p.data.copy()
 
     assert np.array_equal(run(), run())

@@ -326,6 +326,43 @@ def test_train_logs_json_per_epoch_and_ablation_flag(tmp_path, mesh_dir, capsys)
     assert load_model(ckpt).config.recalibration is False
 
 
+@pytest.mark.parametrize("command,extra,message", [
+    ("upsample", ["--coverage", "0"], "coverage must be finite and > 0, got 0.0"),
+    ("upsample", ["--coverage", "-1"], "coverage must be finite and > 0, got -1.0"),
+    ("upsample", ["--coverage", "nan"], "coverage must be finite and > 0, got nan"),
+    ("upsample", ["--coverage", "inf"], "coverage must be finite and > 0, got inf"),
+    ("upsample", ["--patch-size", "0"], "patch size must be >= 1, got 0"),
+    ("upsample", ["--patch-size", "256", "--coverage", "0"],
+     "coverage must be finite and > 0, got 0.0"),
+    ("dataset", ["--coverage", "0"], "coverage must be finite and > 0, got 0.0"),
+    ("dataset", ["--patch-size", "0"], "patch size must be >= 1, got 0"),
+    ("train", ["--checkpoint-every", "0"], "checkpoint interval must be >= 1, got 0"),
+], ids=["upsample_coverage_0", "upsample_coverage_negative", "upsample_coverage_nan",
+        "upsample_coverage_inf", "upsample_patch_size_0", "upsample_one_patch_coverage_0",
+        "dataset_coverage_0", "dataset_patch_size_0", "train_checkpoint_every_0"])
+def test_bad_patch_or_checkpoint_setting_exit_2(tmp_path, mesh_dir, capsys, command, extra,
+                                                message):
+    out = tmp_path / "out"
+    checkpoints = tmp_path / "checkpoints"
+    if command == "upsample":
+        # 100 points hold a 32-point patch; a patch size above 100 makes one patch
+        cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+        argv = ["upsample", "--input", cloud_path, "--output", str(out), "--patch-size", "32"]
+    elif command == "dataset":
+        argv = ["dataset", "build", "--mesh-dir", str(mesh_dir), "--out", str(out),
+                "--points", "128", "--patch-size", "64"]
+    else:
+        data = _run_dataset(tmp_path, mesh_dir)
+        capsys.readouterr()
+        argv = ["train", "--data", str(data), "--out", str(out), "--epochs", "1",
+                "--checkpoint-dir", str(checkpoints)]
+    rc = main(argv + extra)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not out.exists() and not checkpoints.exists()
+
+
 def test_train_factor_mismatch_exit_2(tmp_path, mesh_dir, capsys):
     data = _run_dataset(tmp_path, mesh_dir)
     rc = main(["train", "--data", str(data), "--out", str(tmp_path / "m.pugeo"),

@@ -1,13 +1,16 @@
 """The package's public names and the names the demos import stay resolvable.
 
-The demos are parsed, not run, so this stays fast; running them is left to
-`python demos/<name>.py`.  Every public name must also be used by the
-package itself or by a demo, so nothing is exported for the tests alone.
+Every demo runs to exit 0, so a demo that calls a removed name fails here.
+Every public name must also be used by the package itself or by a demo, so
+nothing is exported for the tests alone.
 """
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -28,13 +31,17 @@ def _pugeo_imports(path):
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
-def test_demo_imports_resolve(path):
+def test_demo_imports_resolve(path, tmp_path):
     imports = list(_pugeo_imports(path))
     assert imports, f"{path.name} imports nothing from pugeo"
     for module_name, name in imports:
         module = importlib.import_module(module_name)
         if name is not None:
             assert hasattr(module, name), f"{path.name}: {module_name} has no {name}"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, f"{path.name} failed:\n{run.stderr}"
 
 
 def test_all_entries_resolve_once():

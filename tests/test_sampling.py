@@ -37,6 +37,8 @@ def test_fps_full_count_is_permutation():
 def test_fps_count_too_large():
     with pytest.raises(ValueError):
         farthest_point_sample(np.zeros((3, 3)), 4)
+    with pytest.raises(ValueError, match="requested 0 samples"):
+        farthest_point_sample(np.zeros((3, 3)), 0)
 
 
 @pytest.mark.parametrize("seed", range(3))

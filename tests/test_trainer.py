@@ -244,14 +244,22 @@ def _force_workers(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("batch_size", [2, 3])
-@pytest.mark.parametrize("config", [{}, {"normal_reduction": "mean"}, {"coarse_to_fine": False}],
-                         ids=["default", "mean_normal_loss", "no_coarse_to_fine"])
+@pytest.mark.parametrize("config", [
+    {}, {"normal_reduction": "mean"}, {"coarse_to_fine": False}, {"recalibration": False},
+    {"learned_sampling": False}, {"linear_transform": False}, {"predict_normals": False},
+    {"linear_transform": False, "coarse_to_fine": False},
+    {"recalibration": False, "learned_sampling": False, "linear_transform": False,
+     "coarse_to_fine": False, "predict_normals": False},
+], ids=["default", "mean_normal_loss", "no_coarse_to_fine", "no_recalibration",
+        "no_learned_sampling", "no_linear_transform", "no_normal_prediction",
+        "no_linear_transform_no_coarse_to_fine", "every_ablation"])
 def test_threaded_steps_match_joint_graph_reference(monkeypatch, tmp_path, config, batch_size):
     # per-example backward passes added in batch order give the joint graph's
     # gradients bit for bit; 5 examples end on a short batch, and a batch of
-    # 3 makes the order of the additions matter
-    model_config = dict(TINY_MODEL, coarse_to_fine=config.get("coarse_to_fine", True))
-    reduction = config.get("normal_reduction", "sum")
+    # 3 makes the order of the additions matter.  Each ablation switch builds
+    # a different graph.
+    model_config = dict(TINY_MODEL, **config)
+    reduction = model_config.pop("normal_reduction", "sum")
     dataset = [_toy_example(s, n=64, factor=4) for s in range(5)]
 
     def run(name, train_fn, workers=1):
