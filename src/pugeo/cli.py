@@ -229,6 +229,8 @@ def cmd_train(args) -> int:
 
 def cmd_upsample(args) -> int:
     cloud = read_xyz(args.input)
+    if len(cloud) == 0:
+        return _fail(f"{args.input}: no points")
     model = None
     if args.method == "model":
         if not args.model:
@@ -257,14 +259,24 @@ def cmd_upsample(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.factor is not None and args.factor < 1:
+        return _fail(f"--factor must be >= 1, got {args.factor}")
+    if args.recon_samples < 1:
+        return _fail(f"--recon-samples must be >= 1, got {args.recon_samples}")
     pred = read_xyz(args.pred)
     gt_dense = read_xyz(args.gt_dense)
     gt_mesh = read_mesh(args.gt_mesh)
+    recon = read_mesh(args.recon_mesh) if args.recon_mesh else None
+    for path, cloud in ((args.pred, pred), (args.gt_dense, gt_dense)):
+        if len(cloud) == 0:
+            return _fail(f"{path}: no points")
+    for path, mesh in ((args.gt_mesh, gt_mesh), (args.recon_mesh, recon)):
+        if mesh is not None and len(mesh.triangles) == 0:
+            return _fail(f"{path}: mesh has no triangles")
     report = report_metrics(pred, gt_dense, gt_mesh, factor=args.factor,
                             inputs={"pred": args.pred, "gt_dense": args.gt_dense,
                                     "gt_mesh": args.gt_mesh})
-    if args.recon_mesh:
-        recon = read_mesh(args.recon_mesh)
+    if recon is not None:
         cd_s, hd_s, jsd_s = surface_compare(recon, gt_mesh, n=args.recon_samples,
                                             seed=args.seed)
         report.surface = {"cd#": cd_s, "hd#": hd_s, "jsd#": jsd_s}

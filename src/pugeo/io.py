@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,26 +150,61 @@ def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
     return out
 
 
+def _loadtxt_xyz(path) -> np.ndarray | None:
+    """The rows of an .xyz file parsed by numpy's C reader, or None if it is not clean.
+
+    Its float parser rounds as float() does.  None (the record scanner then
+    decides) covers what it rejects and float() may accept, such as ``1_0``
+    or non-ASCII digits, bytes that are not UTF-8, a column count other than
+    3 or 6 (mixed counts, or an empty file) and non-finite values.
+    """
+    # opened here: given a path, numpy would also try a compressed sibling
+    # (x.xyz.gz) of a missing file, or fetch a URL
+    with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            values = np.loadtxt(handle, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if values.shape[1] not in (3, 6) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _scan_xyz(path) -> tuple[list, np.ndarray]:
+    """(records, float rows) of an .xyz file read by the record scanner.
+
+    A FormatError names the first line with a bad column count, then the
+    first non-numeric token, then the first non-finite value.
+    """
+    with open(path, "rb") as handle:
+        records = list(_records(handle))
+    arity = len(records[0][1]) if records else 3
+    for lineno, tokens in records:
+        if len(tokens) not in (3, 6):
+            raise FormatError(f"line {lineno}: expected 3 or 6 columns, got {len(tokens)}")
+        if len(tokens) != arity:
+            raise FormatError(
+                f"line {lineno}: mixed column counts ({len(tokens)} after {arity})"
+            )
+    return records, _floats(records, range(arity))
+
+
 def read_xyz(path: str | os.PathLike) -> PointCloud:
     """Read an .xyz file: 3 columns (points) or 6 (points + normals).
 
     Normals are normalized on load.  Mixed arity, non-numeric tokens,
     non-finite values or zero-length normals raise FormatError citing the
-    path and the 1-based line number.
+    path and the 1-based line number.  Clean files are parsed in C; any
+    other file goes through the record scanner, which gives the values
+    float() gives or the error naming the line.
     """
-    with _naming(path), open(path, "rb") as handle:
-        records = list(_records(handle))
-        arity = len(records[0][1]) if records else 3
-        for lineno, tokens in records:
-            if len(tokens) not in (3, 6):
-                raise FormatError(f"line {lineno}: expected 3 or 6 columns, got {len(tokens)}")
-            if len(tokens) != arity:
-                raise FormatError(
-                    f"line {lineno}: mixed column counts ({len(tokens)} after {arity})"
-                )
-        values = _floats(records, range(arity))
+    with _naming(path):
+        values = _loadtxt_xyz(path)
+        if values is None:
+            values = _scan_xyz(path)[1]
         normals = None
-        if arity == 6:
+        if values.shape[1] == 6:
             normals = values[:, 3:]
             # rounds each length as np.linalg.norm of that one row does
             with np.errstate(over="ignore"):
@@ -180,6 +216,7 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
                 normals[lost] /= np.abs(normals[lost]).max(axis=1, keepdims=True)
                 lengths[lost] = np.sqrt(_vector_dot(normals[lost], normals[lost]))
             if not lengths.all():
+                records = _scan_xyz(path)[0]
                 raise FormatError(f"line {records[int(np.argmin(lengths))][0]}: "
                                   f"zero-length normal")
             normals = normals / lengths[:, None]

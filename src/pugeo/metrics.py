@@ -199,16 +199,15 @@ def point_to_mesh_distances(points, mesh: TriangleMesh) -> np.ndarray:
     """Exact distance from each point to the mesh surface.
 
     The result equals, bit for bit, the minimum of point_to_triangles over
-    every triangle.  A point's distance is at most the distance to its
-    nearest vertex that some triangle references, so only triangles whose
-    centroid lies within that bound plus the triangle's radius (its
-    farthest corner from the centroid) can hold the minimum; every other
-    triangle is strictly farther than a surface point already in hand.
-    Triangles are bucketed by the power of two of their radius, with one
-    centroid kd-tree per bucket queried at the bucket's largest radius, so
-    one large triangle does not widen the search of every point.  The
-    candidate pairs are evaluated row-wise, at most _PAIR_BUDGET at a time
-    (one point's candidates are never split), and reduced per point.
+    every triangle.  Triangles are bucketed by the power of two of their
+    radius (the farthest corner from the centroid), with one centroid
+    kd-tree per bucket, so one large triangle does not widen the search of
+    every point.  A point's distance is at most its exact distance to the
+    triangle of each bucket's nearest centroid, a surface point in hand; a
+    triangle whose centroid lies farther than that bound plus the bucket's
+    largest radius is strictly farther, so only the others are candidates.
+    The candidate pairs are evaluated row-wise, at most _PAIR_BUDGET at a
+    time (one point's candidates are never split), and reduced per point.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     v, t = mesh.vertices, mesh.triangles
@@ -217,13 +216,21 @@ def point_to_mesh_distances(points, mesh: TriangleMesh) -> np.ndarray:
     a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
     centroids = (a + b + c) / 3.0
     radius = np.linalg.norm(np.stack([a, b, c]) - centroids, axis=2).max(axis=0)
-    bound = cKDTree(v[np.unique(t)]).query(pts)[0]
     level = np.frexp(radius)[1]
+    trees = [(members, cKDTree(centroids[members]))
+             for members in (np.flatnonzero(level == lv) for lv in np.unique(level))]
+    bound = np.full(len(pts), np.inf)
+    for start in range(0, len(pts), _PAIR_BUDGET):
+        rows = slice(start, start + _PAIR_BUDGET)
+        for members, tree in trees:
+            nearest = members[tree.query(pts[rows])[1]]
+            np.minimum(bound[rows], point_to_triangles(pts[rows], a[nearest], b[nearest],
+                                                       c[nearest]), out=bound[rows])
     buckets = []  # (triangle indices, centroid tree, per-point search radius)
-    for members in (np.flatnonzero(level == lv) for lv in np.unique(level)):
+    for members, tree in trees:
         # inflated by 1e-9 relative and rounded up, to absorb rounding
         reach = np.nextafter((bound + radius[members].max()) * (1.0 + 1e-9), np.inf)
-        buckets.append((members, cKDTree(centroids[members]), reach))
+        buckets.append((members, tree, reach))
 
     pair_ends = np.cumsum(sum(tree.query_ball_point(pts, reach, return_length=True)
                               for _, tree, reach in buckets))

@@ -247,6 +247,44 @@ def test_bad_input_names_file_and_line(tmp_path, capsys, name, data, line):
     assert capsys.readouterr().err.startswith(f"{path}: line {line}: ")
 
 
+@pytest.mark.parametrize("case", ["upsample_empty_input", "eval_empty_pred",
+                                  "eval_empty_gt_dense", "eval_mesh_without_triangles",
+                                  "eval_recon_mesh_without_triangles", "eval_recon_samples_0",
+                                  "eval_factor_0"])
+def test_bad_input_names_the_file_or_flag(tmp_path, mesh_dir, capsys, case):
+    cloud = _write_cloud(tmp_path / "cloud.xyz", sphere_cloud(50, 1.0, 5))
+    empty = tmp_path / "empty.xyz"
+    empty.write_text("\n")
+    flat = tmp_path / "flat.obj"
+    flat.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
+    mesh = str(mesh_dir / "icosphere.obj")
+    out = tmp_path / "out.xyz"
+    argv, message = {
+        "upsample_empty_input": (["upsample", "--input", str(empty), "--output", str(out)],
+                                 f"{empty}: no points"),
+        "eval_empty_pred": (["eval", "--pred", str(empty), "--gt-dense", cloud,
+                             "--gt-mesh", mesh], f"{empty}: no points"),
+        "eval_empty_gt_dense": (["eval", "--pred", cloud, "--gt-dense", str(empty),
+                                 "--gt-mesh", mesh], f"{empty}: no points"),
+        "eval_mesh_without_triangles": (["eval", "--pred", cloud, "--gt-dense", cloud,
+                                         "--gt-mesh", str(flat)],
+                                        f"{flat}: mesh has no triangles"),
+        "eval_recon_mesh_without_triangles": (
+            ["eval", "--pred", cloud, "--gt-dense", cloud, "--gt-mesh", mesh,
+             "--recon-mesh", str(flat)], f"{flat}: mesh has no triangles"),
+        "eval_recon_samples_0": (["eval", "--pred", cloud, "--gt-dense", cloud,
+                                  "--gt-mesh", mesh, "--recon-mesh", mesh,
+                                  "--recon-samples", "0"],
+                                 "--recon-samples must be >= 1, got 0"),
+        "eval_factor_0": (["eval", "--pred", cloud, "--gt-dense", cloud, "--gt-mesh", mesh,
+                           "--factor", "0"], "--factor must be >= 1, got 0"),
+    }[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option", ["--input", "--mesh-dir"])
 def test_unreadable_path_exit_2(tmp_path, capsys, option):
     if option == "--input":  # a directory where a file belongs

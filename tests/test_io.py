@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -75,6 +76,29 @@ def test_read_xyz_zero_normal_cites_line(tmp_path):
     path.write_text("0 0 0 0 0 1\n0 0 0 0 0 0\n")
     with pytest.raises(FormatError, match="a.xyz: line 2: zero-length normal"):
         read_xyz(path)
+
+
+def test_read_xyz_zero_normal_after_blank_lines_cites_its_line(tmp_path):
+    path = tmp_path / "a.xyz"
+    path.write_bytes(b"\n0 0 0 0 0 1\r\n \n\r0 0 0 -0 0 0\n")
+    with pytest.raises(FormatError, match="a.xyz: line 5: zero-length normal"):
+        read_xyz(path)
+
+
+def test_read_xyz_peak_memory_stays_near_its_arrays(tmp_path):
+    rng = np.random.default_rng(0)
+    normals = rng.normal(size=(20000, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    path = tmp_path / "a.xyz"
+    write_xyz(PointCloud(rng.normal(size=(20000, 3)), normals), path)
+    tracemalloc.start()
+    try:
+        cloud = read_xyz(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a list of token lists per record peaked near 18x the arrays
+    assert peak < 5 * (cloud.points.nbytes + cloud.normals.nbytes)
 
 
 def test_write_xyz_single_point(tmp_path):

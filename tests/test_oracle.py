@@ -14,6 +14,8 @@ of the per-record parse loops, or raise the same FormatError.
 """
 
 import pathlib
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -532,10 +534,17 @@ def test_p2f_large_triangle_keeps_candidates_local(monkeypatch):
     # query with all 1801 triangles; its own radius bucket keeps that to one
     assert sum(sizes) < 20 * len(near_grid)
     # above the grid a small triangle is closest, just above the large one it is
+    above_large = rng.uniform([0, 0, -0.99], [1, 1, -0.9], size=(50, 3))
     queries = np.concatenate([near_grid, rng.uniform([0, 0, -0.2], [1, 1, 0.2], size=(100, 3)),
-                              rng.uniform([0, 0, -0.99], [1, 1, -0.9], size=(50, 3))])
+                              above_large])
     fast = _assert_p2f_matches_scan(queries, mesh)
     assert np.all(fast[-50:] < 0.1)
+    # bounding by the nearest vertex, 0.9 away on the grid, kept every grid
+    # triangle within it (about 210 pairs per query); the large triangle's
+    # own distance bounds these queries to it and the grid's underside
+    sizes = _counting_pairs(monkeypatch)
+    point_to_mesh_distances(above_large, mesh)
+    assert sum(sizes) < 10 * len(above_large)
 
 
 def test_p2f_pair_budget_chunks_are_exact(monkeypatch):
@@ -784,7 +793,11 @@ def test_readers_match_reference_on_fixtures(name, tmp_path):
 
 
 _VALUES = st.one_of(st.just(0.0), st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150))
-_FORMATS = (repr, "{:.17g}".format, "{:.6e}".format, "{:.3f}".format, "{:.1E}".format)
+_FULLWIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17"
+                                         "\uff18\uff19")
+# the last two are tokens float() accepts and numpy's C parser rejects
+_FORMATS = (repr, "{:.17g}".format, "{:.6e}".format, "{:.3f}".format, "{:.1E}".format,
+            "{:_.3f}".format, lambda v: repr(v).translate(_FULLWIDTH))
 
 
 def _text(data, rows):
@@ -792,7 +805,8 @@ def _text(data, rows):
     lines = []
     for row in rows:
         blank = data.draw(st.sampled_from([None, "", " ", "\t  "])) if lines else None
-        sep = data.draw(st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"]))
+        sep = data.draw(st.sampled_from([" ", "  ", "\t", " \t ", "\t\t", "\x0b", "\x0c",
+                                         "\x1c", "\x85", "\xa0", "\u3000"]))
         lines += ([] if blank is None else [blank]) + [sep.join(row)]
     return "".join(line + data.draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
 
@@ -819,3 +833,45 @@ def test_readers_match_reference_property(data, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / name
         path.write_bytes(_text(data, records).encode("utf-8"))
         _assert_readers_match(path)
+
+
+@pytest.mark.parametrize("data", [
+    b"1_0 2 3\n4 5 6_5\n",
+    "\uff11 2 3\n4 \uff15.\uff15 6\n".encode(),
+    b"\xef\xbb\xbf1 2 3\n",
+    b"1\x002 3 4\n",
+    b"1 2 3\x00\n",
+    b"1\x0b2\x0b3\n",
+    b"1 2 3\x0c4 5 6\n",
+    "1\x852 3\n".encode(),
+    "1\xa02\xa03\n".encode(),
+    b"1 2 3\r\r4 5 6\r",
+    b"",
+    b" \n\t\r\n\n",
+], ids=["underscore", "fullwidth_digits", "bom", "nul_in_token", "nul_after_row", "vt_sep",
+        "ff_sep", "nel_sep", "nbsp_sep", "lone_cr", "empty", "blank_only"])
+def test_xyz_reader_matches_reference_where_float_and_loadtxt_differ(data, tmp_path):
+    path = tmp_path / "cloud.xyz"
+    path.write_bytes(data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _assert_readers_match(path)
+    assert not caught
+
+
+@pytest.mark.parametrize("data,line", [
+    (b"1 2 3\n4 \xff 6\n", 2),
+    (b"1\xa02 3\n", 1),
+    (b"1 2 3\r4 5 \xc3\r", 2),
+], ids=["bad_byte", "latin1_nbsp", "truncated_sequence"])
+def test_xyz_reader_names_the_line_that_is_not_utf8(data, line, tmp_path):
+    # the reference decodes the file as a whole and raises UnicodeDecodeError
+    path = tmp_path / "cloud.xyz"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError):
+        reference.read_xyz(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line {line}: not UTF-8"):
+            pugeo_io.read_xyz(path)
+    assert not caught
