@@ -17,7 +17,7 @@ import numpy as np
 
 from .analytic import SamplePattern, upsample_analytic
 from .errors import FormatError, TrainingDiverged
-from .geometry import frame_stats
+from .geometry import MIN_NEIGHBORS, frame_stats
 from .io import PointCloud, read_mesh, read_xyz, write_xyz
 from .losses import LossWeights
 from .metrics import report_metrics, surface_compare
@@ -115,7 +115,21 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
+def _check_k(k: int, path: str, cloud: PointCloud) -> str | None:
+    """Why analytic upsampling cannot take --k neighbors in `cloud`, or None."""
+    if k < MIN_NEIGHBORS:
+        return f"--k must be >= {MIN_NEIGHBORS}, got {k}"
+    if len(cloud) < k + 1:
+        return f"{path}: need at least k+1={k + 1} points for --k {k}, got {len(cloud)}"
+    return None
+
+
 def cmd_dataset_build(args) -> int:
+    for flag, value in (("--points", args.points), ("--factor", args.factor)):
+        if value < 1:
+            return _fail(f"{flag} must be >= 1, got {value}")
+    if args.patch_size > args.points:
+        return _fail(f"--patch-size {args.patch_size} exceeds --points {args.points}")
     mesh_paths = sorted(p for p in os.listdir(args.mesh_dir)
                         if p.lower().endswith(MESH_EXTENSIONS))
     if not mesh_paths:
@@ -232,6 +246,13 @@ def cmd_upsample(args) -> int:
     if len(cloud) == 0:
         return _fail(f"{args.input}: no points")
     model = None
+    if args.method == "analytic":
+        problem = _check_k(args.k, args.input, cloud)
+        if problem:
+            return _fail(problem)
+        if 1 <= args.patch_size <= args.k:
+            return _fail(f"--patch-size {args.patch_size} must be at least k+1={args.k + 1} "
+                         f"for --k {args.k}")
     if args.method == "model":
         if not args.model:
             return _fail("--method model requires --model CHECKPOINT")
@@ -287,7 +308,12 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect_frames(args) -> int:
     cloud = read_xyz(args.input)
+    if len(cloud) == 0:
+        return _fail(f"{args.input}: no points")
     if args.method == "analytic":
+        problem = _check_k(args.k, args.input, cloud)
+        if problem:
+            return _fail(problem)
         result = upsample_analytic(cloud, args.factor, k=args.k,
                                    pattern=_pattern(args.pattern),
                                    rng=np.random.default_rng(args.seed))

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: fewest rows per neighborhood the frame and curvature fits accept
+MIN_NEIGHBORS = 6
 #: relative eigenvalue floor below which a covariance is considered collinear
 _COLLINEAR_RTOL = 1e-10
 #: normal-equation condition number above which a quadric fit is degenerate
@@ -114,8 +116,8 @@ def _neighborhoods(neighborhoods) -> np.ndarray:
     pts = np.asarray(neighborhoods, dtype=np.float64)
     if pts.ndim != 3 or pts.shape[2] != 3:
         raise ValueError(f"neighborhoods must be (N, k, 3), got shape {pts.shape}")
-    if pts.shape[1] < 6:
-        raise ValueError(f"need at least 6 neighbors, got {pts.shape[1]}")
+    if pts.shape[1] < MIN_NEIGHBORS:
+        raise ValueError(f"need at least {MIN_NEIGHBORS} neighbors, got {pts.shape[1]}")
     return pts
 
 

@@ -8,7 +8,6 @@ sample elimination, patch extraction/normalization and patch fusion.
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -175,20 +174,8 @@ def poisson_disk_sample(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:
     Dart-throws _OVERSAMPLE*n area-weighted candidates, then eliminates down
     to n by repeatedly removing the point whose nearest surviving neighbor
     is closest (ties to the lowest index): greedy sample elimination after
-    Yuksel (2015).  Deterministic given seed.
-
-    A heap on (nearest-surviving distance, index) picks the next point to
-    remove; entries whose distance is out of date are skipped when popped,
-    and a point is re-queued when the neighbor it watches dies.  Nearest
-    surviving neighbors come from one kd-tree query of every candidate's
-    _NEIGHBOR_TABLE_K nearest.  Each row keeps a pointer that moves past
-    the point itself and past dead entries; points only die, so it never
-    moves back, and every point beyond the row is at least as far as the
-    row's last entry.  A row that runs out falls back to a tree query of
-    growing k.  cKDTree computes a pair's distance the same way whatever k
-    is, and the removal order depends only on those distances and the
-    indices, so the kept set is bitwise the one a tree query per update
-    gives.
+    Yuksel (2015).  Deterministic given seed; _eliminate removes many points
+    per step and keeps exactly the set this one-at-a-time rule keeps.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -199,65 +186,134 @@ def poisson_disk_sample(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:
 
 
 def _eliminate(points: np.ndarray, n: int) -> np.ndarray:
-    """Ascending indices of the n candidates that survive; needs 1 <= n < len(points)."""
-    m = len(points)
-    tree = cKDTree(points, balanced_tree=True)
-    width = min(_NEIGHBOR_TABLE_K, m)
-    table_dist, table_idx = tree.query(points, k=width)
-    # flat arrays read through memoryviews yield Python scalars without the
-    # memory of nested lists; int32 indices halve the index table
-    dist = memoryview(table_dist.reshape(-1))
-    idx = memoryview(table_idx.astype(np.int32).reshape(-1))
-    del table_idx
-    pointer = list(range(0, m * width, width))
-    alive_flags = np.ones(m, dtype=bool)
-    alive = memoryview(alive_flags)
-    alive_count = m
+    """Ascending indices of the n candidates that survive; needs 1 <= n < len(points).
 
-    def nearest_alive(i: int):
-        p, end = pointer[i], (i + 1) * width
-        while p < end:
-            j = idx[p]
-            if j != i and alive[j]:
-                pointer[i] = p
-                return dist[p], j
-            p += 1
-        pointer[i] = p
-        k = width
-        while k < m:  # row exhausted: everything still alive is farther out
+    A point's key is (distance to its nearest live neighbor, index), and
+    one-at-a-time elimination removes the live point of smallest key.
+    Keys only grow as points die, so removals come in increasing key
+    order.  Each round removes, all at once, every live point i that
+    passes two tests:
+
+    - safe: every other live point within i's key distance has a larger
+      key.  Then one of i's nearest neighbors outlives i, so i keeps its
+      key until it is removed, and a point whose key i's death raises
+      already has a larger key, so removing i early moves no other removal;
+    - rank: fewer than R live points have a smaller key, R being the
+      removals still needed.  Everything removed before a safe i has a
+      smaller key now, so i is among the next R removals.
+
+    The smallest key passes both, so every round removes something, and
+    the kept set is bitwise the one-at-a-time one.  The safe test reads
+    only i's nearest neighbor when the next entry of i's table row is
+    farther.  Equal distances and duplicates, a row whose last entry is at
+    the key distance (the tie set may run past the table) and rows that
+    fell back to the tree check every live point within the key distance.
+    Distances all come from the kd-tree, which computes a pair's distance
+    the same way whatever k is and in either direction.
+    """
+    state = _Elimination(points)
+    alive_count = len(points)
+    while True:
+        doomed = _elimination_round(state, alive_count - n)
+        state.alive[doomed] = False
+        alive_count -= len(doomed)
+        if alive_count == n:
+            return np.flatnonzero(state.alive)
+        live = np.flatnonzero(state.alive)
+        state.refresh(live[~state.alive[state.nearest[live]]])
+
+
+class _Elimination:
+    """Live flags and nearest live neighbors of the candidates.
+
+    Nearest neighbors come from one kd-tree query of every candidate's
+    _NEIGHBOR_TABLE_K nearest.  Each row keeps a pointer to its nearest
+    live neighbor other than itself; points only die, so it never moves
+    back, and every point beyond the row is at least as far as the row's
+    last entry.  A row that runs out falls back to a tree query of
+    growing k.
+    """
+
+    def __init__(self, points: np.ndarray):
+        m = len(points)
+        self.points = points
+        self.tree = cKDTree(points, balanced_tree=True)
+        self.width = min(_NEIGHBOR_TABLE_K, m)
+        table_dist, table_idx = self.tree.query(points, k=self.width)
+        self.table_dist = table_dist.reshape(m, self.width)
+        # int32 indices halve the index table
+        self.table_idx = table_idx.astype(np.int32).reshape(m, self.width)
+        del table_idx
+        self.alive = np.ones(m, dtype=bool)
+        self.pointer = np.zeros(m, dtype=np.int32)  # width once the row ran out
+        self.dist = np.empty(m)
+        self.nearest = np.empty(m, dtype=np.int32)
+        self.refresh(np.arange(m, dtype=np.int32))
+
+    def refresh(self, rows: np.ndarray) -> None:
+        """Point each row at its nearest live neighbor other than itself."""
+        while len(rows):
+            cols = self.pointer[rows]
+            out = cols == self.width
+            for i in rows[out].tolist():
+                self.dist[i], self.nearest[i] = self._query_nearest(i)
+            rows, cols = rows[~out], cols[~out]
+            j = self.table_idx[rows, cols]
+            found = self.alive[j] & (j != rows)
+            self.dist[rows[found]] = self.table_dist[rows[found], cols[found]]
+            self.nearest[rows[found]] = j[found]
+            rows = rows[~found]
+            self.pointer[rows] += 1
+
+    def _query_nearest(self, i: int):
+        """Nearest live neighbor of a row that ran out: everything live is farther out."""
+        m, k = len(self.points), self.width
+        while k < m:
             k = min(4 * k, m)
-            dists, idxs = tree.query(points[i], k=k)
-            for d, j in zip(dists.tolist(), idxs.tolist()):
-                if j != i and alive[j]:
-                    return d, j
+            dists, idxs = self.tree.query(self.points[i], k=k)
+            live = self.alive[idxs] & (idxs != i)
+            if live.any():
+                first = int(np.argmax(live))
+                return dists[first], idxs[first]
         raise AssertionError("no surviving neighbor found")
 
-    nn_dist = [0.0] * m
-    # a point joins a watcher list only when its previous nearest neighbor
-    # died, so no list holds it twice
-    watchers: dict[int, list[int]] = {}
-    for i in range(m):
-        nn_dist[i], j = nearest_alive(i)
-        watchers.setdefault(j, []).append(i)
-    heap = list(zip(nn_dist, range(m)))
-    heapq.heapify(heap)
+    def ties_clear(self, i: int) -> bool:
+        """Whether every other live point within i's key distance has a larger key."""
+        d = self.dist[i]
+        col = self.pointer[i]
+        if col < self.width and self.table_dist[i, -1] > d:
+            # the row holds every point within d; those before the pointer are dead or i
+            near = self.table_idx[i, col:][self.table_dist[i, col:] <= d]
+        else:
+            m, k = len(self.points), self.width
+            while True:
+                k = min(4 * k, m)
+                dists, idxs = self.tree.query(self.points[i], k=k)
+                if dists[-1] > d or k == m:
+                    break
+            near = idxs[dists <= d]
+        near = near[self.alive[near] & (near != i)]
+        near_dist = self.dist[near]
+        return bool(np.all((near_dist > d) | ((near_dist == d) & (near > i))))
 
-    while alive_count > n:
-        d, i = heapq.heappop(heap)
-        if not alive[i] or d != nn_dist[i]:
-            continue
-        alive[i] = False
-        alive_count -= 1
-        if alive_count == n:
-            break
-        for j in watchers.pop(i, ()):  # points whose nearest neighbor died
-            if not alive[j]:
-                continue
-            nn_dist[j], nearest = nearest_alive(j)
-            watchers.setdefault(nearest, []).append(j)
-            heapq.heappush(heap, (nn_dist[j], j))
 
-    return np.nonzero(alive_flags)[0]
+def _elimination_round(state: _Elimination, needed: int) -> np.ndarray:
+    """The live points that pass the rank and safe tests of _eliminate."""
+    live = np.flatnonzero(state.alive)
+    cand = live[np.argsort(state.dist[live], kind="stable")[:needed]]
+    # the nearest neighbor's key distance is at most i's, so i's key is the
+    # smaller only in a mutual nearest pair with i the lower index
+    d = state.dist[cand]
+    nearest = state.nearest[cand]
+    safe = (state.dist[nearest] == d) & (cand < nearest)
+    cand, d = cand[safe], d[safe]
+    # the nearest neighbor is the only point within d when the row's next
+    # entry is farther; other rows may hold ties, or ran out, and check them all
+    cols = state.pointer[cand]
+    follow = state.table_dist[cand, np.minimum(cols + 1, state.width - 1)]
+    alone = (cols + 1 < state.width) & (follow > d)
+    tied = [i for i in cand[~alone].tolist() if state.ties_clear(i)]
+    return np.concatenate([cand[alone], np.asarray(tied, dtype=cand.dtype)])
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,50 @@ def test_bad_input_names_the_file_or_flag(tmp_path, mesh_dir, capsys, case):
     assert not out.exists()
 
 
+_K_CASES = ["k_0", "k_3", "fewer_than_k_plus_1", "empty_input"]
+
+
+@pytest.mark.parametrize("command,case",
+                         [(command, case) for command in ("upsample", "inspect")
+                          for case in _K_CASES] + [("upsample", "patch_size_below_k_plus_1")])
+def test_bad_k_names_the_flag_or_file(tmp_path, capsys, command, case):
+    cloud = _write_cloud(tmp_path / "cloud.xyz", sphere_cloud(50, 1.0, 5))
+    four = _write_cloud(tmp_path / "four.xyz", PointCloud(np.eye(4, 3)))
+    empty = tmp_path / "empty.xyz"
+    empty.write_text("\n")
+    out = tmp_path / "out.xyz"
+    path, extra, message = {
+        "k_0": (cloud, ["--k", "0"], "--k must be >= 6, got 0"),
+        "k_3": (cloud, ["--k", "3"], "--k must be >= 6, got 3"),
+        "fewer_than_k_plus_1": (four, [], f"{four}: need at least k+1=17 points for --k 16, got 4"),
+        "empty_input": (str(empty), [], f"{empty}: no points"),
+        "patch_size_below_k_plus_1": (cloud, ["--patch-size", "10"],
+                                      "--patch-size 10 must be at least k+1=17 for --k 16"),
+    }[case]
+    if command == "upsample":
+        argv = ["upsample", "--input", path, "--output", str(out)]
+    else:
+        argv = ["inspect", "frames", "--input", path]
+    assert main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--points", "0"], "--points must be >= 1, got 0"),
+    (["--factor", "0"], "--factor must be >= 1, got 0"),
+    (["--points", "100"], "--patch-size 256 exceeds --points 100"),
+], ids=["points_0", "factor_0", "patch_size_above_points"])
+def test_dataset_build_checks_flags_before_writing(tmp_path, mesh_dir, capsys, extra, message):
+    out = tmp_path / "data"
+    argv = ["dataset", "build", "--mesh-dir", str(mesh_dir), "--out", str(out)]
+    assert main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option", ["--input", "--mesh-dir"])
 def test_unreadable_path_exit_2(tmp_path, capsys, option):
     if option == "--input":  # a directory where a file belongs

@@ -181,6 +181,36 @@ def test_elimination_matches_query_per_update_property(data):
                           reference.poisson_eliminate(points, n))
 
 
+@pytest.mark.parametrize("width", [1, 2, 16])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_elimination_matches_query_per_update_on_grid_ties_property(width, data):
+    """A 4x4x4 integer grid: many exact duplicates and equal distances."""
+    m = data.draw(st.integers(2, 120), label="m")
+    points = data.draw(arrays(np.float64, (m, 3), elements=st.integers(0, 3)), label="points")
+    n = data.draw(st.integers(1, m - 1), label="n")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "_NEIGHBOR_TABLE_K", width)
+        keep = sampling._eliminate(points, n)
+    assert np.array_equal(keep, reference.poisson_eliminate(points, n))
+
+
+def test_elimination_round_count_stays_small(monkeypatch):
+    """Rounds remove many points each: 8000 sphere candidates down to 2000."""
+    rounds = []
+    one_round = sampling._elimination_round
+
+    def counting_round(state, needed):
+        rounds.append(needed)
+        return one_round(state, needed)
+
+    monkeypatch.setattr(sampling, "_elimination_round", counting_round)
+    points, _ = sampling._dart_throw(icosphere(3), 8000, np.random.default_rng(0))
+    assert len(sampling._eliminate(points, 2000)) == 2000
+    assert rounds[0] == 6000
+    assert len(rounds) <= 32
+
+
 # ---------------------------------------------------------------------------
 # k nearest neighbors
 
