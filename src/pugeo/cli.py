@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -124,10 +125,21 @@ def _check_k(k: int, path: str, cloud: PointCloud) -> str | None:
     return None
 
 
+def _check_patch_size(path: str, cloud: PointCloud, model: PUGeoNet) -> str | None:
+    """Why `cloud` cannot fill one of the checkpoint's patches, or None."""
+    need = model.config.patch_size
+    if len(cloud) < need:
+        return (f"{path}: need at least {need} points for the checkpoint's patch size, "
+                f"got {len(cloud)}")
+    return None
+
+
 def cmd_dataset_build(args) -> int:
     for flag, value in (("--points", args.points), ("--factor", args.factor)):
         if value < 1:
             return _fail(f"{flag} must be >= 1, got {value}")
+    if not 0.0 <= args.noise_sigma < math.inf:
+        return _fail(f"--noise-sigma must be finite and >= 0, got {args.noise_sigma}")
     if args.patch_size > args.points:
         return _fail(f"--patch-size {args.patch_size} exceeds --points {args.points}")
     mesh_paths = sorted(p for p in os.listdir(args.mesh_dir)
@@ -215,6 +227,16 @@ def _load_manifest_dataset(data_path):
 
 
 def cmd_train(args) -> int:
+    for flag, value in (("--batch", args.batch), ("--k-feature", args.k_feature)):
+        if value < 1:
+            return _fail(f"{flag} must be >= 1, got {value}")
+    if args.epochs < 0:
+        return _fail(f"--epochs must be >= 0, got {args.epochs}")
+    if not 0.0 < args.lr < math.inf:
+        return _fail(f"--lr must be finite and > 0, got {args.lr}")
+    for flag, value in (("--alpha", args.alpha), ("--beta", args.beta), ("--gamma", args.gamma)):
+        if not 0.0 <= value < math.inf:
+            return _fail(f"{flag} must be finite and >= 0, got {value}")
     manifest, dataset = _load_manifest_dataset(args.data)
     factor = manifest["config"]["factor"]
     patch_size = manifest["config"]["patch_size"]
@@ -260,6 +282,9 @@ def cmd_upsample(args) -> int:
         if args.factor != model.config.factor:
             return _fail(f"--factor {args.factor} does not match checkpoint factor "
                          f"{model.config.factor}")
+        problem = _check_patch_size(args.input, cloud, model)
+        if problem:
+            return _fail(problem)
     counts = {}
     result = upsample_cloud(cloud, args.factor, method=args.method, model=model,
                             k=args.k, pattern=_pattern(args.pattern),
@@ -323,6 +348,9 @@ def cmd_inspect_frames(args) -> int:
         if not args.model:
             return _fail("--method model requires --model CHECKPOINT")
         model = load_model(args.model)
+        problem = _check_patch_size(args.input, cloud, model)
+        if problem:
+            return _fail(problem)
         patches = extract_patches(cloud, model.config.patch_size, args.coverage)
         outputs = [model.forward(patch.points) for patch in patches]
         frames = np.concatenate([out.t_matrices for out in outputs])

@@ -27,8 +27,9 @@ class LossWeights:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0.0:
-            raise ValueError("loss weights must be non-negative")
+        if not all(0.0 <= w < np.inf for w in (self.alpha, self.beta, self.gamma)):
+            raise ValueError(f"loss weights must be finite and non-negative, got alpha="
+                             f"{self.alpha}, beta={self.beta}, gamma={self.gamma}")
 
 
 def _row_norms(t: Tensor, eps: float = 1e-12) -> Tensor:

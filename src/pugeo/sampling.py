@@ -133,8 +133,7 @@ def nearest_pairs(x, y) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Poisson-disk sampling of a triangle mesh
 
-_OVERSAMPLE = 4          # dart-thrown candidates per kept sample
-_NEIGHBOR_TABLE_K = 16   # nearest neighbors stored per candidate for elimination
+_OVERSAMPLE = 4  # dart-thrown candidates per kept sample
 
 
 def _triangle_areas(mesh: TriangleMesh) -> np.ndarray:
@@ -175,7 +174,8 @@ def poisson_disk_sample(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:
     to n by repeatedly removing the point whose nearest surviving neighbor
     is closest (ties to the lowest index): greedy sample elimination after
     Yuksel (2015).  Deterministic given seed; _eliminate removes many points
-    per step and keeps exactly the set this one-at-a-time rule keeps.
+    per round, each against a kd-tree of the surviving candidates, and
+    keeps exactly the set this one-at-a-time rule keeps.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -203,117 +203,70 @@ def _eliminate(points: np.ndarray, n: int) -> np.ndarray:
       smaller key now, so i is among the next R removals.
 
     The smallest key passes both, so every round removes something, and
-    the kept set is bitwise the one-at-a-time one.  The safe test reads
-    only i's nearest neighbor when the next entry of i's table row is
-    farther.  Equal distances and duplicates, a row whose last entry is at
-    the key distance (the tie set may run past the table) and rows that
-    fell back to the tree check every live point within the key distance.
-    Distances all come from the kd-tree, which computes a pair's distance
-    the same way whatever k is and in either direction.
+    the kept set is bitwise the one-at-a-time one.  Each round queries a
+    kd-tree of the live points only.  Rows whose nearest neighbor died
+    take their two nearest other points from it; other rows keep a second
+    distance from an earlier round, which deaths since can only have
+    raised.  The safe test reads only i's nearest neighbor when the second
+    is farther than the key distance; otherwise (equal distances,
+    duplicates) it checks every live point within the key distance,
+    querying the tree with growing k.  A kd-tree computes a pair's
+    distance the same way whatever tree holds the pair, whatever k is and
+    in either direction.
     """
-    state = _Elimination(points)
-    alive_count = len(points)
+    m = len(points)
+    alive = np.ones(m, dtype=bool)
+    dist, second = np.empty(m), np.empty(m)
+    nearest = np.empty(m, dtype=np.intp)
+    live = rows = np.arange(m)  # rows: positions in live whose nearest neighbor died
     while True:
-        doomed = _elimination_round(state, alive_count - n)
-        state.alive[doomed] = False
-        alive_count -= len(doomed)
-        if alive_count == n:
-            return np.flatnonzero(state.alive)
-        live = np.flatnonzero(state.alive)
-        state.refresh(live[~state.alive[state.nearest[live]]])
+        tree = cKDTree(points[live], balanced_tree=False)
+        near_dist, near_idx = tree.query(tree.data[rows], k=3)
+        # self is at most one of the three: the nearest other entry is column 1
+        # if self is column 0, else 0; the second is column 2 if self is column
+        # 0 or 1, else 1
+        is_self = near_idx == rows[:, None]
+        nearest_col = is_self[:, 0].astype(np.intp)
+        second_col = 1 + (is_self[:, 0] | is_self[:, 1])
+        at, r = live[rows], np.arange(len(rows))
+        dist[at], second[at] = near_dist[r, nearest_col], near_dist[r, second_col]
+        nearest[at] = live[near_idx[r, nearest_col]]
+        doomed = _elimination_round(tree, live, dist, nearest, second, len(live) - n)
+        alive[doomed] = False
+        live = np.flatnonzero(alive)
+        if len(live) == n:
+            return live
+        rows = np.flatnonzero(~alive[nearest[live]])
 
 
-class _Elimination:
-    """Live flags and nearest live neighbors of the candidates.
-
-    Nearest neighbors come from one kd-tree query of every candidate's
-    _NEIGHBOR_TABLE_K nearest.  Each row keeps a pointer to its nearest
-    live neighbor other than itself; points only die, so it never moves
-    back, and every point beyond the row is at least as far as the row's
-    last entry.  A row that runs out falls back to a tree query of
-    growing k.
-    """
-
-    def __init__(self, points: np.ndarray):
-        m = len(points)
-        self.points = points
-        self.tree = cKDTree(points, balanced_tree=True)
-        self.width = min(_NEIGHBOR_TABLE_K, m)
-        table_dist, table_idx = self.tree.query(points, k=self.width)
-        self.table_dist = table_dist.reshape(m, self.width)
-        # int32 indices halve the index table
-        self.table_idx = table_idx.astype(np.int32).reshape(m, self.width)
-        del table_idx
-        self.alive = np.ones(m, dtype=bool)
-        self.pointer = np.zeros(m, dtype=np.int32)  # width once the row ran out
-        self.dist = np.empty(m)
-        self.nearest = np.empty(m, dtype=np.int32)
-        self.refresh(np.arange(m, dtype=np.int32))
-
-    def refresh(self, rows: np.ndarray) -> None:
-        """Point each row at its nearest live neighbor other than itself."""
-        while len(rows):
-            cols = self.pointer[rows]
-            out = cols == self.width
-            for i in rows[out].tolist():
-                self.dist[i], self.nearest[i] = self._query_nearest(i)
-            rows, cols = rows[~out], cols[~out]
-            j = self.table_idx[rows, cols]
-            found = self.alive[j] & (j != rows)
-            self.dist[rows[found]] = self.table_dist[rows[found], cols[found]]
-            self.nearest[rows[found]] = j[found]
-            rows = rows[~found]
-            self.pointer[rows] += 1
-
-    def _query_nearest(self, i: int):
-        """Nearest live neighbor of a row that ran out: everything live is farther out."""
-        m, k = len(self.points), self.width
-        while k < m:
-            k = min(4 * k, m)
-            dists, idxs = self.tree.query(self.points[i], k=k)
-            live = self.alive[idxs] & (idxs != i)
-            if live.any():
-                first = int(np.argmax(live))
-                return dists[first], idxs[first]
-        raise AssertionError("no surviving neighbor found")
-
-    def ties_clear(self, i: int) -> bool:
-        """Whether every other live point within i's key distance has a larger key."""
-        d = self.dist[i]
-        col = self.pointer[i]
-        if col < self.width and self.table_dist[i, -1] > d:
-            # the row holds every point within d; those before the pointer are dead or i
-            near = self.table_idx[i, col:][self.table_dist[i, col:] <= d]
-        else:
-            m, k = len(self.points), self.width
-            while True:
-                k = min(4 * k, m)
-                dists, idxs = self.tree.query(self.points[i], k=k)
-                if dists[-1] > d or k == m:
-                    break
-            near = idxs[dists <= d]
-        near = near[self.alive[near] & (near != i)]
-        near_dist = self.dist[near]
-        return bool(np.all((near_dist > d) | ((near_dist == d) & (near > i))))
-
-
-def _elimination_round(state: _Elimination, needed: int) -> np.ndarray:
+def _elimination_round(tree, live, dist, nearest, second, needed: int) -> np.ndarray:
     """The live points that pass the rank and safe tests of _eliminate."""
-    live = np.flatnonzero(state.alive)
-    cand = live[np.argsort(state.dist[live], kind="stable")[:needed]]
+    pos = np.argsort(dist[live], kind="stable")[:needed]
+    cand = live[pos]
     # the nearest neighbor's key distance is at most i's, so i's key is the
     # smaller only in a mutual nearest pair with i the lower index
-    d = state.dist[cand]
-    nearest = state.nearest[cand]
-    safe = (state.dist[nearest] == d) & (cand < nearest)
-    cand, d = cand[safe], d[safe]
-    # the nearest neighbor is the only point within d when the row's next
-    # entry is farther; other rows may hold ties, or ran out, and check them all
-    cols = state.pointer[cand]
-    follow = state.table_dist[cand, np.minimum(cols + 1, state.width - 1)]
-    alone = (cols + 1 < state.width) & (follow > d)
-    tied = [i for i in cand[~alone].tolist() if state.ties_clear(i)]
+    d = dist[cand]
+    near = nearest[cand]
+    safe = (dist[near] == d) & (cand < near)
+    pos, cand, d = pos[safe], cand[safe], d[safe]
+    alone = second[cand] > d
+    tied = [live[p] for p in pos[~alone].tolist() if _ties_clear(tree, live, dist, p)]
     return np.concatenate([cand[alone], np.asarray(tied, dtype=cand.dtype)])
+
+
+def _ties_clear(tree, live, dist, p: int) -> bool:
+    """Whether every other live point within live[p]'s key distance has a larger key."""
+    i = live[p]
+    d = dist[i]
+    k = 3
+    while True:
+        k = min(4 * k, len(live))
+        dists, idxs = tree.query(tree.data[p], k=k)
+        if dists[-1] > d or k == len(live):
+            break
+    near = live[idxs[(dists <= d) & (idxs != p)]]
+    near_dist = dist[near]
+    return bool(np.all((near_dist > d) | ((near_dist == d) & (near > i))))
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,26 @@ def test_dataset_noise_sigma_zero_identical(tmp_path, mesh_dir):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_dataset_random_patches(tmp_path, mesh_dir):
+    """Random patch seeds: fixed by --seed, recorded, distinct and not the FPS ones."""
+    a = _run_dataset(tmp_path, mesh_dir, "a", extra=("--random-patches",))
+    b = _run_dataset(tmp_path, mesh_dir, "b", extra=("--random-patches",))
+    for name in sorted(os.listdir(a)):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    manifest = json.loads((a / "manifest.json").read_text())
+    assert manifest["config"]["random_patches"] is True
+    fps = json.loads((_run_dataset(tmp_path, mesh_dir, "fps") / "manifest.json").read_text())
+    assert fps["config"]["random_patches"] is False
+    seeds = [entry["seed_index"] for entry in manifest["patches"]]
+    fps_seeds = [entry["seed_index"] for entry in fps["patches"]]
+    per_mesh = len(seeds) // 2  # two fixture meshes, the same seed count each
+    assert len(seeds) == len(fps_seeds) == 2 * per_mesh
+    for start in (0, per_mesh):
+        mesh_seeds = seeds[start:start + per_mesh]
+        assert len(set(mesh_seeds)) == per_mesh
+        assert mesh_seeds != fps_seeds[start:start + per_mesh]
+
+
 def test_upsample_missing_model_exit_2(tmp_path, capsys):
     cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
     rc = main(["upsample", "--input", cloud_path, "--output", str(tmp_path / "o.xyz"),
@@ -319,7 +339,11 @@ def test_bad_k_names_the_flag_or_file(tmp_path, capsys, command, case):
     (["--points", "0"], "--points must be >= 1, got 0"),
     (["--factor", "0"], "--factor must be >= 1, got 0"),
     (["--points", "100"], "--patch-size 256 exceeds --points 100"),
-], ids=["points_0", "factor_0", "patch_size_above_points"])
+    (["--noise-sigma", "nan"], "--noise-sigma must be finite and >= 0, got nan"),
+    (["--noise-sigma", "-0.5"], "--noise-sigma must be finite and >= 0, got -0.5"),
+    (["--noise-sigma", "inf"], "--noise-sigma must be finite and >= 0, got inf"),
+], ids=["points_0", "factor_0", "patch_size_above_points", "noise_sigma_nan",
+        "noise_sigma_negative", "noise_sigma_inf"])
 def test_dataset_build_checks_flags_before_writing(tmp_path, mesh_dir, capsys, extra, message):
     out = tmp_path / "data"
     argv = ["dataset", "build", "--mesh-dir", str(mesh_dir), "--out", str(out)]
@@ -443,6 +467,27 @@ def test_bad_patch_or_checkpoint_setting_exit_2(tmp_path, mesh_dir, capsys, comm
     assert rc == 2
     assert captured.err == message + "\n" and captured.out == ""
     assert not out.exists() and not checkpoints.exists()
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--lr", "nan"], "--lr must be finite and > 0, got nan"),
+    (["--lr", "0"], "--lr must be finite and > 0, got 0.0"),
+    (["--alpha", "nan"], "--alpha must be finite and >= 0, got nan"),
+    (["--beta", "-1"], "--beta must be finite and >= 0, got -1.0"),
+    (["--gamma", "inf"], "--gamma must be finite and >= 0, got inf"),
+    (["--batch", "0"], "--batch must be >= 1, got 0"),
+    (["--k-feature", "0"], "--k-feature must be >= 1, got 0"),
+    (["--epochs", "-1"], "--epochs must be >= 0, got -1"),
+], ids=["lr_nan", "lr_0", "alpha_nan", "beta_negative", "gamma_inf", "batch_0",
+        "k_feature_0", "epochs_negative"])
+def test_train_checks_flags_before_reading_data(tmp_path, capsys, extra, message):
+    # the data path does not exist: a flag checked after reading would say so instead
+    out = tmp_path / "m.pugeo"
+    rc = main(["train", "--data", str(tmp_path / "missing"), "--out", str(out), *extra])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not out.exists()
 
 
 def test_train_factor_mismatch_exit_2(tmp_path, mesh_dir, capsys):
@@ -571,6 +616,25 @@ def test_inspect_frames_model_method(tmp_path, capsys):
                "--model", str(ckpt), "--coverage", "1.0"])
     assert rc == 0
     assert "# delta" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["upsample", "inspect"])
+def test_model_input_smaller_than_patch_names_the_file(tmp_path, capsys, command):
+    cfg = PUGeoConfig(factor=4, patch_size=64, k=6, feature_widths=(8, 8),
+                      hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
+    ckpt = tmp_path / "m.pugeo"
+    save_model(PUGeoNet(cfg, seed=0), ckpt)
+    path = _write_cloud(tmp_path / "small.xyz", sphere_cloud(40, 1.0, 0))
+    out = tmp_path / "o.xyz"
+    if command == "upsample":
+        argv = ["upsample", "--input", path, "--output", str(out)]
+    else:
+        argv = ["inspect", "frames", "--input", path]
+    assert main(argv + ["--method", "model", "--model", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"{path}: need at least 64 points for the checkpoint's "
+                            f"patch size, got 40\n")
+    assert captured.out == "" and not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,13 @@ def test_loss_weights_validated():
         LossWeights(alpha=-1.0)
 
 
+@pytest.mark.parametrize("weights", [dict(alpha=np.nan), dict(beta=np.inf), dict(gamma=-np.inf)],
+                         ids=["alpha_nan", "beta_inf", "gamma_minus_inf"])
+def test_loss_weights_reject_non_finite(weights):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        LossWeights(**weights)
+
+
 # ---------------------------------------------------------------------------
 # graph losses agree with numpy and differentiate cleanly
 
