@@ -134,6 +134,7 @@ def nearest_pairs(x, y) -> tuple[np.ndarray, np.ndarray]:
 # Poisson-disk sampling of a triangle mesh
 
 _OVERSAMPLE = 4  # dart-thrown candidates per kept sample
+_TIE_QUERY_K = 12  # first k of the tie check's tree query; it grows 4x from there
 
 
 def _triangle_areas(mesh: TriangleMesh) -> np.ndarray:
@@ -210,7 +211,7 @@ def _eliminate(points: np.ndarray, n: int) -> np.ndarray:
     raised.  The safe test reads only i's nearest neighbor when the second
     is farther than the key distance; otherwise (equal distances,
     duplicates) it checks every live point within the key distance,
-    querying the tree with growing k.  A kd-tree computes a pair's
+    querying the tree with growing k (from _TIE_QUERY_K).  A kd-tree computes a pair's
     distance the same way whatever tree holds the pair, whatever k is and
     in either direction.
     """
@@ -258,12 +259,12 @@ def _ties_clear(tree, live, dist, p: int) -> bool:
     """Whether every other live point within live[p]'s key distance has a larger key."""
     i = live[p]
     d = dist[i]
-    k = 3
+    k = min(_TIE_QUERY_K, len(live))
     while True:
-        k = min(4 * k, len(live))
-        dists, idxs = tree.query(tree.data[p], k=k)
+        dists, idxs = map(np.atleast_1d, tree.query(tree.data[p], k=k))
         if dists[-1] > d or k == len(live):
             break
+        k = min(4 * k, len(live))
     near = live[idxs[(dists <= d) & (idxs != p)]]
     near_dist = dist[near]
     return bool(np.all((near_dist > d) | ((near_dist == d) & (near > i))))

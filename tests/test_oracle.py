@@ -173,15 +173,21 @@ def test_elimination_matches_query_per_update_property(data):
                           reference.poisson_eliminate(points, n))
 
 
-@settings(max_examples=90, deadline=None)
+@pytest.mark.parametrize("width", [1, 2, 16])
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_elimination_matches_query_per_update_on_grid_ties_property(data):
-    """A 4x4x4 integer grid: many exact duplicates and equal distances."""
+def test_elimination_matches_query_per_update_on_grid_ties_property(width, data):
+    """A 4x4x4 integer grid: many exact duplicates and equal distances.
+
+    width is the tie check's first query k; 1 and 2 make it grow often.
+    """
     m = data.draw(st.integers(2, 120), label="m")
     points = data.draw(arrays(np.float64, (m, 3), elements=st.integers(0, 3)), label="points")
     n = data.draw(st.integers(1, m - 1), label="n")
-    assert np.array_equal(sampling._eliminate(points, n),
-                          reference.poisson_eliminate(points, n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "_TIE_QUERY_K", width)
+        keep = sampling._eliminate(points, n)
+    assert np.array_equal(keep, reference.poisson_eliminate(points, n))
 
 
 def test_elimination_round_count_stays_small(monkeypatch):
