@@ -146,11 +146,11 @@ def cmd_dataset_build(args) -> int:
                         if p.lower().endswith(MESH_EXTENSIONS))
     if not mesh_paths:
         return _fail(f"no meshes found in {args.mesh_dir}")
-    meshes = [read_mesh(os.path.join(args.mesh_dir, p)) for p in mesh_paths]
-    examples = build_dataset(meshes, args.points, args.factor, args.patch_size,
-                             seed=args.seed, coverage=args.coverage,
+    paths = [os.path.join(args.mesh_dir, p) for p in mesh_paths]
+    examples = build_dataset([read_mesh(path) for path in paths], args.points, args.factor,
+                             args.patch_size, seed=args.seed, coverage=args.coverage,
                              noise_sigma=args.noise_sigma,
-                             random_patches=args.random_patches)
+                             random_patches=args.random_patches, names=paths)
     os.makedirs(args.out, exist_ok=True)
     patches = []
     for i, example in enumerate(examples):
@@ -197,7 +197,8 @@ def _check_manifest(manifest, path) -> None:
                               f"and an integer 'seed_index'")
 
 
-def _load_manifest_dataset(data_path):
+def _read_manifest(data_path):
+    """(manifest path, manifest) of a dataset directory or manifest file."""
     manifest_path = data_path
     if os.path.isdir(data_path):
         manifest_path = os.path.join(data_path, "manifest.json")
@@ -209,6 +210,10 @@ def _load_manifest_dataset(data_path):
         except json.JSONDecodeError as exc:
             raise FormatError(f"{manifest_path}: {exc}") from None
     _check_manifest(manifest, manifest_path)
+    return manifest_path, manifest
+
+
+def _read_patches(manifest_path, manifest) -> list[TrainExample]:
     base = os.path.dirname(manifest_path)
     examples = []
     for entry in manifest["patches"]:
@@ -223,11 +228,12 @@ def _load_manifest_dataset(data_path):
                                      dense_points=dense.points,
                                      dense_normals=dense.normals,
                                      seed_index=int(entry["seed_index"])))
-    return manifest, examples
+    return examples
 
 
 def cmd_train(args) -> int:
-    for flag, value in (("--batch", args.batch), ("--k-feature", args.k_feature)):
+    for flag, value in (("--batch", args.batch), ("--k-feature", args.k_feature),
+                        ("--checkpoint-every", args.checkpoint_every)):
         if value < 1:
             return _fail(f"{flag} must be >= 1, got {value}")
     if args.epochs < 0:
@@ -237,11 +243,15 @@ def cmd_train(args) -> int:
     for flag, value in (("--alpha", args.alpha), ("--beta", args.beta), ("--gamma", args.gamma)):
         if not 0.0 <= value < math.inf:
             return _fail(f"{flag} must be finite and >= 0, got {value}")
-    manifest, dataset = _load_manifest_dataset(args.data)
+    manifest_path, manifest = _read_manifest(args.data)
     factor = manifest["config"]["factor"]
     patch_size = manifest["config"]["patch_size"]
     if args.factor is not None and args.factor != factor:
         return _fail(f"--factor {args.factor} does not match dataset factor {factor}")
+    if args.k_feature >= patch_size:
+        return _fail(f"--k-feature {args.k_feature} must be smaller than the patch size "
+                     f"{patch_size} of {manifest_path}")
+    dataset = _read_patches(manifest_path, manifest)
     config = PUGeoConfig(factor=factor, patch_size=patch_size, k=args.k_feature,
                          recalibration=not args.no_recalibration,
                          learned_sampling=not args.no_learned_sampling,

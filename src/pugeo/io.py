@@ -223,19 +223,23 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
     return PointCloud(values[:, :3], normals)
 
 
+_WRITE_BLOCK_ROWS = 4096  # rows formatted by one %-operation in write_xyz
+
+
 def write_xyz(cloud: PointCloud, path: str | os.PathLike) -> None:
     """Write a cloud as .xyz; 6 columns when normals are present.
 
     Each value is printed with repr (shortest decimal that round-trips
     exactly), which keeps fixtures diffable and the round trip lossless.
+    Rows are formatted _WRITE_BLOCK_ROWS at a time by one %-format, whose
+    %r is repr.
     """
+    rows = cloud.points if cloud.normals is None else np.hstack([cloud.points, cloud.normals])
+    line = " ".join(["%r"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        if cloud.normals is None:
-            for p in cloud.points.tolist():
-                handle.write(f"{p[0]!r} {p[1]!r} {p[2]!r}\n")
-        else:
-            for p, n in zip(cloud.points.tolist(), cloud.normals.tolist()):
-                handle.write(f"{p[0]!r} {p[1]!r} {p[2]!r} {n[0]!r} {n[1]!r} {n[2]!r}\n")
+        for start in range(0, len(rows), _WRITE_BLOCK_ROWS):
+            block = rows[start:start + _WRITE_BLOCK_ROWS]
+            handle.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _fan(indices: list[int], lineno: int) -> list[tuple[int, int, int]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .analytic import SamplePattern, upsample_analytic
-from .errors import TrainingDiverged
+from .errors import GeometryError, TrainingDiverged
 from .io import PointCloud, TriangleMesh
 from .losses import LossWeights, chamfer_loss, normal_loss_graph, total_loss_graph
 from .model import PUGeoNet, save_model
@@ -73,7 +74,8 @@ def scale_to_unit_cube(mesh: TriangleMesh) -> TriangleMesh:
 
 def build_dataset(meshes: list[TriangleMesh], m: int, factor: int, patch_size: int,
                   seed: int, coverage: float = 3.0, noise_sigma: float = 0.0,
-                  random_patches: bool = False) -> list[TrainExample]:
+                  random_patches: bool = False,
+                  names: list[str] | None = None) -> list[TrainExample]:
     """Sample each mesh into sparse/dense clouds and cut matched patches.
 
     Per mesh: scale into the unit cube, Poisson-disk sample m sparse and
@@ -82,14 +84,29 @@ def build_dataset(meshes: list[TriangleMesh], m: int, factor: int, patch_size: i
     cut the sparse kNN(N) and dense kNN(R*N) patches around each seed,
     both normalized by the sparse patch's centroid and scale.  noise_sigma
     adds Gaussian noise (unit-cube units) to the sparse cloud only.
+
+    The meshes are sampled concurrently by `_map_tasks`, under the caller's
+    np.errstate.  Each mesh draws from its own seeds, and patches are cut
+    in mesh order on the calling thread, so the examples are bitwise the
+    same for any thread count.  A mesh that fails to sample raises the
+    error of the lowest-index failing mesh, as a serial loop would; a
+    GeometryError is prefixed with that mesh's entry in `names` when given.
     """
     _check_patching(patch_size, coverage)
+    bases = [seed + 7919 * mesh_index for mesh_index in range(len(meshes))]
+
+    def sample(i: int):
+        mesh = scale_to_unit_cube(meshes[i])
+        try:
+            return (poisson_disk_sample(mesh, m, bases[i]),
+                    poisson_disk_sample(mesh, factor * m, bases[i] + 1))
+        except GeometryError as exc:
+            if names is None:
+                raise
+            raise GeometryError(f"{names[i]}: {exc}") from None
+
     examples: list[TrainExample] = []
-    for mesh_index, mesh in enumerate(meshes):
-        mesh = scale_to_unit_cube(mesh)
-        base = seed + 7919 * mesh_index
-        sparse = poisson_disk_sample(mesh, m, base)
-        dense = poisson_disk_sample(mesh, factor * m, base + 1)
+    for base, (sparse, dense) in zip(bases, _map_tasks(sample, len(meshes))):
         rng = np.random.default_rng(base + 2)
         if noise_sigma > 0.0:
             sparse = PointCloud(sparse.points + rng.normal(scale=noise_sigma,
@@ -170,8 +187,8 @@ def _example_losses(model: PUGeoNet, example: TrainExample, weights: LossWeights
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _worker_count(batch_size: int) -> int:
-    """Threads that train one batch's examples: min(batch, CPUs // BLAS threads).
+def _worker_count(tasks: int) -> int:
+    """Threads that run `tasks` independent tasks: min(tasks, CPUs // BLAS threads).
 
     CPUs are the ones this process may run on.  BLAS threads come from the
     first of _BLAS_THREAD_VARS set to a positive integer, else the CPU
@@ -187,25 +204,78 @@ def _worker_count(batch_size: int) -> int:
         if value.isdigit() and int(value) > 0:
             blas = int(value)
             break
-    return max(1, min(batch_size, cpus // blas))
+    return max(1, min(tasks, cpus // blas))
+
+
+def _with_caller_errstate(fn):
+    """`fn` wrapped to run under the calling thread's np.errstate.
+
+    A worker thread does not inherit the np.errstate of the thread that
+    hands it work, so the settings, the error callback included, are read
+    here and applied around every call.
+    """
+    err = np.geterr()
+    err["call"] = np.geterrcall()
+
+    def run(*args):
+        with np.errstate(**err):
+            return fn(*args)
+    return run
+
+
+def _map_tasks(task, count: int) -> list:
+    """[task(i) for i in range(count)], on `_worker_count(count)` threads.
+
+    The calling thread is one of them, so one worker starts no thread.
+    Each thread claims the lowest unclaimed index until none is left or a
+    task has failed, and runs it under the caller's np.errstate.  Results
+    come back in index order.  Indices are claimed in order, so every task
+    below a failed one has been claimed and runs to its end, and the error
+    raised is that of the lowest-index failing task, as in a serial loop.
+    """
+    task = _with_caller_errstate(task)
+    results = [None] * count
+    errors: dict[int, BaseException] = {}
+    indices = iter(range(count))
+    claim = threading.Lock()
+
+    def work():
+        while not errors:
+            with claim:
+                i = next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = task(i)
+            except BaseException as exc:  # re-raised on the calling thread below
+                errors[i] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(_worker_count(count) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _example_gradients(model: PUGeoNet, example: TrainExample, config: TrainConfig,
-                       scale: float, err: dict):
+                       scale: float):
     """One example's forward pass, losses and backward pass of scale * total.
 
-    Runs under np.errstate(**err), the calling thread's settings, which a
-    worker thread does not inherit.  Returns the total loss (a 0-d array),
-    the (cd, coarse, refined) values and the {parameter: gradient} dict of
-    `ad.backward`.  A non-finite total gets no backward pass: its batch
-    diverges before a step.
+    Returns the total loss (a 0-d array), the (cd, coarse, refined) values
+    and the {parameter: gradient} dict of `ad.backward`.  A non-finite
+    total gets no backward pass: its batch diverges before a step.
     """
-    with np.errstate(**err):
-        total, cd, coarse, refined = _example_losses(model, example, config.weights,
-                                                     config.normal_reduction)
-        grads = None
-        if np.isfinite(total.data):
-            grads = ad.backward(ad.mul(total, scale))
+    total, cd, coarse, refined = _example_losses(model, example, config.weights,
+                                                 config.normal_reduction)
+    grads = None
+    if np.isfinite(total.data):
+        grads = ad.backward(ad.mul(total, scale))
     return total.data, (cd.item(), coarse.item(), refined.item()), grads
 
 
@@ -234,8 +304,7 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(config.seed)
     optimizer = ad.Adam(model.parameters(), lr=config.lr)
-    err = np.geterr()
-    err["call"] = np.geterrcall()
+    example_gradients = _with_caller_errstate(_example_gradients)
     pool = ThreadPoolExecutor(_worker_count(config.batch_size))
     history = []
     step = 0
@@ -254,7 +323,7 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
                 grads = []
                 components = np.zeros(3)
                 try:
-                    futures = [pool.submit(_example_gradients, model, ex, config, scale, err)
+                    futures = [pool.submit(example_gradients, model, ex, config, scale)
                                for ex in batch]
                     for future in futures:
                         total, parts, example_grads = future.result()

@@ -14,8 +14,10 @@ the autodiff training losses.  The full-sort feature kNN and the
 CSR scatter in ``gather``'s backward; the ``np.where`` relu and the
 ``np.argmax`` reduce_max are the oracles for their bit-level kernels.  The
 joint-graph training loop is the oracle for the per-example backward
-passes of ``trainer.train``, and the per-record ``.xyz``, OBJ and PLY
-readers at the end are the oracles for ``pugeo.io``'s readers.
+passes of ``trainer.train``, and the serial dataset builder for the
+concurrent ``trainer.build_dataset``.  The per-record ``.xyz``, OBJ and PLY
+readers at the end are the oracles for ``pugeo.io``'s readers, and the
+per-row ``.xyz`` writer after them is the oracle for its block writer.
 """
 
 from __future__ import annotations
@@ -519,6 +521,38 @@ def train(config, dataset, model, log_stream=None, checkpoint_dir=None):
     return model, history
 
 
+def build_dataset(meshes: list[TriangleMesh], m: int, factor: int, patch_size: int,
+                  seed: int, coverage: float = 3.0, noise_sigma: float = 0.0,
+                  random_patches: bool = False) -> list:
+    """The serial dataset builder: each mesh sampled and cut in turn on the calling thread."""
+    examples = []
+    for mesh_index, mesh in enumerate(meshes):
+        mesh = trainer.scale_to_unit_cube(mesh)
+        base = seed + 7919 * mesh_index
+        sparse = trainer.poisson_disk_sample(mesh, m, base)
+        dense = trainer.poisson_disk_sample(mesh, factor * m, base + 1)
+        rng = np.random.default_rng(base + 2)
+        if noise_sigma > 0.0:
+            sparse = PointCloud(sparse.points + rng.normal(scale=noise_sigma,
+                                                           size=sparse.points.shape),
+                                sparse.normals)
+        n_seeds = min(m, math.ceil(coverage * m / patch_size))
+        if random_patches:
+            seeds = rng.choice(m, size=n_seeds, replace=False)
+        else:
+            seeds = trainer.farthest_point_sample(sparse, n_seeds, seed_index=0)
+        anchors = sparse.points[seeds]
+        sparse_patches = NeighborIndex(sparse.points).knn_batch(anchors, patch_size)
+        dense_patches = NeighborIndex(dense.points).knn_batch(anchors, factor * patch_size)
+        for s, sp_idx, dn_idx in zip(seeds, sparse_patches, dense_patches):
+            patch = trainer._normalize_patch(sparse, sp_idx)
+            examples.append(trainer.TrainExample(
+                sparse_points=patch.points, sparse_normals=patch.normals,
+                dense_points=(dense.points[dn_idx] - patch.centroid) / patch.scale,
+                dense_normals=dense.normals[dn_idx].copy(), seed_index=int(s)))
+    return examples
+
+
 # The text readers, each with its own per-record parse loop.
 
 def _check_finite(values: list[float], lineno: int) -> None:
@@ -688,3 +722,16 @@ def _read_ply(path) -> TriangleMesh:
     if normals is not None:
         normals = _unit_rows(normals)
     return TriangleMesh(verts, np.asarray(faces, dtype=np.int64).reshape(-1, 3), normals)
+
+
+# The .xyz writer, one f-string per row.
+
+def write_xyz(cloud: PointCloud, path: str | os.PathLike) -> None:
+    """Write a cloud as .xyz, each value by repr; 6 columns when normals are present."""
+    with open(path, "w", encoding="utf-8") as handle:
+        if cloud.normals is None:
+            for p in cloud.points.tolist():
+                handle.write(f"{p[0]!r} {p[1]!r} {p[2]!r}\n")
+        else:
+            for p, n in zip(cloud.points.tolist(), cloud.normals.tolist()):
+                handle.write(f"{p[0]!r} {p[1]!r} {p[2]!r} {n[0]!r} {n[1]!r} {n[2]!r}\n")

@@ -353,6 +353,18 @@ def test_dataset_build_checks_flags_before_writing(tmp_path, mesh_dir, capsys, e
     assert not out.exists()
 
 
+def test_dataset_build_zero_area_mesh_names_it(tmp_path, mesh_dir, capsys):
+    flat = mesh_dir / "flat.obj"  # one collinear triangle, sorted between the fixtures
+    flat.write_text("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n")
+    out = tmp_path / "data"
+    argv = ["dataset", "build", "--mesh-dir", str(mesh_dir), "--out", str(out),
+            "--points", "128", "--patch-size", "64"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{flat}: mesh has zero surface area\n" and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option", ["--input", "--mesh-dir"])
 def test_unreadable_path_exit_2(tmp_path, capsys, option):
     if option == "--input":  # a directory where a file belongs
@@ -442,7 +454,7 @@ def test_train_logs_json_per_epoch_and_ablation_flag(tmp_path, mesh_dir, capsys)
      "coverage must be finite and > 0, got 0.0"),
     ("dataset", ["--coverage", "0"], "coverage must be finite and > 0, got 0.0"),
     ("dataset", ["--patch-size", "0"], "patch size must be >= 1, got 0"),
-    ("train", ["--checkpoint-every", "0"], "checkpoint interval must be >= 1, got 0"),
+    ("train", ["--checkpoint-every", "0"], "--checkpoint-every must be >= 1, got 0"),
 ], ids=["upsample_coverage_0", "upsample_coverage_negative", "upsample_coverage_nan",
         "upsample_coverage_inf", "upsample_patch_size_0", "upsample_one_patch_coverage_0",
         "dataset_coverage_0", "dataset_patch_size_0", "train_checkpoint_every_0"])
@@ -478,8 +490,9 @@ def test_bad_patch_or_checkpoint_setting_exit_2(tmp_path, mesh_dir, capsys, comm
     (["--batch", "0"], "--batch must be >= 1, got 0"),
     (["--k-feature", "0"], "--k-feature must be >= 1, got 0"),
     (["--epochs", "-1"], "--epochs must be >= 0, got -1"),
+    (["--checkpoint-every", "-2"], "--checkpoint-every must be >= 1, got -2"),
 ], ids=["lr_nan", "lr_0", "alpha_nan", "beta_negative", "gamma_inf", "batch_0",
-        "k_feature_0", "epochs_negative"])
+        "k_feature_0", "epochs_negative", "checkpoint_every_negative"])
 def test_train_checks_flags_before_reading_data(tmp_path, capsys, extra, message):
     # the data path does not exist: a flag checked after reading would say so instead
     out = tmp_path / "m.pugeo"
@@ -488,6 +501,22 @@ def test_train_checks_flags_before_reading_data(tmp_path, capsys, extra, message
     assert rc == 2
     assert captured.err == message + "\n" and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [64, 65])
+def test_train_k_feature_checked_before_reading_patches(tmp_path, mesh_dir, capsys,
+                                                        monkeypatch, k):
+    data = _run_dataset(tmp_path, mesh_dir)  # patch size 64
+    capsys.readouterr()
+    read = []
+    monkeypatch.setattr(cli, "read_xyz", lambda path: read.append(path))
+    out = tmp_path / "m.pugeo"
+    rc = main(["train", "--data", str(data), "--out", str(out), "--k-feature", str(k)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (f"--k-feature {k} must be smaller than the patch size 64 of "
+                            f"{data / 'manifest.json'}\n")
+    assert captured.out == "" and read == [] and not out.exists()
 
 
 def test_train_factor_mismatch_exit_2(tmp_path, mesh_dir, capsys):

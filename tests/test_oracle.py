@@ -10,7 +10,8 @@ minimum over every triangle.  The batched frame/curvature
 kernel must agree with the per-point loop within 1e-9: its least-squares
 solves use a stacked SVD instead of LAPACK gelsd, so the last digits may
 differ.  The ``.xyz``, OBJ and PLY readers must return bitwise the arrays
-of the per-record parse loops, or raise the same FormatError.
+of the per-record parse loops, or raise the same FormatError, and the
+block ``.xyz`` writer must write bitwise the bytes of the per-row one.
 """
 
 import pathlib
@@ -870,6 +871,39 @@ def test_readers_match_reference_property(data, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / name
         path.write_bytes(_text(data, records).encode("utf-8"))
         _assert_readers_match(path)
+
+
+_BLOCK = pugeo_io._WRITE_BLOCK_ROWS
+# a signed zero, the smallest subnormal, where repr switches to exponent
+# notation on both sides, and the largest double below that switch
+_REPR_EDGES = (-0.0, 5e-324, 1e-05, 1e16, 9999999999999998.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_write_xyz_matches_reference_property(data, tmp_path_factory):
+    width = data.draw(st.sampled_from([3, 6]), label="width")
+    n = data.draw(st.sampled_from([0, 1, 2, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]), label="n")
+    drawn = data.draw(st.lists(st.floats(), min_size=1, max_size=8), label="values")
+    pick_seed = data.draw(st.integers(0, 2**32 - 1), label="pick_seed")
+    rows = np.random.default_rng(pick_seed).choice(np.array(_REPR_EDGES + tuple(drawn)),
+                                                   size=(n, width))
+    head = min(rows.size, len(_REPR_EDGES))
+    rows.flat[:head] = _REPR_EDGES[:head]
+    cloud = PointCloud(rows[:, :3])
+    if width == 6:
+        cloud.normals = rows[:, 3:]  # any values, not unit normals: only the text is compared
+    base = tmp_path_factory.getbasetemp()
+    pugeo_io.write_xyz(cloud, base / "block.xyz")
+    reference.write_xyz(cloud, base / "row.xyz")
+    assert (base / "block.xyz").read_bytes() == (base / "row.xyz").read_bytes()
+
+
+def test_write_xyz_repr_edges_text(tmp_path):
+    rows = np.array([_REPR_EDGES[:3], _REPR_EDGES[2:]])
+    pugeo_io.write_xyz(PointCloud(rows), tmp_path / "block.xyz")
+    assert (tmp_path / "block.xyz").read_text() == (
+        "-0.0 5e-324 1e-05\n1e-05 1e+16 9999999999999998.0\n")
 
 
 @pytest.mark.parametrize("data", [

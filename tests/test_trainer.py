@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ import pugeo.autodiff as ad
 from pugeo import (LossWeights, PointCloud, PUGeoConfig, PUGeoNet, TrainConfig, chamfer,
                    poisson_disk_sample, upsample_analytic)
 from pugeo import model, trainer
-from pugeo.errors import TrainingDiverged
+from pugeo.errors import GeometryError, TrainingDiverged
+from pugeo.io import TriangleMesh
 from pugeo.metrics import report_metrics
 from pugeo.trainer import (TrainExample, augment_example, build_dataset,
                            scale_to_unit_cube, train, upsample_cloud)
@@ -80,6 +82,119 @@ def test_build_dataset_noise_only_on_sparse():
     noisy = build_dataset([icosphere(2)], m=128, factor=2, patch_size=64, seed=3,
                           noise_sigma=0.01)
     assert not np.array_equal(clean[0].sparse_points, noisy[0].sparse_points)
+
+
+# ---------------------------------------------------------------------------
+# meshes of a dataset sampled on worker threads
+
+
+def _three_meshes():
+    return [icosphere(1), cube_mesh(side=3.0), icosphere(2, radius=0.5)]
+
+
+def _flat_mesh():
+    return TriangleMesh(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+                        np.array([[0, 1, 2]]))
+
+
+def _example_bytes(examples):
+    return [(ex.seed_index, *((a.shape, a.tobytes()) for a in (
+        ex.sparse_points, ex.sparse_normals, ex.dense_points, ex.dense_normals)))
+        for ex in examples]
+
+
+@pytest.mark.parametrize("options", [{}, {"noise_sigma": 0.01, "random_patches": True}],
+                         ids=["fps", "noise_random_patches"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_build_dataset_threads_match_serial_reference(monkeypatch, workers, options):
+    meshes = _three_meshes()
+    expected = reference.build_dataset(meshes, 96, 2, 32, seed=5, **options)
+    _force_workers(monkeypatch, workers)
+    got = build_dataset(meshes, 96, 2, 32, seed=5, **options)
+    assert _example_bytes(got) == _example_bytes(expected)
+
+
+def test_build_dataset_threads_under_thread_switch_stress(monkeypatch):
+    # more workers than cores and a thread switch every microsecond: a lost
+    # or misplaced result would change the examples
+    meshes = _three_meshes() + [icosphere(1, radius=2.0), cube_mesh()]
+    expected = reference.build_dataset(meshes, 48, 2, 16, seed=9)
+    _force_workers(monkeypatch, 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = build_dataset(meshes, 48, 2, 16, seed=9)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _example_bytes(got) == _example_bytes(expected)
+
+
+def test_build_dataset_one_worker_starts_no_thread(monkeypatch):
+    meshes = _three_meshes()
+    expected = reference.build_dataset(meshes, 64, 2, 32, seed=0)
+    _force_workers(monkeypatch, 1)
+
+    def refuse(thread):
+        raise AssertionError(f"{thread} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert _example_bytes(build_dataset(meshes, 64, 2, 32, seed=0)) == _example_bytes(expected)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_build_dataset_samples_under_caller_errstate_on_workers(monkeypatch, workers):
+    _force_workers(monkeypatch, workers)
+    real = trainer.poisson_disk_sample
+    seen = set()
+    barrier = threading.Barrier(workers, timeout=30)  # passed once per run
+
+    def dividing_by_zero(mesh, n, seed):
+        seen.add(threading.current_thread())
+        if n == 64:  # each mesh's sparse sample waits until every worker holds a mesh
+            barrier.wait()
+        np.ones(1) / np.zeros(1)
+        return real(mesh, n, seed)
+
+    monkeypatch.setattr(trainer, "poisson_disk_sample", dividing_by_zero)
+    before = set(threading.enumerate())
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        build_dataset(_three_meshes(), 64, 2, 32, seed=0)
+    assert set(threading.enumerate()) == before  # no worker outlives a failure
+    calls = []
+    seen.clear()
+    with np.errstate(divide="call", call=lambda kind, flag: calls.append(kind)):
+        build_dataset(_three_meshes(), 64, 2, 32, seed=0)
+    assert calls == ["divide by zero"] * 6  # two samples per mesh
+    assert len(seen) == workers and threading.main_thread() in seen
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_build_dataset_reports_the_lowest_failing_mesh(monkeypatch, workers):
+    # mesh 1 fails after mesh 2 has failed, on whichever threads claim them
+    _force_workers(monkeypatch, workers)
+    slow_flat = _flat_mesh()
+    meshes = [icosphere(1), slow_flat, _flat_mesh()]
+    real = trainer.scale_to_unit_cube
+    started = []
+
+    def slow(mesh):
+        started.append(id(mesh))
+        if mesh is slow_flat:
+            time.sleep(0.2)
+        return real(mesh)
+
+    monkeypatch.setattr(trainer, "scale_to_unit_cube", slow)
+    before = set(threading.enumerate())
+    with pytest.raises(GeometryError) as info:
+        build_dataset(meshes, 64, 2, 32, seed=0, names=["a.obj", "b.obj", "c.obj"])
+    assert str(info.value) == "b.obj: mesh has zero surface area"
+    assert set(threading.enumerate()) == before
+    if workers == 1:  # like a serial loop, no mesh after a failure is sampled
+        assert started == [id(mesh) for mesh in meshes[:2]]
+    with pytest.raises(GeometryError) as info:
+        build_dataset(meshes, 64, 2, 32, seed=0)
+    assert str(info.value) == "mesh has zero surface area"
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +317,7 @@ def test_train_divergence_diagnostics_name_their_step(monkeypatch, fail_step, fa
     failing = dataset[orders[fail_step][fail_position]]
     real = trainer._example_losses
     for workers in (1, 2):
-        monkeypatch.setattr(trainer, "_worker_count", lambda batch_size, n=workers: n)
+        monkeypatch.setattr(trainer, "_worker_count", lambda tasks, n=workers: n)
         cfg = PUGeoConfig(factor=2, patch_size=16, k=4, feature_widths=(8, 8),
                           hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
         net = PUGeoNet(cfg, seed=0)
@@ -240,7 +355,7 @@ def test_train_divergence_diagnostics_name_their_step(monkeypatch, fail_step, fa
 
 
 def _force_workers(monkeypatch, workers):
-    monkeypatch.setattr(trainer, "_worker_count", lambda batch_size: min(batch_size, workers))
+    monkeypatch.setattr(trainer, "_worker_count", lambda tasks: min(tasks, workers))
 
 
 @pytest.mark.parametrize("batch_size", [2, 3])
@@ -362,10 +477,10 @@ def test_non_finite_example_loss_diverges_without_a_backward_pass(monkeypatch, w
     assert info.value.diagnostics["examples"] == 2
 
 
-@pytest.mark.parametrize("env,cpus,batch,expected", [
+@pytest.mark.parametrize("env,cpus,tasks,expected", [
     ({}, 4, 8, 1),                                        # absent: BLAS may use every CPU
     ({"OPENBLAS_NUM_THREADS": "1"}, 4, 8, 4),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 3, 3),             # never more than the batch
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 3, 3),             # never more than the tasks
     ({"OPENBLAS_NUM_THREADS": "2"}, 4, 8, 2),
     ({"OPENBLAS_NUM_THREADS": "8"}, 4, 8, 1),             # more BLAS threads than CPUs
     ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, 8, 1),  # first one set wins
@@ -376,13 +491,13 @@ def test_non_finite_example_loss_diverges_without_a_backward_pass(monkeypatch, w
     ({"OPENBLAS_NUM_THREADS": "-1"}, 2, 8, 1),
     ({"OPENBLAS_NUM_THREADS": "1"}, 1, 8, 1),
 ])
-def test_worker_count_rule(monkeypatch, env, cpus, batch, expected):
+def test_worker_count_rule(monkeypatch, env, cpus, tasks, expected):
     for var in trainer._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert trainer._worker_count(batch) == expected
+    assert trainer._worker_count(tasks) == expected
 
 
 def test_worker_count_without_affinity_uses_cpu_count(monkeypatch):
