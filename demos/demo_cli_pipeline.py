@@ -44,7 +44,7 @@ main(["--seed", "42", "upsample", "--input", os.path.join(OUT, "input.xyz"),
       "--coverage", "2.0"])
 main(["--seed", "42", "upsample", "--input", os.path.join(OUT, "input.xyz"),
       "--output", os.path.join(OUT, "upsampled_analytic.xyz"), "--factor", "4",
-      "--method", "analytic", "--k", "16", "--patch-size", "64", "--coverage", "2.0"])
+      "--method", "analytic", "--k", "16", "--coverage", "2.0"])
 
 print("\n== evaluate both against the ground truth ==")
 for method in ("model", "analytic"):

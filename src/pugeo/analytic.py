@@ -28,7 +28,7 @@ class SamplePattern:
     """How parametric samples are laid out inside the local disk."""
 
     kind: str = "fibonacci_disk"
-    radius_scale: float = 0.7
+    radius_scale: float = 0.6
 
     def __post_init__(self):
         if self.kind not in PATTERN_KINDS:

@@ -86,8 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_up.add_argument("--model", default=None)
     p_up.add_argument("--k", type=int, default=16)
     p_up.add_argument("--pattern", choices=tuple(PATTERNS), default="fibonacci")
-    p_up.add_argument("--patch-size", type=int, default=256)
-    p_up.add_argument("--coverage", type=float, default=3.0)
+    p_up.add_argument("--patch-size", type=int, default=None,
+                      help="must match the model's patch size when given; analytic ignores it")
+    p_up.add_argument("--coverage", type=float, default=3.0, help="candidates per output point")
 
     p_eval = sub.add_parser("eval", help="evaluate an upsampled cloud")
     p_eval.add_argument("--pred", required=True)
@@ -274,6 +275,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_upsample(args) -> int:
+    if args.factor < 1:
+        return _fail(f"--factor must be >= 1, got {args.factor}")
     cloud = read_xyz(args.input)
     if len(cloud) == 0:
         return _fail(f"{args.input}: no points")
@@ -282,33 +285,34 @@ def cmd_upsample(args) -> int:
         problem = _check_k(args.k, args.input, cloud)
         if problem:
             return _fail(problem)
-        if 1 <= args.patch_size <= args.k:
-            return _fail(f"--patch-size {args.patch_size} must be at least k+1={args.k + 1} "
-                         f"for --k {args.k}")
+        if 0 < args.coverage < math.inf and math.ceil(args.coverage * args.factor) < args.factor:
+            return _fail(f"--coverage {args.coverage} draws fewer than --factor {args.factor} "
+                         f"candidates per input point")
     if args.method == "model":
         if not args.model:
             return _fail("--method model requires --model CHECKPOINT")
         model = load_model(args.model)
-        if args.factor != model.config.factor:
-            return _fail(f"--factor {args.factor} does not match checkpoint factor "
-                         f"{model.config.factor}")
+        for flag, given, want in (("--factor", args.factor, model.config.factor),
+                                  ("--patch-size", args.patch_size, model.config.patch_size)):
+            if given not in (None, want):
+                return _fail(f"{flag} {given} does not match checkpoint "
+                             f"{flag[2:].replace('-', ' ')} {want}")
         problem = _check_patch_size(args.input, cloud, model)
         if problem:
             return _fail(problem)
     counts = {}
     result = upsample_cloud(cloud, args.factor, method=args.method, model=model,
-                            k=args.k, pattern=_pattern(args.pattern),
-                            patch_size=args.patch_size, coverage=args.coverage,
+                            k=args.k, pattern=_pattern(args.pattern), coverage=args.coverage,
                             seed=args.seed, counts=counts)
-    if counts["degenerate_frames"] == counts["patch_points"]:
-        return _fail(f"numerical failure: all {counts['patch_points']} patch points have "
+    if counts["degenerate_frames"] == counts["points"]:
+        return _fail(f"numerical failure: all {counts['points']} input points have "
                      f"degenerate frames ({counts['degenerate_fits']} degenerate curvature "
                      f"fits); no output written", code=3)
     write_xyz(result, args.output)
     if counts["degenerate_frames"] or counts["degenerate_fits"]:
         print(f"warning: {counts['degenerate_frames']} degenerate frames and "
               f"{counts['degenerate_fits']} degenerate curvature fits in "
-              f"{counts['patch_points']} patch points; those points were upsampled "
+              f"{counts['points']} input points; those points were upsampled "
               f"on a flat disk", file=sys.stderr)
     print(json.dumps({"points": len(result), "output": args.output}, sort_keys=True))
     return 0

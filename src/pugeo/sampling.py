@@ -285,12 +285,17 @@ class Patch:
     normals: np.ndarray | None = None
 
 
+def _check_coverage(coverage: float) -> None:
+    """ValueError naming the bad value unless 0 < coverage < inf."""
+    if not 0 < coverage < math.inf:
+        raise ValueError(f"coverage must be finite and > 0, got {coverage}")
+
+
 def _check_patching(patch_size: int, coverage: float) -> None:
     """ValueError naming the bad value unless patch_size >= 1 and 0 < coverage < inf."""
     if patch_size < 1:
         raise ValueError(f"patch size must be >= 1, got {patch_size}")
-    if not 0 < coverage < math.inf:
-        raise ValueError(f"coverage must be finite and > 0, got {coverage}")
+    _check_coverage(coverage)
 
 
 def extract_patches(cloud: PointCloud, patch_size: int, coverage: float = 3.0) -> list[Patch]:
@@ -339,11 +344,11 @@ def denormalize(patch: Patch, points) -> np.ndarray:
 
 
 def fuse_patches(clouds: list[PointCloud], target_count: int) -> PointCloud:
-    """Concatenate overlapping upsampled patches and FPS down to target_count.
+    """Concatenate upsampled candidate clouds and FPS down to target_count.
 
-    FPS (seeded at index 0) suppresses near-duplicates from patch overlap
-    because a zero-distance duplicate is never picked before the distinct
-    points are exhausted.
+    FPS (seeded at index 0) suppresses near-duplicates from overlapping
+    candidates because a zero-distance duplicate is never picked before the
+    distinct points are exhausted.
     """
     points = np.concatenate([c.points for c in clouds], axis=0)
     if len(points) < target_count:

@@ -23,9 +23,9 @@ from .errors import GeometryError, TrainingDiverged
 from .io import PointCloud, TriangleMesh
 from .losses import LossWeights, chamfer_loss, normal_loss_graph, total_loss_graph
 from .model import PUGeoNet, save_model
-from .sampling import (NeighborIndex, _check_patching, _normalize_patch, denormalize,
-                       extract_patches, farthest_point_sample, fuse_patches, nearest_pairs,
-                       poisson_disk_sample)
+from .sampling import (NeighborIndex, _check_coverage, _check_patching, _normalize_patch,
+                       denormalize, extract_patches, farthest_point_sample, fuse_patches,
+                       nearest_pairs, poisson_disk_sample)
 
 
 @dataclass
@@ -375,39 +375,29 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
 
 def upsample_cloud(cloud: PointCloud, factor: int, method: str = "analytic",
                    model: PUGeoNet | None = None, k: int = 16,
-                   pattern: SamplePattern | None = None, patch_size: int = 256,
-                   coverage: float = 3.0, seed: int = 0,
-                   counts: dict | None = None) -> PointCloud:
-    """Patch-extract, upsample each patch, denormalize and fuse to R*M points.
+                   pattern: SamplePattern | None = None, coverage: float = 3.0,
+                   seed: int = 0, counts: dict | None = None) -> PointCloud:
+    """Draw about coverage*R*M candidates and FPS-fuse them to exactly R*M points.
 
-    When `counts` is given it receives the patch points processed and the
-    degenerate frames and fits summed over all patches.
+    "analytic" fits each input point once and draws ceil(coverage*R) around it;
+    "model" upsamples ceil(coverage*M/N) patches of the checkpoint's N points.
+    `counts`, if given, receives the input points and degenerate frames and fits.
     """
-    _check_patching(patch_size, coverage)
     if method == "model":
         if model is None:
             raise ValueError("method 'model' requires a model")
-        patch_size = model.config.patch_size
-        factor = model.config.factor
-    elif method == "analytic" and patch_size > len(cloud):
-        # analytic upsampling has no fixed input size: a small cloud is one patch
-        patch_size, coverage = len(cloud), 1.0
-    rng = np.random.default_rng(seed)
-    patches = extract_patches(cloud, patch_size, coverage)
-    pieces = []
-    totals = dict.fromkeys(("patch_points", "degenerate_frames", "degenerate_fits"), 0)
-    for patch in patches:
-        if method == "analytic":
-            result = upsample_analytic(PointCloud(patch.points), factor, k=k,
-                                       pattern=pattern, rng=rng)
-        elif method == "model":
+        factor, pieces, metadata = model.config.factor, [], {}
+        for patch in extract_patches(cloud, model.config.patch_size, coverage):
             result = model.upsample_patch(patch.points)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        totals["patch_points"] += len(patch.points)
-        for key in ("degenerate_frames", "degenerate_fits"):
-            totals[key] += result.metadata.get(key, 0)
-        pieces.append(PointCloud(denormalize(patch, result.points), result.normals))
+            pieces.append(PointCloud(denormalize(patch, result.points), result.normals))
+    elif method == "analytic":
+        _check_coverage(coverage)
+        result = upsample_analytic(cloud, math.ceil(coverage * factor), k=k, pattern=pattern,
+                                   rng=np.random.default_rng(seed))
+        pieces, metadata = [PointCloud(result.points, result.normals)], result.metadata
+    else:
+        raise ValueError(f"unknown method {method!r}")
     if counts is not None:
-        counts.update(totals)
+        counts.update(points=len(cloud), degenerate_frames=metadata.get("degenerate_frames", 0),
+                      degenerate_fits=metadata.get("degenerate_fits", 0))
     return fuse_patches(pieces, factor * len(cloud))

@@ -179,9 +179,9 @@ def test_upsample_collinear_reports_degenerate_frames(tmp_path, capsys):
                  "--method", "analytic"]) == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out) == {"points": 2400, "output": str(out)}
-    # 8 patches of 256 points, the 4 on the line collinear
+    # each input point is fit once; the 300 on the line are collinear
     assert captured.err.splitlines() == [
-        "warning: 1024 degenerate frames and 0 degenerate curvature fits in 2048 patch "
+        "warning: 300 degenerate frames and 0 degenerate curvature fits in 600 input "
         "points; those points were upsampled on a flat disk"]
     expected = tmp_path / "expected.xyz"
     write_xyz(upsample_cloud(cloud, 4, seed=42), expected)
@@ -197,9 +197,9 @@ def test_upsample_all_degenerate_exit_3(tmp_path, capsys):
                  "--method", "analytic"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    # 4 patches of 256 points, every neighborhood collinear
+    # every input point's neighborhood is collinear
     assert captured.err.splitlines() == [
-        "numerical failure: all 1024 patch points have degenerate frames "
+        "numerical failure: all 300 input points have degenerate frames "
         "(0 degenerate curvature fits); no output written"]
     assert not out.exists()
 
@@ -226,7 +226,79 @@ def test_upsample_analytic_cloud_smaller_than_patch_size(tmp_path, capsys):
     assert len(read_xyz(out_path)) == 400
     counts = {}
     upsample_cloud(read_xyz(cloud_path), 4, counts=counts)
-    assert counts["patch_points"] == 100  # the whole cloud as one patch
+    assert counts["points"] == 100  # each input point counted once
+
+
+def test_upsample_benchmark_argv(tmp_path, capsys):
+    # the exact flag set of the committed benchmark's upsample-analytic workload
+    cloud_path = _write_cloud(tmp_path / "sparse.xyz", sphere_cloud(500, 1.0, 3))
+    out = tmp_path / "dense.xyz"
+    assert main(["--seed", "1", "upsample", "--method", "analytic", "--input", cloud_path,
+                 "--output", str(out), "--factor", "4", "--k", "16", "--patch-size", "256",
+                 "--coverage", "3"]) == 0
+    result = read_xyz(out)
+    assert len(result) == 2000 and result.normals is not None
+    np.testing.assert_allclose(np.linalg.norm(result.normals, axis=1), 1.0, atol=1e-12)
+
+
+def test_upsample_analytic_ignores_patch_size(tmp_path, capsys):
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(120, 1.0, 1))
+    outputs = []
+    for extra in ([], ["--patch-size", "0"], ["--patch-size", "10"], ["--patch-size", "500"]):
+        out = tmp_path / f"out{len(outputs)}.xyz"
+        assert main(["upsample", "--input", cloud_path, "--output", str(out), *extra]) == 0
+        outputs.append(out.read_bytes())
+    assert all(output == outputs[0] for output in outputs)
+
+
+def test_upsample_model_patch_size_must_match_checkpoint(tmp_path, capsys):
+    cfg = PUGeoConfig(factor=4, patch_size=32, k=6, feature_widths=(8, 8),
+                      hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
+    ckpt = tmp_path / "m.pugeo"
+    save_model(PUGeoNet(cfg, seed=0), ckpt)
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+    argv = ["upsample", "--input", cloud_path, "--method", "model", "--model", str(ckpt)]
+    bad = tmp_path / "bad.xyz"
+    assert main(argv + ["--output", str(bad), "--patch-size", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "--patch-size 64 does not match checkpoint patch size 32\n"
+    assert captured.out == "" and not bad.exists()
+    same, omitted = tmp_path / "same.xyz", tmp_path / "omitted.xyz"
+    assert main(argv + ["--output", str(same), "--patch-size", "32"]) == 0
+    assert main(argv + ["--output", str(omitted)]) == 0
+    assert same.read_bytes() == omitted.read_bytes()
+
+
+@pytest.mark.parametrize("coverage,factor", [(0.5, 4), (0.75, 4), (0.1, 2)])
+def test_upsample_coverage_below_factor_exit_2(tmp_path, capsys, coverage, factor):
+    # ceil(coverage*R) < R candidates per input point cannot fill R*M outputs
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+    out = tmp_path / "out.xyz"
+    assert main(["upsample", "--input", cloud_path, "--output", str(out),
+                 "--coverage", str(coverage), "--factor", str(factor)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"--coverage {coverage} draws fewer than --factor {factor} "
+                            f"candidates per input point\n")
+    assert captured.out == "" and not out.exists()
+
+
+def test_upsample_coverage_just_enough(tmp_path, capsys):
+    # ceil(0.76*4) = 4: exactly R candidates per point, and FPS keeps them all
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+    out = tmp_path / "out.xyz"
+    assert main(["upsample", "--input", cloud_path, "--output", str(out),
+                 "--coverage", "0.76"]) == 0
+    assert len(read_xyz(out)) == 400
+
+
+@pytest.mark.parametrize("method", ["analytic", "model"])
+def test_upsample_factor_below_1_exit_2(tmp_path, capsys, method):
+    out = tmp_path / "out.xyz"
+    assert main(["upsample", "--input", str(tmp_path / "missing.xyz"), "--output", str(out),
+                 "--method", method, "--factor", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "--factor must be >= 1, got 0\n" and captured.out == ""
+    assert not out.exists()
 
 
 def test_eval_bad_mesh_names_the_mesh(tmp_path, capsys):
@@ -310,7 +382,7 @@ _K_CASES = ["k_0", "k_3", "fewer_than_k_plus_1", "empty_input"]
 
 @pytest.mark.parametrize("command,case",
                          [(command, case) for command in ("upsample", "inspect")
-                          for case in _K_CASES] + [("upsample", "patch_size_below_k_plus_1")])
+                          for case in _K_CASES])
 def test_bad_k_names_the_flag_or_file(tmp_path, capsys, command, case):
     cloud = _write_cloud(tmp_path / "cloud.xyz", sphere_cloud(50, 1.0, 5))
     four = _write_cloud(tmp_path / "four.xyz", PointCloud(np.eye(4, 3)))
@@ -322,8 +394,6 @@ def test_bad_k_names_the_flag_or_file(tmp_path, capsys, command, case):
         "k_3": (cloud, ["--k", "3"], "--k must be >= 6, got 3"),
         "fewer_than_k_plus_1": (four, [], f"{four}: need at least k+1=17 points for --k 16, got 4"),
         "empty_input": (str(empty), [], f"{empty}: no points"),
-        "patch_size_below_k_plus_1": (cloud, ["--patch-size", "10"],
-                                      "--patch-size 10 must be at least k+1=17 for --k 16"),
     }[case]
     if command == "upsample":
         argv = ["upsample", "--input", path, "--output", str(out)]
@@ -449,23 +519,21 @@ def test_train_logs_json_per_epoch_and_ablation_flag(tmp_path, mesh_dir, capsys)
     ("upsample", ["--coverage", "-1"], "coverage must be finite and > 0, got -1.0"),
     ("upsample", ["--coverage", "nan"], "coverage must be finite and > 0, got nan"),
     ("upsample", ["--coverage", "inf"], "coverage must be finite and > 0, got inf"),
-    ("upsample", ["--patch-size", "0"], "patch size must be >= 1, got 0"),
     ("upsample", ["--patch-size", "256", "--coverage", "0"],
      "coverage must be finite and > 0, got 0.0"),
     ("dataset", ["--coverage", "0"], "coverage must be finite and > 0, got 0.0"),
     ("dataset", ["--patch-size", "0"], "patch size must be >= 1, got 0"),
     ("train", ["--checkpoint-every", "0"], "--checkpoint-every must be >= 1, got 0"),
 ], ids=["upsample_coverage_0", "upsample_coverage_negative", "upsample_coverage_nan",
-        "upsample_coverage_inf", "upsample_patch_size_0", "upsample_one_patch_coverage_0",
+        "upsample_coverage_inf", "upsample_one_patch_coverage_0",
         "dataset_coverage_0", "dataset_patch_size_0", "train_checkpoint_every_0"])
 def test_bad_patch_or_checkpoint_setting_exit_2(tmp_path, mesh_dir, capsys, command, extra,
                                                 message):
     out = tmp_path / "out"
     checkpoints = tmp_path / "checkpoints"
     if command == "upsample":
-        # 100 points hold a 32-point patch; a patch size above 100 makes one patch
         cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
-        argv = ["upsample", "--input", cloud_path, "--output", str(out), "--patch-size", "32"]
+        argv = ["upsample", "--input", cloud_path, "--output", str(out)]
     elif command == "dataset":
         argv = ["dataset", "build", "--mesh-dir", str(mesh_dir), "--out", str(out),
                 "--points", "128", "--patch-size", "64"]
@@ -683,7 +751,7 @@ def _upsample_checked(tmp_path, name, cloud, capsys):
     if counts["degenerate_frames"] or counts["degenerate_fits"]:
         expected = [f"warning: {counts['degenerate_frames']} degenerate frames and "
                     f"{counts['degenerate_fits']} degenerate curvature fits in "
-                    f"{counts['patch_points']} patch points; those points were upsampled "
+                    f"{counts['points']} input points; those points were upsampled "
                     f"on a flat disk"]
     assert err.splitlines() == expected
     result = read_xyz(out)

@@ -8,10 +8,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import pugeo.autodiff as ad
-from pugeo import (LossWeights, PointCloud, PUGeoConfig, PUGeoNet, TrainConfig, chamfer,
-                   poisson_disk_sample, upsample_analytic)
+from pugeo import (LossWeights, PointCloud, PUGeoConfig, PUGeoNet, SamplePattern, TrainConfig,
+                   chamfer, poisson_disk_sample, upsample_analytic)
 from pugeo import model, trainer
 from pugeo.errors import GeometryError, TrainingDiverged
 from pugeo.io import TriangleMesh
@@ -540,10 +542,52 @@ def test_evaluate_ground_truth_against_itself():
 
 def test_upsample_cloud_exact_count_and_determinism():
     cloud = sphere_cloud(300, 1.0, seed=0)
-    a = upsample_cloud(cloud, 4, method="analytic", k=16, patch_size=100, coverage=2.0)
-    b = upsample_cloud(cloud, 4, method="analytic", k=16, patch_size=100, coverage=2.0)
+    a = upsample_cloud(cloud, 4, method="analytic", k=16, coverage=2.0)
+    b = upsample_cloud(cloud, 4, method="analytic", k=16, coverage=2.0)
     assert len(a) == 1200
     assert np.array_equal(a.points, b.points)
+
+
+def test_upsample_cloud_analytic_fits_the_cloud_once(monkeypatch):
+    calls = []
+
+    def spy(cloud, factor, **kwargs):
+        calls.append((len(cloud), factor))
+        return upsample_analytic(cloud, factor, **kwargs)
+
+    def no_patches(*args, **kwargs):
+        raise AssertionError("the analytic path cut patches")
+
+    monkeypatch.setattr(trainer, "upsample_analytic", spy)
+    monkeypatch.setattr(trainer, "extract_patches", no_patches)
+    counts = {}
+    result = upsample_cloud(sphere_cloud(300, 1.0, seed=0), 4, coverage=2.5, counts=counts)
+    assert calls == [(300, 10)]  # ceil(2.5*4) candidates per input point
+    assert len(result) == 1200
+    assert counts == {"points": 300, "degenerate_frames": 0, "degenerate_fits": 0}
+
+
+@settings(max_examples=20, deadline=None)
+@given(m=st.integers(16, 120), factor=st.integers(1, 5), coverage=st.floats(0.5, 4.0),
+       kind=st.sampled_from(["fibonacci_disk", "jittered_grid"]), seed=st.integers(0, 2**16))
+def test_upsample_cloud_analytic_property(m, factor, coverage, kind, seed):
+    # R*M distinct rows: the (point, normal) rows that the FPS oracle keeps of
+    # one whole-cloud draw of ceil(coverage*R) candidates per point, the same
+    # on every call
+    per_point = math.ceil(coverage * factor)
+    assume(per_point >= factor)
+    cloud = sphere_cloud(m, 1.0, seed)
+    pattern = SamplePattern(kind)
+    a, b = (upsample_cloud(cloud, factor, k=12, pattern=pattern, coverage=coverage, seed=seed)
+            for _ in range(2))
+    assert np.array_equal(a.points, b.points) and np.array_equal(a.normals, b.normals)
+    rows = np.hstack([a.points, a.normals])
+    assert len(rows) == factor * m
+    assert len(np.unique(a.points, axis=0)) == factor * m
+    drawn = upsample_analytic(cloud, per_point, k=12, pattern=pattern,
+                              rng=np.random.default_rng(seed))
+    keep = reference.farthest_point_sample(drawn.points, factor * m, seed_index=0)
+    assert np.array_equal(rows, np.hstack([drawn.points, drawn.normals])[keep])
 
 
 def test_evaluate_analytic_beats_zero_displacement_on_sphere():
@@ -563,7 +607,7 @@ def test_evaluate_report_schema():
     mesh = icosphere(2)
     cloud = PointCloud(*(lambda c: (c.points, c.normals))(poisson_disk_sample(mesh, 128, 3)))
     gt_dense = poisson_disk_sample(mesh, 256, seed=4)
-    pred = upsample_cloud(cloud, 2, method="analytic", k=12, patch_size=64, coverage=2.0)
+    pred = upsample_cloud(cloud, 2, method="analytic", k=12, coverage=2.0)
     report = report_metrics(pred, gt_dense, mesh, factor=2)
     data = report.to_dict()
     assert {"cd", "hd", "jsd", "p2f_mean", "p2f_std"} <= set(data)
