@@ -23,7 +23,7 @@ from .io import PointCloud, read_mesh, read_xyz, write_xyz
 from .losses import LossWeights
 from .metrics import report_metrics, surface_compare
 from .model import PUGeoConfig, PUGeoNet, load_model, save_model
-from .sampling import extract_patches
+from .sampling import count_uncovered, extract_patches
 from .trainer import TrainConfig, TrainExample, build_dataset, train, upsample_cloud
 
 MESH_EXTENSIONS = (".obj", ".ply")
@@ -133,6 +133,12 @@ def _check_patch_size(path: str, cloud: PointCloud, model: PUGeoNet) -> str | No
         return (f"{path}: need at least {need} points for the checkpoint's patch size, "
                 f"got {len(cloud)}")
     return None
+
+
+def _warn_uncovered(uncovered: int, points: int) -> None:
+    if uncovered:
+        print(f"warning: {uncovered} of {points} input points are in no patch",
+              file=sys.stderr)
 
 
 def cmd_dataset_build(args) -> int:
@@ -300,6 +306,11 @@ def cmd_upsample(args) -> int:
         problem = _check_patch_size(args.input, cloud, model)
         if problem:
             return _fail(problem)
+        # fusion keeps R*M of the R*N*ceil(coverage*M/N) candidates of the patches
+        n, m = model.config.patch_size, len(cloud)
+        if 0 < args.coverage < math.inf and (cut := math.ceil(args.coverage * m / n)) * n < m:
+            return _fail(f"--coverage {args.coverage} cuts {cut} patches of {n} points, "
+                         f"{cut * n} in all, fewer than the {m} input points")
     counts = {}
     result = upsample_cloud(cloud, args.factor, method=args.method, model=model,
                             k=args.k, pattern=_pattern(args.pattern), coverage=args.coverage,
@@ -309,6 +320,7 @@ def cmd_upsample(args) -> int:
                      f"degenerate frames ({counts['degenerate_fits']} degenerate curvature "
                      f"fits); no output written", code=3)
     write_xyz(result, args.output)
+    _warn_uncovered(counts["uncovered"], counts["points"])
     if counts["degenerate_frames"] or counts["degenerate_fits"]:
         print(f"warning: {counts['degenerate_frames']} degenerate frames and "
               f"{counts['degenerate_fits']} degenerate curvature fits in "
@@ -369,6 +381,7 @@ def cmd_inspect_frames(args) -> int:
         outputs = [model.forward(patch.points) for patch in patches]
         frames = np.concatenate([out.t_matrices for out in outputs])
         deltas = np.concatenate([out.deltas.reshape(-1) for out in outputs])
+        _warn_uncovered(count_uncovered(patches, len(cloud)), len(cloud))
     stats = frame_stats(frames[:, :, 0], frames[:, :, 1], frames[:, :, 2], deltas)
     sys.stdout.write(stats.to_tsv())
     return 0

@@ -72,10 +72,6 @@ class PUGeoConfig:
     def from_dict(cls, data: dict) -> "PUGeoConfig":
         data = dict(data)
         data["feature_widths"] = tuple(data["feature_widths"])
-        # checkpoints written while dynamic_graph was a setting carry it; only
-        # true matches what extract_features does
-        if data.pop("dynamic_graph", True) is not True:
-            raise CheckpointError("dynamic_graph=false is no longer supported")
         return cls(**data)
 
 

@@ -9,7 +9,6 @@ sample elimination, patch extraction/normalization and patch fusion.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,9 +300,9 @@ def _check_patching(patch_size: int, coverage: float) -> None:
 def extract_patches(cloud: PointCloud, patch_size: int, coverage: float = 3.0) -> list[Patch]:
     """Cover the cloud with ceil(coverage*M/N) kNN patches around FPS seeds.
 
-    Each patch is translated to zero mean and scaled to max radius 1.  When
-    coverage >= 1 but some point still lands in no patch, a warning is
-    emitted.
+    Each patch is translated to zero mean and scaled to max radius 1.  Even
+    at coverage >= 1 some point may land in no patch; `count_uncovered`
+    counts them.
     """
     _check_patching(patch_size, coverage)
     pts = cloud.points
@@ -313,13 +312,15 @@ def extract_patches(cloud: PointCloud, patch_size: int, coverage: float = 3.0) -
     n_seeds = min(m, math.ceil(coverage * m / patch_size))
     seeds = farthest_point_sample(cloud, n_seeds)
     neighborhoods = NeighborIndex(pts).knn_batch(pts[seeds], patch_size)
+    return [_normalize_patch(cloud, idx) for idx in neighborhoods]
+
+
+def count_uncovered(patches: list[Patch], m: int) -> int:
+    """How many of a cloud's m points lie in none of `patches`."""
     covered = np.zeros(m, dtype=bool)
-    covered[neighborhoods] = True
-    patches = [_normalize_patch(cloud, idx) for idx in neighborhoods]
-    if coverage >= 1.0 and not covered.all():
-        warnings.warn(f"{int((~covered).sum())} points not covered by any patch",
-                      stacklevel=2)
-    return patches
+    for patch in patches:
+        covered[patch.indices] = True
+    return m - int(covered.sum())
 
 
 def _normalize_patch(cloud: PointCloud, indices: np.ndarray) -> Patch:

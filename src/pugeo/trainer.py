@@ -3,7 +3,9 @@
 A training example pairs a sparse patch (network input, with ground-truth
 normals as supervision) with the dense patch covering the same region,
 both normalized by the sparse patch's transform.  Training minimizes
-alpha*CD + beta*coarse-normal + gamma*refined-normal with Adam.
+alpha*CD + beta*coarse-normal + gamma*refined-normal with Adam.  The
+meshes of a dataset and the examples of a batch are independent tasks;
+`_map_tasks` runs both on worker threads.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +25,8 @@ from .io import PointCloud, TriangleMesh
 from .losses import LossWeights, chamfer_loss, normal_loss_graph, total_loss_graph
 from .model import PUGeoNet, save_model
 from .sampling import (NeighborIndex, _check_coverage, _check_patching, _normalize_patch,
-                       denormalize, extract_patches, farthest_point_sample, fuse_patches,
-                       nearest_pairs, poisson_disk_sample)
+                       count_uncovered, denormalize, extract_patches, farthest_point_sample,
+                       fuse_patches, nearest_pairs, poisson_disk_sample)
 
 
 @dataclass
@@ -207,48 +208,37 @@ def _worker_count(tasks: int) -> int:
     return max(1, min(tasks, cpus // blas))
 
 
-def _with_caller_errstate(fn):
-    """`fn` wrapped to run under the calling thread's np.errstate.
+def _map_tasks(task, count: int):
+    """Yield task(i) for i in range(count), in index order, run on `_worker_count(count)` threads.
 
-    A worker thread does not inherit the np.errstate of the thread that
-    hands it work, so the settings, the error callback included, are read
-    here and applied around every call.
+    The calling thread is one of them, so one worker starts no thread.  A
+    worker thread does not inherit the caller's np.errstate, so the
+    settings, the error callback included, are read here and applied on
+    every thread.  Each thread claims the lowest unclaimed index until none
+    is left or a task has failed.  Every thread is joined before the first
+    result is yielded.  Indices are claimed in order, so every task below a
+    failed one has been claimed and run to its end: the results below the
+    lowest failing index are yielded, then that index's error is raised, as
+    in a serial loop.
     """
     err = np.geterr()
     err["call"] = np.geterrcall()
-
-    def run(*args):
-        with np.errstate(**err):
-            return fn(*args)
-    return run
-
-
-def _map_tasks(task, count: int) -> list:
-    """[task(i) for i in range(count)], on `_worker_count(count)` threads.
-
-    The calling thread is one of them, so one worker starts no thread.
-    Each thread claims the lowest unclaimed index until none is left or a
-    task has failed, and runs it under the caller's np.errstate.  Results
-    come back in index order.  Indices are claimed in order, so every task
-    below a failed one has been claimed and runs to its end, and the error
-    raised is that of the lowest-index failing task, as in a serial loop.
-    """
-    task = _with_caller_errstate(task)
     results = [None] * count
     errors: dict[int, BaseException] = {}
     indices = iter(range(count))
     claim = threading.Lock()
 
     def work():
-        while not errors:
-            with claim:
-                i = next(indices, None)
-            if i is None:
-                return
-            try:
-                results[i] = task(i)
-            except BaseException as exc:  # re-raised on the calling thread below
-                errors[i] = exc
+        with np.errstate(**err):
+            while not errors:
+                with claim:
+                    i = next(indices, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = task(i)
+                except BaseException as exc:  # re-raised on the calling thread below
+                    errors[i] = exc
 
     threads = [threading.Thread(target=work) for _ in range(_worker_count(count) - 1)]
     for thread in threads:
@@ -258,9 +248,10 @@ def _map_tasks(task, count: int) -> list:
     finally:
         for thread in threads:
             thread.join()
+    failed = min(errors, default=count)
+    yield from results[:failed]
     if errors:
-        raise errors[min(errors)]
-    return results
+        raise errors[failed]
 
 
 def _example_gradients(model: PUGeoNet, example: TrainExample, config: TrainConfig,
@@ -290,7 +281,7 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
     last backward pass with the step they come from (`grad_step`).
 
     Each example of a batch runs its forward and backward pass on its own
-    graph, on `_worker_count` threads under the caller's np.errstate.  The
+    graph, through `_map_tasks` under the caller's np.errstate.  The
     gradient dicts, the batch loss and the diagnostics are combined in batch
     order, and the first example to fail in batch order raises.  Each
     parameter feeds one node of an example's graph, so its gradient in the
@@ -304,66 +295,59 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(config.seed)
     optimizer = ad.Adam(model.parameters(), lr=config.lr)
-    example_gradients = _with_caller_errstate(_example_gradients)
-    pool = ThreadPoolExecutor(_worker_count(config.batch_size))
     history = []
     step = 0
     step_grads = {}
-    try:
-        for epoch in range(config.epochs):
-            order = rng.permutation(len(dataset))
-            sums = np.zeros(4)
-            batches = 0
-            for start in range(0, len(order), config.batch_size):
-                batch = [dataset[i] for i in order[start:start + config.batch_size]]
-                if config.augment:
-                    batch = [augment_example(ex, rng) for ex in batch]
-                scale = 1.0 / len(batch)
-                totals = []
-                grads = []
-                components = np.zeros(3)
-                try:
-                    futures = [pool.submit(example_gradients, model, ex, config, scale)
-                               for ex in batch]
-                    for future in futures:
-                        total, parts, example_grads = future.result()
-                        totals.append(total)
-                        grads.append(example_grads)
-                        components += parts
-                    batch_loss = totals[0]
-                    for extra in totals[1:]:
-                        batch_loss = batch_loss + extra
-                    batch_loss = float(batch_loss * np.asarray(scale, dtype=batch_loss.dtype))
-                    if not np.isfinite(batch_loss):
-                        raise TrainingDiverged("non-finite loss")
-                except TrainingDiverged as exc:
-                    # the gradients in hand are the previous step's; step 0 has none
-                    grad_norms = {name: float(np.linalg.norm(step_grads[t]))
-                                  for name, t in model.named_params() if t in step_grads}
-                    raise TrainingDiverged(
-                        f"{exc} at step {step}",
-                        {"step": step, "examples": len(totals),
-                         "components": (components / len(totals)).tolist() if totals else None,
-                         "grad_step": step - 1 if grad_norms else None,
-                         "grad_norms": grad_norms}) from None
-                step_grads = {}
-                for example_grads in grads:
-                    for param, g in example_grads.items():
-                        step_grads[param] = step_grads[param] + g if param in step_grads else g
-                optimizer.step(step_grads)
-                sums += [batch_loss, *(components / len(batch))]
-                batches += 1
-                step += 1
-            record = {"epoch": epoch, "l_total": sums[0] / batches, "l_cd": sums[1] / batches,
-                      "l_coarse": sums[2] / batches, "l_refined": sums[3] / batches}
-            history.append(record)
-            if log_stream is not None:
-                log_stream.write(json.dumps(record, sort_keys=True) + "\n")
-                log_stream.flush()
-            if checkpoint_dir is not None and (epoch + 1) % config.checkpoint_every == 0:
-                save_model(model, f"{checkpoint_dir}/checkpoint_epoch{epoch + 1:04d}.pugeo")
-    finally:
-        pool.shutdown(cancel_futures=True)
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(dataset))
+        sums = np.zeros(4)
+        batches = 0
+        for start in range(0, len(order), config.batch_size):
+            batch = [dataset[i] for i in order[start:start + config.batch_size]]
+            if config.augment:
+                batch = [augment_example(ex, rng) for ex in batch]
+            scale = 1.0 / len(batch)
+            totals = []
+            grads = []
+            components = np.zeros(3)
+            try:
+                for total, parts, example_grads in _map_tasks(
+                        lambda i: _example_gradients(model, batch[i], config, scale), len(batch)):
+                    totals.append(total)
+                    grads.append(example_grads)
+                    components += parts
+                batch_loss = totals[0]
+                for extra in totals[1:]:
+                    batch_loss = batch_loss + extra
+                batch_loss = float(batch_loss * np.asarray(scale, dtype=batch_loss.dtype))
+                if not np.isfinite(batch_loss):
+                    raise TrainingDiverged("non-finite loss")
+            except TrainingDiverged as exc:
+                # the gradients in hand are the previous step's; step 0 has none
+                grad_norms = {name: float(np.linalg.norm(step_grads[t]))
+                              for name, t in model.named_params() if t in step_grads}
+                raise TrainingDiverged(
+                    f"{exc} at step {step}",
+                    {"step": step, "examples": len(totals),
+                     "components": (components / len(totals)).tolist() if totals else None,
+                     "grad_step": step - 1 if grad_norms else None,
+                     "grad_norms": grad_norms}) from None
+            step_grads = {}
+            for example_grads in grads:
+                for param, g in example_grads.items():
+                    step_grads[param] = step_grads[param] + g if param in step_grads else g
+            optimizer.step(step_grads)
+            sums += [batch_loss, *(components / len(batch))]
+            batches += 1
+            step += 1
+        record = {"epoch": epoch, "l_total": sums[0] / batches, "l_cd": sums[1] / batches,
+                  "l_coarse": sums[2] / batches, "l_refined": sums[3] / batches}
+        history.append(record)
+        if log_stream is not None:
+            log_stream.write(json.dumps(record, sort_keys=True) + "\n")
+            log_stream.flush()
+        if checkpoint_dir is not None and (epoch + 1) % config.checkpoint_every == 0:
+            save_model(model, f"{checkpoint_dir}/checkpoint_epoch{epoch + 1:04d}.pugeo")
     if checkpoint_dir is not None:
         save_model(model, f"{checkpoint_dir}/checkpoint_final.pugeo")
     return model, history
@@ -381,23 +365,28 @@ def upsample_cloud(cloud: PointCloud, factor: int, method: str = "analytic",
 
     "analytic" fits each input point once and draws ceil(coverage*R) around it;
     "model" upsamples ceil(coverage*M/N) patches of the checkpoint's N points.
-    `counts`, if given, receives the input points and degenerate frames and fits.
+    `counts`, if given, receives the input points, the points in no patch
+    (none on the analytic path) and the degenerate frames and fits.
     """
     if method == "model":
         if model is None:
             raise ValueError("method 'model' requires a model")
         factor, pieces, metadata = model.config.factor, [], {}
-        for patch in extract_patches(cloud, model.config.patch_size, coverage):
+        patches = extract_patches(cloud, model.config.patch_size, coverage)
+        for patch in patches:
             result = model.upsample_patch(patch.points)
             pieces.append(PointCloud(denormalize(patch, result.points), result.normals))
+        uncovered = count_uncovered(patches, len(cloud))
     elif method == "analytic":
         _check_coverage(coverage)
         result = upsample_analytic(cloud, math.ceil(coverage * factor), k=k, pattern=pattern,
                                    rng=np.random.default_rng(seed))
         pieces, metadata = [PointCloud(result.points, result.normals)], result.metadata
+        uncovered = 0
     else:
         raise ValueError(f"unknown method {method!r}")
     if counts is not None:
-        counts.update(points=len(cloud), degenerate_frames=metadata.get("degenerate_frames", 0),
+        counts.update(points=len(cloud), uncovered=uncovered,
+                      degenerate_frames=metadata.get("degenerate_frames", 0),
                       degenerate_fits=metadata.get("degenerate_fits", 0))
     return fuse_patches(pieces, factor * len(cloud))

@@ -62,6 +62,14 @@ def sphere_cloud(n: int, radius: float, seed: int) -> PointCloud:
     return PointCloud(directions * radius, directions)
 
 
+def clustered_cloud() -> PointCloud:
+    """128 points in clusters of 120 and 8: two patches of 64 miss part of the big one."""
+    rng = np.random.default_rng(21)
+    cluster_a = rng.normal(size=(120, 3)) * 0.01
+    cluster_b = rng.normal(size=(8, 3)) * 0.01 + 10.0
+    return PointCloud(np.concatenate([cluster_a, cluster_b]))
+
+
 def unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 

@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, load_model, read_xyz, save
 from pugeo import cli
 from pugeo.cli import main
 
-from helpers import set_checkpoint_config_entry, sphere_cloud, unit_rows
+from helpers import clustered_cloud, set_checkpoint_config_entry, sphere_cloud, unit_rows
 
 
 @pytest.fixture()
@@ -702,7 +703,6 @@ def test_train_mean_normal_loss_changes_balance(tmp_path, mesh_dir, capsys):
     assert mean_log["l_coarse"] < sum_log["l_coarse"] / 10
 
 
-@pytest.mark.filterwarnings("ignore:.*not covered.*")
 def test_inspect_frames_model_method(tmp_path, capsys):
     cfg = PUGeoConfig(factor=2, patch_size=32, k=6, feature_widths=(8, 8),
                       hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
@@ -713,6 +713,66 @@ def test_inspect_frames_model_method(tmp_path, capsys):
                "--model", str(ckpt), "--coverage", "1.0"])
     assert rc == 0
     assert "# delta" in capsys.readouterr().out
+
+
+def _model_checkpoint(path, patch_size):
+    cfg = PUGeoConfig(factor=4, patch_size=patch_size, k=4, feature_widths=(8, 8),
+                      hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
+    save_model(PUGeoNet(cfg, seed=0), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("coverage,patches", [(0.5, 2), (0.9, 3)])
+def test_upsample_model_coverage_below_input_exit_2(tmp_path, capsys, monkeypatch, coverage,
+                                                    patches):
+    # ceil(coverage*M/N) patches of N points hold fewer than M points, so
+    # fusion cannot fill R*M outputs: rejected before any forward pass
+    ckpt = _model_checkpoint(tmp_path / "m.pugeo", 32)
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+    out = tmp_path / "out.xyz"
+
+    def refuse(*args):
+        raise AssertionError("forward pass")
+
+    monkeypatch.setattr(PUGeoNet, "forward", refuse)
+    assert main(["upsample", "--input", cloud_path, "--output", str(out), "--method", "model",
+                 "--model", ckpt, "--coverage", str(coverage)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"--coverage {coverage} cuts {patches} patches of 32 points, "
+                            f"{32 * patches} in all, fewer than the 100 input points\n")
+    assert captured.out == "" and not out.exists()
+
+
+def test_upsample_model_coverage_just_enough(tmp_path, capsys):
+    # ceil(0.97*100/32) = 4 patches of 32 points: 128 >= 100
+    ckpt = _model_checkpoint(tmp_path / "m.pugeo", 32)
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+    out = tmp_path / "out.xyz"
+    assert main(["upsample", "--input", cloud_path, "--output", str(out), "--method", "model",
+                 "--model", ckpt, "--coverage", "0.97"]) == 0
+    assert len(read_xyz(out)) == 400
+
+
+@pytest.mark.parametrize("command", ["upsample", "inspect"])
+def test_uncovered_points_one_warning_line(tmp_path, capsys, command):
+    # two patches of 64 around FPS seeds miss part of the 120-point cluster;
+    # the count comes from the CLI as one line, not as a Python warning
+    cloud = clustered_cloud()
+    counts = {}
+    ckpt = _model_checkpoint(tmp_path / "m.pugeo", 64)
+    upsample_cloud(cloud, 4, method="model", model=load_model(ckpt), coverage=1.0,
+                   counts=counts)
+    assert counts["uncovered"] > 0
+    path = _write_cloud(tmp_path / "in.xyz", cloud)
+    if command == "upsample":
+        argv = ["upsample", "--input", path, "--output", str(tmp_path / "o.xyz")]
+    else:
+        argv = ["inspect", "frames", "--input", path]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--method", "model", "--model", ckpt, "--coverage", "1.0"]) == 0
+    assert capsys.readouterr().err == (f"warning: {counts['uncovered']} of 128 input points "
+                                       f"are in no patch\n")
 
 
 @pytest.mark.parametrize("command", ["upsample", "inspect"])

@@ -339,17 +339,6 @@ def test_checkpoint_config_honored_from_file(tmp_path):
     assert load_model(path).config.factor == 8
 
 
-def test_checkpoint_with_dynamic_graph_true_loads(tmp_path):
-    net = PUGeoNet(PUGeoConfig(**TINY), seed=16)
-    path = tmp_path / "m.pugeo"
-    save_model(net, path)
-    set_checkpoint_config_entry(path, "dynamic_graph", True)
-    back = load_model(path)
-    assert back.config == net.config
-    patch = _patch(18)
-    assert np.array_equal(back.forward(patch).points.data, net.forward(patch).points.data)
-
-
 def test_checkpoint_with_dynamic_graph_false_rejected(tmp_path):
     net = PUGeoNet(PUGeoConfig(**TINY), seed=17)
     path = tmp_path / "m.pugeo"

@@ -6,11 +6,11 @@ from pugeo import (PointCloud, denormalize, extract_patches, farthest_point_samp
                    fuse_patches, poisson_disk_sample)
 from pugeo import trainer
 from pugeo.errors import GeometryError
-from pugeo.sampling import NeighborIndex, nearest_pairs
+from pugeo.sampling import NeighborIndex, count_uncovered, nearest_pairs
 from pugeo.trainer import TrainExample, _random_rotation, augment_example
 
-from helpers import (brute_force_knn, brute_force_nearest, cube_mesh, icosphere, unit_rows,
-                     unit_square_mesh)
+from helpers import (brute_force_knn, brute_force_nearest, clustered_cloud, cube_mesh,
+                     icosphere, unit_rows, unit_square_mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +208,6 @@ def test_extract_patches_count():
     assert all(len(p.indices) == 256 for p in patches)
 
 
-@pytest.mark.filterwarnings("ignore:.*not covered.*")
 def test_patch_normalization_contract():
     pts = np.random.default_rng(7).normal(size=(128, 3)) * 5 + 2
     for patch in extract_patches(PointCloud(pts), 32, coverage=2.0):
@@ -223,15 +222,15 @@ def test_patch_size_too_large():
         extract_patches(PointCloud(np.zeros((4, 3))), 5)
 
 
-def test_uncovered_points_warn_when_coverage_promises_full():
-    # clustered cloud: kNN patches around FPS seeds can miss points even
-    # though coverage >= 1 promises each point lands somewhere
-    rng = np.random.default_rng(21)
-    cluster_a = rng.normal(size=(120, 3)) * 0.01
-    cluster_b = rng.normal(size=(8, 3)) * 0.01 + 10.0
-    cloud = PointCloud(np.concatenate([cluster_a, cluster_b]))
-    with pytest.warns(UserWarning, match="not covered"):
-        extract_patches(cloud, 64, coverage=1.0)
+def test_uncovered_points_counted_when_coverage_promises_full():
+    # kNN patches around FPS seeds can miss points even though coverage >= 1
+    # promises each point lands somewhere
+    cloud = clustered_cloud()
+    patches = extract_patches(cloud, 64, coverage=1.0)
+    covered = set(np.concatenate([p.indices for p in patches]).tolist())
+    assert count_uncovered(patches, len(cloud)) == len(cloud) - len(covered) > 0
+    full = extract_patches(cloud, 64, coverage=3.0)
+    assert count_uncovered(full, len(cloud)) == 0
 
 
 def test_denormalize_identity_and_affine():

@@ -143,6 +143,26 @@ def test_build_dataset_one_worker_starts_no_thread(monkeypatch):
     assert _example_bytes(build_dataset(meshes, 64, 2, 32, seed=0)) == _example_bytes(expected)
 
 
+def test_train_one_worker_starts_no_thread(monkeypatch, tmp_path):
+    dataset = [_toy_example(s, n=64, factor=4) for s in range(3)]
+
+    def checkpoint(name, train_fn):
+        out = tmp_path / name
+        out.mkdir()
+        train_fn(TrainConfig(batch_size=2, epochs=2, seed=1), dataset,
+                 PUGeoNet(PUGeoConfig(**TINY_MODEL), seed=2), checkpoint_dir=str(out))
+        return (out / "checkpoint_final.pugeo").read_bytes()
+
+    expected = checkpoint("reference", reference.train)
+    _force_workers(monkeypatch, 1)
+
+    def refuse(thread):
+        raise AssertionError(f"{thread} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert checkpoint("one_worker", train) == expected
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_build_dataset_samples_under_caller_errstate_on_workers(monkeypatch, workers):
     _force_workers(monkeypatch, workers)
@@ -418,22 +438,34 @@ def test_threaded_steps_under_thread_switch_stress(monkeypatch):
 
 
 def test_threaded_train_runs_examples_on_workers_and_joins_them(monkeypatch):
+    # the calling thread is one of each batch's two workers: each batch
+    # starts one thread and joins it before its step
     _force_workers(monkeypatch, 2)
     real = trainer._example_losses
     seen = set()
+    barrier = threading.Barrier(2, timeout=30)  # each worker holds one example of a batch
 
     def recording(*args):
         seen.add(threading.current_thread())
+        barrier.wait()
         return real(*args)
 
+    started = []
+    real_start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        real_start(thread)
+
     monkeypatch.setattr(trainer, "_example_losses", recording)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
     before = set(threading.enumerate())
     net = PUGeoNet(PUGeoConfig(**TINY_MODEL), seed=0)
     train(TrainConfig(batch_size=2, epochs=1, seed=0),
           [_toy_example(s, n=64, factor=4) for s in range(4)], net)
-    workers = seen - {threading.main_thread()}
-    assert len(workers) == 2
-    assert not any(t.is_alive() for t in workers)
+    assert len(started) == 2  # two batches
+    assert seen == set(started) | {threading.main_thread()}
+    assert not any(t.is_alive() for t in started)
     assert set(threading.enumerate()) == before
 
 
@@ -477,6 +509,40 @@ def test_non_finite_example_loss_diverges_without_a_backward_pass(monkeypatch, w
               [_toy_example(s, n=64, factor=4) for s in range(2)], net)
     assert str(info.value).startswith("non-finite loss at step 0")
     assert info.value.diagnostics["examples"] == 2
+
+
+class _TaskFailed(Exception):
+    pass
+
+
+@settings(max_examples=80, deadline=None)
+@given(count=st.integers(0, 12), workers=st.integers(1, 4), data=st.data())
+def test_map_tasks_matches_a_serial_loop_up_to_the_lowest_failure(count, workers, data):
+    failing = data.draw(st.sets(st.integers(0, max(count - 1, 0)), max_size=count))
+    lowest = min(failing, default=None)
+    ran = []
+
+    def task(i):
+        ran.append(i)
+        time.sleep(0.0005 * (i * 7 % 3))  # uneven tasks let a later index finish first
+        if i in failing:
+            raise _TaskFailed(i)
+        return [i, i * i]
+
+    got = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer, "_worker_count", lambda tasks: min(tasks, workers))
+        try:
+            for result in trainer._map_tasks(task, count):
+                got.append(result)
+        except _TaskFailed as exc:
+            assert exc.args == (lowest,)
+        else:
+            assert lowest is None
+    stop = count if lowest is None else lowest
+    assert got == [[i, i * i] for i in range(stop)]
+    assert set(range(min(stop + 1, count))) <= set(ran)  # every task up to the failure ran
+    assert len(ran) == len(set(ran))  # and none twice
 
 
 @pytest.mark.parametrize("env,cpus,tasks,expected", [
@@ -564,7 +630,8 @@ def test_upsample_cloud_analytic_fits_the_cloud_once(monkeypatch):
     result = upsample_cloud(sphere_cloud(300, 1.0, seed=0), 4, coverage=2.5, counts=counts)
     assert calls == [(300, 10)]  # ceil(2.5*4) candidates per input point
     assert len(result) == 1200
-    assert counts == {"points": 300, "degenerate_frames": 0, "degenerate_fits": 0}
+    assert counts == {"points": 300, "uncovered": 0, "degenerate_frames": 0,
+                      "degenerate_fits": 0}
 
 
 @settings(max_examples=20, deadline=None)
