@@ -42,8 +42,8 @@ for step in range(301):
               f"coarse {coarse.item():7.2f}  refined {refined.item():7.2f}")
     optimizer.step(ad.backward(total))
 
-result = model.upsample_patch(sparse)
+out = model.forward(sparse)
 print(f"\nfinal Chamfer distance to the dense ground truth: "
-      f"{chamfer(result.points, dense):.5f}")
-print(f"upsampled {len(sparse)} -> {len(result.points)} points, "
-      f"normals unit within {np.abs(np.linalg.norm(result.normals, axis=1) - 1).max():.1e}")
+      f"{chamfer(out.points.data, dense):.5f}")
+print(f"upsampled {len(sparse)} -> {len(out.points.data)} points, "
+      f"normals unit within {np.abs(np.linalg.norm(out.normals.data, axis=1) - 1).max():.1e}")

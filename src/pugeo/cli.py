@@ -23,11 +23,14 @@ from .io import PointCloud, read_mesh, read_xyz, write_xyz
 from .losses import LossWeights
 from .metrics import report_metrics, surface_compare
 from .model import PUGeoConfig, PUGeoNet, load_model, save_model
-from .sampling import count_uncovered, extract_patches
+from .sampling import count_uncovered, extract_patches, patch_count
 from .trainer import TrainConfig, TrainExample, build_dataset, train, upsample_cloud
 
 MESH_EXTENSIONS = (".obj", ".ply")
 PATTERNS = {"fibonacci": "fibonacci_disk", "grid": "jittered_grid"}
+ANALYTIC_FACTOR = 4
+FACTOR_HELP = (f"default {ANALYTIC_FACTOR} with --method analytic; the checkpoint's factor, "
+               f"which it must match when given, with --method model")
 
 
 def _pattern(name: str) -> SamplePattern:
@@ -81,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_up = sub.add_parser("upsample", help="upsample a point cloud")
     p_up.add_argument("--input", required=True)
     p_up.add_argument("--output", required=True)
-    p_up.add_argument("--factor", type=int, default=4)
+    p_up.add_argument("--factor", type=int, default=None, help=FACTOR_HELP)
     p_up.add_argument("--method", choices=("analytic", "model"), default="analytic")
     p_up.add_argument("--model", default=None)
     p_up.add_argument("--k", type=int, default=16)
@@ -105,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_frames.add_argument("--method", choices=("analytic", "model"), default="analytic")
     p_frames.add_argument("--model", default=None)
     p_frames.add_argument("--k", type=int, default=16)
-    p_frames.add_argument("--factor", type=int, default=4)
+    p_frames.add_argument("--factor", type=int, default=None, help=FACTOR_HELP)
     p_frames.add_argument("--pattern", choices=tuple(PATTERNS), default="fibonacci")
     p_frames.add_argument("--coverage", type=float, default=3.0)
 
@@ -126,13 +129,25 @@ def _check_k(k: int, path: str, cloud: PointCloud) -> str | None:
     return None
 
 
-def _check_patch_size(path: str, cloud: PointCloud, model: PUGeoNet) -> str | None:
-    """Why `cloud` cannot fill one of the checkpoint's patches, or None."""
-    need = model.config.patch_size
-    if len(cloud) < need:
-        return (f"{path}: need at least {need} points for the checkpoint's patch size, "
-                f"got {len(cloud)}")
-    return None
+def _load_checkpoint(model_path: str | None, factor: int | None, path: str, cloud: PointCloud,
+                     patch_size: int | None = None) -> PUGeoNet:
+    """The --model checkpoint for --method model.
+
+    ValueError unless --model is given, --factor and --patch-size match the
+    checkpoint when given, and `cloud` fills one of its patches.
+    """
+    if not model_path:
+        raise ValueError("--method model requires --model CHECKPOINT")
+    model = load_model(model_path)
+    for flag, given, want in (("--factor", factor, model.config.factor),
+                              ("--patch-size", patch_size, model.config.patch_size)):
+        if given not in (None, want):
+            raise ValueError(f"{flag} {given} does not match checkpoint "
+                             f"{flag[2:].replace('-', ' ')} {want}")
+    if len(cloud) < model.config.patch_size:
+        raise ValueError(f"{path}: need at least {model.config.patch_size} points for the "
+                         f"checkpoint's patch size, got {len(cloud)}")
+    return model
 
 
 def _warn_uncovered(uncovered: int, points: int) -> None:
@@ -281,38 +296,34 @@ def cmd_train(args) -> int:
 
 
 def cmd_upsample(args) -> int:
-    if args.factor < 1:
+    if args.factor is not None and args.factor < 1:
         return _fail(f"--factor must be >= 1, got {args.factor}")
     cloud = read_xyz(args.input)
     if len(cloud) == 0:
         return _fail(f"{args.input}: no points")
-    model = None
+    model, factor = None, args.factor
     if args.method == "analytic":
         problem = _check_k(args.k, args.input, cloud)
         if problem:
             return _fail(problem)
-        if 0 < args.coverage < math.inf and math.ceil(args.coverage * args.factor) < args.factor:
-            return _fail(f"--coverage {args.coverage} draws fewer than --factor {args.factor} "
-                         f"candidates per input point")
+        factor = ANALYTIC_FACTOR if factor is None else factor
+        if 0 < args.coverage < math.inf:
+            per_point = args.coverage * factor
+            if per_point == math.inf:
+                return _fail(f"--coverage {args.coverage} times --factor {factor} overflows "
+                             f"the candidates per input point")
+            if math.ceil(per_point) < factor:
+                return _fail(f"--coverage {args.coverage} draws fewer than --factor {factor} "
+                             f"candidates per input point")
     if args.method == "model":
-        if not args.model:
-            return _fail("--method model requires --model CHECKPOINT")
-        model = load_model(args.model)
-        for flag, given, want in (("--factor", args.factor, model.config.factor),
-                                  ("--patch-size", args.patch_size, model.config.patch_size)):
-            if given not in (None, want):
-                return _fail(f"{flag} {given} does not match checkpoint "
-                             f"{flag[2:].replace('-', ' ')} {want}")
-        problem = _check_patch_size(args.input, cloud, model)
-        if problem:
-            return _fail(problem)
-        # fusion keeps R*M of the R*N*ceil(coverage*M/N) candidates of the patches
+        model = _load_checkpoint(args.model, args.factor, args.input, cloud, args.patch_size)
+        # fusion keeps R*M of the R*N*patch_count(M, N, coverage) candidates of the patches
         n, m = model.config.patch_size, len(cloud)
-        if 0 < args.coverage < math.inf and (cut := math.ceil(args.coverage * m / n)) * n < m:
+        if (cut := patch_count(m, n, args.coverage)) * n < m:
             return _fail(f"--coverage {args.coverage} cuts {cut} patches of {n} points, "
                          f"{cut * n} in all, fewer than the {m} input points")
     counts = {}
-    result = upsample_cloud(cloud, args.factor, method=args.method, model=model,
+    result = upsample_cloud(cloud, factor, method=args.method, model=model,
                             k=args.k, pattern=_pattern(args.pattern), coverage=args.coverage,
                             seed=args.seed, counts=counts)
     if counts["degenerate_frames"] == counts["points"]:
@@ -358,6 +369,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect_frames(args) -> int:
+    if args.factor is not None and args.factor < 1:
+        return _fail(f"--factor must be >= 1, got {args.factor}")
     cloud = read_xyz(args.input)
     if len(cloud) == 0:
         return _fail(f"{args.input}: no points")
@@ -365,18 +378,14 @@ def cmd_inspect_frames(args) -> int:
         problem = _check_k(args.k, args.input, cloud)
         if problem:
             return _fail(problem)
-        result = upsample_analytic(cloud, args.factor, k=args.k,
+        factor = ANALYTIC_FACTOR if args.factor is None else args.factor
+        result = upsample_analytic(cloud, factor, k=args.k,
                                    pattern=_pattern(args.pattern),
                                    rng=np.random.default_rng(args.seed))
         frames = result.metadata["frames"]
         deltas = result.deltas
     else:
-        if not args.model:
-            return _fail("--method model requires --model CHECKPOINT")
-        model = load_model(args.model)
-        problem = _check_patch_size(args.input, cloud, model)
-        if problem:
-            return _fail(problem)
+        model = _load_checkpoint(args.model, args.factor, args.input, cloud)
         patches = extract_patches(cloud, model.config.patch_size, args.coverage)
         outputs = [model.forward(patch.points) for patch in patches]
         frames = np.concatenate([out.t_matrices for out in outputs])

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .analytic import SamplePattern, UpsampleResult, param_samples
+from .analytic import SamplePattern, param_samples
 from .autodiff import Mlp, Tensor
 from .errors import CheckpointError
 
@@ -85,15 +85,6 @@ class ModelOutput:
     deltas: np.ndarray      # (N, R)
     parent: np.ndarray      # (N*R,)
     t_matrices: np.ndarray  # (N, 3, 3) linear lift values, aligned space
-
-    def to_result(self) -> UpsampleResult:
-        return UpsampleResult(
-            points=self.points.data.astype(np.float64),
-            normals=self.normals.data.astype(np.float64),
-            coarse_normals=self.coarse_normals.data.astype(np.float64),
-            deltas=self.deltas.astype(np.float64).reshape(-1),
-            parent=self.parent,
-        )
 
 
 def _knn_candidates(values: np.ndarray, k: int) -> np.ndarray:
@@ -355,9 +346,6 @@ class PUGeoNet:
         return ModelOutput(points=points_out, normals=normals_out, coarse_normals=coarse_out,
                            deltas=deltas, parent=np.repeat(np.arange(n, dtype=np.int64), r),
                            t_matrices=t.data.astype(np.float64))
-
-    def upsample_patch(self, points) -> UpsampleResult:
-        return self.forward(points).to_result()
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,7 @@ class Patch:
     points: np.ndarray
     centroid: np.ndarray
     scale: float
+    seed: int  # the index cut around (indices[0] may be a lower-index duplicate of it)
     normals: np.ndarray | None = None
 
 
@@ -290,29 +291,37 @@ def _check_coverage(coverage: float) -> None:
         raise ValueError(f"coverage must be finite and > 0, got {coverage}")
 
 
-def _check_patching(patch_size: int, coverage: float) -> None:
-    """ValueError naming the bad value unless patch_size >= 1 and 0 < coverage < inf."""
+def patch_count(m: int, patch_size: int, coverage: float) -> int:
+    """ceil(coverage*m/patch_size), clamped to m before the ceil so no coverage overflows it.
+
+    ValueError naming the bad value unless patch_size >= 1 and 0 < coverage < inf.
+    """
     if patch_size < 1:
         raise ValueError(f"patch size must be >= 1, got {patch_size}")
     _check_coverage(coverage)
+    return math.ceil(min(coverage * m / patch_size, m))
 
 
-def extract_patches(cloud: PointCloud, patch_size: int, coverage: float = 3.0) -> list[Patch]:
-    """Cover the cloud with ceil(coverage*M/N) kNN patches around FPS seeds.
+def extract_patches(cloud: PointCloud, patch_size: int, coverage: float = 3.0,
+                    rng: np.random.Generator | None = None) -> list[Patch]:
+    """Cover the cloud with `patch_count` kNN patches around their seeds.
 
-    Each patch is translated to zero mean and scaled to max radius 1.  Even
-    at coverage >= 1 some point may land in no patch; `count_uncovered`
-    counts them.
+    The seeds are picked by FPS from index 0, or, with `rng`, by
+    rng.choice(M, count, replace=False).  Each patch is translated to zero
+    mean and scaled to max radius 1.  Even at coverage >= 1 some point may
+    land in no patch; `count_uncovered` counts them.
     """
-    _check_patching(patch_size, coverage)
     pts = cloud.points
     m = len(pts)
+    count = patch_count(m, patch_size, coverage)
     if patch_size > m:
         raise ValueError(f"patch size {patch_size} exceeds cloud size {m}")
-    n_seeds = min(m, math.ceil(coverage * m / patch_size))
-    seeds = farthest_point_sample(cloud, n_seeds)
+    if rng is None:
+        seeds = farthest_point_sample(cloud, count)
+    else:
+        seeds = rng.choice(m, count, replace=False)
     neighborhoods = NeighborIndex(pts).knn_batch(pts[seeds], patch_size)
-    return [_normalize_patch(cloud, idx) for idx in neighborhoods]
+    return [_normalize_patch(cloud, idx, int(seed)) for idx, seed in zip(neighborhoods, seeds)]
 
 
 def count_uncovered(patches: list[Patch], m: int) -> int:
@@ -323,7 +332,7 @@ def count_uncovered(patches: list[Patch], m: int) -> int:
     return m - int(covered.sum())
 
 
-def _normalize_patch(cloud: PointCloud, indices: np.ndarray) -> Patch:
+def _normalize_patch(cloud: PointCloud, indices: np.ndarray, seed: int) -> Patch:
     raw = cloud.points[indices]
     centroid = raw.mean(axis=0)
     centered = raw - centroid
@@ -332,7 +341,7 @@ def _normalize_patch(cloud: PointCloud, indices: np.ndarray) -> Patch:
         scale = 1.0
     normals = cloud.normals[indices].copy() if cloud.normals is not None else None
     return Patch(indices=np.asarray(indices, dtype=np.int64), points=centered / scale,
-                 centroid=centroid, scale=scale, normals=normals)
+                 centroid=centroid, scale=scale, seed=seed, normals=normals)
 
 
 def denormalize(patch: Patch, points) -> np.ndarray:

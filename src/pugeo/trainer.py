@@ -24,9 +24,9 @@ from .errors import GeometryError, TrainingDiverged
 from .io import PointCloud, TriangleMesh
 from .losses import LossWeights, chamfer_loss, normal_loss_graph, total_loss_graph
 from .model import PUGeoNet, save_model
-from .sampling import (NeighborIndex, _check_coverage, _check_patching, _normalize_patch,
-                       count_uncovered, denormalize, extract_patches, farthest_point_sample,
-                       fuse_patches, nearest_pairs, poisson_disk_sample)
+from .sampling import (NeighborIndex, _check_coverage, count_uncovered, denormalize,
+                       extract_patches, fuse_patches, nearest_pairs, patch_count,
+                       poisson_disk_sample)
 
 
 @dataclass
@@ -79,55 +79,47 @@ def build_dataset(meshes: list[TriangleMesh], m: int, factor: int, patch_size: i
                   names: list[str] | None = None) -> list[TrainExample]:
     """Sample each mesh into sparse/dense clouds and cut matched patches.
 
-    Per mesh: scale into the unit cube, Poisson-disk sample m sparse and
-    factor*m dense points (with mesh normals), pick ceil(coverage*m/N)
-    patch seeds by FPS (or uniformly at random with random_patches), and
-    cut the sparse kNN(N) and dense kNN(R*N) patches around each seed,
-    both normalized by the sparse patch's centroid and scale.  noise_sigma
-    adds Gaussian noise (unit-cube units) to the sparse cloud only.
+    Each mesh is one task: scale it into the unit cube, Poisson-disk sample
+    m sparse and factor*m dense points (with mesh normals), add Gaussian
+    noise of noise_sigma (unit-cube units) to the sparse cloud only, cut
+    its `extract_patches` (seeds by FPS, or uniformly at random with
+    random_patches), and take the dense kNN(R*N) around each patch's seed,
+    normalized by the sparse patch's centroid and scale.
 
-    The meshes are sampled concurrently by `_map_tasks`, under the caller's
-    np.errstate.  Each mesh draws from its own seeds, and patches are cut
-    in mesh order on the calling thread, so the examples are bitwise the
-    same for any thread count.  A mesh that fails to sample raises the
-    error of the lowest-index failing mesh, as a serial loop would; a
-    GeometryError is prefixed with that mesh's entry in `names` when given.
+    `_map_tasks` runs the meshes concurrently, under the caller's
+    np.errstate, and returns their examples in mesh order.  Each mesh draws
+    from its own seeds, so the examples are bitwise the same for any thread
+    count.  A failing mesh raises the error of the lowest-index failing
+    mesh, as a serial loop would; a GeometryError is prefixed with that
+    mesh's entry in `names` when given.
     """
-    _check_patching(patch_size, coverage)
-    bases = [seed + 7919 * mesh_index for mesh_index in range(len(meshes))]
+    patch_count(m, patch_size, coverage)  # bad settings fail before any mesh is sampled
 
-    def sample(i: int):
+    def mesh_examples(i: int) -> list[TrainExample]:
+        base = seed + 7919 * i
         mesh = scale_to_unit_cube(meshes[i])
         try:
-            return (poisson_disk_sample(mesh, m, bases[i]),
-                    poisson_disk_sample(mesh, factor * m, bases[i] + 1))
+            sparse = poisson_disk_sample(mesh, m, base)
+            dense = poisson_disk_sample(mesh, factor * m, base + 1)
         except GeometryError as exc:
             if names is None:
                 raise
             raise GeometryError(f"{names[i]}: {exc}") from None
-
-    examples: list[TrainExample] = []
-    for base, (sparse, dense) in zip(bases, _map_tasks(sample, len(meshes))):
         rng = np.random.default_rng(base + 2)
         if noise_sigma > 0.0:
             sparse = PointCloud(sparse.points + rng.normal(scale=noise_sigma,
                                                            size=sparse.points.shape),
                                 sparse.normals)
-        n_seeds = min(m, math.ceil(coverage * m / patch_size))
-        if random_patches:
-            seeds = rng.choice(m, size=n_seeds, replace=False)
-        else:
-            seeds = farthest_point_sample(sparse, n_seeds, seed_index=0)
-        anchors = sparse.points[seeds]
-        sparse_patches = NeighborIndex(sparse.points).knn_batch(anchors, patch_size)
+        patches = extract_patches(sparse, patch_size, coverage, rng if random_patches else None)
+        anchors = sparse.points[[patch.seed for patch in patches]]
         dense_patches = NeighborIndex(dense.points).knn_batch(anchors, factor * patch_size)
-        for s, sp_idx, dn_idx in zip(seeds, sparse_patches, dense_patches):
-            patch = _normalize_patch(sparse, sp_idx)
-            examples.append(TrainExample(
-                sparse_points=patch.points, sparse_normals=patch.normals,
-                dense_points=(dense.points[dn_idx] - patch.centroid) / patch.scale,
-                dense_normals=dense.normals[dn_idx].copy(), seed_index=int(s)))
-    return examples
+        return [TrainExample(sparse_points=patch.points, sparse_normals=patch.normals,
+                             dense_points=(dense.points[idx] - patch.centroid) / patch.scale,
+                             dense_normals=dense.normals[idx], seed_index=patch.seed)
+                for patch, idx in zip(patches, dense_patches)]
+
+    return [example for examples in _map_tasks(mesh_examples, len(meshes))
+            for example in examples]
 
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -374,8 +366,9 @@ def upsample_cloud(cloud: PointCloud, factor: int, method: str = "analytic",
         factor, pieces, metadata = model.config.factor, [], {}
         patches = extract_patches(cloud, model.config.patch_size, coverage)
         for patch in patches:
-            result = model.upsample_patch(patch.points)
-            pieces.append(PointCloud(denormalize(patch, result.points), result.normals))
+            out = model.forward(patch.points)
+            pieces.append(PointCloud(denormalize(patch, out.points.data), out.normals.data))
+            del out  # its graph would otherwise stay alive through the next forward pass
         uncovered = count_uncovered(patches, len(cloud))
     elif method == "analytic":
         _check_coverage(coverage)

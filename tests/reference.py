@@ -41,6 +41,7 @@ from pugeo.io import PointCloud, TriangleMesh, _naming, _unit_rows
 from pugeo.losses import LossWeights
 from pugeo.metrics import point_to_triangles
 from pugeo.model import save_model
+from pugeo import sampling
 from pugeo.sampling import NeighborIndex
 
 from helpers import brute_force_nearest
@@ -540,12 +541,12 @@ def build_dataset(meshes: list[TriangleMesh], m: int, factor: int, patch_size: i
         if random_patches:
             seeds = rng.choice(m, size=n_seeds, replace=False)
         else:
-            seeds = trainer.farthest_point_sample(sparse, n_seeds, seed_index=0)
+            seeds = sampling.farthest_point_sample(sparse, n_seeds, seed_index=0)
         anchors = sparse.points[seeds]
         sparse_patches = NeighborIndex(sparse.points).knn_batch(anchors, patch_size)
         dense_patches = NeighborIndex(dense.points).knn_batch(anchors, factor * patch_size)
         for s, sp_idx, dn_idx in zip(seeds, sparse_patches, dense_patches):
-            patch = trainer._normalize_patch(sparse, sp_idx)
+            patch = sampling._normalize_patch(sparse, sp_idx, int(s))
             examples.append(trainer.TrainExample(
                 sparse_points=patch.points, sparse_normals=patch.normals,
                 dense_points=(dense.points[dn_idx] - patch.centroid) / patch.scale,

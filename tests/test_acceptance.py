@@ -353,16 +353,16 @@ def test_criterion_8_permutation_equivariance():
     rng = np.random.default_rng(11)
     patch = rng.normal(size=(64, 3))
     perm = rng.permutation(64)
-    res_a = net.upsample_patch(patch)
-    res_b = net.upsample_patch(patch[perm])
+    res_a = net.forward(patch)
+    res_b = net.forward(patch[perm])
 
     def sort_rows(a):
         return a[np.lexsort(a.T[::-1])]
 
-    ok = (np.array_equal(sort_rows(res_a.points), sort_rows(res_b.points))
-          and np.array_equal(sort_rows(res_a.normals), sort_rows(res_b.normals))
-          and np.array_equal(sort_rows(res_a.coarse_normals),
-                             sort_rows(res_b.coarse_normals)))
+    ok = (np.array_equal(sort_rows(res_a.points.data), sort_rows(res_b.points.data))
+          and np.array_equal(sort_rows(res_a.normals.data), sort_rows(res_b.normals.data))
+          and np.array_equal(sort_rows(res_a.coarse_normals.data),
+                             sort_rows(res_b.coarse_normals.data)))
     _report(8, "permutation equivariance", ok, "sorted outputs bitwise equal")
 
 

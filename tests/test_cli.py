@@ -775,6 +775,85 @@ def test_uncovered_points_one_warning_line(tmp_path, capsys, command):
                                        f"are in no patch\n")
 
 
+@pytest.mark.parametrize("command,method,factor,message", [
+    ("upsample", "model", None, None),
+    ("upsample", "model", "2", None),
+    ("upsample", "model", "8", "--factor 8 does not match checkpoint factor 2"),
+    ("upsample", "model", "0", "--factor must be >= 1, got 0"),
+    ("inspect", "model", None, None),
+    ("inspect", "model", "2", None),
+    ("inspect", "model", "8", "--factor 8 does not match checkpoint factor 2"),
+    ("inspect", "model", "0", "--factor must be >= 1, got 0"),
+    ("inspect", "analytic", "0", "--factor must be >= 1, got 0"),
+], ids=["upsample_default", "upsample_2", "upsample_8", "upsample_0", "inspect_default",
+        "inspect_2", "inspect_8", "inspect_0", "inspect_analytic_0"])
+def test_factor_defaults_to_and_must_match_the_checkpoint(tmp_path, capsys, command, method,
+                                                          factor, message):
+    cfg = PUGeoConfig(factor=2, patch_size=32, k=6, feature_widths=(8, 8),
+                      hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
+    ckpt = tmp_path / "m.pugeo"
+    save_model(PUGeoNet(cfg, seed=0), ckpt)
+    path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+    out = tmp_path / "o.xyz"
+    if command == "upsample":
+        argv = ["upsample", "--input", path, "--output", str(out)]
+    else:
+        argv = ["inspect", "frames", "--input", path]
+    argv += ["--method", method, "--model", str(ckpt)]
+    if factor is not None:
+        argv += ["--factor", factor]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    if message is not None:
+        assert rc == 2 and captured.err == message + "\n" and captured.out == ""
+        assert not out.exists()
+    elif command == "upsample":
+        assert rc == 0 and len(read_xyz(out)) == 200
+    else:
+        assert rc == 0 and "# delta" in captured.out
+
+
+@pytest.mark.parametrize("command", ["upsample_analytic", "upsample_model", "inspect_model",
+                                     "dataset"])
+def test_huge_finite_coverage(tmp_path, mesh_dir, capsys, command):
+    # 1e308*M/N overflows to inf; clamped, it is one patch per point, as from
+    # any coverage >= N
+    path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(40, 1.0, 0))
+    ckpt = _model_checkpoint(tmp_path / "m.pugeo", 32)
+
+    def run(coverage):
+        out = tmp_path / f"out_{coverage}"
+        argv = {
+            "upsample_analytic": ["upsample", "--input", path, "--output", str(out)],
+            "upsample_model": ["upsample", "--input", path, "--output", str(out),
+                               "--method", "model", "--model", ckpt],
+            "inspect_model": ["inspect", "frames", "--input", path, "--method", "model",
+                              "--model", ckpt],
+            "dataset": ["dataset", "build", "--mesh-dir", str(mesh_dir), "--out", str(out),
+                        "--points", "32", "--patch-size", "16", "--factor", "2"],
+        }[command]
+        rc = main(argv + ["--coverage", coverage])
+        captured = capsys.readouterr()
+        return rc, captured, out
+
+    rc, captured, out = run("1e308")
+    if command == "upsample_analytic":
+        assert rc == 2 and captured.out == "" and not out.exists()
+        assert captured.err == ("--coverage 1e+308 times --factor 4 overflows the candidates "
+                                "per input point\n")
+        return
+    assert rc == 0
+    finite = run("40" if command != "dataset" else "32")
+    if command == "upsample_model":
+        assert out.read_bytes() == finite[2].read_bytes()
+    elif command == "inspect_model":
+        assert captured.out == finite[1].out
+    else:
+        assert json.loads(captured.out)["patches"] == 64  # 32 per mesh
+        assert all((out / name).read_bytes() == (finite[2] / name).read_bytes()
+                   for name in os.listdir(out) if name.endswith(".xyz"))
+
+
 @pytest.mark.parametrize("command", ["upsample", "inspect"])
 def test_model_input_smaller_than_patch_names_the_file(tmp_path, capsys, command):
     cfg = PUGeoConfig(factor=4, patch_size=64, k=6, feature_widths=(8, 8),

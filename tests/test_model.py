@@ -242,10 +242,10 @@ def test_forward_permutation_equivariance_bitwise():
     net = PUGeoNet(PUGeoConfig(**TINY), seed=8)
     patch = _patch(15)
     perm = np.random.default_rng(16).permutation(len(patch))
-    res_a = net.upsample_patch(patch)
-    res_b = net.upsample_patch(patch[perm])
-    assert np.array_equal(_sorted_rows(res_a.points), _sorted_rows(res_b.points))
-    assert np.array_equal(_sorted_rows(res_a.normals), _sorted_rows(res_b.normals))
+    res_a = net.forward(patch)
+    res_b = net.forward(patch[perm])
+    assert np.array_equal(_sorted_rows(res_a.points.data), _sorted_rows(res_b.points.data))
+    assert np.array_equal(_sorted_rows(res_a.normals.data), _sorted_rows(res_b.normals.data))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from pugeo import (PointCloud, denormalize, extract_patches, farthest_point_sample,
                    fuse_patches, poisson_disk_sample)
 from pugeo import trainer
 from pugeo.errors import GeometryError
-from pugeo.sampling import NeighborIndex, count_uncovered, nearest_pairs
+from pugeo.sampling import NeighborIndex, count_uncovered, nearest_pairs, patch_count
 from pugeo.trainer import TrainExample, _random_rotation, augment_example
 
 from helpers import (brute_force_knn, brute_force_nearest, clustered_cloud, cube_mesh,
@@ -217,6 +221,43 @@ def test_patch_normalization_contract():
             patch.points * patch.scale + patch.centroid, pts[patch.indices])
 
 
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 10**6), patch_size=st.integers(1, 10**6),
+       coverage=st.floats(1e-300, 1e308, allow_nan=False, allow_infinity=False))
+def test_patch_count_is_the_clamped_ceil(m, patch_size, coverage):
+    # ceil(coverage*M/N) capped at M; a product that overflows to inf is
+    # clamped before the ceil, so it is one patch per point, not an error
+    per = coverage * m / patch_size
+    expected = m if per == math.inf else min(m, math.ceil(per))
+    assert patch_count(m, patch_size, coverage) == expected
+
+
+@pytest.mark.parametrize("patch_size,coverage,message", [
+    (0, 1.0, "patch size must be >= 1, got 0"),
+    (4, 0.0, "coverage must be finite and > 0, got 0.0"),
+    (4, math.inf, "coverage must be finite and > 0, got inf"),
+    (4, math.nan, "coverage must be finite and > 0, got nan"),
+])
+def test_patch_count_rejects_bad_settings(patch_size, coverage, message):
+    with pytest.raises(ValueError) as info:
+        patch_count(10, patch_size, coverage)
+    assert str(info.value) == message
+
+
+def test_patch_seed_is_the_chosen_seed_not_a_lower_duplicate():
+    # rows 20-39 repeat rows 0-19, so the kNN of a seed s >= 20 lists its
+    # duplicate s-20 first, at distance 0
+    pts = np.random.default_rng(10).normal(size=(20, 3))
+    cloud = PointCloud(np.vstack([pts, pts]))
+    patches = extract_patches(cloud, 8, coverage=4.0, rng=np.random.default_rng(3))
+    seeds = np.random.default_rng(3).choice(40, 20, replace=False).tolist()
+    assert [patch.seed for patch in patches] == seeds
+    assert [patch.indices[0] for patch in patches] == [s % 20 for s in seeds]
+    assert any(s >= 20 for s in seeds)
+    fps = extract_patches(cloud, 8, coverage=4.0)
+    assert [patch.seed for patch in fps] == farthest_point_sample(cloud, 20).tolist()
+
+
 def test_patch_size_too_large():
     with pytest.raises(ValueError):
         extract_patches(PointCloud(np.zeros((4, 3))), 5)
@@ -241,7 +282,7 @@ def test_denormalize_identity_and_affine():
     import pugeo
 
     simple = pugeo.Patch(indices=np.arange(1), points=np.zeros((1, 3)),
-                         centroid=np.array([1.0, 1.0, 1.0]), scale=2.0)
+                         centroid=np.array([1.0, 1.0, 1.0]), scale=2.0, seed=0)
     np.testing.assert_allclose(denormalize(simple, np.zeros((1, 3))), [[1, 1, 1]])
 
 

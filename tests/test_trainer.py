@@ -116,6 +116,42 @@ def test_build_dataset_threads_match_serial_reference(monkeypatch, workers, opti
     assert _example_bytes(got) == _example_bytes(expected)
 
 
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(4, 48), factor=st.integers(1, 3), coverage=st.floats(0.05, 6.0),
+       random_patches=st.booleans(), noise_sigma=st.sampled_from([0.0, 0.01]),
+       workers=st.integers(1, 3), seed=st.integers(0, 2**16), data=st.data())
+def test_build_dataset_equals_the_serial_reference_property(m, factor, coverage, random_patches,
+                                                            noise_sigma, workers, seed, data):
+    patch_size = data.draw(st.integers(1, m), label="patch_size")
+    options = dict(seed=seed, coverage=coverage, noise_sigma=noise_sigma,
+                   random_patches=random_patches)
+    meshes = _three_meshes()
+    expected = reference.build_dataset(meshes, m, factor, patch_size, **options)
+    with pytest.MonkeyPatch.context() as patch:
+        _force_workers(patch, workers)
+        got = build_dataset(meshes, m, factor, patch_size, **options)
+    assert _example_bytes(got) == _example_bytes(expected)
+
+
+def test_build_dataset_seed_index_is_the_chosen_seed_on_duplicate_points(monkeypatch):
+    # every sample appears twice, the copies 32 rows apart; a random seed
+    # s >= 32 has its duplicate s-32 first in its kNN, yet is the seed_index
+    real = trainer.poisson_disk_sample
+
+    def doubled(mesh, n, seed):
+        half = real(mesh, n // 2, seed)
+        return PointCloud(np.vstack([half.points] * 2), np.vstack([half.normals] * 2))
+
+    monkeypatch.setattr(trainer, "poisson_disk_sample", doubled)
+    meshes = [icosphere(1)]
+    got = build_dataset(meshes, 64, 2, 8, seed=4, random_patches=True)
+    assert _example_bytes(got) == _example_bytes(
+        reference.build_dataset(meshes, 64, 2, 8, seed=4, random_patches=True))
+    seeds = np.random.default_rng(4 + 2).choice(64, 24, replace=False).tolist()
+    assert [example.seed_index for example in got] == seeds
+    assert any(s >= 32 for s in seeds)
+
+
 def test_build_dataset_threads_under_thread_switch_stress(monkeypatch):
     # more workers than cores and a thread switch every microsecond: a lost
     # or misplaced result would change the examples
