@@ -301,7 +301,7 @@ def cmd_upsample(args) -> int:
     cloud = read_xyz(args.input)
     if len(cloud) == 0:
         return _fail(f"{args.input}: no points")
-    model, factor = None, args.factor
+    model, factor, too_many = None, args.factor, None
     if args.method == "analytic":
         problem = _check_k(args.k, args.input, cloud)
         if problem:
@@ -312,9 +312,15 @@ def cmd_upsample(args) -> int:
             if per_point == math.inf:
                 return _fail(f"--coverage {args.coverage} times --factor {factor} overflows "
                              f"the candidates per input point")
-            if math.ceil(per_point) < factor:
+            per_point = math.ceil(per_point)
+            if per_point < factor:
                 return _fail(f"--coverage {args.coverage} draws fewer than --factor {factor} "
                              f"candidates per input point")
+            candidates = per_point * len(cloud)
+            too_many = (f"--coverage {args.coverage} asks for {candidates} candidates, "
+                        f"{per_point} per input point")
+            if candidates * 24 > np.iinfo(np.intp).max:  # bytes of their float64 coordinates
+                return _fail(f"{too_many}: more than numpy can hold in one array")
     if args.method == "model":
         model = _load_checkpoint(args.model, args.factor, args.input, cloud, args.patch_size)
         # fusion keeps R*M of the R*N*patch_count(M, N, coverage) candidates of the patches
@@ -323,9 +329,14 @@ def cmd_upsample(args) -> int:
             return _fail(f"--coverage {args.coverage} cuts {cut} patches of {n} points, "
                          f"{cut * n} in all, fewer than the {m} input points")
     counts = {}
-    result = upsample_cloud(cloud, factor, method=args.method, model=model,
-                            k=args.k, pattern=_pattern(args.pattern), coverage=args.coverage,
-                            seed=args.seed, counts=counts)
+    try:
+        result = upsample_cloud(cloud, factor, method=args.method, model=model,
+                                k=args.k, pattern=_pattern(args.pattern),
+                                coverage=args.coverage, seed=args.seed, counts=counts)
+    except MemoryError:
+        if too_many is None:
+            raise
+        return _fail(f"{too_many}: out of memory")
     if counts["degenerate_frames"] == counts["points"]:
         return _fail(f"numerical failure: all {counts['points']} input points have "
                      f"degenerate frames ({counts['degenerate_fits']} degenerate curvature "
@@ -387,9 +398,13 @@ def cmd_inspect_frames(args) -> int:
     else:
         model = _load_checkpoint(args.model, args.factor, args.input, cloud)
         patches = extract_patches(cloud, model.config.patch_size, args.coverage)
-        outputs = [model.forward(patch.points) for patch in patches]
-        frames = np.concatenate([out.t_matrices for out in outputs])
-        deltas = np.concatenate([out.deltas.reshape(-1) for out in outputs])
+        frames, deltas = [], []
+        for patch in patches:
+            out = model.forward(patch.points)
+            frames.append(out.t_matrices)
+            deltas.append(out.deltas.reshape(-1))
+            del out  # its graph would otherwise stay alive through the next forward pass
+        frames, deltas = np.concatenate(frames), np.concatenate(deltas)
         _warn_uncovered(count_uncovered(patches, len(cloud)), len(cloud))
     stats = frame_stats(frames[:, :, 0], frames[:, :, 1], frames[:, :, 2], deltas)
     sys.stdout.write(stats.to_tsv())

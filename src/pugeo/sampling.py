@@ -8,6 +8,7 @@ sample elimination, patch extraction/normalization and patch fusion.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,16 +28,40 @@ def _as_points(cloud) -> np.ndarray:
 # farthest point sampling
 
 
+_FPS_ROUND_CAP = 64  # most picks one round of farthest_point_sample tries
+_FPS_POOL = 256  # points farthest_point_sample ranks each round, refilled from all N
+_UPPER = np.triu(np.ones((_FPS_ROUND_CAP, _FPS_ROUND_CAP), dtype=bool), 1)  # [i, j]: i before j
+
+
+def _norms(d: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(d, axis=-1), bitwise: the expression it reduces to."""
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
+
+
 def farthest_point_sample(cloud, count: int, seed_index: int = 0) -> np.ndarray:
     """Greedy max-min subset selection starting at seed_index.
 
     Each subsequent pick maximizes the distance to the nearest already
     selected point; ties go to the smallest index (argmax returns the first
-    maximum).  A pick can only lower the nearest-selected distance of
-    points within the current max-min radius of it, so only those are
-    updated, found through a kd-tree at that radius inflated by 1e-9
-    relative.  The distances are the ones a full O(N) update computes, so
-    the picks are exactly those of the full scan.
+    maximum).  Once every point is within distance 0 of a selected one,
+    argmax of the all-zero distances is index 0, so the rest of the output
+    repeats index 0.
+
+    The picks come in rounds, with no Python loop per pick.  A round
+    ranks the top points by key (distance, then lowest index) and accepts
+    the longest prefix in which no point is within its own distance of an
+    earlier one; a zero key ends the prefix.  An accepted point keeps its
+    key through the earlier picks of the round, and every point after it
+    has a key no larger and, if equal, a larger index, so the
+    one-at-a-time loop would pick the prefix in this order.  The top points
+    are ranked among a pool of the _FPS_POOL largest keys, which every
+    point outside it stays below; the pool is refilled from all N points
+    once one of its points has fallen below that bound.  A pick can only
+    lower the nearest-selected distance of points within the current
+    max-min radius of it, so only those are updated, found through a
+    kd-tree at that radius inflated by 1e-9 relative.  The distances are
+    the ones a full O(N) update computes, so the picks are exactly those
+    of the full scan.
     """
     pts = _as_points(cloud)
     n = len(pts)
@@ -44,18 +69,62 @@ def farthest_point_sample(cloud, count: int, seed_index: int = 0) -> np.ndarray:
         raise ValueError(f"requested {count} samples from {n} points")
     if not 0 <= seed_index < n:
         raise ValueError(f"seed index {seed_index} out of range for {n} points")
+    tree = cKDTree(pts)
+    coords = np.ascontiguousarray(pts.T)  # (3, N): elementwise work runs along N, not along 3
     selected = np.empty(count, dtype=np.int64)
     selected[0] = seed_index
-    min_dist = np.linalg.norm(pts - pts[seed_index], axis=1)
-    tree = cKDTree(pts)
-    for i in range(1, count):
-        nxt = int(np.argmax(min_dist))
-        selected[i] = nxt
-        radius = np.nextafter(min_dist[nxt] * (1.0 + 1e-9), np.inf)
-        cand = np.asarray(tree.query_ball_point(pts[nxt], radius), dtype=np.int64)
-        min_dist[cand] = np.minimum(min_dist[cand],
-                                    np.linalg.norm(pts[cand] - pts[nxt], axis=1))
+    min_dist = _norms((coords - coords[:, seed_index, None]).T)
+    pool, floor, last = _fps_pool(min_dist)
+    done, want = 1, 4
+    while done < count:
+        want = min(want, count - done)
+        top, keys = _top_keys(min_dist, pool, want)
+        # points that fell out of the pool sort last; refill once the top holds one
+        if keys[-1] < floor or (keys[-1] == floor and top[-1] > last):
+            pool, floor, last = _fps_pool(min_dist)
+            top, keys = _top_keys(min_dist, pool, want)
+        if keys[0] == 0.0:
+            selected[done:] = top[0]  # index 0: every key is 0 and no pick moves one
+            break
+        near = coords.take(top, axis=1)
+        pair = _norms((near[:, :, None] - near[:, None, :]).transpose(1, 2, 0))
+        lowered = ((pair <= keys) & _UPPER[:want, :want]).any(axis=0) | (keys == 0.0)
+        take = int(lowered.argmax()) if lowered.any() else want
+        accepted = top[:take]
+        selected[done:done + take] = accepted
+        done += take
+        radii = np.nextafter(keys[:take] * (1.0 + 1e-9), np.inf)
+        balls = tree.query_ball_point(pts[accepted], radii, return_sorted=False)
+        sizes = np.fromiter(map(len, balls), dtype=np.intp, count=take)
+        cand = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
+                           count=int(sizes.sum()))
+        diff = coords.take(cand, axis=1) - coords.take(accepted.repeat(sizes), axis=1)
+        np.minimum.at(min_dist, cand, _norms(diff.T))
+        want = min(max(2 * take, 4), _FPS_ROUND_CAP)
     return selected
+
+
+def _top_keys(min_dist: np.ndarray, pool: np.ndarray,
+              want: int) -> tuple[np.ndarray, np.ndarray]:
+    """The want pool entries of largest min_dist, lowest index first among ties, and their keys."""
+    keys = min_dist[pool]
+    order = (-keys).argsort(kind="stable")[:want]
+    return pool[order], keys[order]
+
+
+def _fps_pool(min_dist: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """The _FPS_POOL top-ranked indices, in index order, and the last-ranked key and index.
+
+    A point stays ranked above every point outside the pool while its key
+    is above that key, or equal to it at an index no larger.
+    """
+    n = len(min_dist)
+    k = min(_FPS_POOL, n)
+    floor = np.partition(min_dist, n - k)[n - k]
+    inside = min_dist > floor
+    tied = np.flatnonzero(min_dist == floor)[:k - np.count_nonzero(inside)]
+    inside[tied] = True
+    return np.flatnonzero(inside), floor, int(tied[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +427,9 @@ def fuse_patches(clouds: list[PointCloud], target_count: int) -> PointCloud:
 
     FPS (seeded at index 0) suppresses near-duplicates from overlapping
     candidates because a zero-distance duplicate is never picked before the
-    distinct points are exhausted.
+    distinct points are exhausted.  If fewer than target_count candidates
+    are distinct, every one is kept and the rest of the output repeats
+    candidate 0, the lowest index within distance 0 of a kept point.
     """
     points = np.concatenate([c.points for c in clouds], axis=0)
     if len(points) < target_count:

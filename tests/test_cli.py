@@ -3,13 +3,14 @@ import inspect
 import json
 import os
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, load_model, read_xyz, save_model,
                    upsample_cloud, write_xyz)
-from pugeo import cli
+from pugeo import cli, trainer
 from pugeo.cli import main
 
 from helpers import clustered_cloud, set_checkpoint_config_entry, sphere_cloud, unit_rows
@@ -751,6 +752,55 @@ def test_upsample_model_coverage_just_enough(tmp_path, capsys):
     assert main(["upsample", "--input", cloud_path, "--output", str(out), "--method", "model",
                  "--model", ckpt, "--coverage", "0.97"]) == 0
     assert len(read_xyz(out)) == 400
+
+
+def test_inspect_frames_model_drops_each_output_before_the_next_forward(tmp_path, capsys,
+                                                                        monkeypatch):
+    # every patch's output holds its autodiff graph; keeping them all grew
+    # peak memory with the patch count
+    ckpt = _model_checkpoint(tmp_path / "m.pugeo", 32)
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+    argv = ["inspect", "frames", "--input", cloud_path, "--method", "model", "--model", ckpt]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    outputs, forward = [], PUGeoNet.forward
+
+    def tracked(self, points):
+        assert all(ref() is None for ref in outputs), "an earlier patch's output is alive"
+        out = forward(self, points)
+        outputs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(PUGeoNet, "forward", tracked)
+    assert main(argv) == 0
+    assert len(outputs) == 10  # ceil(3 * 100 / 32) patches
+    assert capsys.readouterr().out == expected
+
+
+def test_upsample_analytic_coverage_past_one_array_exit_2(tmp_path, capsys):
+    path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(200, 1.0, 0))
+    out = tmp_path / "out.xyz"
+    assert main(["upsample", "--input", path, "--output", str(out), "--coverage", "1e20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("--coverage 1e+20 asks for 80000000000000000000000 candidates, "
+                            "400000000000000000000 per input point: more than numpy can hold "
+                            "in one array\n")
+    assert captured.out == "" and not out.exists()
+
+
+def test_upsample_analytic_coverage_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
+    # 4e12 candidates per point ask numpy for 29.1 TiB; stand in for its refusal
+    def refuse(cloud, factor, **kwargs):
+        raise MemoryError(f"Unable to allocate {factor * len(cloud) * 24} bytes")
+
+    monkeypatch.setattr(trainer, "upsample_analytic", refuse)
+    path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(200, 1.0, 0))
+    out = tmp_path / "out.xyz"
+    assert main(["upsample", "--input", path, "--output", str(out), "--coverage", "1e12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("--coverage 1000000000000.0 asks for 800000000000000 candidates, "
+                            "4000000000000 per input point: out of memory\n")
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["upsample", "inspect"])

@@ -63,6 +63,25 @@ def _lattice(side=9):
     return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
 
 
+def _line(n):
+    points = np.zeros((n, 3))
+    points[:, 0] = np.linspace(0.0, 1.0, n)
+    return points
+
+
+def _fewer_distinct_than_count():
+    # 40 distinct points, each three times in shuffled order: a count of 100
+    # runs out of distinct points after 40 picks
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(40, 3))
+    return base[rng.permutation(np.repeat(np.arange(40), 3))]
+
+
+def _fusion_candidates():
+    # the upsample-analytic benchmark's fusion input: 500 sphere points, 12 candidates each
+    return upsample_analytic(sphere_cloud(500, 1.0, 3), 12).points
+
+
 FPS_CASES = [
     ("gaussian", _gaussian(0), 250, 0),
     ("gaussian_seed_index", _gaussian(1), 400, 123),
@@ -71,6 +90,12 @@ FPS_CASES = [
     ("lattice_ties", _lattice(), 500, 0),
     ("lattice_all", _lattice(6), 216, 17),
     ("gaussian_all", _gaussian(4, 300), 300, 5),
+    # past the 256-point ranking pool, a key falls to exactly the pool's
+    # last-ranked key at an index above points left out with that key
+    ("lattice_past_pool", _lattice(8), 512, 97),
+    ("line_all", _line(300), 300, 0),
+    ("count_past_distinct_points", _fewer_distinct_than_count(), 100, 7),
+    ("fusion_6000_to_2000", _fusion_candidates(), 2000, 0),
 ]
 
 
@@ -96,6 +121,49 @@ def test_fps_matches_full_scan_property(data):
     seed_index = data.draw(st.integers(0, n - 1), label="seed_index")
     assert np.array_equal(farthest_point_sample(points, count, seed_index),
                           reference.farthest_point_sample(points, count, seed_index))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fps_matches_full_scan_on_clusters_property(data):
+    # copies of a few base points, some jittered: duplicates, near-ties and
+    # counts past the distinct points, with n past the ranking pool's size
+    bases = data.draw(arrays(np.float64, (data.draw(st.integers(1, 6), label="bases"), 3),
+                             elements=COORDS), label="base points")
+    n = data.draw(st.integers(1, 600), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+    scale = data.draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]), label="jitter")
+    jitter = rng.normal(size=(n, 3)) * scale * (rng.random((n, 1)) < 0.7)
+    points = bases[rng.integers(0, len(bases), n)] + jitter
+    count = data.draw(st.integers(1, n), label="count")
+    seed_index = data.draw(st.integers(0, n - 1), label="seed_index")
+    assert np.array_equal(farthest_point_sample(points, count, seed_index),
+                          reference.farthest_point_sample(points, count, seed_index))
+
+
+def test_fps_past_the_distinct_points_repeats_index_zero():
+    points = _fewer_distinct_than_count()
+    picks = farthest_point_sample(points, len(points), seed_index=7)
+    assert len(np.unique(points[picks[:40]], axis=0)) == 40
+    assert np.all(picks[40:] == 0)
+
+
+class _CountingTree(cKDTree):
+    ball_queries = 0
+
+    def query_ball_point(self, *args, **kwargs):
+        type(self).ball_queries += 1
+        return super().query_ball_point(*args, **kwargs)
+
+
+def test_fps_picks_many_points_per_ball_query(monkeypatch):
+    # a fallback to one pick per loop iteration makes count - 1 queries
+    monkeypatch.setattr(sampling, "cKDTree", _CountingTree)
+    monkeypatch.setattr(_CountingTree, "ball_queries", 0)
+    points = _fusion_candidates()
+    picks = farthest_point_sample(points, 2000)
+    assert np.array_equal(picks, reference.farthest_point_sample(points, 2000))
+    assert _CountingTree.ball_queries < 2000 / 4
 
 
 # ---------------------------------------------------------------------------
