@@ -4,8 +4,10 @@ Chamfer and Hausdorff distance (both reduce one nearest-point pairing,
 computed once when a report needs both), voxel-grid Jensen-Shannon
 divergence, exact point-to-surface (P2F) distances batched over all
 points, and the mesh-to-mesh comparison that samples both surfaces and
-compares the samples.  The training loss has its own Chamfer on autodiff
-tensors (`losses.chamfer_loss`).
+compares the samples.  A metric report scores P2F and the pairing
+metrics as two independent tasks on the worker-thread runner
+(`workers._map_tasks`).  The training loss has its own Chamfer on
+autodiff tensors (`losses.chamfer_loss`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from scipy.special import rel_entr
 
 from .io import PointCloud, TriangleMesh
 from .sampling import nearest_pairs, poisson_disk_sample
+from .workers import _map_tasks
 
 JSD_GRID = 32
 
@@ -119,7 +122,10 @@ def point_to_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray,
     p is one (3,) point or (n, 3) rows aligned with the triangles.  The
     closest point is classified into the vertex, edge or interior region
     (Ericson, Real-Time Collision Detection, 5.1.5); each row's result does
-    not depend on the other rows.
+    not depend on the other rows.  Every region's closest point is computed
+    for every row, without branches, and the first region in Ericson's order
+    whose test holds is selected; a row's unused candidates may divide by
+    zero, so their floating-point errors are ignored.
     """
     p = np.asarray(p, dtype=np.float64)
     p = p.reshape(-1, 3) if p.ndim == 2 else p.reshape(3)
@@ -129,65 +135,35 @@ def point_to_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray,
 
     ab = b - a
     ac = c - a
-    ap = p - a
-
+    ap, bp, cp = p - a, p - b, p - c
     d1 = np.einsum("ij,ij->i", ab, ap)
     d2 = np.einsum("ij,ij->i", ac, ap)
-
-    closest = np.empty_like(a)
-    done = np.zeros(len(a), dtype=bool)
-
-    # vertex region A
-    mask = (d1 <= 0.0) & (d2 <= 0.0)
-    closest[mask] = a[mask]
-    done |= mask
-
-    bp = p - b
     d3 = np.einsum("ij,ij->i", ab, bp)
     d4 = np.einsum("ij,ij->i", ac, bp)
-
-    mask = ~done & (d3 >= 0.0) & (d4 <= d3)  # vertex region B
-    closest[mask] = b[mask]
-    done |= mask
-
-    vc = d1 * d4 - d3 * d2
-    # d1 - d3 = |ab|^2 and d2 - d6 = |ac|^2: a zero-length edge has no region
-    # (its 0 / 0 would be NaN); the vertex regions at its ends cover it
-    mask = ~done & (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0) & (d1 != d3)  # edge AB
-    if np.any(mask):
-        t = d1[mask] / (d1[mask] - d3[mask])
-        closest[mask] = a[mask] + t[:, None] * ab[mask]
-        done |= mask
-
-    cp = p - c
     d5 = np.einsum("ij,ij->i", ab, cp)
     d6 = np.einsum("ij,ij->i", ac, cp)
-
-    mask = ~done & (d6 >= 0.0) & (d5 <= d6)  # vertex region C
-    closest[mask] = c[mask]
-    done |= mask
-
-    vb = d5 * d2 - d1 * d6
-    mask = ~done & (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0) & (d2 != d6)  # edge AC
-    if np.any(mask):
-        t = d2[mask] / (d2[mask] - d6[mask])
-        closest[mask] = a[mask] + t[:, None] * ac[mask]
-        done |= mask
-
     va = d3 * d6 - d5 * d4
-    mask = ~done & (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0)  # edge BC
-    if np.any(mask):
-        t = (d4[mask] - d3[mask]) / ((d4[mask] - d3[mask]) + (d5[mask] - d6[mask]))
-        closest[mask] = b[mask] + t[:, None] * (c[mask] - b[mask])
-        done |= mask
+    vb = d5 * d2 - d1 * d6
+    vc = d1 * d4 - d3 * d2
 
-    mask = ~done  # interior
-    if np.any(mask):
-        denom = va[mask] + vb[mask] + vc[mask]
-        v = vb[mask] / denom
-        w = vc[mask] / denom
-        closest[mask] = a[mask] + v[:, None] * ab[mask] + w[:, None] * ac[mask]
-
+    # d1 - d3 = |ab|^2 and d2 - d6 = |ac|^2: a zero-length edge has no region
+    # (its 0 / 0 would be NaN); the vertex regions at its ends cover it
+    with np.errstate(all="ignore"):
+        regions = [  # (test, closest point), in Ericson's order
+            ((d1 <= 0.0) & (d2 <= 0.0), a),                                       # vertex A
+            ((d3 >= 0.0) & (d4 <= d3), b),                                        # vertex B
+            ((vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0) & (d1 != d3),                # edge AB
+             a + (d1 / (d1 - d3))[:, None] * ab),
+            ((d6 >= 0.0) & (d5 <= d6), c),                                        # vertex C
+            ((vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0) & (d2 != d6),                # edge AC
+             a + (d2 / (d2 - d6))[:, None] * ac),
+            ((va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0),                  # edge BC
+             b + ((d4 - d3) / ((d4 - d3) + (d5 - d6)))[:, None] * (c - b)),
+        ]
+        denom = va + vb + vc
+        closest = a + (vb / denom)[:, None] * ab + (vc / denom)[:, None] * ac  # interior
+    for test, point in reversed(regions):  # so the first region that holds wins
+        closest = np.where(test[:, None], point, closest)
     return np.linalg.norm(closest - p, axis=1)
 
 
@@ -280,10 +256,21 @@ def surface_compare(mesh_a: TriangleMesh, mesh_b: TriangleMesh, n: int = 200_000
 
 def report_metrics(pred: PointCloud, gt_dense: PointCloud, gt_mesh: TriangleMesh,
                    factor: int | None = None, inputs: dict | None = None) -> MetricReport:
-    """CD/HD/JSD against the dense ground truth plus P2F against the mesh."""
-    cd, hd = _chamfer_hausdorff(pred.points, gt_dense.points)
-    jsd = metric_jsd(pred.points, gt_dense.points)
-    p2f_mean, p2f_std = metric_p2f(pred.points, gt_mesh)
+    """CD/HD/JSD against the dense ground truth plus P2F against the mesh.
+
+    `_map_tasks` runs two tasks, under the caller's np.errstate: task 0
+    pairs the sets once for CD and HD, then scores JSD; task 1 scores P2F.
+    Each metric runs the same code on one thread, so the report is bitwise
+    the same for any thread count, and a failure raises the first error of
+    the serial order CD/HD, JSD, P2F.
+    """
+    def task(i: int):
+        if i == 0:
+            return (_chamfer_hausdorff(pred.points, gt_dense.points),
+                    metric_jsd(pred.points, gt_dense.points))
+        return metric_p2f(pred.points, gt_mesh)
+
+    ((cd, hd), jsd), (p2f_mean, p2f_std) = _map_tasks(task, 2)
     return MetricReport(cd=cd, hd=hd, jsd=jsd, p2f_mean=p2f_mean, p2f_std=p2f_std,
                         pred_count=len(pred), gt_count=len(gt_dense), factor=factor,
                         inputs=inputs or {})

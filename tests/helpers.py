@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 
-from pugeo import PointCloud, PUGeoNet, TriangleMesh, poisson_disk_sample
+from pugeo import PointCloud, PUGeoNet, TriangleMesh, poisson_disk_sample, workers
 from pugeo.model import CHECKPOINT_MAGIC
 from pugeo.sampling import NeighborIndex
 
@@ -104,6 +104,11 @@ def count_index_builds(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(NeighborIndex, "__init__", counting)
     return builds
+
+
+def force_workers(monkeypatch, count: int) -> None:
+    """Run every `workers._map_tasks` call on min(tasks, count) threads."""
+    monkeypatch.setattr(workers, "_worker_count", lambda tasks: min(tasks, count))
 
 
 def numeric_gradient(fn, tensor, h: float = 1e-4) -> np.ndarray:

@@ -3,10 +3,12 @@
 These are the original loop versions of farthest point sampling, of
 Poisson sample elimination (one kd-tree query per neighbor update), of
 analytic upsampling with its per-point frame and curvature fits, and of
-the frame statistics, plus the full scan over every triangle for the
-point-to-surface distance.  They are kept verbatim in arithmetic so that
-the fast paths in ``pugeo`` can be compared against them bit for bit (FPS,
-Poisson elimination, P2F, frame statistics) or within a fixed tolerance
+the frame statistics, plus the closest point on a triangle found one
+region at a time (masked rows, the oracle for the branch-free kernel) and
+the full scan over every triangle for the point-to-surface distance.  They
+are kept verbatim in arithmetic so that the fast paths in ``pugeo`` can
+be compared against them bit for bit (FPS, Poisson elimination, P2F and
+its closest-point kernel, frame statistics) or within a fixed tolerance
 (geometry, whose least-squares solves moved from LAPACK ``gelsd`` to a
 stacked SVD).  The numpy normal and joint losses are the oracles for
 the autodiff training losses.  The full-sort feature kNN and the
@@ -39,7 +41,6 @@ from pugeo.errors import (FormatError, GeometryError, ShapeError, TrainingDiverg
 from pugeo.geometry import FrameStats
 from pugeo.io import PointCloud, TriangleMesh, _naming, _unit_rows
 from pugeo.losses import LossWeights
-from pugeo.metrics import point_to_triangles
 from pugeo.model import save_model
 from pugeo import sampling
 from pugeo.sampling import NeighborIndex
@@ -143,6 +144,85 @@ def poisson_eliminate(points, n: int) -> np.ndarray:
             heapq.heappush(heap, (nn_dist[j], j))
 
     return np.nonzero(alive)[0]
+
+
+def point_to_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray,
+                       c: np.ndarray) -> np.ndarray:
+    """Distances from p to each triangle (a[i], b[i], c[i]).
+
+    p is one (3,) point or (n, 3) rows aligned with the triangles.  The
+    closest point is classified into the vertex, edge or interior region
+    (Ericson, Real-Time Collision Detection, 5.1.5); each row's result does
+    not depend on the other rows.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    p = p.reshape(-1, 3) if p.ndim == 2 else p.reshape(3)
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 3)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 3)
+    c = np.asarray(c, dtype=np.float64).reshape(-1, 3)
+
+    ab = b - a
+    ac = c - a
+    ap = p - a
+
+    d1 = np.einsum("ij,ij->i", ab, ap)
+    d2 = np.einsum("ij,ij->i", ac, ap)
+
+    closest = np.empty_like(a)
+    done = np.zeros(len(a), dtype=bool)
+
+    # vertex region A
+    mask = (d1 <= 0.0) & (d2 <= 0.0)
+    closest[mask] = a[mask]
+    done |= mask
+
+    bp = p - b
+    d3 = np.einsum("ij,ij->i", ab, bp)
+    d4 = np.einsum("ij,ij->i", ac, bp)
+
+    mask = ~done & (d3 >= 0.0) & (d4 <= d3)  # vertex region B
+    closest[mask] = b[mask]
+    done |= mask
+
+    vc = d1 * d4 - d3 * d2
+    # d1 - d3 = |ab|^2 and d2 - d6 = |ac|^2: a zero-length edge has no region
+    # (its 0 / 0 would be NaN); the vertex regions at its ends cover it
+    mask = ~done & (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0) & (d1 != d3)  # edge AB
+    if np.any(mask):
+        t = d1[mask] / (d1[mask] - d3[mask])
+        closest[mask] = a[mask] + t[:, None] * ab[mask]
+        done |= mask
+
+    cp = p - c
+    d5 = np.einsum("ij,ij->i", ab, cp)
+    d6 = np.einsum("ij,ij->i", ac, cp)
+
+    mask = ~done & (d6 >= 0.0) & (d5 <= d6)  # vertex region C
+    closest[mask] = c[mask]
+    done |= mask
+
+    vb = d5 * d2 - d1 * d6
+    mask = ~done & (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0) & (d2 != d6)  # edge AC
+    if np.any(mask):
+        t = d2[mask] / (d2[mask] - d6[mask])
+        closest[mask] = a[mask] + t[:, None] * ac[mask]
+        done |= mask
+
+    va = d3 * d6 - d5 * d4
+    mask = ~done & (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0)  # edge BC
+    if np.any(mask):
+        t = (d4[mask] - d3[mask]) / ((d4[mask] - d3[mask]) + (d5[mask] - d6[mask]))
+        closest[mask] = b[mask] + t[:, None] * (c[mask] - b[mask])
+        done |= mask
+
+    mask = ~done  # interior
+    if np.any(mask):
+        denom = va[mask] + vb[mask] + vc[mask]
+        v = vb[mask] / denom
+        w = vc[mask] / denom
+        closest[mask] = a[mask] + v[:, None] * ab[mask] + w[:, None] * ac[mask]
+
+    return np.linalg.norm(closest - p, axis=1)
 
 
 def brute_force_mesh_distance(p, mesh: TriangleMesh) -> float:

@@ -13,7 +13,8 @@ from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, load_model, read_xyz, save
 from pugeo import cli, trainer
 from pugeo.cli import main
 
-from helpers import clustered_cloud, set_checkpoint_config_entry, sphere_cloud, unit_rows
+from helpers import (clustered_cloud, force_workers, set_checkpoint_config_entry, sphere_cloud,
+                     unit_rows)
 
 
 @pytest.fixture()
@@ -663,6 +664,25 @@ def test_eval_recon_mesh_adds_three_fields(tmp_path, mesh_dir, capsys):
     with_recon = json.loads(capsys.readouterr().out.strip())
     added = set(with_recon) - set(without)
     assert added == {"cd#", "hd#", "jsd#"}
+
+
+def test_eval_stdout_is_the_same_for_one_and_two_workers(tmp_path, mesh_dir, capsys,
+                                                          monkeypatch):
+    # with two workers P2F runs beside the pairing metrics
+    from pugeo import poisson_disk_sample, read_mesh
+
+    pred = poisson_disk_sample(read_mesh(mesh_dir / "cube.obj"), 300, seed=1)
+    gt = poisson_disk_sample(read_mesh(mesh_dir / "icosphere.obj"), 500, seed=2)
+    argv = ["eval", "--pred", _write_cloud(tmp_path / "pred.xyz", pred),
+            "--gt-dense", _write_cloud(tmp_path / "gt.xyz", gt),
+            "--gt-mesh", str(mesh_dir / "icosphere.obj")]
+    outputs = []
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["p2f_mean"] > 0.0
 
 
 def test_inspect_frames_analytic_theta_zero(tmp_path, capsys):

@@ -1,12 +1,17 @@
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pugeo import (TriangleMesh, chamfer, metric_hd, metric_jsd, metric_p2f,
                    poisson_disk_sample, surface_compare)
-from pugeo.metrics import (MetricReport, point_to_mesh_distances, point_to_triangles,
-                           report_metrics)
+from pugeo import PointCloud, metrics
+from pugeo.metrics import (MetricReport, _chamfer_hausdorff, point_to_mesh_distances,
+                           point_to_triangles, report_metrics)
 
-from helpers import count_index_builds, cube_mesh, icosphere, unit_square_mesh
+from helpers import count_index_builds, cube_mesh, force_workers, icosphere, unit_square_mesh
 from reference import brute_force_mesh_distance
 
 
@@ -205,3 +210,85 @@ def test_report_metrics_pairs_the_sets_once(monkeypatch):
     assert builds == [200, 120]
     assert report.cd == chamfer(pred.points, gt.points)
     assert report.hd == metric_hd(pred.points, gt.points)
+
+
+# ---------------------------------------------------------------------------
+# P2F beside the pairing metrics on worker threads
+
+
+@settings(max_examples=25, deadline=None)
+@given(workers=st.integers(1, 3), pred_count=st.integers(1, 200),
+       gt_count=st.integers(1, 300), seed=st.integers(0, 2**16), subdiv=st.integers(0, 2))
+def test_report_metrics_equals_the_serial_metrics_property(workers, pred_count, gt_count, seed,
+                                                           subdiv):
+    rng = np.random.default_rng(seed)
+    mesh = icosphere(subdiv)
+    pred = PointCloud(rng.normal(size=(pred_count, 3)))
+    gt = PointCloud(rng.normal(size=(gt_count, 3)))
+    cd, hd = _chamfer_hausdorff(pred.points, gt.points)
+    p2f_mean, p2f_std = metric_p2f(pred.points, mesh)
+    expected = MetricReport(cd=cd, hd=hd, jsd=metric_jsd(pred.points, gt.points),
+                            p2f_mean=p2f_mean, p2f_std=p2f_std, pred_count=pred_count,
+                            gt_count=gt_count, factor=2, inputs={"pred": "p.xyz"})
+    with pytest.MonkeyPatch.context() as patch:
+        force_workers(patch, workers)
+        report = report_metrics(pred, gt, mesh, factor=2, inputs={"pred": "p.xyz"})
+    assert report == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("empty", ["pred", "gt_dense"])
+def test_report_metrics_raises_the_pairing_error_first(monkeypatch, workers, empty):
+    # an empty pred fails CD/HD (task 0) and P2F (task 1): the serial order wins
+    force_workers(monkeypatch, workers)
+    cloud = PointCloud(np.random.default_rng(0).normal(size=(10, 3)))
+    none = PointCloud(np.zeros((0, 3)))
+    pred, gt = (none, cloud) if empty == "pred" else (cloud, none)
+    with pytest.raises(ValueError, match="^chamfer and hausdorff require non-empty point sets$"):
+        report_metrics(pred, gt, icosphere(1))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_report_metrics_raises_a_p2f_error_after_the_pairing(monkeypatch, workers):
+    force_workers(monkeypatch, workers)
+    cloud = PointCloud(np.random.default_rng(0).normal(size=(10, 3)))
+    flat = TriangleMesh(np.eye(3), np.zeros((0, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="^mesh has no triangles$"):
+        report_metrics(cloud, cloud, flat)
+
+
+def test_report_metrics_one_worker_starts_no_thread(monkeypatch):
+    mesh = icosphere(2)
+    pred = poisson_disk_sample(mesh, 120, seed=3)
+    gt = poisson_disk_sample(cube_mesh(), 200, seed=4)
+    force_workers(monkeypatch, 2)
+    expected = report_metrics(pred, gt, mesh)
+    force_workers(monkeypatch, 1)
+
+    def refuse(self):
+        raise AssertionError("one worker must not start a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert report_metrics(pred, gt, mesh) == expected
+
+
+def test_report_metrics_scores_p2f_beside_the_pairing_metrics(monkeypatch):
+    # JSD and P2F each wait until the other has started: they run at once
+    force_workers(monkeypatch, 2)
+    barrier = threading.Barrier(2, timeout=30)
+    seen = set()
+
+    def meeting(real):
+        def wrapped(*args):
+            seen.add(threading.current_thread())
+            barrier.wait()
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(metrics, "metric_jsd", meeting(metric_jsd))
+    monkeypatch.setattr(metrics, "metric_p2f", meeting(metric_p2f))
+    mesh = icosphere(1)
+    cloud = poisson_disk_sample(mesh, 100, seed=5)
+    report = report_metrics(cloud, cloud, mesh)
+    assert len(seen) == 2 and threading.main_thread() in seen
+    assert report.cd == 0.0 and report.jsd == 0.0

@@ -5,8 +5,9 @@ sample elimination the survivors of the loop that queries the tree once per
 update, kNN those of a brute-force sort, the network's pruned feature kNN
 those of a full stable sort of every distance row, gather's CSR gradient
 bitwise that of np.add.at, relu and reduce_max bitwise the np.where and
-np.argmax versions, and the point-to-surface distance bitwise the
-minimum over every triangle.  The batched frame/curvature
+np.argmax versions, the point-to-surface distance bitwise the minimum
+over every triangle, and its branch-free closest-point kernel bitwise the
+one that fills one region at a time.  The batched frame/curvature
 kernel must agree with the per-point loop within 1e-9: its least-squares
 solves use a stacked SVD instead of LAPACK gelsd, so the last digits may
 differ.  The ``.xyz``, OBJ and PLY readers must return bitwise the arrays
@@ -673,6 +674,36 @@ def test_p2f_matches_full_scan_property(data):
     queries = data.draw(arrays(np.float64, (data.draw(st.integers(1, 30), label="m"), 3),
                                elements=COORDS), label="queries")
     _assert_p2f_matches_scan(queries, TriangleMesh(verts, np.array(tris)))
+
+
+_TRIANGLE_SHAPES = ("any", "b=a", "c=a", "c=b", "one point", "collinear")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_point_to_triangles_matches_masked_oracle_property(data):
+    # the branch-free kernel against the one that fills one region at a time,
+    # on triangles with repeated corners and on collinear ones
+    n = data.draw(st.integers(1, 12), label="rows")
+    p, a, b, c = data.draw(arrays(np.float64, (4, n, 3), elements=COORDS), label="corners")
+    for row, shape in enumerate(data.draw(st.lists(st.sampled_from(_TRIANGLE_SHAPES),
+                                                   min_size=n, max_size=n), label="shapes")):
+        if shape == "b=a" or shape == "one point":
+            b[row] = a[row]
+        if shape == "c=a" or shape == "one point":
+            c[row] = a[row]
+        if shape == "c=b":
+            c[row] = b[row]
+        if shape == "collinear":
+            c[row] = a[row] + data.draw(st.sampled_from([-1.0, 0.5, 2.0]), label="s") * (
+                b[row] - a[row])
+    if data.draw(st.booleans(), label="one query point"):
+        p = p[0]
+    with np.errstate(divide="raise", over="raise", invalid="raise"):  # unused 0 / 0 is silent
+        fast = metrics.point_to_triangles(p, a, b, c)
+    with np.errstate(all="ignore"):
+        slow = reference.point_to_triangles(p, a, b, c)
+    assert fast.tobytes() == slow.tobytes()
 
 
 # ---------------------------------------------------------------------------

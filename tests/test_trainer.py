@@ -20,9 +20,11 @@ from pugeo.io import TriangleMesh
 from pugeo.metrics import report_metrics
 from pugeo.trainer import (TrainExample, augment_example, build_dataset,
                            scale_to_unit_cube, train, upsample_cloud)
+from pugeo.workers import _BLAS_THREAD_VARS, _map_tasks, _worker_count
 
 import reference
-from helpers import count_index_builds, cube_mesh, icosphere, sphere_cloud, unit_rows
+from helpers import (count_index_builds, cube_mesh, force_workers, icosphere, sphere_cloud,
+                     unit_rows)
 
 TINY_MODEL = dict(factor=4, patch_size=64, k=6, feature_widths=(16, 32),
                   hr_hidden=16, f1_hidden=32, f2_hidden=32, f3_hidden=16, f4_hidden=16)
@@ -111,7 +113,7 @@ def _example_bytes(examples):
 def test_build_dataset_threads_match_serial_reference(monkeypatch, workers, options):
     meshes = _three_meshes()
     expected = reference.build_dataset(meshes, 96, 2, 32, seed=5, **options)
-    _force_workers(monkeypatch, workers)
+    force_workers(monkeypatch, workers)
     got = build_dataset(meshes, 96, 2, 32, seed=5, **options)
     assert _example_bytes(got) == _example_bytes(expected)
 
@@ -128,7 +130,7 @@ def test_build_dataset_equals_the_serial_reference_property(m, factor, coverage,
     meshes = _three_meshes()
     expected = reference.build_dataset(meshes, m, factor, patch_size, **options)
     with pytest.MonkeyPatch.context() as patch:
-        _force_workers(patch, workers)
+        force_workers(patch, workers)
         got = build_dataset(meshes, m, factor, patch_size, **options)
     assert _example_bytes(got) == _example_bytes(expected)
 
@@ -157,7 +159,7 @@ def test_build_dataset_threads_under_thread_switch_stress(monkeypatch):
     # or misplaced result would change the examples
     meshes = _three_meshes() + [icosphere(1, radius=2.0), cube_mesh()]
     expected = reference.build_dataset(meshes, 48, 2, 16, seed=9)
-    _force_workers(monkeypatch, 5)
+    force_workers(monkeypatch, 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -170,7 +172,7 @@ def test_build_dataset_threads_under_thread_switch_stress(monkeypatch):
 def test_build_dataset_one_worker_starts_no_thread(monkeypatch):
     meshes = _three_meshes()
     expected = reference.build_dataset(meshes, 64, 2, 32, seed=0)
-    _force_workers(monkeypatch, 1)
+    force_workers(monkeypatch, 1)
 
     def refuse(thread):
         raise AssertionError(f"{thread} started")
@@ -190,7 +192,7 @@ def test_train_one_worker_starts_no_thread(monkeypatch, tmp_path):
         return (out / "checkpoint_final.pugeo").read_bytes()
 
     expected = checkpoint("reference", reference.train)
-    _force_workers(monkeypatch, 1)
+    force_workers(monkeypatch, 1)
 
     def refuse(thread):
         raise AssertionError(f"{thread} started")
@@ -201,7 +203,7 @@ def test_train_one_worker_starts_no_thread(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_build_dataset_samples_under_caller_errstate_on_workers(monkeypatch, workers):
-    _force_workers(monkeypatch, workers)
+    force_workers(monkeypatch, workers)
     real = trainer.poisson_disk_sample
     seen = set()
     barrier = threading.Barrier(workers, timeout=30)  # passed once per run
@@ -230,7 +232,7 @@ def test_build_dataset_samples_under_caller_errstate_on_workers(monkeypatch, wor
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_build_dataset_reports_the_lowest_failing_mesh(monkeypatch, workers):
     # mesh 1 fails after mesh 2 has failed, on whichever threads claim them
-    _force_workers(monkeypatch, workers)
+    force_workers(monkeypatch, workers)
     slow_flat = _flat_mesh()
     meshes = [icosphere(1), slow_flat, _flat_mesh()]
     real = trainer.scale_to_unit_cube
@@ -375,7 +377,7 @@ def test_train_divergence_diagnostics_name_their_step(monkeypatch, fail_step, fa
     failing = dataset[orders[fail_step][fail_position]]
     real = trainer._example_losses
     for workers in (1, 2):
-        monkeypatch.setattr(trainer, "_worker_count", lambda tasks, n=workers: n)
+        force_workers(monkeypatch, workers)
         cfg = PUGeoConfig(factor=2, patch_size=16, k=4, feature_widths=(8, 8),
                           hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
         net = PUGeoNet(cfg, seed=0)
@@ -412,10 +414,6 @@ def test_train_divergence_diagnostics_name_their_step(monkeypatch, fail_step, fa
 # examples of a batch on worker threads
 
 
-def _force_workers(monkeypatch, workers):
-    monkeypatch.setattr(trainer, "_worker_count", lambda tasks: min(tasks, workers))
-
-
 @pytest.mark.parametrize("batch_size", [2, 3])
 @pytest.mark.parametrize("config", [
     {}, {"normal_reduction": "mean"}, {"coarse_to_fine": False}, {"recalibration": False},
@@ -436,7 +434,7 @@ def test_threaded_steps_match_joint_graph_reference(monkeypatch, tmp_path, confi
     dataset = [_toy_example(s, n=64, factor=4) for s in range(5)]
 
     def run(name, train_fn, workers=1):
-        _force_workers(monkeypatch, workers)
+        force_workers(monkeypatch, workers)
         net = PUGeoNet(PUGeoConfig(**model_config), seed=4)
         out = tmp_path / name
         out.mkdir()
@@ -464,7 +462,7 @@ def test_threaded_steps_under_thread_switch_stress(monkeypatch):
         return [t.data.tobytes() for _, t in net.named_params()]
 
     expected = params_after(reference.train)
-    _force_workers(monkeypatch, 6)
+    force_workers(monkeypatch, 6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -476,7 +474,7 @@ def test_threaded_steps_under_thread_switch_stress(monkeypatch):
 def test_threaded_train_runs_examples_on_workers_and_joins_them(monkeypatch):
     # the calling thread is one of each batch's two workers: each batch
     # starts one thread and joins it before its step
-    _force_workers(monkeypatch, 2)
+    force_workers(monkeypatch, 2)
     real = trainer._example_losses
     seen = set()
     barrier = threading.Barrier(2, timeout=30)  # each worker holds one example of a batch
@@ -507,7 +505,7 @@ def test_threaded_train_runs_examples_on_workers_and_joins_them(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_caller_errstate_applies_inside_workers(monkeypatch, workers):
-    _force_workers(monkeypatch, workers)
+    force_workers(monkeypatch, workers)
     real = trainer._example_losses
 
     def dividing_by_zero(*args):
@@ -531,7 +529,7 @@ def test_caller_errstate_applies_inside_workers(monkeypatch, workers):
 def test_non_finite_example_loss_diverges_without_a_backward_pass(monkeypatch, workers):
     # as with one joint graph, a non-finite loss stops the step before any
     # backward pass, so an inf gradient cannot raise under the caller's errstate
-    _force_workers(monkeypatch, workers)
+    force_workers(monkeypatch, workers)
     real = trainer._example_losses
 
     def infinite(*args):
@@ -567,9 +565,9 @@ def test_map_tasks_matches_a_serial_loop_up_to_the_lowest_failure(count, workers
 
     got = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(trainer, "_worker_count", lambda tasks: min(tasks, workers))
+        force_workers(patch, workers)
         try:
-            for result in trainer._map_tasks(task, count):
+            for result in _map_tasks(task, count):
                 got.append(result)
         except _TaskFailed as exc:
             assert exc.args == (lowest,)
@@ -594,21 +592,22 @@ def test_map_tasks_matches_a_serial_loop_up_to_the_lowest_failure(count, workers
     ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "x"}, 2, 8, 1),
     ({"OPENBLAS_NUM_THREADS": "-1"}, 2, 8, 1),
     ({"OPENBLAS_NUM_THREADS": "1"}, 1, 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "²", "OMP_NUM_THREADS": "1"}, 2, 8, 2),  # a digit int() rejects
 ])
 def test_worker_count_rule(monkeypatch, env, cpus, tasks, expected):
-    for var in trainer._BLAS_THREAD_VARS:
+    for var in _BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert trainer._worker_count(tasks) == expected
+    assert _worker_count(tasks) == expected
 
 
 def test_worker_count_without_affinity_uses_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert trainer._worker_count(8) == 3
+    assert _worker_count(8) == 3
 
 
 def test_example_losses_pair_output_and_dense_once(monkeypatch):
