@@ -31,6 +31,9 @@ PATTERNS = {"fibonacci": "fibonacci_disk", "grid": "jittered_grid"}
 ANALYTIC_FACTOR = 4
 FACTOR_HELP = (f"default {ANALYTIC_FACTOR} with --method analytic; the checkpoint's factor, "
                f"which it must match when given, with --method model")
+#: largest |coordinate| an input may hold: the squared distance of two points
+#: within it, at most 12 * COORD_LIMIT**2 = 1.2e307, stays finite in float64
+COORD_LIMIT = 1e153
 
 
 def _pattern(name: str) -> SamplePattern:
@@ -118,6 +121,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _fail(message: str, code: int = 2) -> int:
     print(message, file=sys.stderr)
     return code
+
+
+def _check_range(path: str, points: np.ndarray, record: str = "row") -> str | None:
+    """Why `points` read from `path` cannot be measured against each other, or None."""
+    beyond = np.abs(points) > COORD_LIMIT
+    if not beyond.any():
+        return None
+    row, col = divmod(int(np.argmax(beyond)), 3)
+    return (f"{path}: {record} {row + 1}: coordinate {float(points[row, col])!r} exceeds "
+            f"{COORD_LIMIT:.4g} in magnitude, where squared distances overflow float64")
 
 
 def _check_k(k: int, path: str, cloud: PointCloud) -> str | None:
@@ -301,6 +314,9 @@ def cmd_upsample(args) -> int:
     cloud = read_xyz(args.input)
     if len(cloud) == 0:
         return _fail(f"{args.input}: no points")
+    problem = _check_range(args.input, cloud.points)
+    if problem:
+        return _fail(problem)
     model, factor, too_many = None, args.factor, None
     if args.method == "analytic":
         problem = _check_k(args.k, args.input, cloud)
@@ -367,6 +383,14 @@ def cmd_eval(args) -> int:
     for path, mesh in ((args.gt_mesh, gt_mesh), (args.recon_mesh, recon)):
         if mesh is not None and len(mesh.triangles) == 0:
             return _fail(f"{path}: mesh has no triangles")
+    checked = [(args.pred, pred.points, "row"), (args.gt_dense, gt_dense.points, "row"),
+               (args.gt_mesh, gt_mesh.vertices, "vertex")]
+    if recon is not None:
+        checked.append((args.recon_mesh, recon.vertices, "vertex"))
+    for path, points, record in checked:
+        problem = _check_range(path, points, record)
+        if problem:
+            return _fail(problem)
     report = report_metrics(pred, gt_dense, gt_mesh, factor=args.factor,
                             inputs={"pred": args.pred, "gt_dense": args.gt_dense,
                                     "gt_mesh": args.gt_mesh})
@@ -385,6 +409,9 @@ def cmd_inspect_frames(args) -> int:
     cloud = read_xyz(args.input)
     if len(cloud) == 0:
         return _fail(f"{args.input}: no points")
+    problem = _check_range(args.input, cloud.points)
+    if problem:
+        return _fail(problem)
     if args.method == "analytic":
         problem = _check_k(args.k, args.input, cloud)
         if problem:

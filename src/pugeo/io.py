@@ -274,7 +274,10 @@ def _read_obj(path) -> TriangleMesh:
                     if not 0 <= i < len(v_records):
                         raise FormatError(f"line {lineno}: face index {head} out of range")
                     idx.append(i)
-                faces.extend(_fan(idx, lineno))
+                if len(idx) == 3 and idx[0] != idx[1] != idx[2] != idx[0]:
+                    faces.append(tuple(idx))
+                else:
+                    faces.extend(_fan(idx, lineno))
     verts = _floats(v_records, (1, 2, 3))
     vnormals = _floats(vn_records, (1, 2, 3))
     normals = None

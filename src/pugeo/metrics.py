@@ -3,16 +3,16 @@
 Chamfer and Hausdorff distance (both reduce one nearest-point pairing,
 computed once when a report needs both), voxel-grid Jensen-Shannon
 divergence, exact point-to-surface (P2F) distances batched over all
-points, and the mesh-to-mesh comparison that samples both surfaces and
-compares the samples.  A metric report scores P2F and the pairing
-metrics as two independent tasks on the worker-thread runner
-(`workers._map_tasks`).  The training loss has its own Chamfer on
-autodiff tensors (`losses.chamfer_loss`).
+points (from one k-nearest-centroid query per triangle radius bucket), and
+the mesh-to-mesh comparison that samples both surfaces and compares the
+samples.  A metric report scores P2F and the pairing metrics as two
+independent tasks on the worker-thread runner (`workers._map_tasks`).  The
+training loss has its own Chamfer on autodiff tensors
+(`losses.chamfer_loss`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,8 +167,62 @@ def point_to_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray,
     return np.linalg.norm(closest - p, axis=1)
 
 
-#: (point, triangle) pairs evaluated at once, which bounds the memory used
+#: (point, triangle) pairs evaluated at once, and (point, centroid) entries
+#: one nearest-centroid query returns, which bounds the memory used
 _PAIR_BUDGET = 1 << 16
+#: nearest centroids per point that the first query of a radius bucket returns
+_FIRST_K = 8
+
+
+def _nearest(tree: cKDTree, q: np.ndarray, lo: int, hi: int, rows: np.ndarray):
+    """(distances, indices) of the (lo+1)-th to hi-th nearest centroids of each q.
+
+    Where a squared distance overflows float64 the tree returns inf and no
+    centroid; a ValueError then names the first such point by its row in
+    `rows`, the caller's numbering of q.
+    """
+    dist, idx = tree.query(q, k=np.arange(lo + 1, hi + 1))
+    far = np.isinf(dist[:, -1])
+    if far.any():
+        raise ValueError(f"query point {rows[np.argmax(far)]}: its squared distance to a "
+                         f"triangle centroid overflows float64")
+    return dist, idx
+
+
+def _lower_by_bucket(found, q, rows, members, tree, reach, dist, idx, corners) -> None:
+    """Lower `found` to each q's distance to the bucket's triangles within reach.
+
+    (dist, idx) is the bucket's first query, whose column 0 is in `found`
+    already.  A point whose last centroid returned is still within reach is
+    queried again for up to 4x the ranks.  That query starts at the rank of
+    the point's first centroid at that last distance: a longer query may
+    order tied centroids differently, and the ones nearer are all seen.
+    """
+    a, b, c = corners
+    at = np.arange(len(q))
+    keep = dist <= reach[:, None]
+    keep[:, 0] = False
+    lo, pages = 0, []
+    while True:
+        r, col = np.nonzero(keep)
+        if len(r):
+            tri = members[idx[r, col]]
+            np.minimum.at(found, at[r], point_to_triangles(q[at[r]], a[tri], b[tri], c[tri]))
+        hi, last = lo + dist.shape[1], dist[:, -1]
+        more = last <= reach[at]
+        if hi < len(members) and more.any():
+            at, last = at[more], last[more]
+            lo += int(np.argmax(dist[more] == last[:, None], axis=1).min())
+            top = min(4 * hi, len(members), max(lo + _PAIR_BUDGET, hi + 1))
+            take = max(1, _PAIR_BUDGET // (top - lo))
+            pages.extend((at[s:s + take], last[s:s + take], lo, top)
+                         for s in range(0, len(at), take))
+        if not pages:
+            return
+        at, last, lo, top = pages.pop()
+        dist, idx = _nearest(tree, q[at], lo, top, rows[at])
+        # ranks below a point's first one at `last` are nearer, seen already
+        keep = (dist >= last[:, None]) & (dist <= reach[at, None])
 
 
 def point_to_mesh_distances(points, mesh: TriangleMesh) -> np.ndarray:
@@ -178,56 +232,46 @@ def point_to_mesh_distances(points, mesh: TriangleMesh) -> np.ndarray:
     every triangle.  Triangles are bucketed by the power of two of their
     radius (the farthest corner from the centroid), with one centroid
     kd-tree per bucket, so one large triangle does not widen the search of
-    every point.  A point's distance is at most its exact distance to the
-    triangle of each bucket's nearest centroid, a surface point in hand; a
-    triangle whose centroid lies farther than that bound plus the bucket's
-    largest radius is strictly farther, so only the others are candidates.
-    The candidate pairs are evaluated row-wise, at most _PAIR_BUDGET at a
-    time (one point's candidates are never split), and reduced per point.
+    every point.  One query per bucket returns each point's _FIRST_K
+    nearest centroids.  A point's distance is at most its exact distance to
+    the triangle of each bucket's nearest centroid, a surface point in hand;
+    a triangle whose centroid lies farther than that bound plus the
+    bucket's largest radius (the reach) is strictly farther, so only the
+    others are candidates, and only points whose last centroid returned is
+    still within reach are queried again.  Points go _PAIR_BUDGET //
+    _FIRST_K at a time, and a query returns at most _PAIR_BUDGET (point,
+    centroid) entries, unless more centroids than that are equidistant from
+    a point, so no evaluation holds more pairs.  A point whose squared
+    distance to a centroid overflows float64 raises ValueError.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     v, t = mesh.vertices, mesh.triangles
     if len(t) == 0:
         raise ValueError("mesh has no triangles")
-    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+    corners = a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
     centroids = (a + b + c) / 3.0
-    radius = np.linalg.norm(np.stack([a, b, c]) - centroids, axis=2).max(axis=0)
+    radius = np.linalg.norm(np.stack(corners) - centroids, axis=2).max(axis=0)
     level = np.frexp(radius)[1]
-    trees = [(members, cKDTree(centroids[members]))
-             for members in (np.flatnonzero(level == lv) for lv in np.unique(level))]
-    bound = np.full(len(pts), np.inf)
-    for start in range(0, len(pts), _PAIR_BUDGET):
-        rows = slice(start, start + _PAIR_BUDGET)
-        for members, tree in trees:
-            nearest = members[tree.query(pts[rows])[1]]
-            np.minimum(bound[rows], point_to_triangles(pts[rows], a[nearest], b[nearest],
-                                                       c[nearest]), out=bound[rows])
-    buckets = []  # (triangle indices, centroid tree, per-point search radius)
-    for members, tree in trees:
-        # inflated by 1e-9 relative and rounded up, to absorb rounding
-        reach = np.nextafter((bound + radius[members].max()) * (1.0 + 1e-9), np.inf)
-        buckets.append((members, tree, reach))
-
-    pair_ends = np.cumsum(sum(tree.query_ball_point(pts, reach, return_length=True)
-                              for _, tree, reach in buckets))
-    best = np.full(len(pts), np.inf)
-    start = 0
-    while start < len(pts):
-        before = pair_ends[start - 1] if start else 0
-        stop = max(int(np.searchsorted(pair_ends, before + _PAIR_BUDGET, side="right")),
-                   start + 1)
-        rows, tris = [], []
-        for members, tree, reach in buckets:
-            found = tree.query_ball_point(pts[start:stop], reach[start:stop],
-                                          return_sorted=False)
-            lengths = np.fromiter(map(len, found), np.int64, len(found))
-            rows.append(np.repeat(np.arange(start, stop), lengths))
-            tris.append(members[np.fromiter(itertools.chain.from_iterable(found), np.int64,
-                                            lengths.sum())])
-        rows = np.concatenate(rows)
-        tris = np.concatenate(tris)
-        np.minimum.at(best, rows, point_to_triangles(pts[rows], a[tris], b[tris], c[tris]))
-        start = stop
+    buckets = [(members, cKDTree(centroids[members]), radius[members].max())
+               for members in (np.flatnonzero(level == lv) for lv in np.unique(level))]
+    best = np.empty(len(pts))
+    step = max(1, _PAIR_BUDGET // _FIRST_K)
+    for start in range(0, len(pts), step):
+        rows = np.arange(start, min(start + step, len(pts)))
+        q = pts[rows]
+        first = [_nearest(tree, q, 0, min(_FIRST_K, len(members)), rows)
+                 for members, tree, _ in buckets]
+        bound = np.full(len(q), np.inf)
+        for (members, _, _), (_, idx) in zip(buckets, first):
+            nearest = members[idx[:, 0]]
+            np.minimum(bound, point_to_triangles(q, a[nearest], b[nearest], c[nearest]),
+                       out=bound)
+        found = bound.copy()
+        for (members, tree, largest), (dist, idx) in zip(buckets, first):
+            # inflated by 1e-9 relative and rounded up, to absorb rounding
+            reach = np.nextafter((bound + largest) * (1.0 + 1e-9), np.inf)
+            _lower_by_bucket(found, q, rows, members, tree, reach, dist, idx, corners)
+        best[rows] = found
     return best
 
 

@@ -345,7 +345,10 @@ def test_bad_input_names_file_and_line(tmp_path, capsys, name, data, line):
 @pytest.mark.parametrize("case", ["upsample_empty_input", "eval_empty_pred",
                                   "eval_empty_gt_dense", "eval_mesh_without_triangles",
                                   "eval_recon_mesh_without_triangles", "eval_recon_samples_0",
-                                  "eval_factor_0"])
+                                  "eval_factor_0", "eval_far_pred", "eval_far_gt_dense",
+                                  "eval_far_gt_mesh", "eval_far_recon_mesh",
+                                  "upsample_far_input", "upsample_model_far_input",
+                                  "inspect_far_input"])
 def test_bad_input_names_the_file_or_flag(tmp_path, mesh_dir, capsys, case):
     cloud = _write_cloud(tmp_path / "cloud.xyz", sphere_cloud(50, 1.0, 5))
     empty = tmp_path / "empty.xyz"
@@ -354,6 +357,17 @@ def test_bad_input_names_the_file_or_flag(tmp_path, mesh_dir, capsys, case):
     flat.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
     mesh = str(mesh_dir / "icosphere.obj")
     out = tmp_path / "out.xyz"
+    # 1e300 passes the readers, but squared distances to it overflow float64
+    far_points = sphere_cloud(50, 1.0, 5).points
+    far_points[2] = [0.0, -1e300, 0.0]
+    far = _write_cloud(tmp_path / "far.xyz", PointCloud(far_points))
+    far_mesh = tmp_path / "far.obj"
+    far_mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1e300\n" + "vn 0 0 1\n" * 4
+                        + "f 1 2 3\nf 1 2 4\n")
+    beyond = (f"exceeds {cli.COORD_LIMIT:.4g} in magnitude, where squared distances "
+              f"overflow float64")
+    far_row = f"{far}: row 3: coordinate -1e+300 {beyond}"
+    far_vertex = f"{far_mesh}: vertex 4: coordinate 1e+300 {beyond}"
     argv, message = {
         "upsample_empty_input": (["upsample", "--input", str(empty), "--output", str(out)],
                                  f"{empty}: no points"),
@@ -373,11 +387,31 @@ def test_bad_input_names_the_file_or_flag(tmp_path, mesh_dir, capsys, case):
                                  "--recon-samples must be >= 1, got 0"),
         "eval_factor_0": (["eval", "--pred", cloud, "--gt-dense", cloud, "--gt-mesh", mesh,
                            "--factor", "0"], "--factor must be >= 1, got 0"),
+        "eval_far_pred": (["eval", "--pred", far, "--gt-dense", cloud, "--gt-mesh", mesh],
+                          far_row),
+        "eval_far_gt_dense": (["eval", "--pred", cloud, "--gt-dense", far, "--gt-mesh", mesh],
+                              far_row),
+        "eval_far_gt_mesh": (["eval", "--pred", cloud, "--gt-dense", cloud,
+                              "--gt-mesh", str(far_mesh)], far_vertex),
+        "eval_far_recon_mesh": (["eval", "--pred", cloud, "--gt-dense", cloud, "--gt-mesh", mesh,
+                                 "--recon-mesh", str(far_mesh)], far_vertex),
+        "upsample_far_input": (["upsample", "--input", far, "--output", str(out)], far_row),
+        "upsample_model_far_input": (["upsample", "--method", "model", "--input", far,
+                                      "--output", str(out)], far_row),
+        "inspect_far_input": (["inspect", "frames", "--input", far], far_row),
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == message + "\n" and captured.out == ""
     assert not out.exists()
+
+
+def test_coordinate_limit_keeps_squared_distances_finite():
+    edge = np.array([[cli.COORD_LIMIT, -cli.COORD_LIMIT, cli.COORD_LIMIT]])
+    assert cli._check_range("at.xyz", edge) is None
+    assert np.isfinite(np.sum((edge - (-edge)) ** 2))
+    beyond = np.nextafter(edge, np.inf)
+    assert cli._check_range("beyond.xyz", beyond).startswith("beyond.xyz: row 1: ")
 
 
 _K_CASES = ["k_0", "k_3", "fewer_than_k_plus_1", "empty_input"]

@@ -1,3 +1,4 @@
+import os
 import threading
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from pugeo import (TriangleMesh, chamfer, metric_hd, metric_jsd, metric_p2f,
                    poisson_disk_sample, surface_compare)
-from pugeo import PointCloud, metrics
+from pugeo import PointCloud, metrics, read_mesh
 from pugeo.metrics import (MetricReport, _chamfer_hausdorff, point_to_mesh_distances,
                            point_to_triangles, report_metrics)
 
@@ -148,6 +149,16 @@ def test_p2f_empty_mesh_raises():
     mesh = TriangleMesh(np.zeros((3, 3)), np.zeros((0, 3), dtype=int))
     with pytest.raises(ValueError):
         metric_p2f(np.zeros((1, 3)), mesh)
+
+
+def test_p2f_overflowing_distance_names_the_point():
+    # the squared distance to 1e300 overflows: the kd-tree returns inf and
+    # no centroid, which once indexed past the end of the triangles
+    mesh = read_mesh(os.path.join(os.path.dirname(__file__), "fixtures", "icosphere.obj"))
+    queries = np.array([[0.0, 0.0, 0.5], [1e300, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="^query point 1: its squared distance to a "
+                                         "triangle centroid overflows float64$"):
+        point_to_mesh_distances(queries, mesh)
 
 
 # ---------------------------------------------------------------------------

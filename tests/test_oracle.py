@@ -15,6 +15,7 @@ of the per-record parse loops, or raise the same FormatError, and the
 block ``.xyz`` writer must write bitwise the bytes of the per-row one.
 """
 
+import itertools
 import pathlib
 import re
 import tracemalloc
@@ -29,7 +30,7 @@ from scipy.spatial import cKDTree
 
 import pugeo.autodiff as ad
 import reference
-from helpers import brute_force_knn, cube_mesh, icosphere, sphere_cloud
+from helpers import brute_force_knn, cube_mesh, icosphere, sphere_cloud, unit_rows
 from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, SamplePattern, TriangleMesh,
                    farthest_point_sample, metrics, poisson_disk_sample, sampling,
                    upsample_analytic)
@@ -654,14 +655,91 @@ def test_p2f_large_triangle_keeps_candidates_local(monkeypatch):
     assert sum(sizes) < 10 * len(above_large)
 
 
+def _recording_queries(monkeypatch) -> list:
+    """Record (rows, first rank, last rank) of each nearest-centroid query."""
+    queries = []
+
+    class RecordingTree(cKDTree):
+        def query(self, x, k=1, **kwargs):
+            ranks = np.atleast_1d(k)
+            queries.append((len(x), int(ranks[0]), int(ranks[-1])))
+            return super().query(x, k, **kwargs)
+
+    monkeypatch.setattr(metrics, "cKDTree", RecordingTree)
+    return queries
+
+
 def test_p2f_pair_budget_chunks_are_exact(monkeypatch):
     mesh = icosphere(2)
     queries = np.random.default_rng(3).normal(size=(200, 3))
     whole = _assert_p2f_matches_scan(queries, mesh)
     monkeypatch.setattr(metrics, "_PAIR_BUDGET", 20)
     sizes = _counting_pairs(monkeypatch)
+    tree_queries = _recording_queries(monkeypatch)
     assert np.array_equal(point_to_mesh_distances(queries, mesh), whole)
     assert len(sizes) > 10 and max(sizes) < len(mesh.triangles)
+    # points near the centre reach every triangle, so ranks go past the budget
+    # while no query returns more than 20 (point, centroid) entries
+    assert max(last for _, _, last in tree_queries) > 20
+    assert max(rows * (last - first + 1) for rows, first, last in tree_queries) <= 20
+
+
+@pytest.mark.parametrize("first_k", [1, 2])
+def test_p2f_queries_again_past_the_first_ranks(monkeypatch, first_k):
+    monkeypatch.setattr(metrics, "_FIRST_K", first_k)
+    rng = np.random.default_rng(4)
+    fine = icosphere(3)
+    far_off = unit_rows(rng.normal(size=(60, 3))) * rng.uniform(1.5, 4.0, size=(60, 1))
+    tree_queries = _recording_queries(monkeypatch)
+    _assert_p2f_matches_scan(np.concatenate([far_off, rng.normal(scale=0.05, size=(20, 3))]),
+                             fine)
+    assert max(first for _, first, _ in tree_queries) > 1
+    assert max(last for _, _, last in tree_queries) == len(fine.triangles)
+    grid = _grid_with_large_triangle()
+    _assert_p2f_matches_scan(np.concatenate([rng.uniform([0, 0, -0.2], [1, 1, 0.2], (100, 3)),
+                                             rng.uniform([0, 0, -0.99], [1, 1, -0.9], (50, 3)),
+                                             rng.uniform([-3, -3, 1], [4, 4, 3], (30, 3))]),
+                             grid)
+
+
+def _tied_centroid_mesh(rng) -> TriangleMesh:
+    """30 small triangles whose centroids are the integer points 5 from the origin."""
+    centres = {tuple(s * v for s, v in zip(signs, perm))
+               for base in ((5, 0, 0), (3, 4, 0)) for perm in itertools.permutations(base)
+               for signs in itertools.product((1, -1), repeat=3)}
+    steps = [d for d in itertools.product((-1, 0, 1), repeat=3) if any(d)]
+    verts = []
+    for centre in sorted(centres):
+        while True:  # integer corners that sum to 3 * centre, so the centroid is exact
+            d1, d2 = (np.array(steps[i]) for i in rng.choice(len(steps), 2, replace=False))
+            d3 = -(d1 + d2)
+            if np.abs(d3).max() <= 1 and d3.any():
+                break
+        verts += [np.add(centre, d) for d in (d1, d2, d3)]
+    triangles = np.arange(3 * len(centres)).reshape(-1, 3)
+    return TriangleMesh(np.array(verts, float), triangles[rng.permutation(len(centres))])
+
+
+@pytest.mark.parametrize("first_k", [1, 2])
+def test_p2f_tied_centroids_across_query_pages(monkeypatch, first_k):
+    # from an integer point many centroids are at one distance, and a longer
+    # query may rank them in another order than the shorter one before it
+    monkeypatch.setattr(metrics, "_FIRST_K", first_k)
+    queries = np.array(list(itertools.product(range(-2, 3), repeat=3)), float)
+    for seed in range(5):
+        _assert_p2f_matches_scan(queries, _tied_centroid_mesh(np.random.default_rng(seed)))
+
+
+def test_p2f_pairs_per_point_on_an_eval_sized_input(monkeypatch):
+    # 2000 points within about 0.002 of the icosphere fixture: one pair per
+    # point bounds it and about two more are candidates.  Evaluating the
+    # nearest centroid's triangle again as a candidate made it 3.97
+    mesh = pugeo_io.read_mesh(FIXTURES / "icosphere.obj")
+    sample = poisson_disk_sample(mesh, 2000, 5)
+    offset = np.random.default_rng(5).normal(scale=0.002, size=(2000, 1))
+    sizes = _counting_pairs(monkeypatch)
+    point_to_mesh_distances(sample.points + offset * sample.normals, mesh)
+    assert sum(sizes) <= 3.0 * 2000
 
 
 @settings(max_examples=60, deadline=None)
@@ -674,6 +752,29 @@ def test_p2f_matches_full_scan_property(data):
     queries = data.draw(arrays(np.float64, (data.draw(st.integers(1, 30), label="m"), 3),
                                elements=COORDS), label="queries")
     _assert_p2f_matches_scan(queries, TriangleMesh(verts, np.array(tris)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_p2f_is_unchanged_by_permutations_property(data):
+    # a new triangle order rebuilds the centroid trees, and with it the order
+    # in which they return centroids at tied distances
+    n = data.draw(st.integers(3, 25), label="n")
+    verts = data.draw(arrays(np.float64, (n, 3), elements=COORDS), label="vertices")
+    tris = np.array(data.draw(st.lists(st.permutations(range(n)).map(lambda p: p[:3]),
+                                       min_size=1, max_size=30), label="triangles"))
+    queries = data.draw(arrays(np.float64, (data.draw(st.integers(1, 30), label="m"), 3),
+                               elements=COORDS), label="queries")
+    triangle_order = np.array(data.draw(st.permutations(range(len(tris))), label="tri order"))
+    query_order = np.array(data.draw(st.permutations(range(len(queries))), label="q order"))
+    first_k = data.draw(st.sampled_from([1, 2, metrics._FIRST_K]), label="first k")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_FIRST_K", first_k)
+        whole = _assert_p2f_matches_scan(queries, TriangleMesh(verts, tris))
+        shuffled = TriangleMesh(verts, tris[triangle_order])
+        assert point_to_mesh_distances(queries, shuffled).tobytes() == whole.tobytes()
+        moved = point_to_mesh_distances(queries[query_order], TriangleMesh(verts, tris))
+        assert moved.tobytes() == whole[query_order].tobytes()
 
 
 _TRIANGLE_SHAPES = ("any", "b=a", "c=a", "c=b", "one point", "collinear")
@@ -927,6 +1028,23 @@ def test_readers_match_reference_on_fixtures(name, tmp_path):
     path = tmp_path / "cloud.xyz"
     pugeo_io.write_xyz(PointCloud(mesh.vertices, mesh.normals), path)
     _assert_readers_match(path)
+
+
+def _obj_with_face(path, face):
+    path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 4\nf {face}\nf 4 3 2\n")
+    return path
+
+
+@pytest.mark.parametrize("face", ["1 2 3", "3 -1 1", "1/1 2/2 3/3", "1 2 3 4", "1 2"])
+def test_obj_faces_match_reference(face, tmp_path):
+    # three distinct indices are one triangle without the fan
+    _assert_readers_match(_obj_with_face(tmp_path / "mesh.obj", face))
+
+
+@pytest.mark.parametrize("face", ["1 1 2", "1 2 1", "2 1 1", "1 2 2", "1 2 3 1"])
+def test_obj_face_repeating_an_index_names_its_line(face, tmp_path):
+    with pytest.raises(FormatError, match="^line 6: triangle repeats a vertex index$"):
+        pugeo_io._read_obj(_obj_with_face(tmp_path / "mesh.obj", face))
 
 
 _VALUES = st.one_of(st.just(0.0), st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150))
