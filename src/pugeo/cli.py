@@ -31,9 +31,12 @@ PATTERNS = {"fibonacci": "fibonacci_disk", "grid": "jittered_grid"}
 ANALYTIC_FACTOR = 4
 FACTOR_HELP = (f"default {ANALYTIC_FACTOR} with --method analytic; the checkpoint's factor, "
                f"which it must match when given, with --method model")
-#: largest |coordinate| an input may hold: the squared distance of two points
-#: within it, at most 12 * COORD_LIMIT**2 = 1.2e307, stays finite in float64
-COORD_LIMIT = 1e153
+#: largest |coordinate| an input may hold.  Within it every product the P2F
+#: kernel forms stays finite in float64: a dot product of two coordinate
+#: differences is at most 12 * COORD_LIMIT**2, a barycentric term (the
+#: difference of two products of those) at most 288 * COORD_LIMIT**4 =
+#: 2.9e306, and the sum of three such terms at most 8.6e306
+COORD_LIMIT = 1e76
 
 
 def _pattern(name: str) -> SamplePattern:
@@ -130,7 +133,7 @@ def _check_range(path: str, points: np.ndarray, record: str = "row") -> str | No
         return None
     row, col = divmod(int(np.argmax(beyond)), 3)
     return (f"{path}: {record} {row + 1}: coordinate {float(points[row, col])!r} exceeds "
-            f"{COORD_LIMIT:.4g} in magnitude, where squared distances overflow float64")
+            f"{COORD_LIMIT:.4g} in magnitude, past which distances can overflow float64")
 
 
 def _check_k(k: int, path: str, cloud: PointCloud) -> str | None:

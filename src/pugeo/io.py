@@ -245,8 +245,11 @@ def write_xyz(cloud: PointCloud, path: str | os.PathLike) -> None:
 def _fan(indices: list[int], lineno: int) -> list[tuple[int, int, int]]:
     if len(indices) < 3:
         raise FormatError(f"line {lineno}: face with {len(indices)} vertices")
-    fan = [(indices[0], indices[i], indices[i + 1]) for i in range(1, len(indices) - 1)]
-    if any(len(set(t)) < 3 for t in fan):
+    if len(indices) == 3:
+        fan = [tuple(indices)]
+    else:
+        fan = [(indices[0], indices[i], indices[i + 1]) for i in range(1, len(indices) - 1)]
+    if not all(i != j != k != i for i, j, k in fan):
         raise FormatError(f"line {lineno}: triangle repeats a vertex index")
     return fan
 
@@ -274,10 +277,7 @@ def _read_obj(path) -> TriangleMesh:
                     if not 0 <= i < len(v_records):
                         raise FormatError(f"line {lineno}: face index {head} out of range")
                     idx.append(i)
-                if len(idx) == 3 and idx[0] != idx[1] != idx[2] != idx[0]:
-                    faces.append(tuple(idx))
-                else:
-                    faces.extend(_fan(idx, lineno))
+                faces.extend(_fan(idx, lineno))
     verts = _floats(v_records, (1, 2, 3))
     vnormals = _floats(vn_records, (1, 2, 3))
     normals = None

@@ -174,22 +174,7 @@ _PAIR_BUDGET = 1 << 16
 _FIRST_K = 8
 
 
-def _nearest(tree: cKDTree, q: np.ndarray, lo: int, hi: int, rows: np.ndarray):
-    """(distances, indices) of the (lo+1)-th to hi-th nearest centroids of each q.
-
-    Where a squared distance overflows float64 the tree returns inf and no
-    centroid; a ValueError then names the first such point by its row in
-    `rows`, the caller's numbering of q.
-    """
-    dist, idx = tree.query(q, k=np.arange(lo + 1, hi + 1))
-    far = np.isinf(dist[:, -1])
-    if far.any():
-        raise ValueError(f"query point {rows[np.argmax(far)]}: its squared distance to a "
-                         f"triangle centroid overflows float64")
-    return dist, idx
-
-
-def _lower_by_bucket(found, q, rows, members, tree, reach, dist, idx, corners) -> None:
+def _lower_by_bucket(found, q, members, tree, reach, dist, idx, corners) -> None:
     """Lower `found` to each q's distance to the bucket's triangles within reach.
 
     (dist, idx) is the bucket's first query, whose column 0 is in `found`
@@ -220,7 +205,7 @@ def _lower_by_bucket(found, q, rows, members, tree, reach, dist, idx, corners) -
         if not pages:
             return
         at, last, lo, top = pages.pop()
-        dist, idx = _nearest(tree, q[at], lo, top, rows[at])
+        dist, idx = tree.query(q[at], k=np.arange(lo + 1, top + 1))
         # ranks below a point's first one at `last` are nearer, seen already
         keep = (dist >= last[:, None]) & (dist <= reach[at, None])
 
@@ -242,7 +227,8 @@ def point_to_mesh_distances(points, mesh: TriangleMesh) -> np.ndarray:
     _FIRST_K at a time, and a query returns at most _PAIR_BUDGET (point,
     centroid) entries, unless more centroids than that are equidistant from
     a point, so no evaluation holds more pairs.  A point whose squared
-    distance to a centroid overflows float64 raises ValueError.
+    distance to a bucket's nearest centroid overflows float64 raises
+    ValueError; a farther centroid whose distance overflows is beyond reach.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     v, t = mesh.vertices, mesh.triangles
@@ -259,10 +245,16 @@ def point_to_mesh_distances(points, mesh: TriangleMesh) -> np.ndarray:
     for start in range(0, len(pts), step):
         rows = np.arange(start, min(start + step, len(pts)))
         q = pts[rows]
-        first = [_nearest(tree, q, 0, min(_FIRST_K, len(members)), rows)
+        first = [tree.query(q, k=np.arange(1, min(_FIRST_K, len(members)) + 1))
                  for members, tree, _ in buckets]
         bound = np.full(len(q), np.inf)
-        for (members, _, _), (_, idx) in zip(buckets, first):
+        for (members, _, _), (dist, idx) in zip(buckets, first):
+            # where a squared distance overflows float64 the tree returns inf
+            # and no centroid; farther columns are beyond reach, not column 0
+            far = np.isinf(dist[:, 0])
+            if far.any():
+                raise ValueError(f"query point {rows[np.argmax(far)]}: its squared distance to "
+                                 f"the nearest triangle centroid overflows float64")
             nearest = members[idx[:, 0]]
             np.minimum(bound, point_to_triangles(q, a[nearest], b[nearest], c[nearest]),
                        out=bound)
@@ -270,7 +262,7 @@ def point_to_mesh_distances(points, mesh: TriangleMesh) -> np.ndarray:
         for (members, tree, largest), (dist, idx) in zip(buckets, first):
             # inflated by 1e-9 relative and rounded up, to absorb rounding
             reach = np.nextafter((bound + largest) * (1.0 + 1e-9), np.inf)
-            _lower_by_bucket(found, q, rows, members, tree, reach, dist, idx, corners)
+            _lower_by_bucket(found, q, members, tree, reach, dist, idx, corners)
         best[rows] = found
     return best
 

@@ -8,8 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
-from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, load_model, read_xyz, save_model,
-                   upsample_cloud, write_xyz)
+from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, load_model, read_mesh, read_xyz,
+                   save_model, upsample_cloud, write_xyz)
 from pugeo import cli, trainer
 from pugeo.cli import main
 
@@ -364,7 +364,7 @@ def test_bad_input_names_the_file_or_flag(tmp_path, mesh_dir, capsys, case):
     far_mesh = tmp_path / "far.obj"
     far_mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1e300\n" + "vn 0 0 1\n" * 4
                         + "f 1 2 3\nf 1 2 4\n")
-    beyond = (f"exceeds {cli.COORD_LIMIT:.4g} in magnitude, where squared distances "
+    beyond = (f"exceeds {cli.COORD_LIMIT:.4g} in magnitude, past which distances can "
               f"overflow float64")
     far_row = f"{far}: row 3: coordinate -1e+300 {beyond}"
     far_vertex = f"{far_mesh}: vertex 4: coordinate 1e+300 {beyond}"
@@ -406,12 +406,37 @@ def test_bad_input_names_the_file_or_flag(tmp_path, mesh_dir, capsys, case):
     assert not out.exists()
 
 
-def test_coordinate_limit_keeps_squared_distances_finite():
-    edge = np.array([[cli.COORD_LIMIT, -cli.COORD_LIMIT, cli.COORD_LIMIT]])
-    assert cli._check_range("at.xyz", edge) is None
-    assert np.isfinite(np.sum((edge - (-edge)) ** 2))
-    beyond = np.nextafter(edge, np.inf)
-    assert cli._check_range("beyond.xyz", beyond).startswith("beyond.xyz: row 1: ")
+@pytest.mark.parametrize("beyond", [False, True])
+def test_eval_at_the_coordinate_limit_scores_finite_metrics(tmp_path, mesh_dir, capsys, beyond):
+    # a cube and clouds whose corners reach ±COORD_LIMIT score finite metrics
+    # with no float warning; one vertex a step beyond it is refused
+    limit = cli.COORD_LIMIT
+    cube = read_mesh(str(mesh_dir / "cube.obj"))
+    verts = (cube.vertices * 2.0 - 1.0) * limit
+    if beyond:
+        verts[0, 0] = np.nextafter(verts[0, 0], -np.inf)
+    mesh = tmp_path / "edge.obj"
+    mesh.write_text("".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in verts.tolist())
+                    + "".join(f"f {i + 1} {j + 1} {k + 1}\n" for i, j, k in cube.triangles))
+    sphere = sphere_cloud(50, 1.0, 5)
+    corners = np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)])
+    cloud = _write_cloud(tmp_path / "edge.xyz",
+                         PointCloud(np.vstack([sphere.points, corners]) * limit,
+                                    np.vstack([sphere.normals, unit_rows(corners)])))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["eval", "--pred", cloud, "--gt-dense", cloud, "--gt-mesh", str(mesh),
+                   "--recon-mesh", str(mesh)])
+    captured = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    if beyond:
+        assert rc == 2
+        assert captured.err.startswith(f"{mesh}: vertex 1: coordinate -1.0000000000000002e+76 ")
+    else:
+        assert rc == 0
+        report = json.loads(captured.out)
+        assert all(np.isfinite(report[key]) for key in ("cd", "hd", "jsd", "p2f_mean",
+                                                         "p2f_std", "cd#", "hd#", "jsd#"))
 
 
 _K_CASES = ["k_0", "k_3", "fewer_than_k_plus_1", "empty_input"]

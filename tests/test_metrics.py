@@ -156,9 +156,21 @@ def test_p2f_overflowing_distance_names_the_point():
     # no centroid, which once indexed past the end of the triangles
     mesh = read_mesh(os.path.join(os.path.dirname(__file__), "fixtures", "icosphere.obj"))
     queries = np.array([[0.0, 0.0, 0.5], [1e300, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="^query point 1: its squared distance to a "
-                                         "triangle centroid overflows float64$"):
+    with pytest.raises(ValueError, match="^query point 1: its squared distance to the "
+                                         "nearest triangle centroid overflows float64$"):
         point_to_mesh_distances(queries, mesh)
+
+
+@pytest.mark.parametrize("first_k", [1, 8])
+def test_p2f_skips_a_farther_centroid_whose_distance_overflows(monkeypatch, first_k):
+    # two point triangles share the radius-0 bucket; the squared distance to
+    # the far one overflows, in the first query (k=8) or a later one (k=1),
+    # but it lies beyond the near one's reach
+    verts = np.array([[0.0, 0.0, 0.0]] * 3 + [[1e300, 0.0, 0.0]] * 3)
+    mesh = TriangleMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]))
+    monkeypatch.setattr(metrics, "_FIRST_K", first_k)
+    distances = point_to_mesh_distances([[0.0, 0.0, 1.0], [0.5, 0.0, 0.0]], mesh)
+    assert distances.tolist() == [1.0, 0.5]
 
 
 # ---------------------------------------------------------------------------
