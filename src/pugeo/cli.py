@@ -9,6 +9,7 @@ diagnostics to stderr.  Exit codes: 0 success, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -43,7 +44,13 @@ def _pattern(name: str) -> SamplePattern:
     return SamplePattern(PATTERNS[name])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `pugeo` argument parser, built once per process and shared; do not modify it.
+
+    Parsing keeps no state between calls: each parse_args starts from a new
+    namespace and the defaults, none of them mutable.
+    """
     parser = argparse.ArgumentParser(prog="pugeo",
                                      description="Point cloud upsampling pipeline")
     parser.add_argument("--seed", type=int, default=42, help="global RNG seed")

@@ -45,13 +45,22 @@ class PointCloud:
                 raise ValueError(
                     f"normal count {len(self.normals)} != point count {len(self.points)}"
                 )
-            lengths = np.linalg.norm(self.normals, axis=1)
-            if np.any(np.abs(lengths - 1.0) > _UNIT_TOL):
-                worst = float(np.max(np.abs(lengths - 1.0)))
-                raise ValueError(f"normals must be unit length (worst deviation {worst:.3g})")
+            finite = np.isfinite(self.normals).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"normals must be unit length (row {int(np.argmin(finite)) + 1} "
+                                 f"is not finite)")
+            deviation = np.abs(np.linalg.norm(self.normals, axis=1) - 1.0)
+            if not np.all(deviation <= _UNIT_TOL):
+                raise ValueError(f"normals must be unit length "
+                                 f"(worst deviation {float(np.max(deviation)):.3g})")
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def _repeats_an_index(t: np.ndarray) -> np.ndarray:
+    """Which rows of an (n, 3) index array name one vertex more than once."""
+    return (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])
 
 
 @dataclass
@@ -70,8 +79,7 @@ class TriangleMesh:
                 raise FormatError(
                     f"triangle index out of range (vertex count {len(self.vertices)})"
                 )
-            t = self.triangles
-            if np.any((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])):
+            if _repeats_an_index(self.triangles).any():
                 raise FormatError("triangle repeats a vertex index")
         if self.normals is not None:
             self.normals = np.ascontiguousarray(self.normals, dtype=np.float64).reshape(-1, 3)
@@ -80,7 +88,9 @@ class TriangleMesh:
 
 
 def _records(handle):
-    r"""Yield (1-based line number, tokens) for each non-blank line of a binary file.
+    r"""Yield (1-based line number, tokens) for each non-blank line of binary chunks.
+
+    `handle` is a file opened in binary mode or a list of bytes objects.
 
     Lines end at ``\n``, ``\r\n`` or a lone ``\r``, as in text mode, and are
     decoded one at a time, so a reader that stops early never decodes the rest.
@@ -137,9 +147,14 @@ def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
     """Area-weighted average of incident triangle normals, normalized.
 
     Raw cross products carry the 2*area factor, so summing them per vertex
-    is the area weighting.  Vertices without incident faces get +z.
+    is the area weighting.  Vertices without incident faces get +z.  The
+    vertices are first scaled by a power of two, which is exact, so that the
+    largest |coordinate| is in [0.5, 1): the products then neither overflow
+    nor underflow, and the normals do not depend on the mesh's scale.
     """
     v, t = mesh.vertices, mesh.triangles
+    if v.size:
+        v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
     cross = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
     acc = np.zeros_like(v)
     for col in range(3):
@@ -150,23 +165,23 @@ def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
     return out
 
 
-def _loadtxt_xyz(path) -> np.ndarray | None:
-    """The rows of an .xyz file parsed by numpy's C reader, or None if it is not clean.
+def _loadtxt(source, dtype, widths) -> np.ndarray | None:
+    """The rows of `source` parsed by numpy's C reader, or None if they are not clean.
 
-    Its float parser rounds as float() does.  None (the record scanner then
-    decides) covers what it rejects and float() may accept, such as ``1_0``
-    or non-ASCII digits, bytes that are not UTF-8, a column count other than
-    3 or 6 (mixed counts, or an empty file) and non-finite values.
+    `source` is a text handle or a list of lines; blank lines hold no row.
+    Its number parsers give what float() and int() give.  None (the record
+    scanner then decides) covers what it rejects and float() or int() may
+    accept, such as ``1_0`` or non-ASCII digits, bytes that are not UTF-8, a
+    column count not in `widths` (mixed counts, or no rows) and non-finite
+    values.
     """
-    # opened here: given a path, numpy would also try a compressed sibling
-    # (x.xyz.gz) of a missing file, or fetch a URL
-    with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            values = np.loadtxt(handle, dtype=np.float64, comments=None, ndmin=2)
+            values = np.loadtxt(source, dtype=dtype, comments=None, ndmin=2)
         except ValueError:
             return None
-    if values.shape[1] not in (3, 6) or not np.isfinite(values).all():
+    if values.shape[1] not in widths or not np.isfinite(values).all():
         return None
     return values
 
@@ -200,7 +215,10 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
     float() gives or the error naming the line.
     """
     with _naming(path):
-        values = _loadtxt_xyz(path)
+        # opened here: given a path, numpy would also try a compressed sibling
+        # (x.xyz.gz) of a missing file, or fetch a URL
+        with open(path, encoding="utf-8") as handle:
+            values = _loadtxt(handle, np.float64, (3, 6))
         if values is None:
             values = _scan_xyz(path)[1]
         normals = None
@@ -254,36 +272,86 @@ def _fan(indices: list[int], lineno: int) -> list[tuple[int, int, int]]:
     return fan
 
 
-def _read_obj(path) -> TriangleMesh:
+#: every byte a clean OBJ file holds: tags, decimal numbers, spaces and line ends
+_CLEAN_OBJ_BYTES = b"vnf 0123456789+-.eE\r\n"
+
+
+def _parse_clean_obj(data: bytes):
+    """(vertices, vertex normals, 0-based faces) of OBJ bytes parsed in C, or None.
+
+    The C path takes only clean files: bytes of _CLEAN_OBJ_BYTES whose
+    non-blank lines are each ``v x y z``, ``vn x y z`` or ``f a b c`` with one
+    space after the tag, every vertex before the first face, and each face's
+    indices positive, distinct and at most the vertex count.  Any other file
+    gives None and is left to the record scanner; on a clean file both give
+    the same arrays.
+    """
+    if data.translate(None, _CLEAN_OBJ_BYTES):
+        return None
+    rows = {"v": [], "vn": [], "f": []}
+    for line in data.decode("ascii").splitlines():
+        if line:
+            tag, _, rest = line.partition(" ")
+            group = rows.get(tag)
+            if group is None or (tag == "v" and rows["f"]):
+                return None
+            group.append(rest)
+    arrays = []
+    for tag, dtype in (("v", np.float64), ("vn", np.float64), ("f", np.int64)):
+        lines = rows[tag]
+        values = _loadtxt(lines, dtype, (3,)) if lines else np.empty((0, 3), dtype)
+        # a line that is only its tag and spaces is a blank line to numpy
+        if values is None or len(values) != len(lines):
+            return None
+        arrays.append(values)
+    vertices, normals, faces = arrays
+    if faces.size and not (faces.min() >= 1 and faces.max() <= len(vertices)
+                           and not _repeats_an_index(faces).any()):
+        return None
+    return vertices, normals, faces - 1
+
+
+def _scan_obj(data: bytes):
+    """(vertices, vertex normals, 0-based faces) of OBJ bytes read by the record scanner.
+
+    Polygons are fan-triangulated.  A FormatError names the first bad face
+    line, then the first bad ``v`` line, then the first bad ``vn`` line.
+    """
     v_records, vn_records = [], []
     faces: list[tuple[int, int, int]] = []
+    for lineno, tokens in _records([data]):
+        tag = tokens[0]
+        if tag == "v":
+            v_records.append((lineno, tokens))
+        elif tag == "vn":
+            vn_records.append((lineno, tokens))
+        elif tag == "f":
+            idx = []
+            for tok in tokens[1:]:
+                head = tok.split("/")[0]
+                try:
+                    i = int(head)
+                except ValueError:
+                    raise FormatError(f"line {lineno}: bad face index {head!r}") from None
+                # OBJ is 1-based; negative indices count from the end
+                i = i - 1 if i > 0 else len(v_records) + i
+                if not 0 <= i < len(v_records):
+                    raise FormatError(f"line {lineno}: face index {head} out of range")
+                idx.append(i)
+            faces.extend(_fan(idx, lineno))
+    return (_floats(v_records, (1, 2, 3)), _floats(vn_records, (1, 2, 3)),
+            np.asarray(faces, dtype=np.int64).reshape(-1, 3))
+
+
+def _read_obj(path) -> TriangleMesh:
     with open(path, "rb") as handle:
-        for lineno, tokens in _records(handle):
-            tag = tokens[0]
-            if tag == "v":
-                v_records.append((lineno, tokens))
-            elif tag == "vn":
-                vn_records.append((lineno, tokens))
-            elif tag == "f":
-                idx = []
-                for tok in tokens[1:]:
-                    head = tok.split("/")[0]
-                    try:
-                        i = int(head)
-                    except ValueError:
-                        raise FormatError(f"line {lineno}: bad face index {head!r}") from None
-                    # OBJ is 1-based; negative indices count from the end
-                    i = i - 1 if i > 0 else len(v_records) + i
-                    if not 0 <= i < len(v_records):
-                        raise FormatError(f"line {lineno}: face index {head} out of range")
-                    idx.append(i)
-                faces.extend(_fan(idx, lineno))
-    verts = _floats(v_records, (1, 2, 3))
-    vnormals = _floats(vn_records, (1, 2, 3))
+        data = handle.read()
+    parsed = _parse_clean_obj(data)
+    verts, vnormals, faces = _scan_obj(data) if parsed is None else parsed
     normals = None
     if len(vnormals) == len(verts) and len(verts):
         normals = _unit_rows(vnormals)
-    return TriangleMesh(verts, np.asarray(faces, dtype=np.int64).reshape(-1, 3), normals)
+    return TriangleMesh(verts, faces, normals)
 
 
 def _read_ply(path) -> TriangleMesh:

@@ -8,8 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
-from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, load_model, read_mesh, read_xyz,
-                   save_model, upsample_cloud, write_xyz)
+from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, load_model, poisson_disk_sample,
+                   read_mesh, read_xyz, save_model, upsample_cloud, write_xyz)
 from pugeo import cli, trainer
 from pugeo.cli import main
 
@@ -64,6 +64,17 @@ def test_dataset_build_manifest_schema(tmp_path, mesh_dir, capsys):
         assert len(sparse_lines) == 64
         assert len(dense_lines) == 256
         assert len(sparse_lines[0].split()) == 6
+
+
+def test_dataset_build_huge_mesh_writes_unit_normals(tmp_path):
+    # its cross products overflow float64 unless the vertices are scaled first
+    meshes = tmp_path / "meshes"
+    meshes.mkdir()
+    (meshes / "huge.obj").write_text("v 0 0 0\nv 1e200 0 0\nv 0 1e200 0\nf 1 2 3\n")
+    out = _run_dataset(tmp_path, meshes)
+    for path in sorted(out.glob("patch_*.xyz")):
+        normals = read_xyz(path).normals
+        assert np.array_equal(normals, np.tile([0.0, 0.0, 1.0], (len(normals), 1)))
 
 
 def test_dataset_build_empty_dir_exit_2(tmp_path, capsys):
@@ -346,9 +357,9 @@ def test_bad_input_names_file_and_line(tmp_path, capsys, name, data, line):
                                   "eval_empty_gt_dense", "eval_mesh_without_triangles",
                                   "eval_recon_mesh_without_triangles", "eval_recon_samples_0",
                                   "eval_factor_0", "eval_far_pred", "eval_far_gt_dense",
-                                  "eval_far_gt_mesh", "eval_far_recon_mesh",
-                                  "upsample_far_input", "upsample_model_far_input",
-                                  "inspect_far_input"])
+                                  "eval_far_gt_mesh", "eval_far_gt_mesh_without_normals",
+                                  "eval_far_recon_mesh", "upsample_far_input",
+                                  "upsample_model_far_input", "inspect_far_input"])
 def test_bad_input_names_the_file_or_flag(tmp_path, mesh_dir, capsys, case):
     cloud = _write_cloud(tmp_path / "cloud.xyz", sphere_cloud(50, 1.0, 5))
     empty = tmp_path / "empty.xyz"
@@ -364,6 +375,9 @@ def test_bad_input_names_the_file_or_flag(tmp_path, mesh_dir, capsys, case):
     far_mesh = tmp_path / "far.obj"
     far_mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1e300\n" + "vn 0 0 1\n" * 4
                         + "f 1 2 3\nf 1 2 4\n")
+    # its vertex normals are computed, from cross products that reach 1e300
+    far_bare = tmp_path / "far_bare.obj"
+    far_bare.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1e300\nf 1 2 3\nf 1 2 4\n")
     beyond = (f"exceeds {cli.COORD_LIMIT:.4g} in magnitude, past which distances can "
               f"overflow float64")
     far_row = f"{far}: row 3: coordinate -1e+300 {beyond}"
@@ -393,6 +407,9 @@ def test_bad_input_names_the_file_or_flag(tmp_path, mesh_dir, capsys, case):
                               far_row),
         "eval_far_gt_mesh": (["eval", "--pred", cloud, "--gt-dense", cloud,
                               "--gt-mesh", str(far_mesh)], far_vertex),
+        "eval_far_gt_mesh_without_normals": (["eval", "--pred", cloud, "--gt-dense", cloud,
+                                              "--gt-mesh", str(far_bare)],
+                                             f"{far_bare}: vertex 4: coordinate 1e+300 {beyond}"),
         "eval_far_recon_mesh": (["eval", "--pred", cloud, "--gt-dense", cloud, "--gt-mesh", mesh,
                                  "--recon-mesh", str(far_mesh)], far_vertex),
         "upsample_far_input": (["upsample", "--input", far, "--output", str(out)], far_row),
@@ -400,8 +417,12 @@ def test_bad_input_names_the_file_or_flag(tmp_path, mesh_dir, capsys, case):
                                       "--output", str(out)], far_row),
         "inspect_far_input": (["inspect", "frames", "--input", far], far_row),
     }[case]
-    assert main(argv) == 2
+    # outside pytest a float warning would be printed on stderr before the message
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
     captured = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
     assert captured.err == message + "\n" and captured.out == ""
     assert not out.exists()
 
@@ -520,6 +541,35 @@ def test_inspect_frames_patch_size_removed():
     with pytest.raises(SystemExit) as info:
         main(["inspect", "frames", "--input", "a.xyz", "--patch-size", "64"])
     assert info.value.code == 2
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, mesh_dir, capsys,
+                                                           monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    icosphere = str(mesh_dir / "icosphere.obj")
+    dense = _write_cloud(tmp_path / "dense.xyz", poisson_disk_sample(read_mesh(icosphere), 256,
+                                                                     seed=0))
+    sparse = _write_cloud(tmp_path / "sparse.xyz", sphere_cloud(50, 1.0, 5))
+    evaluate = ["eval", "--pred", dense, "--gt-dense", dense, "--gt-mesh", icosphere]
+    upsample = ["upsample", "--input", sparse, "--output", str(tmp_path / "up.xyz")]
+    calls = [evaluate, upsample + ["--factor", "8"], upsample, ["eval", "--no-such-flag"],
+             evaluate]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    shared = [run(argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run(argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0]
+    # --factor 8 does not carry over to the next upsample, which takes the default
+    assert [json.loads(shared[i][1])["points"] for i in (1, 2)] == [400, 200]
 
 
 def _leaf_parsers(parser, path=()):

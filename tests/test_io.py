@@ -6,6 +6,7 @@ import pytest
 
 from pugeo import PointCloud, read_mesh, read_xyz, write_mesh, write_xyz
 from pugeo.errors import FormatError, UnsupportedFormatError
+from pugeo.io import TriangleMesh, vertex_normals
 
 from helpers import cube_mesh
 
@@ -137,6 +138,14 @@ def test_cloud_rejects_non_unit_normals():
         PointCloud(np.zeros((1, 3)), np.array([[0.0, 0.0, 2.0]]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_cloud_rejects_non_finite_normals(value):
+    # a NaN length is not within the tolerance of 1, though it is not beyond it either
+    normals = np.array([[0.0, 0.0, 1.0], [value, 0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^normals must be unit length \(row 2 is not finite\)$"):
+        PointCloud(np.zeros((2, 3)), normals)
+
+
 def test_read_obj_basic(tmp_path):
     path = tmp_path / "m.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
@@ -253,6 +262,15 @@ def test_vertex_normals_unit(tmp_path):
     back = read_mesh(path)
     lengths = np.linalg.norm(back.normals, axis=1)
     np.testing.assert_allclose(lengths, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("exponent", [600, -600, 1000, -1000])
+def test_vertex_normals_do_not_depend_on_scale(exponent):
+    mesh = cube_mesh()
+    scaled = TriangleMesh(np.ldexp(mesh.vertices, exponent), mesh.triangles)
+    with np.errstate(all="raise"):
+        normals = vertex_normals(scaled)
+    assert normals.tobytes() == vertex_normals(mesh).tobytes()
 
 
 def test_triangle_repeats_vertex_rejected():

@@ -1047,6 +1047,79 @@ def test_obj_face_repeating_an_index_names_its_line(face, tmp_path):
         pugeo_io._read_obj(_obj_with_face(tmp_path / "mesh.obj", face))
 
 
+_OBJ_HEAD = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\n"
+
+
+@pytest.mark.parametrize("text,clean", [
+    # face tokens
+    (_OBJ_HEAD + "f +1 2 3\n", True),
+    (_OBJ_HEAD + "f 01 2 3\n", True),
+    (_OBJ_HEAD + "f 1.0 2 3\n", False),
+    (_OBJ_HEAD + "f 1e0 2 3\n", False),
+    (_OBJ_HEAD + "f 1_0 2 3\n", False),
+    (_OBJ_HEAD + "f \uff11 \uff12 \uff13\n", False),
+    (_OBJ_HEAD + "f 0 2 3\n", False),
+    (_OBJ_HEAD + "f -1 1 2\n", False),
+    (_OBJ_HEAD + "f 1/2/3 2/2/2 3/1/1\n", False),
+    (_OBJ_HEAD + "f 1//1 2//2 3//3\n", False),
+    (_OBJ_HEAD + "f 1 2 4 3\n", False),
+    (_OBJ_HEAD + "f 1 2 5\n", False),
+    ("v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\n", False),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nv 1 1 0\nf 2 4 3\n", False),
+    # vertex lines
+    (_OBJ_HEAD + "v 1 2 3 4\nf 1 2 5\n", False),
+    (_OBJ_HEAD + "v nan 0 0\nf 1 2 3\n", False),
+    (_OBJ_HEAD + "v\t1\t2\t3\nf 1 2 5\n", False),
+    (_OBJ_HEAD + " v 1 2 3\nf 1 2 5\n", False),
+    # other records
+    ("# a comment\n" + _OBJ_HEAD + "vt 0 0\no a\ng b\ns 1\nf 1 2 3\n", False),
+    (_OBJ_HEAD + "\n\nvn 0 0 1\n" * 4 + "f 1 2 3\n", True),
+    # line ends, and separators that split tokens but not lines
+    (_OBJ_HEAD.replace("\n", "\r") + "f 1 2 3\r", True),
+    (_OBJ_HEAD.replace("\n", "\r\n") + "f 1 2 3\r\n", True),
+    *((_OBJ_HEAD + f"f 1{sep}2 3\n", False) for sep in ("\x0b", "\x0c", "\x1c", "\x85", "\u2028")),
+    ("", True),
+], ids=["plus", "leading_zero", "decimal_point", "exponent", "underscore", "fullwidth_digits",
+        "zero", "negative", "slashes", "double_slash", "quad", "past_the_vertices",
+        "vertex_after_face", "vertex_between_faces", "four_values", "nan", "tabs",
+        "leading_space",
+        "comment_and_other_records", "blank_lines_and_normals", "cr", "crlf", "vt", "ff",
+        "fs", "nel", "line_separator", "empty"])
+def test_obj_reader_matches_reference_on_edge_inputs(text, clean, tmp_path):
+    path = tmp_path / "mesh.obj"
+    path.write_bytes(text.encode("utf-8"))
+    assert (pugeo_io._parse_clean_obj(path.read_bytes()) is not None) == clean
+    _assert_readers_match(path)
+
+
+@pytest.mark.parametrize("data,message", [
+    ((_OBJ_HEAD + "v 1 2\nf 1 2 3\n").encode(), "line 5: expected at least 4 fields, got 3"),
+    ((_OBJ_HEAD + "v \nf 1 2 3\n").encode(), "line 5: expected at least 4 fields, got 1"),
+    (_OBJ_HEAD.encode() + b"f 1 2 \xff3\n", "line 5: not UTF-8 (invalid start byte)"),
+], ids=["two_values", "tag_only", "not_utf8"])
+def test_obj_reader_names_the_line_where_the_reference_words_it_otherwise(data, message,
+                                                                          tmp_path):
+    path = tmp_path / "mesh.obj"
+    path.write_bytes(data)
+    with pytest.raises((FormatError, UnicodeDecodeError)):
+        reference._read_obj(path)
+    assert pugeo_io._parse_clean_obj(data) is None
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        pugeo_io._read_obj(path)
+
+
+def test_fixture_and_benchmark_style_obj_take_the_c_path(tmp_path):
+    # a C path that always declined would pass every comparison with the reference
+    mesh = pugeo_io.read_mesh(FIXTURES / "icosphere.obj")
+    rotation = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+    path = tmp_path / "rotated.obj"
+    pugeo_io.write_mesh(TriangleMesh(mesh.vertices @ rotation.T, mesh.triangles,
+                                     mesh.normals @ rotation.T), path)
+    for obj in (FIXTURES / "cube.obj", FIXTURES / "icosphere.obj", path):
+        assert pugeo_io._parse_clean_obj(obj.read_bytes()) is not None
+        _assert_readers_match(obj)
+
+
 _VALUES = st.one_of(st.just(0.0), st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150))
 _FULLWIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17"
                                          "\uff18\uff19")
