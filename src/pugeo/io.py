@@ -9,6 +9,7 @@ round-trippable decimals, so read(write(cloud)) reproduces them exactly.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -107,30 +108,24 @@ def _records(handle):
                 yield lineno, tokens
 
 
-def _floats(records, columns) -> np.ndarray:
-    """Float64 array of the given token columns of each (line, tokens) record.
+def _row(lineno: int, tokens: list[str], columns) -> list[float]:
+    """The given token columns of the record at `lineno` as floats.
 
-    A record too short for `columns`, a non-numeric token or a nan/inf raises
-    FormatError naming the first such line, checked in that order.
+    Six columns are a point and its normal.  A record too short for
+    `columns`, a non-numeric token, a nan/inf or an all-zero normal raises
+    FormatError naming the line, checked in that order.
     """
-    try:
-        rows = [[tokens[c] for c in columns] for _, tokens in records]
-    except IndexError:
-        lineno, tokens = next(r for r in records if len(r[1]) <= max(columns))
+    if len(tokens) <= max(columns):
         raise FormatError(f"line {lineno}: expected at least {max(columns) + 1} fields, "
-                          f"got {len(tokens)}") from None
+                          f"got {len(tokens)}")
     try:
-        values = np.array(rows, dtype=np.float64).reshape(-1, len(columns))
-    except ValueError:
-        for (lineno, _), row in zip(records, rows):
-            try:
-                np.array(row, dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: non-numeric token ({exc})") from None
-        raise
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        raise FormatError(f"line {records[int(np.argmin(finite))][0]}: non-finite value")
+        values = [float(tokens[c]) for c in columns]
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: non-numeric token ({exc})") from None
+    if not all(map(math.isfinite, values)):
+        raise FormatError(f"line {lineno}: non-finite value")
+    if len(values) == 6 and not any(values[3:]):
+        raise FormatError(f"line {lineno}: zero-length normal")
     return values
 
 
@@ -186,23 +181,25 @@ def _loadtxt(source, dtype, widths) -> np.ndarray | None:
     return values
 
 
-def _scan_xyz(path) -> tuple[list, np.ndarray]:
-    """(records, float rows) of an .xyz file read by the record scanner.
+def _scan_xyz(path) -> np.ndarray:
+    """The float rows of an .xyz file read record by record.
 
-    A FormatError names the first line with a bad column count, then the
-    first non-numeric token, then the first non-finite value.
+    A FormatError names the first bad line: a column count that is not 3
+    or 6 or not the first line's, a non-numeric token, a non-finite value
+    or an all-zero normal, checked in that order.
     """
+    arity, values = 3, []
     with open(path, "rb") as handle:
-        records = list(_records(handle))
-    arity = len(records[0][1]) if records else 3
-    for lineno, tokens in records:
-        if len(tokens) not in (3, 6):
-            raise FormatError(f"line {lineno}: expected 3 or 6 columns, got {len(tokens)}")
-        if len(tokens) != arity:
-            raise FormatError(
-                f"line {lineno}: mixed column counts ({len(tokens)} after {arity})"
-            )
-    return records, _floats(records, range(arity))
+        for lineno, tokens in _records(handle):
+            if len(tokens) not in (3, 6):
+                raise FormatError(f"line {lineno}: expected 3 or 6 columns, got {len(tokens)}")
+            if values and len(tokens) != arity:
+                raise FormatError(
+                    f"line {lineno}: mixed column counts ({len(tokens)} after {arity})"
+                )
+            arity = len(tokens)
+            values += _row(lineno, tokens, range(arity))
+    return np.array(values, dtype=np.float64).reshape(-1, arity)
 
 
 def read_xyz(path: str | os.PathLike) -> PointCloud:
@@ -219,8 +216,9 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
         # (x.xyz.gz) of a missing file, or fetch a URL
         with open(path, encoding="utf-8") as handle:
             values = _loadtxt(handle, np.float64, (3, 6))
-        if values is None:
-            values = _scan_xyz(path)[1]
+        # the scanner also names the line of an all-zero normal
+        if values is None or (values.shape[1] == 6 and not values[:, 3:].any(axis=1).all()):
+            values = _scan_xyz(path)
         normals = None
         if values.shape[1] == 6:
             normals = values[:, 3:]
@@ -229,14 +227,10 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
                 lengths = np.sqrt(_vector_dot(normals, normals))
             # a squared length that overflows or is subnormal loses the row's
             # length; such rows are first divided by their largest |component|
-            lost = ((lengths < _MIN_LENGTH) | np.isinf(lengths)) & normals.any(axis=1)
+            lost = (lengths < _MIN_LENGTH) | np.isinf(lengths)
             if lost.any():
                 normals[lost] /= np.abs(normals[lost]).max(axis=1, keepdims=True)
                 lengths[lost] = np.sqrt(_vector_dot(normals[lost], normals[lost]))
-            if not lengths.all():
-                records = _scan_xyz(path)[0]
-                raise FormatError(f"line {records[int(np.argmin(lengths))][0]}: "
-                                  f"zero-length normal")
             normals = normals / lengths[:, None]
     return PointCloud(values[:, :3], normals)
 
@@ -312,19 +306,18 @@ def _parse_clean_obj(data: bytes):
 
 
 def _scan_obj(data: bytes):
-    """(vertices, vertex normals, 0-based faces) of OBJ bytes read by the record scanner.
+    """(vertex, vertex normal, 0-based face) rows of OBJ bytes read record by record.
 
-    Polygons are fan-triangulated.  A FormatError names the first bad face
-    line, then the first bad ``v`` line, then the first bad ``vn`` line.
+    Polygons are fan-triangulated.  A FormatError names the first bad line.
     """
-    v_records, vn_records = [], []
+    verts, vnormals = [], []
     faces: list[tuple[int, int, int]] = []
     for lineno, tokens in _records([data]):
         tag = tokens[0]
         if tag == "v":
-            v_records.append((lineno, tokens))
+            verts.append(_row(lineno, tokens, (1, 2, 3)))
         elif tag == "vn":
-            vn_records.append((lineno, tokens))
+            vnormals.append(_row(lineno, tokens, (1, 2, 3)))
         elif tag == "f":
             idx = []
             for tok in tokens[1:]:
@@ -334,13 +327,12 @@ def _scan_obj(data: bytes):
                 except ValueError:
                     raise FormatError(f"line {lineno}: bad face index {head!r}") from None
                 # OBJ is 1-based; negative indices count from the end
-                i = i - 1 if i > 0 else len(v_records) + i
-                if not 0 <= i < len(v_records):
+                i = i - 1 if i > 0 else len(verts) + i
+                if not 0 <= i < len(verts):
                     raise FormatError(f"line {lineno}: face index {head} out of range")
                 idx.append(i)
             faces.extend(_fan(idx, lineno))
-    return (_floats(v_records, (1, 2, 3)), _floats(vn_records, (1, 2, 3)),
-            np.asarray(faces, dtype=np.int64).reshape(-1, 3))
+    return verts, vnormals, faces
 
 
 def _read_obj(path) -> TriangleMesh:
@@ -350,7 +342,7 @@ def _read_obj(path) -> TriangleMesh:
     verts, vnormals, faces = _scan_obj(data) if parsed is None else parsed
     normals = None
     if len(vnormals) == len(verts) and len(verts):
-        normals = _unit_rows(vnormals)
+        normals = _unit_rows(np.asarray(vnormals, dtype=np.float64))
     return TriangleMesh(verts, faces, normals)
 
 
@@ -380,31 +372,35 @@ def _read_ply(path) -> TriangleMesh:
     declared = sum(count for _, count, _ in elements)
     if len(body) < declared:
         raise FormatError(f"PLY body has {len(body)} rows, header declares {declared}")
-    # the body holds each element's rows in header order; other elements are skipped
-    sections, start = {}, 0
-    for name, count, properties in elements:
-        sections[name] = (properties, body[start:start + count])
-        start += count
-    vertex_props, vertex_rows = sections.get("vertex", ([], []))
+    last = {name: i for i, (name, _, _) in enumerate(elements)}
+    _, n_vertex, vertex_props = elements[last["vertex"]] if "vertex" in last else ("", 0, [])
     for name in ("x", "y", "z"):
         if name not in vertex_props:
             raise FormatError(f"PLY vertex element lacks property {name!r}")
     names = ("x", "y", "z", "nx", "ny", "nz")
     if not all(n in vertex_props for n in names[3:]):
         names = names[:3]
-    values = _floats(vertex_rows, [vertex_props.index(n) for n in names])
+    columns = [vertex_props.index(n) for n in names]
+    rows: list[float] = []
     faces: list[tuple[int, int, int]] = []
-    for lineno, tokens in sections.get("face", ([], []))[1]:
-        try:
-            count = int(tokens[0])
-            idx = [int(t) for t in tokens[1:1 + count]]
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer face entry") from None
-        if len(idx) != count:
-            raise FormatError(f"line {lineno}: face declares {count} indices, has {len(idx)}")
-        if any(not 0 <= j < len(vertex_rows) for j in idx):
-            raise FormatError(f"line {lineno}: face index out of range")
-        faces.extend(_fan(idx, lineno))
+    # each element's rows follow in header order, which is file order; rows of
+    # other elements, and of all but the last element of a name, are skipped
+    owner = [i for i, (_, count, _) in enumerate(elements) for _ in range(count)]
+    for i, (lineno, tokens) in zip(owner, body):
+        if i == last["vertex"]:
+            rows += _row(lineno, tokens, columns)
+        elif i == last.get("face"):
+            try:
+                count = int(tokens[0])
+                idx = [int(t) for t in tokens[1:1 + count]]
+            except ValueError:
+                raise FormatError(f"line {lineno}: non-integer face entry") from None
+            if len(idx) != count:
+                raise FormatError(f"line {lineno}: face declares {count} indices, has {len(idx)}")
+            if any(not 0 <= j < n_vertex for j in idx):
+                raise FormatError(f"line {lineno}: face index out of range")
+            faces.extend(_fan(idx, lineno))
+    values = np.array(rows, dtype=np.float64).reshape(-1, len(names))
     normals = _unit_rows(values[:, 3:]) if len(names) == 6 else None
     return TriangleMesh(values[:, :3], np.asarray(faces, dtype=np.int64).reshape(-1, 3), normals)
 

@@ -784,6 +784,8 @@ def _read_ply(path) -> TriangleMesh:
                               float(tokens[col["nz"]])]
         except (ValueError, IndexError):
             raise FormatError(f"PLY vertex row {i + 1} is malformed") from None
+        if has_normals and not normals[i].any():
+            raise FormatError(f"line {body[i][0]}: zero-length normal")
     finite = np.isfinite(verts).all(axis=1)
     if has_normals:
         finite &= np.isfinite(normals).all(axis=1)
