@@ -24,11 +24,22 @@ _UNIT_TOL = 1e-5
 _MIN_LENGTH = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """Normalize rows of (n, 3); zero rows are left as-is."""
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    safe = np.where(norms > 0, norms, 1.0)
-    return v / safe
+def _unit_rows(v: np.ndarray, lengths=lambda v: np.linalg.norm(v, axis=1)) -> np.ndarray:
+    """Rows of (n, 3), none of them all zero, each divided by its length.
+
+    `lengths` maps rows to their lengths and so fixes their rounding, which
+    `.xyz` and mesh normals each keep as it has always been.  A row whose
+    squared length overflows or is subnormal would lose its length, so it is
+    first divided by its largest |component|.
+    """
+    with np.errstate(over="ignore"):
+        norms = lengths(v)
+    lost = (norms < _MIN_LENGTH) | np.isinf(norms)
+    if lost.any():
+        v = v.copy()
+        v[lost] /= np.abs(v[lost]).max(axis=1, keepdims=True)
+        norms[lost] = lengths(v[lost])
+    return v / norms[:, None]
 
 
 @dataclass
@@ -221,17 +232,8 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
             values = _scan_xyz(path)
         normals = None
         if values.shape[1] == 6:
-            normals = values[:, 3:]
             # rounds each length as np.linalg.norm of that one row does
-            with np.errstate(over="ignore"):
-                lengths = np.sqrt(_vector_dot(normals, normals))
-            # a squared length that overflows or is subnormal loses the row's
-            # length; such rows are first divided by their largest |component|
-            lost = (lengths < _MIN_LENGTH) | np.isinf(lengths)
-            if lost.any():
-                normals[lost] /= np.abs(normals[lost]).max(axis=1, keepdims=True)
-                lengths[lost] = np.sqrt(_vector_dot(normals[lost], normals[lost]))
-            normals = normals / lengths[:, None]
+            normals = _unit_rows(values[:, 3:], lambda n: np.sqrt(_vector_dot(n, n)))
     return PointCloud(values[:, :3], normals)
 
 
@@ -275,10 +277,10 @@ def _parse_clean_obj(data: bytes):
 
     The C path takes only clean files: bytes of _CLEAN_OBJ_BYTES whose
     non-blank lines are each ``v x y z``, ``vn x y z`` or ``f a b c`` with one
-    space after the tag, every vertex before the first face, and each face's
-    indices positive, distinct and at most the vertex count.  Any other file
-    gives None and is left to the record scanner; on a clean file both give
-    the same arrays.
+    space after the tag, every vertex before the first face, no ``vn`` all
+    zeros, and each face's indices positive, distinct and at most the vertex
+    count.  Any other file gives None and is left to the record scanner; on a
+    clean file both give the same arrays.
     """
     if data.translate(None, _CLEAN_OBJ_BYTES):
         return None
@@ -299,6 +301,8 @@ def _parse_clean_obj(data: bytes):
             return None
         arrays.append(values)
     vertices, normals, faces = arrays
+    if not normals.any(axis=1).all():
+        return None
     if faces.size and not (faces.min() >= 1 and faces.max() <= len(vertices)
                            and not _repeats_an_index(faces).any()):
         return None
@@ -318,6 +322,8 @@ def _scan_obj(data: bytes):
             verts.append(_row(lineno, tokens, (1, 2, 3)))
         elif tag == "vn":
             vnormals.append(_row(lineno, tokens, (1, 2, 3)))
+            if not any(vnormals[-1]):
+                raise FormatError(f"line {lineno}: zero-length normal")
         elif tag == "f":
             idx = []
             for tok in tokens[1:]:

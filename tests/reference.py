@@ -28,6 +28,7 @@ import heapq
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,7 @@ from pugeo.analytic import GOLDEN_ANGLE, SamplePattern, UpsampleResult
 from pugeo.errors import (FormatError, GeometryError, ShapeError, TrainingDiverged,
                           UnsupportedFormatError)
 from pugeo.geometry import FrameStats
-from pugeo.io import PointCloud, TriangleMesh, _naming, _unit_rows
+from pugeo.io import PointCloud, TriangleMesh, _naming
 from pugeo.losses import LossWeights
 from pugeo.model import save_model
 from pugeo import sampling
@@ -636,10 +637,32 @@ def build_dataset(meshes: list[TriangleMesh], m: int, factor: int, patch_size: i
 
 # The text readers, each with its own per-record parse loop.
 
+_MIN_LENGTH = math.sqrt(sys.float_info.min)  # a shorter vector's squared length is subnormal
+
+
 def _check_finite(values: list[float], lineno: int) -> None:
     """FormatError citing the line if any parsed value is nan or inf."""
     if not all(map(math.isfinite, values)):
         raise FormatError(f"line {lineno}: non-finite value")
+
+
+def _unit(normal: list[float], length) -> list[float]:
+    """A nonzero `normal` divided by its length, as `length` rounds it.
+
+    A normal whose squared length overflows or is subnormal is first divided
+    by its largest |component|.
+    """
+    size = length(normal)
+    if not _MIN_LENGTH <= size < math.inf:
+        top = max(map(abs, normal))
+        normal = [c / top for c in normal]
+        size = length(normal)
+    return [c / size for c in normal]
+
+
+def _row_length(n: list[float]) -> float:
+    """The length of (x, y, z), rounded as ``np.linalg.norm(v, axis=1)`` rounds a row."""
+    return math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
 
 
 def _fan(indices: list[int], lineno: int) -> list[tuple[int, int, int]]:
@@ -651,9 +674,9 @@ def _fan(indices: list[int], lineno: int) -> list[tuple[int, int, int]]:
 def read_xyz(path: str | os.PathLike) -> PointCloud:
     """Read an .xyz file: 3 columns (points) or 6 (points + normals).
 
-    Normals are normalized on load.  Mixed arity, non-numeric tokens or
-    non-finite values raise FormatError citing the path and the 1-based
-    line number.
+    Normals are normalized on load.  Mixed arity, non-numeric tokens,
+    non-finite values or zero-length normals raise FormatError citing the
+    path and the 1-based line number.
     """
     points, normals = [], []
     arity = None
@@ -677,11 +700,9 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
             _check_finite(values, lineno)
             points.append(values[:3])
             if arity == 6:
-                n = np.asarray(values[3:], dtype=np.float64)
-                length = np.linalg.norm(n)
-                if length == 0.0:
+                if not any(values[3:]):
                     raise FormatError(f"line {lineno}: zero-length normal")
-                normals.append(n / length)
+                normals.append(_unit(values[3:], lambda n: float(np.linalg.norm(n))))
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     return PointCloud(pts, np.asarray(normals) if normals else None)
 
@@ -706,11 +727,15 @@ def _read_obj(path) -> TriangleMesh:
                 _check_finite(coords, lineno)
                 verts.append(coords)
             elif tag == "vn":
+                if len(tokens) < 4:
+                    raise FormatError(f"line {lineno}: normal needs 3 coordinates")
                 try:
                     normal = [float(t) for t in tokens[1:4]]
                 except ValueError:
                     raise FormatError(f"line {lineno}: non-numeric normal") from None
                 _check_finite(normal, lineno)
+                if not any(normal):
+                    raise FormatError(f"line {lineno}: zero-length normal")
                 vnormals.append(normal)
             elif tag == "f":
                 idx = []
@@ -728,7 +753,7 @@ def _read_obj(path) -> TriangleMesh:
                 faces.extend(_fan(idx, lineno))
     normals = None
     if len(vnormals) == len(verts) and verts:
-        normals = _unit_rows(np.asarray(vnormals, dtype=np.float64))
+        normals = np.array([_unit(n, _row_length) for n in vnormals])
     return TriangleMesh(np.asarray(verts, dtype=np.float64).reshape(-1, 3),
                         np.asarray(faces, dtype=np.int64).reshape(-1, 3), normals)
 
@@ -803,7 +828,7 @@ def _read_ply(path) -> TriangleMesh:
             raise FormatError(f"PLY face row {i + 1}: index out of range")
         faces.extend(_fan(idx, i + 1))
     if normals is not None:
-        normals = _unit_rows(normals)
+        normals = np.array([_unit(n, _row_length) for n in normals.tolist()]).reshape(-1, 3)
     return TriangleMesh(verts, np.asarray(faces, dtype=np.int64).reshape(-1, 3), normals)
 
 

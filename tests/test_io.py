@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -84,6 +85,48 @@ def test_read_xyz_zero_normal_after_blank_lines_cites_its_line(tmp_path):
     path.write_bytes(b"\n0 0 0 0 0 1\r\n \n\r0 0 0 -0 0 0\n")
     with pytest.raises(FormatError, match="a.xyz: line 5: zero-length normal"):
         read_xyz(path)
+
+
+def _mesh_with_normals(path, normals):
+    """A one-triangle OBJ or PLY at `path` whose vertices carry `normals` (text rows)."""
+    vertices = ["0 0 0", "1 0 0", "0 1 0"]
+    if path.suffix == ".obj":
+        rows = [f"v {v}" for v in vertices] + [f"vn {n}" for n in normals] + ["f 1 2 3"]
+    else:
+        rows = ["ply", "format ascii 1.0", "element vertex 3",
+                *(f"property double {name}" for name in ("x", "y", "z", "nx", "ny", "nz")),
+                "element face 1", "property list uchar int vertex_indices", "end_header",
+                *(f"{v} {n}" for v, n in zip(vertices, normals)), "3 0 1 2"]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("name", ["m.obj", "m.ply"])
+@pytest.mark.parametrize("normal,expected", [
+    ("1e200 0 0", [1, 0, 0]),
+    ("1e-170 0 0", [1, 0, 0]),
+    ("0 -1e-160 0", [0, -1, 0]),
+    ("1e308 0 1e308", [0.5 ** 0.5, 0, 0.5 ** 0.5]),
+])
+def test_read_mesh_normals_outside_squared_range(tmp_path, name, normal, expected):
+    path = _mesh_with_normals(tmp_path / name, ["0 0 1", normal, "0 0 2"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mesh = read_mesh(path)
+    np.testing.assert_allclose(mesh.normals, [[0, 0, 1], expected, [0, 0, 1]],
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name,normals,line", [
+    ("m.obj", ["0 0 1", "0 0 0", "0 0 1"], 5),     # clean: the C path hands it to the scanner
+    ("m.obj", ["0 0 1", "0 -0 0", "0\t0 1"], 5),
+    ("m.ply", ["0 0 1", "0 0 1", "-0 0 0"], 15),
+])
+def test_read_mesh_zero_normal_cites_line(tmp_path, name, normals, line):
+    path = _mesh_with_normals(tmp_path / name, normals)
+    message = f"{path}: line {line}: zero-length normal"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        read_mesh(path)
 
 
 def test_read_xyz_peak_memory_stays_near_its_arrays(tmp_path):
