@@ -180,7 +180,8 @@ def _warn_uncovered(uncovered: int, points: int) -> None:
 
 
 def cmd_dataset_build(args) -> int:
-    for flag, value in (("--points", args.points), ("--factor", args.factor)):
+    for flag, value in (("--points", args.points), ("--factor", args.factor),
+                        ("--patch-size", args.patch_size)):
         if value < 1:
             return _fail(f"{flag} must be >= 1, got {value}")
     if not 0.0 <= args.noise_sigma < math.inf:
@@ -333,20 +334,19 @@ def cmd_upsample(args) -> int:
         if problem:
             return _fail(problem)
         factor = ANALYTIC_FACTOR if factor is None else factor
-        if 0 < args.coverage < math.inf:
-            per_point = args.coverage * factor
-            if per_point == math.inf:
-                return _fail(f"--coverage {args.coverage} times --factor {factor} overflows "
-                             f"the candidates per input point")
-            per_point = math.ceil(per_point)
-            if per_point < factor:
-                return _fail(f"--coverage {args.coverage} draws fewer than --factor {factor} "
-                             f"candidates per input point")
-            candidates = per_point * len(cloud)
-            too_many = (f"--coverage {args.coverage} asks for {candidates} candidates, "
-                        f"{per_point} per input point")
-            if candidates * 24 > np.iinfo(np.intp).max:  # bytes of their float64 coordinates
-                return _fail(f"{too_many}: more than numpy can hold in one array")
+        per_point = args.coverage * factor
+        if per_point == math.inf:
+            return _fail(f"--coverage {args.coverage} times --factor {factor} overflows "
+                         f"the candidates per input point")
+        per_point = math.ceil(per_point)
+        if per_point < factor:
+            return _fail(f"--coverage {args.coverage} draws fewer than --factor {factor} "
+                         f"candidates per input point")
+        candidates = per_point * len(cloud)
+        too_many = (f"--coverage {args.coverage} asks for {candidates} candidates, "
+                    f"{per_point} per input point")
+        if candidates * 24 > np.iinfo(np.intp).max:  # bytes of their float64 coordinates
+            return _fail(f"{too_many}: more than numpy can hold in one array")
     if args.method == "model":
         model = _load_checkpoint(args.model, args.factor, args.input, cloud, args.patch_size)
         # fusion keeps R*M of the R*N*patch_count(M, N, coverage) candidates of the patches
@@ -451,6 +451,9 @@ def cmd_inspect_frames(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # upsample, dataset build and inspect frames take --coverage
+    if not 0 < getattr(args, "coverage", 1.0) < math.inf:
+        return _fail(f"--coverage must be finite and > 0, got {args.coverage}")
     try:
         if args.command == "dataset":
             return cmd_dataset_build(args)

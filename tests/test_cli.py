@@ -627,18 +627,22 @@ def test_train_logs_json_per_epoch_and_ablation_flag(tmp_path, mesh_dir, capsys)
 
 
 @pytest.mark.parametrize("command,extra,message", [
-    ("upsample", ["--coverage", "0"], "coverage must be finite and > 0, got 0.0"),
-    ("upsample", ["--coverage", "-1"], "coverage must be finite and > 0, got -1.0"),
-    ("upsample", ["--coverage", "nan"], "coverage must be finite and > 0, got nan"),
-    ("upsample", ["--coverage", "inf"], "coverage must be finite and > 0, got inf"),
+    ("upsample", ["--coverage", "0"], "--coverage must be finite and > 0, got 0.0"),
+    ("upsample", ["--coverage", "-1"], "--coverage must be finite and > 0, got -1.0"),
+    ("upsample", ["--coverage", "nan"], "--coverage must be finite and > 0, got nan"),
+    ("upsample", ["--coverage", "inf"], "--coverage must be finite and > 0, got inf"),
     ("upsample", ["--patch-size", "256", "--coverage", "0"],
-     "coverage must be finite and > 0, got 0.0"),
-    ("dataset", ["--coverage", "0"], "coverage must be finite and > 0, got 0.0"),
-    ("dataset", ["--patch-size", "0"], "patch size must be >= 1, got 0"),
+     "--coverage must be finite and > 0, got 0.0"),
+    ("dataset", ["--coverage", "0"], "--coverage must be finite and > 0, got 0.0"),
+    ("dataset", ["--patch-size", "0"], "--patch-size must be >= 1, got 0"),
     ("train", ["--checkpoint-every", "0"], "--checkpoint-every must be >= 1, got 0"),
+    ("inspect", ["--coverage", "nan"], "--coverage must be finite and > 0, got nan"),
+    ("inspect", ["--method", "model", "--model", "missing.pugeo", "--coverage", "0"],
+     "--coverage must be finite and > 0, got 0.0"),
 ], ids=["upsample_coverage_0", "upsample_coverage_negative", "upsample_coverage_nan",
         "upsample_coverage_inf", "upsample_one_patch_coverage_0",
-        "dataset_coverage_0", "dataset_patch_size_0", "train_checkpoint_every_0"])
+        "dataset_coverage_0", "dataset_patch_size_0", "train_checkpoint_every_0",
+        "inspect_analytic_coverage_nan", "inspect_model_coverage_0"])
 def test_bad_patch_or_checkpoint_setting_exit_2(tmp_path, mesh_dir, capsys, command, extra,
                                                 message):
     out = tmp_path / "out"
@@ -646,6 +650,9 @@ def test_bad_patch_or_checkpoint_setting_exit_2(tmp_path, mesh_dir, capsys, comm
     if command == "upsample":
         cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
         argv = ["upsample", "--input", cloud_path, "--output", str(out)]
+    elif command == "inspect":
+        argv = ["inspect", "frames", "--input", _write_cloud(tmp_path / "in.xyz",
+                                                             sphere_cloud(100, 1.0, 0))]
     elif command == "dataset":
         argv = ["dataset", "build", "--mesh-dir", str(mesh_dir), "--out", str(out),
                 "--points", "128", "--patch-size", "64"]
