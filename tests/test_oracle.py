@@ -1120,6 +1120,28 @@ def test_fixture_and_benchmark_style_obj_take_the_c_path(tmp_path):
         _assert_readers_match(obj)
 
 
+def test_benchmark_style_xyz_takes_the_c_path(tmp_path, monkeypatch):
+    # as for OBJ: a C path that always declined would pass every comparison with the reference
+    mesh = pugeo_io.read_mesh(FIXTURES / "icosphere.obj")
+    rotation = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+    paths = []
+    for scale in (1e-3, 1.0, 1e3):
+        for rows in (mesh.vertices @ rotation.T * scale,
+                     np.hstack([mesh.vertices @ rotation.T * scale, mesh.normals @ rotation.T])):
+            cloud = PointCloud(rows[:, :3], rows[:, 3:] if rows.shape[1] == 6 else None)
+            paths += [tmp_path / f"block{len(paths)}.xyz", tmp_path / f"row{len(paths)}.xyz"]
+            pugeo_io.write_xyz(cloud, paths[-2])
+            # the benchmark's writer: each row's values by repr, joined by spaces
+            paths[-1].write_text("".join(" ".join(map(repr, row)) + "\n" for row in rows.tolist()))
+
+    def scanner(path):
+        raise AssertionError(f"{path} went to the record scanner")
+
+    monkeypatch.setattr(pugeo_io, "_scan_xyz", scanner)
+    for path in paths:
+        _assert_readers_match(path)
+
+
 _VALUES = st.one_of(st.just(0.0), st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150))
 _FULLWIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17"
                                          "\uff18\uff19")
@@ -1161,6 +1183,88 @@ def test_readers_match_reference_property(data, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / name
         path.write_bytes(_text(data, records).encode("utf-8"))
         _assert_readers_match(path)
+
+
+_BAD_TOKENS = ("x", "nan", "inf")
+_NONZERO = st.one_of(st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150))
+
+
+def _corrupt(data, record):
+    """The tokens of `record` with one corruption that makes its line bad.
+
+    A record is (tokens, positions of its numbers, positions of its normal,
+    first face index past the vertices or None): a number becomes a bad
+    token or is dropped, the normal becomes zeros, or a face index passes
+    the vertices.
+    """
+    tokens, numbers, normal, past = record
+    kinds = ["token", "drop"] + ["zero"] * bool(normal) + ["index"] * (past is not None)
+    kind = data.draw(st.sampled_from(kinds), label="corruption")
+    tokens = list(tokens)
+    at = data.draw(st.sampled_from(numbers), label="position")
+    if kind == "token":
+        tokens[at] = data.draw(st.sampled_from(_BAD_TOKENS), label="token")
+    elif kind == "drop":
+        del tokens[at]
+    elif kind == "zero":
+        for i in normal:
+            tokens[i] = "0"
+    else:
+        tokens[at] = str(past + data.draw(st.integers(0, 2), label="past"))
+    return tokens
+
+
+@pytest.mark.parametrize("suffix", [".xyz", ".obj", ".ply"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_readers_name_the_first_bad_line_property(suffix, data, tmp_path_factory):
+    n = data.draw(st.integers(3, 8), label="n")
+    with_normals = data.draw(st.booleans(), label="with_normals")
+    points = data.draw(st.lists(st.lists(_VALUES, min_size=3, max_size=3), min_size=n,
+                                max_size=n), label="points")
+    normals = data.draw(st.lists(st.lists(_NONZERO, min_size=3, max_size=3), min_size=n,
+                                 max_size=n), label="normals") if with_normals else []
+    rows = [[*map(repr, p), *map(repr, q)] for p, q in zip(points, normals or [[]] * n)]
+    faces = [[0, i + 1, i + 2] for i in range(n - 2)]
+    width = len(rows[0])
+    point_normal = range(3, 6) if with_normals else ()
+    if suffix == ".xyz":
+        records = [(row, range(width), point_normal, None) for row in rows]
+    elif suffix == ".obj":
+        records = [(["v", *row[:3]], (1, 2, 3), (), None) for row in rows]
+        records += [(["vn", *row[3:]], (1, 2, 3), (1, 2, 3), None) for row in rows
+                    if with_normals]
+        records += [(["f", *(str(i + 1) for i in face)], (1, 2, 3), (), n + 1)
+                    for face in faces]
+    else:
+        names = ("x", "y", "z", "nx", "ny", "nz")[:width]
+        sections = [([["element", "vertex", str(n)],
+                      *(["property", "double", name] for name in names)],
+                     [(row, range(width), point_normal, None) for row in rows]),
+                    ([["element", "face", str(len(faces))],
+                      ["property", "list", "uchar", "int", "vertex_indices"]],
+                     [(["3", *map(str, face)], (1, 2, 3), (), n) for face in faces])]
+        if data.draw(st.booleans(), label="face_first"):
+            sections.reverse()
+        (head_1, rows_1), (head_2, rows_2) = sections
+        head = [["ply"], ["format", "ascii", "1.0"], *head_1, *head_2, ["end_header"]]
+        records = [(tokens, None, None, None) for tokens in head] + rows_1 + rows_2
+    body = [i for i, record in enumerate(records) if record[1] is not None]
+    bad = data.draw(st.lists(st.sampled_from(body), min_size=1, max_size=3, unique=True),
+                    label="bad")
+    lines = [_corrupt(data, record) if i in bad else record[0]
+             for i, record in enumerate(records)]
+    path = tmp_path_factory.getbasetemp() / f"first_bad{suffix}"
+    path.write_text("".join(" ".join(tokens) + "\n" for tokens in lines))
+    first = min(bad) + 1
+    read = pugeo_io.read_xyz if suffix == ".xyz" else pugeo_io.read_mesh
+    with pytest.raises(FormatError) as raised:
+        read(path)
+    assert str(raised.value).startswith(f"{path}: line {first}:")
+    if suffix != ".ply":  # the reference PLY reader names vertex and face rows, not lines
+        with pytest.raises(FormatError) as raised:
+            READERS[suffix][1](path)
+        assert re.match(f"({re.escape(str(path))}: )?line {first}:", str(raised.value))
 
 
 _BLOCK = pugeo_io._WRITE_BLOCK_ROWS
