@@ -27,18 +27,17 @@ _MIN_LENGTH = float(np.sqrt(np.finfo(np.float64).tiny))
 def _unit_rows(v: np.ndarray, lengths=lambda v: np.linalg.norm(v, axis=1)) -> np.ndarray:
     """Rows of (n, 3), none of them all zero, each divided by its length.
 
-    `lengths` maps rows to their lengths and so fixes their rounding, which
-    `.xyz` and mesh normals each keep as it has always been.  A row whose
-    squared length overflows or is subnormal would lose its length, so it is
-    first divided by its largest |component|.
+    `lengths` fixes their rounding: a dot product per row (.xyz) and a sum of
+    squares (meshes, the default) can differ in the last bit, and each reader
+    keeps its own.  A row whose squared length overflows or is subnormal
+    would lose its length, so it is first divided by its largest |component|.
     """
     with np.errstate(over="ignore"):
         norms = lengths(v)
     lost = (norms < _MIN_LENGTH) | np.isinf(norms)
     if lost.any():
-        v = v.copy()
-        v[lost] /= np.abs(v[lost]).max(axis=1, keepdims=True)
-        norms[lost] = lengths(v[lost])
+        v = np.where(lost[:, None], v / np.abs(v).max(axis=1, keepdims=True), v)
+        norms = lengths(v)
     return v / norms[:, None]
 
 
@@ -218,9 +217,9 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
 
     Normals are normalized on load.  Mixed arity, non-numeric tokens,
     non-finite values or zero-length normals raise FormatError citing the
-    path and the 1-based line number.  Clean files are parsed in C; any
-    other file goes through the record scanner, which gives the values
-    float() gives or the error naming the line.
+    path and the 1-based number of the first bad line.  Clean files are
+    parsed in C; any other file goes through the record scanner, which gives
+    the values float() gives or the error naming the line.
     """
     with _naming(path):
         # opened here: given a path, numpy would also try a compressed sibling

@@ -652,7 +652,8 @@ def _unit(normal: list[float], length) -> list[float]:
     A normal whose squared length overflows or is subnormal is first divided
     by its largest |component|.
     """
-    size = length(normal)
+    with np.errstate(over="ignore"):
+        size = length(normal)
     if not _MIN_LENGTH <= size < math.inf:
         top = max(map(abs, normal))
         normal = [c / top for c in normal]

@@ -1185,6 +1185,29 @@ def test_readers_match_reference_property(data, tmp_path_factory):
         _assert_readers_match(path)
 
 
+# normals whose squared length overflows or is subnormal, between ordinary ones
+_RESCALED_NORMALS = ("0 0 1", "1e200 0 0", "1e-170 0 0", "0 -1e-160 0", "1e308 0 1e308",
+                     "3e-160 -4e-160 1e-161", "-7e180 2e181 3e170", "0.6 0.8 0")
+
+
+@pytest.mark.parametrize("suffix", [".xyz", ".obj", ".ply"])
+def test_readers_rescale_normals_as_the_reference(suffix, tmp_path):
+    points = [f"{i} {i % 3} {i // 3}" for i in range(len(_RESCALED_NORMALS))]
+    if suffix == ".xyz":
+        lines = [f"{p} {n}" for p, n in zip(points, _RESCALED_NORMALS)]
+    elif suffix == ".obj":
+        lines = [f"v {p}" for p in points] + [f"vn {n}" for n in _RESCALED_NORMALS]
+    else:
+        lines = ["ply", "format ascii 1.0", f"element vertex {len(points)}",
+                 *(f"property double {name}" for name in ("x", "y", "z", "nx", "ny", "nz")),
+                 "end_header", *(f"{p} {n}" for p, n in zip(points, _RESCALED_NORMALS))]
+    path = tmp_path / f"normals{suffix}"
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_readers_match(path)
+
+
 _BAD_TOKENS = ("x", "nan", "inf")
 _NONZERO = st.one_of(st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150))
 
@@ -1201,14 +1224,15 @@ def _corrupt(data, record):
     kinds = ["token", "drop"] + ["zero"] * bool(normal) + ["index"] * (past is not None)
     kind = data.draw(st.sampled_from(kinds), label="corruption")
     tokens = list(tokens)
+    if kind == "zero":
+        for i in normal:
+            tokens[i] = "0"
+        return tokens
     at = data.draw(st.sampled_from(numbers), label="position")
     if kind == "token":
         tokens[at] = data.draw(st.sampled_from(_BAD_TOKENS), label="token")
     elif kind == "drop":
         del tokens[at]
-    elif kind == "zero":
-        for i in normal:
-            tokens[i] = "0"
     else:
         tokens[at] = str(past + data.draw(st.integers(0, 2), label="past"))
     return tokens
@@ -1223,8 +1247,8 @@ def test_readers_name_the_first_bad_line_property(suffix, data, tmp_path_factory
     points = data.draw(st.lists(st.lists(_VALUES, min_size=3, max_size=3), min_size=n,
                                 max_size=n), label="points")
     normals = data.draw(st.lists(st.lists(_NONZERO, min_size=3, max_size=3), min_size=n,
-                                 max_size=n), label="normals") if with_normals else []
-    rows = [[*map(repr, p), *map(repr, q)] for p, q in zip(points, normals or [[]] * n)]
+                                 max_size=n), label="normals") if with_normals else [[]] * n
+    rows = [list(map(repr, p + q)) for p, q in zip(points, normals)]
     faces = [[0, i + 1, i + 2] for i in range(n - 2)]
     width = len(rows[0])
     point_normal = range(3, 6) if with_normals else ()
