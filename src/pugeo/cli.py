@@ -20,7 +20,7 @@ import numpy as np
 from .analytic import SamplePattern, upsample_analytic
 from .errors import FormatError, TrainingDiverged
 from .geometry import MIN_NEIGHBORS, frame_stats
-from .io import PointCloud, read_mesh, read_xyz, write_xyz
+from .io import PointCloud, _write_rows, _xyz_blocks, read_mesh, read_xyz, write_xyz
 from .losses import LossWeights
 from .metrics import report_metrics, surface_compare
 from .model import PUGeoConfig, PUGeoNet, load_model, save_model
@@ -198,16 +198,23 @@ def cmd_dataset_build(args) -> int:
                              noise_sigma=args.noise_sigma,
                              random_patches=args.random_patches, names=paths)
     os.makedirs(args.out, exist_ok=True)
-    patches = []
-    for i, example in enumerate(examples):
-        sparse_name = f"patch_{i:04d}_sparse.xyz"
-        dense_name = f"patch_{i:04d}_dense.xyz"
-        write_xyz(PointCloud(example.sparse_points, example.sparse_normals),
-                  os.path.join(args.out, sparse_name))
-        write_xyz(PointCloud(example.dense_points, example.dense_normals),
-                  os.path.join(args.out, dense_name))
-        patches.append({"sparse": sparse_name, "dense": dense_name,
-                        "seed_index": example.seed_index})
+    # build_dataset cuts per_mesh examples from each mesh in turn; each sampled normal,
+    # held by about --coverage patches, is formatted once, one cloud at a time
+    per_mesh = patch_count(args.points, args.patch_size, args.coverage)
+    for start in range(0, len(examples), per_mesh):
+        group = examples[start:start + per_mesh]
+        for kind, parts in (
+                ("sparse", [(e.sparse_points, e.sparse_normals, e.sparse_rows) for e in group]),
+                ("dense", [(e.dense_points, e.dense_normals, e.dense_rows) for e in group])):
+            cloud_normals = np.zeros((1 + max(int(rows.max()) for _, _, rows in parts), 3))
+            for _, normals, rows in parts:
+                cloud_normals[rows] = normals  # a row in no patch stays zero and is read by none
+            text = "".join(_xyz_blocks(cloud_normals)).splitlines()
+            for i, (points, _, rows) in enumerate(parts, start):
+                _write_rows(os.path.join(args.out, f"patch_{i:04d}_{kind}.xyz"), points,
+                            [text[r] for r in rows.tolist()])
+    patches = [{"sparse": f"patch_{i:04d}_sparse.xyz", "dense": f"patch_{i:04d}_dense.xyz",
+                "seed_index": example.seed_index} for i, example in enumerate(examples)]
     manifest = {
         "meshes": mesh_paths,
         "patches": patches,

@@ -9,6 +9,7 @@ round-trippable decimals, so read(write(cloud)) reproduces them exactly.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import warnings
@@ -236,23 +237,35 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
     return PointCloud(values[:, :3], normals)
 
 
-_WRITE_BLOCK_ROWS = 4096  # rows formatted by one %-operation in write_xyz
+_WRITE_BLOCK_ROWS = 4096  # rows formatted by one %-operation in _xyz_blocks
+
+
+def _xyz_blocks(rows: np.ndarray, tails: list[str] | None = None):
+    """Yield the .xyz lines of a float array, _WRITE_BLOCK_ROWS rows per string.
+
+    A line is its row's values by repr (the shortest decimal that
+    round-trips exactly, which keeps fixtures diffable and the round trip
+    lossless), joined by spaces, then a space and the row's entry of `tails`
+    when given.  A block is formatted by one %-format, whose %r is repr.
+    """
+    line = " ".join(["%r"] * rows.shape[1] + ["%s"] * (tails is not None)) + "\n"
+    for start in range(0, len(rows), _WRITE_BLOCK_ROWS):
+        block = rows[start:start + _WRITE_BLOCK_ROWS]
+        yield (line * len(block)) % tuple(
+            block.ravel().tolist() if tails is None else itertools.chain.from_iterable(
+                zip(*block.T.tolist(), tails[start:start + _WRITE_BLOCK_ROWS])))
+
+
+def _write_rows(path, rows: np.ndarray, tails: list[str] | None = None) -> None:
+    """Write the `_xyz_blocks` lines of `rows` and `tails` to an .xyz file."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(_xyz_blocks(rows, tails))
 
 
 def write_xyz(cloud: PointCloud, path: str | os.PathLike) -> None:
-    """Write a cloud as .xyz; 6 columns when normals are present.
-
-    Each value is printed with repr (shortest decimal that round-trips
-    exactly), which keeps fixtures diffable and the round trip lossless.
-    Rows are formatted _WRITE_BLOCK_ROWS at a time by one %-format, whose
-    %r is repr.
-    """
-    rows = cloud.points if cloud.normals is None else np.hstack([cloud.points, cloud.normals])
-    line = " ".join(["%r"] * rows.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as handle:
-        for start in range(0, len(rows), _WRITE_BLOCK_ROWS):
-            block = rows[start:start + _WRITE_BLOCK_ROWS]
-            handle.write((line * len(block)) % tuple(block.ravel().tolist()))
+    """Write a cloud as .xyz, values by repr (`_xyz_blocks`); 6 columns with normals."""
+    _write_rows(path, cloud.points if cloud.normals is None
+                else np.hstack([cloud.points, cloud.normals]))
 
 
 def _fan(indices: list[int], lineno: int) -> list[tuple[int, int, int]]:
@@ -367,6 +380,9 @@ def _read_ply(path) -> TriangleMesh:
                     raise FormatError(f"line {lineno}: expected 'element <name> <count>'")
                 elements.append((tokens[1], int(tokens[2]), []))
             elif tokens[0] == "property" and elements:
+                # a list's row holds its count and entries: the columns after it would shift
+                if tokens[1:2] == ["list"] and elements[-1][0] == "vertex":
+                    raise FormatError(f"line {lineno}: list property in the vertex element")
                 elements[-1][2].append(tokens[-1])
             elif tokens[0] == "end_header":
                 break

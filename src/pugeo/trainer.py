@@ -37,6 +37,8 @@ class TrainExample:
     dense_points: np.ndarray     # (R*N, 3)
     dense_normals: np.ndarray    # (R*N, 3)
     seed_index: int = 0
+    sparse_rows: np.ndarray | None = None  # (N,) rows of its mesh's sparse Poisson cloud
+    dense_rows: np.ndarray | None = None   # (R*N,) and of the dense one; set by build_dataset
 
 
 @dataclass
@@ -114,7 +116,8 @@ def build_dataset(meshes: list[TriangleMesh], m: int, factor: int, patch_size: i
         dense_patches = NeighborIndex(dense.points).knn_batch(anchors, factor * patch_size)
         return [TrainExample(sparse_points=patch.points, sparse_normals=patch.normals,
                              dense_points=(dense.points[idx] - patch.centroid) / patch.scale,
-                             dense_normals=dense.normals[idx], seed_index=patch.seed)
+                             dense_normals=dense.normals[idx], seed_index=patch.seed,
+                             sparse_rows=patch.indices, dense_rows=idx)
                 for patch, idx in zip(patches, dense_patches)]
 
     return [example for examples in _map_tasks(mesh_examples, len(meshes))

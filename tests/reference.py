@@ -760,77 +760,92 @@ def _read_obj(path) -> TriangleMesh:
 
 
 def _read_ply(path) -> TriangleMesh:
+    """The ASCII-PLY oracle: the header, then each element's rows in header order.
+
+    Only the rows of the last element named ``vertex`` and of the last named
+    ``face`` are read; a FormatError names the line of the first bad record.
+    """
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
         lines = [ln.rstrip("\n") for ln in handle]
     if not lines or lines[0].strip() != "ply":
         raise FormatError("not a PLY file (missing 'ply' header)")
-    n_vertex = n_face = 0
-    vertex_props: list[str] = []
-    current = None
+    elements: list[tuple[str, int, list[str]]] = []  # (name, row count, property names)
     cursor = 1
     while cursor < len(lines):
         tokens = lines[cursor].split()
-        cursor += 1
+        cursor += 1  # now the 1-based number of the line in `tokens`
         if not tokens:
             continue
         if tokens[0] == "format":
             if tokens[1] != "ascii":
                 raise UnsupportedFormatError(f"unsupported PLY format {tokens[1]!r}")
         elif tokens[0] == "element":
-            current = tokens[1]
-            if current == "vertex":
-                n_vertex = int(tokens[2])
-            elif current == "face":
-                n_face = int(tokens[2])
-        elif tokens[0] == "property" and current == "vertex":
-            vertex_props.append(tokens[-1])
+            elements.append((tokens[1], int(tokens[2]), []))
+        elif tokens[0] == "property" and elements:
+            if tokens[1] == "list" and elements[-1][0] == "vertex":
+                raise FormatError(f"line {cursor}: list property in the vertex element")
+            elements[-1][2].append(tokens[-1])
         elif tokens[0] == "end_header":
             break
     else:
         raise FormatError("PLY header is missing end_header")
 
+    body = [(lineno, ln.split()) for lineno, ln in enumerate(lines[cursor:], start=cursor + 1)
+            if ln.split()]
+    declared = sum(count for _, count, _ in elements)
+    if len(body) < declared:
+        raise FormatError(f"PLY body has {len(body)} rows, header declares {declared}")
+    vertex = face = None
+    for i, (name, _, _) in enumerate(elements):
+        if name == "vertex":
+            vertex = i
+        elif name == "face":
+            face = i
+    vertex_props = elements[vertex][2] if vertex is not None else []
     for name in ("x", "y", "z"):
         if name not in vertex_props:
             raise FormatError(f"PLY vertex element lacks property {name!r}")
+    n_vertex = elements[vertex][1]
     col = {name: vertex_props.index(name) for name in vertex_props}
-    has_normals = all(n in vertex_props for n in ("nx", "ny", "nz"))
+    names = ["x", "y", "z"]
+    if all(n in col for n in ("nx", "ny", "nz")):
+        names += ["nx", "ny", "nz"]
 
-    body = [(lineno, ln) for lineno, ln in enumerate(lines[cursor:], start=cursor + 1)
-            if ln.split()]
-    if len(body) < n_vertex + n_face:
-        raise FormatError(f"PLY body has {len(body)} rows, header declares {n_vertex + n_face}")
-    verts = np.empty((n_vertex, 3), dtype=np.float64)
-    normals = np.empty((n_vertex, 3), dtype=np.float64) if has_normals else None
-    for i in range(n_vertex):
-        tokens = body[i][1].split()
-        try:
-            verts[i] = [float(tokens[col["x"]]), float(tokens[col["y"]]), float(tokens[col["z"]])]
-            if has_normals:
-                normals[i] = [float(tokens[col["nx"]]), float(tokens[col["ny"]]),
-                              float(tokens[col["nz"]])]
-        except (ValueError, IndexError):
-            raise FormatError(f"PLY vertex row {i + 1} is malformed") from None
-        if has_normals and not normals[i].any():
-            raise FormatError(f"line {body[i][0]}: zero-length normal")
-    finite = np.isfinite(verts).all(axis=1)
-    if has_normals:
-        finite &= np.isfinite(normals).all(axis=1)
-    if not finite.all():
-        raise FormatError(f"line {body[int(np.argmin(finite))][0]}: non-finite value")
+    verts: list[list[float]] = []
+    normals: list[list[float]] = []
     faces: list[tuple[int, int, int]] = []
-    for i in range(n_face):
-        tokens = body[n_vertex + i][1].split()
-        try:
-            count = int(tokens[0])
-            idx = [int(t) for t in tokens[1:1 + count]]
-        except (ValueError, IndexError):
-            raise FormatError(f"PLY face row {i + 1} is malformed") from None
-        if any(not 0 <= j < n_vertex for j in idx):
-            raise FormatError(f"PLY face row {i + 1}: index out of range")
-        faces.extend(_fan(idx, i + 1))
-    if normals is not None:
-        normals = np.array([_unit(n, _row_length) for n in normals.tolist()]).reshape(-1, 3)
-    return TriangleMesh(verts, np.asarray(faces, dtype=np.int64).reshape(-1, 3), normals)
+    first = 0
+    for i, (_, count, _) in enumerate(elements):
+        rows = body[first:first + count]
+        first += count
+        if i == vertex:
+            for lineno, tokens in rows:
+                try:
+                    values = [float(tokens[col[name]]) for name in names]
+                except (ValueError, IndexError):
+                    raise FormatError(f"line {lineno}: PLY vertex row is malformed") from None
+                _check_finite(values, lineno)
+                verts.append(values[:3])
+                if len(values) == 6:
+                    if not any(values[3:]):
+                        raise FormatError(f"line {lineno}: zero-length normal")
+                    normals.append(_unit(values[3:], _row_length))
+        elif i == face:
+            for lineno, tokens in rows:
+                try:
+                    count = int(tokens[0])
+                    idx = [int(t) for t in tokens[1:1 + count]]
+                except ValueError:
+                    raise FormatError(f"line {lineno}: PLY face row is malformed") from None
+                if len(idx) != count:
+                    raise FormatError(f"line {lineno}: PLY face row is malformed")
+                if any(not 0 <= j < n_vertex for j in idx):
+                    raise FormatError(f"line {lineno}: PLY face index out of range")
+                faces.extend(_fan(idx, lineno))
+    return TriangleMesh(np.asarray(verts, dtype=np.float64).reshape(-1, 3),
+                        np.asarray(faces, dtype=np.int64).reshape(-1, 3),
+                        np.array(normals, dtype=np.float64).reshape(-1, 3)
+                        if len(names) == 6 else None)
 
 
 # The .xyz writer, one f-string per row.

@@ -2,6 +2,9 @@ import argparse
 import inspect
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import warnings
 import weakref
 
@@ -11,8 +14,10 @@ import pytest
 from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, load_model, poisson_disk_sample,
                    read_mesh, read_xyz, save_model, upsample_cloud, write_xyz)
 from pugeo import cli, trainer
+from pugeo import io as pugeo_io
 from pugeo.cli import main
 
+import reference
 from helpers import (clustered_cloud, force_workers, set_checkpoint_config_entry, sphere_cloud,
                      unit_rows)
 
@@ -41,6 +46,15 @@ def _run_dataset(tmp_path, mesh_dir, out_name="data", seed=42, extra=()):
                "--patch-size", "64", "--coverage", "1.0", *extra])
     assert rc == 0
     return out
+
+
+def test_python_m_pugeo_runs_the_cli():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "pugeo", "--help"], cwd=root,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: pugeo ")
 
 
 def test_usage_error_exit_code_2():
@@ -98,6 +112,51 @@ def test_dataset_noise_sigma_zero_identical(tmp_path, mesh_dir):
     b = _run_dataset(tmp_path, mesh_dir, "b", extra=("--noise-sigma", "0"))
     for name in sorted(os.listdir(a)):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("block_rows", [pugeo_io._WRITE_BLOCK_ROWS, 48],
+                         ids=["block_default", "block_48"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("options", [{}, {"noise_sigma": 0.01}, {"random_patches": True}],
+                         ids=["fps", "noise", "random_patches"])
+def test_dataset_build_writes_the_reference_files(tmp_path, mesh_dir, monkeypatch, options,
+                                                  workers, block_rows):
+    # a sampled normal's text is formatted once and shared by the (about 3)
+    # patches that hold its row; each file must still be the one the serial
+    # builder's example gives through the per-row writer.  48-row blocks split
+    # every patch and cloud.
+    force_workers(monkeypatch, workers)
+    monkeypatch.setattr(pugeo_io, "_WRITE_BLOCK_ROWS", block_rows)
+    flags = [("--noise-sigma", "0.01")] * ("noise_sigma" in options)
+    flags += [("--random-patches",)] * ("random_patches" in options)
+    out = tmp_path / "data"
+    assert main(["--seed", "3", "dataset", "build", "--mesh-dir", str(mesh_dir),
+                 "--out", str(out), "--points", "128", "--factor", "4", "--patch-size", "64",
+                 "--coverage", "3", *(flag for group in flags for flag in group)]) == 0
+
+    names = ["cube.obj", "icosphere.obj"]
+    examples = reference.build_dataset([read_mesh(mesh_dir / name) for name in names], 128, 4,
+                                       64, seed=3, coverage=3.0, **options)
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    patches = []
+    for i, example in enumerate(examples):
+        entry = {"sparse": f"patch_{i:04d}_sparse.xyz", "dense": f"patch_{i:04d}_dense.xyz",
+                 "seed_index": example.seed_index}
+        reference.write_xyz(PointCloud(example.sparse_points, example.sparse_normals),
+                            expected / entry["sparse"])
+        reference.write_xyz(PointCloud(example.dense_points, example.dense_normals),
+                            expected / entry["dense"])
+        patches.append(entry)
+    config = {"points": 128, "factor": 4, "patch_size": 64, "coverage": 3.0, "seed": 3,
+              "noise_sigma": options.get("noise_sigma", 0.0),
+              "random_patches": options.get("random_patches", False)}
+    (expected / "manifest.json").write_text(json.dumps(
+        {"meshes": names, "patches": patches, "config": config}, sort_keys=True, indent=2) + "\n")
+    assert len(patches) == 12  # ceil(3 * 128 / 64) = 6 per mesh
+    assert sorted(os.listdir(out)) == sorted(os.listdir(expected))
+    for name in sorted(os.listdir(expected)):
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
 
 def test_dataset_random_patches(tmp_path, mesh_dir):
@@ -339,8 +398,10 @@ _PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\n"
                 + "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n").encode(), 3),
     ("gt.ply", (_PLY_HEAD + "0 0 0\n1 0 0\n0 1 0\n3 0 1\n").encode(), 13),
     ("gt.ply", (_PLY_HEAD + "0 0 0\n1 x 0\n0 1 0\n3 0 1 2\n").encode(), 11),
+    ("gt.ply", (_PLY_HEAD.replace("vertex 3\n", "vertex 3\nproperty list uchar float extra\n")
+                + "2 9 9 0 0 0\n2 9 9 1 0 0\n2 9 9 0 1 0\n3 0 1 2\n").encode(), 4),
 ], ids=["xyz_not_utf8", "obj_short_normal", "obj_repeated_index", "ply_bad_count",
-        "ply_short_face", "ply_bad_vertex"])
+        "ply_short_face", "ply_bad_vertex", "ply_list_in_vertex_element"])
 def test_bad_input_names_file_and_line(tmp_path, capsys, name, data, line):
     path = tmp_path / name
     path.write_bytes(data)

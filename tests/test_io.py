@@ -241,6 +241,23 @@ def test_read_ply_elements_in_header_order(tmp_path, elements, rows):
     assert mesh.triangles.tolist() == [[0, 1, 2]]
 
 
+@pytest.mark.parametrize("position", [0, 3], ids=["before_xyz", "after_xyz"])
+def test_read_ply_list_property_in_vertex_element_cites_line(tmp_path, position):
+    # its rows would otherwise be read as if the list were one column: x, y
+    # and z shift onto the list's entries without an error
+    props = ["property float x", "property float y", "property float z"]
+    props.insert(position, "property list uchar float extra")
+    rows = (["2 9 9 0 0 0", "2 9 9 1 0 0", "2 9 9 0 1 0"] if position == 0
+            else ["0 0 0 2 9 9", "1 0 0 2 9 9", "0 1 0 2 9 9"])
+    path = tmp_path / "m.ply"
+    path.write_text("\n".join(["ply", "format ascii 1.0", "element vertex 3", *props,
+                               "element face 1", "property list uchar int vertex_indices",
+                               "end_header", *rows, "3 0 1 2"]) + "\n")
+    with pytest.raises(FormatError,
+                       match=f"line {4 + position}: list property in the vertex element$"):
+        read_mesh(path)
+
+
 def test_read_ply_counts_rows_of_every_element(tmp_path):
     path = tmp_path / "m.ply"
     path.write_text("ply\nformat ascii 1.0\n" + _PLY_VERTEX + _PLY_FACE + _PLY_EDGE

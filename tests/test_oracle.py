@@ -1174,12 +1174,19 @@ def test_readers_match_reference_property(data, tmp_path_factory):
     obj = [["v", *row[:3]] for row in rows]
     obj += [["vn", *row[3:]] for row in rows if width == 6]
     obj += [["f", *(str(i + 1) for i in face)] for face in faces]
-    ply = [["ply"], ["format", "ascii", "1.0"], ["element", "vertex", str(n)]]
-    ply += [["property", "double", name] for name in ("x", "y", "z", "nx", "ny", "nz")[:width]]
-    ply += [["element", "face", str(len(faces))],
-            ["property", "list", "uchar", "int", "vertex_indices"], ["end_header"]]
-    ply += rows + [["3", *map(str, face)] for face in faces]
-    for name, records in (("cloud.xyz", rows), ("mesh.obj", obj), ("mesh.ply", ply)):
+    # (header records, body rows) of each element
+    vertices = ([["element", "vertex", str(n)],
+                 *(["property", "double", name]
+                   for name in ("x", "y", "z", "nx", "ny", "nz")[:width])], rows)
+    triangles = ([["element", "face", str(len(faces))],
+                  ["property", "list", "uchar", "int", "vertex_indices"]],
+                 [["3", *map(str, face)] for face in faces])
+    # the body holds each element's rows in header order, whichever comes first
+    head, end = [["ply"], ["format", "ascii", "1.0"]], [["end_header"]]
+    vertex_first = head + vertices[0] + triangles[0] + end + vertices[1] + triangles[1]
+    face_first = head + triangles[0] + vertices[0] + end + triangles[1] + vertices[1]
+    for name, records in (("cloud.xyz", rows), ("mesh.obj", obj),
+                          ("vertex_first.ply", vertex_first), ("face_first.ply", face_first)):
         path = tmp_path_factory.getbasetemp() / name
         path.write_bytes(_text(data, records).encode("utf-8"))
         _assert_readers_match(path)
@@ -1285,10 +1292,30 @@ def test_readers_name_the_first_bad_line_property(suffix, data, tmp_path_factory
     with pytest.raises(FormatError) as raised:
         read(path)
     assert str(raised.value).startswith(f"{path}: line {first}:")
-    if suffix != ".ply":  # the reference PLY reader names vertex and face rows, not lines
-        with pytest.raises(FormatError) as raised:
-            READERS[suffix][1](path)
-        assert re.match(f"({re.escape(str(path))}: )?line {first}:", str(raised.value))
+    with pytest.raises(FormatError) as raised:
+        READERS[suffix][1](path)
+    assert re.match(f"({re.escape(str(path))}: )?line {first}:", str(raised.value))
+
+
+@pytest.mark.parametrize("position", [0, 1, 3, 6])
+@pytest.mark.parametrize("face_first", [False, True])
+def test_ply_list_property_in_vertex_element_matches_reference(position, face_first, tmp_path):
+    vertex = ["element vertex 3", *(f"property double {name}"
+                                    for name in ("x", "y", "z", "nx", "ny", "nz"))]
+    vertex.insert(1 + position, "property list uchar double extra")
+    face = ["element face 1", "property list uchar int vertex_indices"]
+    head = ["ply", "format ascii 1.0", *(face + vertex if face_first else vertex + face),
+            "end_header"]
+    rows = [f"{p} 0 0 1" for p in ("0 0 0", "1 0 0", "0 1 0")]
+    rows = [" ".join(row.split()[:position] + ["2", "9", "9"] + row.split()[position:])
+            for row in rows]
+    body = ["3 0 1 2", *rows] if face_first else [*rows, "3 0 1 2"]
+    path = tmp_path / "list.ply"
+    path.write_text("\n".join(head + body) + "\n")
+    line = head.index("property list uchar double extra") + 1
+    with pytest.raises(FormatError, match=f"^line {line}: list property in the vertex element$"):
+        pugeo_io._read_ply(path)
+    _assert_readers_match(path)
 
 
 _BLOCK = pugeo_io._WRITE_BLOCK_ROWS
