@@ -17,15 +17,16 @@ import sys
 
 import numpy as np
 
-from .analytic import SamplePattern, upsample_analytic
+from .analytic import SamplePattern
 from .errors import FormatError, TrainingDiverged
 from .geometry import MIN_NEIGHBORS, frame_stats
 from .io import PointCloud, _write_rows, _xyz_blocks, read_mesh, read_xyz, write_xyz
 from .losses import LossWeights
 from .metrics import report_metrics, surface_compare
 from .model import PUGeoConfig, PUGeoNet, load_model, save_model
-from .sampling import count_uncovered, extract_patches, patch_count
-from .trainer import TrainConfig, TrainExample, build_dataset, train, upsample_cloud
+from .sampling import patch_count
+from .trainer import (TrainConfig, TrainExample, build_dataset, draw_candidates, train,
+                      upsample_cloud)
 
 MESH_EXTENSIONS = (".obj", ".ply")
 PATTERNS = {"fibonacci": "fibonacci_disk", "grid": "jittered_grid"}
@@ -38,10 +39,6 @@ FACTOR_HELP = (f"default {ANALYTIC_FACTOR} with --method analytic; the checkpoin
 #: difference of two products of those) at most 288 * COORD_LIMIT**4 =
 #: 2.9e306, and the sum of three such terms at most 8.6e306
 COORD_LIMIT = 1e76
-
-
-def _pattern(name: str) -> SamplePattern:
-    return SamplePattern(PATTERNS[name])
 
 
 @functools.cache
@@ -133,50 +130,84 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def _check_range(path: str, points: np.ndarray, record: str = "row") -> str | None:
-    """Why `points` read from `path` cannot be measured against each other, or None."""
+def _check_range(path: str, points: np.ndarray, record: str = "row") -> None:
+    """ValueError unless the `points` read from `path` can be measured against each other."""
     beyond = np.abs(points) > COORD_LIMIT
-    if not beyond.any():
-        return None
-    row, col = divmod(int(np.argmax(beyond)), 3)
-    return (f"{path}: {record} {row + 1}: coordinate {float(points[row, col])!r} exceeds "
-            f"{COORD_LIMIT:.4g} in magnitude, past which distances can overflow float64")
+    if beyond.any():
+        row, col = divmod(int(np.argmax(beyond)), 3)
+        raise ValueError(f"{path}: {record} {row + 1}: coordinate {float(points[row, col])!r} "
+                         f"exceeds {COORD_LIMIT:.4g} in magnitude, past which distances can "
+                         f"overflow float64")
 
 
-def _check_k(k: int, path: str, cloud: PointCloud) -> str | None:
-    """Why analytic upsampling cannot take --k neighbors in `cloud`, or None."""
-    if k < MIN_NEIGHBORS:
-        return f"--k must be >= {MIN_NEIGHBORS}, got {k}"
-    if len(cloud) < k + 1:
-        return f"{path}: need at least k+1={k + 1} points for --k {k}, got {len(cloud)}"
-    return None
+def _read_input(path: str, method: str, factor: int | None, k: int, coverage: float,
+                model_path: str | None, patch_size: int | None = None):
+    """(cloud, R, checkpoint, candidates per point) of `upsample` and `inspect frames`.
 
-
-def _load_checkpoint(model_path: str | None, factor: int | None, path: str, cloud: PointCloud,
-                     patch_size: int | None = None) -> PUGeoNet:
-    """The --model checkpoint for --method model.
-
-    ValueError unless --model is given, --factor and --patch-size match the
-    checkpoint when given, and `cloud` fills one of its patches.
+    --method analytic checks --k and draws ceil(coverage*R) per point; --method
+    model loads the checkpoint, which draws patches.  ValueError names the bad
+    file or flag.
     """
-    if not model_path:
-        raise ValueError("--method model requires --model CHECKPOINT")
-    model = load_model(model_path)
-    for flag, given, want in (("--factor", factor, model.config.factor),
-                              ("--patch-size", patch_size, model.config.patch_size)):
-        if given not in (None, want):
-            raise ValueError(f"{flag} {given} does not match checkpoint "
-                             f"{flag[2:].replace('-', ' ')} {want}")
-    if len(cloud) < model.config.patch_size:
-        raise ValueError(f"{path}: need at least {model.config.patch_size} points for the "
-                         f"checkpoint's patch size, got {len(cloud)}")
-    return model
+    if factor is not None and factor < 1:
+        raise ValueError(f"--factor must be >= 1, got {factor}")
+    cloud = read_xyz(path)
+    if len(cloud) == 0:
+        raise ValueError(f"{path}: no points")
+    _check_range(path, cloud.points)
+    if method == "model":
+        if not model_path:
+            raise ValueError("--method model requires --model CHECKPOINT")
+        model = load_model(model_path)
+        for flag, given, want in (("--factor", factor, model.config.factor),
+                                  ("--patch-size", patch_size, model.config.patch_size)):
+            if given not in (None, want):
+                raise ValueError(f"{flag} {given} does not match checkpoint "
+                                 f"{flag[2:].replace('-', ' ')} {want}")
+        if len(cloud) < model.config.patch_size:
+            raise ValueError(f"{path}: need at least {model.config.patch_size} points for the "
+                             f"checkpoint's patch size, got {len(cloud)}")
+        return cloud, model.config.factor, model, None
+    if k < MIN_NEIGHBORS:
+        raise ValueError(f"--k must be >= {MIN_NEIGHBORS}, got {k}")
+    if len(cloud) < k + 1:
+        raise ValueError(f"{path}: need at least k+1={k + 1} points for --k {k}, "
+                         f"got {len(cloud)}")
+    factor = ANALYTIC_FACTOR if factor is None else factor
+    if coverage * factor == math.inf:
+        raise ValueError(f"--coverage {coverage} times --factor {factor} overflows "
+                         f"the candidates per input point")
+    return cloud, factor, None, math.ceil(coverage * factor)
 
 
-def _warn_uncovered(uncovered: int, points: int) -> None:
+def _in_memory(what: str, call):
+    """call(); a MemoryError (numpy refusing to allocate) becomes a ValueError naming `what`."""
+    try:
+        return call()
+    except MemoryError:
+        raise ValueError(f"{what}: out of memory") from None
+
+
+def _draw(cloud: PointCloud, per_point: int | None, coverage: float, call):
+    """call(), drawing per_point candidates per point, or patches; ValueError names --coverage."""
+    if per_point is None:
+        return call()
+    candidates = per_point * len(cloud)
+    too_many = (f"--coverage {coverage} asks for {candidates} candidates, "
+                f"{per_point} per input point")
+    if candidates * 24 > np.iinfo(np.intp).max:  # bytes of their float64 coordinates
+        raise ValueError(f"{too_many}: more than numpy can hold in one array")
+    return _in_memory(too_many, call)
+
+
+def _warn(points: int, uncovered: int, degenerate_frames: int, degenerate_fits: int) -> None:
+    """The stderr warnings about one draw's counts."""
     if uncovered:
         print(f"warning: {uncovered} of {points} input points are in no patch",
               file=sys.stderr)
+    if degenerate_frames or degenerate_fits:
+        print(f"warning: {degenerate_frames} degenerate frames and {degenerate_fits} "
+              f"degenerate curvature fits in {points} input points; those points were "
+              f"upsampled on a flat disk", file=sys.stderr)
 
 
 def cmd_dataset_build(args) -> int:
@@ -193,10 +224,11 @@ def cmd_dataset_build(args) -> int:
     if not mesh_paths:
         return _fail(f"no meshes found in {args.mesh_dir}")
     paths = [os.path.join(args.mesh_dir, p) for p in mesh_paths]
-    examples = build_dataset([read_mesh(path) for path in paths], args.points, args.factor,
-                             args.patch_size, seed=args.seed, coverage=args.coverage,
-                             noise_sigma=args.noise_sigma,
-                             random_patches=args.random_patches, names=paths)
+    meshes = [read_mesh(path) for path in paths]
+    examples = _in_memory(f"--points {args.points} and --factor {args.factor}", lambda: (
+        build_dataset(meshes, args.points, args.factor, args.patch_size, seed=args.seed,
+                      coverage=args.coverage, noise_sigma=args.noise_sigma,
+                      random_patches=args.random_patches, names=paths)))
     os.makedirs(args.out, exist_ok=True)
     # build_dataset cuts per_mesh examples from each mesh in turn; each sampled normal,
     # held by about --coverage patches, is formatted once, one cloud at a time
@@ -235,10 +267,10 @@ def _check_manifest(manifest, path) -> None:
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest must be a JSON object")
     config = manifest.get("config")
-    if not (isinstance(config, dict)
-            and all(isinstance(config.get(key), int) for key in ("factor", "patch_size"))):
+    if not (isinstance(config, dict) and all(type(config.get(key)) is int and config[key] >= 1
+                                             for key in ("factor", "patch_size"))):
         raise FormatError(f"{path}: manifest needs a 'config' object with integer "
-                          f"'factor' and 'patch_size'")
+                          f"'factor' and 'patch_size' of at least 1")
     patches = manifest.get("patches")
     if not isinstance(patches, list):
         raise FormatError(f"{path}: manifest needs a 'patches' list")
@@ -268,14 +300,18 @@ def _read_manifest(data_path):
 
 def _read_patches(manifest_path, manifest) -> list[TrainExample]:
     base = os.path.dirname(manifest_path)
+    n, factor = manifest["config"]["patch_size"], manifest["config"]["factor"]
     examples = []
     for entry in manifest["patches"]:
         sparse_path = os.path.join(base, entry["sparse"])
         dense_path = os.path.join(base, entry["dense"])
         sparse, dense = read_xyz(sparse_path), read_xyz(dense_path)
-        for path, cloud in ((sparse_path, sparse), (dense_path, dense)):
+        for path, cloud, rows in ((sparse_path, sparse, n), (dense_path, dense, factor * n)):
             if cloud.normals is None:
                 raise FormatError(f"{path}: training patches must carry normals (6 columns)")
+            if len(cloud) != rows:
+                raise FormatError(f"{path}: {len(cloud)} points, but {manifest_path} gives "
+                                  f"patch size {n} and factor {factor}: {rows} expected")
         examples.append(TrainExample(sparse_points=sparse.points,
                                      sparse_normals=sparse.normals,
                                      dense_points=dense.points,
@@ -327,60 +363,27 @@ def cmd_train(args) -> int:
 
 
 def cmd_upsample(args) -> int:
-    if args.factor is not None and args.factor < 1:
-        return _fail(f"--factor must be >= 1, got {args.factor}")
-    cloud = read_xyz(args.input)
-    if len(cloud) == 0:
-        return _fail(f"{args.input}: no points")
-    problem = _check_range(args.input, cloud.points)
-    if problem:
-        return _fail(problem)
-    model, factor, too_many = None, args.factor, None
-    if args.method == "analytic":
-        problem = _check_k(args.k, args.input, cloud)
-        if problem:
-            return _fail(problem)
-        factor = ANALYTIC_FACTOR if factor is None else factor
-        per_point = args.coverage * factor
-        if per_point == math.inf:
-            return _fail(f"--coverage {args.coverage} times --factor {factor} overflows "
-                         f"the candidates per input point")
-        per_point = math.ceil(per_point)
-        if per_point < factor:
-            return _fail(f"--coverage {args.coverage} draws fewer than --factor {factor} "
-                         f"candidates per input point")
-        candidates = per_point * len(cloud)
-        too_many = (f"--coverage {args.coverage} asks for {candidates} candidates, "
-                    f"{per_point} per input point")
-        if candidates * 24 > np.iinfo(np.intp).max:  # bytes of their float64 coordinates
-            return _fail(f"{too_many}: more than numpy can hold in one array")
-    if args.method == "model":
-        model = _load_checkpoint(args.model, args.factor, args.input, cloud, args.patch_size)
-        # fusion keeps R*M of the R*N*patch_count(M, N, coverage) candidates of the patches
+    cloud, factor, model, per_point = _read_input(args.input, args.method, args.factor, args.k,
+                                                  args.coverage, args.model, args.patch_size)
+    # fusion keeps R*M of the candidates; a model's patches hold R per point they cover
+    if per_point is not None and per_point < factor:
+        return _fail(f"--coverage {args.coverage} draws fewer than --factor {factor} "
+                     f"candidates per input point")
+    if model is not None:
         n, m = model.config.patch_size, len(cloud)
         if (cut := patch_count(m, n, args.coverage)) * n < m:
             return _fail(f"--coverage {args.coverage} cuts {cut} patches of {n} points, "
                          f"{cut * n} in all, fewer than the {m} input points")
     counts = {}
-    try:
-        result = upsample_cloud(cloud, factor, method=args.method, model=model,
-                                k=args.k, pattern=_pattern(args.pattern),
-                                coverage=args.coverage, seed=args.seed, counts=counts)
-    except MemoryError:
-        if too_many is None:
-            raise
-        return _fail(f"{too_many}: out of memory")
+    result = _draw(cloud, per_point, args.coverage, lambda: upsample_cloud(
+        cloud, factor, method=args.method, model=model, k=args.k, coverage=args.coverage,
+        pattern=SamplePattern(PATTERNS[args.pattern]), seed=args.seed, counts=counts))
     if counts["degenerate_frames"] == counts["points"]:
         return _fail(f"numerical failure: all {counts['points']} input points have "
                      f"degenerate frames ({counts['degenerate_fits']} degenerate curvature "
                      f"fits); no output written", code=3)
     write_xyz(result, args.output)
-    _warn_uncovered(counts["uncovered"], counts["points"])
-    if counts["degenerate_frames"] or counts["degenerate_fits"]:
-        print(f"warning: {counts['degenerate_frames']} degenerate frames and "
-              f"{counts['degenerate_fits']} degenerate curvature fits in "
-              f"{counts['points']} input points; those points were upsampled "
-              f"on a flat disk", file=sys.stderr)
+    _warn(**counts)
     print(json.dumps({"points": len(result), "output": args.output}, sort_keys=True))
     return 0
 
@@ -405,15 +408,13 @@ def cmd_eval(args) -> int:
     if recon is not None:
         checked.append((args.recon_mesh, recon.vertices, "vertex"))
     for path, points, record in checked:
-        problem = _check_range(path, points, record)
-        if problem:
-            return _fail(problem)
+        _check_range(path, points, record)
     report = report_metrics(pred, gt_dense, gt_mesh, factor=args.factor,
                             inputs={"pred": args.pred, "gt_dense": args.gt_dense,
                                     "gt_mesh": args.gt_mesh})
     if recon is not None:
-        cd_s, hd_s, jsd_s = surface_compare(recon, gt_mesh, n=args.recon_samples,
-                                            seed=args.seed)
+        cd_s, hd_s, jsd_s = _in_memory(f"--recon-samples {args.recon_samples}", lambda: (
+            surface_compare(recon, gt_mesh, n=args.recon_samples, seed=args.seed)))
         report.surface = {"cd#": cd_s, "hd#": hd_s, "jsd#": jsd_s}
         report.inputs["recon_mesh"] = args.recon_mesh
     print(json.dumps(report.to_dict(), sort_keys=True))
@@ -421,37 +422,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect_frames(args) -> int:
-    if args.factor is not None and args.factor < 1:
-        return _fail(f"--factor must be >= 1, got {args.factor}")
-    cloud = read_xyz(args.input)
-    if len(cloud) == 0:
-        return _fail(f"{args.input}: no points")
-    problem = _check_range(args.input, cloud.points)
-    if problem:
-        return _fail(problem)
-    if args.method == "analytic":
-        problem = _check_k(args.k, args.input, cloud)
-        if problem:
-            return _fail(problem)
-        factor = ANALYTIC_FACTOR if args.factor is None else args.factor
-        result = upsample_analytic(cloud, factor, k=args.k,
-                                   pattern=_pattern(args.pattern),
-                                   rng=np.random.default_rng(args.seed))
-        frames = result.metadata["frames"]
-        deltas = result.deltas
-    else:
-        model = _load_checkpoint(args.model, args.factor, args.input, cloud)
-        patches = extract_patches(cloud, model.config.patch_size, args.coverage)
-        frames, deltas = [], []
-        for patch in patches:
-            out = model.forward(patch.points)
-            frames.append(out.t_matrices)
-            deltas.append(out.deltas.reshape(-1))
-            del out  # its graph would otherwise stay alive through the next forward pass
-        frames, deltas = np.concatenate(frames), np.concatenate(deltas)
-        _warn_uncovered(count_uncovered(patches, len(cloud)), len(cloud))
-    stats = frame_stats(frames[:, :, 0], frames[:, :, 1], frames[:, :, 2], deltas)
-    sys.stdout.write(stats.to_tsv())
+    cloud, factor, model, per_point = _read_input(args.input, args.method, args.factor, args.k,
+                                                  args.coverage, args.model)
+    drawn = _draw(cloud, per_point, args.coverage, lambda: draw_candidates(
+        cloud, factor, method=args.method, model=model, k=args.k, coverage=args.coverage,
+        pattern=SamplePattern(PATTERNS[args.pattern]), seed=args.seed))
+    _warn(**drawn.counts)
+    t = drawn.frames
+    sys.stdout.write(frame_stats(t[:, :, 0], t[:, :, 1], t[:, :, 2], drawn.deltas).to_tsv())
     return 0
 
 
@@ -462,17 +440,8 @@ def main(argv=None) -> int:
     if not 0 < getattr(args, "coverage", 1.0) < math.inf:
         return _fail(f"--coverage must be finite and > 0, got {args.coverage}")
     try:
-        if args.command == "dataset":
-            return cmd_dataset_build(args)
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "upsample":
-            return cmd_upsample(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "inspect":
-            return cmd_inspect_frames(args)
-        return _fail(f"unknown command {args.command!r}")
+        return {"dataset": cmd_dataset_build, "train": cmd_train, "upsample": cmd_upsample,
+                "eval": cmd_eval, "inspect": cmd_inspect_frames}[args.command](args)
     except TrainingDiverged as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         print(json.dumps(exc.diagnostics, sort_keys=True), file=sys.stderr)

@@ -380,10 +380,14 @@ def _read_ply(path) -> TriangleMesh:
                     raise FormatError(f"line {lineno}: expected 'element <name> <count>'")
                 elements.append((tokens[1], int(tokens[2]), []))
             elif tokens[0] == "property" and elements:
-                # a list's row holds its count and entries: the columns after it would shift
-                if tokens[1:2] == ["list"] and elements[-1][0] == "vertex":
+                name, _, props = elements[-1]
+                # a list's row holds its count and entries: the columns after it would
+                # shift, and a face row is read as its index list from the first column
+                if tokens[1:2] == ["list"] and name == "vertex":
                     raise FormatError(f"line {lineno}: list property in the vertex element")
-                elements[-1][2].append(tokens[-1])
+                if tokens[1:2] != ["list"] and name == "face" and not props:
+                    raise FormatError(f"line {lineno}: face property before the index list")
+                props.append(tokens[-1])
             elif tokens[0] == "end_header":
                 break
         else:

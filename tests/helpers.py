@@ -150,3 +150,19 @@ def set_checkpoint_config_entry(path, key, value) -> None:
     new = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(blob[:offset] + struct.pack("<I", len(new)) + new
                      + blob[offset + 4 + length:])
+
+
+def ply_face_flags(path, flags_first, face_first=False):
+    """(path, line of the flags property) of a 4-vertex PLY whose two faces carry a
+    `flags` byte before or after their index list."""
+    vertex = ["element vertex 4", "property float x", "property float y", "property float z"]
+    face = ["element face 2", "property list uchar int vertex_indices", "property uchar flags"]
+    vertices = ["0 0 0", "1 0 0", "0 1 0", "1 1 0"]
+    faces = ["3 0 1 2 3", "3 1 3 2 4"]
+    if flags_first:
+        face = [face[0], face[2], face[1]]
+        faces = ["3 3 0 1 2", "4 3 1 3 2"]
+    head = face + vertex if face_first else vertex + face
+    body = faces + vertices if face_first else vertices + faces
+    path.write_text("\n".join(["ply", "format ascii 1.0", *head, "end_header", *body]) + "\n")
+    return path, 3 + head.index("property uchar flags")

@@ -16,8 +16,9 @@ the autodiff training losses.  The full-sort feature kNN and the
 CSR scatter in ``gather``'s backward; the ``np.where`` relu and the
 ``np.argmax`` reduce_max are the oracles for their bit-level kernels.  The
 joint-graph training loop is the oracle for the per-example backward
-passes of ``trainer.train``, and the serial dataset builder for the
-concurrent ``trainer.build_dataset``.  The per-record ``.xyz``, OBJ and PLY
+passes of ``trainer.train``, the serial dataset builder for the
+concurrent ``trainer.build_dataset``, and the per-patch forward loop for
+the model path of ``trainer.draw_candidates``.  The per-record ``.xyz``, OBJ and PLY
 readers at the end are the oracles for ``pugeo.io``'s readers, and the
 per-row ``.xyz`` writer after them is the oracle for its block writer.
 """
@@ -603,6 +604,22 @@ def train(config, dataset, model, log_stream=None, checkpoint_dir=None):
     return model, history
 
 
+def patch_forwards(cloud: PointCloud, model, coverage: float):
+    """(candidate clouds, frames, deltas) of a model's patches, one forward at a time.
+
+    The per-patch loop that `upsample_cloud` and `inspect frames --method
+    model` each ran on their own before they shared `trainer.draw_candidates`.
+    """
+    pieces, frames, deltas = [], [], []
+    for patch in sampling.extract_patches(cloud, model.config.patch_size, coverage):
+        out = model.forward(patch.points)
+        pieces.append(PointCloud(sampling.denormalize(patch, out.points.data),
+                                 out.normals.data))
+        frames.append(out.t_matrices)
+        deltas.append(out.deltas.reshape(-1))
+    return pieces, np.concatenate(frames), np.concatenate(deltas)
+
+
 def build_dataset(meshes: list[TriangleMesh], m: int, factor: int, patch_size: int,
                   seed: int, coverage: float = 3.0, noise_sigma: float = 0.0,
                   random_patches: bool = False) -> list:
@@ -784,6 +801,8 @@ def _read_ply(path) -> TriangleMesh:
         elif tokens[0] == "property" and elements:
             if tokens[1] == "list" and elements[-1][0] == "vertex":
                 raise FormatError(f"line {cursor}: list property in the vertex element")
+            if tokens[1] != "list" and elements[-1][0] == "face" and not elements[-1][2]:
+                raise FormatError(f"line {cursor}: face property before the index list")
             elements[-1][2].append(tokens[-1])
         elif tokens[0] == "end_header":
             break

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -11,9 +12,10 @@ import weakref
 import numpy as np
 import pytest
 
-from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, load_model, poisson_disk_sample,
-                   read_mesh, read_xyz, save_model, upsample_cloud, write_xyz)
-from pugeo import cli, trainer
+from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, frame_stats, fuse_patches, load_model,
+                   poisson_disk_sample, read_mesh, read_xyz, save_model, upsample_analytic,
+                   upsample_cloud, write_xyz)
+from pugeo import cli, sampling, trainer
 from pugeo import io as pugeo_io
 from pugeo.cli import main
 
@@ -790,6 +792,36 @@ def test_train_malformed_manifest_exit_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("key,value,culprit", [
+    ("factor", True, "manifest"), ("factor", 0, "manifest"), ("patch_size", False, "manifest"),
+    ("patch_size", -64, "manifest"), ("patch_size", 32, "sparse"), ("factor", 2, "dense"),
+], ids=["factor_true", "factor_0", "patch_size_false", "patch_size_negative",
+        "patch_size_below_sparse_rows", "factor_below_dense_rows"])
+def test_train_manifest_config_must_fit_its_patches(tmp_path, mesh_dir, capsys, key, value,
+                                                    culprit):
+    # a bool factor raised a TypeError, 0 and a wrong patch size failed in the
+    # model naming no file
+    data = _run_dataset(tmp_path, mesh_dir)  # factor 4, patch size 64
+    capsys.readouterr()
+    path = data / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"][key] = value
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "m.pugeo"
+    rc = main(["train", "--data", str(data), "--out", str(out), "--epochs", "0",
+               "--k-feature", "6"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err == {
+        "manifest": f"{path}: manifest needs a 'config' object with integer 'factor' and "
+                    f"'patch_size' of at least 1\n",
+        "sparse": f"{data / 'patch_0000_sparse.xyz'}: 64 points, but {path} gives patch "
+                  f"size 32 and factor 4: 32 expected\n",
+        "dense": f"{data / 'patch_0000_dense.xyz'}: 256 points, but {path} gives patch "
+                 f"size 64 and factor 2: 128 expected\n",
+    }[culprit]
+
+
 def test_train_patch_without_normals_names_file(tmp_path, capsys):
     rng = np.random.default_rng(0)
     sparse = tmp_path / "sparse.xyz"
@@ -951,6 +983,23 @@ def test_upsample_model_coverage_just_enough(tmp_path, capsys):
     assert len(read_xyz(out)) == 400
 
 
+def _forwards_with_no_earlier_output_alive(monkeypatch, argv) -> int:
+    """How many forward passes `main(argv)` runs, each asserting that no
+    earlier patch's output (and so its autodiff graph) is still alive."""
+    outputs, forward = [], PUGeoNet.forward
+
+    def tracked(self, points):
+        assert all(ref() is None for ref in outputs), "an earlier patch's output is alive"
+        out = forward(self, points)
+        outputs.append(weakref.ref(out))
+        return out
+
+    with monkeypatch.context() as patched:
+        patched.setattr(PUGeoNet, "forward", tracked)
+        assert main(argv) == 0
+    return len(outputs)
+
+
 def test_inspect_frames_model_drops_each_output_before_the_next_forward(tmp_path, capsys,
                                                                         monkeypatch):
     # every patch's output holds its autodiff graph; keeping them all grew
@@ -960,18 +1009,79 @@ def test_inspect_frames_model_drops_each_output_before_the_next_forward(tmp_path
     argv = ["inspect", "frames", "--input", cloud_path, "--method", "model", "--model", ckpt]
     assert main(argv) == 0
     expected = capsys.readouterr().out
-    outputs, forward = [], PUGeoNet.forward
-
-    def tracked(self, points):
-        assert all(ref() is None for ref in outputs), "an earlier patch's output is alive"
-        out = forward(self, points)
-        outputs.append(weakref.ref(out))
-        return out
-
-    monkeypatch.setattr(PUGeoNet, "forward", tracked)
-    assert main(argv) == 0
-    assert len(outputs) == 10  # ceil(3 * 100 / 32) patches
+    assert _forwards_with_no_earlier_output_alive(monkeypatch, argv) == 10  # ceil(3*100/32)
     assert capsys.readouterr().out == expected
+
+
+def test_upsample_model_drops_each_output_before_the_next_forward(tmp_path, capsys,
+                                                                  monkeypatch):
+    ckpt = _model_checkpoint(tmp_path / "m.pugeo", 32)
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+    out = tmp_path / "out.xyz"
+    argv = ["upsample", "--input", cloud_path, "--output", str(out), "--method", "model",
+            "--model", ckpt]
+    assert main(argv) == 0
+    expected = out.read_bytes(), capsys.readouterr()
+    assert _forwards_with_no_earlier_output_alive(monkeypatch, argv) == 10
+    assert (out.read_bytes(), capsys.readouterr()) == expected
+
+
+@pytest.mark.parametrize("coverage", ["1.0", "3.0"])
+def test_inspect_frames_model_reports_the_candidates_upsample_fuses(tmp_path, capsys,
+                                                                    coverage):
+    # the frames and displacements of the per-patch loop inspect ran on its
+    # own, and upsample's output the FPS fusion of that loop's candidates
+    ckpt = _model_checkpoint(tmp_path / "m.pugeo", 32)
+    path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+    pieces, frames, deltas = reference.patch_forwards(read_xyz(path), load_model(ckpt),
+                                                      float(coverage))
+    model = ["--method", "model", "--model", ckpt, "--coverage", coverage]
+    assert main(["inspect", "frames", "--input", path, *model]) == 0
+    assert capsys.readouterr().out == frame_stats(frames[:, :, 0], frames[:, :, 1],
+                                                  frames[:, :, 2], deltas).to_tsv()
+    out, expected = tmp_path / "out.xyz", tmp_path / "expected.xyz"
+    assert main(["upsample", "--input", path, "--output", str(out), *model]) == 0
+    write_xyz(fuse_patches(pieces, 4 * 100), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("coverage", ["0.5", "1", "2.5", "5"])
+def test_inspect_frames_analytic_draws_upsample_candidates(tmp_path, capsys, coverage):
+    # ceil(coverage*R) samples per point, as upsample draws: the frames (the
+    # theta table) are those of R=4, the delta table counts every candidate
+    path = _write_cloud(tmp_path / "s.xyz", sphere_cloud(150, 1.0, 2))
+
+    def tsv(per_point):
+        result = upsample_analytic(read_xyz(path), per_point, k=16,
+                                   rng=np.random.default_rng(42))
+        t = result.metadata["frames"]
+        return frame_stats(t[:, :, 0], t[:, :, 1], t[:, :, 2], result.deltas).to_tsv()
+
+    assert main(["inspect", "frames", "--input", path, "--coverage", coverage]) == 0
+    out = capsys.readouterr().out
+    per_point = math.ceil(float(coverage) * 4)
+    assert out == tsv(per_point)
+    theta, delta = out.split("\n\n")
+    fixed_theta, fixed_delta = tsv(4).split("\n\n")  # R samples whatever --coverage said
+    assert theta == fixed_theta
+    assert (delta == fixed_delta) == (per_point == 4)
+    assert sum(int(line.split("\t")[2]) for line in delta.splitlines()[2:]) == 150 * per_point
+
+
+def test_inspect_frames_warns_as_upsample_does(tmp_path, capsys):
+    # a straight line beside a flat grid: only the line's frames are degenerate
+    t = np.linspace(0.0, 1.0, 300)
+    u, v = np.meshgrid(np.arange(20.0), np.arange(15.0))
+    grid = np.column_stack([u.ravel(), v.ravel(), np.zeros(300)]) / 20.0
+    path = _write_cloud(tmp_path / "mixed.xyz", PointCloud(
+        np.concatenate([grid, np.column_stack([t, 2.0 * t, -t]) + 5.0])))
+    errors = []
+    for argv in (["upsample", "--output", str(tmp_path / "up.xyz")], ["inspect", "frames"]):
+        assert main(argv + ["--input", path]) == 0
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        "warning: 300 degenerate frames and 0 degenerate curvature fits in 600 input "
+        "points; those points were upsampled on a flat disk\n")
 
 
 def test_upsample_analytic_coverage_past_one_array_exit_2(tmp_path, capsys):
@@ -998,6 +1108,29 @@ def test_upsample_analytic_coverage_out_of_memory_exit_2(tmp_path, capsys, monke
     assert captured.err == ("--coverage 1000000000000.0 asks for 800000000000000 candidates, "
                             "4000000000000 per input point: out of memory\n")
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "dataset"])
+def test_sample_count_out_of_memory_exit_2(tmp_path, mesh_dir, capsys, monkeypatch, command):
+    # 1e12 samples per mesh ask numpy for 29.1 TiB; stand in for its refusal
+    def refuse(mesh, count, rng):
+        raise MemoryError(f"Unable to allocate {count * 24} bytes")
+
+    cloud = _write_cloud(tmp_path / "in.xyz", sphere_cloud(50, 1.0, 0))
+    monkeypatch.setattr(sampling, "_dart_throw", refuse)
+    out = tmp_path / "out"
+    if command == "eval":
+        mesh = str(mesh_dir / "icosphere.obj")
+        argv = ["eval", "--pred", cloud, "--gt-dense", cloud, "--gt-mesh", mesh,
+                "--recon-mesh", mesh, "--recon-samples", "1000000000000"]
+        message = "--recon-samples 1000000000000: out of memory\n"
+    else:
+        argv = ["dataset", "build", "--mesh-dir", str(mesh_dir), "--out", str(out),
+                "--points", "1000000000000"]
+        message = "--points 1000000000000 and --factor 4: out of memory\n"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["upsample", "inspect"])

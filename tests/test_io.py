@@ -9,7 +9,7 @@ from pugeo import PointCloud, read_mesh, read_xyz, write_mesh, write_xyz
 from pugeo.errors import FormatError, UnsupportedFormatError
 from pugeo.io import TriangleMesh, vertex_normals
 
-from helpers import cube_mesh
+from helpers import cube_mesh, ply_face_flags
 
 
 def test_read_xyz_three_columns(tmp_path):
@@ -256,6 +256,19 @@ def test_read_ply_list_property_in_vertex_element_cites_line(tmp_path, position)
     with pytest.raises(FormatError,
                        match=f"line {4 + position}: list property in the vertex element$"):
         read_mesh(path)
+
+
+@pytest.mark.parametrize("flags_first", [True, False], ids=["flags_first", "flags_last"])
+def test_read_ply_face_property_before_index_list_cites_line(tmp_path, flags_first):
+    # a face row was read as its index list from the first column on: with
+    # the flags first, "3 3 0 1 2" became triangle (3, 0, 1) without an error
+    path, line = ply_face_flags(tmp_path / "m.ply", flags_first)
+    if flags_first:
+        with pytest.raises(FormatError, match=f"line {line}: face property before the index "
+                                              f"list$"):
+            read_mesh(path)
+    else:
+        assert read_mesh(path).triangles.tolist() == [[0, 1, 2], [1, 3, 2]]
 
 
 def test_read_ply_counts_rows_of_every_element(tmp_path):

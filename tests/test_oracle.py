@@ -30,7 +30,8 @@ from scipy.spatial import cKDTree
 
 import pugeo.autodiff as ad
 import reference
-from helpers import brute_force_knn, cube_mesh, icosphere, sphere_cloud, unit_rows
+from helpers import (brute_force_knn, cube_mesh, icosphere, ply_face_flags, sphere_cloud,
+                     unit_rows)
 from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, SamplePattern, TriangleMesh,
                    farthest_point_sample, metrics, poisson_disk_sample, sampling,
                    upsample_analytic)
@@ -1315,6 +1316,18 @@ def test_ply_list_property_in_vertex_element_matches_reference(position, face_fi
     line = head.index("property list uchar double extra") + 1
     with pytest.raises(FormatError, match=f"^line {line}: list property in the vertex element$"):
         pugeo_io._read_ply(path)
+    _assert_readers_match(path)
+
+
+@pytest.mark.parametrize("flags_first", [False, True])
+@pytest.mark.parametrize("face_first", [False, True])
+def test_ply_face_property_before_index_list_matches_reference(flags_first, face_first,
+                                                               tmp_path):
+    path, line = ply_face_flags(tmp_path / "flags.ply", flags_first, face_first)
+    if flags_first:
+        with pytest.raises(FormatError, match=f"^line {line}: face property before the "
+                                              f"index list$"):
+            reference._read_ply(path)
     _assert_readers_match(path)
 
 
