@@ -9,7 +9,7 @@ same graph in float64.
 
 Also provides the network building blocks used downstream: dense MLPs
 (relu hidden layers, linear output, Glorot-uniform init from a seeded
-PCG64 generator) and Adam with bias correction.
+PCG64 generator, one graph node per layer) and Adam with bias correction.
 """
 
 from __future__ import annotations
@@ -134,16 +134,6 @@ def sqrt(a: Tensor) -> Tensor:
     return _make(out, (a,), lambda g: (g * (0.5 / out),))
 
 
-def relu(a: Tensor) -> Tensor:
-    """max(a, 0) with +0.0 for inputs <= 0 and NaN; gradient passes where a > 0."""
-    mask = a.data > 0
-    # +0.0 is the all-zero bit pattern, so AND-ing the bits with the mask
-    # widened to all-ones/all-zeros equals where(mask, a, 0.0) bit for bit
-    bits = np.dtype(f"i{a.dtype.itemsize}")
-    out = (a.data.view(bits) & -mask.astype(bits)).view(a.dtype)
-    return _make(out, (a,), lambda g: (g * mask,))
-
-
 def select(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise where() with a constant boolean mask."""
     mask = np.asarray(mask, dtype=bool)
@@ -156,20 +146,55 @@ def select(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 # linear algebra
 
 
+def _check_matmul(op: str, a: Tensor, w: Tensor) -> None:
+    if w.data.ndim != 2 or a.data.ndim < 2 or a.shape[-1] != w.shape[0]:
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {w.shape}")
+
+
+def _matmul_grads(a: Tensor, w: Tensor, g: np.ndarray):
+    """Gradients of a @ w given the output's gradient g."""
+    ga = g @ w.data.T
+    gw = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, w.shape[1])
+    return ga, gw
+
+
 def matmul(a: Tensor, w: Tensor) -> Tensor:
     """(..., n) @ (n, p); the right operand must be 2D (weights, transforms)."""
     a = a if isinstance(a, Tensor) else Tensor(a)
     w = w if isinstance(w, Tensor) else Tensor(w)
-    if w.data.ndim != 2 or a.data.ndim < 2 or a.shape[-1] != w.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {w.shape}")
-    out = a.data @ w.data
+    _check_matmul("matmul", a, w)
+    return _make(a.data @ w.data, (a, w), lambda g: _matmul_grads(a, w, g))
+
+
+def dense(a: Tensor, weight: Tensor, bias: Tensor, relu: bool) -> Tensor:
+    """relu(a @ weight + bias), or a @ weight + bias, as one node.
+
+    Bit for bit the result and gradients of matmul, add and a relu (+0.0 for
+    inputs <= 0 and NaN, gradient passing where the input is > 0) in turn,
+    but the bias and the relu are applied in place on the product, so the
+    graph keeps one array and the relu mask per layer instead of three arrays.
+    """
+    _check_matmul("dense", a, weight)
+    out = a.data @ weight.data
+    try:
+        np.add(out, bias.data, out=out, casting="safe")
+    except ValueError:
+        raise ShapeError(f"dense: bias shape {bias.shape} does not fit output "
+                         f"{out.shape}") from None
+    mask = None
+    if relu:
+        mask = out > 0
+        # +0.0 is the all-zero bit pattern, so multiplying the bits by the
+        # mask equals where(mask, out, 0.0) bit for bit
+        bits = out.view(f"i{out.itemsize}")
+        np.multiply(bits, mask, out=bits)
 
     def backward(g):
-        ga = g @ w.data.T
-        gw = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, w.shape[1])
-        return ga, gw
+        if mask is not None:
+            g = g * mask
+        return (*_matmul_grads(a, weight, g), _unbroadcast(g, bias.shape))
 
-    return _make(out, (a, w), backward)
+    return _make(out, (a, weight, bias), backward)
 
 
 def apply_linear_maps(mats: Tensor, vecs: Tensor) -> Tensor:
@@ -403,9 +428,7 @@ class Mlp:
     def __call__(self, x: Tensor) -> Tensor:
         last = len(self.layers) - 1
         for i, (weight, bias) in enumerate(self.layers):
-            x = add(matmul(x, weight), bias)
-            if i < last:
-                x = relu(x)
+            x = dense(x, weight, bias, relu=i < last)
         return x
 
     def named_params(self) -> list[tuple[str, Tensor]]:

@@ -24,7 +24,7 @@ from .io import PointCloud, _write_rows, _xyz_blocks, read_mesh, read_xyz, write
 from .losses import LossWeights
 from .metrics import report_metrics, surface_compare
 from .model import PUGeoConfig, PUGeoNet, load_model, save_model
-from .sampling import patch_count
+from .sampling import _OVERSAMPLE, patch_count
 from .trainer import (TrainConfig, TrainExample, build_dataset, draw_candidates, train,
                       upsample_cloud)
 
@@ -187,6 +187,18 @@ def _in_memory(what: str, call):
         raise ValueError(f"{what}: out of memory") from None
 
 
+def _check_size(what: str, count: int) -> None:
+    """ValueError naming `what` unless one numpy array can hold `count` float64 3-vectors."""
+    if count * 24 > np.iinfo(np.intp).max:
+        raise ValueError(f"{what}: more than numpy can hold in one array")
+
+
+def _check_darts(flags: str, samples: int) -> None:
+    """ValueError naming `flags` unless Poisson sampling `samples` points can size its darts."""
+    darts = samples * _OVERSAMPLE
+    _check_size(f"{flags}: {darts} Poisson candidates", darts)
+
+
 def _draw(cloud: PointCloud, per_point: int | None, coverage: float, call):
     """call(), drawing per_point candidates per point, or patches; ValueError names --coverage."""
     if per_point is None:
@@ -194,8 +206,7 @@ def _draw(cloud: PointCloud, per_point: int | None, coverage: float, call):
     candidates = per_point * len(cloud)
     too_many = (f"--coverage {coverage} asks for {candidates} candidates, "
                 f"{per_point} per input point")
-    if candidates * 24 > np.iinfo(np.intp).max:  # bytes of their float64 coordinates
-        raise ValueError(f"{too_many}: more than numpy can hold in one array")
+    _check_size(too_many, candidates)
     return _in_memory(too_many, call)
 
 
@@ -219,6 +230,7 @@ def cmd_dataset_build(args) -> int:
         return _fail(f"--noise-sigma must be finite and >= 0, got {args.noise_sigma}")
     if args.patch_size > args.points:
         return _fail(f"--patch-size {args.patch_size} exceeds --points {args.points}")
+    _check_darts(f"--points {args.points} and --factor {args.factor}", args.points * args.factor)
     mesh_paths = sorted(p for p in os.listdir(args.mesh_dir)
                         if p.lower().endswith(MESH_EXTENSIONS))
     if not mesh_paths:
@@ -393,6 +405,7 @@ def cmd_eval(args) -> int:
         return _fail(f"--factor must be >= 1, got {args.factor}")
     if args.recon_samples < 1:
         return _fail(f"--recon-samples must be >= 1, got {args.recon_samples}")
+    _check_darts(f"--recon-samples {args.recon_samples}", args.recon_samples)
     pred = read_xyz(args.pred)
     gt_dense = read_xyz(args.gt_dense)
     gt_mesh = read_mesh(args.gt_mesh)

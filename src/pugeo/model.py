@@ -83,7 +83,6 @@ class ModelOutput:
     normals: Tensor         # (N*R, 3) unit
     coarse_normals: Tensor  # (N, 3) unit
     deltas: np.ndarray      # (N, R)
-    parent: np.ndarray      # (N*R,)
     t_matrices: np.ndarray  # (N, 3, 3) linear lift values, aligned space
 
 
@@ -344,8 +343,7 @@ class PUGeoNet:
         normals_out = ad.unit_rows(ad.matmul(ad.reshape(normals, (n * r, 3)), a))
         coarse_out = ad.unit_rows(ad.matmul(coarse, a))
         return ModelOutput(points=points_out, normals=normals_out, coarse_normals=coarse_out,
-                           deltas=deltas, parent=np.repeat(np.arange(n, dtype=np.int64), r),
-                           t_matrices=t.data.astype(np.float64))
+                           deltas=deltas, t_matrices=t.data.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ its closest-point kernel, frame statistics) or within a fixed tolerance
 stacked SVD).  The numpy normal and joint losses are the oracles for
 the autodiff training losses.  The full-sort feature kNN and the
 ``np.add.at`` gather are the oracles for the model's pruned kNN and the
-CSR scatter in ``gather``'s backward; the ``np.where`` relu and the
-``np.argmax`` reduce_max are the oracles for their bit-level kernels.  The
+CSR scatter in ``gather``'s backward; the unfused matmul, add and relu
+are the oracle for the one-node dense layer, and the ``np.argmax``
+reduce_max for its bit-level kernel.  The
 joint-graph training loop is the oracle for the per-example backward
 passes of ``trainer.train``, the serial dataset builder for the
 concurrent ``trainer.build_dataset``, and the per-patch forward loop for
@@ -519,13 +520,13 @@ def gather(a: ad.Tensor, indices, axis: int = 0) -> ad.Tensor:
     return ad._make(out, (a,), backward)
 
 
-# relu by np.where and reduce_max with a strided np.argmax: the oracles for
-# the bit-AND relu and the first-hit argmax in reduce_max's backward.
+# The dense layer as three nodes, matmul, add and a relu by select, and
+# reduce_max with a strided np.argmax: the oracles for autodiff.dense and
+# the first-hit argmax in reduce_max's backward.
 
-def relu(a: ad.Tensor) -> ad.Tensor:
-    mask = a.data > 0
-    return ad._make(np.where(mask, a.data, 0.0).astype(a.dtype, copy=False), (a,),
-                    lambda g: (g * mask,))
+def dense(a: ad.Tensor, weight: ad.Tensor, bias: ad.Tensor, relu: bool) -> ad.Tensor:
+    out = ad.add(ad.matmul(a, weight), bias)
+    return ad.select(out.data > 0, out, ad.constant(np.zeros_like(out.data))) if relu else out
 
 
 def reduce_max(a: ad.Tensor, axis: int, keepdims: bool = False) -> ad.Tensor:

@@ -72,7 +72,7 @@ def test_backward_returns_leaf_gradients_without_writing_them():
         w, b, unused = _param([[1.0, -2.0], [0.5, 3.0]]), _param([0.1, -0.2]), _param(1.0)
         w_out = _param(w.data) if split else w
         x = Tensor(np.array([[1.0, 2.0], [-1.0, 0.5]]))
-        hidden = ad.relu(ad.add(ad.matmul(x, w), b))
+        hidden = ad.dense(x, w, b, relu=True)
         # unsplit, w is used twice, so its gradient sums two contributions
         return (w, w_out, b, unused), ad.reduce_sum(ad.square(ad.matmul(hidden, w_out)))
 
@@ -103,13 +103,19 @@ def test_gather_scatter_adds():
     np.testing.assert_allclose(grads[x].ravel(), [2.0, 0.0, 1.0, 0.0])
 
 
+def _relu(x):
+    """A hidden dense layer with identity weight and zero bias."""
+    width = x.shape[-1]
+    return ad.dense(x, Tensor(np.eye(width)), Tensor(np.zeros(width)), relu=True)
+
+
 @pytest.mark.parametrize("op_name", ["relu", "softmax", "sqrt", "square"])
 def test_unary_op_gradients(op_name):
     rng = np.random.default_rng(3)
     x = _param(rng.uniform(0.5, 2.0, size=(4, 5)))
 
     def build():
-        op = getattr(ad, op_name)
+        op = _relu if op_name == "relu" else getattr(ad, op_name)
         return ad.reduce_sum(ad.mul(op(x), Tensor(weights)))
 
     weights = rng.normal(size=(4, 5))
@@ -161,12 +167,13 @@ def test_apply_linear_maps_gradients():
 
 
 def test_no_mutation_of_recorded_tensors():
-    x = _param(np.ones(3))
-    y = ad.relu(x)
-    before = y.data.copy()
+    x, w, b = _param([[1.0, -2.0, 3.0]]), _param(np.eye(3)), _param([0.5, 0.5, -4.0])
+    y = ad.dense(x, w, b, relu=True)
+    before = [t.data.copy() for t in (x, w, b, y)]
     loss = ad.reduce_sum(ad.square(y))
     ad.backward(loss)
-    np.testing.assert_array_equal(y.data, before)
+    for t, data in zip((x, w, b, y), before):
+        np.testing.assert_array_equal(t.data, data)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +222,35 @@ def test_mlp_init_deterministic_from_seed():
     b = Mlp(np.random.default_rng(11), (4, 8, 2), "b")
     for (_, pa), (_, pb) in zip(a.named_params(), b.named_params()):
         assert np.array_equal(pa.data, pb.data)
+
+
+def test_mlp_records_one_node_per_layer():
+    rng = np.random.default_rng(12)
+    mlp = Mlp(rng, (4, 8, 8, 3), "net")
+    for _, bias in mlp.layers:
+        bias.data = rng.normal(size=bias.shape).astype(np.float32)
+    x = Tensor(rng.normal(size=(16, 4)).astype(np.float32), requires_grad=True)
+    out = mlp(x)
+    nodes, stack = [], [out]
+    while stack:
+        node = stack.pop()
+        if node._parents and all(node is not seen for seen in nodes):
+            nodes.append(node)
+            stack.extend(node._parents)
+    assert len(nodes) == len(mlp.layers)
+    # what the graph holds: each node's output and its backward's saved values
+    held = [a for node in nodes
+            for a in [node.data] + [c.cell_contents for c in node._backward.__closure__]
+            if isinstance(a, np.ndarray)]
+    # none of them is a layer's pre-bias or (hidden layers) pre-relu array
+    h, last = x.data, len(mlp.layers) - 1
+    for i, (weight, bias) in enumerate(mlp.layers):
+        product = h @ weight.data
+        h = product + bias.data
+        dropped = [product, h] if i < last else [product]
+        assert not any(a.shape == d.shape and a.tobytes() == d.tobytes()
+                       for a in held for d in dropped), f"layer {i}"
+        h = np.maximum(h, 0.0)
 
 
 # ---------------------------------------------------------------------------

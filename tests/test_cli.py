@@ -1110,27 +1110,63 @@ def test_upsample_analytic_coverage_out_of_memory_exit_2(tmp_path, capsys, monke
     assert captured.out == "" and not out.exists()
 
 
+def _sample_count_argv(command, count, tmp_path, mesh_dir):
+    """(argv, flags as the error names them, output path) of a command sampling `count`."""
+    cloud = _write_cloud(tmp_path / "in.xyz", sphere_cloud(50, 1.0, 0))
+    out = tmp_path / "out"
+    if command == "eval":
+        mesh = str(mesh_dir / "icosphere.obj")
+        return (["eval", "--pred", cloud, "--gt-dense", cloud, "--gt-mesh", mesh,
+                 "--recon-mesh", mesh, "--recon-samples", str(count)],
+                f"--recon-samples {count}", out)
+    return (["dataset", "build", "--mesh-dir", str(mesh_dir), "--out", str(out),
+             "--points", str(count)], f"--points {count} and --factor 4", out)
+
+
 @pytest.mark.parametrize("command", ["eval", "dataset"])
 def test_sample_count_out_of_memory_exit_2(tmp_path, mesh_dir, capsys, monkeypatch, command):
     # 1e12 samples per mesh ask numpy for 29.1 TiB; stand in for its refusal
     def refuse(mesh, count, rng):
         raise MemoryError(f"Unable to allocate {count * 24} bytes")
 
-    cloud = _write_cloud(tmp_path / "in.xyz", sphere_cloud(50, 1.0, 0))
+    argv, flags, out = _sample_count_argv(command, 1000000000000, tmp_path, mesh_dir)
     monkeypatch.setattr(sampling, "_dart_throw", refuse)
-    out = tmp_path / "out"
-    if command == "eval":
-        mesh = str(mesh_dir / "icosphere.obj")
-        argv = ["eval", "--pred", cloud, "--gt-dense", cloud, "--gt-mesh", mesh,
-                "--recon-mesh", mesh, "--recon-samples", "1000000000000"]
-        message = "--recon-samples 1000000000000: out of memory\n"
-    else:
-        argv = ["dataset", "build", "--mesh-dir", str(mesh_dir), "--out", str(out),
-                "--points", "1000000000000"]
-        message = "--points 1000000000000 and --factor 4: out of memory\n"
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == message and captured.out == "" and not out.exists()
+    assert captured.err == f"{flags}: out of memory\n" and captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("count", [10000000000000000000, 1000000000000000000])
+@pytest.mark.parametrize("command", ["eval", "dataset"])
+def test_sample_count_past_one_array_exit_2(tmp_path, mesh_dir, capsys, command, count):
+    # 1e19 does not fit a C long and 1e18 samples' darts pass numpy's size limit:
+    # both are refused before sampling, naming the flag
+    argv, flags, out = _sample_count_argv(command, count, tmp_path, mesh_dir)
+    darts = count * (4 if command == "eval" else 16)  # 4 darts per sample, factor 4
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"{flags}: {darts} Poisson candidates: more than numpy can hold "
+                            f"in one array\n")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "dataset"])
+def test_sample_count_limit_is_the_darts_float64_bytes(tmp_path, mesh_dir, capsys, monkeypatch,
+                                                       command):
+    # the largest count whose darts' float64 coordinates fit in np.intp bytes is
+    # sampled (numpy's refusal stood in for), and one more is refused up front
+    def refuse(mesh, count, rng):
+        raise MemoryError(f"Unable to allocate {count * 24} bytes")
+
+    largest = np.iinfo(np.intp).max // (24 * (4 if command == "eval" else 16))
+    runs = [(_sample_count_argv(command, count, tmp_path, mesh_dir), message)
+            for count, message in ((largest, "out of memory"),
+                                   (largest + 1, "more than numpy can hold in one array"))]
+    monkeypatch.setattr(sampling, "_dart_throw", refuse)
+    for (argv, _, out), message in runs:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith(f": {message}\n") and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["upsample", "inspect"])

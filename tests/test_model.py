@@ -229,7 +229,6 @@ def test_forward_counts_and_unit_normals():
     assert out.normals.shape == (1024, 3)
     assert out.coarse_normals.shape == (256, 3)
     np.testing.assert_allclose(np.linalg.norm(out.normals.data, axis=1), 1.0, atol=1e-6)
-    assert np.array_equal(out.parent, np.repeat(np.arange(256), 4))
 
 
 def test_forward_wrong_patch_size():

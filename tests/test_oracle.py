@@ -4,8 +4,9 @@ FPS must return bitwise the indices of the O(N * count) scan, Poisson
 sample elimination the survivors of the loop that queries the tree once per
 update, kNN those of a brute-force sort, the network's pruned feature kNN
 those of a full stable sort of every distance row, gather's CSR gradient
-bitwise that of np.add.at, relu and reduce_max bitwise the np.where and
-np.argmax versions, the point-to-surface distance bitwise the minimum
+bitwise that of np.add.at, the one-node dense layer bitwise its matmul,
+add and relu nodes, reduce_max bitwise the np.argmax version, the
+point-to-surface distance bitwise the minimum
 over every triangle, and its branch-free closest-point kernel bitwise the
 one that fills one region at a time.  The batched frame/curvature
 kernel must agree with the per-point loop within 1e-9: its least-squares
@@ -36,7 +37,7 @@ from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, SamplePattern, TriangleMes
                    farthest_point_sample, metrics, poisson_disk_sample, sampling,
                    upsample_analytic)
 from pugeo import io as pugeo_io
-from pugeo.errors import FormatError
+from pugeo.errors import FormatError, ShapeError
 from pugeo.geometry import estimate_frames, fit_curvatures, frame_stats
 from pugeo.metrics import point_to_mesh_distances
 from pugeo.model import _knn_candidates, _knn_indices
@@ -462,7 +463,7 @@ def test_gather_backward_matches_add_at(dtype, axis, name):
 
 
 # ---------------------------------------------------------------------------
-# relu's bit-AND forward and reduce_max's first-hit argmax
+# the one-node dense layer's in-place relu and reduce_max's first-hit argmax
 
 
 def _specials(dtype) -> np.ndarray:
@@ -475,30 +476,71 @@ def _specials(dtype) -> np.ndarray:
 def _op_bytes(op, a, g, **kwargs):
     """Forward and backward bytes of op on a, with upstream gradient g."""
     out = op(ad.Tensor(a, requires_grad=True), **kwargs)
-    with np.errstate(invalid="ignore"):  # nan/inf gradients times the mask
+    with np.errstate(invalid="ignore"):  # nan/inf upstream gradients
         grad = out._backward(g)[0]
     assert out.data.dtype == grad.dtype == a.dtype
     return out.data.shape, out.data.tobytes(), grad.shape, grad.tobytes()
 
 
+def _dense_bytes(op, a, w, b, g, relu):
+    """Output bytes and the bytes of the input, weight and bias gradients of a
+    dense layer, through `backward`, with upstream gradient g."""
+    leaves = [ad.Tensor(v, requires_grad=True) for v in (a, w, b)]
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf * 0, max + max
+        out = op(*leaves, relu)
+        grads = ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+    assert out.data.dtype == a.dtype and all(grads[t].dtype == a.dtype for t in leaves)
+    return [(t.shape, t.tobytes()) for t in [out.data] + [grads[t] for t in leaves]]
+
+
+def _with_specials(rng, shape, dtype) -> np.ndarray:
+    """Normal draws with as many of the specials as fit at random places."""
+    values = rng.normal(size=shape).astype(dtype)
+    count = min(len(_specials(dtype)), values.size)
+    values.flat[rng.choice(values.size, count, replace=False)] = _specials(dtype)[:count]
+    return values
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_relu_matches_where_bitwise(dtype):
     rng = np.random.default_rng(21)
-    a = np.concatenate([_specials(dtype), rng.normal(size=46).astype(dtype)]).reshape(8, 8)
-    g = rng.permutation(np.concatenate([_specials(dtype), rng.normal(size=46)]).astype(dtype))
-    g = g.reshape(8, 8)
-    assert _op_bytes(ad.relu, a, g) == _op_bytes(reference.relu, a, g)
-    out = ad.relu(ad.Tensor(a)).data
+    # a product by a row of ones hands every special but -0.0 (BLAS sums from
+    # +0.0) to the bias add, and adding -0.0 keeps them all for the relu
+    pre = np.concatenate([_specials(dtype), rng.normal(size=46).astype(dtype)])[:, None]
+    ones, minus_zero = np.ones((1, 8), dtype=dtype), np.full(8, -0.0, dtype=dtype)
+    g = _with_specials(rng, (64, 8), dtype)
+    for relu in (True, False):
+        assert _dense_bytes(ad.dense, pre, ones, minus_zero, g, relu) == \
+            _dense_bytes(reference.dense, pre, ones, minus_zero, g, relu)
+    out = ad.dense(ad.Tensor(pre), ad.Tensor(ones), ad.Tensor(minus_zero), relu=True).data
     # +0.0 for every input <= 0 and for NaN; the input itself above 0
-    zero = ~(a > 0)
+    pre = np.broadcast_to(pre, out.shape)
+    zero = ~(pre > 0)
     assert not np.signbit(out[zero]).any() and (out[zero] == 0).all()
-    assert out[~zero].tobytes() == a[~zero].tobytes()
+    assert out[~zero].tobytes() == pre[~zero].tobytes()
+    # specials, -0.0 among them, in the input, the weight and the bias
+    a, w, b = (_with_specials(rng, shape, dtype) for shape in ((9, 6), (6, 5), (5,)))
+    g = _with_specials(rng, (9, 5), dtype)
+    for relu in (True, False):
+        assert _dense_bytes(ad.dense, a, w, b, g, relu) == \
+            _dense_bytes(reference.dense, a, w, b, g, relu)
 
 
 def test_relu_of_a_strided_view():
     a = np.arange(-12.0, 12.0, dtype=np.float32).reshape(4, 6)[:, ::2].T
-    g = np.ones_like(a)
-    assert _op_bytes(ad.relu, a, g) == _op_bytes(reference.relu, a, g)
+    w = np.random.default_rng(23).normal(size=(4, 5)).astype(np.float32)
+    b = np.linspace(-1.0, 1.0, 5, dtype=np.float32)
+    g = np.ones((3, 5), dtype=np.float32)
+    assert _dense_bytes(ad.dense, a, w, b, g, True) == \
+        _dense_bytes(reference.dense, a, w, b, g, True)
+
+
+def test_dense_bias_shape_error_names_shapes():
+    a, w = ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 4)))
+    with pytest.raises(ShapeError, match=r"\(5,\).*\(2, 4\)"):
+        ad.dense(a, w, ad.Tensor(np.zeros(5)), relu=True)
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 4\)"):
+        ad.dense(a, ad.Tensor(np.zeros((4, 4))), ad.Tensor(np.zeros(4)), relu=False)
 
 
 @pytest.mark.parametrize("keepdims", [False, True])
@@ -542,13 +584,19 @@ def test_reduce_max_over_a_long_axis():
 @given(data=st.data())
 def test_relu_and_reduce_max_match_oracles_property(data):
     dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
-    shape = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3), label="shape")
     elements = st.one_of(st.floats(width=np.finfo(dtype).bits),
                          st.integers(-2, 2).map(float),
                          st.sampled_from(_specials(dtype).tolist()))
-    a = data.draw(arrays(dtype, tuple(shape), elements=elements), label="a")
-    g = data.draw(arrays(dtype, tuple(shape), elements=elements), label="g")
-    assert _op_bytes(ad.relu, a, g) == _op_bytes(reference.relu, a, g)
+    rows, k, p = (data.draw(st.integers(1, 5), label=name) for name in ("rows", "k", "p"))
+    a, w, b, g = (data.draw(arrays(dtype, shape, elements=elements), label=name)
+                  for name, shape in (("a", (rows, k)), ("w", (k, p)), ("b", (p,)),
+                                      ("g", (rows, p))))
+    relu = data.draw(st.booleans(), label="relu")
+    assert _dense_bytes(ad.dense, a, w, b, g, relu) == \
+        _dense_bytes(reference.dense, a, w, b, g, relu)
+    shape = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3), label="shape")
+    a = data.draw(arrays(dtype, tuple(shape), elements=elements), label="a_max")
+    g = data.draw(arrays(dtype, tuple(shape), elements=elements), label="g_max")
     axis = data.draw(st.integers(-len(shape), len(shape) - 1), label="axis")
     keepdims = data.draw(st.booleans(), label="keepdims")
     g_max = np.max(g, axis=axis, keepdims=keepdims)
