@@ -289,9 +289,9 @@ def _check_manifest(manifest, path) -> None:
     for i, entry in enumerate(patches):
         if not (isinstance(entry, dict)
                 and all(isinstance(entry.get(key), str) for key in ("sparse", "dense"))
-                and isinstance(entry.get("seed_index"), int)):
+                and type(entry.get("seed_index")) is int and entry["seed_index"] >= 0):
             raise FormatError(f"{path}: patches[{i}] needs string 'sparse' and 'dense' "
-                              f"and an integer 'seed_index'")
+                              f"and an integer 'seed_index' of at least 0")
 
 
 def _read_manifest(data_path):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, UnsupportedFormatError
+from .errors import CheckpointError, FormatError, UnsupportedFormatError
 from .geometry import _vector_dot
 
 _UNIT_TOL = 1e-5
@@ -142,10 +142,10 @@ def _row(lineno: int, tokens: list[str], columns) -> list[float]:
 
 @contextlib.contextmanager
 def _naming(path):
-    """Prefix the message of a FormatError raised inside with the file path."""
+    """Prefix the message of a FormatError or CheckpointError raised inside with the file path."""
     try:
         yield
-    except FormatError as exc:
+    except (FormatError, CheckpointError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 

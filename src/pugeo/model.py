@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from . import autodiff as ad
 from .analytic import SamplePattern, param_samples
 from .autodiff import Mlp, Tensor
 from .errors import CheckpointError
+from .io import _naming
 
 CHECKPOINT_MAGIC = b"PUGEO1"
 
@@ -70,7 +72,25 @@ class PUGeoConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PUGeoConfig":
+        """The config a checkpoint header records; CheckpointError names a mistyped key."""
         data = dict(data)
+        for field in fields(cls):
+            if field.name not in data:
+                continue
+            value = data[field.name]
+            if field.type == "bool":
+                ok, want = type(value) is bool, "true or false"
+            elif field.type == "float":
+                # compared exactly: an int past the float range is not a finite number either
+                ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+                want = "a finite number"
+            elif field.type == "tuple":
+                ok = isinstance(value, (list, tuple)) and all(type(w) is int for w in value)
+                want = "a list of integers"
+            else:
+                ok, want = type(value) is int, "an integer"
+            if not ok:
+                raise CheckpointError(f"config {field.name!r} must be {want}, got {value!r}")
         data["feature_widths"] = tuple(data["feature_widths"])
         return cls(**data)
 
@@ -366,38 +386,40 @@ def save_model(model: PUGeoNet, path) -> None:
 
 
 def load_model(path) -> PUGeoNet:
+    """The model a checkpoint file holds; a CheckpointError message starts with the path."""
     with open(path, "rb") as handle:
         payload = handle.read()
-    if not payload.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError("bad magic: not a model checkpoint")
-    offset = len(CHECKPOINT_MAGIC)
-    if len(payload) < offset + 4:
-        raise CheckpointError("truncated header length")
-    (header_len,) = struct.unpack_from("<I", payload, offset)
-    offset += 4
-    if len(payload) < offset + header_len:
-        raise CheckpointError("truncated header")
-    try:
-        header = json.loads(payload[offset:offset + header_len].decode("utf-8"))
-        config = PUGeoConfig.from_dict(header["config"])
-        declared = [(w["name"], tuple(w["shape"])) for w in header["weights"]]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"malformed header: {exc}") from None
-    offset += header_len
+    with _naming(path):
+        if not payload.startswith(CHECKPOINT_MAGIC):
+            raise CheckpointError("bad magic: not a model checkpoint")
+        offset = len(CHECKPOINT_MAGIC)
+        if len(payload) < offset + 4:
+            raise CheckpointError("truncated header length")
+        (header_len,) = struct.unpack_from("<I", payload, offset)
+        offset += 4
+        if len(payload) < offset + header_len:
+            raise CheckpointError("truncated header")
+        try:
+            header = json.loads(payload[offset:offset + header_len].decode("utf-8"))
+            config = PUGeoConfig.from_dict(header["config"])
+            declared = [(w["name"], tuple(w["shape"])) for w in header["weights"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"malformed header: {exc}") from None
+        offset += header_len
 
-    model = PUGeoNet(config, seed=0)
-    named = model.named_params()
-    expected = [(name, tuple(t.shape)) for name, t in named]
-    if declared != expected:
-        raise CheckpointError("header weight list does not match the declared config")
-    for (name, shape), (_, tensor) in zip(declared, named):
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 4
-        if offset + nbytes > len(payload):
-            raise CheckpointError(f"truncated weight data at {name!r}")
-        tensor.data = np.frombuffer(payload, dtype="<f4", count=count,
-                                    offset=offset).reshape(shape).astype(np.float32)
-        offset += nbytes
-    if offset != len(payload):
-        raise CheckpointError("trailing bytes after weight data")
-    return model
+        model = PUGeoNet(config, seed=0)
+        named = model.named_params()
+        expected = [(name, tuple(t.shape)) for name, t in named]
+        if declared != expected:
+            raise CheckpointError("header weight list does not match the declared config")
+        for (name, shape), (_, tensor) in zip(declared, named):
+            count = int(np.prod(shape)) if shape else 1
+            nbytes = count * 4
+            if offset + nbytes > len(payload):
+                raise CheckpointError(f"truncated weight data at {name!r}")
+            tensor.data = np.frombuffer(payload, dtype="<f4", count=count,
+                                        offset=offset).reshape(shape).astype(np.float32)
+            offset += nbytes
+        if offset != len(payload):
+            raise CheckpointError("trailing bytes after weight data")
+        return model

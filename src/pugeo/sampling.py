@@ -131,9 +131,30 @@ def _fps_pool(min_dist: np.ndarray) -> tuple[np.ndarray, float, int]:
 # k nearest neighbors
 #
 # The spatial index is a scipy cKDTree (median splits with balanced_tree).
-# Results are post-processed so they match a brute-force scan exactly,
-# including the tie rule: sort by (distance, index) with distances
-# recomputed by the same numpy expression a brute-force scan would use.
+# Results match a brute-force scan exactly, tie rule included: each row's
+# query widens past every point within rounding of its k-th distance, then
+# sorts by (distance, index), distances recomputed as a brute-force scan does.
+
+
+def _widening(tree, queries, width, reach):
+    """Each query's nearest tree entries out past its reach, as batches (rows, dist, idx).
+
+    Queries each row's `width` nearest entries and yields the rows whose last
+    entry lies beyond their reach, or that already hold the whole tree; the
+    other rows are queried again at 4x the width.  reach(dist) gives each
+    row's reach from the first query's (Q, width) distances.
+    """
+    rows = np.arange(len(queries))
+    limit = None
+    while len(rows):
+        width = min(width, tree.n)
+        dist, idx = (a.reshape(len(rows), width) for a in tree.query(queries[rows], k=width))
+        if limit is None:
+            limit = reach(dist)
+        done = (dist[:, -1] > limit) | (width == tree.n)
+        yield rows[done], dist[done], idx[done]
+        rows, limit = rows[~done], limit[~done]
+        width *= 4
 
 
 class NeighborIndex:
@@ -145,45 +166,23 @@ class NeighborIndex:
             raise ValueError("empty point set")
         self.tree = cKDTree(self.points, balanced_tree=True)
 
-    def _exact(self, query: np.ndarray, k: int) -> np.ndarray:
-        dk = np.atleast_1d(self.tree.query(query, k=k)[0])[-1]
-        radius = np.nextafter(dk * (1.0 + 1e-9), np.inf)
-        cand = np.asarray(self.tree.query_ball_point(query, radius), dtype=np.int64)
-        dists = np.linalg.norm(self.points[cand] - query, axis=1)
-        order = np.lexsort((cand, dists))
-        return cand[order[:k]]
-
     def knn_batch(self, queries, k: int) -> np.ndarray:
         """kNN for many queries at once; (Q, k) index array.
 
-        Fast path uses the tree directly and re-sorts by recomputed
-        (distance, index); rows whose k-th distance is ambiguous against the
-        (k+1)-th fall back to the exact candidate scan.
+        Each row's tree query widens (_widening) from k+1 entries until its
+        last lies beyond the k-th distance by more than rounding; the first k
+        by recomputed (distance, index) are kept.
         """
         queries = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
         n = len(self.points)
         if k > n:
             raise ValueError(f"k={k} exceeds point count {n}")
-        kq = min(k + 1, n)
-        dist, idx = self.tree.query(queries, k=kq)
-        dist = dist.reshape(len(queries), kq)
-        idx = idx.reshape(len(queries), kq)
         out = np.empty((len(queries), k), dtype=np.int64)
-        # boundary tie: excluded (k+1)-th point at (or within rounding of) the
-        # k-th distance; such rows take the exact candidate-scan path
-        if kq > k:
-            ambiguous = dist[:, k] <= dist[:, k - 1] * (1.0 + 1e-12) + 1e-300
-        else:
-            ambiguous = np.zeros(len(queries), bool)
-        for row in np.nonzero(ambiguous)[0]:
-            out[row] = self._exact(queries[row], k)
-        ok = ~ambiguous
-        if np.any(ok):
-            sel = idx[ok, :k]
-            d = np.linalg.norm(self.points[sel] - queries[ok][:, None, :], axis=2)
-            # stable per-row sort by (distance, index)
-            order = np.lexsort((sel, d), axis=1)
-            out[ok] = np.take_along_axis(sel, order, axis=1)
+        for rows, _, idx in _widening(self.tree, queries, k + 1,
+                                      lambda dist: dist[:, k - 1] * (1.0 + 1e-12) + 1e-300):
+            d = np.linalg.norm(self.points[idx] - queries[rows][:, None, :], axis=2)
+            order = np.lexsort((idx, d), axis=1)[:, :k]
+            out[rows] = np.take_along_axis(idx, order, axis=1)
         return out
 
 
@@ -278,10 +277,10 @@ def _eliminate(points: np.ndarray, n: int) -> np.ndarray:
     distance from an earlier round, which deaths since can only have
     raised.  The safe test reads only i's nearest neighbor when the second
     is farther than the key distance; otherwise (equal distances,
-    duplicates) it checks every live point within the key distance,
-    querying the tree with growing k (from _TIE_QUERY_K).  A kd-tree computes a pair's
-    distance the same way whatever tree holds the pair, whatever k is and
-    in either direction.
+    duplicates) it checks every live point within the key distance, which
+    the tied rows' one widening tree query (_widening, from _TIE_QUERY_K
+    entries) returns.  A kd-tree computes a pair's distance the same way
+    whatever tree holds the pair, whatever k is and in either direction.
     """
     m = len(points)
     alive = np.ones(m, dtype=bool)
@@ -319,23 +318,18 @@ def _elimination_round(tree, live, dist, nearest, second, needed: int) -> np.nda
     safe = (dist[near] == d) & (cand < near)
     pos, cand, d = pos[safe], cand[safe], d[safe]
     alone = second[cand] > d
-    tied = [live[p] for p in pos[~alone].tolist() if _ties_clear(tree, live, dist, p)]
-    return np.concatenate([cand[alone], np.asarray(tied, dtype=cand.dtype)])
-
-
-def _ties_clear(tree, live, dist, p: int) -> bool:
-    """Whether every other live point within live[p]'s key distance has a larger key."""
-    i = live[p]
-    d = dist[i]
-    k = min(_TIE_QUERY_K, len(live))
-    while True:
-        dists, idxs = map(np.atleast_1d, tree.query(tree.data[p], k=k))
-        if dists[-1] > d or k == len(live):
-            break
-        k = min(4 * k, len(live))
-    near = live[idxs[(dists <= d) & (idxs != p)]]
-    near_dist = dist[near]
-    return bool(np.all((near_dist > d) | ((near_dist == d) & (near > i))))
+    tied, key = pos[~alone], d[~alone]
+    doomed = [cand[alone]]
+    for rows, near_dist, near_pos in _widening(tree, tree.data[tied], _TIE_QUERY_K,
+                                               lambda _: key):
+        # safe unless another live point within the key distance has a smaller key
+        p, r = tied[rows, None], key[rows, None]
+        other = live[near_pos]
+        other_key = dist[other]
+        larger = (other_key > r) | ((other_key == r) & (other > live[p]))
+        blocked = (near_dist <= r) & (near_pos != p) & ~larger
+        doomed.append(live[tied[rows[~blocked.any(axis=1)]]])
+    return np.concatenate(doomed)
 
 
 # ---------------------------------------------------------------------------

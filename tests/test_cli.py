@@ -215,6 +215,35 @@ def test_upsample_static_graph_checkpoint_exit_2(tmp_path, capsys):
     assert "dynamic_graph" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("factor", 4.0), ("k", 2.5), ("patch_size", True), ("recalibration", "no"),
+    ("feature_widths", [8.5, 8]), ("grid_radius", math.nan), ("grid_radius", "0.25"),
+], ids=["factor_float", "k_fraction", "patch_size_true", "switch_string",
+        "feature_width_fraction", "grid_radius_nan", "grid_radius_string"])
+def test_upsample_mistyped_checkpoint_config_exit_2(tmp_path, capsys, key, value):
+    cfg = PUGeoConfig(factor=4, patch_size=32, k=4, feature_widths=(8, 8),
+                      hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
+    ckpt = tmp_path / "m.pugeo"
+    save_model(PUGeoNet(cfg, seed=0), ckpt)
+    set_checkpoint_config_entry(ckpt, key, value)
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+    rc = main(["upsample", "--input", cloud_path, "--output", str(tmp_path / "o.xyz"),
+               "--method", "model", "--model", str(ckpt)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{ckpt}: ") and repr(key) in err
+
+
+def test_upsample_bad_checkpoint_error_names_the_file(tmp_path, capsys):
+    ckpt = tmp_path / "bad.pugeo"
+    ckpt.write_bytes(b"PUGEO1\x00")
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+    rc = main(["upsample", "--input", cloud_path, "--output", str(tmp_path / "o.xyz"),
+               "--method", "model", "--model", str(ckpt)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"{ckpt}: truncated header length\n"
+
+
 def test_upsample_analytic_plane_normals(tmp_path, capsys):
     g = np.stack(np.meshgrid(np.linspace(0, 1, 12), np.linspace(0, 1, 12)), -1)
     pts = np.column_stack([g.reshape(-1, 2), np.zeros(144)])
@@ -779,10 +808,15 @@ def test_train_factor_mismatch_exit_2(tmp_path, mesh_dir, capsys):
 @pytest.mark.parametrize("text", [
     json.dumps({"config": {"factor": 4, "patch_size": 64},
                 "patches": [{"sparse": "a.xyz", "dense": "b.xyz"}]}),
+    json.dumps({"config": {"factor": 4, "patch_size": 64},
+                "patches": [{"sparse": "a.xyz", "dense": "b.xyz", "seed_index": True}]}),
+    json.dumps({"config": {"factor": 4, "patch_size": 64},
+                "patches": [{"sparse": "a.xyz", "dense": "b.xyz", "seed_index": -1}]}),
     json.dumps({"patches": [{"sparse": "a.xyz", "dense": "b.xyz", "seed_index": 0}]}),
     "[]",
     "{",
-], ids=["entry_without_seed_index", "no_config", "top_level_list", "not_json"])
+], ids=["entry_without_seed_index", "seed_index_true", "seed_index_negative", "no_config",
+        "top_level_list", "not_json"])
 def test_train_malformed_manifest_exit_2(tmp_path, capsys, text):
     path = tmp_path / "manifest.json"
     path.write_text(text)

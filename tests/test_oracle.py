@@ -327,6 +327,25 @@ def test_knn_batch_at_patch_sizes_matches_brute_force(name, make, k):
         assert np.array_equal(row, brute_force_knn(points, q, k))
 
 
+def test_knn_tie_wider_than_the_widened_query_is_exact(monkeypatch):
+    """40 copies tie at the 3rd distance: the query widens past 4 * (k + 1) entries."""
+    calls = []
+
+    class CountingTree(cKDTree):
+        def query(self, x, k=1, **kwargs):
+            calls.append(k)
+            return super().query(x, k=k, **kwargs)
+
+    monkeypatch.setattr(sampling, "cKDTree", CountingTree)
+    rng = np.random.default_rng(13)
+    points = np.concatenate([rng.uniform(-1.0, 1.0, size=(30, 3)), np.full((40, 3), 0.25)])
+    queries = np.concatenate([points[[0, 30, 69]], rng.uniform(-1.0, 1.0, size=(5, 3))])
+    batch = NeighborIndex(points).knn_batch(queries, 3)
+    assert len({k for k in calls if k > 4}) >= 2  # a first widening, then a wider one
+    for q, row in zip(queries, batch):
+        assert np.array_equal(row, brute_force_knn(points, q, 3))
+
+
 # ---------------------------------------------------------------------------
 # feature kNN inside the network
 
