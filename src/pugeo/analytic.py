@@ -10,7 +10,7 @@ geometric oracle the learned model is sanity-checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,14 +39,18 @@ class SamplePattern:
 
 @dataclass
 class UpsampleResult:
-    """R samples per source point plus per-sample and per-source normals."""
+    """One upsampling draw: R samples around each of P frames.
 
-    points: np.ndarray          # (R*N, 3)
-    normals: np.ndarray         # (R*N, 3) unit
-    coarse_normals: np.ndarray  # (N, 3) unit
-    deltas: np.ndarray          # (R*N,)
-    parent: np.ndarray          # (R*N,) source index, parent[i*R + r] = i
-    metadata: dict = field(default_factory=dict)
+    Row i*R+r of points, normals and deltas is sample r of frame i.
+    `metadata` counts the input points, the points in no patch and the
+    degenerate frames and curvature fits.
+    """
+
+    points: np.ndarray   # (P*R, 3)
+    normals: np.ndarray  # (P*R, 3) unit
+    deltas: np.ndarray   # (P*R,) displacements along the frame's third column
+    frames: np.ndarray   # (P, 3, 3), columns (t1, t2, t3)
+    metadata: dict
 
 
 def param_samples(factor: int, pattern: SamplePattern, local_radius,
@@ -94,8 +98,7 @@ def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
     tangent lift -> displacement along t3, clamped to the local radius.
     `displacement=False` forces all displacements to zero (first-order
     baseline).  Degenerate neighborhoods fall back to a canonical frame
-    with zero displacement and are counted in result metadata, which also
-    carries the (N, 3, 3) `frames` with columns (t1, t2, t3).
+    with zero displacement and are counted in result metadata.
     """
     if pattern is None:
         pattern = SamplePattern()
@@ -134,9 +137,7 @@ def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
     normals = (-k1 * u)[..., None] * p1 - (k2 * v)[..., None] * p2 + t3[:, None, :]
     normals /= np.linalg.norm(normals, axis=2, keepdims=True)
 
-    metadata = {"degenerate_frames": int(collinear.sum()), "degenerate_fits": int(flat.sum()),
-                "frames": frames}
+    metadata = {"points": n, "uncovered": 0, "degenerate_frames": int(collinear.sum()),
+                "degenerate_fits": int(flat.sum())}
     return UpsampleResult(points=samples.reshape(-1, 3), normals=normals.reshape(-1, 3),
-                          coarse_normals=t3.copy(), deltas=deltas.reshape(-1),
-                          parent=np.repeat(np.arange(n, dtype=np.int64), factor),
-                          metadata=metadata)
+                          deltas=deltas.reshape(-1), frames=frames, metadata=metadata)

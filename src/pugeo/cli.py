@@ -388,7 +388,7 @@ def cmd_upsample(args) -> int:
                          f"{cut * n} in all, fewer than the {m} input points")
     counts = {}
     result = _draw(cloud, per_point, args.coverage, lambda: upsample_cloud(
-        cloud, factor, method=args.method, model=model, k=args.k, coverage=args.coverage,
+        cloud, factor, model=model, k=args.k, coverage=args.coverage,
         pattern=SamplePattern(PATTERNS[args.pattern]), seed=args.seed, counts=counts))
     if counts["degenerate_frames"] == counts["points"]:
         return _fail(f"numerical failure: all {counts['points']} input points have "
@@ -438,9 +438,9 @@ def cmd_inspect_frames(args) -> int:
     cloud, factor, model, per_point = _read_input(args.input, args.method, args.factor, args.k,
                                                   args.coverage, args.model)
     drawn = _draw(cloud, per_point, args.coverage, lambda: draw_candidates(
-        cloud, factor, method=args.method, model=model, k=args.k, coverage=args.coverage,
+        cloud, factor, model=model, k=args.k, coverage=args.coverage,
         pattern=SamplePattern(PATTERNS[args.pattern]), seed=args.seed))
-    _warn(**drawn.counts)
+    _warn(**drawn.metadata)
     t = drawn.frames
     sys.stdout.write(frame_stats(t[:, :, 0], t[:, :, 1], t[:, :, 2], drawn.deltas).to_tsv())
     return 0

@@ -13,7 +13,7 @@ training loss has its own Chamfer on autodiff tensors
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -42,18 +42,9 @@ class MetricReport:
     surface: dict = field(default_factory=dict)  # optional cd#/hd#/jsd#
 
     def to_dict(self) -> dict:
-        out = {
-            "cd": self.cd,
-            "hd": self.hd,
-            "jsd": self.jsd,
-            "p2f_mean": self.p2f_mean,
-            "p2f_std": self.p2f_std,
-            "pred_count": self.pred_count,
-            "gt_count": self.gt_count,
-            "factor": self.factor,
-            "inputs": self.inputs,
-        }
-        out.update(self.surface)
+        """Every field, with the `surface` entries merged in at the top level."""
+        out = asdict(self)
+        out.update(out.pop("surface"))
         return out
 
 

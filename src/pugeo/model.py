@@ -12,6 +12,7 @@ the input's coordinates.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -164,6 +165,41 @@ def _knn_indices(values: np.ndarray, k: int) -> np.ndarray:
     return cols[order[starts[:, None] + np.arange(k)]]
 
 
+def _mlp_table(c: PUGeoConfig) -> list[tuple[str, tuple, bool]]:
+    """(name, widths, zero_init_last) of each MLP of `PUGeoNet(c)`, in init and checkpoint order."""
+    width = c.total_width
+    table = [("stn.point", (3, 16, 32), False), ("stn.reg", (32, 16, 9), True)]
+    fan_in = 3
+    for level, f_l in enumerate(c.feature_widths):
+        table.append((f"edge{level}", (2 * fan_in, f_l, f_l), False))
+        fan_in = f_l
+    if c.recalibration:
+        table.append(("h_r", (width, c.hr_hidden, c.levels), False))
+    if c.learned_sampling:
+        table.append(("f1", (width, c.f1_hidden, 2 * c.factor), False))
+    if c.linear_transform:
+        table.append(("f2", (width, c.f2_hidden, 9), True))
+    else:
+        table.append(("f2x", (width, c.f2_hidden, 3 * c.factor), True))
+        if c.predict_normals or c.coarse_to_fine:
+            table.append(("f2n", (width, c.f2_hidden, 3), False))
+    if c.coarse_to_fine:
+        table.append(("f3", (width + 3, c.f3_hidden, 1), True))
+        if c.predict_normals:
+            table.append(("f4", (width + 3, c.f4_hidden, 3), True))
+    else:
+        table.append(("one_shot", (width + 2, c.f3_hidden, 6 if c.predict_normals else 3), True))
+    return table
+
+
+def _weight_shapes(c: PUGeoConfig) -> list[tuple[str, tuple]]:
+    """(name, shape) of each weight `PUGeoNet(c).named_params()` holds, allocating none."""
+    return [(f"{name}.{kind}{i}", shape)
+            for name, widths, _ in _mlp_table(c)
+            for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]))
+            for kind, shape in (("w", (fan_in, fan_out)), ("b", (fan_out,)))]
+
+
 class PUGeoNet:
     """Patch upsampler; weights initialize deterministically from `seed`."""
 
@@ -172,46 +208,11 @@ class PUGeoNet:
         self.dtype = dtype
         rng = np.random.default_rng(seed)
         c = config
-        width = c.total_width
-
-        self.stn_point = Mlp(rng, (3, 16, 32), "stn.point", dtype=dtype)
-        self.stn_reg = Mlp(rng, (32, 16, 9), "stn.reg", zero_init_last=True, dtype=dtype)
-        self.edge_mlps = []
-        fan_in = 3
-        for level, f_l in enumerate(c.feature_widths):
-            self.edge_mlps.append(Mlp(rng, (2 * fan_in, f_l, f_l), f"edge{level}", dtype=dtype))
-            fan_in = f_l
-        self._modules = [self.stn_point, self.stn_reg, *self.edge_mlps]
-
-        if c.recalibration:
-            self.h_r = Mlp(rng, (width, c.hr_hidden, c.levels), "h_r", dtype=dtype)
-            self._modules.append(self.h_r)
-        if c.learned_sampling:
-            self.f1 = Mlp(rng, (width, c.f1_hidden, 2 * c.factor), "f1", dtype=dtype)
-            self._modules.append(self.f1)
-        if c.linear_transform:
-            self.f2 = Mlp(rng, (width, c.f2_hidden, 9), "f2", zero_init_last=True, dtype=dtype)
-            self._modules.append(self.f2)
-        else:
-            self.f2x = Mlp(rng, (width, c.f2_hidden, 3 * c.factor), "f2x",
-                           zero_init_last=True, dtype=dtype)
-            self._modules.append(self.f2x)
-            if c.predict_normals or c.coarse_to_fine:
-                self.f2n = Mlp(rng, (width, c.f2_hidden, 3), "f2n", dtype=dtype)
-                self._modules.append(self.f2n)
-        if c.coarse_to_fine:
-            self.f3 = Mlp(rng, (width + 3, c.f3_hidden, 1), "f3", zero_init_last=True,
-                          dtype=dtype)
-            self._modules.append(self.f3)
-            if c.predict_normals:
-                self.f4 = Mlp(rng, (width + 3, c.f4_hidden, 3), "f4", zero_init_last=True,
-                              dtype=dtype)
-                self._modules.append(self.f4)
-        else:
-            out_width = 6 if c.predict_normals else 3
-            self.f_one = Mlp(rng, (width + 2, c.f3_hidden, out_width), "one_shot",
-                             zero_init_last=True, dtype=dtype)
-            self._modules.append(self.f_one)
+        self._modules = [Mlp(rng, widths, name, zero_init_last=zero_last, dtype=dtype)
+                         for name, widths, zero_last in _mlp_table(c)]
+        for mlp in self._modules:
+            setattr(self, mlp.name.replace(".", "_"), mlp)
+        self.edge_mlps = self._modules[2:2 + c.levels]
 
         if not c.learned_sampling:
             grid = param_samples(c.factor, SamplePattern("jittered_grid", radius_scale=1.0),
@@ -328,7 +329,7 @@ class PUGeoNet:
         else:
             uv_flat = ad.reshape(uv, (n * r, 2))
             c_rep = ad.gather(c, repeat_idx, axis=0)
-            raw = self.f_one(ad.concat([c_rep, uv_flat], axis=-1))
+            raw = self.one_shot(ad.concat([c_rep, uv_flat], axis=-1))
             offsets = ad.gather(raw, np.array([0, 1, 2]), axis=1)
             points = ad.add(ad.reshape(offsets, (n, r, 3)), ad.reshape(aligned, (n, 1, 3)))
             if cfg.predict_normals:
@@ -407,19 +408,21 @@ def load_model(path) -> PUGeoNet:
             raise CheckpointError(f"malformed header: {exc}") from None
         offset += header_len
 
-        model = PUGeoNet(config, seed=0)
-        named = model.named_params()
-        expected = [(name, tuple(t.shape)) for name, t in named]
+        # the header and the payload size are checked before the model allocates anything
+        expected = _weight_shapes(config)
         if declared != expected:
             raise CheckpointError("header weight list does not match the declared config")
-        for (name, shape), (_, tensor) in zip(declared, named):
-            count = int(np.prod(shape)) if shape else 1
-            nbytes = count * 4
-            if offset + nbytes > len(payload):
+        end = offset
+        for name, shape in expected:
+            end += 4 * math.prod(shape)
+            if end > len(payload):
                 raise CheckpointError(f"truncated weight data at {name!r}")
+        if end != len(payload):
+            raise CheckpointError("trailing bytes after weight data")
+        model = PUGeoNet(config, seed=0)
+        for (_, shape), (_, tensor) in zip(expected, model.named_params()):
+            count = math.prod(shape)
             tensor.data = np.frombuffer(payload, dtype="<f4", count=count,
                                         offset=offset).reshape(shape).astype(np.float32)
-            offset += nbytes
-        if offset != len(payload):
-            raise CheckpointError("trailing bytes after weight data")
+            offset += 4 * count
         return model

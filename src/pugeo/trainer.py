@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .analytic import SamplePattern, upsample_analytic
+from .analytic import SamplePattern, UpsampleResult, upsample_analytic
 from .errors import GeometryError, TrainingDiverged
 from .io import PointCloud, TriangleMesh
 from .losses import LossWeights, chamfer_loss, normal_loss_graph, total_loss_graph
@@ -282,64 +282,48 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
 # whole-cloud upsampling pipeline
 
 
-@dataclass
-class Candidates:
-    """The candidate clouds of one upsampling draw and what the draw saw."""
-
-    clouds: list[PointCloud]  # in the input's units
-    factor: int               # R: fusion keeps R*M candidates
-    frames: np.ndarray        # (P, 3, 3), columns (t1, t2, t3), per input or patch point
-    deltas: np.ndarray        # the samples' displacements along t3, frame by frame
-    counts: dict              # input points, points in no patch, degenerate frames and fits
-
-
-def draw_candidates(cloud: PointCloud, factor: int, method: str = "analytic",
-                    model: PUGeoNet | None = None, k: int = 16,
-                    pattern: SamplePattern | None = None, coverage: float = 3.0,
-                    seed: int = 0) -> Candidates:
+def draw_candidates(cloud: PointCloud, factor: int, model: PUGeoNet | None = None,
+                    k: int = 16, pattern: SamplePattern | None = None,
+                    coverage: float = 3.0, seed: int = 0) -> UpsampleResult:
     """Draw about coverage*R*M candidates around the M points of `cloud`.
 
-    "analytic" fits each input point once and draws ceil(coverage*R) around it;
-    "model" upsamples ceil(coverage*M/N) patches of the checkpoint's N points
-    and takes R from it.  Only the analytic path has degenerate frames and
-    fits, and only the model path points in no patch.
+    Without a model, fit each input point once and draw ceil(coverage*R)
+    around it.  With one, upsample ceil(coverage*M/N) patches of the
+    checkpoint's N points; its frames are the patches' lifts T, which stay
+    in the STN-aligned patch space, and R must be the model's.  Only the
+    analytic path has degenerate frames and fits, and only the model path
+    points in no patch.
     """
-    if method == "model":
-        if model is None:
-            raise ValueError("method 'model' requires a model")
-        clouds, frames, deltas = [], [], []
-        patches = extract_patches(cloud, model.config.patch_size, coverage)
-        for patch in patches:
-            out = model.forward(patch.points)
-            clouds.append(PointCloud(denormalize(patch, out.points.data), out.normals.data))
-            frames.append(out.t_matrices)
-            deltas.append(out.deltas.reshape(-1))
-            del out  # its graph would otherwise stay alive through the next forward pass
-        frames, deltas = np.concatenate(frames), np.concatenate(deltas)
-        factor, metadata = model.config.factor, {"uncovered": count_uncovered(patches, len(cloud))}
-    elif method == "analytic":
+    if model is None:
         _check_coverage(coverage)
-        result = upsample_analytic(cloud, math.ceil(coverage * factor), k=k, pattern=pattern,
-                                   rng=np.random.default_rng(seed))
-        clouds, metadata = [PointCloud(result.points, result.normals)], result.metadata
-        frames, deltas = metadata["frames"], result.deltas
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    counts = {key: metadata.get(key, 0)
-              for key in ("uncovered", "degenerate_frames", "degenerate_fits")}
-    return Candidates(clouds, factor, frames, deltas, {"points": len(cloud), **counts})
+        return upsample_analytic(cloud, math.ceil(coverage * factor), k=k, pattern=pattern,
+                                 rng=np.random.default_rng(seed))
+    if factor != model.config.factor:
+        raise ValueError(f"factor {factor} does not match the model's factor "
+                         f"{model.config.factor}")
+    parts = []
+    patches = extract_patches(cloud, model.config.patch_size, coverage)
+    for patch in patches:
+        out = model.forward(patch.points)
+        parts.append((denormalize(patch, out.points.data), out.normals.data,
+                      out.deltas.reshape(-1), out.t_matrices))
+        del out  # its graph would otherwise stay alive through the next forward pass
+    points, normals, deltas, frames = (np.concatenate(part) for part in zip(*parts))
+    return UpsampleResult(points, normals, deltas, frames, {
+        "points": len(cloud), "uncovered": count_uncovered(patches, len(cloud)),
+        "degenerate_frames": 0, "degenerate_fits": 0})
 
 
-def upsample_cloud(cloud: PointCloud, factor: int, method: str = "analytic",
-                   model: PUGeoNet | None = None, k: int = 16,
-                   pattern: SamplePattern | None = None, coverage: float = 3.0,
-                   seed: int = 0, counts: dict | None = None) -> PointCloud:
+def upsample_cloud(cloud: PointCloud, factor: int, model: PUGeoNet | None = None,
+                   k: int = 16, pattern: SamplePattern | None = None,
+                   coverage: float = 3.0, seed: int = 0,
+                   counts: dict | None = None) -> PointCloud:
     """FPS-fuse the `draw_candidates` of `cloud` to exactly R*M points.
 
-    `counts`, if given, receives the draw's counts: the input points, the
+    `counts`, if given, receives the draw's metadata: the input points, the
     points in no patch and the degenerate frames and fits.
     """
-    drawn = draw_candidates(cloud, factor, method, model, k, pattern, coverage, seed)
+    drawn = draw_candidates(cloud, factor, model, k, pattern, coverage, seed)
     if counts is not None:
-        counts.update(drawn.counts)
-    return fuse_patches(drawn.clouds, drawn.factor * len(cloud))
+        counts.update(drawn.metadata)
+    return fuse_patches([PointCloud(drawn.points, drawn.normals)], factor * len(cloud))

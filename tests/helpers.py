@@ -140,16 +140,21 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-4) 
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def set_checkpoint_config_entry(path, key, value) -> None:
-    """Rewrite a saved checkpoint's header so that config[key] = value."""
+def edit_checkpoint_header(path, edit) -> None:
+    """Rewrite a saved checkpoint's header as edit(header) leaves it; the weights stay."""
     blob = path.read_bytes()
     offset = len(CHECKPOINT_MAGIC)
     (length,) = struct.unpack_from("<I", blob, offset)
     header = json.loads(blob[offset + 4:offset + 4 + length])
-    header["config"][key] = value
+    edit(header)
     new = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(blob[:offset] + struct.pack("<I", len(new)) + new
                      + blob[offset + 4 + length:])
+
+
+def set_checkpoint_config_entry(path, key, value) -> None:
+    """Rewrite a saved checkpoint's header so that config[key] = value."""
+    edit_checkpoint_header(path, lambda header: header["config"].__setitem__(key, value))
 
 
 def ply_face_flags(path, flags_first, face_first=False):
@@ -166,3 +171,4 @@ def ply_face_flags(path, flags_first, face_first=False):
     body = faces + vertices if face_first else vertices + faces
     path.write_text("\n".join(["ply", "format ascii 1.0", *head, "end_header", *body]) + "\n")
     return path, 3 + head.index("property uchar flags")
+

@@ -334,7 +334,7 @@ def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
     out_points = np.empty((n * factor, 3))
     out_normals = np.empty((n * factor, 3))
     out_deltas = np.empty(n * factor)
-    coarse = np.empty((n, 3))
+    frames = np.empty((n, 3, 3))
     curvatures = np.zeros((n, 2))
     degenerate_frames = 0
     degenerate_fits = 0
@@ -380,15 +380,13 @@ def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
         out_points[sl] = samples
         out_normals[sl] = normals
         out_deltas[sl] = deltas
-        coarse[i] = frame.t3
+        frames[i] = np.column_stack([frame.t1, frame.t2, frame.t3])
         curvatures[i] = (k1, k2)
 
     metadata = {"degenerate_frames": degenerate_frames, "degenerate_fits": degenerate_fits,
                 "k1": curvatures[:, 0], "k2": curvatures[:, 1]}
-    return UpsampleResult(points=out_points, normals=out_normals, coarse_normals=coarse,
-                          deltas=out_deltas,
-                          parent=np.repeat(np.arange(n, dtype=np.int64), factor),
-                          metadata=metadata)
+    return UpsampleResult(points=out_points, normals=out_normals, deltas=out_deltas,
+                          frames=frames, metadata=metadata)
 
 
 def frame_stats(frames: list[Frame], deltas) -> FrameStats:

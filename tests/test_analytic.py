@@ -47,15 +47,8 @@ def test_output_counts():
     result = upsample_analytic(cloud, 4, k=16)
     assert result.points.shape == (4000, 3)
     assert result.normals.shape == (4000, 3)
-    assert result.coarse_normals.shape == (1000, 3)
+    assert result.frames[:, :, 2].shape == (1000, 3)
     assert result.deltas.shape == (4000,)
-
-
-def test_parent_grouping():
-    cloud = sphere_cloud(200, 1.0, seed=2)
-    result = upsample_analytic(cloud, 3, k=16)
-    expected = np.repeat(np.arange(200), 3)
-    assert np.array_equal(result.parent, expected)
 
 
 def test_second_order_beats_tangent_plane_on_sphere():
@@ -72,7 +65,7 @@ def test_reconstruction_identity():
     cloud = sphere_cloud(300, 1.0, seed=3)
     result = upsample_analytic(cloud, 4, k=16)
     for i in (0, 57, 123):
-        t3 = result.coarse_normals[i]
+        t3 = result.frames[i, :, 2]
         for r in range(4):
             j = i * 4 + r
             xhat = result.points[j] - result.deltas[j] * t3
@@ -133,7 +126,7 @@ def test_degenerate_line_fallback_counts():
     result = upsample_analytic(PointCloud(line), 2, k=8)
     assert result.metadata["degenerate_frames"] == 40
     assert np.all(result.deltas == 0.0)
-    np.testing.assert_allclose(result.coarse_normals, np.tile([0, 0, 1.0], (40, 1)))
+    np.testing.assert_allclose(result.frames[:, :, 2], np.tile([0, 0, 1.0], (40, 1)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -151,4 +144,4 @@ def test_permutation_equivariance_property(n, factor, seed):
                              (a.deltas, b.deltas)):
         assert np.array_equal(group_a.reshape(n, factor, -1)[perm],
                               group_b.reshape(n, factor, -1))
-    assert np.array_equal(a.coarse_normals[perm], b.coarse_normals)
+    assert np.array_equal(a.frames[:, :, 2][perm], b.frames[:, :, 2])

@@ -244,6 +244,29 @@ def test_upsample_bad_checkpoint_error_names_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"{ckpt}: truncated header length\n"
 
 
+def test_upsample_oversized_checkpoint_header_exit_2(tmp_path):
+    # the header alone asks for a 10**12-wide layer (terabytes of weights);
+    # under a 4 GB address-space limit the run still exits 2 and names the file
+    import resource
+
+    cfg = PUGeoConfig(factor=4, patch_size=32, k=4, feature_widths=(8, 8),
+                      hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
+    ckpt = tmp_path / "m.pugeo"
+    save_model(PUGeoNet(cfg, seed=0), ckpt)
+    set_checkpoint_config_entry(ckpt, "hr_hidden", 10**12)
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+    root = pathlib.Path(__file__).resolve().parents[1]
+    limit = 4 * 10**9
+    done = subprocess.run(
+        [sys.executable, "-m", "pugeo", "upsample", "--input", cloud_path,
+         "--output", str(tmp_path / "o.xyz"), "--method", "model", "--model", str(ckpt)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True, text=True,
+        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == f"{ckpt}: header weight list does not match the declared config\n"
+    assert not (tmp_path / "o.xyz").exists()
+
+
 def test_upsample_analytic_plane_normals(tmp_path, capsys):
     g = np.stack(np.meshgrid(np.linspace(0, 1, 12), np.linspace(0, 1, 12)), -1)
     pts = np.column_stack([g.reshape(-1, 2), np.zeros(144)])
@@ -702,6 +725,19 @@ def test_train_epochs_zero_checkpoint_is_init(tmp_path, mesh_dir, capsys):
         assert np.array_equal(a.data, b.data)
 
 
+def test_train_checkpoint_dir_is_created_and_holds_every_checkpoint(tmp_path, mesh_dir,
+                                                                    capsys):
+    data = _run_dataset(tmp_path, mesh_dir)
+    out, checkpoints = tmp_path / "model.pugeo", tmp_path / "new" / "dir"
+    rc = main(["--seed", "5", "train", "--data", str(data), "--out", str(out),
+               "--epochs", "2", "--batch", "4", "--k-feature", "6",
+               "--checkpoint-dir", str(checkpoints), "--checkpoint-every", "1"])
+    assert rc == 0
+    assert sorted(p.name for p in checkpoints.iterdir()) == [
+        "checkpoint_epoch0001.pugeo", "checkpoint_epoch0002.pugeo", "checkpoint_final.pugeo"]
+    assert (checkpoints / "checkpoint_final.pugeo").read_bytes() == out.read_bytes()
+
+
 def test_train_logs_json_per_epoch_and_ablation_flag(tmp_path, mesh_dir, capsys):
     data = _run_dataset(tmp_path, mesh_dir)
     capsys.readouterr()  # drop the dataset-build summary line
@@ -1088,7 +1124,7 @@ def test_inspect_frames_analytic_draws_upsample_candidates(tmp_path, capsys, cov
     def tsv(per_point):
         result = upsample_analytic(read_xyz(path), per_point, k=16,
                                    rng=np.random.default_rng(42))
-        t = result.metadata["frames"]
+        t = result.frames
         return frame_stats(t[:, :, 0], t[:, :, 1], t[:, :, 2], result.deltas).to_tsv()
 
     assert main(["inspect", "frames", "--input", path, "--coverage", coverage]) == 0
@@ -1210,8 +1246,7 @@ def test_uncovered_points_one_warning_line(tmp_path, capsys, command):
     cloud = clustered_cloud()
     counts = {}
     ckpt = _model_checkpoint(tmp_path / "m.pugeo", 64)
-    upsample_cloud(cloud, 4, method="model", model=load_model(ckpt), coverage=1.0,
-                   counts=counts)
+    upsample_cloud(cloud, 4, model=load_model(ckpt), coverage=1.0, counts=counts)
     assert counts["uncovered"] > 0
     path = _write_cloud(tmp_path / "in.xyz", cloud)
     if command == "upsample":

@@ -197,9 +197,10 @@ def test_lift_tangent_residual(seed):
     result = upsample_analytic(PointCloud(cap), 4, k=16, displacement=False,
                                pattern=SamplePattern("jittered_grid"),
                                rng=np.random.default_rng(seed))
-    frames = result.metadata["frames"][result.parent]
+    parent = np.repeat(np.arange(len(cap)), 4)
+    frames = result.frames[parent]
     normal = np.cross(frames[:, :, 0], frames[:, :, 1])
-    residual = np.einsum("nd,nd->n", result.points - cap[result.parent], normal)
+    residual = np.einsum("nd,nd->n", result.points - cap[parent], normal)
     assert np.abs(residual).max() < 1e-6
 
 
@@ -208,13 +209,13 @@ def test_quadric_normal_at_origin_is_t3():
     cap = _sphere_cap(30)
     at_origin = upsample_analytic(PointCloud(cap), 4, k=16,
                                   pattern=SamplePattern("fibonacci_disk", 0.0))
-    coarse = at_origin.coarse_normals[at_origin.parent]
+    coarse = np.repeat(at_origin.frames[:, :, 2], 4, axis=0)
     assert np.linalg.norm(at_origin.normals - coarse, axis=1).max() < 1e-9
     # a plane fits a flat quadric, whose normal is t3 everywhere
     g = np.stack(np.meshgrid(np.linspace(0, 1, 8), np.linspace(0, 1, 8)), -1)
     plane = np.column_stack([g.reshape(-1, 2), np.zeros(64)])
     flat = upsample_analytic(PointCloud(plane), 4, k=16)
-    coarse = flat.coarse_normals[flat.parent]
+    coarse = np.repeat(flat.frames[:, :, 2], 4, axis=0)
     assert np.linalg.norm(flat.normals - coarse, axis=1).max() < 1e-9
 
 

@@ -224,6 +224,28 @@ def test_read_ply_ascii(tmp_path):
     assert len(mesh.triangles) == 1
 
 
+_SNIFF_MESHES = {
+    ".obj": "v 0 0 0\nv 1 0 0\nv 1 1 0.5\nv 0 1 0\nvn 0 0 2\nvn 0 0 1\nvn 0 1 1\nvn 1 0 1\n"
+            "f 1 2 3 4\n",
+    ".ply": "ply\nformat ascii 1.0\nelement vertex 4\nproperty float x\nproperty float y\n"
+            "property float z\nelement face 2\nproperty list uchar int vertex_indices\n"
+            "end_header\n0 0 0\n1 0 0\n1 1 0.5\n0 1 0\n3 0 1 2\n3 0 2 3\n",
+}
+
+
+@pytest.mark.parametrize("ext", list(_SNIFF_MESHES))
+def test_read_mesh_sniffs_other_extensions(tmp_path, ext):
+    # a path ending in neither .obj nor .ply is read as PLY when it starts
+    # with "ply", else as OBJ
+    named, other = tmp_path / f"m{ext}", tmp_path / "x.mesh"
+    for path in (named, other):
+        path.write_text(_SNIFF_MESHES[ext])
+    expected, sniffed = read_mesh(named), read_mesh(other)
+    for field in ("vertices", "triangles", "normals"):
+        assert np.array_equal(getattr(sniffed, field), getattr(expected, field))
+    assert len(sniffed.triangles) == 2
+
+
 _PLY_VERTEX = "element vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
 _PLY_FACE = "element face 1\nproperty list uchar int vertex_indices\n"
 _PLY_EDGE = "element edge 2\nproperty int vertex1\nproperty int vertex2\n"

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pugeo.autodiff as ad
+import pugeo.model
 from pugeo import PUGeoConfig, PUGeoNet, load_model, save_model
 from pugeo.errors import CheckpointError
 from pugeo.model import _knn_indices
 
-from helpers import set_checkpoint_config_entry, unit_rows
+from helpers import edit_checkpoint_header, set_checkpoint_config_entry, unit_rows
 
 TINY = dict(factor=4, patch_size=32, k=6, feature_widths=(8, 16),
             hr_hidden=8, f1_hidden=16, f2_hidden=16, f3_hidden=8, f4_hidden=8)
@@ -354,3 +355,68 @@ def test_checkpoint_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
     with pytest.raises(CheckpointError, match="trailing"):
         load_model(path)
+
+
+@pytest.mark.parametrize("flags", [(), ("recalibration",), ("learned_sampling",),
+                                   ("linear_transform",), ("coarse_to_fine",),
+                                   ("predict_normals",),
+                                   ("linear_transform", "coarse_to_fine", "predict_normals")],
+                         ids=lambda flags: "-".join(f"no_{flag}" for flag in flags) or "full")
+def test_weight_table_lists_the_built_weights(flags):
+    cfg = PUGeoConfig(**TINY, **{flag: False for flag in flags})
+    built = [(name, t.shape) for name, t in PUGeoNet(cfg, seed=0).named_params()]
+    assert pugeo.model._weight_shapes(cfg) == built
+
+
+def _refuse_to_build(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the model was built before the checkpoint was checked")
+    monkeypatch.setattr(pugeo.model, "PUGeoNet", refuse)
+
+
+def _grow_h_r(header, width):
+    header["config"]["hr_hidden"] = width
+    for weight in header["weights"]:
+        if weight["name"] in ("h_r.w0", "h_r.b0"):
+            weight["shape"][-1] = width
+        elif weight["name"] == "h_r.w1":
+            weight["shape"][0] = width
+
+
+@pytest.mark.parametrize("header_too", [False, True], ids=["config_only", "config_and_weights"])
+def test_checkpoint_oversized_header_builds_nothing(tmp_path, monkeypatch, header_too):
+    # a 10**12-wide h_r would need terabytes; the header and the payload
+    # size refuse it before any weight is allocated
+    path = tmp_path / "m.pugeo"
+    save_model(PUGeoNet(PUGeoConfig(**TINY), seed=0), path)
+    if header_too:
+        edit_checkpoint_header(path, lambda header: _grow_h_r(header, 10**12))
+        message = "truncated weight data at 'h_r.w0'"
+    else:
+        set_checkpoint_config_entry(path, "hr_hidden", 10**12)
+        message = "header weight list does not match the declared config"
+    _refuse_to_build(monkeypatch)
+    with pytest.raises(CheckpointError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("edit", ["rename", "reorder", "drop"])
+def test_checkpoint_weight_list_must_match_its_config(tmp_path, monkeypatch, edit):
+    path = tmp_path / "m.pugeo"
+    save_model(PUGeoNet(PUGeoConfig(**TINY), seed=0), path)
+
+    def spoil(header):
+        weights = header["weights"]
+        if edit == "rename":
+            weights[3]["name"] = "stn.point.w9"
+        elif edit == "reorder":
+            weights[0], weights[2] = weights[2], weights[0]
+        else:
+            del weights[-1]
+
+    edit_checkpoint_header(path, spoil)
+    _refuse_to_build(monkeypatch)
+    with pytest.raises(CheckpointError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: header weight list does not match the declared config"

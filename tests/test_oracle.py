@@ -945,7 +945,8 @@ def _assert_matches_reference(points, fast, slow, factor, k):
     """
     neighborhoods = points[NeighborIndex(points).knn_batch(points, k)]
     reference_dir = neighborhoods.mean(axis=1) - points
-    unoriented = (np.abs(np.einsum("nd,nd->n", slow.coarse_normals, reference_dir))
+    fast_t3, slow_t3 = fast.frames[:, :, 2], slow.frames[:, :, 2]
+    unoriented = (np.abs(np.einsum("nd,nd->n", slow_t3, reference_dir))
                   <= TOL * np.linalg.norm(reference_dir, axis=1))
     free = np.abs(slow.metadata["k1"] - slow.metadata["k2"]) < TOL
     each = lambda mask: np.repeat(mask, factor)  # noqa: E731
@@ -953,8 +954,8 @@ def _assert_matches_reference(points, fast, slow, factor, k):
     def close(a, b):
         np.testing.assert_allclose(a, b, rtol=0, atol=TOL)
 
-    close(fast.coarse_normals[~unoriented], slow.coarse_normals[~unoriented])
-    close(np.abs(np.einsum("nd,nd->n", fast.coarse_normals, slow.coarse_normals)), 1.0)
+    close(fast_t3[~unoriented], slow_t3[~unoriented])
+    close(np.abs(np.einsum("nd,nd->n", fast_t3, slow_t3)), 1.0)
     close(fast.deltas[~each(unoriented)], slow.deltas[~each(unoriented)])
     close(np.abs(fast.deltas), np.abs(slow.deltas))
     close(fast.normals[~each(unoriented)], slow.normals[~each(unoriented)])
@@ -964,7 +965,7 @@ def _assert_matches_reference(points, fast, slow, factor, k):
     centers = np.repeat(points, factor, axis=0)
     close(np.linalg.norm(fast.points - centers, axis=1),
           np.linalg.norm(slow.points - centers, axis=1))
-    assert np.array_equal(fast.parent, slow.parent)
+    assert fast.frames.shape == slow.frames.shape == (len(points), 3, 3)
     for key in ("degenerate_frames", "degenerate_fits"):
         assert fast.metadata[key] == slow.metadata[key]
 
@@ -1001,7 +1002,7 @@ def test_tilted_plane_normals_share_one_orientation():
     points = KERNEL_CLOUDS["plane"]
     result = upsample_analytic(PointCloud(points), 4, k=16)
     plane_normal = np.linalg.svd(points - points.mean(axis=0))[2][2]
-    for normals in (result.coarse_normals, result.normals):
+    for normals in (result.frames[:, :, 2], result.normals):
         side = np.sign(normals @ plane_normal)
         assert np.all(side == side[0])
 
@@ -1029,7 +1030,7 @@ def test_permuting_input_permutes_output_groups():
     assert np.array_equal(groups(moved.points), groups(base.points)[perm])
     assert np.array_equal(groups(moved.normals), groups(base.normals)[perm])
     assert np.array_equal(groups(moved.deltas), groups(base.deltas)[perm])
-    assert np.array_equal(moved.coarse_normals, base.coarse_normals[perm])
+    assert np.array_equal(moved.frames[:, :, 2], base.frames[:, :, 2][perm])
 
 
 # ---------------------------------------------------------------------------
@@ -1052,7 +1053,7 @@ def test_frame_stats_matches_per_frame_loop(name):
         deltas = np.random.default_rng(7).normal(size=4 * len(frames))
     else:
         result = upsample_analytic(PointCloud(KERNEL_CLOUDS[name]), 4, k=16)
-        frames, deltas = result.metadata["frames"], result.deltas
+        frames, deltas = result.frames, result.deltas
     t1, t2, t3 = frames[:, :, 0], frames[:, :, 1], frames[:, :, 2]
     fast = frame_stats(t1, t2, t3, deltas)
     slow = reference.frame_stats([reference.Frame(np.zeros(3), *row)

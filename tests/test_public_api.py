@@ -1,6 +1,7 @@
 """The package's public names and the names the demos import stay resolvable.
 
-Every demo runs to exit 0, so a demo that calls a removed name fails here.
+Every demo, and every fenced python block of README.md, runs to exit 0,
+so one that calls a removed name or parameter fails here.
 Every public name must also be used by the package itself or by a demo, so
 nothing is exported for the tests alone.
 """
@@ -9,6 +10,7 @@ import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -18,6 +20,8 @@ import pugeo
 
 ROOT = pathlib.Path(__file__).parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                           re.MULTILINE | re.DOTALL)
 
 
 def _pugeo_imports(path):
@@ -42,6 +46,16 @@ def test_demo_imports_resolve(path, tmp_path):
     run = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, f"{path.name} failed:\n{run.stderr}"
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_block_runs(block):
+    # from the repo root, where the blocks' relative fixture paths resolve
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", block], cwd=ROOT, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, f"README block failed:\n{run.stderr}"
 
 
 def test_all_entries_resolve_once():

@@ -18,7 +18,7 @@ from pugeo import model, trainer
 from pugeo.errors import GeometryError, TrainingDiverged
 from pugeo.io import TriangleMesh
 from pugeo.metrics import report_metrics
-from pugeo.trainer import (TrainExample, augment_example, build_dataset,
+from pugeo.trainer import (TrainExample, augment_example, build_dataset, draw_candidates,
                            scale_to_unit_cube, train, upsample_cloud)
 from pugeo.workers import _BLAS_THREAD_VARS, _map_tasks, _worker_count
 
@@ -643,8 +643,8 @@ def test_evaluate_ground_truth_against_itself():
 
 def test_upsample_cloud_exact_count_and_determinism():
     cloud = sphere_cloud(300, 1.0, seed=0)
-    a = upsample_cloud(cloud, 4, method="analytic", k=16, coverage=2.0)
-    b = upsample_cloud(cloud, 4, method="analytic", k=16, coverage=2.0)
+    a = upsample_cloud(cloud, 4, k=16, coverage=2.0)
+    b = upsample_cloud(cloud, 4, k=16, coverage=2.0)
     assert len(a) == 1200
     assert np.array_equal(a.points, b.points)
 
@@ -709,11 +709,31 @@ def test_evaluate_report_schema():
     mesh = icosphere(2)
     cloud = PointCloud(*(lambda c: (c.points, c.normals))(poisson_disk_sample(mesh, 128, 3)))
     gt_dense = poisson_disk_sample(mesh, 256, seed=4)
-    pred = upsample_cloud(cloud, 2, method="analytic", k=12, coverage=2.0)
+    pred = upsample_cloud(cloud, 2, k=12, coverage=2.0)
     report = report_metrics(pred, gt_dense, mesh, factor=2)
     data = report.to_dict()
     assert {"cd", "hd", "jsd", "p2f_mean", "p2f_std"} <= set(data)
     assert data["pred_count"] == 256
+
+
+def test_model_draw_is_one_record_of_its_patch_forwards():
+    # row i*R+r of the record is sample r of frame i, patch after patch; the
+    # frames are the patches' lifts T and R must be the model's
+    cfg = PUGeoConfig(factor=2, patch_size=32, k=6, feature_widths=(8, 8),
+                      hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
+    net = PUGeoNet(cfg, seed=0)
+    cloud = sphere_cloud(128, 1.0, seed=5)
+    drawn = draw_candidates(cloud, 2, model=net, coverage=2.0)
+    pieces, frames, deltas = reference.patch_forwards(cloud, net, 2.0)
+    assert np.array_equal(drawn.points, np.concatenate([p.points for p in pieces]))
+    assert np.array_equal(drawn.normals, np.concatenate([p.normals for p in pieces]))
+    assert np.array_equal(drawn.frames, frames) and np.array_equal(drawn.deltas, deltas)
+    assert len(drawn.points) == len(drawn.deltas) == 2 * len(drawn.frames) == 2 * 8 * 32
+    assert drawn.metadata == {"points": 128, "uncovered": 0, "degenerate_frames": 0,
+                              "degenerate_fits": 0}
+    for call in (draw_candidates, upsample_cloud):
+        with pytest.raises(ValueError, match="^factor 4 does not match the model's factor 2$"):
+            call(cloud, 4, model=net)
 
 
 def test_model_method_through_pipeline():
@@ -721,6 +741,6 @@ def test_model_method_through_pipeline():
                       hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
     net = PUGeoNet(cfg, seed=0)
     cloud = sphere_cloud(128, 1.0, seed=5)
-    fused = upsample_cloud(cloud, 2, method="model", model=net, coverage=2.0)
+    fused = upsample_cloud(cloud, 2, model=net, coverage=2.0)
     assert len(fused) == 256
     assert fused.normals is not None
