@@ -57,12 +57,6 @@ def parameter(value, dtype=np.float32) -> Tensor:
     return Tensor(value, requires_grad=True, dtype=dtype)
 
 
-def _wrap(value, like: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=like.data.dtype))
-
-
 def _make(data, parents, backward) -> Tensor:
     if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
@@ -83,46 +77,33 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # elementwise ops
 
 
-def add(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _wrap(a, b)
-    b = _wrap(b, a)
+def _binary(op: str, a, b, value, grad_a, grad_b) -> Tensor:
+    """value(a, b) as a node; grad_a(g, x, y) and grad_b(g, x, y) are unbroadcast in turn."""
+    a = a if isinstance(a, Tensor) else Tensor(a, dtype=b.dtype)
+    b = b if isinstance(b, Tensor) else Tensor(b, dtype=a.dtype)
     try:
-        out = a.data + b.data
+        out = value(a.data, b.data)
     except ValueError:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
+    return _make(out, (a, b), lambda g: (_unbroadcast(grad_a(g, a.data, b.data), a.shape),
+                                         _unbroadcast(grad_b(g, a.data, b.data), b.shape)))
+
+
+def add(a, b) -> Tensor:
+    return _binary("add", a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _wrap(a, b)
-    b = _wrap(b, a)
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}") from None
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    return _binary("sub", a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _wrap(a, b)
-    b = _wrap(b, a)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from None
-    return _make(out, (a, b), lambda g: (_unbroadcast(g * b.data, a.shape),
-                                         _unbroadcast(g * a.data, b.shape)))
+    return _binary("mul", a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _wrap(a, b)
-    b = _wrap(b, a)
-    try:
-        out = a.data / b.data
-    except ValueError:
-        raise ShapeError(f"div: incompatible shapes {a.shape} and {b.shape}") from None
-    return _make(out, (a, b), lambda g: (_unbroadcast(g / b.data, a.shape),
-                                         _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+    return _binary("div", a, b, np.divide, lambda g, x, y: g / y,
+                   lambda g, x, y: -g * x / (y * y))
 
 
 def square(a: Tensor) -> Tensor:
@@ -338,14 +319,18 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def unit_rows(a: Tensor, eps: float = 1e-20) -> Tensor:
+def row_norms(a: Tensor, eps: float, keepdims: bool = False) -> Tensor:
+    """sqrt(sum of squares + eps) along the last axis; eps keeps sqrt differentiable at 0."""
+    return sqrt(add(reduce_sum(square(a), axis=-1, keepdims=keepdims), eps))
+
+
+def unit_rows(a: Tensor) -> Tensor:
     """Normalize along the last axis.
 
-    eps guards exact-zero rows; 1 + eps rounds to 1, so unit rows pass
-    through bit-exactly.
+    An eps of 1e-20 guards exact-zero rows; 1 + eps rounds to 1, so unit rows
+    pass through bit-exactly.
     """
-    norm = sqrt(add(reduce_sum(square(a), axis=-1, keepdims=True), eps))
-    return div(a, norm)
+    return div(a, row_norms(a, 1e-20, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +425,15 @@ class Mlp:
 
 
 class Adam:
-    """Adam with bias correction; state lives in this object."""
+    """Adam with bias correction and fixed betas and eps; the state is step_count, m and v."""
 
-    def __init__(self, params, lr: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, lr: float = 0.001):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -464,8 +449,8 @@ class Adam:
             g = grads.get(p)
             if g is None:
                 continue
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / (1.0 - self.beta1 ** t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[i] = self.BETA1 * self.m[i] + (1.0 - self.BETA1) * g
+            self.v[i] = self.BETA2 * self.v[i] + (1.0 - self.BETA2) * (g * g)
+            m_hat = self.m[i] / (1.0 - self.BETA1 ** t)
+            v_hat = self.v[i] / (1.0 - self.BETA2 ** t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)

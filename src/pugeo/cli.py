@@ -145,11 +145,13 @@ def _read_input(path: str, method: str, factor: int | None, k: int, coverage: fl
     """(cloud, R, checkpoint, candidates per point) of `upsample` and `inspect frames`.
 
     --method analytic checks --k and draws ceil(coverage*R) per point; --method
-    model loads the checkpoint, which draws patches.  ValueError names the bad
-    file or flag.
+    model loads the --model checkpoint, which draws patches.  ValueError names
+    the bad file or flag.
     """
     if factor is not None and factor < 1:
         raise ValueError(f"--factor must be >= 1, got {factor}")
+    if model_path is not None and method != "model":
+        raise ValueError(f"--model is read only with --method model, got --method {method}")
     cloud = read_xyz(path)
     if len(cloud) == 0:
         raise ValueError(f"{path}: no points")

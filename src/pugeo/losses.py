@@ -32,12 +32,6 @@ class LossWeights:
                              f"{self.alpha}, beta={self.beta}, gamma={self.gamma}")
 
 
-def _row_norms(t: Tensor, eps: float = 1e-12) -> Tensor:
-    # the eps keeps sqrt differentiable if a predicted point lands exactly
-    # on its target; negligible against any real distance
-    return ad.sqrt(ad.add(ad.reduce_sum(ad.square(t), axis=-1), eps))
-
-
 def chamfer_loss(pred: Tensor, gt: np.ndarray, phi: np.ndarray | None = None,
                  psi: np.ndarray | None = None) -> Tensor:
     """Graph Chamfer distance to a fixed target set, normalized as `metrics.chamfer` is.
@@ -49,8 +43,10 @@ def chamfer_loss(pred: Tensor, gt: np.ndarray, phi: np.ndarray | None = None,
     if phi is None or psi is None:
         phi, psi = nearest_pairs(pred.data, gt)
     gt_c = ad.constant(gt.astype(pred.dtype))
-    forward = ad.reduce_sum(_row_norms(ad.sub(pred, ad.gather(gt_c, phi, axis=0))))
-    backward_ = ad.reduce_sum(_row_norms(ad.sub(ad.gather(pred, psi, axis=0), gt_c)))
+    # the eps keeps sqrt differentiable if a predicted point lands exactly on
+    # its target; negligible against any real distance
+    forward = ad.reduce_sum(ad.row_norms(ad.sub(pred, ad.gather(gt_c, phi, axis=0)), 1e-12))
+    backward_ = ad.reduce_sum(ad.row_norms(ad.sub(ad.gather(pred, psi, axis=0), gt_c), 1e-12))
     return ad.mul(ad.add(forward, backward_), 1.0 / len(gt))
 
 

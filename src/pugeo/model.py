@@ -30,7 +30,7 @@ CHECKPOINT_MAGIC = b"PUGEO1"
 
 @dataclass
 class PUGeoConfig:
-    """Architecture, upsampling factor and ablation switches."""
+    """Architecture, upsampling factor and ablation switches; ValueError names a mistyped key."""
 
     factor: int = 4
     patch_size: int = 256
@@ -49,7 +49,22 @@ class PUGeoConfig:
     grid_radius: float = 0.25
 
     def __post_init__(self):
-        self.feature_widths = tuple(int(w) for w in self.feature_widths)
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "bool":
+                ok, want = type(value) is bool, "true or false"
+            elif field.type == "float":
+                # compared exactly: an int past the float range is not a finite number either
+                ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+                want = "a finite number"
+            elif field.type == "tuple":
+                ok = isinstance(value, (list, tuple)) and all(type(w) is int for w in value)
+                want = "a list of integers"
+            else:
+                ok, want = type(value) is int, "an integer"
+            if not ok:
+                raise ValueError(f"config {field.name!r} must be {want}, got {value!r}")
+        self.feature_widths = tuple(self.feature_widths)
         if self.factor < 1 or self.patch_size < 1 or self.k < 1:
             raise ValueError("factor, patch_size and k must be positive")
         if not self.feature_widths or any(w < 1 for w in self.feature_widths):
@@ -57,6 +72,13 @@ class PUGeoConfig:
         if min(self.hr_hidden, self.f1_hidden, self.f2_hidden,
                self.f3_hidden, self.f4_hidden) < 1:
             raise ValueError("MLP widths must be positive")
+        # the fixed sample grid is 2*factor float64s in one numpy array, cast to float32
+        if self.factor > np.iinfo(np.intp).max // 16:
+            raise ValueError(f"config 'factor' must be at most {np.iinfo(np.intp).max // 16}, "
+                             f"got {self.factor}")
+        if not 0.0 <= self.grid_radius <= float(np.finfo(np.float32).max):
+            raise ValueError("config 'grid_radius' must be between 0 and the float32 maximum, "
+                             f"got {self.grid_radius!r}")
 
     @property
     def levels(self) -> int:
@@ -74,26 +96,10 @@ class PUGeoConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "PUGeoConfig":
         """The config a checkpoint header records; CheckpointError names a mistyped key."""
-        data = dict(data)
-        for field in fields(cls):
-            if field.name not in data:
-                continue
-            value = data[field.name]
-            if field.type == "bool":
-                ok, want = type(value) is bool, "true or false"
-            elif field.type == "float":
-                # compared exactly: an int past the float range is not a finite number either
-                ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
-                want = "a finite number"
-            elif field.type == "tuple":
-                ok = isinstance(value, (list, tuple)) and all(type(w) is int for w in value)
-                want = "a list of integers"
-            else:
-                ok, want = type(value) is int, "an integer"
-            if not ok:
-                raise CheckpointError(f"config {field.name!r} must be {want}, got {value!r}")
-        data["feature_widths"] = tuple(data["feature_widths"])
-        return cls(**data)
+        try:
+            return cls(**data)
+        except ValueError as exc:
+            raise CheckpointError(str(exc)) from None
 
 
 @dataclass
@@ -419,7 +425,10 @@ def load_model(path) -> PUGeoNet:
                 raise CheckpointError(f"truncated weight data at {name!r}")
         if end != len(payload):
             raise CheckpointError("trailing bytes after weight data")
-        model = PUGeoNet(config, seed=0)
+        try:  # factor also sizes the fixed grid, which no weight shape shows
+            model = PUGeoNet(config, seed=0)
+        except MemoryError as exc:
+            raise CheckpointError(f"cannot build the declared config: {exc}") from None
         for (_, shape), (_, tensor) in zip(expected, model.named_params()):
             count = math.prod(shape)
             tensor.data = np.frombuffer(payload, dtype="<f4", count=count,

@@ -38,8 +38,13 @@ def test_matmul_shape_error_names_shapes():
 
 
 def test_add_shape_error():
-    with pytest.raises(ShapeError):
-        ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+    # add, sub, mul and div share one node constructor, which wraps a plain
+    # array operand; the message names the op and both shapes
+    for op in (ad.add, ad.sub, ad.mul, ad.div):
+        for b in (Tensor(np.zeros((4, 5))), np.zeros((4, 5))):
+            with pytest.raises(ShapeError, match=rf"^{op.__name__}: incompatible shapes "
+                                                 rf"\(2, 3\) and \(4, 5\)$"):
+                op(Tensor(np.zeros((2, 3))), b)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +127,34 @@ def test_unary_op_gradients(op_name):
     grads = ad.backward(build())
     numeric = numeric_gradient(lambda: build().item(), x)
     assert max_rel_err(grads[x], numeric) < 1e-6
+
+
+@pytest.mark.parametrize("op_name", ["add", "sub", "mul", "div"])
+def test_binary_op_wraps_a_plain_operand_in_the_tensor_dtype(op_name):
+    x = np.array([0.1, 2.0, -3.0], dtype=np.float32)
+    ufunc = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}[op_name]
+    op = getattr(ad, op_name)
+    for out, want in ((op(Tensor(x), 1e-20), ufunc(x, np.float32(1e-20))),
+                      (op(0.3, Tensor(x)), ufunc(np.float32(0.3), x))):
+        assert out.dtype == np.float32 and np.array_equal(out.data, want)
+
+
+@pytest.mark.parametrize("op_name", ["add", "sub", "mul", "div"])
+@pytest.mark.parametrize("b_shape", [(4, 5), (5,), (4, 1), ()], ids=["same", "row", "column",
+                                                                     "scalar"])
+def test_binary_op_gradients_unbroadcast(op_name, b_shape):
+    rng = np.random.default_rng(5)
+    a = _param(rng.uniform(0.5, 2.0, size=(4, 5)))
+    b = _param(rng.uniform(0.5, 2.0, size=b_shape))
+    weights = rng.normal(size=(4, 5))
+
+    def build():
+        return ad.reduce_sum(ad.mul(getattr(ad, op_name)(a, b), Tensor(weights)))
+
+    grads = ad.backward(build())
+    for x in (a, b):
+        assert grads[x].shape == x.shape
+        assert max_rel_err(grads[x], numeric_gradient(lambda: build().item(), x)) < 1e-6
 
 
 def test_mlp_gradient_matches_finite_differences():

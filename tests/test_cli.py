@@ -189,6 +189,19 @@ def test_upsample_missing_model_exit_2(tmp_path, capsys):
     assert "--model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["upsample", "inspect"])
+def test_model_without_method_model_exit_2(tmp_path, capsys, command):
+    # --model was silently ignored on the analytic path, even for a missing file
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+    out = tmp_path / "o.xyz"
+    argv = (["upsample", "--input", cloud_path, "--output", str(out)] if command == "upsample"
+            else ["inspect", "frames", "--input", cloud_path])
+    rc = main(argv + ["--model", str(tmp_path / "missing.pugeo")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err == "--model is read only with --method model, got --method analytic\n"
+
+
 def test_upsample_factor_mismatch_exit_2(tmp_path, capsys):
     cfg = PUGeoConfig(factor=8, patch_size=32, k=4, feature_widths=(8, 8),
                       hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
@@ -264,6 +277,37 @@ def test_upsample_oversized_checkpoint_header_exit_2(tmp_path):
         timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert done.returncode == 2, done.stderr
     assert done.stderr == f"{ckpt}: header weight list does not match the declared config\n"
+    assert not (tmp_path / "o.xyz").exists()
+
+
+@pytest.mark.parametrize("factor,message", [
+    (10**12, "cannot build the declared config: Unable to allocate"),
+    (2**59, "malformed header: config 'factor' must be at most 576460752303423487"),
+], ids=["terabytes", "past_numpy_limit"])
+def test_upsample_huge_factor_without_learned_sampling_exit_2(tmp_path, factor, message):
+    # no weight shape depends on the factor here, so the header checks pass and
+    # the fixed sample grid is what the header sizes; under a 4 GB address-space
+    # limit 10**12 exited 1 with numpy's allocation traceback, and a factor past
+    # numpy's array limit exited 2 without naming the file
+    import resource
+
+    cfg = PUGeoConfig(factor=4, patch_size=32, k=4, feature_widths=(8, 8), hr_hidden=8,
+                      f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8,
+                      learned_sampling=False)
+    ckpt = tmp_path / "m.pugeo"
+    save_model(PUGeoNet(cfg, seed=0), ckpt)
+    set_checkpoint_config_entry(ckpt, "factor", factor)
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+    root = pathlib.Path(__file__).resolve().parents[1]
+    limit = 4 * 10**9
+    done = subprocess.run(
+        [sys.executable, "-m", "pugeo", "upsample", "--input", cloud_path,
+         "--output", str(tmp_path / "o.xyz"), "--method", "model", "--model", str(ckpt)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True, text=True,
+        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"{ckpt}: {message}")
+    assert done.stderr.count("\n") == 1
     assert not (tmp_path / "o.xyz").exists()
 
 
@@ -860,6 +904,21 @@ def test_train_malformed_manifest_exit_2(tmp_path, capsys, text):
                "--epochs", "0"])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("patches", [None, {"sparse": "a.xyz", "dense": "b.xyz"}],
+                         ids=["no_manifest", "patches_not_a_list"])
+def test_train_manifest_missing_or_without_patch_list_exit_2(tmp_path, capsys, patches):
+    path = tmp_path / "manifest.json"
+    if patches is not None:
+        path.write_text(json.dumps({"config": {"factor": 4, "patch_size": 64},
+                                    "patches": patches}))
+    out = tmp_path / "m.pugeo"
+    rc = main(["train", "--data", str(tmp_path), "--out", str(out), "--epochs", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err == (f"manifest not found: {path}\n" if patches is None
+                            else f"{path}: manifest needs a 'patches' list\n")
 
 
 @pytest.mark.parametrize("key,value,culprit", [

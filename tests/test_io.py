@@ -301,6 +301,22 @@ def test_read_ply_counts_rows_of_every_element(tmp_path):
         read_mesh(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("format ascii 1.0\n" + _PLY_VERTEX + "end_header\n0 0 0\n1 0 0\n0 1 0\n",
+     "not a PLY file (missing 'ply' header)"),
+    ("ply\nformat ascii 1.0\n" + _PLY_VERTEX + _PLY_FACE, "PLY header is missing end_header"),
+    ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+     + _PLY_FACE + "end_header\n0 0\n1 0\n0 1\n3 0 1 2\n",
+     "PLY vertex element lacks property 'z'"),
+], ids=["no_ply_line", "no_end_header", "vertex_without_z"])
+def test_read_ply_header_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "m.ply"
+    path.write_text(text)
+    with pytest.raises(FormatError) as info:
+        read_mesh(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("record,line", [("v 0 nan 0", 2), ("vn 0 0 inf", 5)])
 def test_read_obj_non_finite_cites_line(tmp_path, record, line):
     path = tmp_path / "m.obj"

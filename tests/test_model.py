@@ -1,3 +1,7 @@
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +46,74 @@ def test_config_validation():
 
 # ---------------------------------------------------------------------------
 # STN
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("factor", 4.0, "config 'factor' must be an integer, got 4.0"),
+    ("feature_widths", (8.5, 8), "config 'feature_widths' must be a list of integers, "
+                                 "got (8.5, 8)"),
+    ("recalibration", "no", "config 'recalibration' must be true or false, got 'no'"),
+    ("grid_radius", math.nan, "config 'grid_radius' must be a finite number, got nan"),
+    ("patch_size", True, "config 'patch_size' must be an integer, got True"),
+    ("factor", 2**59, "config 'factor' must be at most 576460752303423487, "
+                      "got 576460752303423488"),
+    ("grid_radius", -0.5, "config 'grid_radius' must be between 0 and the float32 maximum, "
+                          "got -0.5"),
+    ("grid_radius", 1e39, "config 'grid_radius' must be between 0 and the float32 maximum, "
+                          "got 1e+39"),
+], ids=["factor_float", "feature_width_fraction", "switch_string", "grid_radius_nan",
+        "patch_size_true", "factor_past_numpy_limit", "grid_radius_negative",
+        "grid_radius_past_float32"])
+def test_config_built_in_code_rejects_what_a_checkpoint_would(key, value, message):
+    # 4.0 used to build, train and save a checkpoint that load_model refused,
+    # and (8.5, 8) was cut to (8, 8)
+    with pytest.raises(ValueError) as info:
+        PUGeoConfig(**{**TINY, key: value})
+    assert str(info.value) == message
+    with pytest.raises(CheckpointError) as info:
+        PUGeoConfig.from_dict({**PUGeoConfig(**TINY).to_dict(), key: value})
+    assert str(info.value) == message
+
+
+_SIZES = ("factor", "patch_size", "k", "hr_hidden", "f1_hidden", "f2_hidden", "f3_hidden",
+          "f4_hidden")
+_SWITCHES = ("recalibration", "learned_sampling", "linear_transform", "coarse_to_fine",
+             "predict_normals")
+# integral floats, bools, numeric strings, non-positive and non-finite values
+_ANY = st.one_of(st.integers(-1, 3),
+                 st.sampled_from([0.0, 2.0, 0.25, True, False, "2", None, math.nan, math.inf,
+                                  (2, 2), [2.0], (True,)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_config_built_in_code_raises_or_round_trips_property(data):
+    fields = {key: data.draw(st.integers(1, 3), label=key) for key in _SIZES}
+    fields["feature_widths"] = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
+                                         .map(data.draw(st.sampled_from([list, tuple]))),
+                                         label="feature_widths")
+    fields.update({key: data.draw(st.booleans(), label=key) for key in _SWITCHES})
+    # grid radii around 0, the float32 maximum and the float64 range
+    fields["grid_radius"] = data.draw(st.one_of(st.floats(-1.0, 1.0), st.integers(-1, 2),
+                                                st.floats(3e38, 4e38),
+                                                st.integers(10**308, 10**309)),
+                                      label="grid_radius")
+    # then up to two fields take any value
+    for key in data.draw(st.lists(st.sampled_from(sorted(fields)), max_size=2), label="mixed"):
+        fields[key] = data.draw(_ANY, label=key)
+    try:
+        cfg = PUGeoConfig(**fields)
+    except ValueError:
+        return
+    model = PUGeoNet(cfg, seed=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.pugeo")
+        save_model(model, path)
+        back = load_model(path)
+    assert back.config == cfg
+    for (name, a), (name_back, b) in zip(model.named_params(), back.named_params(),
+                                         strict=True):
+        assert name == name_back and a.data.tobytes() == b.data.tobytes()
 
 
 def test_stn_identity_at_init():

@@ -8,8 +8,9 @@ from scipy.spatial.distance import pdist
 
 from pugeo import (PointCloud, denormalize, extract_patches, farthest_point_sample,
                    fuse_patches, poisson_disk_sample)
-from pugeo import trainer
+from pugeo import sampling, trainer
 from pugeo.errors import GeometryError
+from pugeo.io import TriangleMesh
 from pugeo.sampling import NeighborIndex, count_uncovered, nearest_pairs, patch_count
 from pugeo.trainer import TrainExample, _random_rotation, augment_example
 
@@ -196,6 +197,17 @@ def test_poisson_normals_unit_and_interpolated():
 
 # ---------------------------------------------------------------------------
 # patches
+
+
+def test_dart_throw_zero_vertex_normals_fall_back_to_face_normals():
+    # two triangles, in the planes z = 0 and x = 5, with all-zero vertex normals
+    mesh = TriangleMesh([[0, 0, 0], [2, 0, 0], [0, 3, 0], [5, 0, 0], [5, 1, 0], [5, 0, 1]],
+                        [[0, 1, 2], [3, 4, 5]], np.zeros((6, 3)))
+    points, normals = sampling._dart_throw(mesh, 200, np.random.default_rng(0))
+    on_z0 = points[:, 2] == 0.0  # the other triangle's samples have z > 0
+    assert 0 < on_z0.sum() < 200
+    assert np.array_equal(normals[on_z0], np.tile([0.0, 0.0, 1.0], (on_z0.sum(), 1)))
+    assert np.array_equal(normals[~on_z0], np.tile([1.0, 0.0, 0.0], ((~on_z0).sum(), 1)))
 
 
 def test_extract_patches_whole_cloud():
