@@ -9,7 +9,8 @@ same graph in float64.
 
 Also provides the network building blocks used downstream: dense MLPs
 (relu hidden layers, linear output, Glorot-uniform init from a seeded
-PCG64 generator, one graph node per layer) and Adam with bias correction.
+PCG64 generator, one graph node per layer, and an edge-convolution first
+layer that keeps no edge rows) and Adam with bias correction.
 """
 
 from __future__ import annotations
@@ -132,10 +133,10 @@ def _check_matmul(op: str, a: Tensor, w: Tensor) -> None:
         raise ShapeError(f"{op}: incompatible shapes {a.shape} and {w.shape}")
 
 
-def _matmul_grads(a: Tensor, w: Tensor, g: np.ndarray):
+def _matmul_grads(a: np.ndarray, w: np.ndarray, g: np.ndarray):
     """Gradients of a @ w given the output's gradient g."""
-    ga = g @ w.data.T
-    gw = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, w.shape[1])
+    ga = g @ w.T
+    gw = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, w.shape[1])
     return ga, gw
 
 
@@ -144,7 +145,27 @@ def matmul(a: Tensor, w: Tensor) -> Tensor:
     a = a if isinstance(a, Tensor) else Tensor(a)
     w = w if isinstance(w, Tensor) else Tensor(w)
     _check_matmul("matmul", a, w)
-    return _make(a.data @ w.data, (a, w), lambda g: _matmul_grads(a, w, g))
+    return _make(a.data @ w.data, (a, w), lambda g: _matmul_grads(a.data, w.data, g))
+
+
+def _affine(op: str, a: np.ndarray, weight: Tensor, bias: Tensor, relu: bool) -> np.ndarray:
+    """relu(a @ weight + bias), or a @ weight + bias, with the bias and relu applied in place."""
+    out = a @ weight.data
+    try:
+        # in place but for a lone element, which numpy adds in place as a
+        # reduction that keeps the bias's NaN where both are NaN; `add` and a
+        # new array keep the product's
+        out = np.add(out, bias.data, out=out if out.size > 1 else np.empty_like(out),
+                     casting="safe")
+    except ValueError:
+        raise ShapeError(f"{op}: bias shape {bias.shape} does not fit output "
+                         f"{out.shape}") from None
+    if relu:
+        # +0.0 is the all-zero bit pattern, so multiplying the bits by the
+        # mask equals where(out > 0, out, 0.0) bit for bit
+        bits = out.view(f"i{out.itemsize}")
+        np.multiply(bits, out > 0, out=bits)
+    return out
 
 
 def dense(a: Tensor, weight: Tensor, bias: Tensor, relu: bool) -> Tensor:
@@ -153,29 +174,57 @@ def dense(a: Tensor, weight: Tensor, bias: Tensor, relu: bool) -> Tensor:
     Bit for bit the result and gradients of matmul, add and a relu (+0.0 for
     inputs <= 0 and NaN, gradient passing where the input is > 0) in turn,
     but the bias and the relu are applied in place on the product, so the
-    graph keeps one array and the relu mask per layer instead of three arrays.
+    graph keeps one array per layer instead of three arrays and a mask: the
+    output is +0.0 exactly where the relu's input was <= 0 or NaN, so
+    out > 0 is the mask.
     """
     _check_matmul("dense", a, weight)
-    out = a.data @ weight.data
-    try:
-        np.add(out, bias.data, out=out, casting="safe")
-    except ValueError:
-        raise ShapeError(f"dense: bias shape {bias.shape} does not fit output "
-                         f"{out.shape}") from None
-    mask = None
-    if relu:
-        mask = out > 0
-        # +0.0 is the all-zero bit pattern, so multiplying the bits by the
-        # mask equals where(mask, out, 0.0) bit for bit
-        bits = out.view(f"i{out.itemsize}")
-        np.multiply(bits, mask, out=bits)
+    out = _affine("dense", a.data, weight, bias, relu)
 
     def backward(g):
-        if mask is not None:
-            g = g * mask
-        return (*_matmul_grads(a, weight, g), _unbroadcast(g, bias.shape))
+        g = g * (out > 0) if relu else g
+        return (*_matmul_grads(a.data, weight.data, g), _unbroadcast(g, bias.shape))
 
     return _make(out, (a, weight, bias), backward)
+
+
+def edge_dense(a: Tensor, neighbors, weight: Tensor, bias: Tensor, relu: bool) -> Tensor:
+    """`dense` of the edge rows concat([a_i, a_j - a_i]) of each row i of a and
+    its neighbours j, as one node that keeps none of the (n*k, 2w) edge rows.
+
+    Output row i*k + t is the edge (i, neighbors[i, t]).  Bit for bit the
+    gathers of a_i and a_j, their difference, the concat and `dense` in turn:
+    the edge rows are rebuilt in backward, and a gets two parent gradients,
+    the a_j rows' scatter, then the a_i rows' (concat part plus negated
+    difference part), which `backward` adds in the order of those gathers'.
+    """
+    neighbors = np.asarray(neighbors, dtype=np.int64)
+    if a.data.ndim != 2 or neighbors.ndim != 2 or len(neighbors) != len(a.data) \
+            or weight.data.ndim != 2 or weight.shape[0] != 2 * a.shape[1]:
+        raise ShapeError(f"edge_dense: features {a.shape}, neighbours {neighbors.shape} and "
+                         f"weight {weight.shape} are not (n, w), (n, k) and (2w, p)")
+    n, width = a.shape
+    k = neighbors.shape[1]
+    targets = neighbors.reshape(-1)
+
+    def edges():
+        rows = np.empty((n * k, 2 * width), dtype=a.dtype)
+        rows.reshape(n, k, 2 * width)[:, :, :width] = a.data[:, None, :]
+        np.subtract(np.take(a.data, targets, axis=0), rows[:, :width], out=rows[:, width:])
+        return rows
+
+    out = _affine("edge_dense", edges(), weight, bias, relu)
+
+    def backward(g):
+        g = g * (out > 0) if relu else g
+        ge, gw = _matmul_grads(edges(), weight.data, g)
+        g_j = ge[:, width:]
+        g_i = ge[:, :width] + (-g_j)
+        return (_scatter_rows(g_j, targets, n).astype(a.dtype, copy=False),
+                _scatter_rows(g_i, np.repeat(np.arange(n), k), n).astype(a.dtype, copy=False),
+                gw, _unbroadcast(g, bias.shape))
+
+    return _make(out, (a, a, weight, bias), backward)
 
 
 def apply_linear_maps(mats: Tensor, vecs: Tensor) -> Tensor:
@@ -261,6 +310,23 @@ def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
         return (ga.astype(a.dtype, copy=False),)
 
     return _make(out, (a,), backward)
+
+
+def concat_repeat(a: Tensor, b: Tensor, r: int) -> Tensor:
+    """concat([a, gather(b, repeat(arange(n), r))], axis=-1) as one node.
+
+    a is (n*r, p) and b is (n, q).  The node keeps no repeated copy of b; b's
+    gradient sums each row's r gradients in order from zero, bitwise the
+    gather's scatter.
+    """
+    n, width = len(b.data), a.shape[1]
+    out = np.concatenate([a.data, np.repeat(b.data, r, axis=0)], axis=1)
+
+    def backward(g):
+        gb = _scatter_rows(g[:, width:], np.repeat(np.arange(n), r), n)
+        return g[:, :width], gb.astype(b.dtype, copy=False)
+
+    return _make(out, (a, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +476,14 @@ class Mlp:
             self.layers.append((parameter(weight, dtype=dtype),
                                 parameter(np.zeros(fan_out), dtype=dtype)))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, neighbors=None) -> Tensor:
+        """The MLP of x's rows; with (n, k) `neighbors`, of x's edge rows (`edge_dense`)."""
         last = len(self.layers) - 1
         for i, (weight, bias) in enumerate(self.layers):
-            x = dense(x, weight, bias, relu=i < last)
+            if i == 0 and neighbors is not None:
+                x = edge_dense(x, neighbors, weight, bias, relu=i < last)
+            else:
+                x = dense(x, weight, bias, relu=i < last)
         return x
 
     def named_params(self) -> list[tuple[str, Tensor]]:

@@ -6,7 +6,8 @@ divergence, exact point-to-surface (P2F) distances batched over all
 points (from one k-nearest-centroid query per triangle radius bucket), and
 the mesh-to-mesh comparison that samples both surfaces and compares the
 samples.  A metric report scores P2F and the pairing metrics as two
-independent tasks on the worker-thread runner (`workers._map_tasks`).  The
+independent tasks on the worker-thread runner (`workers._map_tasks`), and
+the mesh comparison samples its two meshes the same way.  The
 training loss has its own Chamfer on autodiff tensors
 (`losses.chamfer_loss`).
 """
@@ -273,10 +274,13 @@ def surface_compare(mesh_a: TriangleMesh, mesh_b: TriangleMesh, n: int = 200_000
 
     The two samplings use independently derived seeds, so comparing a mesh
     against itself measures the sampling noise floor rather than zero.
+    `_map_tasks` runs them as two tasks, under the caller's np.errstate, so
+    the samples are bitwise the same for any thread count, and a failure
+    raises mesh_a's error before mesh_b's.
     """
-    seq_a, seq_b = np.random.SeedSequence(seed).spawn(2)
-    sample_a = poisson_disk_sample(mesh_a, n, int(seq_a.generate_state(1)[0]))
-    sample_b = poisson_disk_sample(mesh_b, n, int(seq_b.generate_state(1)[0]))
+    meshes = (mesh_a, mesh_b)
+    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(2)]
+    sample_a, sample_b = _map_tasks(lambda i: poisson_disk_sample(meshes[i], n, seeds[i]), 2)
     cd, hd = _chamfer_hausdorff(sample_a.points, sample_b.points)
     return cd, hd, metric_jsd(sample_a.points, sample_b.points)
 

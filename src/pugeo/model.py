@@ -249,24 +249,19 @@ class PUGeoNet:
     def extract_features(self, aligned: Tensor) -> list[Tensor]:
         """Hierarchical edge features, max-pooled over k neighbors per level.
 
-        Each level's kNN graph is built from that level's input features.
+        Each level's kNN graph is built from that level's input features,
+        and its MLP's first layer is one `edge_dense` node over that graph.
         """
         n = aligned.shape[0]
         k = self.config.k
         if k >= n:
             raise ValueError(f"k={k} must be smaller than patch size {n}")
-        repeat_idx = np.repeat(np.arange(n), k)
         levels = []
         current = aligned
-        for level, mlp in enumerate(self.edge_mlps):
-            neighbor_idx = _knn_indices(current.data, k)
-            f_i = ad.gather(current, repeat_idx, axis=0)
-            f_j = ad.gather(current, neighbor_idx.reshape(-1), axis=0)
-            edge = ad.concat([f_i, ad.sub(f_j, f_i)], axis=-1)
-            width = self.config.feature_widths[level]
-            pooled = ad.reduce_max(ad.reshape(mlp(edge), (n, k, width)), axis=1)
-            levels.append(pooled)
-            current = pooled
+        for mlp, width in zip(self.edge_mlps, self.config.feature_widths):
+            edges = mlp(current, _knn_indices(current.data, k))
+            current = ad.reduce_max(ad.reshape(edges, (n, k, width)), axis=1)
+            levels.append(current)
         return levels
 
     def recalibrate(self, levels: list[Tensor]) -> Tensor:
@@ -314,9 +309,7 @@ class PUGeoNet:
         n, r = cfg.patch_size, cfg.factor
         repeat_idx = np.repeat(np.arange(n), r)
         if cfg.coarse_to_fine:
-            flat_xhat = ad.reshape(xhat, (n * r, 3))
-            c_rep = ad.gather(c, repeat_idx, axis=0)
-            inp = ad.concat([flat_xhat, c_rep], axis=-1)
+            inp = ad.concat_repeat(ad.reshape(xhat, (n * r, 3)), c, r)
             delta = self.f3(inp)  # (N*R, 1)
             if cfg.linear_transform:
                 disp = ad.concat([ad.constant(np.zeros((n * r, 2), dtype=self.dtype)), delta],

@@ -3,13 +3,14 @@
 A training example pairs a sparse patch (network input, with ground-truth
 normals as supervision) with the dense patch covering the same region,
 both normalized by the sparse patch's transform.  Training minimizes
-alpha*CD + beta*coarse-normal + gamma*refined-normal with Adam.  The
-meshes of a dataset and the examples of a batch are independent tasks;
-`_map_tasks` runs both on worker threads.
+alpha*CD + beta*coarse-normal + gamma*refined-normal with Adam.  Meshes,
+batch examples and upsampling's patch forwards are independent tasks;
+`_map_tasks` runs them on worker threads.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -290,7 +291,8 @@ def draw_candidates(cloud: PointCloud, factor: int, model: PUGeoNet | None = Non
     Without a model, fit each input point once and draw ceil(coverage*R)
     around it.  With one, upsample ceil(coverage*M/N) patches of the
     checkpoint's N points; its frames are the patches' lifts T, which stay
-    in the STN-aligned patch space, and R must be the model's.  Only the
+    in the STN-aligned patch space, and R must be the model's; the forwards
+    run on `_map_tasks`, in patch order, and record no graph.  Only the
     analytic path has degenerate frames and fits, and only the model path
     points in no patch.
     """
@@ -301,14 +303,20 @@ def draw_candidates(cloud: PointCloud, factor: int, model: PUGeoNet | None = Non
     if factor != model.config.factor:
         raise ValueError(f"factor {factor} does not match the model's factor "
                          f"{model.config.factor}")
-    parts = []
     patches = extract_patches(cloud, model.config.patch_size, coverage)
-    for patch in patches:
-        out = model.forward(patch.points)
-        parts.append((denormalize(patch, out.points.data), out.normals.data,
-                      out.deltas.reshape(-1), out.t_matrices))
-        del out  # its graph would otherwise stay alive through the next forward pass
-    points, normals, deltas, frames = (np.concatenate(part) for part in zip(*parts))
+    # with constant parameters no forward records a graph, so concurrent
+    # forwards hold only the arrays they still need
+    frozen = copy.deepcopy(model)
+    for param in frozen.parameters():
+        param.requires_grad = False
+
+    def forward(i: int):
+        out = frozen.forward(patches[i].points)
+        return (denormalize(patches[i], out.points.data), out.normals.data,
+                out.deltas.reshape(-1), out.t_matrices)
+
+    parts = zip(*_map_tasks(forward, len(patches)))
+    points, normals, deltas, frames = (np.concatenate(part) for part in parts)
     return UpsampleResult(points, normals, deltas, frames, {
         "points": len(cloud), "uncovered": count_uncovered(patches, len(cloud)),
         "degenerate_frames": 0, "degenerate_fits": 0})

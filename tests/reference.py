@@ -14,8 +14,10 @@ stacked SVD).  The numpy normal and joint losses are the oracles for
 the autodiff training losses.  The full-sort feature kNN and the
 ``np.add.at`` gather are the oracles for the model's pruned kNN and the
 CSR scatter in ``gather``'s backward; the unfused matmul, add and relu
-are the oracle for the one-node dense layer, and the ``np.argmax``
-reduce_max for its bit-level kernel.  The
+are the oracle for the one-node dense layer, the gathers, difference and
+concat of the edge rows for the one-node edge layer, the concat of a
+gather for refine's one-node input, and the ``np.argmax`` reduce_max for
+its bit-level kernel.  The
 joint-graph training loop is the oracle for the per-example backward
 passes of ``trainer.train``, the serial dataset builder for the
 concurrent ``trainer.build_dataset``, and the per-patch forward loop for
@@ -525,6 +527,23 @@ def gather(a: ad.Tensor, indices, axis: int = 0) -> ad.Tensor:
 def dense(a: ad.Tensor, weight: ad.Tensor, bias: ad.Tensor, relu: bool) -> ad.Tensor:
     out = ad.add(ad.matmul(a, weight), bias)
     return ad.select(out.data > 0, out, ad.constant(np.zeros_like(out.data))) if relu else out
+
+
+# An edge-conv level's first layer and refine's input unfused: two gathers,
+# their difference, the concat and the three-node dense layer, and the
+# concat of a gather.  The oracles for autodiff.edge_dense and
+# autodiff.concat_repeat.
+
+def edge_dense(a: ad.Tensor, neighbors, weight: ad.Tensor, bias: ad.Tensor,
+               relu: bool) -> ad.Tensor:
+    n, k = np.shape(neighbors)
+    f_i = gather(a, np.repeat(np.arange(n), k))
+    f_j = gather(a, np.reshape(neighbors, -1))
+    return dense(ad.concat([f_i, ad.sub(f_j, f_i)], axis=-1), weight, bias, relu)
+
+
+def concat_repeat(a: ad.Tensor, b: ad.Tensor, r: int) -> ad.Tensor:
+    return ad.concat([a, gather(b, np.repeat(np.arange(len(b.data)), r))], axis=-1)
 
 
 def reduce_max(a: ad.Tensor, axis: int, keepdims: bool = False) -> ad.Tensor:

@@ -1112,18 +1112,21 @@ def test_upsample_model_coverage_just_enough(tmp_path, capsys):
     assert len(read_xyz(out)) == 400
 
 
-def _forwards_with_no_earlier_output_alive(monkeypatch, argv) -> int:
-    """How many forward passes `main(argv)` runs, each asserting that no
-    earlier patch's output (and so its autodiff graph) is still alive."""
+def _forwards_with_no_earlier_output_alive(monkeypatch, argv, workers=1) -> int:
+    """How many forward passes `main(argv)` runs on `workers` threads, each
+    asserting that no earlier patch's output (and so its arrays) is still
+    alive but those of the other workers' forward passes."""
     outputs, forward = [], PUGeoNet.forward
 
     def tracked(self, points):
-        assert all(ref() is None for ref in outputs), "an earlier patch's output is alive"
+        alive = sum(ref() is not None for ref in outputs)
+        assert alive < workers, "an earlier patch's output is alive"
         out = forward(self, points)
         outputs.append(weakref.ref(out))
         return out
 
     with monkeypatch.context() as patched:
+        force_workers(patched, workers)
         patched.setattr(PUGeoNet, "forward", tracked)
         assert main(argv) == 0
     return len(outputs)
@@ -1152,6 +1155,9 @@ def test_upsample_model_drops_each_output_before_the_next_forward(tmp_path, caps
     assert main(argv) == 0
     expected = out.read_bytes(), capsys.readouterr()
     assert _forwards_with_no_earlier_output_alive(monkeypatch, argv) == 10
+    assert (out.read_bytes(), capsys.readouterr()) == expected
+    # each worker holds at most its own patch's output
+    assert _forwards_with_no_earlier_output_alive(monkeypatch, argv, workers=2) == 10
     assert (out.read_bytes(), capsys.readouterr()) == expected
 
 

@@ -211,6 +211,52 @@ def test_surface_compare_translation_lower_bound():
     assert hd >= np.linalg.norm(shift) - 2.0 * spacing
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_surface_compare_samples_both_meshes_on_workers(monkeypatch, workers):
+    # with two workers the samplings wait for each other: they run at once,
+    # and the samples are bitwise the serial ones
+    mesh_a, mesh_b = icosphere(2), cube_mesh()
+    seq_a, seq_b = np.random.SeedSequence(7).spawn(2)
+    a = poisson_disk_sample(mesh_a, 300, int(seq_a.generate_state(1)[0]))
+    b = poisson_disk_sample(mesh_b, 300, int(seq_b.generate_state(1)[0]))
+    expected = (*_chamfer_hausdorff(a.points, b.points), metric_jsd(a.points, b.points))
+    force_workers(monkeypatch, workers)
+    barrier, seen, drawn = threading.Barrier(workers, timeout=30), set(), {}
+
+    def meeting(mesh, n, seed):
+        seen.add(threading.current_thread())
+        barrier.wait()
+        drawn[id(mesh)] = poisson_disk_sample(mesh, n, seed)
+        return drawn[id(mesh)]
+
+    monkeypatch.setattr(metrics, "poisson_disk_sample", meeting)
+    assert surface_compare(mesh_a, mesh_b, n=300, seed=7) == expected
+    assert len(seen) == workers and threading.main_thread() in seen
+    for mesh, sample in ((mesh_a, a), (mesh_b, b)):
+        assert drawn[id(mesh)].points.tobytes() == sample.points.tobytes()
+        assert drawn[id(mesh)].normals.tobytes() == sample.normals.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_surface_compare_raises_the_first_mesh_error(monkeypatch, workers):
+    # with two workers mesh_b fails first in time; mesh_a's error still wins
+    force_workers(monkeypatch, workers)
+    failed_b = threading.Event()
+    mesh_a, mesh_b = icosphere(1), cube_mesh()
+
+    def failing(mesh, n, seed):
+        if mesh is mesh_b:
+            failed_b.set()
+            raise ValueError("mesh_b")
+        failed_b.wait(timeout=30 if workers > 1 else 0)
+        raise ValueError("mesh_a")
+
+    monkeypatch.setattr(metrics, "poisson_disk_sample", failing)
+    with pytest.raises(ValueError, match="^mesh_a$"):
+        surface_compare(mesh_a, mesh_b, n=10)
+    assert failed_b.is_set() == (workers > 1)
+
+
 def test_report_metrics_fields():
     mesh = icosphere(2)
     dense = poisson_disk_sample(mesh, 300, seed=2)

@@ -5,7 +5,9 @@ sample elimination the survivors of the loop that queries the tree once per
 update, kNN those of a brute-force sort, the network's pruned feature kNN
 those of a full stable sort of every distance row, gather's CSR gradient
 bitwise that of np.add.at, the one-node dense layer bitwise its matmul,
-add and relu nodes, reduce_max bitwise the np.argmax version, the
+add and relu nodes, the one-node edge layer and refine input bitwise their
+gather, difference, concat and dense nodes, reduce_max bitwise the
+np.argmax version, the
 point-to-surface distance bitwise the minimum
 over every triangle, and its branch-free closest-point kernel bitwise the
 one that fills one region at a time.  The batched frame/curvature
@@ -621,6 +623,121 @@ def test_relu_and_reduce_max_match_oracles_property(data):
     g_max = np.max(g, axis=axis, keepdims=keepdims)
     assert _op_bytes(ad.reduce_max, a, g_max, axis=axis, keepdims=keepdims) == \
         _op_bytes(reference.reduce_max, a, g_max, axis=axis, keepdims=keepdims)
+
+
+# ---------------------------------------------------------------------------
+# the one-node edge layer and refine's one-node input
+
+
+def _fused_bytes(build, leaves, g, h):
+    """Output bytes and the bytes of every leaf's gradient, of a loss that
+    takes the first leaf's own term (by h) before the output of build(leaf
+    tensors) (by g), so the order in which the first leaf's gradients are
+    added shows.
+
+    Where two NaNs meet in a scatter sum, the CSR product keeps the first
+    one's sign and np.add.at the last one's, so every NaN of a gradient
+    reads as +NaN; -0.0 and every other value keep their bits.
+    """
+    tensors = [ad.Tensor(v, requires_grad=True) for v in leaves]
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf * 0, max + max
+        out = build(*tensors)
+        loss = ad.add(ad.reduce_sum(ad.mul(tensors[0], ad.constant(h))),
+                      ad.reduce_sum(ad.mul(out, ad.constant(g))))
+        grads = ad.backward(loss)
+    assert out.data.dtype == leaves[0].dtype
+    assert all(grads[t].dtype == t.dtype and grads[t].shape == t.shape for t in tensors)
+    return [(out.shape, out.data.tobytes())] + [
+        (t.shape, np.where(np.isnan(grads[t]), np.nan, grads[t]).astype(t.dtype).tobytes())
+        for t in tensors]
+
+
+def _edge_bytes(op, a, neighbors, w, b, g, h, relu):
+    return _fused_bytes(lambda x, weight, bias: op(x, neighbors, weight, bias, relu),
+                        (a, w, b), g, h)
+
+
+def _edge_case(rng, n, k, width, p, dtype, specials):
+    """(a, w, b, g, h) of an edge layer; neighbours are drawn separately."""
+    draw = _with_specials if specials else (lambda r, shape, d: r.normal(size=shape).astype(d))
+    return [draw(rng, shape, dtype)
+            for shape in ((n, width), (2 * width, p), (p,), (n * k, p), (n, width))]
+
+
+@pytest.mark.parametrize("specials", [False, True])
+@pytest.mark.parametrize("n, k, width, p", [(1, 1, 3, 4), (6, 1, 2, 5), (9, 4, 3, 6),
+                                            (16, 8, 5, 7)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_edge_dense_matches_the_unfused_layer_bitwise(dtype, n, k, width, p, specials):
+    # repeated neighbours and a row's own index among them; the specials put
+    # NaN, inf and -0.0 in the features, the weight, the bias and the gradient
+    rng = np.random.default_rng(100 * n + k)
+    neighbors = rng.integers(0, n, size=(n, k))
+    neighbors[0] = 0
+    a, w, b, g, h = _edge_case(rng, n, k, width, p, dtype, specials)
+    for relu in (True, False):
+        assert _edge_bytes(ad.edge_dense, a, neighbors, w, b, g, h, relu) == \
+            _edge_bytes(reference.edge_dense, a, neighbors, w, b, g, h, relu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_edge_dense_matches_the_unfused_layer_property(data):
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    elements = st.one_of(st.floats(width=np.finfo(dtype).bits),
+                         st.integers(-2, 2).map(float),
+                         st.sampled_from(_specials(dtype).tolist()))
+    n, k, width, p = (data.draw(st.integers(1, 6), label=name)
+                      for name in ("n", "k", "width", "p"))
+    neighbors = data.draw(arrays(np.int64, (n, k), elements=st.integers(0, n - 1)),
+                          label="neighbors")
+    a, w, b, g, h = (data.draw(arrays(dtype, shape, elements=elements), label=name)
+                     for name, shape in (("a", (n, width)), ("w", (2 * width, p)), ("b", (p,)),
+                                         ("g", (n * k, p)), ("h", (n, width))))
+    relu = data.draw(st.booleans(), label="relu")
+    assert _edge_bytes(ad.edge_dense, a, neighbors, w, b, g, h, relu) == \
+        _edge_bytes(reference.edge_dense, a, neighbors, w, b, g, h, relu)
+
+
+@pytest.mark.parametrize("specials", [False, True])
+@pytest.mark.parametrize("n, r, p, q", [(1, 1, 3, 2), (5, 1, 3, 4), (7, 4, 3, 6), (12, 16, 2, 5)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_concat_repeat_matches_the_concat_of_a_gather_bitwise(dtype, n, r, p, q, specials):
+    rng = np.random.default_rng(10 * n + r)
+    draw = _with_specials if specials else (lambda r_, shape, d: r_.normal(size=shape).astype(d))
+    a, b, g, h = (draw(rng, shape, dtype)
+                  for shape in ((n * r, p), (n, q), (n * r, p + q), (n * r, p)))
+    assert _fused_bytes(lambda x, y: ad.concat_repeat(x, y, r), (a, b), g, h) == \
+        _fused_bytes(lambda x, y: reference.concat_repeat(x, y, r), (a, b), g, h)
+    # b's gradient sums from +0.0, as the scatter into zeros does
+    zeros = np.full((n * r, p + q), -0.0, dtype=dtype)
+    out = ad.concat_repeat(ad.Tensor(a), ad.Tensor(b, requires_grad=True), r)
+    assert not np.signbit(out._backward(zeros)[1]).any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_element_output_keeps_the_products_nan(dtype):
+    # numpy's in-place add of one element keeps the second operand's NaN
+    # where both are NaN; `add` keeps the first, the product's
+    nan = np.array([np.nan], dtype=dtype)
+    a, g = np.zeros((1, 2), dtype=dtype), np.ones((1, 1), dtype=dtype)
+    for w_nan, b_nan in ((nan, -nan), (-nan, nan)):
+        w = np.concatenate([np.zeros(3, dtype=dtype), w_nan])[:, None]
+        for relu in (True, False):
+            assert _dense_bytes(ad.dense, a[:, :1].repeat(4, 1), w, b_nan, g, relu) == \
+                _dense_bytes(reference.dense, a[:, :1].repeat(4, 1), w, b_nan, g, relu)
+            assert _edge_bytes(ad.edge_dense, a, [[0]], w, b_nan, g, a, relu) == \
+                _edge_bytes(reference.edge_dense, a, [[0]], w, b_nan, g, a, relu)
+
+
+def test_edge_dense_rejects_mismatched_shapes():
+    a, w, b = ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.zeros((6, 2))), ad.Tensor(np.zeros(2))
+    with pytest.raises(ShapeError, match=r"\(4, 3\), neighbours \(3, 2\) and weight \(6, 2\)"):
+        ad.edge_dense(a, np.zeros((3, 2), dtype=np.int64), w, b, relu=True)
+    with pytest.raises(ShapeError, match=r"\(4, 3\), neighbours \(4, 2\) and weight \(3, 2\)"):
+        ad.edge_dense(a, np.zeros((4, 2), dtype=np.int64), ad.Tensor(np.zeros((3, 2))), b, True)
+    with pytest.raises(ShapeError, match=r"bias shape \(5,\) does not fit output \(8, 2\)"):
+        ad.edge_dense(a, np.zeros((4, 2), dtype=np.int64), w, ad.Tensor(np.zeros(5)), True)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,8 +415,7 @@ def test_train_divergence_diagnostics_name_their_step(monkeypatch, fail_step, fa
 # examples of a batch on worker threads
 
 
-@pytest.mark.parametrize("batch_size", [2, 3])
-@pytest.mark.parametrize("config", [
+ABLATIONS = pytest.mark.parametrize("config", [
     {}, {"normal_reduction": "mean"}, {"coarse_to_fine": False}, {"recalibration": False},
     {"learned_sampling": False}, {"linear_transform": False}, {"predict_normals": False},
     {"linear_transform": False, "coarse_to_fine": False},
@@ -424,6 +424,10 @@ def test_train_divergence_diagnostics_name_their_step(monkeypatch, fail_step, fa
 ], ids=["default", "mean_normal_loss", "no_coarse_to_fine", "no_recalibration",
         "no_learned_sampling", "no_linear_transform", "no_normal_prediction",
         "no_linear_transform_no_coarse_to_fine", "every_ablation"])
+
+
+@pytest.mark.parametrize("batch_size", [2, 3])
+@ABLATIONS
 def test_threaded_steps_match_joint_graph_reference(monkeypatch, tmp_path, config, batch_size):
     # per-example backward passes added in batch order give the joint graph's
     # gradients bit for bit; 5 examples end on a short batch, and a batch of
@@ -449,6 +453,44 @@ def test_threaded_steps_match_joint_graph_reference(monkeypatch, tmp_path, confi
     initial = PUGeoNet(PUGeoConfig(**model_config), seed=4)
     model.save_model(initial, str(tmp_path / "initial.pugeo"))
     assert (tmp_path / "initial.pugeo").read_bytes() != expected[0]
+
+
+@ABLATIONS
+def test_train_matches_the_unfused_edge_layer_and_refine_input(monkeypatch, tmp_path, config):
+    # the one-node edge layers and refine input change no bit of the
+    # checkpoints or the log, around each ablation's graph and on two workers
+    model_config = dict(TINY_MODEL, **config)
+    reduction = model_config.pop("normal_reduction", "sum")
+    dataset = [_toy_example(s, n=64, factor=4) for s in range(5)]
+
+    def run(name, workers):
+        force_workers(monkeypatch, workers)
+        net = PUGeoNet(PUGeoConfig(**model_config), seed=4)
+        out, log = tmp_path / name, io.StringIO()
+        out.mkdir()
+        train(TrainConfig(batch_size=2, epochs=2, seed=5, checkpoint_every=1,
+                          normal_reduction=reduction),
+              dataset, net, log_stream=log, checkpoint_dir=str(out))
+        return [(path.name, path.read_bytes()) for path in sorted(out.iterdir())], log.getvalue()
+
+    calls = []
+
+    def counted(name):
+        def oracle(*args, **kwargs):
+            calls.append(name)
+            return getattr(reference, name)(*args, **kwargs)
+        return oracle
+
+    with monkeypatch.context() as patch:
+        for name in ("edge_dense", "concat_repeat"):
+            patch.setattr(ad, name, counted(name))
+        expected = run("oracles", 1)
+    # one call per level of each example's forward pass, and one per forward pass
+    assert calls.count("edge_dense") == 2 * 5 * len(TINY_MODEL["feature_widths"])
+    assert calls.count("concat_repeat") == 2 * 5 * model_config.get("coarse_to_fine", True)
+    assert len(expected[0]) == 3
+    assert run("one_worker", 1) == expected
+    assert run("two_workers", 2) == expected
 
 
 def test_threaded_steps_under_thread_switch_stress(monkeypatch):
@@ -619,6 +661,22 @@ def test_example_losses_pair_output_and_dense_once(monkeypatch):
     assert builds == [256, 256]
 
 
+def test_example_graph_keeps_no_gathered_rows():
+    # one patch-256 example's graph after its forward pass and losses held
+    # 12.2 MiB while each edge-conv level kept its gathered rows, their
+    # difference and the edge matrix, and each relu a mask; 6.7 MiB without
+    net = PUGeoNet(PUGeoConfig(), seed=0)
+    example = _toy_example(n=256, factor=4)
+    tracemalloc.start()
+    try:
+        losses = trainer._example_losses(net, example, LossWeights())
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert losses[0].requires_grad
+    assert live <= 7.5 * 2**20
+
+
 def test_train_checkpoints_written(tmp_path):
     cfg = PUGeoConfig(factor=2, patch_size=16, k=4, feature_widths=(8, 8),
                       hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
@@ -734,6 +792,38 @@ def test_model_draw_is_one_record_of_its_patch_forwards():
     for call in (draw_candidates, upsample_cloud):
         with pytest.raises(ValueError, match="^factor 4 does not match the model's factor 2$"):
             call(cloud, 4, model=net)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_model_draw_runs_its_patch_forwards_on_workers(monkeypatch, workers):
+    # the first `workers` forwards wait until all have started: they run at
+    # once, record no graph, and the draw is bitwise the per-patch loop's for
+    # any thread count
+    cfg = PUGeoConfig(factor=2, patch_size=32, k=6, feature_widths=(8, 8),
+                      hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
+    net = PUGeoNet(cfg, seed=0)
+    cloud = sphere_cloud(128, 1.0, seed=5)
+    pieces, frames, deltas = reference.patch_forwards(cloud, net, 2.0)
+    force_workers(monkeypatch, workers)
+    barrier, seen, forward = threading.Barrier(workers, timeout=30), [], PUGeoNet.forward
+
+    def meeting(self, points):
+        seen.append(threading.current_thread())
+        if len(seen) <= workers:
+            barrier.wait()
+        out = forward(self, points)
+        assert not out.points.requires_grad  # no graph recorded
+        return out
+
+    monkeypatch.setattr(PUGeoNet, "forward", meeting)
+    drawn = draw_candidates(cloud, 2, model=net, coverage=2.0)
+    assert len(seen) == 8 and len(set(seen[:workers])) == workers
+    assert all(t.requires_grad for t in net.parameters())
+    for got, want in ((drawn.points, np.concatenate([p.points for p in pieces])),
+                      (drawn.normals, np.concatenate([p.normals for p in pieces])),
+                      (drawn.frames, frames), (drawn.deltas, deltas)):
+        # a PointCloud holds float64 copies of the float32 outputs
+        assert np.array_equal(got, want) and got.tobytes() == want.astype(got.dtype).tobytes()
 
 
 def test_model_method_through_pipeline():
