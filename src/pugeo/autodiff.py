@@ -282,7 +282,8 @@ def _scatter_rows(g: np.ndarray, indices: np.ndarray, rows: int) -> np.ndarray:
 
     A CSR matrix with one row per target, its entries in ascending p, times
     g adds each target's terms in ascending p from zero, as np.add.at does,
-    so the sums are bitwise equal to it.
+    so the sums are bitwise equal to it, but for one case: where two NaNs
+    meet in one sum, this keeps the first NaN's sign and np.add.at the last's.
     """
     m = len(indices)
     indptr = np.zeros(rows + 1, dtype=np.int64)
@@ -345,9 +346,8 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.shape[axis]
-    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+def reduce_mean(a: Tensor) -> Tensor:
+    return mul(reduce_sum(a), 1.0 / a.data.size)
 
 
 def reduce_max(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:

@@ -125,6 +125,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: (flag, lowest value, whether the lowest is excluded) per command; floats must be finite
+RANGES = {
+    "dataset": (("--coverage", 0, True), ("--points", 1, False), ("--factor", 1, False),
+                ("--patch-size", 1, False), ("--noise-sigma", 0, False)),
+    "train": (("--batch", 1, False), ("--k-feature", 1, False), ("--checkpoint-every", 1, False),
+              ("--epochs", 0, False), ("--lr", 0, True), ("--alpha", 0, False),
+              ("--beta", 0, False), ("--gamma", 0, False)),
+    "upsample": (("--coverage", 0, True), ("--factor", 1, False)),
+    "inspect": (("--coverage", 0, True), ("--factor", 1, False)),
+    "eval": (("--factor", 1, False), ("--recon-samples", 1, False)),
+}
+
+
 def _fail(message: str, code: int = 2) -> int:
     print(message, file=sys.stderr)
     return code
@@ -148,8 +161,6 @@ def _read_input(path: str, method: str, factor: int | None, k: int, coverage: fl
     model loads the --model checkpoint, which draws patches.  ValueError names
     the bad file or flag.
     """
-    if factor is not None and factor < 1:
-        raise ValueError(f"--factor must be >= 1, got {factor}")
     if model_path is not None and method != "model":
         raise ValueError(f"--model is read only with --method model, got --method {method}")
     cloud = read_xyz(path)
@@ -224,12 +235,6 @@ def _warn(points: int, uncovered: int, degenerate_frames: int, degenerate_fits: 
 
 
 def cmd_dataset_build(args) -> int:
-    for flag, value in (("--points", args.points), ("--factor", args.factor),
-                        ("--patch-size", args.patch_size)):
-        if value < 1:
-            return _fail(f"{flag} must be >= 1, got {value}")
-    if not 0.0 <= args.noise_sigma < math.inf:
-        return _fail(f"--noise-sigma must be finite and >= 0, got {args.noise_sigma}")
     if args.patch_size > args.points:
         return _fail(f"--patch-size {args.patch_size} exceeds --points {args.points}")
     _check_darts(f"--points {args.points} and --factor {args.factor}", args.points * args.factor)
@@ -335,17 +340,6 @@ def _read_patches(manifest_path, manifest) -> list[TrainExample]:
 
 
 def cmd_train(args) -> int:
-    for flag, value in (("--batch", args.batch), ("--k-feature", args.k_feature),
-                        ("--checkpoint-every", args.checkpoint_every)):
-        if value < 1:
-            return _fail(f"{flag} must be >= 1, got {value}")
-    if args.epochs < 0:
-        return _fail(f"--epochs must be >= 0, got {args.epochs}")
-    if not 0.0 < args.lr < math.inf:
-        return _fail(f"--lr must be finite and > 0, got {args.lr}")
-    for flag, value in (("--alpha", args.alpha), ("--beta", args.beta), ("--gamma", args.gamma)):
-        if not 0.0 <= value < math.inf:
-            return _fail(f"{flag} must be finite and >= 0, got {value}")
     manifest_path, manifest = _read_manifest(args.data)
     factor = manifest["config"]["factor"]
     patch_size = manifest["config"]["patch_size"]
@@ -403,10 +397,6 @@ def cmd_upsample(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.factor is not None and args.factor < 1:
-        return _fail(f"--factor must be >= 1, got {args.factor}")
-    if args.recon_samples < 1:
-        return _fail(f"--recon-samples must be >= 1, got {args.recon_samples}")
     _check_darts(f"--recon-samples {args.recon_samples}", args.recon_samples)
     pred = read_xyz(args.pred)
     gt_dense = read_xyz(args.gt_dense)
@@ -451,9 +441,11 @@ def cmd_inspect_frames(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # upsample, dataset build and inspect frames take --coverage
-    if not 0 < getattr(args, "coverage", 1.0) < math.inf:
-        return _fail(f"--coverage must be finite and > 0, got {args.coverage}")
+    for flag, low, excluded in RANGES[args.command]:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and not (low < value < math.inf or value == low and not excluded):
+            finite = "finite and " if isinstance(value, float) else ""
+            return _fail(f"{flag} must be {finite}{'>' if excluded else '>='} {low}, got {value}")
     try:
         return {"dataset": cmd_dataset_build, "train": cmd_train, "upsample": cmd_upsample,
                 "eval": cmd_eval, "inspect": cmd_inspect_frames}[args.command](args)

@@ -66,7 +66,6 @@ def normal_loss_graph(pred_normals: Tensor, gt_normals: np.ndarray,
 
 
 def total_loss_graph(cd: Tensor, coarse: Tensor, refined: Tensor,
-                     weights: LossWeights | None = None) -> Tensor:
-    w = weights or LossWeights()
-    return ad.add(ad.add(ad.mul(cd, w.alpha), ad.mul(coarse, w.beta)),
-                  ad.mul(refined, w.gamma))
+                     weights: LossWeights) -> Tensor:
+    return ad.add(ad.add(ad.mul(cd, weights.alpha), ad.mul(coarse, weights.beta)),
+                  ad.mul(refined, weights.gamma))

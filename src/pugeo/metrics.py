@@ -76,10 +76,10 @@ def metric_hd(x, y) -> float:
     return _chamfer_hausdorff(x, y)[1]
 
 
-def metric_jsd(x, y, grid: int = JSD_GRID) -> float:
+def metric_jsd(x, y) -> float:
     """Jensen-Shannon divergence between voxel occupancy distributions.
 
-    Both sets are voxelized on a grid^3 lattice over their union bounding
+    Both sets are voxelized on a JSD_GRID^3 lattice over their union bounding
     box inflated by 1%; occupancy counts are normalized and compared with
     natural-log JSD (0*log 0 = 0).  Disjoint supports give ln 2.
     """
@@ -93,12 +93,12 @@ def metric_jsd(x, y, grid: int = JSD_GRID) -> float:
     extent = np.maximum(hi - lo, 1e-12)
     lo = lo - 0.005 * extent
     hi = hi + 0.005 * extent
-    cell = (hi - lo) / grid
+    cell = (hi - lo) / JSD_GRID
 
     def occupancy(points):
-        idx = np.clip(((points - lo) / cell).astype(np.int64), 0, grid - 1)
-        flat = (idx[:, 0] * grid + idx[:, 1]) * grid + idx[:, 2]
-        counts = np.bincount(flat, minlength=grid ** 3).astype(np.float64)
+        idx = np.clip(((points - lo) / cell).astype(np.int64), 0, JSD_GRID - 1)
+        flat = (idx[:, 0] * JSD_GRID + idx[:, 1]) * JSD_GRID + idx[:, 2]
+        counts = np.bincount(flat, minlength=JSD_GRID ** 3).astype(np.float64)
         return counts / counts.sum()
 
     p = occupancy(x)

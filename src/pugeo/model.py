@@ -67,6 +67,8 @@ class PUGeoConfig:
         self.feature_widths = tuple(self.feature_widths)
         if self.factor < 1 or self.patch_size < 1 or self.k < 1:
             raise ValueError("factor, patch_size and k must be positive")
+        if self.k >= self.patch_size:
+            raise ValueError(f"config 'k' must be < 'patch_size' {self.patch_size}, got {self.k}")
         if not self.feature_widths or any(w < 1 for w in self.feature_widths):
             raise ValueError("feature widths must be positive")
         if min(self.hr_hidden, self.f1_hidden, self.f2_hidden,
@@ -254,8 +256,6 @@ class PUGeoNet:
         """
         n = aligned.shape[0]
         k = self.config.k
-        if k >= n:
-            raise ValueError(f"k={k} must be smaller than patch size {n}")
         levels = []
         current = aligned
         for mlp, width in zip(self.edge_mlps, self.config.feature_widths):

@@ -58,6 +58,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.checkpoint_every < 1:
             raise ValueError(f"checkpoint interval must be >= 1, got {self.checkpoint_every}")
         if self.normal_reduction not in ("sum", "mean"):
@@ -96,6 +98,8 @@ def build_dataset(meshes: list[TriangleMesh], m: int, factor: int, patch_size: i
     mesh's entry in `names` when given.
     """
     patch_count(m, patch_size, coverage)  # bad settings fail before any mesh is sampled
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
     def mesh_examples(i: int) -> list[TrainExample]:
         base = seed + 7919 * i

@@ -247,6 +247,22 @@ def test_upsample_mistyped_checkpoint_config_exit_2(tmp_path, capsys, key, value
     assert err.startswith(f"{ckpt}: ") and repr(key) in err
 
 
+def test_upsample_checkpoint_with_k_at_patch_size_exit_2(tmp_path, capsys):
+    # such a header used to load, then fail at the first forward naming no file
+    cfg = PUGeoConfig(factor=4, patch_size=32, k=4, feature_widths=(8, 8),
+                      hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8, f4_hidden=8)
+    ckpt = tmp_path / "m.pugeo"
+    save_model(PUGeoNet(cfg, seed=0), ckpt)
+    set_checkpoint_config_entry(ckpt, "k", 32)
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+    rc = main(["upsample", "--input", cloud_path, "--output", str(tmp_path / "o.xyz"),
+               "--method", "model", "--model", str(ckpt)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"{ckpt}: malformed header: config 'k' must be < "
+                                       f"'patch_size' 32, got 32\n")
+    assert not (tmp_path / "o.xyz").exists()
+
+
 def test_upsample_bad_checkpoint_error_names_the_file(tmp_path, capsys):
     ckpt = tmp_path / "bad.pugeo"
     ckpt.write_bytes(b"PUGEO1\x00")
@@ -755,6 +771,34 @@ def test_every_option_is_read_by_its_handler():
         unread += [f"{' '.join(path)} {option}"
                    for option in _unread_options(leaf, inspect.getsource(handler))]
     assert not unread, f"options parsed but never read: {unread}"
+
+
+# numeric options with no cli.RANGES entry: (command, flag) -> where they are checked
+UNRANGED = {
+    ("", "--seed"): "any integer seeds the RNGs",
+    ("upsample", "--k"): "MIN_NEIGHBORS, with --method analytic only",
+    ("inspect", "--k"): "MIN_NEIGHBORS, with --method analytic only",
+    ("train", "--factor"): "must match the dataset manifest",
+    ("upsample", "--patch-size"): "must match the checkpoint",
+}
+
+
+def _numeric_options(parser):
+    return {action.option_strings[0] for action in parser._actions
+            if action.option_strings and action.type in (int, float)}
+
+
+def test_every_numeric_option_has_a_range():
+    parser = cli.build_parser()
+    leaves = list(_leaf_parsers(parser))
+    numeric = {("", option) for option in _numeric_options(parser)}
+    numeric |= {(path[0], option) for path, leaf in leaves for option in _numeric_options(leaf)}
+    ranged = {(command, flag) for command, entries in cli.RANGES.items()
+              for flag, _, _ in entries}
+    assert set(cli.RANGES) == {path[0] for path, _ in leaves}
+    assert numeric - ranged - set(UNRANGED) == set()  # options with no range
+    assert ranged - numeric == set()  # ranges of options no subcommand has
+    assert set(UNRANGED) - numeric == set() and set(UNRANGED) & ranged == set()
 
 
 def test_train_epochs_zero_checkpoint_is_init(tmp_path, mesh_dir, capsys):

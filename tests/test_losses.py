@@ -231,6 +231,6 @@ def test_total_loss_graph_composition():
     cd = Tensor(np.array(0.01), requires_grad=True)
     coarse = Tensor(np.array(0.5))
     refined = Tensor(np.array(0.2))
-    total = total_loss_graph(cd, coarse, refined)
+    total = total_loss_graph(cd, coarse, refined, LossWeights())
     assert abs(total.item() - 1.7) < 1e-9
     assert abs(ad.backward(total)[cd] - 100.0) < 1e-9

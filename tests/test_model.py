@@ -44,6 +44,25 @@ def test_config_validation():
         PUGeoConfig(feature_widths=())
 
 
+@pytest.mark.parametrize("k", [8, 9])
+def test_config_k_must_be_below_patch_size(k):
+    with pytest.raises(ValueError) as info:
+        PUGeoConfig(**{**TINY, "patch_size": 8, "k": k})
+    assert str(info.value) == f"config 'k' must be < 'patch_size' 8, got {k}"
+
+
+def test_checkpoint_with_k_at_patch_size_fails_to_load_naming_the_file(tmp_path):
+    # k does not shape any weight, so such a header used to load and then fail
+    # at the first forward pass with a message naming no file
+    path = tmp_path / "m.pugeo"
+    save_model(PUGeoNet(PUGeoConfig(**TINY), seed=0), path)
+    set_checkpoint_config_entry(path, "k", TINY["patch_size"])
+    with pytest.raises(CheckpointError) as info:
+        load_model(path)
+    assert str(info.value) == (f"{path}: malformed header: config 'k' must be < 'patch_size' "
+                               f"32, got 32")
+
+
 # ---------------------------------------------------------------------------
 # STN
 

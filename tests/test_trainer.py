@@ -89,6 +89,18 @@ def test_build_dataset_noise_only_on_sparse():
     assert not np.array_equal(clean[0].sparse_points, noisy[0].sparse_points)
 
 
+@pytest.mark.parametrize("sigma", [-0.5, math.nan, math.inf], ids=["negative", "nan", "inf"])
+def test_build_dataset_rejects_bad_noise_sigma_before_sampling(monkeypatch, sigma):
+    # -0.5 and nan used to build noiseless examples, bitwise those of sigma 0
+    def refuse(*args):
+        raise AssertionError("a mesh was sampled")
+
+    monkeypatch.setattr(trainer, "poisson_disk_sample", refuse)
+    with pytest.raises(ValueError) as info:
+        build_dataset([icosphere(2)], m=128, factor=2, patch_size=64, seed=3, noise_sigma=sigma)
+    assert str(info.value) == f"noise_sigma must be finite and >= 0, got {sigma}"
+
+
 # ---------------------------------------------------------------------------
 # meshes of a dataset sampled on worker threads
 
@@ -283,6 +295,14 @@ def test_augment_example_consistent_rotation(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # training loop
+
+
+@pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf])
+def test_train_config_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
+    # lr=-1e-3 used to train, stepping uphill
+    with pytest.raises(ValueError) as info:
+        TrainConfig(lr=lr)
+    assert str(info.value) == f"lr must be finite and > 0, got {lr}"
 
 
 def test_train_zero_epochs_keeps_parameters():
