@@ -102,8 +102,6 @@ def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
     """
     if pattern is None:
         pattern = SamplePattern()
-    if rng is None:
-        rng = np.random.default_rng(0)
     pts = cloud.points
     n = len(pts)
     if n < k + 1:
@@ -123,7 +121,7 @@ def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
     k1, k2 = curvatures[:, :1], curvatures[:, 1:]
 
     dists = np.linalg.norm(neighborhoods - pts[:, None, :], axis=2)
-    local_radius = np.median(np.sort(dists, axis=1)[:, 1:5], axis=1)
+    local_radius = np.median(dists[:, 1:5], axis=1)  # knn_batch rows are ascending
     uv = param_samples(factor, pattern, local_radius, rng)  # (N, R, 2)
     u, v = uv[:, :, 0], uv[:, :, 1]
 

@@ -17,7 +17,6 @@ import sys
 
 import numpy as np
 
-from .analytic import SamplePattern
 from .errors import FormatError, TrainingDiverged
 from .geometry import MIN_NEIGHBORS, frame_stats
 from .io import PointCloud, _write_rows, _xyz_blocks, read_mesh, read_xyz, write_xyz
@@ -29,7 +28,6 @@ from .trainer import (TrainConfig, TrainExample, build_dataset, draw_candidates,
                       upsample_cloud)
 
 MESH_EXTENSIONS = (".obj", ".ply")
-PATTERNS = {"fibonacci": "fibonacci_disk", "grid": "jittered_grid"}
 ANALYTIC_FACTOR = 4
 FACTOR_HELP = (f"default {ANALYTIC_FACTOR} with --method analytic; the checkpoint's factor, "
                f"which it must match when given, with --method model")
@@ -98,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_up.add_argument("--method", choices=("analytic", "model"), default="analytic")
     p_up.add_argument("--model", default=None)
     p_up.add_argument("--k", type=int, default=16)
-    p_up.add_argument("--pattern", choices=tuple(PATTERNS), default="fibonacci")
     p_up.add_argument("--patch-size", type=int, default=None,
                       help="must match the model's patch size when given; analytic ignores it")
     p_up.add_argument("--coverage", type=float, default=3.0, help="candidates per output point")
@@ -119,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_frames.add_argument("--model", default=None)
     p_frames.add_argument("--k", type=int, default=16)
     p_frames.add_argument("--factor", type=int, default=None, help=FACTOR_HELP)
-    p_frames.add_argument("--pattern", choices=tuple(PATTERNS), default="fibonacci")
     p_frames.add_argument("--coverage", type=float, default=3.0)
 
     return parser
@@ -384,8 +380,7 @@ def cmd_upsample(args) -> int:
                          f"{cut * n} in all, fewer than the {m} input points")
     counts = {}
     result = _draw(cloud, per_point, args.coverage, lambda: upsample_cloud(
-        cloud, factor, model=model, k=args.k, coverage=args.coverage,
-        pattern=SamplePattern(PATTERNS[args.pattern]), seed=args.seed, counts=counts))
+        cloud, factor, model=model, k=args.k, coverage=args.coverage, counts=counts))
     if counts["degenerate_frames"] == counts["points"]:
         return _fail(f"numerical failure: all {counts['points']} input points have "
                      f"degenerate frames ({counts['degenerate_fits']} degenerate curvature "
@@ -430,8 +425,7 @@ def cmd_inspect_frames(args) -> int:
     cloud, factor, model, per_point = _read_input(args.input, args.method, args.factor, args.k,
                                                   args.coverage, args.model)
     drawn = _draw(cloud, per_point, args.coverage, lambda: draw_candidates(
-        cloud, factor, model=model, k=args.k, coverage=args.coverage,
-        pattern=SamplePattern(PATTERNS[args.pattern]), seed=args.seed))
+        cloud, factor, model=model, k=args.k, coverage=args.coverage))
     _warn(**drawn.metadata)
     t = drawn.frames
     sys.stdout.write(frame_stats(t[:, :, 0], t[:, :, 1], t[:, :, 2], drawn.deltas).to_tsv())

@@ -18,27 +18,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckpointError, FormatError, UnsupportedFormatError
-from .geometry import _vector_dot
 
 _UNIT_TOL = 1e-5
 #: below this length a vector's squared length is subnormal or zero
 _MIN_LENGTH = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
-def _unit_rows(v: np.ndarray, lengths=lambda v: np.linalg.norm(v, axis=1)) -> np.ndarray:
+def _unit_rows(v: np.ndarray) -> np.ndarray:
     """Rows of (n, 3), none of them all zero, each divided by its length.
 
-    `lengths` fixes their rounding: a dot product per row (.xyz) and a sum of
-    squares (meshes, the default) can differ in the last bit, and each reader
-    keeps its own.  A row whose squared length overflows or is subnormal
-    would lose its length, so it is first divided by its largest |component|.
+    The one normal rule of every reader.  A row whose squared length
+    overflows or is subnormal would lose its length, so it is first divided
+    by its largest |component|.
     """
     with np.errstate(over="ignore"):
-        norms = lengths(v)
+        norms = np.linalg.norm(v, axis=1)
     lost = (norms < _MIN_LENGTH) | np.isinf(norms)
     if lost.any():
         v = np.where(lost[:, None], v / np.abs(v).max(axis=1, keepdims=True), v)
-        norms = lengths(v)
+        norms = np.linalg.norm(v, axis=1)
     return v / norms[:, None]
 
 
@@ -232,8 +230,7 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
             values = _scan_xyz(path)
         normals = None
         if values.shape[1] == 6:
-            # rounds each length as np.linalg.norm of that one row does
-            normals = _unit_rows(values[:, 3:], lambda n: np.sqrt(_vector_dot(n, n)))
+            normals = _unit_rows(values[:, 3:])
     return PointCloud(values[:, :3], normals)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .analytic import SamplePattern, UpsampleResult, upsample_analytic
+from .analytic import UpsampleResult, upsample_analytic
 from .errors import GeometryError, TrainingDiverged
 from .io import PointCloud, TriangleMesh
 from .losses import LossWeights, chamfer_loss, normal_loss_graph, total_loss_graph
@@ -288,22 +288,20 @@ def train(config: TrainConfig, dataset: list[TrainExample], model: PUGeoNet,
 
 
 def draw_candidates(cloud: PointCloud, factor: int, model: PUGeoNet | None = None,
-                    k: int = 16, pattern: SamplePattern | None = None,
-                    coverage: float = 3.0, seed: int = 0) -> UpsampleResult:
+                    k: int = 16, coverage: float = 3.0) -> UpsampleResult:
     """Draw about coverage*R*M candidates around the M points of `cloud`.
 
     Without a model, fit each input point once and draw ceil(coverage*R)
-    around it.  With one, upsample ceil(coverage*M/N) patches of the
-    checkpoint's N points; its frames are the patches' lifts T, which stay
-    in the STN-aligned patch space, and R must be the model's; the forwards
-    run on `_map_tasks`, in patch order, and record no graph.  Only the
-    analytic path has degenerate frames and fits, and only the model path
-    points in no patch.
+    on its Fibonacci disk, with no RNG.  With one, upsample ceil(coverage*M/N)
+    patches of the checkpoint's N points; its frames are the patches' lifts
+    T, which stay in the STN-aligned patch space, and R must be the model's;
+    the forwards run on `_map_tasks`, in patch order, and record no graph.
+    Only the analytic path has degenerate frames and fits, and only the
+    model path points in no patch.
     """
     if model is None:
         _check_coverage(coverage)
-        return upsample_analytic(cloud, math.ceil(coverage * factor), k=k, pattern=pattern,
-                                 rng=np.random.default_rng(seed))
+        return upsample_analytic(cloud, math.ceil(coverage * factor), k=k)
     if factor != model.config.factor:
         raise ValueError(f"factor {factor} does not match the model's factor "
                          f"{model.config.factor}")
@@ -327,15 +325,14 @@ def draw_candidates(cloud: PointCloud, factor: int, model: PUGeoNet | None = Non
 
 
 def upsample_cloud(cloud: PointCloud, factor: int, model: PUGeoNet | None = None,
-                   k: int = 16, pattern: SamplePattern | None = None,
-                   coverage: float = 3.0, seed: int = 0,
+                   k: int = 16, coverage: float = 3.0,
                    counts: dict | None = None) -> PointCloud:
     """FPS-fuse the `draw_candidates` of `cloud` to exactly R*M points.
 
     `counts`, if given, receives the draw's metadata: the input points, the
     points in no patch and the degenerate frames and fits.
     """
-    drawn = draw_candidates(cloud, factor, model, k, pattern, coverage, seed)
+    drawn = draw_candidates(cloud, factor, model, k, coverage)
     if counts is not None:
         counts.update(drawn.metadata)
     return fuse_patches([PointCloud(drawn.points, drawn.normals)], factor * len(cloud))

@@ -738,7 +738,7 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
             if arity == 6:
                 if not any(values[3:]):
                     raise FormatError(f"line {lineno}: zero-length normal")
-                normals.append(_unit(values[3:], lambda n: float(np.linalg.norm(n))))
+                normals.append(_unit(values[3:], _row_length))
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     return PointCloud(pts, np.asarray(normals) if normals else None)
 

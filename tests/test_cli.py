@@ -354,6 +354,25 @@ def test_upsample_deterministic(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+@pytest.mark.parametrize("method", ["analytic", "model"])
+def test_seed_does_not_change_the_draw(tmp_path, capsys, method):
+    # the analytic candidates lie on Fibonacci disks and the model's come from
+    # the checkpoint's forwards: neither command reads --seed
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(120, 1.0, 1))
+    out = tmp_path / "out.xyz"
+    extra = ["--model", _model_checkpoint(tmp_path / "m.pugeo", 32)] if method == "model" else []
+
+    def run(seed, command):
+        out.unlink(missing_ok=True)
+        assert main(["--seed", seed, *command, "--input", cloud_path, "--method", method,
+                     *extra]) == 0
+        captured = capsys.readouterr()
+        return captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+    for command in (["upsample", "--output", str(out)], ["inspect", "frames"]):
+        assert run("1", command) == run("2", command)
+
+
 def test_upsample_collinear_reports_degenerate_frames(tmp_path, capsys):
     # a straight line beside a flat grid: only the line's frames are degenerate
     t = np.linspace(0.0, 1.0, 300)
@@ -371,7 +390,7 @@ def test_upsample_collinear_reports_degenerate_frames(tmp_path, capsys):
         "warning: 300 degenerate frames and 0 degenerate curvature fits in 600 input "
         "points; those points were upsampled on a flat disk"]
     expected = tmp_path / "expected.xyz"
-    write_xyz(upsample_cloud(cloud, 4, seed=42), expected)
+    write_xyz(upsample_cloud(cloud, 4), expected)
     assert out.read_bytes() == expected.read_bytes()
 
 
@@ -718,6 +737,13 @@ def test_inspect_frames_patch_size_removed():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["upsample", "--output", "b.xyz"], ["inspect", "frames"]])
+def test_pattern_flag_removed(command):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--input", "a.xyz", "--pattern", "grid"])
+    assert info.value.code == 2
+
+
 def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, mesh_dir, capsys,
                                                            monkeypatch):
     assert cli.build_parser() is cli.build_parser()
@@ -824,6 +850,22 @@ def test_train_checkpoint_dir_is_created_and_holds_every_checkpoint(tmp_path, me
     assert sorted(p.name for p in checkpoints.iterdir()) == [
         "checkpoint_epoch0001.pugeo", "checkpoint_epoch0002.pugeo", "checkpoint_final.pugeo"]
     assert (checkpoints / "checkpoint_final.pugeo").read_bytes() == out.read_bytes()
+
+
+def test_train_on_built_files_matches_train_on_built_examples(tmp_path, mesh_dir, capsys):
+    # read_xyz rescales the unit normals `dataset build` writes, which can move
+    # their last bit, but the losses read normals in float32: `pugeo train` on
+    # the files and `train` on build_dataset's examples write one checkpoint
+    data = _run_dataset(tmp_path, mesh_dir, seed=3)
+    ckpt = tmp_path / "cli.pugeo"
+    assert main(["--seed", "3", "train", "--data", str(data), "--out", str(ckpt),
+                 "--epochs", "2", "--batch", "4", "--k-feature", "6"]) == 0
+    meshes = [read_mesh(mesh_dir / name) for name in ("cube.obj", "icosphere.obj")]
+    model = PUGeoNet(PUGeoConfig(factor=4, patch_size=64, k=6), seed=3)
+    trainer.train(trainer.TrainConfig(batch_size=4, epochs=2, seed=3),
+                  trainer.build_dataset(meshes, 128, 4, 64, seed=3, coverage=1.0), model)
+    save_model(model, tmp_path / "library.pugeo")
+    assert (tmp_path / "library.pugeo").read_bytes() == ckpt.read_bytes()
 
 
 def test_train_logs_json_per_epoch_and_ablation_flag(tmp_path, mesh_dir, capsys):
@@ -1479,7 +1521,7 @@ def _upsample_checked(tmp_path, name, cloud, capsys):
     assert main(["upsample", "--input", path, "--output", str(out)]) == 0
     err = capsys.readouterr().err
     counts = {}
-    upsample_cloud(read_xyz(path), 4, seed=42, counts=counts)
+    upsample_cloud(read_xyz(path), 4, counts=counts)
     expected = []
     if counts["degenerate_frames"] or counts["degenerate_fits"]:
         expected = [f"warning: {counts['degenerate_frames']} degenerate frames and "

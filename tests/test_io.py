@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pugeo import PointCloud, read_mesh, read_xyz, write_mesh, write_xyz
 from pugeo.errors import FormatError, UnsupportedFormatError
@@ -115,6 +117,23 @@ def test_read_mesh_normals_outside_squared_range(tmp_path, name, normal, expecte
         mesh = read_mesh(path)
     np.testing.assert_allclose(mesh.normals, [[0, 0, 1], expected, [0, 0, 1]],
                                rtol=0, atol=1e-15)
+
+
+_NORMAL = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3).filter(any)
+
+
+@settings(max_examples=100, deadline=None)
+@given(normals=st.lists(_NORMAL, min_size=3, max_size=3))
+def test_one_normal_rule_for_every_reader_property(normals, tmp_path_factory):
+    # the same normal text gives the same unit normals, bit for bit, from
+    # .xyz columns 4-6, OBJ `vn` and PLY `nx ny nz`
+    text = [" ".join(map(repr, normal)) for normal in normals]
+    base = tmp_path_factory.getbasetemp()
+    (base / "n.xyz").write_text("".join(f"{i} 0 0 {row}\n" for i, row in enumerate(text)))
+    expected = read_xyz(base / "n.xyz").normals
+    for name in ("n.obj", "n.ply"):
+        assert read_mesh(_mesh_with_normals(base / name, text)).normals.tobytes() == (
+            expected.tobytes()), name
 
 
 @pytest.mark.parametrize("name,normals,line", [

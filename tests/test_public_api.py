@@ -1,7 +1,9 @@
 """The package's public names and the names the demos import stay resolvable.
 
 Every demo, and every fenced python block of README.md, runs to exit 0,
-so one that calls a removed name or parameter fails here.
+so one that calls a removed name or parameter fails here; every `pugeo`
+command in README's bash blocks parses, so one that passes a removed flag
+fails here too.
 Every public name must also be used by the package itself or by a demo, so
 nothing is exported for the tests alone.
 """
@@ -11,17 +13,24 @@ import importlib
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import pugeo
+from pugeo.cli import build_parser
 
 ROOT = pathlib.Path(__file__).parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
-                           re.MULTILINE | re.DOTALL)
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
+# every `pugeo ...` line of README's bash blocks, with its \ continuations joined
+README_COMMANDS = [line.strip() for block in re.findall(r"^```bash\n(.*?)^```", README,
+                                                        re.MULTILINE | re.DOTALL)
+                   for line in block.replace("\\\n", " ").splitlines()
+                   if line.startswith("pugeo ")]
 
 
 def _pugeo_imports(path):
@@ -56,6 +65,19 @@ def test_readme_python_block_runs(block):
     run = subprocess.run([sys.executable, "-c", block], cwd=ROOT, env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, f"README block failed:\n{run.stderr}"
+
+
+def test_readme_has_commands():
+    assert len(README_COMMANDS) >= 5
+
+
+@pytest.mark.parametrize("command", README_COMMANDS,
+                         ids=[f"command{i}" for i in range(len(README_COMMANDS))])
+def test_readme_command_parses(command):
+    try:
+        build_parser().parse_args(shlex.split(command)[1:])
+    except SystemExit as exc:  # argparse exits 2 on an unknown flag or a bad value
+        pytest.fail(f"README command does not parse (exit {exc.code}): {command}")
 
 
 def test_all_entries_resolve_once():

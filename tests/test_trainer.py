@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pugeo.autodiff as ad
-from pugeo import (LossWeights, PointCloud, PUGeoConfig, PUGeoNet, SamplePattern, TrainConfig,
+from pugeo import (LossWeights, PointCloud, PUGeoConfig, PUGeoNet, TrainConfig,
                    chamfer, poisson_disk_sample, upsample_analytic)
 from pugeo import model, trainer
 from pugeo.errors import GeometryError, TrainingDiverged
@@ -749,23 +749,20 @@ def test_upsample_cloud_analytic_fits_the_cloud_once(monkeypatch):
 
 @settings(max_examples=20, deadline=None)
 @given(m=st.integers(16, 120), factor=st.integers(1, 5), coverage=st.floats(0.5, 4.0),
-       kind=st.sampled_from(["fibonacci_disk", "jittered_grid"]), seed=st.integers(0, 2**16))
-def test_upsample_cloud_analytic_property(m, factor, coverage, kind, seed):
+       seed=st.integers(0, 2**16))
+def test_upsample_cloud_analytic_property(m, factor, coverage, seed):
     # R*M distinct rows: the (point, normal) rows that the FPS oracle keeps of
-    # one whole-cloud draw of ceil(coverage*R) candidates per point, the same
-    # on every call
+    # one whole-cloud draw of ceil(coverage*R) candidates per point on
+    # Fibonacci disks, the same on every call
     per_point = math.ceil(coverage * factor)
     assume(per_point >= factor)
     cloud = sphere_cloud(m, 1.0, seed)
-    pattern = SamplePattern(kind)
-    a, b = (upsample_cloud(cloud, factor, k=12, pattern=pattern, coverage=coverage, seed=seed)
-            for _ in range(2))
+    a, b = (upsample_cloud(cloud, factor, k=12, coverage=coverage) for _ in range(2))
     assert np.array_equal(a.points, b.points) and np.array_equal(a.normals, b.normals)
     rows = np.hstack([a.points, a.normals])
     assert len(rows) == factor * m
     assert len(np.unique(a.points, axis=0)) == factor * m
-    drawn = upsample_analytic(cloud, per_point, k=12, pattern=pattern,
-                              rng=np.random.default_rng(seed))
+    drawn = upsample_analytic(cloud, per_point, k=12)
     keep = reference.farthest_point_sample(drawn.points, factor * m, seed_index=0)
     assert np.array_equal(rows, np.hstack([drawn.points, drawn.normals])[keep])
 
