@@ -68,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train the upsampling model")
     p_train.add_argument("--data", required=True, help="manifest path or dataset dir")
     p_train.add_argument("--out", required=True, help="final checkpoint path")
-    p_train.add_argument("--factor", type=int, default=None,
-                         help="must match the dataset manifest when given")
     p_train.add_argument("--epochs", type=int, default=800)
     p_train.add_argument("--batch", type=int, default=8)
     p_train.add_argument("--lr", type=float, default=0.001)
@@ -121,8 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: (flag, lowest value, whether the lowest is excluded) per command; floats must be finite
+#: (flag, lowest value, whether the lowest is excluded) per command, "" for the global
+#: options; floats must be finite
 RANGES = {
+    "": (("--seed", 0, False),),
     "dataset": (("--coverage", 0, True), ("--points", 1, False), ("--factor", 1, False),
                 ("--patch-size", 1, False), ("--noise-sigma", 0, False)),
     "train": (("--batch", 1, False), ("--k-feature", 1, False), ("--checkpoint-every", 1, False),
@@ -281,14 +281,13 @@ def _check_manifest(manifest, path) -> None:
     """Raise FormatError unless `manifest` has the shape `dataset build` writes."""
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest must be a JSON object")
-    config = manifest.get("config")
-    if not (isinstance(config, dict) and all(type(config.get(key)) is int and config[key] >= 1
-                                             for key in ("factor", "patch_size"))):
-        raise FormatError(f"{path}: manifest needs a 'config' object with integer "
-                          f"'factor' and 'patch_size' of at least 1")
+    if not isinstance(manifest.get("config"), dict):
+        raise FormatError(f"{path}: manifest needs a 'config' object")
     patches = manifest.get("patches")
     if not isinstance(patches, list):
         raise FormatError(f"{path}: manifest needs a 'patches' list")
+    if not patches:
+        raise FormatError(f"{path}: manifest lists no patches")
     for i, entry in enumerate(patches):
         if not (isinstance(entry, dict)
                 and all(isinstance(entry.get(key), str) for key in ("sparse", "dense"))
@@ -307,17 +306,17 @@ def _read_manifest(data_path):
     with open(manifest_path, "r", encoding="utf-8") as handle:
         try:
             manifest = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise FormatError(f"{manifest_path}: {exc}") from None
     _check_manifest(manifest, manifest_path)
     return manifest_path, manifest
 
 
-def _read_patches(manifest_path, manifest) -> list[TrainExample]:
+def _read_patches(manifest_path, patches, config: PUGeoConfig) -> list[TrainExample]:
     base = os.path.dirname(manifest_path)
-    n, factor = manifest["config"]["patch_size"], manifest["config"]["factor"]
+    n, factor = config.patch_size, config.factor
     examples = []
-    for entry in manifest["patches"]:
+    for entry in patches:
         sparse_path = os.path.join(base, entry["sparse"])
         dense_path = os.path.join(base, entry["dense"])
         sparse, dense = read_xyz(sparse_path), read_xyz(dense_path)
@@ -336,21 +335,22 @@ def _read_patches(manifest_path, manifest) -> list[TrainExample]:
 
 
 def cmd_train(args) -> int:
+    if os.path.isdir(args.out):
+        return _fail(f"--out {args.out} is a directory")
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        return _fail(f"--out {args.out}: directory {os.path.dirname(args.out)} does not exist")
     manifest_path, manifest = _read_manifest(args.data)
-    factor = manifest["config"]["factor"]
-    patch_size = manifest["config"]["patch_size"]
-    if args.factor is not None and args.factor != factor:
-        return _fail(f"--factor {args.factor} does not match dataset factor {factor}")
-    if args.k_feature >= patch_size:
-        return _fail(f"--k-feature {args.k_feature} must be smaller than the patch size "
-                     f"{patch_size} of {manifest_path}")
-    dataset = _read_patches(manifest_path, manifest)
-    config = PUGeoConfig(factor=factor, patch_size=patch_size, k=args.k_feature,
-                         recalibration=not args.no_recalibration,
-                         learned_sampling=not args.no_learned_sampling,
-                         linear_transform=not args.no_linear_transform,
-                         coarse_to_fine=not args.no_coarse_to_fine,
-                         predict_normals=not args.no_normal_prediction)
+    try:  # the manifest's R and N meet the rule a checkpoint's config meets
+        config = PUGeoConfig(factor=manifest["config"].get("factor"),
+                             patch_size=manifest["config"].get("patch_size"), k=args.k_feature,
+                             recalibration=not args.no_recalibration,
+                             learned_sampling=not args.no_learned_sampling,
+                             linear_transform=not args.no_linear_transform,
+                             coarse_to_fine=not args.no_coarse_to_fine,
+                             predict_normals=not args.no_normal_prediction)
+    except ValueError as exc:
+        return _fail(f"{manifest_path}: {exc}")
+    dataset = _read_patches(manifest_path, manifest["patches"], config)
     model = PUGeoNet(config, seed=args.seed)
     weights = LossWeights(args.alpha, args.beta, args.gamma)
     train_config = TrainConfig(batch_size=args.batch, epochs=args.epochs, lr=args.lr,
@@ -435,7 +435,7 @@ def cmd_inspect_frames(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, low, excluded in RANGES[args.command]:
+    for flag, low, excluded in RANGES[""] + RANGES[args.command]:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and not (low < value < math.inf or value == low and not excluded):
             finite = "finite and " if isinstance(value, float) else ""

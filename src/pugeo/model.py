@@ -58,22 +58,16 @@ class PUGeoConfig:
                 ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
                 want = "a finite number"
             elif field.type == "tuple":
-                ok = isinstance(value, (list, tuple)) and all(type(w) is int for w in value)
-                want = "a list of integers"
+                ok = (isinstance(value, (list, tuple)) and len(value) > 0
+                      and all(type(w) is int and w >= 1 for w in value))
+                want = "a non-empty list of integers >= 1"
             else:
-                ok, want = type(value) is int, "an integer"
+                ok, want = type(value) is int and value >= 1, "an integer >= 1"
             if not ok:
                 raise ValueError(f"config {field.name!r} must be {want}, got {value!r}")
         self.feature_widths = tuple(self.feature_widths)
-        if self.factor < 1 or self.patch_size < 1 or self.k < 1:
-            raise ValueError("factor, patch_size and k must be positive")
         if self.k >= self.patch_size:
             raise ValueError(f"config 'k' must be < 'patch_size' {self.patch_size}, got {self.k}")
-        if not self.feature_widths or any(w < 1 for w in self.feature_widths):
-            raise ValueError("feature widths must be positive")
-        if min(self.hr_hidden, self.f1_hidden, self.f2_hidden,
-               self.f3_hidden, self.f4_hidden) < 1:
-            raise ValueError("MLP widths must be positive")
         # the fixed sample grid is 2*factor float64s in one numpy array, cast to float32
         if self.factor > np.iinfo(np.intp).max // 16:
             raise ValueError(f"config 'factor' must be at most {np.iinfo(np.intp).max // 16}, "
@@ -94,14 +88,6 @@ class PUGeoConfig:
         out = asdict(self)
         out["feature_widths"] = list(self.feature_widths)
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PUGeoConfig":
-        """The config a checkpoint header records; CheckpointError names a mistyped key."""
-        try:
-            return cls(**data)
-        except ValueError as exc:
-            raise CheckpointError(str(exc)) from None
 
 
 @dataclass
@@ -401,7 +387,7 @@ def load_model(path) -> PUGeoNet:
             raise CheckpointError("truncated header")
         try:
             header = json.loads(payload[offset:offset + header_len].decode("utf-8"))
-            config = PUGeoConfig.from_dict(header["config"])
+            config = PUGeoConfig(**header["config"])
             declared = [(w["name"], tuple(w["shape"])) for w in header["weights"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"malformed header: {exc}") from None

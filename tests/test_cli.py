@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import inspect
 import json
 import math
@@ -6,11 +7,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 import weakref
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, frame_stats, fuse_patches, load_model,
                    poisson_disk_sample, read_mesh, read_xyz, save_model, upsample_analytic,
@@ -18,6 +23,7 @@ from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, frame_stats, fuse_patches,
 from pugeo import cli, sampling, trainer
 from pugeo import io as pugeo_io
 from pugeo.cli import main
+from pugeo.errors import CheckpointError
 
 import reference
 from helpers import (clustered_cloud, force_workers, set_checkpoint_config_entry, sphere_cloud,
@@ -801,10 +807,8 @@ def test_every_option_is_read_by_its_handler():
 
 # numeric options with no cli.RANGES entry: (command, flag) -> where they are checked
 UNRANGED = {
-    ("", "--seed"): "any integer seeds the RNGs",
     ("upsample", "--k"): "MIN_NEIGHBORS, with --method analytic only",
     ("inspect", "--k"): "MIN_NEIGHBORS, with --method analytic only",
-    ("train", "--factor"): "must match the dataset manifest",
     ("upsample", "--patch-size"): "must match the checkpoint",
 }
 
@@ -821,7 +825,7 @@ def test_every_numeric_option_has_a_range():
     numeric |= {(path[0], option) for path, leaf in leaves for option in _numeric_options(leaf)}
     ranged = {(command, flag) for command, entries in cli.RANGES.items()
               for flag, _, _ in entries}
-    assert set(cli.RANGES) == {path[0] for path, _ in leaves}
+    assert set(cli.RANGES) == {""} | {path[0] for path, _ in leaves}  # "": global options
     assert numeric - ranged - set(UNRANGED) == set()  # options with no range
     assert ranged - numeric == set()  # ranges of options no subcommand has
     assert set(UNRANGED) - numeric == set() and set(UNRANGED) & ranged == set()
@@ -959,16 +963,18 @@ def test_train_k_feature_checked_before_reading_patches(tmp_path, mesh_dir, caps
     rc = main(["train", "--data", str(data), "--out", str(out), "--k-feature", str(k)])
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err == (f"--k-feature {k} must be smaller than the patch size 64 of "
-                            f"{data / 'manifest.json'}\n")
+    assert captured.err == (f"{data / 'manifest.json'}: config 'k' must be < 'patch_size' 64, "
+                            f"got {k}\n")
     assert captured.out == "" and read == [] and not out.exists()
 
 
 def test_train_factor_mismatch_exit_2(tmp_path, mesh_dir, capsys):
     data = _run_dataset(tmp_path, mesh_dir)
-    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "m.pugeo"),
-               "--factor", "8", "--epochs", "0"])
-    assert rc == 2
+    # R comes from the manifest alone: train has no --factor
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--data", str(data), "--out", str(tmp_path / "m.pugeo"),
+              "--factor", "8", "--epochs", "0"])
+    assert info.value.code == 2
 
 
 @pytest.mark.parametrize("text", [
@@ -979,13 +985,16 @@ def test_train_factor_mismatch_exit_2(tmp_path, mesh_dir, capsys):
     json.dumps({"config": {"factor": 4, "patch_size": 64},
                 "patches": [{"sparse": "a.xyz", "dense": "b.xyz", "seed_index": -1}]}),
     json.dumps({"patches": [{"sparse": "a.xyz", "dense": "b.xyz", "seed_index": 0}]}),
+    json.dumps({"config": {"factor": 4, "patch_size": 64}, "patches": []}),
     "[]",
     "{",
+    b"\xff",
 ], ids=["entry_without_seed_index", "seed_index_true", "seed_index_negative", "no_config",
-        "top_level_list", "not_json"])
+        "no_patches", "top_level_list", "not_json", "not_utf8"])
 def test_train_malformed_manifest_exit_2(tmp_path, capsys, text):
+    # no_patches and not_utf8 used to exit 2 with a message naming no file
     path = tmp_path / "manifest.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.pugeo"),
                "--epochs", "0"])
     assert rc == 2
@@ -1008,9 +1017,10 @@ def test_train_manifest_missing_or_without_patch_list_exit_2(tmp_path, capsys, p
 
 
 @pytest.mark.parametrize("key,value,culprit", [
-    ("factor", True, "manifest"), ("factor", 0, "manifest"), ("patch_size", False, "manifest"),
-    ("patch_size", -64, "manifest"), ("patch_size", 32, "sparse"), ("factor", 2, "dense"),
-], ids=["factor_true", "factor_0", "patch_size_false", "patch_size_negative",
+    ("factor", True, "manifest"), ("factor", 0, "manifest"), ("factor", 4.0, "manifest"),
+    ("patch_size", False, "manifest"), ("patch_size", -64, "manifest"),
+    ("patch_size", 32, "sparse"), ("factor", 2, "dense"),
+], ids=["factor_true", "factor_0", "factor_float", "patch_size_false", "patch_size_negative",
         "patch_size_below_sparse_rows", "factor_below_dense_rows"])
 def test_train_manifest_config_must_fit_its_patches(tmp_path, mesh_dir, capsys, key, value,
                                                     culprit):
@@ -1028,8 +1038,7 @@ def test_train_manifest_config_must_fit_its_patches(tmp_path, mesh_dir, capsys, 
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == "" and not out.exists()
     assert captured.err == {
-        "manifest": f"{path}: manifest needs a 'config' object with integer 'factor' and "
-                    f"'patch_size' of at least 1\n",
+        "manifest": f"{path}: config {key!r} must be an integer >= 1, got {value!r}\n",
         "sparse": f"{data / 'patch_0000_sparse.xyz'}: 64 points, but {path} gives patch "
                   f"size 32 and factor 4: 32 expected\n",
         "dense": f"{data / 'patch_0000_dense.xyz'}: 256 points, but {path} gives patch "
@@ -1050,6 +1059,101 @@ def test_train_patch_without_normals_names_file(tmp_path, capsys):
                "--epochs", "0"])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"{sparse}: ")
+
+
+@pytest.mark.parametrize("out_name,message", [
+    ("missing/m.pugeo", "--out {out}: directory {parent} does not exist"),
+    ("data", "--out {out} is a directory"),
+], ids=["no_directory", "directory"])
+def test_train_checks_out_before_reading_patches(tmp_path, mesh_dir, capsys, monkeypatch,
+                                                 out_name, message):
+    # a missing directory used to fail only after the last epoch
+    data = _run_dataset(tmp_path, mesh_dir)
+    capsys.readouterr()
+    read = []
+    monkeypatch.setattr(cli, "read_xyz", lambda path: read.append(path))
+    out = tmp_path / out_name
+    rc = main(["train", "--data", str(data), "--out", str(out), "--epochs", "2",
+               "--k-feature", "6"])
+    captured = capsys.readouterr()
+    assert rc == 2 and read == []
+    assert captured.err == message.format(out=out, parent=out.parent) + "\n"
+    assert captured.out == ""  # no epoch log line
+
+
+@pytest.mark.parametrize("argv", [
+    ["dataset", "build", "--mesh-dir", "meshes", "--out", "data"],
+    ["train", "--data", "data", "--out", "m.pugeo"],
+    ["upsample", "--input", "a.xyz", "--output", "b.xyz"],
+    ["eval", "--pred", "a.xyz", "--gt-dense", "b.xyz", "--gt-mesh", "c.obj"],
+    ["inspect", "frames", "--input", "a.xyz"],
+], ids=["dataset", "train", "upsample", "eval", "inspect"])
+def test_negative_seed_exit_2_naming_the_flag(capsys, argv):
+    # numpy used to refuse it with a bare "expected non-negative integer"
+    rc = main(["--seed", "-1", *argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "--seed must be >= 0, got -1\n" and captured.out == ""
+
+
+class _PatchRead(Exception):
+    """Raised in place of reading a patch file."""
+
+
+def _refuse_read(path):
+    raise _PatchRead(path)
+
+
+# what a manifest's or a checkpoint header's factor, patch_size and k may hold
+_CONFIG_VALUE = st.one_of(st.integers(-1, 70), st.sampled_from([0, -1, 2**62]), st.booleans(),
+                          st.floats(), st.text(max_size=3), st.none())
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor=_CONFIG_VALUE, patch_size=_CONFIG_VALUE, k=_CONFIG_VALUE)
+def test_manifest_and_checkpoint_configs_meet_one_rule_property(factor, patch_size, k):
+    try:
+        PUGeoConfig(factor=factor, patch_size=patch_size, k=k)
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        if type(k) is int:  # the only k --k-feature can pass
+            manifest = os.path.join(tmp, "manifest.json")
+            with open(manifest, "w", encoding="utf-8") as handle:
+                json.dump({"config": {"factor": factor, "patch_size": patch_size},
+                           "patches": [{"sparse": "a.xyz", "dense": "b.xyz",
+                                        "seed_index": 0}]}, handle)
+            patch.setattr(cli, "read_xyz", _refuse_read)
+            err = StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    rc = main(["train", "--data", tmp, "--out", os.path.join(tmp, "m.pugeo"),
+                               "--k-feature", str(k)])
+                except _PatchRead:
+                    rc = None
+            if k < 1:  # cli.RANGES checks --k-feature before the manifest is read
+                assert (rc, err.getvalue()) == (2, f"--k-feature must be >= 1, got {k}\n")
+            elif message is not None:
+                assert (rc, err.getvalue()) == (2, f"{manifest}: {message}\n")
+            else:
+                assert (rc, err.getvalue()) == (None, "")
+        ckpt = pathlib.Path(tmp) / "m.pugeo"
+        save_model(PUGeoNet(PUGeoConfig(factor=4, patch_size=32, k=4, feature_widths=(8, 8),
+                                        hr_hidden=8, f1_hidden=8, f2_hidden=8, f3_hidden=8,
+                                        f4_hidden=8), seed=0), ckpt)
+        for key, value in (("factor", factor), ("patch_size", patch_size), ("k", k)):
+            set_checkpoint_config_entry(ckpt, key, value)
+        try:
+            load_model(ckpt)
+            error = None
+        except CheckpointError as exc:
+            error = str(exc)
+        if message is not None:
+            assert error == f"{ckpt}: malformed header: {message}"
+        else:  # a factor other than 4 changes the weight shapes
+            assert error in (None, f"{ckpt}: header weight list does not match the declared "
+                                   f"config")
 
 
 def test_eval_pred_equals_gt(tmp_path, mesh_dir, capsys):

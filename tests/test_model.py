@@ -33,7 +33,7 @@ def _sorted_rows(a):
 
 def test_config_roundtrip():
     cfg = PUGeoConfig(**TINY, recalibration=False, learned_sampling=False)
-    back = PUGeoConfig.from_dict(cfg.to_dict())
+    back = PUGeoConfig(**cfg.to_dict())
     assert back == cfg
 
 
@@ -68,12 +68,12 @@ def test_checkpoint_with_k_at_patch_size_fails_to_load_naming_the_file(tmp_path)
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("factor", 4.0, "config 'factor' must be an integer, got 4.0"),
-    ("feature_widths", (8.5, 8), "config 'feature_widths' must be a list of integers, "
-                                 "got (8.5, 8)"),
+    ("factor", 4.0, "config 'factor' must be an integer >= 1, got 4.0"),
+    ("feature_widths", [8.5, 8], "config 'feature_widths' must be a non-empty list of "
+                                 "integers >= 1, got [8.5, 8]"),
     ("recalibration", "no", "config 'recalibration' must be true or false, got 'no'"),
     ("grid_radius", math.nan, "config 'grid_radius' must be a finite number, got nan"),
-    ("patch_size", True, "config 'patch_size' must be an integer, got True"),
+    ("patch_size", True, "config 'patch_size' must be an integer >= 1, got True"),
     ("factor", 2**59, "config 'factor' must be at most 576460752303423487, "
                       "got 576460752303423488"),
     ("grid_radius", -0.5, "config 'grid_radius' must be between 0 and the float32 maximum, "
@@ -83,15 +83,18 @@ def test_checkpoint_with_k_at_patch_size_fails_to_load_naming_the_file(tmp_path)
 ], ids=["factor_float", "feature_width_fraction", "switch_string", "grid_radius_nan",
         "patch_size_true", "factor_past_numpy_limit", "grid_radius_negative",
         "grid_radius_past_float32"])
-def test_config_built_in_code_rejects_what_a_checkpoint_would(key, value, message):
+def test_config_built_in_code_rejects_what_a_checkpoint_would(tmp_path, key, value, message):
     # 4.0 used to build, train and save a checkpoint that load_model refused,
-    # and (8.5, 8) was cut to (8, 8)
+    # and [8.5, 8] was cut to (8, 8)
     with pytest.raises(ValueError) as info:
         PUGeoConfig(**{**TINY, key: value})
     assert str(info.value) == message
+    path = tmp_path / "m.pugeo"
+    save_model(PUGeoNet(PUGeoConfig(**TINY), seed=0), path)
+    set_checkpoint_config_entry(path, key, value)
     with pytest.raises(CheckpointError) as info:
-        PUGeoConfig.from_dict({**PUGeoConfig(**TINY).to_dict(), key: value})
-    assert str(info.value) == message
+        load_model(path)
+    assert str(info.value) == f"{path}: malformed header: {message}"
 
 
 _SIZES = ("factor", "patch_size", "k", "hr_hidden", "f1_hidden", "f2_hidden", "f3_hidden",
