@@ -8,7 +8,7 @@ sampling, differential-geometry, autodiff, model, loss/metric and training
 machinery for the whole pipeline at desk scale.
 """
 
-from .analytic import SamplePattern, UpsampleResult, param_samples, upsample_analytic
+from .analytic import UpsampleResult, param_samples, upsample_analytic
 from .geometry import estimate_frames, fit_curvatures, frame_stats
 from .io import PointCloud, TriangleMesh, read_mesh, read_xyz, write_mesh, write_xyz
 from .losses import LossWeights
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LossWeights", "MetricReport", "Patch", "PointCloud", "PUGeoConfig", "PUGeoNet",
-    "SamplePattern", "TrainConfig", "TrainExample", "TriangleMesh", "UpsampleResult",
+    "TrainConfig", "TrainExample", "TriangleMesh", "UpsampleResult",
     "build_dataset", "chamfer", "denormalize", "estimate_frames", "extract_patches",
     "farthest_point_sample", "fit_curvatures", "frame_stats", "fuse_patches",
     "load_model", "metric_hd", "metric_jsd", "metric_p2f", "param_samples",

@@ -19,22 +19,8 @@ from .io import PointCloud
 from .sampling import NeighborIndex
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-
-PATTERN_KINDS = ("fibonacci_disk", "jittered_grid")
-
-
-@dataclass
-class SamplePattern:
-    """How parametric samples are laid out inside the local disk."""
-
-    kind: str = "fibonacci_disk"
-    radius_scale: float = 0.6
-
-    def __post_init__(self):
-        if self.kind not in PATTERN_KINDS:
-            raise ValueError(f"unknown pattern kind {self.kind!r}")
-        if self.radius_scale < 0.0:
-            raise ValueError("radius_scale must be non-negative")
+#: disk radius of the analytic draw, in units of the median 4-NN spacing
+DISK_SCALE = 0.6
 
 
 @dataclass
@@ -53,55 +39,35 @@ class UpsampleResult:
     metadata: dict
 
 
-def param_samples(factor: int, pattern: SamplePattern, local_radius,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """(R, 2) parametric samples inside the disk of radius_scale*local_radius.
+def param_samples(factor: int, radius) -> np.ndarray:
+    """(R, 2) parametric samples on the Fibonacci disk of `radius`; no RNG.
 
-    local_radius may also be an (N,) array, giving (N, R, 2) samples: one
-    disk per radius.  fibonacci_disk places r_j = radius*sqrt((j+0.5)/R) at
-    multiples of the golden angle (no RNG).  jittered_grid jitters the
-    first R cells of a ceil(sqrt(R))^2 grid spanning the inscribed square
-    of the disk; per disk it draws R u-jitters, then R v-jitters.
+    radius may also be an (N,) array, giving (N, R, 2) samples: one disk per
+    radius.  Sample j sits at r_j = radius*sqrt((j+0.5)/R) and angle j times
+    the golden angle, so |uv_j| grows with j and stays inside the disk.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    local_radius = np.asarray(local_radius, dtype=np.float64)
-    if np.any(local_radius < 0.0):
-        raise ValueError("local_radius must be non-negative")
-    radius = pattern.radius_scale * local_radius[..., None]
-    if pattern.kind == "fibonacci_disk":
-        j = np.arange(factor, dtype=np.float64)
-        r = radius * np.sqrt((j + 0.5) / factor)
-        angle = j * GOLDEN_ANGLE
-        return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    m = math.ceil(math.sqrt(factor))
-    half = radius / math.sqrt(2.0)  # inscribed square keeps samples in the disk
-    cell = 2.0 * half / m
-    rows, cols = np.divmod(np.arange(factor), m)
-    jitter = rng.random(local_radius.shape + (2, factor))
-    u = -half + (cols + jitter[..., 0, :]) * cell
-    v = -half + (rows + jitter[..., 1, :]) * cell
-    return np.stack([u, v], axis=-1)
+    radius = np.asarray(radius, dtype=np.float64)
+    if np.any(radius < 0.0):
+        raise ValueError("radius must be non-negative")
+    j = np.arange(factor, dtype=np.float64)
+    r = radius[..., None] * np.sqrt((j + 0.5) / factor)
+    angle = j * GOLDEN_ANGLE
+    return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
 
 
-def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
-                      pattern: SamplePattern | None = None,
-                      rng: np.random.Generator | None = None,
-                      displacement: bool = True) -> UpsampleResult:
+def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16) -> UpsampleResult:
     """Upsample a cloud R-fold via frame estimation and quadric displacement.
 
     Per point, computed for all points at once: kNN(k) neighborhood ->
-    tangent frame -> curvature fit -> samples in the local disk (radius
-    from the median 4-NN spacing) rotated into principal coordinates ->
-    tangent lift -> displacement along t3, clamped to the local radius.
-    `displacement=False` forces all displacements to zero (first-order
-    baseline).  Degenerate neighborhoods fall back to a canonical frame
-    with zero displacement and are counted in result metadata.
+    tangent frame -> curvature fit -> Fibonacci disk of DISK_SCALE times
+    the median 4-NN spacing, rotated into principal coordinates -> tangent
+    lift -> displacement along t3, clamped to the local radius.  The
+    first-order (tangent-plane) points are points - deltas * t3.
+    Degenerate neighborhoods fall back to a canonical frame with zero
+    displacement and are counted in result metadata.
     """
-    if pattern is None:
-        pattern = SamplePattern()
     pts = cloud.points
     n = len(pts)
     if n < k + 1:
@@ -122,15 +88,13 @@ def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
 
     dists = np.linalg.norm(neighborhoods - pts[:, None, :], axis=2)
     local_radius = np.median(dists[:, 1:5], axis=1)  # knn_batch rows are ascending
-    uv = param_samples(factor, pattern, local_radius, rng)  # (N, R, 2)
+    uv = param_samples(factor, DISK_SCALE * local_radius)  # (N, R, 2)
     u, v = uv[:, :, 0], uv[:, :, 1]
 
     lifted = pts[:, None, :] + u[..., None] * p1 + v[..., None] * p2
     deltas = 0.5 * (k1 * u ** 2 + k2 * v ** 2)
     bound = np.where(local_radius > 0.0, local_radius, np.inf)[:, None]
     deltas = np.clip(deltas, -bound, bound)
-    if not displacement:
-        deltas = np.zeros_like(deltas)
     samples = lifted + deltas[..., None] * t3[:, None, :]
     normals = (-k1 * u)[..., None] * p1 - (k2 * v)[..., None] * p2 + t3[:, None, :]
     normals /= np.linalg.norm(normals, axis=2, keepdims=True)

@@ -230,7 +230,32 @@ def _warn(points: int, uncovered: int, degenerate_frames: int, degenerate_fits: 
               f"upsampled on a flat disk", file=sys.stderr)
 
 
+def _check_out(flag: str, path: str) -> None:
+    """ValueError naming `flag` unless `path` is no directory and its parent directory exists."""
+    if not path:
+        raise ValueError(f"{flag} must name a file, got ''")
+    if os.path.isdir(path):
+        raise ValueError(f"{flag} {path} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
+
+
+def _check_out_dir(flag: str, path: str) -> None:
+    """ValueError naming `flag` unless os.makedirs can make `path`.
+
+    The nearest of `path` and its parents that exists must be a directory.
+    """
+    if not path:
+        raise ValueError(f"{flag} must name a directory, got ''")
+    existing = path
+    while existing and not os.path.exists(existing):  # '' once a relative path runs out
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ValueError(f"{flag} {path}: {existing} is not a directory")
+
+
 def cmd_dataset_build(args) -> int:
+    _check_out_dir("--out", args.out)
     if args.patch_size > args.points:
         return _fail(f"--patch-size {args.patch_size} exceeds --points {args.points}")
     _check_darts(f"--points {args.points} and --factor {args.factor}", args.points * args.factor)
@@ -335,10 +360,9 @@ def _read_patches(manifest_path, patches, config: PUGeoConfig) -> list[TrainExam
 
 
 def cmd_train(args) -> int:
-    if os.path.isdir(args.out):
-        return _fail(f"--out {args.out} is a directory")
-    if not os.path.isdir(os.path.dirname(args.out) or "."):
-        return _fail(f"--out {args.out}: directory {os.path.dirname(args.out)} does not exist")
+    _check_out("--out", args.out)
+    if args.checkpoint_dir:
+        _check_out_dir("--checkpoint-dir", args.checkpoint_dir)
     manifest_path, manifest = _read_manifest(args.data)
     try:  # the manifest's R and N meet the rule a checkpoint's config meets
         config = PUGeoConfig(factor=manifest["config"].get("factor"),
@@ -367,6 +391,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_upsample(args) -> int:
+    _check_out("--output", args.output)
     cloud, factor, model, per_point = _read_input(args.input, args.method, args.factor, args.k,
                                                   args.coverage, args.model, args.patch_size)
     # fusion keeps R*M of the candidates; a model's patches hold R per point they cover

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .analytic import SamplePattern, param_samples
+from .analytic import param_samples
 from .autodiff import Mlp, Tensor
 from .errors import CheckpointError
 from .io import _naming
@@ -209,9 +209,7 @@ class PUGeoNet:
         self.edge_mlps = self._modules[2:2 + c.levels]
 
         if not c.learned_sampling:
-            grid = param_samples(c.factor, SamplePattern("jittered_grid", radius_scale=1.0),
-                                 c.grid_radius, np.random.default_rng(0))
-            self._fixed_grid = grid.astype(dtype)
+            self._fixed_grid = param_samples(c.factor, c.grid_radius).astype(dtype)
 
     # -- parameters ---------------------------------------------------------
 

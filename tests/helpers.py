@@ -74,6 +74,13 @@ def unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
+def tangent_points(result) -> np.ndarray:
+    """An analytic draw's first-order points: each sample less its displacement along t3."""
+    factor = len(result.points) // len(result.frames)
+    t3 = np.repeat(result.frames[:, :, 2], factor, axis=0)
+    return result.points - result.deltas[:, None] * t3
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 

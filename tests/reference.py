@@ -40,7 +40,7 @@ from scipy.spatial import cKDTree
 
 import pugeo.autodiff as ad
 from pugeo import trainer
-from pugeo.analytic import GOLDEN_ANGLE, SamplePattern, UpsampleResult
+from pugeo.analytic import DISK_SCALE, GOLDEN_ANGLE, UpsampleResult
 from pugeo.errors import (FormatError, GeometryError, ShapeError, TrainingDiverged,
                           UnsupportedFormatError)
 from pugeo.geometry import FrameStats
@@ -298,37 +298,20 @@ def fit_fundamental_forms(neighborhood, frame: Frame) -> Forms:
                  dir1=eigvecs[:, 1].copy(), dir2=eigvecs[:, 0].copy())
 
 
-def param_samples(factor: int, pattern: SamplePattern, local_radius: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    """(R, 2) disk samples for one point, drawing u then v from `rng`."""
-    radius = pattern.radius_scale * local_radius
-    if pattern.kind == "fibonacci_disk":
-        j = np.arange(factor, dtype=np.float64)
-        r = radius * np.sqrt((j + 0.5) / factor)
-        angle = j * GOLDEN_ANGLE
-        return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1)
-    m = math.ceil(math.sqrt(factor))
-    half = radius / math.sqrt(2.0)
-    cell = 2.0 * half / m
-    rows, cols = np.divmod(np.arange(factor), m)
-    u = -half + (cols + rng.random(factor)) * cell
-    v = -half + (rows + rng.random(factor)) * cell
-    return np.stack([u, v], axis=1)
+def param_samples(factor: int, radius: float) -> np.ndarray:
+    """(R, 2) Fibonacci-disk samples for one point."""
+    j = np.arange(factor, dtype=np.float64)
+    r = radius * np.sqrt((j + 0.5) / factor)
+    angle = j * GOLDEN_ANGLE
+    return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1)
 
 
-def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
-                      pattern: SamplePattern | None = None,
-                      rng: np.random.Generator | None = None,
-                      displacement: bool = True) -> UpsampleResult:
+def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16) -> UpsampleResult:
     """The per-point loop: frame, fit, disk samples, lift and displacement.
 
     Besides the usual result, metadata carries per-point ``k1`` and ``k2``
     (zero where the frame or the fit is degenerate).
     """
-    if pattern is None:
-        pattern = SamplePattern()
-    if rng is None:
-        rng = np.random.default_rng(0)
     pts = cloud.points
     n = len(pts)
     neighbor_idx = NeighborIndex(pts).knn_batch(pts, k)
@@ -356,7 +339,7 @@ def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
             forms = None
         dists = np.linalg.norm(neighborhood - center, axis=1)
         local_radius = float(np.median(np.sort(dists)[1:5]))
-        uv = param_samples(factor, pattern, local_radius, rng)
+        uv = param_samples(factor, DISK_SCALE * local_radius)
 
         if forms is None or forms.degenerate:
             if forms is not None and forms.degenerate:
@@ -372,8 +355,6 @@ def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16,
         deltas = 0.5 * (k1 * uv[:, 0] ** 2 + k2 * uv[:, 1] ** 2)
         if local_radius > 0.0:
             deltas = np.clip(deltas, -local_radius, local_radius)
-        if not displacement:
-            deltas = np.zeros_like(deltas)
         samples = lifted + deltas[:, None] * frame.t3
         normals = -k1 * uv[:, :1] * p1 - k2 * uv[:, 1:] * p2 + frame.t3
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)

@@ -26,7 +26,7 @@ from pugeo.sampling import NeighborIndex, nearest_pairs
 from pugeo.trainer import TrainExample, _example_losses
 
 from helpers import (brute_force_knn, cast_model, cube_mesh, icosphere, max_rel_err,
-                     numeric_gradient, sphere_cloud, unit_rows)
+                     numeric_gradient, sphere_cloud, tangent_points, unit_rows)
 from reference import brute_force_mesh_distance, normal_loss_unoriented, total_loss
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -74,9 +74,9 @@ def test_criterion_2_second_order_benefit():
     start = time.monotonic()
     cloud = sphere_cloud(1000, 2.0, seed=1)
     with_delta = upsample_analytic(cloud, 4, k=16)
-    without = upsample_analytic(cloud, 4, k=16, displacement=False)
+    without = tangent_points(with_delta)
     err_with = np.median(np.abs(np.linalg.norm(with_delta.points, axis=1) - 2.0))
-    err_without = np.median(np.abs(np.linalg.norm(without.points, axis=1) - 2.0))
+    err_without = np.median(np.abs(np.linalg.norm(without, axis=1) - 2.0))
     elapsed = time.monotonic() - start
     _report(2, "second-order benefit", err_with <= 0.5 * err_without and elapsed < 10.0,
             f"median radial error {err_with:.2e} vs {err_without:.2e}, {elapsed:.1f}s")

@@ -4,34 +4,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from pugeo import PointCloud, SamplePattern, param_samples, upsample_analytic
+from pugeo import PointCloud, param_samples, upsample_analytic
+from pugeo.analytic import DISK_SCALE
 
-from helpers import sphere_cloud
+from helpers import sphere_cloud, tangent_points
 
 
 def test_fibonacci_single_sample_radius():
-    uv = param_samples(1, SamplePattern("fibonacci_disk", 1.0), 2.0)
+    uv = param_samples(1, 2.0)
     assert abs(np.linalg.norm(uv[0]) - 2.0 * np.sqrt(0.5)) < 1e-12
 
 
-@pytest.mark.parametrize("kind", ["fibonacci_disk", "jittered_grid"])
 @pytest.mark.parametrize("factor", [1, 4, 7, 16])
-def test_samples_inside_disk(kind, factor):
-    pattern = SamplePattern(kind, radius_scale=0.7)
-    rng = np.random.default_rng(0)
-    uv = param_samples(factor, pattern, 1.5, rng)
+def test_samples_inside_disk(factor):
+    uv = param_samples(factor, 0.7 * 1.5)
     assert uv.shape == (factor, 2)
     assert (np.linalg.norm(uv, axis=1) <= 0.7 * 1.5 + 1e-12).all()
 
 
 def test_fibonacci_16_min_spacing():
-    uv = param_samples(16, SamplePattern("fibonacci_disk", 1.0), 1.0)
+    uv = param_samples(16, 1.0)
     assert pdist(uv).min() >= 0.3 / np.sqrt(16)
 
 
-def test_pattern_kind_validated():
-    with pytest.raises(ValueError):
-        SamplePattern("hexgrid")
+# a subnormal radius rounds each coordinate to a multiple of 5e-324, which can
+# put a sample a unit outside its disk or out of order (seen up to 9e-322)
+RADII = st.floats(min_value=0.0, allow_infinity=False, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor=st.integers(1, 64), radius=RADII, radii=st.lists(RADII, min_size=1, max_size=6))
+def test_fibonacci_disk_property(factor, radius, radii):
+    # the one layout: inside its disk, |uv_j| non-decreasing in j, and one
+    # disk per radius of an array, each bitwise its scalar call
+    uv = param_samples(factor, radius)
+    batch = param_samples(factor, np.array(radii))
+    assert uv.shape == (factor, 2) and batch.shape == (len(radii), factor, 2)
+    for samples, disk in ((uv, radius), (batch, np.array(radii)[:, None])):
+        lengths = np.hypot(samples[..., 0], samples[..., 1])
+        assert np.all(lengths <= disk)
+        assert np.all(np.diff(lengths, axis=-1) >= 0.0)
+    for row, r in zip(batch, radii):
+        assert np.array_equal(row, param_samples(factor, r))
 
 
 def test_plane_cloud_stays_planar():
@@ -54,9 +68,9 @@ def test_output_counts():
 def test_second_order_beats_tangent_plane_on_sphere():
     cloud = sphere_cloud(1000, 2.0, seed=1)
     with_d = upsample_analytic(cloud, 4, k=16)
-    without = upsample_analytic(cloud, 4, k=16, displacement=False)
+    without = tangent_points(with_d)
     err_with = np.median(np.abs(np.linalg.norm(with_d.points, axis=1) - 2.0))
-    err_without = np.median(np.abs(np.linalg.norm(without.points, axis=1) - 2.0))
+    err_without = np.median(np.abs(np.linalg.norm(without, axis=1) - 2.0))
     assert err_with <= 0.5 * err_without
 
 
@@ -74,9 +88,10 @@ def test_reconstruction_identity():
 
 
 def test_identity_when_factor_one_radius_zero():
-    cloud = sphere_cloud(300, 1.0, seed=4)
-    result = upsample_analytic(cloud, 1, k=16,
-                               pattern=SamplePattern("fibonacci_disk", 0.0))
+    assert not param_samples(1, 0.0).any()
+    # four copies of each point: the median 4-NN spacing, so the disk radius, is zero
+    cloud = PointCloud(np.repeat(sphere_cloud(300, 1.0, seed=4).points, 4, axis=0))
+    result = upsample_analytic(cloud, 1, k=16)
     assert np.abs(result.points - cloud.points).max() < 1e-7
 
 
@@ -88,8 +103,7 @@ def test_output_normals_unit():
 
 def test_samples_stay_near_source():
     cloud = sphere_cloud(400, 1.0, seed=6)
-    pattern = SamplePattern(radius_scale=0.7)
-    result = upsample_analytic(cloud, 4, k=16, pattern=pattern)
+    result = upsample_analytic(cloud, 4, k=16)
     from pugeo.sampling import NeighborIndex
 
     idx = NeighborIndex(cloud.points).knn_batch(cloud.points, 16)
@@ -98,7 +112,7 @@ def test_samples_stay_near_source():
         local_radius = np.median(d[1:5])
         group = result.points[i * 4:(i + 1) * 4]
         deltas = result.deltas[i * 4:(i + 1) * 4]
-        bound = 0.7 * local_radius + np.abs(deltas).max() + 1e-9
+        bound = DISK_SCALE * local_radius + np.abs(deltas).max() + 1e-9
         assert np.linalg.norm(group - cloud.points[i], axis=1).max() <= bound
 
 

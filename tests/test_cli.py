@@ -1081,6 +1081,67 @@ def test_train_checks_out_before_reading_patches(tmp_path, mesh_dir, capsys, mon
     assert captured.out == ""  # no epoch log line
 
 
+@pytest.mark.parametrize("out_name,message", [
+    ("missing/up.xyz", "--output {out}: directory {parent} does not exist"),
+    ("taken", "--output {out} is a directory"),
+    (None, "--output must name a file, got ''"),
+], ids=["no_directory", "directory", "empty"])
+def test_upsample_checks_output_before_reading_input(tmp_path, capsys, monkeypatch, out_name,
+                                                     message):
+    # each used to fail only at the write, after every candidate was drawn and
+    # fused, with an OSError naming no flag
+    cloud_path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(100, 1.0, 0))
+    (tmp_path / "taken").mkdir()
+    ran = []
+    monkeypatch.setattr(cli, "read_xyz", lambda path: ran.append(path))
+    monkeypatch.setattr(cli, "upsample_cloud", lambda *a, **kw: ran.append("draw"))
+    out = "" if out_name is None else str(tmp_path / out_name)
+    rc = main(["upsample", "--input", cloud_path, "--output", out])
+    captured = capsys.readouterr()
+    assert rc == 2 and ran == []
+    assert captured.err == message.format(out=out, parent=os.path.dirname(out)) + "\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("out_name,message", [
+    ("in.xyz", "--out {out}: {taken} is not a directory"),
+    ("in.xyz/data", "--out {out}: {taken} is not a directory"),
+    (None, "--out must name a directory, got ''"),
+], ids=["file", "under_file", "empty"])
+def test_dataset_build_checks_out_before_reading_meshes(tmp_path, mesh_dir, capsys,
+                                                        monkeypatch, out_name, message):
+    # each used to fail at os.makedirs, after every mesh was sampled
+    taken = tmp_path / "in.xyz"
+    taken.write_text("0 0 0\n")
+    ran = []
+    monkeypatch.setattr(cli, "read_mesh", lambda path: ran.append(path))
+    monkeypatch.setattr(cli, "build_dataset", lambda *a, **kw: ran.append("build"))
+    out = "" if out_name is None else str(tmp_path / out_name)
+    rc = main(["dataset", "build", "--mesh-dir", str(mesh_dir), "--out", out])
+    captured = capsys.readouterr()
+    assert rc == 2 and ran == []
+    assert captured.err == message.format(out=out, taken=taken) + "\n"
+    assert captured.out == ""
+    assert taken.read_text() == "0 0 0\n"
+
+
+def test_train_checks_checkpoint_dir_before_reading_the_manifest(tmp_path, capsys, monkeypatch):
+    # a file in the way used to fail at os.makedirs, after every patch was read
+    taken = tmp_path / "ck"
+    taken.write_text("")
+    read = []
+    monkeypatch.setattr(cli, "_read_manifest", lambda path: read.append(path))
+    rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.pugeo"),
+               "--checkpoint-dir", str(taken)])
+    assert rc == 2 and read == []
+    assert capsys.readouterr().err == f"--checkpoint-dir {taken}: {taken} is not a directory\n"
+
+
+def test_dataset_build_makes_missing_out_parents(tmp_path, mesh_dir):
+    out = _run_dataset(tmp_path, mesh_dir, out_name="a/b/data")
+    assert (out / "manifest.json").is_file()
+
+
 @pytest.mark.parametrize("argv", [
     ["dataset", "build", "--mesh-dir", "meshes", "--out", "data"],
     ["train", "--data", "data", "--out", "m.pugeo"],
@@ -1377,8 +1438,7 @@ def test_inspect_frames_analytic_draws_upsample_candidates(tmp_path, capsys, cov
     path = _write_cloud(tmp_path / "s.xyz", sphere_cloud(150, 1.0, 2))
 
     def tsv(per_point):
-        result = upsample_analytic(read_xyz(path), per_point, k=16,
-                                   rng=np.random.default_rng(42))
+        result = upsample_analytic(read_xyz(path), per_point, k=16)
         t = result.frames
         return frame_stats(t[:, :, 0], t[:, :, 1], t[:, :, 2], result.deltas).to_tsv()
 

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from pugeo import (PointCloud, SamplePattern, estimate_frames, fit_curvatures, frame_stats,
+from pugeo import (PointCloud, estimate_frames, fit_curvatures, frame_stats,
                    upsample_analytic)
 from pugeo.sampling import NeighborIndex
 
-from helpers import sphere_cloud
+from helpers import sphere_cloud, tangent_points
 
 
 def _plane_neighborhood(seed=0, n=8):
@@ -194,21 +194,22 @@ def test_fit_scaling_halves_curvature():
 @pytest.mark.parametrize("seed", range(5))
 def test_lift_tangent_residual(seed):
     cap = _sphere_cap(seed + 20)
-    result = upsample_analytic(PointCloud(cap), 4, k=16, displacement=False,
-                               pattern=SamplePattern("jittered_grid"),
-                               rng=np.random.default_rng(seed))
+    result = upsample_analytic(PointCloud(cap), 4, k=16)
     parent = np.repeat(np.arange(len(cap)), 4)
     frames = result.frames[parent]
     normal = np.cross(frames[:, :, 0], frames[:, :, 1])
-    residual = np.einsum("nd,nd->n", result.points - cap[parent], normal)
+    residual = np.einsum("nd,nd->n", tangent_points(result) - cap[parent], normal)
     assert np.abs(residual).max() < 1e-6
 
 
 def test_quadric_normal_at_origin_is_t3():
-    # a zero-radius disk puts every sample at the origin of its frame
-    cap = _sphere_cap(30)
-    at_origin = upsample_analytic(PointCloud(cap), 4, k=16,
-                                  pattern=SamplePattern("fibonacci_disk", 0.0))
+    # four copies of each point give a zero-radius disk, which puts every
+    # sample at the origin of its frame; 32 neighbours still hold 8 distinct
+    # points, enough for a curved fit
+    cap = np.repeat(_sphere_cap(30), 4, axis=0)
+    at_origin = upsample_analytic(PointCloud(cap), 4, k=32)
+    assert at_origin.metadata["degenerate_fits"] == 0
+    assert np.array_equal(at_origin.points, np.repeat(cap, 4, axis=0))
     coarse = np.repeat(at_origin.frames[:, :, 2], 4, axis=0)
     assert np.linalg.norm(at_origin.normals - coarse, axis=1).max() < 1e-9
     # a plane fits a flat quadric, whose normal is t3 everywhere

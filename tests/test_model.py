@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import pugeo.autodiff as ad
 import pugeo.model
-from pugeo import PUGeoConfig, PUGeoNet, load_model, save_model
+from pugeo import PUGeoConfig, PUGeoNet, load_model, param_samples, save_model
 from pugeo.errors import CheckpointError
 from pugeo.model import _knn_indices
 
@@ -374,6 +374,18 @@ def test_fresh_model_fixed_grid_replicates_inputs():
     for r in range(4):
         expected = patch + np.concatenate([grid[r], [0.0]]).astype(np.float32)
         np.testing.assert_allclose(reshaped[:, r, :], expected, atol=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(factor=st.integers(1, 64), grid_radius=st.floats(0.0, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_fixed_grid_is_the_fibonacci_disk(factor, grid_radius, seed):
+    # the ablation's fixed samples are the one layout, whatever the weight seed
+    cfg = PUGeoConfig(**dict(TINY, factor=factor), learned_sampling=False,
+                      grid_radius=grid_radius)
+    grid = PUGeoNet(cfg, seed=seed)._fixed_grid
+    assert grid.dtype == np.float32
+    assert np.array_equal(grid, param_samples(factor, grid_radius).astype(np.float32))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from pugeo.workers import _BLAS_THREAD_VARS, _map_tasks, _worker_count
 
 import reference
 from helpers import (count_index_builds, cube_mesh, force_workers, icosphere, sphere_cloud,
-                     unit_rows)
+                     tangent_points, unit_rows)
 
 TINY_MODEL = dict(factor=4, patch_size=64, k=6, feature_widths=(16, 32),
                   hr_hidden=16, f1_hidden=32, f2_hidden=32, f3_hidden=16, f4_hidden=16)
@@ -771,12 +771,10 @@ def test_evaluate_analytic_beats_zero_displacement_on_sphere():
     mesh = icosphere(3, radius=2.0)
     cloud = sphere_cloud(600, 2.0, seed=1)
     gt_dense = sphere_cloud(2400, 2.0, seed=2)
-    reports = []
-    for displacement in (True, False):
-        result = upsample_analytic(cloud, 4, k=16, displacement=displacement)
-        reports.append(report_metrics(PointCloud(result.points, result.normals),
-                                      gt_dense, mesh, factor=4))
-    with_d, without = reports
+    result = upsample_analytic(cloud, 4, k=16)
+    with_d, without = (report_metrics(PointCloud(points, result.normals), gt_dense, mesh,
+                                      factor=4)
+                       for points in (result.points, tangent_points(result)))
     assert with_d.cd < without.cd
 
 
