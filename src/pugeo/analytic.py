@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import estimate_frames, fit_curvatures
+from .geometry import _unit_rows, estimate_frames, fit_curvatures
 from .io import PointCloud
 from .sampling import NeighborIndex
 
@@ -97,9 +97,9 @@ def upsample_analytic(cloud: PointCloud, factor: int, k: int = 16) -> UpsampleRe
     deltas = np.clip(deltas, -bound, bound)
     samples = lifted + deltas[..., None] * t3[:, None, :]
     normals = (-k1 * u)[..., None] * p1 - (k2 * v)[..., None] * p2 + t3[:, None, :]
-    normals /= np.linalg.norm(normals, axis=2, keepdims=True)
+    normals = _unit_rows(normals.reshape(-1, 3))
 
     metadata = {"points": n, "uncovered": 0, "degenerate_frames": int(collinear.sum()),
                 "degenerate_fits": int(flat.sum())}
-    return UpsampleResult(points=samples.reshape(-1, 3), normals=normals.reshape(-1, 3),
+    return UpsampleResult(points=samples.reshape(-1, 3), normals=normals,
                           deltas=deltas.reshape(-1), frames=frames, metadata=metadata)

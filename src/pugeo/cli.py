@@ -452,8 +452,7 @@ def cmd_inspect_frames(args) -> int:
     drawn = _draw(cloud, per_point, args.coverage, lambda: draw_candidates(
         cloud, factor, model=model, k=args.k, coverage=args.coverage))
     _warn(**drawn.metadata)
-    t = drawn.frames
-    sys.stdout.write(frame_stats(t[:, :, 0], t[:, :, 1], t[:, :, 2], drawn.deltas).to_tsv())
+    sys.stdout.write(frame_stats(drawn.frames, drawn.deltas).to_tsv())
     return 0
 
 

@@ -21,6 +21,8 @@ MIN_NEIGHBORS = 6
 _COLLINEAR_RTOL = 1e-10
 #: normal-equation condition number above which a quadric fit is degenerate
 _FIT_CONDITION_LIMIT = 1e8
+#: below this length a vector's squared length is subnormal or zero
+_MIN_LENGTH = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 def estimate_frames(neighborhoods, centers) -> tuple[np.ndarray, np.ndarray]:
@@ -55,14 +57,14 @@ def estimate_frames(neighborhoods, centers) -> tuple[np.ndarray, np.ndarray]:
 
     t3 = eigvecs[:, :, 0]
     major = eigvecs[:, :, 2]
-    t1 = _unit(major - _dot(major, t3)[:, None] * t3)
+    t1 = _unit_rows(major - _dot(major, t3)[:, None] * t3)
     t2 = np.cross(t3, t1)
 
     u, v, w = _frame_coords(pts, centers, np.stack([t1, t2, t3], axis=2))
     design = np.stack([u, v, 0.5 * u * u, u * v, 0.5 * v * v], axis=2)
     solution, rank, _ = _lstsq_rows(design, w)
-    refined = _unit(-solution[:, :1] * t1 - solution[:, 1:2] * t2 + t3)
-    t1_refined = _unit(t1 - _dot(t1, refined)[:, None] * refined)
+    refined = _unit_rows(-solution[:, :1] * t1 - solution[:, 1:2] * t2 + t3)
+    t1_refined = _unit_rows(t1 - _dot(t1, refined)[:, None] * refined)
     tilt = (rank == 5)[:, None]
     t1 = np.where(tilt, t1_refined, t1)
     t2 = np.where(tilt, np.cross(refined, t1_refined), t2)
@@ -130,8 +132,26 @@ def _vector_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Rows of (n, 3), none of them all zero, each divided by its length.
+
+    The one normal rule of the package.  A row whose squared length
+    overflows or is subnormal would lose its length, so it is first divided
+    by its largest |component|.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(v, axis=1)
+    lost = (norms < _MIN_LENGTH) | np.isinf(norms)
+    if lost.any():
+        v = np.where(lost[:, None], v / np.abs(v).max(axis=1, keepdims=True), v)
+        norms = np.linalg.norm(v, axis=1)
+    return v / norms[:, None]
+
+
+def _face_cross(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """(b - a) x (c - a) of every triangle (a, b, c): its normal times twice its area."""
+    a, b, c = (vertices[triangles[:, i]] for i in range(3))
+    return np.cross(b - a, c - a)
 
 
 def _frame_coords(pts, origins, frames):
@@ -185,15 +205,16 @@ class FrameStats:
         return "\n".join(lines) + "\n"
 
 
-def frame_stats(t1, t2, t3, deltas) -> FrameStats:
+def frame_stats(frames, deltas) -> FrameStats:
     """Angle-vs-cross-product and displacement histograms.
 
-    t1, t2, t3 are the stacked (N, 3) frame columns.  theta is the
+    `frames` is (N, 3, 3) with columns (t1, t2, t3).  theta is the
     unoriented angle between t3 and t1 x t2 in degrees (folded into
     [0, 90]); frames with zero-length t3 or t1 x t2 land in a degenerate
     bucket.  The delta histogram uses 50 bins over the data range.
     """
-    t1, t2, t3 = (np.asarray(t, dtype=np.float64).reshape(-1, 3) for t in (t1, t2, t3))
+    frames = np.asarray(frames, dtype=np.float64).reshape(-1, 3, 3)
+    t1, t2, t3 = frames[:, :, 0], frames[:, :, 1], frames[:, :, 2]
     cross = np.cross(t1, t2)
     n3 = np.sqrt(_vector_dot(t3, t3))
     nc = np.sqrt(_vector_dot(cross, cross))

@@ -17,27 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, FormatError, UnsupportedFormatError
+from .errors import CheckpointError, FormatError, GeometryError, UnsupportedFormatError
+from .geometry import _face_cross, _unit_rows
 
 _UNIT_TOL = 1e-5
-#: below this length a vector's squared length is subnormal or zero
-_MIN_LENGTH = float(np.sqrt(np.finfo(np.float64).tiny))
-
-
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """Rows of (n, 3), none of them all zero, each divided by its length.
-
-    The one normal rule of every reader.  A row whose squared length
-    overflows or is subnormal would lose its length, so it is first divided
-    by its largest |component|.
-    """
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(v, axis=1)
-    lost = (norms < _MIN_LENGTH) | np.isinf(norms)
-    if lost.any():
-        v = np.where(lost[:, None], v / np.abs(v).max(axis=1, keepdims=True), v)
-        norms = np.linalg.norm(v, axis=1)
-    return v / norms[:, None]
 
 
 @dataclass
@@ -140,10 +123,10 @@ def _row(lineno: int, tokens: list[str], columns) -> list[float]:
 
 @contextlib.contextmanager
 def _naming(path):
-    """Prefix the message of a FormatError or CheckpointError raised inside with the file path."""
+    """Prefix `path` to the message of a FormatError, CheckpointError or GeometryError inside."""
     try:
         yield
-    except (FormatError, CheckpointError) as exc:
+    except (FormatError, CheckpointError, GeometryError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
@@ -151,22 +134,22 @@ def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
     """Area-weighted average of incident triangle normals, normalized.
 
     Raw cross products carry the 2*area factor, so summing them per vertex
-    is the area weighting.  Vertices without incident faces get +z.  The
-    vertices are first scaled by a power of two, which is exact, so that the
-    largest |coordinate| is in [0.5, 1): the products then neither overflow
-    nor underflow, and the normals do not depend on the mesh's scale.
+    is the area weighting.  Vertices whose sum is all zero (no incident
+    faces, or faces that cancel) get +z.  The vertices are first scaled by a
+    power of two, which is exact, so that the largest |coordinate| is in
+    [0.5, 1): the products then never overflow, and the normals do not
+    depend on the mesh's scale.  A sum small enough that its squared length
+    underflows keeps its direction through `_unit_rows`.
     """
     v, t = mesh.vertices, mesh.triangles
     if v.size:
         v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
-    cross = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
+    cross = _face_cross(v, t)
     acc = np.zeros_like(v)
     for col in range(3):
         np.add.at(acc, t[:, col], cross)
-    lengths = np.linalg.norm(acc, axis=1)
-    out = np.where(lengths[:, None] > 0, acc / np.where(lengths == 0, 1.0, lengths)[:, None],
-                   np.array([0.0, 0.0, 1.0]))
-    return out
+    acc[~acc.any(axis=1)] = (0.0, 0.0, 1.0)
+    return _unit_rows(acc)
 
 
 def _loadtxt(source, dtype, widths) -> np.ndarray | None:

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import GeometryError
+from .geometry import _face_cross, _unit_rows
 from .io import PointCloud, TriangleMesh, vertex_normals
 
 
@@ -204,15 +205,10 @@ _OVERSAMPLE = 4  # dart-thrown candidates per kept sample
 _TIE_QUERY_K = 12  # first k of the tie check's tree query; it grows 4x from there
 
 
-def _triangle_areas(mesh: TriangleMesh) -> np.ndarray:
-    v, t = mesh.vertices, mesh.triangles
-    cross = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
-    return 0.5 * np.linalg.norm(cross, axis=1)
-
-
 def _dart_throw(mesh: TriangleMesh, count: int, rng: np.random.Generator):
     """Area-weighted uniform surface samples with interpolated normals."""
-    areas = _triangle_areas(mesh)
+    cross = _face_cross(mesh.vertices, mesh.triangles)
+    areas = 0.5 * np.linalg.norm(cross, axis=1)
     total = float(areas.sum())
     if total <= 0.0:
         raise GeometryError("mesh has zero surface area")
@@ -225,14 +221,10 @@ def _dart_throw(mesh: TriangleMesh, count: int, rng: np.random.Generator):
     points = np.einsum("nc,ncd->nd", bary, corners)
     vnorm = mesh.normals if mesh.normals is not None else vertex_normals(mesh)
     normals = np.einsum("nc,ncd->nd", bary, vnorm[tris])
-    lengths = np.linalg.norm(normals, axis=1, keepdims=True)
-    flat = lengths[:, 0] <= 1e-12
-    if np.any(flat):
-        # opposing vertex normals cancel; fall back to the face normal
-        face = np.cross(corners[flat, 1] - corners[flat, 0], corners[flat, 2] - corners[flat, 0])
-        normals[flat] = face
-        lengths = np.linalg.norm(normals, axis=1, keepdims=True)
-    return points, normals / lengths
+    # opposing vertex normals cancel; fall back to the face normal
+    flat = np.linalg.norm(normals, axis=1) <= 1e-12
+    normals[flat] = cross[tri_idx[flat]]
+    return points, _unit_rows(normals)
 
 
 def poisson_disk_sample(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:

@@ -10,6 +10,7 @@ batch examples and upsampling's patch forwards are independent tasks;
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import math
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .analytic import UpsampleResult, upsample_analytic
-from .errors import GeometryError, TrainingDiverged
-from .io import PointCloud, TriangleMesh
+from .errors import TrainingDiverged
+from .io import PointCloud, TriangleMesh, _naming
 from .losses import LossWeights, chamfer_loss, normal_loss_graph, total_loss_graph
 from .model import PUGeoNet, save_model
 from .sampling import (NeighborIndex, _check_coverage, count_uncovered, denormalize,
@@ -104,13 +105,9 @@ def build_dataset(meshes: list[TriangleMesh], m: int, factor: int, patch_size: i
     def mesh_examples(i: int) -> list[TrainExample]:
         base = seed + 7919 * i
         mesh = scale_to_unit_cube(meshes[i])
-        try:
+        with contextlib.nullcontext() if names is None else _naming(names[i]):
             sparse = poisson_disk_sample(mesh, m, base)
             dense = poisson_disk_sample(mesh, factor * m, base + 1)
-        except GeometryError as exc:
-            if names is None:
-                raise
-            raise GeometryError(f"{names[i]}: {exc}") from None
         rng = np.random.default_rng(base + 2)
         if noise_sigma > 0.0:
             sparse = PointCloud(sparse.points + rng.normal(scale=noise_sigma,

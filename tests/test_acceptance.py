@@ -102,8 +102,7 @@ def _delta_table(tsv: str) -> list[tuple[float, float, int]]:
 def test_criterion_3_frame_identity(tmp_path, capsys):
     sphere = sphere_cloud(1500, 1.0, seed=2)
     result = upsample_analytic(sphere, 4, k=16)
-    frames = result.frames
-    stats = frame_stats(frames[:, :, 0], frames[:, :, 1], frames[:, :, 2], result.deltas)
+    stats = frame_stats(result.frames, result.deltas)
     theta_ok = stats.degenerate == 0 and float(stats.theta_deg.max()) < 1e-6
 
     # sphere displacements sit in a narrow positive band

@@ -1423,8 +1423,7 @@ def test_inspect_frames_model_reports_the_candidates_upsample_fuses(tmp_path, ca
                                                       float(coverage))
     model = ["--method", "model", "--model", ckpt, "--coverage", coverage]
     assert main(["inspect", "frames", "--input", path, *model]) == 0
-    assert capsys.readouterr().out == frame_stats(frames[:, :, 0], frames[:, :, 1],
-                                                  frames[:, :, 2], deltas).to_tsv()
+    assert capsys.readouterr().out == frame_stats(frames, deltas).to_tsv()
     out, expected = tmp_path / "out.xyz", tmp_path / "expected.xyz"
     assert main(["upsample", "--input", path, "--output", str(out), *model]) == 0
     write_xyz(fuse_patches(pieces, 4 * 100), expected)
@@ -1439,8 +1438,7 @@ def test_inspect_frames_analytic_draws_upsample_candidates(tmp_path, capsys, cov
 
     def tsv(per_point):
         result = upsample_analytic(read_xyz(path), per_point, k=16)
-        t = result.frames
-        return frame_stats(t[:, :, 0], t[:, :, 1], t[:, :, 2], result.deltas).to_tsv()
+        return frame_stats(result.frames, result.deltas).to_tsv()
 
     assert main(["inspect", "frames", "--input", path, "--coverage", coverage]) == 0
     out = capsys.readouterr().out

@@ -232,26 +232,22 @@ def test_quadric_normal_matches_sphere():
 # frame statistics
 
 
-def _columns(frames):
-    """Stacked (N, 3) t1, t2, t3 of an (N, 3, 3) frame array."""
-    return frames[:, :, 0], frames[:, :, 1], frames[:, :, 2]
-
-
 def test_frame_stats_analytic_theta_zero():
     caps = np.stack([_sphere_cap(s + 40) for s in range(10)])
     frames, _ = estimate_frames(caps, np.tile(NORTH, (10, 1)))
-    stats = frame_stats(*_columns(frames), np.zeros(10))
+    stats = frame_stats(frames, np.zeros(10))
     assert stats.theta_deg.max() < 1e-6
     assert stats.theta_counts[0] == 10
 
 
 def test_frame_stats_swapped_axis_is_90_degrees():
-    stats = frame_stats([[1.0, 0, 0]], [[0.0, 1.0, 0]], [[0.0, 1.0, 0]], [0.0])
+    # columns t1, t2, t3
+    stats = frame_stats(np.array([[1.0, 0, 0], [0, 1, 0], [0, 1, 0]]).T, [0.0])
     assert abs(stats.theta_deg[0] - 90.0) < 1e-9
 
 
 def test_frame_stats_degenerate_bucket():
-    stats = frame_stats([[1.0, 0, 0]], [[0.0, 1.0, 0]], np.zeros((1, 3)), [])
+    stats = frame_stats(np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 0]]).T, [])
     assert stats.degenerate == 1
 
 
@@ -259,7 +255,7 @@ def test_frame_stats_plane_deltas_concentrate_at_zero():
     planes = np.stack([_plane_neighborhood(s) for s in range(5)])
     frames, _ = estimate_frames(planes, np.zeros((5, 3)))
     deltas = np.zeros(50)
-    stats = frame_stats(*_columns(frames), deltas)
+    stats = frame_stats(frames, deltas)
     assert stats.delta_counts.argmax() == np.nonzero(stats.delta_counts)[0][0]
     tsv = stats.to_tsv()
     assert "theta_deg" in tsv and "delta" in tsv

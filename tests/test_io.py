@@ -403,6 +403,16 @@ def test_vertex_normals_do_not_depend_on_scale(exponent):
     assert normals.tobytes() == vertex_normals(mesh).tobytes()
 
 
+def test_vertex_normals_keep_the_direction_of_an_underflowing_sum():
+    # the small triangle's cross product is subnormal, so its squared length
+    # underflows to zero; its vertices still get its normal, not +z
+    mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                         [0.5, 0, 0], [0.5, 1e-160, 0], [0.5, 0, 1e-160]],
+                        [[0, 1, 2], [3, 4, 5]])
+    normals = vertex_normals(mesh)
+    assert np.array_equal(normals, [[0.0, 0, 1]] * 3 + [[1.0, 0, 0]] * 3)
+
+
 def test_triangle_repeats_vertex_rejected():
     import pugeo
 

@@ -1157,7 +1157,7 @@ def test_frame_stats_matches_per_frame_loop(name):
         result = upsample_analytic(PointCloud(KERNEL_CLOUDS[name]), 4, k=16)
         frames, deltas = result.frames, result.deltas
     t1, t2, t3 = frames[:, :, 0], frames[:, :, 1], frames[:, :, 2]
-    fast = frame_stats(t1, t2, t3, deltas)
+    fast = frame_stats(frames, deltas)
     slow = reference.frame_stats([reference.Frame(np.zeros(3), *row)
                                   for row in zip(t1, t2, t3)], deltas)
     assert fast.to_tsv() == slow.to_tsv()
