@@ -439,7 +439,8 @@ def cmd_eval(args) -> int:
                                     "gt_mesh": args.gt_mesh})
     if recon is not None:
         cd_s, hd_s, jsd_s = _in_memory(f"--recon-samples {args.recon_samples}", lambda: (
-            surface_compare(recon, gt_mesh, n=args.recon_samples, seed=args.seed)))
+            surface_compare(recon, gt_mesh, n=args.recon_samples, seed=args.seed,
+                            names=(args.recon_mesh, args.gt_mesh))))
         report.surface = {"cd#": cd_s, "hd#": hd_s, "jsd#": jsd_s}
         report.inputs["recon_mesh"] = args.recon_mesh
     print(json.dumps(report.to_dict(), sort_keys=True))

@@ -149,7 +149,14 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
 
 
 def _face_cross(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """(b - a) x (c - a) of every triangle (a, b, c): its normal times twice its area."""
+    """(b - a) x (c - a) of every triangle (a, b, c): its normal times twice its area.
+
+    The vertices are first scaled by a power of two, which is exact, so
+    that the largest |coordinate| is in [0.5, 1): the products never
+    overflow, and the mesh's scale alone cannot make them underflow.
+    """
+    if vertices.size:
+        vertices = np.ldexp(vertices, -np.frexp(np.abs(vertices).max())[1])
     a, b, c = (vertices[triangles[:, i]] for i in range(3))
     return np.cross(b - a, c - a)
 

@@ -135,15 +135,12 @@ def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
 
     Raw cross products carry the 2*area factor, so summing them per vertex
     is the area weighting.  Vertices whose sum is all zero (no incident
-    faces, or faces that cancel) get +z.  The vertices are first scaled by a
-    power of two, which is exact, so that the largest |coordinate| is in
-    [0.5, 1): the products then never overflow, and the normals do not
-    depend on the mesh's scale.  A sum small enough that its squared length
-    underflows keeps its direction through `_unit_rows`.
+    faces, or faces that cancel) get +z.  `_face_cross` scales the vertices
+    by a power of two first, so the normals do not depend on the mesh's
+    scale.  A sum small enough that its squared length underflows keeps its
+    direction through `_unit_rows`.
     """
     v, t = mesh.vertices, mesh.triangles
-    if v.size:
-        v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
     cross = _face_cross(v, t)
     acc = np.zeros_like(v)
     for col in range(3):

@@ -14,13 +14,14 @@ training loss has its own Chamfer on autodiff tensors
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import rel_entr
 
-from .io import PointCloud, TriangleMesh
+from .io import PointCloud, TriangleMesh, _naming
 from .sampling import nearest_pairs, poisson_disk_sample
 from .workers import _map_tasks
 
@@ -269,18 +270,25 @@ def metric_p2f(points, mesh: TriangleMesh) -> tuple[float, float]:
 
 
 def surface_compare(mesh_a: TriangleMesh, mesh_b: TriangleMesh, n: int = 200_000,
-                    seed: int = 0) -> tuple[float, float, float]:
+                    seed: int = 0, names: tuple[str, str] | None = None
+                    ) -> tuple[float, float, float]:
     """Sample both meshes and compare the samples with CD/HD/JSD.
 
     The two samplings use independently derived seeds, so comparing a mesh
     against itself measures the sampling noise floor rather than zero.
     `_map_tasks` runs them as two tasks, under the caller's np.errstate, so
     the samples are bitwise the same for any thread count, and a failure
-    raises mesh_a's error before mesh_b's.
+    raises mesh_a's error before mesh_b's.  A GeometryError is prefixed
+    with that mesh's entry in `names` when given.
     """
     meshes = (mesh_a, mesh_b)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(2)]
-    sample_a, sample_b = _map_tasks(lambda i: poisson_disk_sample(meshes[i], n, seeds[i]), 2)
+
+    def sample(i: int) -> PointCloud:
+        with contextlib.nullcontext() if names is None else _naming(names[i]):
+            return poisson_disk_sample(meshes[i], n, seeds[i])
+
+    sample_a, sample_b = _map_tasks(sample, 2)
     cd, hd = _chamfer_hausdorff(sample_a.points, sample_b.points)
     return cd, hd, metric_jsd(sample_a.points, sample_b.points)
 

@@ -43,26 +43,35 @@ def farthest_point_sample(cloud, count: int, seed_index: int = 0) -> np.ndarray:
     """Greedy max-min subset selection starting at seed_index.
 
     Each subsequent pick maximizes the distance to the nearest already
-    selected point; ties go to the smallest index (argmax returns the first
-    maximum).  Once every point is within distance 0 of a selected one,
-    argmax of the all-zero distances is index 0, so the rest of the output
-    repeats index 0.
+    selected point (its key); ties go to the smallest index (argmax returns
+    the first maximum).  Once every point is within distance 0 of a selected
+    one, argmax of the all-zero distances is index 0, so the rest of the
+    output repeats index 0.
 
-    The picks come in rounds, with no Python loop per pick.  A round
-    ranks the top points by key (distance, then lowest index) and accepts
-    the longest prefix in which no point is within its own distance of an
-    earlier one; a zero key ends the prefix.  An accepted point keeps its
-    key through the earlier picks of the round, and every point after it
-    has a key no larger and, if equal, a larger index, so the
-    one-at-a-time loop would pick the prefix in this order.  The top points
-    are ranked among a pool of the _FPS_POOL largest keys, which every
-    point outside it stays below; the pool is refilled from all N points
-    once one of its points has fallen below that bound.  A pick can only
-    lower the nearest-selected distance of points within the current
-    max-min radius of it, so only those are updated, found through a
-    kd-tree at that radius inflated by 1e-9 relative.  The distances are
-    the ones a full O(N) update computes, so the picks are exactly those
-    of the full scan.
+    The picks come in two phases.  The opening makes the first
+    _FPS_ROUND_CAP picks, the seed included, one full O(N) scan each.  The
+    rest come in rounds, with no Python loop per pick.  A round ranks the
+    top points by key (distance, then lowest index) and walks that list in
+    order.  An entry is blocked if an earlier entry lies within its key
+    distance.  An unblocked entry is picked; a blocked one all of whose
+    blockers are unblocked is skipped, and its key after the round's picks
+    is the smallest distance to a blocker.  The round ends at the first
+    entry that a blocked entry blocks, whose key is 0, or whose key is no
+    larger than a skipped entry's lowered key above it.  The picks are those
+    of the one-at-a-time loop, in order: an unblocked entry keeps its key
+    through the round's earlier picks; every blocker of a skipped entry is
+    picked before any later entry, so the skipped entry's key is then
+    exactly its lowered key, which the end test keeps below each later
+    pick's key; and every point after an entry ranks below it.
+
+    The top points are ranked among a pool of the _FPS_POOL largest keys,
+    which every point outside it stays below; the pool is refilled from all
+    N points once one of its points has fallen below that bound.  A pick can
+    only lower the key of points within its own key distance, so only those
+    are updated, found through a kd-tree at that radius inflated by 1e-9
+    relative.  The distances are the ones a full O(N) update computes, so
+    the picks are exactly those of the full scan.  A call with count <=
+    _FPS_ROUND_CAP builds no tree.
     """
     pts = _as_points(cloud)
     n = len(pts)
@@ -70,13 +79,22 @@ def farthest_point_sample(cloud, count: int, seed_index: int = 0) -> np.ndarray:
         raise ValueError(f"requested {count} samples from {n} points")
     if not 0 <= seed_index < n:
         raise ValueError(f"seed index {seed_index} out of range for {n} points")
-    tree = cKDTree(pts)
     coords = np.ascontiguousarray(pts.T)  # (3, N): elementwise work runs along N, not along 3
     selected = np.empty(count, dtype=np.int64)
-    selected[0] = seed_index
-    min_dist = _norms((coords - coords[:, seed_index, None]).T)
+    nxt = seed_index
+    min_dist = np.full(n, np.inf)
+    for done in range(min(count, _FPS_ROUND_CAP)):
+        if min_dist[nxt] == 0.0:
+            selected[done:] = nxt  # index 0: every key is 0 and no pick moves one
+            return selected
+        selected[done] = nxt
+        np.minimum(min_dist, _norms((coords - coords[:, nxt, None]).T), out=min_dist)
+        nxt = int(min_dist.argmax())
+    if count <= _FPS_ROUND_CAP:
+        return selected
+    tree = cKDTree(pts)
     pool, floor, last = _fps_pool(min_dist)
-    done, want = 1, 4
+    done, want = _FPS_ROUND_CAP, 4
     while done < count:
         want = min(want, count - done)
         top, keys = _top_keys(min_dist, pool, want)
@@ -89,19 +107,25 @@ def farthest_point_sample(cloud, count: int, seed_index: int = 0) -> np.ndarray:
             break
         near = coords.take(top, axis=1)
         pair = _norms((near[:, :, None] - near[:, None, :]).transpose(1, 2, 0))
-        lowered = ((pair <= keys) & _UPPER[:want, :want]).any(axis=0) | (keys == 0.0)
-        take = int(lowered.argmax()) if lowered.any() else want
-        accepted = top[:take]
+        blocks = (pair <= keys) & _UPPER[:want, :want]  # [i, j]: i may lower j's key
+        blocked = blocks.any(axis=0)
+        lowered = np.where(blocks, pair, np.inf).min(axis=0)
+        above = np.maximum.accumulate(np.where(blocked, lowered, -np.inf))
+        ends = (blocks & blocked[:, None]).any(axis=0) | (keys == 0.0)
+        ends[1:] |= keys[1:] <= above[:-1]
+        end = int(ends.argmax()) if ends.any() else want
+        picked = np.flatnonzero(~blocked[:end])
+        accepted, take = top[picked], len(picked)
         selected[done:done + take] = accepted
         done += take
-        radii = np.nextafter(keys[:take] * (1.0 + 1e-9), np.inf)
+        radii = np.nextafter(keys[picked] * (1.0 + 1e-9), np.inf)
         balls = tree.query_ball_point(pts[accepted], radii, return_sorted=False)
         sizes = np.fromiter(map(len, balls), dtype=np.intp, count=take)
         cand = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
                            count=int(sizes.sum()))
         diff = coords.take(cand, axis=1) - coords.take(accepted.repeat(sizes), axis=1)
         np.minimum.at(min_dist, cand, _norms(diff.T))
-        want = min(max(2 * take, 4), _FPS_ROUND_CAP)
+        want = min(max(2 * end, 4), _FPS_ROUND_CAP)
     return selected
 
 
@@ -207,7 +231,7 @@ _TIE_QUERY_K = 12  # first k of the tie check's tree query; it grows 4x from the
 
 def _dart_throw(mesh: TriangleMesh, count: int, rng: np.random.Generator):
     """Area-weighted uniform surface samples with interpolated normals."""
-    cross = _face_cross(mesh.vertices, mesh.triangles)
+    cross = _face_cross(mesh.vertices, mesh.triangles)  # exactly scaled: only area ratios are used
     areas = 0.5 * np.linalg.norm(cross, axis=1)
     total = float(areas.sum())
     if total <= 0.0:
@@ -278,9 +302,10 @@ def _eliminate(points: np.ndarray, n: int) -> np.ndarray:
     alive = np.ones(m, dtype=bool)
     dist, second = np.empty(m), np.empty(m)
     nearest = np.empty(m, dtype=np.intp)
-    live = rows = np.arange(m)  # rows: positions in live whose nearest neighbor died
+    live, stale = np.arange(m), np.ones(m, dtype=bool)  # stale: live rows whose nearest died
     while True:
         tree = cKDTree(points[live], balanced_tree=False)
+        rows = tree.indices[stale[tree.indices]]  # in leaf order: neighboring queries
         near_dist, near_idx = tree.query(tree.data[rows], k=3)
         # self is at most one of the three: the nearest other entry is column 1
         # if self is column 0, else 0; the second is column 2 if self is column
@@ -296,7 +321,7 @@ def _eliminate(points: np.ndarray, n: int) -> np.ndarray:
         live = np.flatnonzero(alive)
         if len(live) == n:
             return live
-        rows = np.flatnonzero(~alive[nearest[live]])
+        stale = ~alive[nearest[live]]
 
 
 def _elimination_round(tree, live, dist, nearest, second, needed: int) -> np.ndarray:

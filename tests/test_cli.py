@@ -1255,6 +1255,32 @@ def test_eval_recon_mesh_adds_three_fields(tmp_path, mesh_dir, capsys):
     assert added == {"cd#", "hd#", "jsd#"}
 
 
+def test_eval_recon_mesh_samples_a_tiny_mesh(tmp_path, mesh_dir, capsys):
+    # a cube scaled by 2^-300: its triangle areas would underflow to zero
+    cube = read_mesh(str(mesh_dir / "cube.obj"))
+    tiny = tmp_path / "tiny.obj"
+    tiny.write_text("".join(f"v {x!r} {y!r} {z!r}\n"
+                            for x, y, z in np.ldexp(cube.vertices, -300).tolist())
+                    + "".join(f"f {i + 1} {j + 1} {k + 1}\n" for i, j, k in cube.triangles))
+    cloud = _write_cloud(tmp_path / "cloud.xyz", sphere_cloud(50, 1.0, 5))
+    assert main(["eval", "--pred", cloud, "--gt-dense", cloud, "--gt-mesh",
+                 str(mesh_dir / "cube.obj"), "--recon-mesh", str(tiny),
+                 "--recon-samples", "100"]) == 0
+    assert {"cd#", "hd#", "jsd#"} <= set(json.loads(capsys.readouterr().out))
+
+
+@pytest.mark.parametrize("flat_flag", ["--recon-mesh", "--gt-mesh"])
+def test_eval_recon_mesh_names_the_zero_area_mesh(tmp_path, mesh_dir, capsys, flat_flag):
+    flat = tmp_path / "flat.obj"  # every triangle collinear
+    flat.write_text("v 0 0 0\nv 1 0 0\nv 2 0 0\nv 3 0 0\nf 1 2 3\nf 2 3 4\n")
+    cloud = _write_cloud(tmp_path / "cloud.xyz", sphere_cloud(50, 1.0, 5))
+    meshes = {"--recon-mesh": str(mesh_dir / "icosphere.obj"),
+              "--gt-mesh": str(mesh_dir / "icosphere.obj"), flat_flag: str(flat)}
+    argv = ["eval", "--pred", cloud, "--gt-dense", cloud, "--recon-samples", "100"]
+    assert main(argv + [item for pair in meshes.items() for item in pair]) == 2
+    assert capsys.readouterr().err.startswith(f"{flat}: ")
+
+
 def test_eval_stdout_is_the_same_for_one_and_two_workers(tmp_path, mesh_dir, capsys,
                                                           monkeypatch):
     # with two workers P2F runs beside the pairing metrics

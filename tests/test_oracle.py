@@ -147,6 +147,35 @@ def test_fps_matches_full_scan_on_clusters_property(data):
                           reference.farthest_point_sample(points, count, seed_index))
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fps_matches_full_scan_past_the_opening_property(data):
+    # counts past the 64 full-scan picks run the rounds and refill the pool;
+    # lattice and rounded cluster coordinates tie keys and skip blocked entries
+    n = data.draw(st.integers(100, 600), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+    if data.draw(st.booleans(), label="lattice"):
+        side = data.draw(st.integers(3, 9), label="side")
+        points = rng.integers(0, side, size=(n, 3)).astype(np.float64)
+    else:
+        centers = rng.integers(-4, 5, size=(data.draw(st.integers(1, 8), label="clusters"), 3))
+        spread = data.draw(st.sampled_from([0.05, 0.3, 1.0]), label="spread")
+        points = np.round(centers[rng.integers(0, len(centers), n)]
+                          + rng.normal(size=(n, 3)) * spread, 2)
+    count = data.draw(st.integers(65, n), label="count")
+    seed_index = data.draw(st.integers(0, n - 1), label="seed_index")
+    assert np.array_equal(farthest_point_sample(points, count, seed_index),
+                          reference.farthest_point_sample(points, count, seed_index))
+
+
+@pytest.mark.parametrize("count", [63, 64, 65])
+@pytest.mark.parametrize("points", [_gaussian(6), _lattice(5)], ids=["gaussian", "lattice"])
+def test_fps_matches_full_scan_around_the_opening(points, count):
+    # the last full-scan pick, and the first round after it
+    assert np.array_equal(farthest_point_sample(points, count, 3),
+                          reference.farthest_point_sample(points, count, 3))
+
+
 def test_fps_past_the_distinct_points_repeats_index_zero():
     points = _fewer_distinct_than_count()
     picks = farthest_point_sample(points, len(points), seed_index=7)
@@ -155,7 +184,11 @@ def test_fps_past_the_distinct_points_repeats_index_zero():
 
 
 class _CountingTree(cKDTree):
-    ball_queries = 0
+    builds = ball_queries = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).builds += 1
+        super().__init__(*args, **kwargs)
 
     def query_ball_point(self, *args, **kwargs):
         type(self).ball_queries += 1
@@ -169,7 +202,19 @@ def test_fps_picks_many_points_per_ball_query(monkeypatch):
     points = _fusion_candidates()
     picks = farthest_point_sample(points, 2000)
     assert np.array_equal(picks, reference.farthest_point_sample(points, 2000))
-    assert _CountingTree.ball_queries < 2000 / 4
+    assert _CountingTree.ball_queries < 2000 / 16
+
+
+@pytest.mark.parametrize("count,builds", [(1, 0), (64, 0), (65, 1)])
+def test_fps_opening_builds_no_tree(monkeypatch, count, builds):
+    # the first 64 picks are full scans: no kd-tree, no ball query
+    monkeypatch.setattr(sampling, "cKDTree", _CountingTree)
+    monkeypatch.setattr(_CountingTree, "builds", 0)
+    monkeypatch.setattr(_CountingTree, "ball_queries", 0)
+    points = _gaussian(8)
+    assert np.array_equal(farthest_point_sample(points, count),
+                          reference.farthest_point_sample(points, count))
+    assert (_CountingTree.builds, _CountingTree.ball_queries > 0) == (builds, builds > 0)
 
 
 # ---------------------------------------------------------------------------

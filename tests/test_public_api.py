@@ -5,11 +5,14 @@ so one that calls a removed name or parameter fails here; every `pugeo`
 command in README's bash blocks parses, so one that passes a removed flag
 fails here too.
 Every public name must also be used by the package itself or by a demo, so
-nothing is exported for the tests alone.
+nothing is exported for the tests alone.  The benchmark's span targets
+(perfbench/spans.py) resolve, but for a fixed set of stale ones, so a
+refactor that renames a traced function fails here.
 """
 
 import ast
 import importlib
+import importlib.util
 import os
 import pathlib
 import re
@@ -104,3 +107,27 @@ def test_all_entries_used_outside_tests():
     used = set().union(*(_referenced_names(p) for p in sources + DEMOS))
     unused = [name for name in pugeo.__all__ if name not in used]
     assert not unused, f"exported but used only by tests: {unused}"
+
+
+# span targets that no longer resolve; perfbench reports them as missing
+STALE_SPAN_TARGETS = {
+    "pugeo.sampling.NeighborIndex.knn", "pugeo.geometry.estimate_frame",
+    "pugeo.geometry.fit_fundamental_forms", "pugeo.bvh.TriangleBVH.__init__",
+    "pugeo.bvh.TriangleBVH.distances", "pugeo.losses.chamfer",
+    "pugeo.losses.coarse_normal_loss_graph", "pugeo.losses.refined_normal_loss_graph",
+}
+
+
+def test_perfbench_span_targets_resolve_but_the_stale_ones(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    unresolved = set()
+    for target in spans.TARGETS:
+        try:
+            spans._resolve(target.path)
+        except LookupError:
+            unresolved.add(target.path)
+    assert unresolved == STALE_SPAN_TARGETS

@@ -185,6 +185,15 @@ def test_poisson_zero_area_mesh():
         poisson_disk_sample(degenerate, 5, seed=0)
 
 
+def test_poisson_tiny_mesh_samples_its_scaled_copy_exactly():
+    # a 2^-300 cube's triangle areas underflow unless taken at an exact scale
+    cube = cube_mesh()
+    tiny = TriangleMesh(np.ldexp(cube.vertices, -300), cube.triangles)
+    ordinary, scaled = poisson_disk_sample(cube, 64, seed=2), poisson_disk_sample(tiny, 64, seed=2)
+    assert np.array_equal(scaled.points, np.ldexp(ordinary.points, -300))
+    assert np.array_equal(scaled.normals, ordinary.normals)
+
+
 def test_poisson_normals_unit_and_interpolated():
     cloud = poisson_disk_sample(icosphere(2), 128, seed=4)
     lengths = np.linalg.norm(cloud.normals, axis=1)
