@@ -16,7 +16,8 @@ from .metrics import MetricReport, chamfer, metric_hd, metric_jsd, metric_p2f, s
 from .model import PUGeoConfig, PUGeoNet, load_model, save_model
 from .sampling import (Patch, denormalize, extract_patches, farthest_point_sample,
                        fuse_patches, poisson_disk_sample)
-from .trainer import TrainConfig, TrainExample, build_dataset, train, upsample_cloud
+from .trainer import TrainConfig, TrainExample, build_dataset, train
+from .upsample import upsample_cloud
 
 __version__ = "0.1.0"
 

@@ -24,8 +24,8 @@ from .losses import LossWeights
 from .metrics import report_metrics, surface_compare
 from .model import PUGeoConfig, PUGeoNet, load_model, save_model
 from .sampling import _OVERSAMPLE, patch_count
-from .trainer import (TrainConfig, TrainExample, build_dataset, draw_candidates, train,
-                      upsample_cloud)
+from .trainer import TrainConfig, TrainExample, build_dataset, train
+from .upsample import draw_candidates, upsample_cloud
 
 MESH_EXTENSIONS = (".obj", ".ply")
 ANALYTIC_FACTOR = 4

@@ -298,13 +298,50 @@ def _parse_clean_obj(data: bytes):
     return vertices, normals, faces - 1
 
 
+def _named_normals(vnormals: list, vertex_count: int, named: list,
+                   partial: bool) -> np.ndarray | list:
+    """The ``vn`` row each vertex's face corners name, or [] if that is not one per vertex.
+
+    `named` holds (line number, ``vn`` count before it, vertex indices, ``vn``
+    tokens) of each face naming a normal.  An index resolves like a vertex
+    index, against the ``vn`` records before its face; one that is not an
+    integer or out of range raises FormatError naming its line.  A corner
+    naming no normal (`partial`), a vertex in no face or one named with two
+    different normals gives [], and the mesh its computed normals.
+    """
+    corners, picks = [], []
+    for lineno, count, idx, tokens in named:
+        for tok in filter(None, tokens):
+            try:
+                j = int(tok)
+            except ValueError:
+                raise FormatError(f"line {lineno}: bad normal index {tok!r}") from None
+            j = j - 1 if j > 0 else count + j
+            if not 0 <= j < count:
+                raise FormatError(f"line {lineno}: normal index {tok} out of range")
+            picks.append(j)
+        corners += idx
+    if partial:
+        return []
+    rows = np.asarray(vnormals, dtype=np.float64)[picks]
+    out = np.zeros((vertex_count, 3))
+    out[corners] = rows
+    if len(np.unique(corners)) < vertex_count or (out[corners] != rows).any():
+        return []
+    return out
+
+
 def _scan_obj(data: bytes):
     """(vertex, vertex normal, 0-based face) rows of OBJ bytes read record by record.
 
-    Polygons are fan-triangulated.  A FormatError names the first bad line.
+    Polygons are fan-triangulated.  A FormatError names the first bad line,
+    but a bad ``vn`` index of a face is found after the scan.  The normal rows
+    are the ``vn`` records in file order, or, when the file has some and its
+    faces name ``vn`` indices, the `_named_normals` of its vertices.
     """
     verts, vnormals = [], []
     faces: list[tuple[int, int, int]] = []
+    named, partial = [], False
     for lineno, tokens in _records([data]):
         tag = tokens[0]
         if tag == "v":
@@ -314,9 +351,9 @@ def _scan_obj(data: bytes):
             if not any(vnormals[-1]):
                 raise FormatError(f"line {lineno}: zero-length normal")
         elif tag == "f":
-            idx = []
+            idx, normal_tokens = [], []
             for tok in tokens[1:]:
-                head = tok.split("/")[0]
+                head, *rest = tok.split("/")
                 try:
                     i = int(head)
                 except ValueError:
@@ -326,7 +363,13 @@ def _scan_obj(data: bytes):
                 if not 0 <= i < len(verts):
                     raise FormatError(f"line {lineno}: face index {head} out of range")
                 idx.append(i)
+                normal_tokens.append(rest[1] if len(rest) > 1 else "")
             faces.extend(_fan(idx, lineno))
+            if any(normal_tokens):
+                named.append((lineno, len(vnormals), idx, normal_tokens))
+            partial |= not all(normal_tokens)
+    if vnormals and named:
+        vnormals = _named_normals(vnormals, len(verts), named, partial)
     return verts, vnormals, faces
 
 
@@ -410,7 +453,9 @@ def _read_ply(path) -> TriangleMesh:
 def read_mesh(path: str | os.PathLike) -> TriangleMesh:
     """Read an OBJ or ASCII-PLY mesh.
 
-    Vertex normals are computed (area-weighted) when the file has none.
+    Vertex normals are computed (area-weighted) when the file has none, or
+    when an OBJ's faces name ``vn`` indices that do not give each vertex one
+    normal (`_named_normals`).
     A FormatError message starts with the path.
     """
     text = str(path).lower()

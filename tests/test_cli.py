@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, frame_stats, fuse_patches, load_model,
                    poisson_disk_sample, read_mesh, read_xyz, save_model, upsample_analytic,
                    upsample_cloud, write_xyz)
-from pugeo import cli, sampling, trainer
+from pugeo import cli, sampling, trainer, upsample
 from pugeo import io as pugeo_io
 from pugeo.cli import main
 from pugeo.errors import CheckpointError
@@ -1509,7 +1509,7 @@ def test_upsample_analytic_coverage_out_of_memory_exit_2(tmp_path, capsys, monke
     def refuse(cloud, factor, **kwargs):
         raise MemoryError(f"Unable to allocate {factor * len(cloud) * 24} bytes")
 
-    monkeypatch.setattr(trainer, "upsample_analytic", refuse)
+    monkeypatch.setattr(upsample, "upsample_analytic", refuse)
     path = _write_cloud(tmp_path / "in.xyz", sphere_cloud(200, 1.0, 0))
     out = tmp_path / "out.xyz"
     assert main(["upsample", "--input", path, "--output", str(out), "--coverage", "1e12"]) == 2

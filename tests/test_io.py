@@ -1,3 +1,4 @@
+import pathlib
 import re
 import tracemalloc
 import warnings
@@ -12,6 +13,8 @@ from pugeo.errors import FormatError, UnsupportedFormatError
 from pugeo.io import TriangleMesh, vertex_normals
 
 from helpers import cube_mesh, ply_face_flags
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def test_read_xyz_three_columns(tmp_path):
@@ -228,6 +231,69 @@ def test_read_obj_index_out_of_range(tmp_path):
     path = tmp_path / "m.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 5\n")
     with pytest.raises(FormatError):
+        read_mesh(path)
+
+
+_OBJ_TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 1 0 0\nvn 0 1 0\nvn 0 0 1\n"
+
+
+def test_read_obj_takes_the_normals_its_faces_name(tmp_path):
+    path = tmp_path / "m.obj"
+    path.write_text(_OBJ_TRIANGLE + "f 1//3 2//3 3//3\n")
+    assert read_mesh(path).normals.tolist() == [[0.0, 0.0, 1.0]] * 3
+
+
+def test_read_obj_named_normals_of_a_permuted_list_are_the_fixtures(tmp_path):
+    lines = (FIXTURES / "icosphere.obj").read_text().splitlines()
+    verts = [line for line in lines if line.startswith("v ")]
+    normals = [line for line in lines if line.startswith("vn ")]
+    faces = [line.split()[1:] for line in lines if line.startswith("f ")]
+    order = np.random.default_rng(0).permutation(len(normals))
+    slot = np.argsort(order)  # vertex a's normal is record slot[a] of the permuted list
+    path = tmp_path / "m.obj"
+    path.write_text("\n".join(verts + [normals[i] for i in order] + [
+        "f " + " ".join(f"{a}//{slot[int(a) - 1] + 1}" for a in face) for face in faces]) + "\n")
+    want = read_mesh(FIXTURES / "icosphere.obj")
+    got = read_mesh(path)
+    assert np.array_equal(got.triangles, want.triangles)
+    assert got.normals.tobytes() == want.normals.tobytes()
+
+
+def test_read_obj_split_normals_are_computed(tmp_path):
+    # each quad of the cube names its own four records: three normals meet at every vertex
+    cube = cube_mesh()
+    records, faces = [], []
+    for quad in cube.triangles.reshape(6, 2, 3):
+        corners = list(dict.fromkeys(quad.ravel().tolist()))
+        first = len(records) + 1
+        a, b, c = cube.vertices[quad[0]]
+        records += [np.cross(b - a, c - a).tolist()] * 4
+        faces += ["f " + " ".join(f"{v + 1}//{first + corners.index(v)}" for v in tri)
+                  for tri in quad.tolist()]
+    assert len(records) == 24
+    path = tmp_path / "m.obj"
+    path.write_text("".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in cube.vertices.tolist())
+                    + "".join(f"vn {x!r} {y!r} {z!r}\n" for x, y, z in records)
+                    + "\n".join(faces) + "\n")
+    assert np.array_equal(read_mesh(path).normals, vertex_normals(cube))
+
+
+@pytest.mark.parametrize("text", [_OBJ_TRIANGLE + "f 1//1 2//1 3\n",
+                                  _OBJ_TRIANGLE + "v 5 5 5\nf 1//1 2//1 3//1\n"],
+                         ids=["partial", "vertex_in_no_face"])
+def test_read_obj_normals_not_named_for_every_vertex_are_computed(text, tmp_path):
+    path = tmp_path / "m.obj"
+    path.write_text(text)
+    mesh = read_mesh(path)
+    assert np.array_equal(mesh.normals, vertex_normals(mesh))
+
+
+@pytest.mark.parametrize("face,message", [("f 1//9 2//3 3//3", "normal index 9 out of range"),
+                                          ("f 1//3 2//x 3//3", "bad normal index 'x'")])
+def test_read_obj_bad_normal_index_names_its_line(face, message, tmp_path):
+    path = tmp_path / "m.obj"
+    path.write_text(_OBJ_TRIANGLE + "# a comment\n" + face + "\n")
+    with pytest.raises(FormatError, match=f"m.obj: line 8: {message}$"):
         read_mesh(path)
 
 

@@ -83,6 +83,13 @@ def test_readme_command_parses(command):
         pytest.fail(f"README command does not parse (exit {exc.code}): {command}")
 
 
+def test_readme_layout_names_every_module():
+    layout = re.search(r"^## Layout\n\n```\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
+    named = set(re.findall(r"^  (\w+\.py) ", layout.group(1), re.MULTILINE))
+    modules = {p.name for p in (ROOT / "src" / "pugeo").glob("*.py")} - {"__init__.py"}
+    assert named == modules
+
+
 def test_all_entries_resolve_once():
     missing = [name for name in pugeo.__all__ if not hasattr(pugeo, name)]
     assert not missing
