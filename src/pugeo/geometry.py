@@ -21,6 +21,9 @@ MIN_NEIGHBORS = 6
 _COLLINEAR_RTOL = 1e-10
 #: normal-equation condition number above which a quadric fit is degenerate
 _FIT_CONDITION_LIMIT = 1e8
+#: condition bound at or below which a Householder solve stands without the SVD;
+#: 1e6 keeps far inside both _FIT_CONDITION_LIMIT and the rank cutoff 1 / (16 eps)
+_QR_CONDITION_LIMIT = 1e6
 #: below this length a vector's squared length is subnormal or zero
 _MIN_LENGTH = float(np.sqrt(np.finfo(np.float64).tiny))
 
@@ -61,9 +64,9 @@ def estimate_frames(neighborhoods, centers) -> tuple[np.ndarray, np.ndarray]:
     t2 = np.cross(t3, t1)
 
     u, v, w = _frame_coords(pts, centers, np.stack([t1, t2, t3], axis=2))
-    design = np.stack([u, v, 0.5 * u * u, u * v, 0.5 * v * v], axis=2)
+    design = np.stack([u, v, 0.5 * u * u, u * v, 0.5 * v * v])
     solution, rank, _ = _lstsq_rows(design, w)
-    refined = _unit_rows(-solution[:, :1] * t1 - solution[:, 1:2] * t2 + t3)
+    refined = _unit_rows(-solution[0, :, None] * t1 - solution[1, :, None] * t2 + t3)
     t1_refined = _unit_rows(t1 - _dot(t1, refined)[:, None] * refined)
     tilt = (rank == 5)[:, None]
     t1 = np.where(tilt, t1_refined, t1)
@@ -99,13 +102,11 @@ def fit_curvatures(neighborhoods, origins, frames) -> tuple[np.ndarray, np.ndarr
     pts = _neighborhoods(neighborhoods)
     origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
     u, v, w = _frame_coords(pts, origins, np.asarray(frames, dtype=np.float64))
-    design = np.stack([0.5 * u * u, u * v, 0.5 * v * v], axis=2)
-    solution, rank, singular = _lstsq_rows(design, w)
-    smallest = singular[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        condition = singular[:, 0] / smallest
-    degenerate = (rank < 3) | (smallest <= 0.0) | (condition > _FIT_CONDITION_LIMIT)
-    e, f, g = solution.T
+    design = np.stack([0.5 * u * u, u * v, 0.5 * v * v])
+    solution, rank, condition = _lstsq_rows(design, w)
+    # rank < 3 includes every fit whose smallest singular value is <= 0
+    degenerate = (rank < 3) | (condition > _FIT_CONDITION_LIMIT)
+    e, f, g = solution
     eigvals, eigvecs = np.linalg.eigh(np.stack([e, f, f, g], axis=1).reshape(-1, 2, 2))
     curvatures = eigvals[:, ::-1].copy()
     directions = eigvecs[:, :, ::-1].copy()
@@ -162,24 +163,92 @@ def _face_cross(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def _frame_coords(pts, origins, frames):
-    """(u, v, w) of every neighbor in its row's frame, each (N, k)."""
-    coords = (pts - origins[:, None, :]) @ frames
-    return coords[:, :, 0], coords[:, :, 1], coords[:, :, 2]
+    """(u, v, w) of every neighbor in its row's frame, each (k, N) and contiguous."""
+    coords = np.ascontiguousarray(((pts - origins[:, None, :]) @ frames).transpose(2, 1, 0))
+    return coords[0], coords[1], coords[2]
 
 
 def _lstsq_rows(design: np.ndarray, rhs: np.ndarray):
-    """Row-wise np.linalg.lstsq(design[i], rhs[i], rcond=None) by one stacked SVD.
+    """np.linalg.lstsq(A_i, b_i, rcond=None) of N rows at once, batch axis last.
 
-    As with lstsq's default rcond, singular values at or below
-    eps * max(k, m) times the row's largest count as zero, and the
-    solution is the minimum-norm one.  Returns (solution, rank, singular).
+    `design` is (m, k, N) with k >= m and `rhs` is (k, N): A_i is
+    design[:, :, i].T and b_i is rhs[:, i].  Householder QR solves every
+    row at once, looping over the m columns only; no row's arithmetic
+    depends on another row, so its result is bitwise the same in any batch.
+    kappa = ||R||_F * ||R^-1||_F bounds the condition number (cond <= kappa
+    <= m * cond).  A row with kappa <= _QR_CONDITION_LIMIT is full rank and
+    well conditioned, and keeps its QR solution.  Every other finite row is
+    solved by one stacked SVD as lstsq solves it: singular values at or
+    below eps * max(k, m) times the row's largest count as zero, and the
+    solution is the minimum-norm one.  A row with a non-finite design entry
+    gets rank 0 and NaN: LAPACK's SVD fails on NaN and does not return on inf.
+
+    Returns (solution, rank, condition): solution is (m, N); condition is
+    sigma_max / sigma_min where the SVD ran and kappa elsewhere.
     """
-    u, singular, vt = np.linalg.svd(design, full_matrices=False)
-    cutoff = np.finfo(np.float64).eps * max(design.shape[1:]) * singular[:, :1]
-    kept = singular > cutoff
-    inverse = np.divide(1.0, singular, out=np.zeros_like(singular), where=kept)
-    coeffs = np.einsum("nkm,nk->nm", u, rhs) * inverse
-    return np.einsum("nmj,nm->nj", vt, coeffs), kept.sum(axis=1), singular
+    m, k, n = design.shape
+    if n == 1:
+        # numpy would run one row's sums along k, in another order than
+        # along the batch axis; a pair keeps them there
+        solution, rank, condition = _lstsq_rows(design.repeat(2, axis=2), rhs.repeat(2, axis=1))
+        return solution[:, :1], rank[:1], condition[:1]
+    finite = np.isfinite(design).all(axis=(0, 1))
+    with np.errstate(all="ignore"):
+        solution, condition = _householder_rows(design, rhs)
+    rank = np.full(n, m)
+    redo = np.flatnonzero(~(condition <= _QR_CONDITION_LIMIT) & finite)
+    if redo.size:
+        u, singular, vt = np.linalg.svd(design[:, :, redo].T, full_matrices=False)
+        kept = singular > np.finfo(np.float64).eps * max(k, m) * singular[:, :1]
+        inverse = np.divide(1.0, singular, out=np.zeros_like(singular), where=kept)
+        coeffs = np.einsum("nkm,nk->nm", u, np.ascontiguousarray(rhs[:, redo].T)) * inverse
+        solution[:, redo] = np.einsum("nmj,nm->nj", vt, coeffs).T
+        rank[redo] = kept.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            condition[redo] = singular[:, 0] / singular[:, -1]
+    solution[:, ~finite] = np.nan
+    rank[~finite] = 0
+    condition[~finite] = np.nan
+    return solution, rank, condition
+
+
+def _householder_rows(design: np.ndarray, rhs: np.ndarray):
+    """_lstsq_rows's QR solutions, (m, N), and each row's kappa, (N,).
+
+    Each A_i is first scaled by the power of two that brings its largest
+    |entry| into [0.5, 1): exact, and it keeps the sums of squares of any
+    row that can pass the kappa test clear of underflow and overflow.
+    """
+    m, k, n = design.shape
+    exponent = np.frexp(np.maximum(design.max(axis=(0, 1)), -design.min(axis=(0, 1))))[1]
+    # the scaled columns, then the rhs: the reflections act on all m + 1
+    cols = np.empty((m + 1, k, n))
+    np.ldexp(design, -exponent, out=cols[:m])
+    cols[m] = rhs
+    norm_a = np.einsum("ckn,ckn->n", cols[:m], cols[:m])  # ||R||_F^2 = ||A||_F^2
+    for j in range(m):
+        # x becomes v in place, for the reflection I - 2 v v^T / |v|^2 that
+        # maps x onto alpha * e1 and acts on the later columns and the rhs
+        x = cols[j, j:]
+        x0 = x[0].copy()
+        norm = np.sqrt(np.einsum("kn,kn->n", x, x))
+        alpha = -np.copysign(norm, x0)
+        scale = 1.0 / (norm * (norm + np.abs(x0)))  # 2 / |v|^2
+        x[0] -= alpha
+        rest = cols[j + 1:, j:]
+        rest -= (scale * np.einsum("ckn,kn->cn", rest, x))[:, None, :] * x
+        x[0] = alpha
+    # now R[i, c] = cols[c, i] for i <= c; back substitution of
+    # R [x, X] = [Q^T b, I]: x solves the scaled row, X = R^-1
+    y = np.zeros((m, m + 1, n))
+    y[:, 0] = cols[m, :m]
+    y[:, 1:] = np.eye(m)[:, :, None]
+    for i in range(m - 1, -1, -1):
+        for c in range(i + 1, m):
+            y[i] -= cols[c, i] * y[c]
+        y[i] /= cols[i, i]
+    kappa = np.sqrt(norm_a * np.einsum("icn,icn->n", y[:, 1:], y[:, 1:]))
+    return np.ldexp(y[:, 0], -exponent), kappa
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +285,11 @@ def frame_stats(frames, deltas) -> FrameStats:
     """Angle-vs-cross-product and displacement histograms.
 
     `frames` is (N, 3, 3) with columns (t1, t2, t3).  theta is the
-    unoriented angle between t3 and t1 x t2 in degrees (folded into
-    [0, 90]); frames with zero-length t3 or t1 x t2 land in a degenerate
-    bucket.  The delta histogram uses 50 bins over the data range.
+    unoriented angle between t3 and t1 x t2 in degrees, in [0, 90]:
+    atan2(|a x b|, |a . b|) of the two unit vectors a and b, which resolves
+    angles far below arccos's smallest step above 0 (8.5e-7 degrees).
+    Frames with zero-length t3 or t1 x t2 land in a degenerate bucket.
+    The delta histogram uses 50 bins over the data range.
     """
     frames = np.asarray(frames, dtype=np.float64).reshape(-1, 3, 3)
     t1, t2, t3 = frames[:, :, 0], frames[:, :, 1], frames[:, :, 2]
@@ -226,9 +297,11 @@ def frame_stats(frames, deltas) -> FrameStats:
     n3 = np.sqrt(_vector_dot(t3, t3))
     nc = np.sqrt(_vector_dot(cross, cross))
     valid = (n3 > 0.0) & (nc > 0.0)
-    cos = np.clip(_vector_dot(t3, cross)[valid] / (n3[valid] * nc[valid]), -1.0, 1.0)
-    angle = np.degrees(np.arccos(cos))
-    theta_deg = np.minimum(angle, 180.0 - angle)
+    a = t3[valid] / n3[valid, None]
+    b = cross[valid] / nc[valid, None]
+    normal = np.cross(a, b)
+    theta_deg = np.degrees(np.arctan2(np.sqrt(_vector_dot(normal, normal)),
+                                      np.abs(_vector_dot(a, b))))
     degenerate = int(np.count_nonzero(~valid))
     theta_counts, theta_edges = np.histogram(theta_deg, bins=30, range=(0.0, 90.0))
 

@@ -31,6 +31,7 @@ def _as_points(cloud) -> np.ndarray:
 
 _FPS_ROUND_CAP = 64  # most picks one round of farthest_point_sample tries
 _FPS_POOL = 256  # points farthest_point_sample ranks each round, refilled from all N
+_FPS_LEAFSIZE = 64  # points per leaf of its kd-tree; no ball depends on the tree's layout
 _UPPER = np.triu(np.ones((_FPS_ROUND_CAP, _FPS_ROUND_CAP), dtype=bool), 1)  # [i, j]: i before j
 
 
@@ -92,7 +93,7 @@ def farthest_point_sample(cloud, count: int, seed_index: int = 0) -> np.ndarray:
         nxt = int(min_dist.argmax())
     if count <= _FPS_ROUND_CAP:
         return selected
-    tree = cKDTree(pts)
+    tree = cKDTree(pts, leafsize=_FPS_LEAFSIZE, balanced_tree=False)
     pool, floor, last = _fps_pool(min_dist)
     done, want = _FPS_ROUND_CAP, 4
     while done < count:

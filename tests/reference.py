@@ -10,8 +10,10 @@ are kept verbatim in arithmetic so that the fast paths in ``pugeo`` can
 be compared against them bit for bit (FPS, Poisson elimination, P2F and
 its closest-point kernel, frame statistics) or within a fixed tolerance
 (geometry, whose least-squares solves moved from LAPACK ``gelsd`` to a
-stacked SVD).  The numpy normal and joint losses are the oracles for
-the autodiff training losses.  The full-sort feature kNN and the
+batched Householder QR).  The stacked SVD ``lstsq_rows`` is the oracle
+for that QR's rank and degenerate decisions and its solutions.  The
+numpy normal and joint losses are the oracles for the autodiff training
+losses.  The full-sort feature kNN and the
 ``np.add.at`` gather are the oracles for the model's pruned kNN and the
 CSR scatter in ``gather``'s backward; the unfused matmul, add and relu
 are the oracle for the one-node dense layer, the gathers, difference and
@@ -298,6 +300,23 @@ def fit_fundamental_forms(neighborhood, frame: Frame) -> Forms:
                  dir1=eigvecs[:, 1].copy(), dir2=eigvecs[:, 0].copy())
 
 
+def lstsq_rows(design: np.ndarray, rhs: np.ndarray):
+    """Row-wise np.linalg.lstsq(design[i], rhs[i], rcond=None) by one stacked SVD.
+
+    `design` is (N, k, m) and `rhs` is (N, k), every entry finite: LAPACK's
+    SVD fails on NaN and does not return on inf.  As with lstsq's default
+    rcond, singular values at or below eps * max(k, m) times the row's
+    largest count as zero, and the solution is the minimum-norm one.
+    Returns (solution, rank, singular).
+    """
+    u, singular, vt = np.linalg.svd(design, full_matrices=False)
+    cutoff = np.finfo(np.float64).eps * max(design.shape[1:]) * singular[:, :1]
+    kept = singular > cutoff
+    inverse = np.divide(1.0, singular, out=np.zeros_like(singular), where=kept)
+    coeffs = np.einsum("nkm,nk->nm", u, rhs) * inverse
+    return np.einsum("nmj,nm->nj", vt, coeffs), kept.sum(axis=1), singular
+
+
 def param_samples(factor: int, radius: float) -> np.ndarray:
     """(R, 2) Fibonacci-disk samples for one point."""
     j = np.arange(factor, dtype=np.float64)
@@ -383,9 +402,8 @@ def frame_stats(frames: list[Frame], deltas) -> FrameStats:
         if n3 <= 0.0 or nc <= 0.0:
             degenerate += 1
             continue
-        cos = float(np.clip(frame.t3 @ cross / (n3 * nc), -1.0, 1.0))
-        angle = math.degrees(math.acos(cos))
-        thetas.append(min(angle, 180.0 - angle))
+        a, b = frame.t3 / n3, cross / nc
+        thetas.append(math.degrees(math.atan2(np.linalg.norm(np.cross(a, b)), abs(a @ b))))
     theta_deg = np.asarray(thetas, dtype=np.float64)
     theta_counts, theta_edges = np.histogram(theta_deg, bins=30, range=(0.0, 90.0))
 

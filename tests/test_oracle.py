@@ -12,8 +12,9 @@ point-to-surface distance bitwise the minimum
 over every triangle, and its branch-free closest-point kernel bitwise the
 one that fills one region at a time.  The batched frame/curvature
 kernel must agree with the per-point loop within 1e-9: its least-squares
-solves use a stacked SVD instead of LAPACK gelsd, so the last digits may
-differ.  The ``.xyz``, OBJ and PLY readers must return bitwise the arrays
+solves use a batched Householder QR instead of LAPACK gelsd, so the last
+digits may differ; the QR must decide ranks and degenerate fits as the
+stacked SVD does.  The ``.xyz``, OBJ and PLY readers must return bitwise the arrays
 of the per-record parse loops, or raise the same FormatError, and the
 block ``.xyz`` writer must write bitwise the bytes of the per-row one.
 """
@@ -40,7 +41,7 @@ from pugeo import (PointCloud, PUGeoConfig, PUGeoNet, TriangleMesh,
                    upsample_analytic)
 from pugeo import io as pugeo_io
 from pugeo.errors import FormatError, ShapeError
-from pugeo.geometry import estimate_frames, fit_curvatures, frame_stats
+from pugeo.geometry import _lstsq_rows, estimate_frames, fit_curvatures, frame_stats
 from pugeo.metrics import point_to_mesh_distances
 from pugeo.model import _knn_candidates, _knn_indices
 from pugeo.sampling import NeighborIndex
@@ -1181,6 +1182,99 @@ def test_permuting_input_permutes_output_groups():
 
 
 # ---------------------------------------------------------------------------
+# least-squares kernel
+
+LSTSQ_KINDS = ["well", "kappa_1e6", "kappa_1e8", "kappa_1e9", "repeated_column",
+               "zero_column", "identical_rows", "zero", "inf", "nan"]
+# a full-rank solution's largest error, relative to its largest |entry|, per
+# unit of condition number (observed: below 3e-14)
+LSTSQ_RTOL = 1e-12
+
+
+def _lstsq_design(kind, k, m, rng):
+    """One (k, m) design of `kind`, at a random power-of-ten scale."""
+    a = rng.normal(size=(k, m))
+    if kind.startswith("kappa"):
+        u, _, vt = np.linalg.svd(a, full_matrices=False)
+        a = (u * np.geomspace(1.0, 1.0 / float(kind[6:]), m)) @ vt
+    elif kind == "repeated_column":
+        a[:, -1] = a[:, 0]
+    elif kind == "zero_column":
+        a[:, rng.integers(m)] = 0.0
+    elif kind == "identical_rows":
+        a[:] = a[0]
+    elif kind == "zero":
+        a[:] = 0.0
+    elif kind in ("inf", "nan"):
+        a[rng.integers(k), rng.integers(m)] = float(kind)
+    return a * 10.0 ** rng.integers(-30, 31)
+
+
+def _lstsq(design, rhs):
+    """_lstsq_rows of (N, k, m) designs and (N, k) rhs, with an (N, m) solution."""
+    solution, rank, condition = _lstsq_rows(np.ascontiguousarray(design.transpose(2, 1, 0)),
+                                            np.ascontiguousarray(rhs.T))
+    return solution.T, rank, condition
+
+
+def _bits(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_lstsq_rows_matches_stacked_svd_property(data):
+    m = data.draw(st.sampled_from([3, 5]), label="m")
+    k = data.draw(st.integers(m, 16), label="k")
+    kinds = data.draw(st.lists(st.sampled_from(LSTSQ_KINDS), min_size=1, max_size=12),
+                      label="kinds")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+    design = np.stack([_lstsq_design(kind, k, m, rng) for kind in kinds])
+    rhs = rng.normal(size=(len(kinds), k)) * 10.0 ** rng.integers(-30, 31, size=(len(kinds), 1))
+    solution, rank, condition = _lstsq(design, rhs)
+
+    finite = np.isfinite(design).all(axis=(1, 2))
+    assert np.array_equal(finite, [kind not in ("inf", "nan") for kind in kinds])
+    assert np.all(rank[~finite] == 0) and np.all(np.isnan(solution[~finite]))
+    slow, slow_rank, singular = reference.lstsq_rows(design[finite], rhs[finite])
+    assert np.array_equal(rank[finite], slow_rank)
+    # fit_curvatures's degenerate rule, and the stacked SVD's own
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slow_condition = singular[:, 0] / singular[:, -1]
+    slow_degenerate = ((slow_rank < m) | (singular[:, -1] <= 0.0)
+                       | (slow_condition > reference._FIT_CONDITION_LIMIT))
+    degenerate = (rank < m) | (condition > reference._FIT_CONDITION_LIMIT)
+    assert np.array_equal(degenerate[finite], slow_degenerate)
+    assert np.all(degenerate[~finite])
+    full = slow_rank == m
+    scale = np.abs(slow[full]).max(axis=1, keepdims=True)
+    assert np.all(np.abs(solution[finite][full] - slow[full])
+                  <= LSTSQ_RTOL * slow_condition[full, None] * scale)
+
+    # bitwise the same alone, after a permutation, and among other rows
+    out = (solution, rank, condition)
+    for i in range(len(kinds)):
+        assert _bits(*_lstsq(design[i:i + 1], rhs[i:i + 1])) == _bits(*(a[i:i + 1] for a in out))
+    perm = rng.permutation(len(kinds))
+    assert _bits(*_lstsq(design[perm], rhs[perm])) == _bits(*(a[perm] for a in out))
+    twice = _lstsq(np.concatenate([design[::-1], design]), np.concatenate([rhs[::-1], rhs]))
+    assert _bits(*(a[len(kinds):] for a in twice)) == _bits(*out)
+
+
+def test_lstsq_rows_qr_and_svd_paths_both_run(monkeypatch):
+    # the property's batches reach both paths: well-conditioned rows stay with
+    # the QR, the others go to the SVD
+    rng = np.random.default_rng(0)
+    kinds = ["well", "well", "kappa_1e8", "repeated_column", "zero", "nan"]
+    design = np.stack([_lstsq_design(kind, 16, 5, rng) for kind in kinds])
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(len(a)) or svd(a, **kw))
+    _lstsq(design, rng.normal(size=(len(kinds), 16)))
+    assert calls == [3]
+
+
+# ---------------------------------------------------------------------------
 # frame statistics
 
 
@@ -1207,7 +1301,7 @@ def test_frame_stats_matches_per_frame_loop(name):
                                   for row in zip(t1, t2, t3)], deltas)
     assert fast.to_tsv() == slow.to_tsv()
     assert fast.degenerate == slow.degenerate
-    # np.arccos and math.acos may round differently in the last place
+    # np.arctan2 and math.atan2 may round differently in the last place
     np.testing.assert_allclose(fast.theta_deg, slow.theta_deg, rtol=0, atol=1e-12)
 
 
